@@ -1,10 +1,14 @@
-"""Measure greedy partition growth and build time by depth.
+"""Measure greedy partition growth, build, verify and decimal I/O times by depth.
 
 The growth conditions force |I_{n+1}| >= 2^(n+1) |I_n|^2, so interval
 sizes gain roughly a doubling digit count per level and build times grow
-by about a factor of three per level past depth 20.  This script prints
-the measured wall times and digit counts so the depth-30 infeasibility
+by about a factor of three per level past depth 20.  For each depth this
+script prints the build and verify times, the emit time (``to_json`` of
+the partition and of its report, which turns every integer into a decimal
+string), the parse time (``PartitionData.from_json`` of that output) and
+the digit count of the last interval, so the depth-30 infeasibility
 documented in the acceptance suite can be reproduced on any machine.
+Times are wall seconds from ``time.perf_counter``.
 
 Usage: python scripts/bench_partition.py [MAX_DEPTH] [--budget SECONDS]
 """
@@ -13,7 +17,7 @@ import argparse
 import sys
 import time
 
-from idealbench.construction import build_partition, verify_partition
+from idealbench.construction import PartitionData, build_partition, verify_partition
 
 
 def main() -> int:
@@ -24,18 +28,23 @@ def main() -> int:
     args = parser.parse_args()
 
     for depth in range(4, args.max_depth + 1, 2):
-        t0 = time.time()
+        t0 = time.perf_counter()
         p = build_partition(depth)
-        build = time.time() - t0
-        t1 = time.time()
-        passed = verify_partition(p).passed
-        verify = time.time() - t1
+        t1 = time.perf_counter()
+        report = verify_partition(p)
+        t2 = time.perf_counter()
+        emitted = p.to_json()
+        report.to_json()
+        t3 = time.perf_counter()
+        PartitionData.from_json(emitted)
+        t4 = time.perf_counter()
         bits = p.lengths[-1].bit_length()
         print(
-            f"depth {depth:2d}: build {build:8.3f}s verify {verify:8.3f}s "
-            f"last interval ~{bits / 3.32:.3g} digits passed={passed}"
+            f"depth {depth:2d}: build {t1 - t0:8.3f}s verify {t2 - t1:8.3f}s "
+            f"emit {t3 - t2:8.3f}s parse {t4 - t3:8.3f}s "
+            f"last interval ~{bits / 3.32:.3g} digits passed={report.passed}"
         )
-        if build > args.budget:
+        if t1 - t0 > args.budget:
             print("budget exceeded, stopping")
             break
     return 0

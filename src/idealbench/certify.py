@@ -47,6 +47,7 @@ from .serialize import (
     canonical_bytes,
     check_assumptions,
     diff_paths,
+    int_str,
     rat_str,
 )
 from .sets import Cofinite, Finite, Progression, Union, set_from_json
@@ -81,7 +82,7 @@ def produce_weight_bound(inputs: dict, seed: int) -> dict:
     total = degenerate_prefix_weight(p, upto)
     body = {
         "depth": depth,
-        "points_summed": str(upto),
+        "points_summed": int_str(upto),
         "total_weight": rat_str(total),
         "below_one": total < 1,
     }

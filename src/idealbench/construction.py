@@ -17,8 +17,14 @@ Every r_n the greedy rule produces is a unit fraction 1/R_n with
 R_{n+1} = max(2 R_n, 2^(n+1) L_n), so L_n = |I_<n| * R_n exactly and
 conditions (1) and (2) hold with equality-tight slack.  Conditions (1)
 and (2) jointly force |I_{n+1}| >= 2^(n+1) |I_n|^2, i.e. interval sizes
-whose digit counts double every level; around depth 24 the arithmetic
-leaves interactive timescales no matter how it is implemented.
+whose digit counts double every level.
+
+Decimal input and output of these integers is subquadratic (see
+``serialize.int_str`` and ``serialize.int_parse``), and verification
+checks unit fractions with integer arithmetic.  What remains is the
+big-integer arithmetic itself: the build's products, the gcds that reduce
+the descending slacks and the decimal conversions each grow three- to
+fourfold per level, so past depth 21 build plus verify takes seconds.
 """
 
 from __future__ import annotations
@@ -27,9 +33,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
-from .errors import HorizonExhausted, StructuralError
+from .errors import HorizonExhausted, SchemaError, StructuralError
 from .sets import DescribedSet
-from .serialize import rat_str, rat_parse
+from .serialize import int_parse, int_str, rat_parse, rat_str
 
 DEFAULT_DEPTH = 12
 
@@ -80,16 +86,32 @@ class PartitionData:
     def to_json(self) -> dict:
         return {
             "depth": self.depth,
-            "starts": [str(s) for s in self.starts],
-            "lengths": [str(l) for l in self.lengths],
+            "starts": [int_str(s) for s in self.starts],
+            "lengths": [int_str(l) for l in self.lengths],
             "rationals": [rat_str(r) for r in self.rationals],
         }
 
     @staticmethod
     def from_json(obj: dict) -> "PartitionData":
-        starts = tuple(int(s) for s in obj["starts"])
-        lengths = tuple(int(l) for l in obj["lengths"])
+        """Parse ``to_json`` output; raises SchemaError on any other shape."""
+        if not isinstance(obj, dict):
+            raise SchemaError("partition must be a JSON object")
+        for key in ("starts", "lengths", "rationals"):
+            if not isinstance(obj.get(key), list):
+                raise SchemaError(f"partition needs a list {key!r}")
+            if not all(isinstance(x, str) for x in obj[key]):
+                raise SchemaError(f"partition {key!r} entries must be strings")
+        try:
+            starts = tuple(int_parse(s) for s in obj["starts"])
+            lengths = tuple(int_parse(l) for l in obj["lengths"])
+        except ValueError as exc:
+            raise SchemaError(f"partition bounds must be decimal integers: {exc}") from exc
         rationals = tuple(rat_parse(r) for r in obj["rationals"])
+        if len(starts) != len(lengths):
+            raise SchemaError("partition needs as many starts as lengths")
+        depth = obj.get("depth", len(lengths))
+        if type(depth) is not int or depth != len(lengths):
+            raise SchemaError(f"partition depth {depth!r} disagrees with {len(lengths)} lengths")
         return PartitionData(starts, lengths, rationals)
 
 
@@ -140,6 +162,51 @@ class PartitionReport:
         return {"passed": self.passed, "checks": [r.to_json() for r in self.reports]}
 
 
+Slacks = Tuple[List[Fraction], List[Fraction], List[Fraction]]
+
+
+def _fraction_slacks(p: PartitionData) -> Slacks:
+    """Growth, decay and descending slacks for arbitrary positive rationals."""
+    r = p.rationals
+    growth = [r[n] * p.lengths[n] - p.prefix_size(n) for n in range(1, p.depth)]
+    decay = [Fraction(1, 1 << (n + 1)) - r[n + 1] * p.lengths[n] for n in range(p.depth)]
+    descending = [r[n] - r[n + 1] for n in range(len(r) - 1)]
+    return growth, decay, descending
+
+
+def _unit_slacks(p: PartitionData) -> Slacks:
+    """The same slacks when every r_n is a unit fraction 1/R_n.
+
+    Growth and decay slacks are integer numerators over known denominators,
+    and a Fraction (with its gcd) is built only for a non-zero numerator.
+    Where both are zero, as on the greedy partition, R_{n+1} = k R_n with
+    k = 2^(n+1) |I_<n|, so the descending slack (1/R_n) (k-1)/k needs no
+    division of R_{n+1} by R_n.
+    """
+    R = [r.denominator for r in p.rationals]
+    # numerators of |I_n|/R_n - |I_<n| over R_n and of 2^(-n-1) - |I_n|/R_{n+1}
+    # over 2^(n+1) R_{n+1}; grow_num[0] = |I_0| is never zero and never reported
+    grow_num = [p.lengths[n] - p.prefix_size(n) * R[n] for n in range(p.depth)]
+    decay_num = [R[n + 1] - (p.lengths[n] << (n + 1)) for n in range(p.depth)]
+
+    def over(num: int, den: int) -> Fraction:
+        return Fraction(num, den) if num else Fraction(0)
+
+    growth = [over(grow_num[n], R[n]) for n in range(1, p.depth)]
+    decay = [over(decay_num[n], R[n + 1] << (n + 1)) for n in range(p.depth)]
+    descending = []
+    for n in range(p.depth):
+        if grow_num[n] == 0 and decay_num[n] == 0:
+            k = p.prefix_size(n) << (n + 1)
+        else:
+            k, rem = divmod(R[n + 1], R[n])
+            if rem:
+                descending.append(Fraction(R[n + 1] - R[n], R[n] * R[n + 1]))
+                continue
+        descending.append(p.rationals[n] * Fraction(k - 1, k))
+    return growth, decay, descending
+
+
 def verify_partition(p: PartitionData) -> PartitionReport:
     """Exact per-condition verification with rational slack."""
     if p.depth < 1 or len(p.rationals) != p.depth + 1:
@@ -161,19 +228,18 @@ def verify_partition(p: PartitionData) -> PartitionReport:
             "base", 0, p.lengths[0] == 1 and p.rationals[0] == 1, None
         )
     )
+    if all(r.numerator == 1 for r in p.rationals):
+        growth, decay, descending = _unit_slacks(p)
+    else:
+        growth, decay, descending = _fraction_slacks(p)
     # condition (1): |I_<n| <= r_n |I_n|
-    for n in range(1, p.depth):
-        bound = p.rationals[n] * p.lengths[n]
-        slack = bound - p.prefix_size(n)
+    for n, slack in enumerate(growth, 1):
         reports.append(ConditionReport("growth", n, slack >= 0, slack))
     # condition (2): |I_n| r_{n+1} <= 2^{-n-1}
-    for n in range(p.depth):
-        attained = p.rationals[n + 1] * p.lengths[n]
-        slack = Fraction(1, 1 << (n + 1)) - attained
+    for n, slack in enumerate(decay):
         reports.append(ConditionReport("decay", n, slack >= 0, slack))
     # strictly descending rationals
-    for n in range(len(p.rationals) - 1):
-        slack = p.rationals[n] - p.rationals[n + 1]
+    for n, slack in enumerate(descending):
         reports.append(ConditionReport("descending", n, slack > 0, slack))
 
     return PartitionReport(all(r.holds for r in reports), tuple(reports))

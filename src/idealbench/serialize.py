@@ -4,10 +4,17 @@ All rationals travel as decimal-free "numerator/denominator" strings, so
 round-trips are lossless and diffs stay readable.  Canonical form is JSON
 with sorted keys and fixed separators; certificates are compared byte for
 byte in canonical form.
+
+Partition data carries integers with hundreds of thousands of digits, and
+CPython's own int/str conversions are quadratic in the digit count.
+``int_str`` and ``int_parse`` convert such integers by divide and conquer,
+the method CPython 3.12 adopted in ``Lib/_pylong.py``, and fall back to the
+built-ins below ``PLAIN_DIGITS`` digits, where those are faster.
 """
 
 from __future__ import annotations
 
+import decimal
 import json
 from fractions import Fraction
 from typing import Any, List, Optional, Tuple
@@ -18,9 +25,96 @@ SCENARIO_SCHEMA = "scenario/1"
 CERTIFICATE_SCHEMA = "certificate/1"
 
 
+# Up to this many decimal digits the built-in str() and int() are used as
+# they are; longer integers are split in halves down to pieces of about
+# this size.
+PLAIN_DIGITS = 10_000
+_PLAIN_BITS = 33_219  # floor(PLAIN_DIGITS * log2(10))
+# int_str's recursion converts pieces of at most this many bits to Decimal;
+# on a million-digit integer this is about 15% faster than stopping at
+# _PLAIN_BITS.
+_DECIMAL_LEAF_BITS = 1024
+
+
+def int_str(n: int) -> str:
+    """``str(n)`` in time subquadratic in the number of digits."""
+    if n.bit_length() <= _PLAIN_BITS:
+        return str(n)
+    D = decimal.Decimal
+    pow2 = {}  # w -> Decimal 2**w, per call: the split widths recur
+
+    def two_to(w: int) -> decimal.Decimal:
+        got = pow2.get(w)
+        if got is None:
+            if w <= _DECIMAL_LEAF_BITS:
+                got = D(1 << w)
+            elif w - 1 in pow2:
+                got = pow2[w - 1] * 2
+            else:
+                half = w >> 1
+                got = two_to(half) * two_to(w - half)
+            pow2[w] = got
+        return got
+
+    def to_decimal(m: int, w: int) -> decimal.Decimal:
+        # m >= 0 and m < 2**w
+        if w <= _DECIMAL_LEAF_BITS:
+            return D(m)
+        half = w >> 1
+        hi = m >> half
+        lo = m - (hi << half)
+        return to_decimal(lo, half) + to_decimal(hi, w - half) * two_to(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True  # a rounded result raises
+        m = abs(n)
+        digits = str(to_decimal(m, m.bit_length()))
+    return "-" + digits if n < 0 else digits
+
+
+def int_parse(s: str) -> int:
+    """``int(s)`` in time subquadratic in the length of ``s``.
+
+    Accepts and rejects exactly what ``int()`` does: only an optionally
+    signed run of ASCII digits takes the split path, and everything else
+    (underscores, whitespace, non-ASCII digits) goes to ``int()`` itself.
+    """
+    body = s[1:] if s[:1] in ("+", "-") else s
+    if len(body) <= PLAIN_DIGITS or not (body.isascii() and body.isdigit()):
+        return int(s)
+    pow5 = {}  # w -> 5**w, per call: the split widths recur
+
+    def five_to(w: int) -> int:
+        got = pow5.get(w)
+        if got is None:
+            if w <= PLAIN_DIGITS:
+                got = 5**w
+            elif w - 1 in pow5:
+                got = pow5[w - 1] * 5
+            else:
+                half = w >> 1
+                got = five_to(half) * five_to(w - half)
+            pow5[w] = got
+        return got
+
+    def value(a: int, b: int) -> int:
+        # the digits body[a:b]; 10**w == 5**w << w
+        if b - a <= PLAIN_DIGITS:
+            return int(body[a:b])
+        mid = (a + b + 1) >> 1
+        w = b - mid
+        return value(mid, b) + ((value(a, mid) * five_to(w)) << w)
+
+    n = value(0, len(body))
+    return -n if s[0] == "-" else n
+
+
 def rat_str(q: Fraction) -> str:
     q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    return f"{int_str(q.numerator)}/{int_str(q.denominator)}"
 
 
 def rat_parse(s: str) -> Fraction:
@@ -28,7 +122,7 @@ def rat_parse(s: str) -> Fraction:
         raise SchemaError(f"rational must be a 'p/q' string, got {s!r}")
     num, den = s.split("/", 1)
     try:
-        return Fraction(int(num), int(den))
+        return Fraction(int_parse(num), int_parse(den))
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational {s!r}: {exc}") from exc
 
@@ -133,11 +227,11 @@ def mutate_one_field(obj: Any) -> Tuple[Any, str]:
     rank, trail, value, path = min(leaves, key=lambda l: l[0])
     if rank == 0:
         num, den = value.split("/", 1)
-        replacement: Any = f"{int(num) + 1}/{den}"
+        replacement: Any = f"{int_str(int_parse(num) + 1)}/{den}"
     elif rank == 1:
         replacement = value + 1
     elif rank == 2:
-        replacement = str(int(value) + 1)
+        replacement = int_str(int_parse(value) + 1)
     elif rank == 3:
         replacement = value + "~"
     else:

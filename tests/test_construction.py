@@ -1,11 +1,16 @@
 """Greedy partition data: exact conditions and weight behavior."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from idealbench import certify
 from idealbench.construction import (
     PartitionData,
+    _fraction_slacks,
+    _unit_slacks,
     build_partition,
     degenerate_prefix_weight,
     interval_weight,
@@ -13,6 +18,7 @@ from idealbench.construction import (
     weight_fn,
 )
 from idealbench.errors import HorizonExhausted, StructuralError
+from idealbench.serialize import canonical_bytes
 from idealbench.sets import Finite, Progression, full_set
 
 
@@ -87,6 +93,61 @@ def test_tampered_rational_fails_decay_and_descent():
     failing = {(r.name, r.index) for r in report.failures()}
     assert ("decay", 1) in failing       # 2 * 1 > 1/4
     assert ("descending", 1) in failing  # 1/2 < 1
+
+
+def test_non_unit_rationals_take_the_fraction_path():
+    p = PartitionData.from_json(
+        {"starts": ["0", "1", "3"], "lengths": ["1", "2", "24"],
+         "rationals": ["1/1", "2/3", "1/8", "1/192"]}
+    )
+    report = verify_partition(p).to_json()
+    assert not report["passed"]
+    got = [(c["condition"], c["index"], c["holds"], c["slack"]) for c in report["checks"]]
+    assert got == [
+        ("base", 0, True, None),
+        ("growth", 1, True, "1/3"),
+        ("growth", 2, True, "0/1"),
+        ("decay", 0, False, "-1/6"),
+        ("decay", 1, True, "0/1"),
+        ("decay", 2, True, "0/1"),
+        ("descending", 0, True, "1/3"),
+        ("descending", 1, True, "13/24"),
+        ("descending", 2, True, "23/192"),
+    ]
+
+
+@given(
+    depth=st.integers(1, 6),
+    edits=st.lists(st.tuples(st.integers(0, 6), st.integers(-3, 3), st.integers(1, 4)),
+                   max_size=3),
+)
+def test_unit_slacks_match_fraction_slacks(depth, edits):
+    # unit denominators moved off the greedy values reach the division and
+    # non-divisible branches; the Fraction path is the reference
+    p = build_partition(depth)
+    dens = [r.denominator for r in p.rationals]
+    for index, shift, factor in edits:
+        index %= len(dens)
+        dens[index] = max(1, dens[index] * factor + shift)
+    tampered = PartitionData(p.starts, p.lengths, tuple(Fraction(1, d) for d in dens))
+    assert _unit_slacks(tampered) == _fraction_slacks(tampered)
+
+
+# sha256 of the canonical certificate bytes (seed 0) as plain str() writes
+# them; depths 16 and 17 carry integers long enough for int_str to split
+PINNED_CERTIFICATES = {
+    ("partition", 16): "fe0e61ba38752c8f891761d1f8ea080485bacd16057a2c0f62b712a89851449f",
+    ("partition", 17): "c5e20ae0278265e6253b10ca9df62e6713ee9f536a566d60610c1fcb11a577d4",
+    ("weight-bound", 16): "752157cbf2f829ea0c53b99b0360a22406f84481126ece7e67c87ce0a2e1163d",
+    ("weight-bound", 17): "1397d3a1b9cb386e63f713f18cac440cb96550f035ab5fead32dc0789e2a527d",
+}
+
+
+@pytest.mark.parametrize("kind, depth", sorted(PINNED_CERTIFICATES))
+def test_partition_certificate_bytes_are_pinned(kind, depth):
+    cert = certify.produce(kind, {"depth": depth}, 0)
+    digest = hashlib.sha256(canonical_bytes(cert)).hexdigest()
+    assert digest == PINNED_CERTIFICATES[(kind, depth)]
 
 
 def test_non_contiguous_intervals_rejected():

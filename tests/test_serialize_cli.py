@@ -4,15 +4,19 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from idealbench import certify
 from idealbench.cli import run
 from idealbench.errors import SchemaError
 from idealbench.scenarios import load_scenario
 from idealbench.serialize import (
+    PLAIN_DIGITS,
     canonical_dumps,
     diff_paths,
     dump_json,
+    int_parse,
+    int_str,
     load_json,
     mutate_one_field,
     rat_parse,
@@ -27,6 +31,60 @@ def test_rational_strings_roundtrip():
         rat_parse("0.5")
     with pytest.raises(SchemaError):
         rat_parse("1/0")
+
+
+# integers from a few digits to three times the plain-conversion cut-off
+_LONG = 10 ** (3 * PLAIN_DIGITS)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(st.integers(), st.integers(-_LONG, _LONG)))
+@example(0)
+@example(-1)
+@example(10**PLAIN_DIGITS - 1)
+@example(10**PLAIN_DIGITS)
+@example(-(10**PLAIN_DIGITS) - 7)
+@example(1 << 33219)  # the first bit length past int_str's cut-off
+@example((1 << 33220) - 1)
+@example(-(10 ** (2 * PLAIN_DIGITS + 1)))
+def test_int_str_and_int_parse_match_builtins(n):
+    text = int_str(n)
+    assert text == str(n)
+    assert int_parse(text) == n
+    assert int_parse("+" + text.lstrip("-")) == abs(n)
+
+
+def _int_or_error(convert, text):
+    try:
+        return convert(text)
+    except ValueError:
+        return ValueError
+
+
+_ODD_CHARS = st.sampled_from([" ", "\n", "_", "+", "-", "a", "\u0663", "\u00b2", "\uff11", "0"])
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.one_of(
+        st.text(),
+        st.builds(
+            lambda sign, digits, insert, where: sign + (digits[:where] + insert + digits[where:]),
+            st.sampled_from(["", "+", "-", "--", " "]),
+            st.integers(PLAIN_DIGITS - 2, PLAIN_DIGITS + 40).map(lambda k: "7" * k),
+            st.text(_ODD_CHARS, max_size=2),
+            st.integers(0, PLAIN_DIGITS + 40),
+        ),
+    )
+)
+@example("\u00b2" * (PLAIN_DIGITS + 1))
+@example("\u0663" * (PLAIN_DIGITS + 1))
+@example("1_" * PLAIN_DIGITS + "1")
+@example(" " + "5" * (PLAIN_DIGITS + 1) + "\n")
+@example("-")
+@example("")
+def test_int_parse_accepts_and_rejects_like_int(text):
+    assert _int_or_error(int_parse, text) == _int_or_error(int, text)
 
 
 def test_canonical_dumps_is_sorted_and_stable():
@@ -129,6 +187,24 @@ def test_cli_verify_construction(tmp_path, capsys):
     assert run(["verify-construction", "--in", str(tampered)]) == 1
     err = capsys.readouterr().err
     assert "decay" in err
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {},
+        {"starts": ["0"], "lengths": ["1"]},
+        {"starts": 5, "lengths": ["1"], "rationals": ["1/1", "1/2"]},
+        [1],
+        {"depth": 2, "starts": ["0"], "lengths": ["1"], "rationals": ["1/1", "1/2"]},
+    ],
+    ids=["empty", "no-rationals", "starts-not-list", "top-level-list", "wrong-depth"],
+)
+def test_cli_verify_construction_rejects_malformed_files(tmp_path, capsys, document):
+    path = tmp_path / "partition.json"
+    dump_json(path, document)
+    assert run(["verify-construction", "--in", str(path)]) == 2
+    assert "schema error" in capsys.readouterr().err
 
 
 def test_cli_weights(capsys):
