@@ -63,6 +63,8 @@ from .ramsey import (
     delta,
     eventually_sparse_check,
     fs,
+    max_support,
+    min_support,
     support,
 )
 from .reduction import (

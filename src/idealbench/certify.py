@@ -31,7 +31,7 @@ from .diagonal import (
     run_ramsey,
 )
 from .errors import ScenarioContradiction, SchemaError
-from .ideals import SumSelector, diff_multiplicity
+from .ideals import SumSelector
 from .pairing import code_unordered, pair_diag, unpair_diag
 from .ramsey import canonical_ramsey_search, delta, eventually_sparse_check, fs
 from .reduction import (
@@ -189,9 +189,9 @@ def run_diag_scenario(scn: DiagScenario, stages: int):
         elif scn.engine == "posdiff":
             state = run_posdiff(scn.models(), scn.payload["horizon"], stages)
         elif scn.engine == "hindman":
-            state = run_hindman(scn.models(), stages, scn.payload.get("scan_cap", 64))
+            state = run_hindman(scn.models(), stages, scn.scan_cap(64))
         elif scn.engine == "ramsey":
-            state = run_ramsey(scn.models(), stages, scn.payload.get("scan_cap", 4096))
+            state = run_ramsey(scn.models(), stages, scn.scan_cap(4096))
         else:
             raise SchemaError(f"not a diagonalization scenario: {scn.engine}")
     except ScenarioContradiction as exc:
@@ -297,9 +297,10 @@ def produce_sparseness(inputs: dict, seed: int) -> dict:
             checked += 1
             if not report.passed:
                 failed += 1
-            # the two smallest members anchor size-2 pairs sharing one difference
+            # the two smallest members anchor size-2 pairs sharing one difference;
+            # the violations list every multiplicity > size - 3, i.e. >= size - 2
             shared = family[1] - family[0]
-            if diff_multiplicity(diffs).get(shared, 0) >= size - 2:
+            if dict(report.violations).get(shared, 0) >= size - 2:
                 witnessed += 1
     body = {
         "universe": universe,

@@ -26,12 +26,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .construction import PartitionData, interval_weight
 from .errors import HorizonExhausted, ScenarioContradiction, StructuralError
 from .pairing import code_unordered, decode_unordered, pair_diag, unpair_diag
-from .ramsey import HINDMAN, RAMSEY, block_disjoint, delta, fs, matching_cases, support
+from .ramsey import (
+    HINDMAN,
+    RAMSEY,
+    block_disjoint,
+    delta,
+    fs,
+    matching_cases,
+    max_support,
+    min_support,
+)
 from .serialize import rat_str
 from .sets import DescribedSet
 from .ideals import diff_multiplicity
@@ -40,10 +50,18 @@ BOT_TOKEN = "__bot__"
 
 
 def harmonic(members) -> Fraction:
-    total = Fraction(0)
+    """Exact sum of 1/(x+1) over the members.
+
+    The running sum num/den keeps den the lcm of the denominators seen, so
+    each term costs one gcd and a few products with a small integer; the
+    result is reduced once, by ``Fraction``.
+    """
+    num, den = 0, 1
     for x in members:
-        total += Fraction(1, x + 1)
-    return total
+        g = gcd(den, x + 1)
+        step = (x + 1) // g
+        num, den = num * step + den // g, den * step
+    return Fraction(num, den)
 
 
 # -- label rules -------------------------------------------------------------
@@ -77,14 +95,13 @@ class LabelRule:
         if k == "block-geometric":
             return self._block_label(x)
         if k == "min-support":
-            return None if x < 1 else min(support(x))
+            return None if x < 1 else min_support(x)
         if k == "max-support":
-            return None if x < 1 else max(support(x))
+            return None if x < 1 else max_support(x)
         if k == "support-pair-code":
             if x < 1:
                 return None
-            sup = support(x)
-            return pair_diag(min(sup).bit_length() - 1, max(sup).bit_length() - 1)
+            return pair_diag(min_support(x).bit_length() - 1, max_support(x).bit_length() - 1)
         if k in ("pair-min", "pair-max", "pair-code", "pair-constant"):
             lo, hi = decode_unordered(x)
             return self.pair_label(lo, hi)

@@ -4,19 +4,25 @@ The canonical forms are the rigid shapes a colouring can take on a
 structured domain: for pair colourings the four cases constant / min /
 max / injective, and for colourings of finite sums over a block-disjoint
 ground sequence the five cases constant / min-support / max-support /
-min-and-max-support / injective.  ``classify_canonical`` tests every
-biconditional exhaustively on the finite domain; when several cases hold
-at once (possible on tiny domains) the smallest case number wins, so the
-answer is deterministic.
+min-and-max-support / injective.  A case holds on a finite domain when
+f(x) = f(y) exactly when key(x) = key(y) for all x, y, with the case's key
+(0, the least or greatest vertex or support element, both, or x itself).
+That biconditional is tested in one pass: it holds exactly when keys and
+values correspond one to one, i.e. when the domain has as many distinct
+keys as distinct values and as distinct (key, value) pairs, since equal
+counts make key -> value and value -> key both functions.  Cases are
+tested in ascending order and ``classify_canonical`` stops at the first
+that holds, so when several hold at once (possible on tiny domains) the
+smallest case number wins and the answer is deterministic.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from .ideals import diff_multiplicity
 from .sets import subset_sums
 
 RAMSEY = "ramsey"
@@ -60,6 +66,20 @@ def support(x: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def min_support(x: int) -> int:
+    """Least element of support(x): the lowest set bit."""
+    if x < 1:
+        raise ValueError("support is defined for positive naturals")
+    return x & -x
+
+
+def max_support(x: int) -> int:
+    """Greatest element of support(x): the highest set bit."""
+    if x < 1:
+        raise ValueError("support is defined for positive naturals")
+    return 1 << (x.bit_length() - 1)
+
+
 def delta(b: Iterable[int]) -> Tuple[int, ...]:
     """Positive differences of distinct elements."""
     members = sorted(set(b))
@@ -72,53 +92,48 @@ def block_disjoint(h: Sequence[int]) -> bool:
     if any(x < 1 for x in seq):
         raise ValueError("block disjointness needs positive entries")
     for cur, nxt in zip(seq, seq[1:]):
-        if max(support(cur)) >= min(support(nxt)):
+        if max_support(cur) >= min_support(nxt):
             return False
     return True
 
 
 # -- canonical-form classification ----------------------------------------
 
-def _holds_on(f: Dict, domain: List, key: Callable) -> bool:
-    """Whether f(x)=f(y) <-> key(x)=key(y) for all x, y in the domain."""
-    for x, y in combinations(domain, 2):
-        if (f[x] == f[y]) != (key(x) == key(y)):
-            return False
-    return True
+# (case, key) in ascending case order
+_CASE_KEYS = {
+    RAMSEY: ((1, lambda x: 0), (2, min), (3, max), (4, lambda x: x)),
+    HINDMAN: (
+        (1, lambda x: 0),
+        (2, min_support),
+        (3, max_support),
+        (4, lambda x: (min_support(x), max_support(x))),
+        (5, lambda x: x),
+    ),
+}
 
 
-def _ramsey_keys():
-    return {
-        1: lambda x: 0,
-        2: lambda x: min(x),
-        3: lambda x: max(x),
-        4: lambda x: x,
-    }
-
-
-def _hindman_keys():
-    return {
-        1: lambda x: 0,
-        2: lambda x: min(support(x)),
-        3: lambda x: max(support(x)),
-        4: lambda x: (min(support(x)), max(support(x))),
-        5: lambda x: x,
-    }
+def _holding_cases(f: Dict, domain: Iterable, family: str) -> Iterator[int]:
+    """Each case whose biconditional holds on the domain, in ascending order."""
+    dom = list(domain)
+    values = [f[x] for x in dom]
+    distinct = len(set(values))
+    for case, key in _CASE_KEYS[family]:
+        keys = list(map(key, dom))
+        if len(set(keys)) == distinct == len(set(zip(keys, values))):
+            yield case
 
 
 def matching_cases(f: Dict, domain: Iterable, family: str) -> List[int]:
     """Every case whose biconditional holds on the finite domain."""
-    dom = list(domain)
-    keys = _ramsey_keys() if family == RAMSEY else _hindman_keys()
-    return [case for case in _CASE_RANGE[family] if _holds_on(f, dom, keys[case])]
+    return list(_holding_cases(f, domain, family))
 
 
 def classify_canonical(f: Dict, domain: Iterable, family: str) -> Optional[CanonicalForm]:
     """The matching canonical case, smallest case number on ties."""
-    cases = matching_cases(f, domain, family)
-    if not cases:
+    case = next(_holding_cases(f, domain, family), None)
+    if case is None:
         return None
-    return CanonicalForm(family, cases[0])
+    return CanonicalForm(family, case)
 
 
 def canonical_ramsey_search(
@@ -146,7 +161,7 @@ def _block_disjoint_tuples(length: int, bound: int):
             yield prefix
             return
         for h in range(lo, bound):
-            if not prefix or max(support(prefix[-1])) < min(support(h)):
+            if not prefix or max_support(prefix[-1]) < min_support(h):
                 yield from extend(prefix + (h,), h + 1)
 
     yield from extend((), 1)
@@ -173,16 +188,7 @@ def canonical_hindman_search(
     return None
 
 
-# -- difference multiplicities ---------------------------------------------
-
-def diff_multiplicity(a: Iterable[int]) -> Dict[int, int]:
-    """How many ordered pairs (m, n), m > n, realize each difference."""
-    members = sorted(set(a))
-    table: Counter = Counter()
-    for x, y in combinations(members, 2):
-        table[y - x] += 1
-    return dict(table)
-
+# -- sparseness ------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SparsenessReport:

@@ -69,8 +69,22 @@ def ideal_from_json(obj: dict, partition: Optional[PartitionData] = None) -> Ide
     raise SchemaError(f"unknown ideal kind {kind!r}")
 
 
+# parameters a label rule reads unconditionally
+_RULE_PARAMS = {
+    "constant": ("value",),
+    "pair-constant": ("value",),
+    "table": ("entries",),
+    "block-geometric": ("start", "base_label", "ratio"),
+}
+
+
 def rule_from_json(obj: dict, partition: Optional[PartitionData] = None) -> LabelRule:
+    if not isinstance(obj, dict):
+        raise SchemaError("a label rule must be an object")
     kind = obj.get("kind")
+    missing = [name for name in _RULE_PARAMS.get(kind, ()) if name not in obj]
+    if missing:
+        raise SchemaError(f"label rule {kind!r} lacks {', '.join(missing)}")
     params = {k: v for k, v in obj.items() if k != "kind"}
     if kind == "table":
         params["entries"] = {int(x): (None if v is None else int(v)) for x, v in obj["entries"]}
@@ -82,6 +96,8 @@ def rule_from_json(obj: dict, partition: Optional[PartitionData] = None) -> Labe
 
 
 def model_from_json(obj: dict, partition: Optional[PartitionData] = None) -> CriticalNodeModel:
+    if not isinstance(obj, dict) or "labels" not in obj:
+        raise SchemaError("a model must be an object with labels")
     return CriticalNodeModel(
         index=obj.get("index", 0),
         rule=rule_from_json(obj["labels"], partition),
@@ -111,7 +127,16 @@ class DiagScenario:
         return build_partition(self.payload.get("depth", DEFAULT_DEPTH))
 
     def models(self, partition: Optional[PartitionData] = None) -> List[CriticalNodeModel]:
-        return [model_from_json(m, partition) for m in self.payload["models"]]
+        models = self.payload.get("models")
+        if not isinstance(models, list) or not models:
+            raise SchemaError(f"scenario {self.name!r} needs a non-empty models list")
+        return [model_from_json(m, partition) for m in models]
+
+    def scan_cap(self, default: int) -> int:
+        cap = self.payload.get("scan_cap", default)
+        if not isinstance(cap, int) or isinstance(cap, bool):
+            raise SchemaError(f"scenario {self.name!r}: scan_cap must be an integer")
+        return cap
 
     def assumptions(self) -> List[dict]:
         return check_assumptions(self.payload.get("assumptions"), self.name)

@@ -7,11 +7,14 @@ prefix from exact harmonic accumulation, and the sums/pairs anchors from
 the threshold rules evaluated by hand.
 """
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from idealbench import certify
 from idealbench.construction import build_partition
 from idealbench.diagonal import (
     CriticalNodeModel,
@@ -32,6 +35,7 @@ from idealbench.ideals import diff_multiplicity
 from idealbench.pairing import code_unordered, unpair_diag
 from idealbench.ramsey import block_disjoint, eventually_sparse_check
 from idealbench.scenarios import load_scenario
+from idealbench.serialize import canonical_bytes
 from idealbench.sets import Cofinite, Progression
 
 
@@ -184,6 +188,13 @@ def test_pwfin_assemble_records_bound():
     fam = assembled.payload["families"]["0"]
     assert fam["structure"] == "divergent-weight"
     assert fam["stages"] == 4
+
+
+@given(st.lists(st.integers(0, 10**6), max_size=40))
+@example([])
+@example([5, 5, 11])
+def test_harmonic_matches_fraction_sum(members):
+    assert harmonic(members) == sum((Fraction(1, x + 1) for x in members), Fraction(0))
 
 
 # -- difference engine --------------------------------------------------------------
@@ -376,6 +387,30 @@ def test_ramsey_case1_contradiction():
     with pytest.raises(ScenarioContradiction) as exc:
         run_ramsey(scn.models(), 1)
     assert "constant form" in exc.value.report["summary"]
+
+
+# -- canonical certificate bytes ------------------------------------------------------
+
+# sha256 of the canonical certificate bytes (seed 0) of bundled scenarios, as
+# the pairwise canonical-form check and per-term Fraction sums wrote them
+PINNED_CERTIFICATES = {
+    ("diagonalization", "hindman-case5", 10):
+        "9b9f5667a4200f66fca3facdcd880391d698ecb88b3450b93c509689542bc15a",
+    ("diagonalization", "hindman-case4", 7):
+        "1f7d2eb7c9abd780358a9df449f21ed5c685822e23a8f6a5cd30a02a62764065",
+    ("diagonalization", "ramsey-case3", 12):
+        "a26b4f5d303151bae0f7b02f4529124d85281542c87f2bb946a91df0b7d9f9f3",
+    ("structural-identity", "hindman-case2", 4):
+        "83a8e3147bb041814b736aeefe9a6ae533cd670826e15c7aa3b107af48f8e706",
+}
+
+
+@pytest.mark.parametrize("kind, name, stages", sorted(PINNED_CERTIFICATES))
+def test_engine_certificate_bytes_are_pinned(kind, name, stages):
+    inputs = {"scenario": load_scenario(name).to_json(), "stages": stages}
+    cert = certify.produce(kind, inputs, 0)
+    digest = hashlib.sha256(canonical_bytes(cert)).hexdigest()
+    assert digest == PINNED_CERTIFICATES[(kind, name, stages)]
 
 
 # -- stage bookkeeping ---------------------------------------------------------------

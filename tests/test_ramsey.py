@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from idealbench.diagonal import BOT_TOKEN
 from idealbench.pairing import code_unordered
 from idealbench.ramsey import (
     HINDMAN,
@@ -18,6 +19,8 @@ from idealbench.ramsey import (
     eventually_sparse_check,
     fs,
     matching_cases,
+    max_support,
+    min_support,
     support,
 )
 
@@ -50,6 +53,20 @@ def test_support_values():
 def test_support_roundtrip_to_ten_thousand():
     for x in range(1, 10001):
         assert sum(support(x)) == x
+
+
+@given(st.integers(1, 1 << 200))
+def test_support_extremes_match_support(x):
+    assert min_support(x) == min(support(x))
+    assert max_support(x) == max(support(x))
+
+
+@pytest.mark.parametrize("x", [0, -1, -8])
+def test_support_extremes_reject_non_positive(x):
+    with pytest.raises(ValueError):
+        min_support(x)
+    with pytest.raises(ValueError):
+        max_support(x)
 
 
 def test_delta_examples():
@@ -112,6 +129,84 @@ def test_classify_min_support_form():
     dom = list(fs((1, 2, 4)))
     f = {x: min(support(x)) for x in dom}
     assert classify_canonical(f, dom, HINDMAN).case == 2
+
+
+# pairwise statement of every biconditional, the reference for matching_cases
+REFERENCE_KEYS = {
+    RAMSEY: {1: lambda x: 0, 2: min, 3: max, 4: lambda x: x},
+    HINDMAN: {
+        1: lambda x: 0,
+        2: lambda x: min(support(x)),
+        3: lambda x: max(support(x)),
+        4: lambda x: (min(support(x)), max(support(x))),
+        5: lambda x: x,
+    },
+}
+
+
+def pairwise_cases(f, domain, family):
+    keys = REFERENCE_KEYS[family]
+    return [
+        case
+        for case in sorted(keys)
+        if all(
+            (f[x] == f[y]) == (keys[case](x) == keys[case](y))
+            for x, y in combinations(domain, 2)
+        )
+    ]
+
+
+LABELS = st.one_of(st.integers(0, 4), st.just(BOT_TOKEN))
+
+
+@st.composite
+def coloured_domains(draw):
+    """A family, a domain of pairs or finite sums, and a colouring of it.
+
+    Colourings are random or factor through one case's key, so every case
+    holds on some draws; sub-domains reach down to one and two elements.
+    """
+    family = draw(st.sampled_from([RAMSEY, HINDMAN]))
+    if family == RAMSEY:
+        verts = draw(st.sets(st.integers(0, 9), min_size=2, max_size=6))
+        full = pair_domain(sorted(verts))
+    else:
+        full = list(fs(draw(st.sets(st.integers(1, 40), min_size=1, max_size=5))))
+    picked = draw(st.sets(st.sampled_from(range(len(full))), min_size=1))
+    domain = [full[j] for j in sorted(picked)]
+    mode = draw(st.sampled_from(["random"] + sorted(REFERENCE_KEYS[family])))
+    if mode == "random":
+        f = {x: draw(LABELS) for x in domain}
+    else:
+        key = REFERENCE_KEYS[family][mode]
+        relabel = {}
+        f = {}
+        for x in domain:
+            if key(x) not in relabel:
+                relabel[key(x)] = draw(LABELS)
+            f[x] = relabel[key(x)]
+    return family, domain, f
+
+
+@given(coloured_domains())
+def test_matching_cases_agree_with_pairwise_reference(drawn):
+    family, domain, f = drawn
+    cases = matching_cases(f, domain, family)
+    assert cases == pairwise_cases(f, domain, family)
+    form = classify_canonical(f, domain, family)
+    if cases:
+        assert form.case == cases[0]
+    else:
+        assert form is None
+
+
+def test_hindman_domain_with_zero_is_rejected():
+    dom = [0, 1, 2]
+    f = {x: x for x in dom}
+    with pytest.raises(ValueError):
+        matching_cases(f, dom, HINDMAN)
+    with pytest.raises(ValueError):
+        classify_canonical(f, dom, HINDMAN)
 
 
 @pytest.mark.parametrize("case", [1, 2, 3, 4])

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from idealbench import certify
 from idealbench.cli import run
 from idealbench.errors import SchemaError
-from idealbench.scenarios import load_scenario
+from idealbench.scenarios import load_scenario, rule_from_json
 from idealbench.serialize import (
     PLAIN_DIGITS,
     canonical_dumps,
@@ -205,6 +205,38 @@ def test_cli_verify_construction_rejects_malformed_files(tmp_path, capsys, docum
     dump_json(path, document)
     assert run(["verify-construction", "--in", str(path)]) == 2
     assert "schema error" in capsys.readouterr().err
+
+
+def _hindman_scenario(**changes) -> dict:
+    """The bundled hindman-case2 scenario with fields replaced; None drops one."""
+    scenario = load_scenario("hindman-case2").to_json()
+    scenario.update(changes)
+    return {k: v for k, v in scenario.items() if v is not None}
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        _hindman_scenario(models=None),
+        _hindman_scenario(models=[]),
+        _hindman_scenario(
+            models=[{"index": 0, "form": 1, "labels": {"kind": "constant"}}]
+        ),
+        _hindman_scenario(scan_cap="x"),
+    ],
+    ids=["no-models", "empty-models", "constant-without-value", "scan-cap-not-int"],
+)
+def test_cli_diagonalize_rejects_malformed_scenarios(tmp_path, capsys, scenario):
+    path = tmp_path / "scenario.json"
+    dump_json(path, scenario)
+    assert run(["diagonalize", "--scenario", str(path)]) == 2
+    assert "schema error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["constant", "pair-constant", "table", "block-geometric"])
+def test_label_rules_without_their_parameters_are_rejected(kind):
+    with pytest.raises(SchemaError):
+        rule_from_json({"kind": kind})
 
 
 def test_cli_weights(capsys):
