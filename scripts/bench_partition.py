@@ -10,7 +10,12 @@ the digit count of the last interval, so the depth-30 infeasibility
 documented in the acceptance suite can be reproduced on any machine.
 Times are wall seconds from ``time.perf_counter``.
 
+``--posdiff HORIZON`` times the difference engine instead: ``run_posdiff``
+and ``assemble`` on the bundled ``posdiff-blocks`` scenario at its default
+stage count, with the horizon raised to HORIZON.
+
 Usage: python scripts/bench_partition.py [MAX_DEPTH] [--budget SECONDS]
+       python scripts/bench_partition.py --posdiff HORIZON
 """
 
 import argparse
@@ -18,6 +23,21 @@ import sys
 import time
 
 from idealbench.construction import PartitionData, build_partition, verify_partition
+from idealbench.diagonal import assemble, run_posdiff
+from idealbench.scenarios import load_scenario
+
+
+def bench_posdiff(horizon: int) -> None:
+    scn = load_scenario("posdiff-blocks")
+    t0 = time.perf_counter()
+    state = run_posdiff(scn.models(), horizon, scn.default_stages)
+    t1 = time.perf_counter()
+    assemble(state)
+    t2 = time.perf_counter()
+    print(
+        f"posdiff-blocks horizon {horizon} stages {len(state.stages)}: "
+        f"run_posdiff {t1 - t0:8.3f}s assemble {t2 - t1:8.3f}s"
+    )
 
 
 def main() -> int:
@@ -25,8 +45,13 @@ def main() -> int:
     parser.add_argument("max_depth", nargs="?", type=int, default=24)
     parser.add_argument("--budget", type=float, default=60.0,
                         help="stop once one build exceeds this many seconds")
+    parser.add_argument("--posdiff", type=int, metavar="HORIZON",
+                        help="time the difference engine on posdiff-blocks instead")
     args = parser.parse_args()
 
+    if args.posdiff is not None:
+        bench_posdiff(args.posdiff)
+        return 0
     for depth in range(4, args.max_depth + 1, 2):
         t0 = time.perf_counter()
         p = build_partition(depth)

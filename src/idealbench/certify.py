@@ -187,7 +187,7 @@ def run_diag_scenario(scn: DiagScenario, stages: int):
                 stages,
             )
         elif scn.engine == "posdiff":
-            state = run_posdiff(scn.models(), scn.payload["horizon"], stages)
+            state = run_posdiff(scn.models(), scn.horizon, stages)
         elif scn.engine == "hindman":
             state = run_hindman(scn.models(), stages, scn.scan_cap(64))
         elif scn.engine == "ramsey":

@@ -23,6 +23,7 @@ contradiction reports instead.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -30,7 +31,7 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .construction import PartitionData, interval_weight
-from .errors import HorizonExhausted, ScenarioContradiction, StructuralError
+from .errors import HorizonExhausted, ScenarioContradiction, SchemaError, StructuralError
 from .pairing import code_unordered, decode_unordered, pair_diag, unpair_diag
 from .ramsey import (
     HINDMAN,
@@ -49,22 +50,93 @@ from .ideals import diff_multiplicity
 BOT_TOKEN = "__bot__"
 
 
-def harmonic(members) -> Fraction:
-    """Exact sum of 1/(x+1) over the members.
+def _add_units(members, num: int = 0, den: int = 1, to_one: bool = False) -> Tuple[int, int, int]:
+    """num/den plus 1/(x+1) per member, with den kept the lcm of the denominators.
 
-    The running sum num/den keeps den the lcm of the denominators seen, so
-    each term costs one gcd and a few products with a small integer; the
-    result is reduced once, by ``Fraction``.
+    Each term costs one gcd and a few products with a small integer; the
+    sum is never reduced, so ``num >= den`` compares it with 1 exactly.
+    With ``to_one`` the sum stops at the first member that takes it to 1
+    or above.  Returns num, den and the number of members added.
     """
-    num, den = 0, 1
+    added = 0
     for x in members:
         g = gcd(den, x + 1)
         step = (x + 1) // g
         num, den = num * step + den // g, den * step
+        added += 1
+        if to_one and num >= den:
+            break
+    return num, den, added
+
+
+def harmonic(members) -> Fraction:
+    """Exact sum of 1/(x+1) over the members, reduced once by ``Fraction``."""
+    num, den, _ = _add_units(members)
     return Fraction(num, den)
 
 
+def _harmonic_pair(members: Sequence[int], lo: int = 0, hi: Optional[int] = None) -> Tuple[int, int]:
+    """Unreduced P/Q equal to ``harmonic(members[lo:hi])``.
+
+    Binary splitting: halves combine as (P1*Q2 + P2*Q1, Q1*Q2), so Q is
+    the product of the denominators and every product is balanced.
+    """
+    if hi is None:
+        hi = len(members)
+    if hi - lo <= 16:
+        p, q = 0, 1
+        for j in range(lo, hi):
+            d = members[j] + 1
+            p, q = p * d + q, q * d
+        return p, q
+    mid = (lo + hi) // 2
+    p1, q1 = _harmonic_pair(members, lo, mid)
+    p2, q2 = _harmonic_pair(members, mid, hi)
+    return p1 * q2 + p2 * q1, q1 * q2
+
+
+def _classes(pairs) -> Dict[object, List[int]]:
+    """Members of each class, from (class, x) pairs."""
+    groups: Dict[object, List[int]] = {}
+    for key, x in pairs:
+        groups.setdefault(key, []).append(x)
+    return groups
+
+
+def _heaviest_class(groups: Dict[int, List[int]]) -> int:
+    """Class of largest harmonic mass, by integer cross-multiplication.
+
+    Each mass is the unreduced ``_harmonic_pair`` of the class; a lone
+    class needs none.  Classes are visited in ascending order and the best
+    is replaced only on a strict ``>``, so the smallest class wins ties.
+    """
+    keys = sorted(groups)
+    if len(keys) == 1:
+        return keys[0]
+    best, best_p, best_q = None, 0, 1
+    for key in keys:
+        p, q = _harmonic_pair(groups[key])
+        if p * best_q > best_p * q:
+            best, best_p, best_q = key, p, q
+    return best
+
+
 # -- label rules -------------------------------------------------------------
+
+@dataclass
+class _BlockScan:
+    """Block boundaries of a ``block-geometric`` rule found so far.
+
+    ``bounds[j]`` is the first successor of block j.  The last block is
+    still open: num/den < 1 is its harmonic mass over bounds[-1] .. pos - 1,
+    so every successor up to pos belongs to it.
+    """
+
+    bounds: List[int] = field(default_factory=list)
+    pos: int = 0
+    num: int = 0
+    den: int = 1
+
 
 @dataclass(frozen=True)
 class LabelRule:
@@ -77,6 +149,7 @@ class LabelRule:
 
     kind: str
     params: dict = field(default_factory=dict)
+    _blocks: _BlockScan = field(default_factory=_BlockScan, init=False, repr=False, compare=False)
 
     def label(self, x: int) -> Optional[int]:
         k = self.kind
@@ -128,26 +201,31 @@ class LabelRule:
         return self.kind in ("constant", "all-bot", "table", "pair-constant")
 
     def _block_label(self, x: int) -> Optional[int]:
-        start = self.params["start"]
-        if x < start:
+        if x < self.params["start"]:
             return None
-        bounds = self._block_bounds(x)
-        j = 0
-        while bounds[j + 1] <= x:
-            j += 1
+        j = bisect_right(self._block_bounds(x), x) - 1
         return self.params["base_label"] * self.params["ratio"] ** j
 
     def _block_bounds(self, upto: int) -> List[int]:
-        # boundaries so that each block's harmonic mass first reaches 1
-        cache = self.params.setdefault("_bounds", [self.params["start"]])
-        while cache[-1] <= upto:
-            acc = Fraction(0)
-            x = cache[-1]
-            while acc < 1:
-                acc += Fraction(1, x + 1)
-                x += 1
-            cache.append(x)
-        return cache
+        """First successors of the blocks up to the one holding ``upto``.
+
+        A block ends where its harmonic mass first reaches 1.  The scan
+        stops at ``upto`` and a later, larger query resumes it, so no term
+        past the largest query is ever added.
+        """
+        scan = self._blocks
+        if not scan.bounds:
+            scan.bounds.append(self.params["start"])
+            scan.pos = self.params["start"]
+        pos, num, den = scan.pos, scan.num, scan.den
+        while pos < upto:
+            num, den, added = _add_units(range(pos, upto), num, den, to_one=True)
+            pos += added
+            if num >= den:
+                scan.bounds.append(pos)
+                num, den = 0, 1
+        scan.pos, scan.num, scan.den = pos, num, den
+        return scan.bounds
 
     def to_json(self) -> dict:
         params = {k: v for k, v in self.params.items()
@@ -478,6 +556,7 @@ class PosdiffState:
     models: Tuple[CriticalNodeModel, ...]
     horizon: int
     stages: List[PosdiffStageRecord] = field(default_factory=list)
+    _labels: Dict[int, List[Optional[int]]] = field(default_factory=dict, repr=False, compare=False)
 
     def labels_before(self, k: int) -> List[int]:
         out: set = set()
@@ -485,6 +564,14 @@ class PosdiffState:
             if rec.k < k:
                 out.update(rec.c_labels)
         return sorted(out)
+
+    def labels_of(self, i: int) -> List[Optional[int]]:
+        """Labels of model i's successors below the horizon, computed once per run."""
+        labels = self._labels.get(i)
+        if labels is None:
+            label = self.models[i].rule.label
+            labels = self._labels[i] = [label(x) for x in range(self.horizon)]
+        return labels
 
 
 def posdiff_stage(state: PosdiffState, k: int) -> PosdiffStageRecord:
@@ -495,42 +582,37 @@ def posdiff_stage(state: PosdiffState, k: int) -> PosdiffStageRecord:
     exact harmonic mass at the horizon, and carves off a prefix of mass at
     least 1.  Strong sparseness is re-verified against the accumulated
     difference set, never assumed.
+
+    No reduced fraction is formed on the way.  Each class mass is an
+    unreduced integer pair P/Q summed by binary splitting, and classes are
+    compared by cross-multiplication, the smallest residue winning ties.
+    The prefix mass is num/den with den the lcm of its denominators, and
+    ``num >= den`` decides when it reaches 1; only the recorded mass is
+    reduced, once.
     """
     i, model = model_for_stage(state.models, k)
     if model.rule.finite_alphabet():
-        _posdiff_refute_finite(state, model)
+        _posdiff_refute_finite(state, i)
 
     prev = state.labels_before(k)
     diffs = delta(prev)
     n_bound = max(prev) if prev else 0
     m_bound = (max(diffs) if diffs else 0) + 1
 
-    eligible: List[Tuple[int, int]] = []
-    for x in range(state.horizon):
-        lab = model.rule.label(x)
-        if lab is not None and lab > n_bound + m_bound:
-            eligible.append((x, lab))
-    if not eligible:
+    label_of = state.labels_of(i)
+    floor = n_bound + m_bound
+    groups = _classes(
+        (lab % m_bound, x) for x, lab in enumerate(label_of) if lab is not None and lab > floor
+    )
+    if not groups:
         raise HorizonExhausted(f"stage {k}: no eligible successors below horizon")
 
-    class_mass: Dict[int, Fraction] = {}
-    for x, lab in eligible:
-        r = lab % m_bound
-        class_mass[r] = class_mass.get(r, Fraction(0)) + Fraction(1, x + 1)
-    best = max(sorted(class_mass), key=lambda r: class_mass[r])
-
-    members: List[int] = []
-    labels: set = set()
-    acc = Fraction(0)
-    for x, lab in eligible:
-        if lab % m_bound != best:
-            continue
-        members.append(x)
-        labels.add(lab)
-        acc += Fraction(1, x + 1)
-        if acc >= 1:
-            break
-    if acc < 1:
+    best = _heaviest_class(groups)
+    num, den, taken = _add_units(groups[best], to_one=True)
+    members = groups[best][:taken]
+    labels = {label_of[x] for x in members}
+    acc = Fraction(num, den)
+    if num < den:
         raise HorizonExhausted(
             f"stage {k}: residue class {best} reaches only {rat_str(acc)} at the horizon"
         )
@@ -554,12 +636,10 @@ def posdiff_stage(state: PosdiffState, k: int) -> PosdiffStageRecord:
     return record
 
 
-def _posdiff_refute_finite(state: PosdiffState, model: CriticalNodeModel):
+def _posdiff_refute_finite(state: PosdiffState, i: int):
     """Finite label alphabets contradict a divergent successor sum."""
-    classes: Dict[Optional[int], Fraction] = {}
-    for x in range(state.horizon):
-        lab = model.rule.label(x)
-        classes[lab] = classes.get(lab, Fraction(0)) + Fraction(1, x + 1)
+    groups = _classes((lab, x) for x, lab in enumerate(state.labels_of(i)))
+    classes = {lab: Fraction(*_harmonic_pair(xs)) for lab, xs in groups.items()}
     raise ScenarioContradiction(
         {
             "summary": "finite label alphabet: finitely many label classes, each "
@@ -587,11 +667,18 @@ def ground_element(ground: dict, j: int) -> int:
     if kind == "powers-of-two":
         return 1 << j
     if kind == "explicit":
-        seq = ground["members"]
+        seq = _explicit_members(ground, "ground")
         if j >= len(seq):
             raise HorizonExhausted("ground sequence exhausted")
         return seq[j]
     raise StructuralError(f"unknown ground kind {kind!r}")
+
+
+def _explicit_members(ground: dict, what: str) -> list:
+    seq = ground.get("members")
+    if not isinstance(seq, list):
+        raise SchemaError(f"an explicit {what} sequence needs a members list")
+    return seq
 
 
 def vertex_element(ground: Optional[dict], j: int) -> int:
@@ -603,7 +690,7 @@ def vertex_element(ground: Optional[dict], j: int) -> int:
     if kind == "ap":
         return ground["base"] + j * ground["step"]
     if kind == "explicit":
-        seq = ground["members"]
+        seq = _explicit_members(ground, "vertex")
         if j >= len(seq):
             raise HorizonExhausted("vertex sequence exhausted")
         return seq[j]

@@ -85,6 +85,10 @@ def rule_from_json(obj: dict, partition: Optional[PartitionData] = None) -> Labe
     missing = [name for name in _RULE_PARAMS.get(kind, ()) if name not in obj]
     if missing:
         raise SchemaError(f"label rule {kind!r} lacks {', '.join(missing)}")
+    if kind == "block-geometric":
+        values = [obj[name] for name in _RULE_PARAMS[kind]]
+        if any(not isinstance(v, int) or isinstance(v, bool) for v in values) or obj["start"] < 0:
+            raise SchemaError("block-geometric needs integers start >= 0, base_label and ratio")
     params = {k: v for k, v in obj.items() if k != "kind"}
     if kind == "table":
         params["entries"] = {int(x): (None if v is None else int(v)) for x, v in obj["entries"]}
@@ -119,7 +123,11 @@ class DiagScenario:
 
     @property
     def default_stages(self) -> int:
-        return self.payload.get("stages_default", 4)
+        return self._integer("stages_default", 4)
+
+    @property
+    def horizon(self) -> int:
+        return self._integer("horizon", None)
 
     def partition(self) -> Optional[PartitionData]:
         if self.engine != "pwfin":
@@ -133,10 +141,13 @@ class DiagScenario:
         return [model_from_json(m, partition) for m in models]
 
     def scan_cap(self, default: int) -> int:
-        cap = self.payload.get("scan_cap", default)
-        if not isinstance(cap, int) or isinstance(cap, bool):
-            raise SchemaError(f"scenario {self.name!r}: scan_cap must be an integer")
-        return cap
+        return self._integer("scan_cap", default)
+
+    def _integer(self, key: str, default: Optional[int]) -> int:
+        value = self.payload.get(key, default)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise SchemaError(f"scenario {self.name!r}: {key} must be an integer")
+        return value
 
     def assumptions(self) -> List[dict]:
         return check_assumptions(self.payload.get("assumptions"), self.name)

@@ -7,6 +7,7 @@ prefix from exact harmonic accumulation, and the sums/pairs anchors from
 the threshold rules evaluated by hand.
 """
 
+import copy
 import hashlib
 from fractions import Fraction
 from itertools import combinations
@@ -19,6 +20,8 @@ from idealbench.construction import build_partition
 from idealbench.diagonal import (
     CriticalNodeModel,
     LabelRule,
+    _harmonic_pair,
+    _heaviest_class,
     assemble,
     coarse_colour,
     collision_check,
@@ -195,6 +198,88 @@ def test_pwfin_assemble_records_bound():
 @example([5, 5, 11])
 def test_harmonic_matches_fraction_sum(members):
     assert harmonic(members) == sum((Fraction(1, x + 1) for x in members), Fraction(0))
+
+
+@given(st.lists(st.integers(0, 10**6), max_size=80))
+@example([])
+@example([6, 6, 2])
+@example([1] * 40)
+def test_harmonic_pair_matches_fraction_sum(members):
+    p, q = _harmonic_pair(members)
+    assert Fraction(p, q) == sum((Fraction(1, x + 1) for x in members), Fraction(0))
+
+
+def fraction_heaviest(groups):
+    masses = {key: sum((Fraction(1, x + 1) for x in xs), Fraction(0)) for key, xs in groups.items()}
+    return max(sorted(masses), key=lambda key: masses[key])
+
+
+@given(st.dictionaries(st.integers(0, 12), st.lists(st.integers(0, 5), min_size=1, max_size=6),
+                       min_size=1, max_size=6))
+def test_heaviest_class_matches_fraction_masses(groups):
+    # members below 6 make equal masses common
+    assert _heaviest_class(groups) == fraction_heaviest(groups)
+
+
+def test_heaviest_class_ties_go_to_the_smallest_residue():
+    # 1/2 + 1/6 = 1/3 + 1/3 = 2/3, ahead of 1/4
+    assert _heaviest_class({3: [2, 2], 0: [3], 1: [1, 5]}) == 1
+    assert _heaviest_class({1: [1, 5], 3: [2, 2]}) == 1
+    assert _heaviest_class({5: [0]}) == 5
+
+
+# -- block-geometric labels ---------------------------------------------------------
+
+def reference_block_labels(start, base_label, ratio, xs):
+    """Labels from block bounds summed one Fraction at a time."""
+    bounds = [start]
+    while bounds[-1] <= max(xs):
+        acc, x = Fraction(0), bounds[-1]
+        while acc < 1:
+            acc += Fraction(1, x + 1)
+            x += 1
+        bounds.append(x)
+    out = {}
+    for x in xs:
+        if x < start:
+            out[x] = None
+            continue
+        j = 0
+        while bounds[j + 1] <= x:
+            j += 1
+        out[x] = base_label * ratio ** j
+    return out
+
+
+@given(
+    st.integers(0, 12),
+    st.integers(1, 9),
+    st.integers(2, 5),
+    st.lists(st.integers(0, 700), min_size=1, max_size=30),
+    st.randoms(use_true_random=False),
+)
+@example(2, 5, 3, list(range(0, 60)), None)
+@example(0, 1, 2, [0, 1, 2, 3, 4, 10, 11, 12], None)
+def test_block_geometric_labels_match_fraction_reference(start, base_label, ratio, xs, rnd):
+    params = {"start": start, "base_label": base_label, "ratio": ratio}
+    expected = reference_block_labels(start, base_label, ratio, xs)
+    shuffled = list(xs)
+    if rnd is not None:
+        rnd.shuffle(shuffled)
+    for order in (sorted(xs), sorted(xs, reverse=True), shuffled):
+        rule = LabelRule("block-geometric", dict(params))
+        assert {x: rule.label(x) for x in order} == expected
+
+
+def test_block_geometric_rule_stays_equal_to_itself_after_use():
+    params = {"start": 2, "base_label": 5, "ratio": 3}
+    rule = LabelRule("block-geometric", params)
+    other = LabelRule("block-geometric", dict(params))
+    assert rule.label(50) == 45
+    assert rule == other
+    assert params == {"start": 2, "base_label": 5, "ratio": 3}
+    assert rule.to_json() == {"kind": "block-geometric", **params}
+    assert repr(rule) == repr(other)
 
 
 # -- difference engine --------------------------------------------------------------
@@ -392,7 +477,8 @@ def test_ramsey_case1_contradiction():
 # -- canonical certificate bytes ------------------------------------------------------
 
 # sha256 of the canonical certificate bytes (seed 0) of bundled scenarios, as
-# the pairwise canonical-form check and per-term Fraction sums wrote them
+# the pairwise canonical-form check and per-term Fraction sums wrote them;
+# collision inputs carry no stage count
 PINNED_CERTIFICATES = {
     ("diagonalization", "hindman-case5", 10):
         "9b9f5667a4200f66fca3facdcd880391d698ecb88b3450b93c509689542bc15a",
@@ -402,12 +488,40 @@ PINNED_CERTIFICATES = {
         "a26b4f5d303151bae0f7b02f4529124d85281542c87f2bb946a91df0b7d9f9f3",
     ("structural-identity", "hindman-case2", 4):
         "83a8e3147bb041814b736aeefe9a6ae533cd670826e15c7aa3b107af48f8e706",
+    ("diagonalization", "posdiff-blocks", 4):
+        "c8986d97499d5214860f2cd7000c63e8012d38c4b957c30805c9fd586d56b4ca",
+    ("diagonalization", "posdiff-identity", 2):
+        "c563061a477508923ad84a37fbb808f08a90b678b5ca529a49c24535a9771c8f",
+    ("diagonalization", "posdiff-finite-labels", 1):
+        "2bf6840251f0e86f683827cfb1cab27d7249cdba50d130f1a8a6bc5ee94799ff",
+    ("collision", "collision-posdiff", None):
+        "12ca30a79f9ed4874387742236c0f56d0f323aa007a64eda59cd1b9c0aa18e13",
+    ("diagonalization", "gen-posdiff-3-7-4-s5-h12000", 5):
+        "7bed9768b2c0c5c2a8d19fd3fcdb3cc884678f16be0f035980411a0c4b6a062d",
 }
 
 
-@pytest.mark.parametrize("kind, name, stages", sorted(PINNED_CERTIFICATES))
+def generated_posdiff_scenario(start, base_label, ratio, stages, horizon):
+    """posdiff-blocks with another block-geometric rule and horizon."""
+    scenario = copy.deepcopy(load_scenario("posdiff-blocks").to_json())
+    scenario["name"] = f"gen-posdiff-{start}-{base_label}-{ratio}-s{stages}-h{horizon}"
+    scenario["horizon"] = horizon
+    scenario["models"][0]["labels"] = {"kind": "block-geometric", "start": start,
+                                       "base_label": base_label, "ratio": ratio}
+    return scenario
+
+
+GENERATED_SCENARIOS = {
+    "gen-posdiff-3-7-4-s5-h12000": generated_posdiff_scenario(3, 7, 4, 5, 12000),
+}
+
+
+@pytest.mark.parametrize("kind, name, stages", list(PINNED_CERTIFICATES))
 def test_engine_certificate_bytes_are_pinned(kind, name, stages):
-    inputs = {"scenario": load_scenario(name).to_json(), "stages": stages}
+    scenario = GENERATED_SCENARIOS.get(name) or load_scenario(name).to_json()
+    inputs = {"scenario": scenario}
+    if stages is not None:
+        inputs["stages"] = stages
     cert = certify.produce(kind, inputs, 0)
     digest = hashlib.sha256(canonical_bytes(cert)).hexdigest()
     assert digest == PINNED_CERTIFICATES[(kind, name, stages)]

@@ -207,11 +207,15 @@ def test_cli_verify_construction_rejects_malformed_files(tmp_path, capsys, docum
     assert "schema error" in capsys.readouterr().err
 
 
-def _hindman_scenario(**changes) -> dict:
-    """The bundled hindman-case2 scenario with fields replaced; None drops one."""
-    scenario = load_scenario("hindman-case2").to_json()
+def _changed_scenario(name: str, **changes) -> dict:
+    """A bundled scenario with fields replaced; None drops one."""
+    scenario = load_scenario(name).to_json()
     scenario.update(changes)
     return {k: v for k, v in scenario.items() if v is not None}
+
+
+def _hindman_scenario(**changes) -> dict:
+    return _changed_scenario("hindman-case2", **changes)
 
 
 @pytest.mark.parametrize(
@@ -223,8 +227,22 @@ def _hindman_scenario(**changes) -> dict:
             models=[{"index": 0, "form": 1, "labels": {"kind": "constant"}}]
         ),
         _hindman_scenario(scan_cap="x"),
+        _changed_scenario("posdiff-blocks", horizon=None),
+        _changed_scenario("posdiff-blocks", horizon="1200"),
+        _hindman_scenario(stages_default="4"),
+        _hindman_scenario(
+            models=[{"index": 0, "form": 2, "labels": {"kind": "min-support"},
+                     "ground": {"kind": "explicit"}}]
+        ),
+        _changed_scenario(
+            "ramsey-case2",
+            models=[{"index": 0, "form": 2, "labels": {"kind": "pair-min"},
+                     "ground": {"kind": "explicit"}}],
+        ),
     ],
-    ids=["no-models", "empty-models", "constant-without-value", "scan-cap-not-int"],
+    ids=["no-models", "empty-models", "constant-without-value", "scan-cap-not-int",
+         "posdiff-no-horizon", "posdiff-horizon-not-int", "stages-default-not-int",
+         "explicit-ground-without-members", "explicit-vertices-without-members"],
 )
 def test_cli_diagonalize_rejects_malformed_scenarios(tmp_path, capsys, scenario):
     path = tmp_path / "scenario.json"
@@ -237,6 +255,20 @@ def test_cli_diagonalize_rejects_malformed_scenarios(tmp_path, capsys, scenario)
 def test_label_rules_without_their_parameters_are_rejected(kind):
     with pytest.raises(SchemaError):
         rule_from_json({"kind": kind})
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"start": -1, "base_label": 5, "ratio": 3},
+        {"start": "2", "base_label": 5, "ratio": 3},
+        {"start": 2, "base_label": 5.0, "ratio": 3},
+        {"start": 2, "base_label": 5, "ratio": True},
+    ],
+)
+def test_block_geometric_rules_need_integer_parameters(params):
+    with pytest.raises(SchemaError):
+        rule_from_json({"kind": "block-geometric", **params})
 
 
 def test_cli_weights(capsys):
