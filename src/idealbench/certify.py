@@ -33,7 +33,7 @@ from .diagonal import (
 from .errors import ScenarioContradiction, SchemaError
 from .ideals import SumSelector
 from .pairing import code_unordered, pair_diag, unpair_diag
-from .ramsey import canonical_ramsey_search, delta, eventually_sparse_check, fs
+from .ramsey import canonical_ramsey_search, difference_mask, fs
 from .reduction import (
     IdentityHeightOne,
     ReductionClaim,
@@ -41,7 +41,7 @@ from .reduction import (
     check_subset_reduction,
     revalidate_certificate,
 )
-from .scenarios import CollisionScenario, DiagScenario, TreeScenario
+from .scenarios import CollisionScenario, DiagScenario, TreeScenario, integer_field
 from .serialize import (
     CERTIFICATE_SCHEMA,
     canonical_bytes,
@@ -284,23 +284,50 @@ def produce_tree_labelling(inputs: dict, seed: int) -> dict:
     return envelope("tree-labelling", inputs, seed, scn.assumptions(), body)
 
 
+def _sparseness_inputs(inputs: dict) -> Tuple[int, list]:
+    if not isinstance(inputs, dict):
+        raise SchemaError("sparseness inputs must be an object")
+    universe = integer_field(inputs, "universe", None, "sparseness inputs")
+    if universe < 0:
+        raise SchemaError("sparseness inputs: universe must not be negative")
+    sizes = inputs.get("sizes")
+    if not isinstance(sizes, list):
+        raise SchemaError("sparseness inputs: sizes must be a list")
+    for size in sizes:
+        if not isinstance(size, int) or isinstance(size, bool) or size < 2:
+            raise SchemaError("sparseness inputs: every size must be an integer >= 2")
+    return universe, sizes
+
+
 def produce_sparseness(inputs: dict, seed: int) -> dict:
-    universe = inputs["universe"]
-    sizes = inputs["sizes"]
+    """Check that the difference image of every small family is not sparse.
+
+    For each family A of ``size`` members of ``range(universe)`` this is
+    ``eventually_sparse_check(delta(A), size - 3)`` together with the check
+    that the difference ``shared`` of the two smallest members has
+    multiplicity at least ``size - 2`` among the violations, computed on
+    ``difference_mask(A)`` instead of tables.  Only multiplicities >= 1 are
+    ever tabulated, so the violations are the differences whose multiplicity
+    exceeds ``floor = max(size - 3, 0)``.  At size 2 the image is a single
+    difference: nothing is violated, yet ``0 >= size - 2`` witnesses it.
+    """
+    universe, sizes = _sparseness_inputs(inputs)
     checked = 0
     failed = 0
     witnessed = 0
     for size in sizes:
+        floor = max(size - 3, 0)
         for family in combinations(range(universe), size):
-            diffs = delta(family)
-            report = eventually_sparse_check(diffs, size - 3)
+            diffs = difference_mask(family)
             checked += 1
-            if not report.passed:
-                failed += 1
-            # the two smallest members anchor size-2 pairs sharing one difference;
-            # the violations list every multiplicity > size - 3, i.e. >= size - 2
+            # the two smallest members anchor size-2 pairs sharing one difference
             shared = family[1] - family[0]
-            if dict(report.violations).get(shared, 0) >= size - 2:
+            m = (diffs & (diffs >> shared)).bit_count()
+            if m > floor or any(
+                (diffs & (diffs >> d)).bit_count() > floor for d in range(1, universe)
+            ):
+                failed += 1
+            if (m if m > floor else 0) >= size - 2:
                 witnessed += 1
     body = {
         "universe": universe,
@@ -426,7 +453,7 @@ def produce_ramsey_oracle(inputs: dict, seed: int) -> dict:
 def produce_collision(inputs: dict, seed: int) -> dict:
     scn = CollisionScenario(inputs["scenario"]["name"], inputs["scenario"])
     diag_scn = scn.diag()
-    stages = scn.payload.get("stages", diag_scn.default_stages)
+    stages = scn.stages(diag_scn.default_stages)
     outcome, state, _ = run_diag_scenario(diag_scn, stages)
     if outcome != "stages":
         raise SchemaError("collision scenarios need a staged diagonalization")
@@ -434,7 +461,7 @@ def produce_collision(inputs: dict, seed: int) -> dict:
     tree_scn = scn.tree_scenario()
     partition = diag_scn.partition()
     models = diag_scn.models(partition)
-    model_index = scn.payload.get("model_index", 0)
+    model_index = scn.model_index(len(models))
     report = collision_check(
         tree_scn.tree(),
         tree_scn.branching_ideal(),
@@ -443,7 +470,7 @@ def produce_collision(inputs: dict, seed: int) -> dict:
         assembled,
         model_index,
         models[model_index],
-        horizon=scn.payload.get("horizon", 4096),
+        horizon=scn.horizon,
     )
     body = {
         "diag": diag_scn.name,

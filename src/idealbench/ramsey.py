@@ -86,6 +86,27 @@ def delta(b: Iterable[int]) -> Tuple[int, ...]:
     return tuple(sorted({y - x for x, y in combinations(members, 2)}))
 
 
+def difference_mask(family: Iterable[int]) -> int:
+    """Bitmask of ``delta(family)`` for a finite family of naturals.
+
+    With ``M = sum(1 << a for a in A)``, ``M >> a`` has bit ``k`` set exactly
+    when ``a + k`` is in ``A``, so ``D = OR of M >> a over a in A`` with bit 0
+    cleared has bit ``d`` set exactly when ``d`` is a positive difference of
+    ``A``.  Applied once more, the same identity counts the multiplicity of
+    ``d`` in the difference table of ``delta(A)``: it is the number of ``x``
+    with both ``x`` and ``x + d`` in the image, i.e.
+    ``(D & (D >> d)).bit_count()``.  A negative member raises ``ValueError``.
+    """
+    members = tuple(family)
+    mask = 0
+    for a in members:
+        mask |= 1 << a
+    diffs = 0
+    for a in members:
+        diffs |= mask >> a
+    return diffs & ~1
+
+
 def block_disjoint(h: Sequence[int]) -> bool:
     """Whether consecutive supports are fully separated."""
     seq = list(h)

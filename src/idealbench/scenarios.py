@@ -43,10 +43,6 @@ from .trees import (
 ENV_SCENARIO_DIR = "IDEALBENCH_SCENARIOS"
 
 
-def ideal_to_json(ideal: IdealDescriptor) -> dict:
-    return ideal.to_json()
-
-
 def ideal_from_json(obj: dict, partition: Optional[PartitionData] = None) -> IdealDescriptor:
     kind = obj.get("kind")
     if kind == "fin":
@@ -99,6 +95,14 @@ def rule_from_json(obj: dict, partition: Optional[PartitionData] = None) -> Labe
     return LabelRule(kind, params)
 
 
+def integer_field(obj: dict, key: str, default: Optional[int], where: str) -> int:
+    """``obj[key]`` (or ``default`` when absent) as an integer; bools are not."""
+    value = obj.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SchemaError(f"{where}: {key} must be an integer")
+    return value
+
+
 def model_from_json(obj: dict, partition: Optional[PartitionData] = None) -> CriticalNodeModel:
     if not isinstance(obj, dict) or "labels" not in obj:
         raise SchemaError("a model must be an object with labels")
@@ -144,10 +148,7 @@ class DiagScenario:
         return self._integer("scan_cap", default)
 
     def _integer(self, key: str, default: Optional[int]) -> int:
-        value = self.payload.get(key, default)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise SchemaError(f"scenario {self.name!r}: {key} must be an integer")
-        return value
+        return integer_field(self.payload, key, default, f"scenario {self.name!r}")
 
     def assumptions(self) -> List[dict]:
         return check_assumptions(self.payload.get("assumptions"), self.name)
@@ -554,6 +555,21 @@ class CollisionScenario:
 
     def tree_scenario(self) -> TreeScenario:
         return TreeScenario(self.payload["tree"]["name"], self.payload["tree"])
+
+    @property
+    def horizon(self) -> int:
+        return integer_field(self.payload, "horizon", 4096, f"scenario {self.name!r}")
+
+    def stages(self, default: int) -> int:
+        return integer_field(self.payload, "stages", default, f"scenario {self.name!r}")
+
+    def model_index(self, count: int) -> int:
+        index = integer_field(self.payload, "model_index", 0, f"scenario {self.name!r}")
+        if not 0 <= index < count:
+            raise SchemaError(
+                f"scenario {self.name!r}: model_index {index} is not in 0..{count - 1}"
+            )
+        return index
 
     def assumptions(self) -> List[dict]:
         return check_assumptions(self.payload.get("assumptions"), self.name)

@@ -282,10 +282,6 @@ def evens() -> Progression:
     return Progression(0, 2)
 
 
-def odds() -> Progression:
-    return Progression(1, 2)
-
-
 def modular_avoiders(m: int) -> Complement:
     """The set of naturals not divisible by m (m >= 2)."""
     if m < 2:

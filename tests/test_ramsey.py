@@ -1,10 +1,12 @@
 """Finite-sums algebra and canonical-form searches."""
 
+import hashlib
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from idealbench import certify
 from idealbench.diagonal import BOT_TOKEN
 from idealbench.pairing import code_unordered
 from idealbench.ramsey import (
@@ -16,6 +18,7 @@ from idealbench.ramsey import (
     classify_canonical,
     delta,
     diff_multiplicity,
+    difference_mask,
     eventually_sparse_check,
     fs,
     matching_cases,
@@ -23,6 +26,7 @@ from idealbench.ramsey import (
     min_support,
     support,
 )
+from idealbench.serialize import canonical_bytes
 
 
 def test_fs_examples():
@@ -299,3 +303,71 @@ def test_multiplicity_tables_agree_with_ideals_module():
 
     for family in combinations(range(12), 4):
         assert diff_multiplicity(family) == other(family)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sets(st.integers(0, 150), max_size=12))
+@example(set())
+@example({7})
+def test_difference_mask_is_the_difference_image(family):
+    mask = difference_mask(family)
+    image = delta(family)
+    assert mask == sum(1 << d for d in image)
+    table = diff_multiplicity(image)
+    for d in range(1, mask.bit_length() + 1):
+        assert (mask & (mask >> d)).bit_count() == table.get(d, 0)
+
+
+def test_difference_mask_rejects_negative_members():
+    with pytest.raises(ValueError):
+        difference_mask([3, -1])
+
+
+def _reference_sparseness_body(universe, sizes):
+    """The sparseness body as the difference tables compute it."""
+    checked = failed = witnessed = 0
+    for size in sizes:
+        for family in combinations(range(universe), size):
+            report = eventually_sparse_check(delta(family), size - 3)
+            checked += 1
+            if not report.passed:
+                failed += 1
+            shared = family[1] - family[0]
+            if dict(report.violations).get(shared, 0) >= size - 2:
+                witnessed += 1
+    return {
+        "universe": universe,
+        "sizes": list(sizes),
+        "checked": checked,
+        "failed_as_predicted": failed,
+        "shared_difference_witnessed": witnessed,
+        "all_fail": failed == checked,
+        "all_witnessed": witnessed == checked,
+    }
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 12), st.lists(st.integers(2, 7), max_size=3))
+@example(12, [2, 3, 6])
+@example(5, [2])
+@example(3, [3])
+@example(2, [2, 7])
+@example(9, [7, 3, 2])
+def test_sparseness_body_matches_difference_tables(universe, sizes):
+    cert = certify.produce("sparseness", {"universe": universe, "sizes": sizes}, 0)
+    assert cert["body"] == _reference_sparseness_body(universe, sizes)
+
+
+# sha256 of the canonical certificate bytes (seed 0) as the difference tables
+# wrote them; the second covers the size-2 and size-3 edge cases
+PINNED_SPARSENESS = {
+    (25, (4, 5)): "50eb125b6fcaa2272d7124e9a673b08e9c7ef4e4fbd3154b7403e48effb0dedd",
+    (12, (2, 3, 6)): "e4aae44fb6be586934040155ff9f5f117df60abeb4330029395fcdc111ee031a",
+}
+
+
+@pytest.mark.parametrize("universe, sizes", sorted(PINNED_SPARSENESS))
+def test_sparseness_certificate_bytes_are_pinned(universe, sizes):
+    cert = certify.produce("sparseness", {"universe": universe, "sizes": list(sizes)}, 0)
+    digest = hashlib.sha256(canonical_bytes(cert)).hexdigest()
+    assert digest == PINNED_SPARSENESS[(universe, sizes)]

@@ -239,15 +239,48 @@ def _hindman_scenario(**changes) -> dict:
             models=[{"index": 0, "form": 2, "labels": {"kind": "pair-min"},
                      "ground": {"kind": "explicit"}}],
         ),
+        _changed_scenario("collision-posdiff", stages="4"),
+        _changed_scenario("collision-posdiff", model_index=3),
+        _changed_scenario("collision-posdiff", model_index="0"),
+        _changed_scenario("collision-posdiff", model_index=-1),
+        _changed_scenario("collision-posdiff", horizon="1200"),
     ],
     ids=["no-models", "empty-models", "constant-without-value", "scan-cap-not-int",
          "posdiff-no-horizon", "posdiff-horizon-not-int", "stages-default-not-int",
-         "explicit-ground-without-members", "explicit-vertices-without-members"],
+         "explicit-ground-without-members", "explicit-vertices-without-members",
+         "collision-stages-not-int", "collision-model-index-out-of-range",
+         "collision-model-index-not-int", "collision-model-index-negative",
+         "collision-horizon-not-int"],
 )
 def test_cli_diagonalize_rejects_malformed_scenarios(tmp_path, capsys, scenario):
     path = tmp_path / "scenario.json"
     dump_json(path, scenario)
     assert run(["diagonalize", "--scenario", str(path)]) == 2
+    assert "schema error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [
+        {"universe": 6, "sizes": [1]},
+        {"universe": 6, "sizes": [0]},
+        {"universe": 6, "sizes": [True]},
+        {"universe": "6", "sizes": [3]},
+        {"universe": True, "sizes": [3]},
+        {"universe": -1, "sizes": [3]},
+        {"sizes": [3]},
+        {"universe": 6, "sizes": 4},
+        {"universe": 6},
+    ],
+    ids=["size-one", "size-zero", "size-bool", "universe-not-int", "universe-bool",
+         "universe-negative", "no-universe", "sizes-not-list", "no-sizes"],
+)
+def test_cli_certify_rejects_malformed_sparseness_inputs(tmp_path, capsys, inputs):
+    cert = certify.produce("sparseness", {"universe": 6, "sizes": [3]}, 0)
+    cert["inputs"] = inputs
+    path = tmp_path / "sparseness.json"
+    dump_json(path, cert)
+    assert run(["certify", "--in", str(path)]) == 2
     assert "schema error" in capsys.readouterr().err
 
 
