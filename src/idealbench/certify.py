@@ -201,7 +201,7 @@ def run_diag_scenario(scn: DiagScenario, stages: int):
 
 def produce_diagonalization(inputs: dict, seed: int) -> dict:
     scn = DiagScenario(inputs["scenario"]["name"], inputs["scenario"]["engine"], inputs["scenario"])
-    stages = inputs["stages"]
+    stages = integer_field(inputs, "stages", None, "diagonalization inputs", minimum=1)
     outcome, state, report = run_diag_scenario(scn, stages)
     if outcome == "stages":
         assembled = assemble(state)
@@ -223,7 +223,7 @@ def produce_diagonalization(inputs: dict, seed: int) -> dict:
 
 def produce_structural_identity(inputs: dict, seed: int) -> dict:
     scn = DiagScenario(inputs["scenario"]["name"], inputs["scenario"]["engine"], inputs["scenario"])
-    stages = inputs["stages"]
+    stages = integer_field(inputs, "stages", None, "structural-identity inputs", minimum=1)
     outcome, state, _ = run_diag_scenario(scn, stages)
     if outcome != "stages":
         raise SchemaError("structural identity needs a staged run")

@@ -29,7 +29,7 @@ from .reduction import (
     ReductionClaim,
     katetov_witness_check,
 )
-from .scenarios import bundled_names, ideal_from_json, load_scenario
+from .scenarios import bundled_names, ideal_from_json, integer_field, load_scenario
 from .serialize import dump_json, load_json, rat_str
 from .sets import set_from_json
 
@@ -102,7 +102,10 @@ def _cmd_diagonalize(args) -> int:
     scn = load_scenario(args.scenario)
     engine = scn.payload.get("engine")
     if engine in ("pwfin", "posdiff", "hindman", "ramsey"):
-        stages = args.stages or scn.default_stages
+        if args.stages is None:
+            stages = scn.default_stages
+        else:
+            stages = integer_field(vars(args), "stages", None, "--stages", minimum=1)
         cert = certify.produce(
             "diagonalization", {"scenario": scn.to_json(), "stages": stages}, args.seed
         )

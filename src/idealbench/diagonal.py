@@ -27,8 +27,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import ceil, exp, gcd
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .construction import PartitionData, interval_weight
 from .errors import HorizonExhausted, ScenarioContradiction, SchemaError, StructuralError
@@ -50,72 +50,103 @@ from .ideals import diff_multiplicity
 BOT_TOKEN = "__bot__"
 
 
-def _add_units(members, num: int = 0, den: int = 1, to_one: bool = False) -> Tuple[int, int, int]:
-    """num/den plus 1/(x+1) per member, with den kept the lcm of the denominators.
+def harmonic(members) -> Fraction:
+    """Exact sum of 1/(x+1) over the members, reduced once by ``Fraction``.
 
-    Each term costs one gcd and a few products with a small integer; the
-    sum is never reduced, so ``num >= den`` compares it with 1 exactly.
-    With ``to_one`` the sum stops at the first member that takes it to 1
-    or above.  Returns num, den and the number of members added.
+    The running denominator is kept the lcm of the denominators seen, so
+    each term costs one gcd and a few products with a small integer.
     """
-    added = 0
+    num, den = 0, 1
     for x in members:
         g = gcd(den, x + 1)
         step = (x + 1) // g
         num, den = num * step + den // g, den * step
-        added += 1
-        if to_one and num >= den:
-            break
-    return num, den, added
-
-
-def harmonic(members) -> Fraction:
-    """Exact sum of 1/(x+1) over the members, reduced once by ``Fraction``."""
-    num, den, _ = _add_units(members)
     return Fraction(num, den)
 
 
-def _harmonic_pair(members: Sequence[int], lo: int = 0, hi: Optional[int] = None) -> Tuple[int, int]:
-    """Unreduced P/Q equal to ``harmonic(members[lo:hi])``.
+def _sum_pairs(pairs: Sequence[Tuple[int, int]], lo: int = 0, hi: Optional[int] = None) -> Tuple[int, int]:
+    """Unreduced sum of the fractions P/Q in ``pairs[lo:hi]``.
 
     Binary splitting: halves combine as (P1*Q2 + P2*Q1, Q1*Q2), so Q is
     the product of the denominators and every product is balanced.
     """
     if hi is None:
-        hi = len(members)
+        hi = len(pairs)
     if hi - lo <= 16:
         p, q = 0, 1
         for j in range(lo, hi):
-            d = members[j] + 1
-            p, q = p * d + q, q * d
+            a, b = pairs[j]
+            p, q = p * b + a * q, q * b
         return p, q
     mid = (lo + hi) // 2
-    p1, q1 = _harmonic_pair(members, lo, mid)
-    p2, q2 = _harmonic_pair(members, mid, hi)
+    p1, q1 = _sum_pairs(pairs, lo, mid)
+    p2, q2 = _sum_pairs(pairs, mid, hi)
     return p1 * q2 + p2 * q1, q1 * q2
 
 
-def _classes(pairs) -> Dict[object, List[int]]:
-    """Members of each class, from (class, x) pairs."""
-    groups: Dict[object, List[int]] = {}
+def _harmonic_pair(members) -> Tuple[int, int]:
+    """Unreduced P/Q equal to ``harmonic(members)``, by binary splitting."""
+    return _sum_pairs([(1, x + 1) for x in members])
+
+
+def _reach_one(a: int, limit: int, p: int = 0, q: int = 1) -> Tuple[Optional[int], int, int]:
+    """First end t in a+1 .. limit with p/q + S(a, t) >= 1, proved with integers.
+
+    S(a, t) is the harmonic mass of the successors a .. t - 1, the
+    unreduced ``_harmonic_pair`` of ``range(a, t)``, and p/q < 1 is a mass
+    already taken.  A float estimate of H(t) - H(a) >= 1 - p/q, with
+    H(n) ~ log(n + 1/2) + const, gives a first guess for t.  From there
+    the scan steps one term at a time until the two integer comparisons
+    p/q + S(a, t) >= 1 and p/q + S(a, t - 1) < 1 both hold.  S(a, .) is
+    strictly increasing, so together they make t the first end at which
+    the mass reaches 1, whatever the guess was: a poor guess costs steps,
+    never the answer.
+
+    Returns (t, P, Q) with P/Q = p/q + S(a, t) unreduced.  If the mass
+    stays below 1 up to ``limit``, returns (None, P, Q) with
+    P/Q = p/q + S(a, limit).  No term past successor ``limit - 1`` is
+    ever added.
+    """
+    if limit <= a:
+        return None, p, q
+    guess = ceil((a + 0.5) * exp(1 - p / q) - 0.5)
+    t = min(max(guess, a + 1), limit)
+    s, r = _harmonic_pair(range(a, t))
+    p, q = p * r + s * q, q * r
+    if p >= q:
+        while t > a + 1 and p * t - q >= q * t:
+            p, q, t = p * t - q, q * t, t - 1
+        return t, p, q
+    while t < limit:
+        t += 1
+        p, q = p * t + q, q * t
+        if p >= q:
+            return t, p, q
+    return None, p, q
+
+
+def _classes(pairs) -> Dict[object, list]:
+    """Members of each class, from (class, member) pairs."""
+    groups: Dict[object, list] = {}
     for key, x in pairs:
         groups.setdefault(key, []).append(x)
     return groups
 
 
-def _heaviest_class(groups: Dict[int, List[int]]) -> int:
-    """Class of largest harmonic mass, by integer cross-multiplication.
+def _heaviest_class(groups: Dict[int, List[Tuple[int, int]]]) -> int:
+    """Class of largest mass, by integer cross-multiplication.
 
-    Each mass is the unreduced ``_harmonic_pair`` of the class; a lone
-    class needs none.  Classes are visited in ascending order and the best
-    is replaced only on a strict ``>``, so the smallest class wins ties.
+    ``groups`` maps each class to the unreduced masses P/Q of its runs;
+    a class's mass is their ``_sum_pairs``, and a lone class needs none.
+    Classes are visited in ascending order and the best is replaced only
+    on a strict ``>``, so the smallest class wins ties.
     """
     keys = sorted(groups)
     if len(keys) == 1:
         return keys[0]
     best, best_p, best_q = None, 0, 1
     for key in keys:
-        p, q = _harmonic_pair(groups[key])
+        p, q = _sum_pairs(groups[key])
         if p * best_q > best_p * q:
             best, best_p, best_q = key, p, q
     return best
@@ -124,18 +155,20 @@ def _heaviest_class(groups: Dict[int, List[int]]) -> int:
 # -- label rules -------------------------------------------------------------
 
 @dataclass
-class _BlockScan:
-    """Block boundaries of a ``block-geometric`` rule found so far.
+class _BlockEnds:
+    """Blocks of a ``block-geometric`` rule proven so far.
 
-    ``bounds[j]`` is the first successor of block j.  The last block is
-    still open: num/den < 1 is its harmonic mass over bounds[-1] .. pos - 1,
+    ``starts[j]`` is the first successor of block j, and ``masses`` maps
+    each closed block's (start, end) to its unreduced harmonic mass.  The
+    last block is still open: p/q < 1 is its mass over starts[-1] .. pos - 1,
     so every successor up to pos belongs to it.
     """
 
-    bounds: List[int] = field(default_factory=list)
+    starts: List[int] = field(default_factory=list)
+    masses: Dict[Tuple[int, int], Tuple[int, int]] = field(default_factory=dict)
     pos: int = 0
-    num: int = 0
-    den: int = 1
+    p: int = 0
+    q: int = 1
 
 
 @dataclass(frozen=True)
@@ -149,7 +182,7 @@ class LabelRule:
 
     kind: str
     params: dict = field(default_factory=dict)
-    _blocks: _BlockScan = field(default_factory=_BlockScan, init=False, repr=False, compare=False)
+    _blocks: _BlockEnds = field(default_factory=_BlockEnds, init=False, repr=False, compare=False)
 
     def label(self, x: int) -> Optional[int]:
         k = self.kind
@@ -200,32 +233,81 @@ class LabelRule:
     def finite_alphabet(self) -> bool:
         return self.kind in ("constant", "all-bot", "table", "pair-constant")
 
+    def label_runs(self, lo: int, hi: int) -> Iterator[Tuple[int, int, Optional[int]]]:
+        """Runs (start, end, label) covering lo .. hi - 1 in ascending order.
+
+        Every successor x of start .. end - 1 has ``label(x) == label``.  A
+        ``block-geometric`` rule yields whole blocks, cut only at lo and hi;
+        every other rule is read one successor at a time, equal neighbours
+        merged.
+        """
+        if lo >= hi:
+            return
+        if self.kind == "block-geometric":
+            yield from self._block_runs(lo, hi)
+            return
+        label = self.label
+        start, current = lo, label(lo)
+        for x in range(lo + 1, hi):
+            lab = label(x)
+            if lab != current:
+                yield start, x, current
+                start, current = x, lab
+        yield start, hi, current
+
+    def run_mass(self, start: int, end: int) -> Tuple[int, int]:
+        """Unreduced harmonic mass P/Q of the successors start .. end - 1.
+
+        A closed block, or the open block up to the end of the block scan,
+        reuses the sum that scan proved its end with.
+        """
+        blocks = self._blocks
+        mass = blocks.masses.get((start, end))
+        if mass is not None:
+            return mass
+        if blocks.starts and (start, end) == (blocks.starts[-1], blocks.pos):
+            return blocks.p, blocks.q
+        return _harmonic_pair(range(start, end))
+
     def _block_label(self, x: int) -> Optional[int]:
         if x < self.params["start"]:
             return None
         j = bisect_right(self._block_bounds(x), x) - 1
         return self.params["base_label"] * self.params["ratio"] ** j
 
+    def _block_runs(self, lo: int, hi: int) -> Iterator[Tuple[int, int, Optional[int]]]:
+        start = self.params["start"]
+        if lo < start:
+            yield lo, min(start, hi), None
+        starts = self._block_bounds(hi)
+        base, ratio = self.params["base_label"], self.params["ratio"]
+        j = max(bisect_right(starts, lo) - 1, 0)
+        while j < len(starts) and starts[j] < hi:
+            end = starts[j + 1] if j + 1 < len(starts) else hi
+            yield max(starts[j], lo), min(end, hi), base * ratio ** j
+            j += 1
+
     def _block_bounds(self, upto: int) -> List[int]:
         """First successors of the blocks up to the one holding ``upto``.
 
-        A block ends where its harmonic mass first reaches 1.  The scan
-        stops at ``upto`` and a later, larger query resumes it, so no term
-        past the largest query is ever added.
+        A block ends where its harmonic mass first reaches 1, and
+        ``_reach_one`` proves each end exactly.  The scan stops at ``upto``
+        with the open block's partial mass kept, and a later, larger query
+        resumes from there, so no term past the largest query is ever added.
         """
-        scan = self._blocks
-        if not scan.bounds:
-            scan.bounds.append(self.params["start"])
-            scan.pos = self.params["start"]
-        pos, num, den = scan.pos, scan.num, scan.den
-        while pos < upto:
-            num, den, added = _add_units(range(pos, upto), num, den, to_one=True)
-            pos += added
-            if num >= den:
-                scan.bounds.append(pos)
-                num, den = 0, 1
-        scan.pos, scan.num, scan.den = pos, num, den
-        return scan.bounds
+        blocks = self._blocks
+        if not blocks.starts:
+            blocks.starts.append(self.params["start"])
+            blocks.pos = self.params["start"]
+        while blocks.pos < upto:
+            end, p, q = _reach_one(blocks.pos, upto, blocks.p, blocks.q)
+            if end is None:
+                blocks.pos, blocks.p, blocks.q = upto, p, q
+            else:
+                blocks.masses[(blocks.starts[-1], end)] = (p, q)
+                blocks.starts.append(end)
+                blocks.pos, blocks.p, blocks.q = end, 0, 1
+        return blocks.starts
 
     def to_json(self) -> dict:
         params = {k: v for k, v in self.params.items()
@@ -556,7 +638,6 @@ class PosdiffState:
     models: Tuple[CriticalNodeModel, ...]
     horizon: int
     stages: List[PosdiffStageRecord] = field(default_factory=list)
-    _labels: Dict[int, List[Optional[int]]] = field(default_factory=dict, repr=False, compare=False)
 
     def labels_before(self, k: int) -> List[int]:
         out: set = set()
@@ -564,14 +645,6 @@ class PosdiffState:
             if rec.k < k:
                 out.update(rec.c_labels)
         return sorted(out)
-
-    def labels_of(self, i: int) -> List[Optional[int]]:
-        """Labels of model i's successors below the horizon, computed once per run."""
-        labels = self._labels.get(i)
-        if labels is None:
-            label = self.models[i].rule.label
-            labels = self._labels[i] = [label(x) for x in range(self.horizon)]
-        return labels
 
 
 def posdiff_stage(state: PosdiffState, k: int) -> PosdiffStageRecord:
@@ -583,15 +656,27 @@ def posdiff_stage(state: PosdiffState, k: int) -> PosdiffStageRecord:
     least 1.  Strong sparseness is re-verified against the accumulated
     difference set, never assumed.
 
-    No reduced fraction is formed on the way.  Each class mass is an
-    unreduced integer pair P/Q summed by binary splitting, and classes are
-    compared by cross-multiplication, the smallest residue winning ties.
-    The prefix mass is num/den with den the lcm of its denominators, and
-    ``num >= den`` decides when it reaches 1; only the recorded mass is
-    reduced, once.
+    The stage reads the rule's label runs, not single successors.
+    Eligibility and residue depend only on the label, so each class is a
+    union of whole runs, and its mass is the sum of its runs' unreduced
+    masses P/Q.  Classes are compared by cross-multiplication, the
+    smallest residue winning ties.  The carve takes whole runs while the
+    mass stays below 1; inside the run that takes it to 1 or above,
+    ``_reach_one`` finds the exact successor where it does.  Only the
+    recorded mass is reduced, once.  A stage costs O(runs + |D|).
+
+    Whole-block lemma: on a ``block-geometric`` rule each run is a whole
+    block, and a block closes exactly where its mass first reaches 1.  So
+    the first run of the chosen class, if closed, has mass at least 1 and
+    one term less is below 1: the carve stops at its last successor, and D
+    is that one whole block, with the block's mass.  If that first run is
+    the open block cut off at the horizon, it is also the class's last
+    run; the stage succeeds only when the block closes exactly at
+    horizon - 1, and otherwise stops with its partial mass.
     """
     i, model = model_for_stage(state.models, k)
-    if model.rule.finite_alphabet():
+    rule = model.rule
+    if rule.finite_alphabet():
         _posdiff_refute_finite(state, i)
 
     prev = state.labels_before(k)
@@ -599,23 +684,36 @@ def posdiff_stage(state: PosdiffState, k: int) -> PosdiffStageRecord:
     n_bound = max(prev) if prev else 0
     m_bound = (max(diffs) if diffs else 0) + 1
 
-    label_of = state.labels_of(i)
     floor = n_bound + m_bound
     groups = _classes(
-        (lab % m_bound, x) for x, lab in enumerate(label_of) if lab is not None and lab > floor
+        (lab % m_bound, (start, end, lab))
+        for start, end, lab in rule.label_runs(0, state.horizon)
+        if lab is not None and lab > floor
     )
     if not groups:
         raise HorizonExhausted(f"stage {k}: no eligible successors below horizon")
 
-    best = _heaviest_class(groups)
-    num, den, taken = _add_units(groups[best], to_one=True)
-    members = groups[best][:taken]
-    labels = {label_of[x] for x in members}
-    acc = Fraction(num, den)
-    if num < den:
+    masses = {key: [rule.run_mass(start, end) for start, end, _ in runs]
+              for key, runs in groups.items()}
+    best = _heaviest_class(masses)
+    p, q = 0, 1
+    taken = []
+    for (start, end, lab), (rp, rq) in zip(groups[best], masses[best]):
+        new_p, new_q = p * rq + rp * q, q * rq
+        if new_p >= new_q and new_p * end - new_q >= new_q * end:
+            # one term less already reaches 1: find where inside the run
+            end, new_p, new_q = _reach_one(start, end - 1, p, q)
+        p, q = new_p, new_q
+        taken.append((start, end, lab))
+        if p >= q:
+            break
+    acc = Fraction(p, q)
+    if p < q:
         raise HorizonExhausted(
             f"stage {k}: residue class {best} reaches only {rat_str(acc)} at the horizon"
         )
+    members = [x for start, end, _ in taken for x in range(start, end)]
+    labels = {lab for _, _, lab in taken}
 
     c_now = sorted(labels)
     pool = set(prev) | labels
@@ -638,8 +736,11 @@ def posdiff_stage(state: PosdiffState, k: int) -> PosdiffStageRecord:
 
 def _posdiff_refute_finite(state: PosdiffState, i: int):
     """Finite label alphabets contradict a divergent successor sum."""
-    groups = _classes((lab, x) for x, lab in enumerate(state.labels_of(i)))
-    classes = {lab: Fraction(*_harmonic_pair(xs)) for lab, xs in groups.items()}
+    rule = state.models[i].rule
+    groups = _classes(
+        (lab, rule.run_mass(start, end)) for start, end, lab in rule.label_runs(0, state.horizon)
+    )
+    classes = {lab: Fraction(*_sum_pairs(pairs)) for lab, pairs in groups.items()}
     raise ScenarioContradiction(
         {
             "summary": "finite label alphabet: finitely many label classes, each "

@@ -95,11 +95,18 @@ def rule_from_json(obj: dict, partition: Optional[PartitionData] = None) -> Labe
     return LabelRule(kind, params)
 
 
-def integer_field(obj: dict, key: str, default: Optional[int], where: str) -> int:
-    """``obj[key]`` (or ``default`` when absent) as an integer; bools are not."""
+def integer_field(
+    obj: dict, key: str, default: Optional[int], where: str, minimum: Optional[int] = None
+) -> int:
+    """``obj[key]`` (or ``default`` when absent) as an integer; bools are not.
+
+    With ``minimum``, a smaller integer is refused too.
+    """
     value = obj.get(key, default)
     if not isinstance(value, int) or isinstance(value, bool):
         raise SchemaError(f"{where}: {key} must be an integer")
+    if minimum is not None and value < minimum:
+        raise SchemaError(f"{where}: {key} must be at least {minimum}")
     return value
 
 
@@ -127,7 +134,7 @@ class DiagScenario:
 
     @property
     def default_stages(self) -> int:
-        return self._integer("stages_default", 4)
+        return self._integer("stages_default", 4, minimum=1)
 
     @property
     def horizon(self) -> int:
@@ -147,8 +154,8 @@ class DiagScenario:
     def scan_cap(self, default: int) -> int:
         return self._integer("scan_cap", default)
 
-    def _integer(self, key: str, default: Optional[int]) -> int:
-        return integer_field(self.payload, key, default, f"scenario {self.name!r}")
+    def _integer(self, key: str, default: Optional[int], minimum: Optional[int] = None) -> int:
+        return integer_field(self.payload, key, default, f"scenario {self.name!r}", minimum)
 
     def assumptions(self) -> List[dict]:
         return check_assumptions(self.payload.get("assumptions"), self.name)
@@ -561,7 +568,7 @@ class CollisionScenario:
         return integer_field(self.payload, "horizon", 4096, f"scenario {self.name!r}")
 
     def stages(self, default: int) -> int:
-        return integer_field(self.payload, "stages", default, f"scenario {self.name!r}")
+        return integer_field(self.payload, "stages", default, f"scenario {self.name!r}", minimum=1)
 
     def model_index(self, count: int) -> int:
         index = integer_field(self.payload, "model_index", 0, f"scenario {self.name!r}")

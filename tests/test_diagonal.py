@@ -7,19 +7,24 @@ prefix from exact harmonic accumulation, and the sums/pairs anchors from
 the threshold rules evaluated by hand.
 """
 
+import contextlib
 import copy
 import hashlib
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from idealbench import certify
+from idealbench import certify, diagonal
 from idealbench.construction import build_partition
 from idealbench.diagonal import (
     CriticalNodeModel,
     LabelRule,
+    PosdiffStageRecord,
+    PosdiffState,
     _harmonic_pair,
     _heaviest_class,
     assemble,
@@ -28,6 +33,7 @@ from idealbench.diagonal import (
     extract_profile,
     harmonic,
     model_for_stage,
+    posdiff_stage,
     run_hindman,
     run_posdiff,
     run_pwfin,
@@ -36,9 +42,9 @@ from idealbench.diagonal import (
 from idealbench.errors import HorizonExhausted, ScenarioContradiction
 from idealbench.ideals import diff_multiplicity
 from idealbench.pairing import code_unordered, unpair_diag
-from idealbench.ramsey import block_disjoint, eventually_sparse_check
+from idealbench.ramsey import block_disjoint, delta, eventually_sparse_check
 from idealbench.scenarios import load_scenario
-from idealbench.serialize import canonical_bytes
+from idealbench.serialize import canonical_bytes, rat_str
 from idealbench.sets import Cofinite, Progression
 
 
@@ -214,18 +220,28 @@ def fraction_heaviest(groups):
     return max(sorted(masses), key=lambda key: masses[key])
 
 
+def unit_masses(groups):
+    """Each member x as a run of one, with its unreduced mass 1/(x+1)."""
+    return {key: [(1, x + 1) for x in xs] for key, xs in groups.items()}
+
+
 @given(st.dictionaries(st.integers(0, 12), st.lists(st.integers(0, 5), min_size=1, max_size=6),
                        min_size=1, max_size=6))
 def test_heaviest_class_matches_fraction_masses(groups):
     # members below 6 make equal masses common
-    assert _heaviest_class(groups) == fraction_heaviest(groups)
+    assert _heaviest_class(unit_masses(groups)) == fraction_heaviest(groups)
 
 
 def test_heaviest_class_ties_go_to_the_smallest_residue():
     # 1/2 + 1/6 = 1/3 + 1/3 = 2/3, ahead of 1/4
-    assert _heaviest_class({3: [2, 2], 0: [3], 1: [1, 5]}) == 1
-    assert _heaviest_class({1: [1, 5], 3: [2, 2]}) == 1
-    assert _heaviest_class({5: [0]}) == 5
+    assert _heaviest_class(unit_masses({3: [2, 2], 0: [3], 1: [1, 5]})) == 1
+    assert _heaviest_class(unit_masses({1: [1, 5], 3: [2, 2]})) == 1
+    assert _heaviest_class(unit_masses({5: [0]})) == 5
+
+
+def test_heaviest_class_sums_multi_term_runs():
+    # 1/3 + 1/4 as one run, 2/7 + 1/3 as two, 1/2 alone: 7/12 < 13/21, so 4 wins
+    assert _heaviest_class({9: [(7, 12)], 4: [(2, 7), (1, 3)], 0: [(1, 2)]}) == 4
 
 
 # -- block-geometric labels ---------------------------------------------------------
@@ -280,6 +296,264 @@ def test_block_geometric_rule_stays_equal_to_itself_after_use():
     assert params == {"start": 2, "base_label": 5, "ratio": 3}
     assert rule.to_json() == {"kind": "block-geometric", **params}
     assert repr(rule) == repr(other)
+
+
+# -- reference: the per-successor difference engine ----------------------------------
+
+def reference_add_units(members, num=0, den=1, to_one=False):
+    """num/den plus 1/(x+1) per member, with den kept the lcm of the denominators.
+
+    With ``to_one`` the sum stops at the first member that takes it to 1.
+    Returns num, den and the number of members added.
+    """
+    added = 0
+    for x in members:
+        g = gcd(den, x + 1)
+        step = (x + 1) // g
+        num, den = num * step + den // g, den * step
+        added += 1
+        if to_one and num >= den:
+            break
+    return num, den, added
+
+
+def reference_block_bounds(start, upto):
+    """First successors of the blocks up to the one holding ``upto``.
+
+    The one-term-at-a-time lcm scan: a block ends at the first successor
+    whose term takes its running mass to 1.
+    """
+    bounds, pos, num, den = [start], start, 0, 1
+    while pos < upto:
+        num, den, added = reference_add_units(range(pos, upto), num, den, to_one=True)
+        pos += added
+        if num >= den:
+            bounds.append(pos)
+            num, den = 0, 1
+    return bounds
+
+
+def reference_labels(rule, horizon):
+    """Labels of the successors below the horizon, one per successor."""
+    if rule.kind != "block-geometric":
+        return [rule.label(x) for x in range(horizon)]
+    start, base, ratio = (rule.params[key] for key in ("start", "base_label", "ratio"))
+    bounds = reference_block_bounds(start, horizon - 1)
+    return [None if x < start else base * ratio ** (bisect_right(bounds, x) - 1)
+            for x in range(horizon)]
+
+
+def reference_heaviest(groups):
+    keys = sorted(groups)
+    if len(keys) == 1:
+        return keys[0]
+    best, best_p, best_q = None, 0, 1
+    for key in keys:
+        p, q = _harmonic_pair(groups[key])
+        if p * best_q > best_p * q:
+            best, best_p, best_q = key, p, q
+    return best
+
+
+def reference_posdiff(models, horizon, stages):
+    """The element-wise stage loop: every stage regroups all eligible
+    successors by residue, re-sums each class and adds the prefix one term
+    at a time."""
+    state = PosdiffState(tuple(models), horizon)
+    labels = {}
+    for k in range(stages):
+        i, model = model_for_stage(state.models, k)
+        if i not in labels:
+            labels[i] = reference_labels(model.rule, horizon)
+        label_of = labels[i]
+        if model.rule.finite_alphabet():
+            groups = {}
+            for x, lab in enumerate(label_of):
+                groups.setdefault(lab, []).append(x)
+            classes = {lab: Fraction(*_harmonic_pair(xs)) for lab, xs in groups.items()}
+            raise ScenarioContradiction(
+                {"classes": {str(c): rat_str(v) for c, v in sorted(classes.items(), key=str)}}
+            )
+        prev = state.labels_before(k)
+        diffs = delta(prev)
+        n_bound = max(prev) if prev else 0
+        m_bound = (max(diffs) if diffs else 0) + 1
+        groups = {}
+        for x, lab in enumerate(label_of):
+            if lab is not None and lab > n_bound + m_bound:
+                groups.setdefault(lab % m_bound, []).append(x)
+        if not groups:
+            raise HorizonExhausted(f"stage {k}: no eligible successors below horizon")
+        best = reference_heaviest(groups)
+        num, den, taken = reference_add_units(groups[best], to_one=True)
+        members = groups[best][:taken]
+        if num < den:
+            raise HorizonExhausted(f"stage {k}: residue class {best} reaches only "
+                                   f"{rat_str(Fraction(num, den))} at the horizon")
+        c_now = sorted({label_of[x] for x in members})
+        for x in c_now:
+            for y in set(prev) | set(c_now):
+                if x != y and abs(x - y) in diffs:
+                    raise ScenarioContradiction(
+                        {"summary": f"stage {k}: labels {x} and {y} repeat the "
+                         f"difference {abs(x - y)}"}
+                    )
+        state.stages.append(PosdiffStageRecord(
+            k, i, n_bound, m_bound, best, tuple(members), tuple(c_now), Fraction(num, den)
+        ))
+    return state.stages
+
+
+def posdiff_outcome(run, models, horizon, stages):
+    """Stage records, or how the run stopped, comparable across engines."""
+    try:
+        return "stages", run(models, horizon, stages)
+    except HorizonExhausted as exc:
+        return "exhausted", str(exc)
+    except ScenarioContradiction as exc:
+        report = exc.report
+        return "contradiction", report["classes"] if "classes" in report else report["summary"]
+
+
+def run_posdiff_records(models, horizon, stages):
+    return run_posdiff(models, horizon, stages).stages
+
+
+def block_rule(start, base_label, ratio):
+    return LabelRule("block-geometric", {"start": start, "base_label": base_label, "ratio": ratio})
+
+
+@given(st.integers(0, 300), st.integers(0, 6000), st.integers(0, 6000),
+       st.sampled_from(["any", "end", "below-end"]))
+@example(2, 5000, 0, "end")
+@example(2, 5000, 0, "below-end")
+@example(0, 1, 0, "end")
+def test_bracketed_block_ends_match_the_lcm_scan(start, upto, first, snap):
+    reference = reference_block_bounds(start, upto)
+    if snap != "any" and len(reference) > 1:
+        # a horizon equal to a block end, or one below it
+        upto = reference[-1] - (snap == "below-end")
+    rule = block_rule(start, 5, 3)
+    rule._block_bounds(first)     # an earlier query the scan must resume from
+    assert rule._block_bounds(upto) == reference_block_bounds(start, max(first, upto))
+
+
+@pytest.mark.parametrize("estimate", [1.0, 50.0])
+def test_block_ends_do_not_depend_on_the_float_guess(monkeypatch, estimate):
+    # a guess at the block start or far past it only costs steps
+    monkeypatch.setattr(diagonal, "exp", lambda _: estimate)
+    for start in (0, 3, 40):
+        rule = block_rule(start, 5, 3)
+        assert rule._block_bounds(900) == reference_block_bounds(start, 900)
+
+
+def test_block_masses_close_exactly_at_the_block_end():
+    rule = block_rule(4, 5, 3)
+    bounds = rule._block_bounds(20000)
+    assert bounds == reference_block_bounds(4, 20000)
+    for a, e in zip(bounds, bounds[1:]):
+        p, q = rule.run_mass(a, e)
+        assert Fraction(p, q) == harmonic(range(a, e)) >= 1
+        assert harmonic(range(a, e - 1)) < 1
+
+
+LABEL_RULES = [
+    ("identity", {}), ("constant", {"value": 7}), ("all-bot", {}),
+    ("table", {"entries": {0: 4, 1: 4, 2: None, 5: 9, 6: 9, 40: 1}}),
+    ("min-support", {}), ("max-support", {}), ("support-pair-code", {}),
+    ("pair-min", {}), ("pair-max", {}), ("pair-code", {}), ("pair-constant", {"value": 3}),
+]
+rule_specs = st.one_of(
+    st.sampled_from(LABEL_RULES),
+    st.builds(lambda start, base, ratio: ("block-geometric", {"start": start, "base_label": base,
+                                                              "ratio": ratio}),
+              st.integers(0, 30), st.integers(0, 9), st.integers(2, 5)),
+)
+
+
+@given(rule_specs, st.integers(0, 700), st.integers(0, 700))
+@example(("block-geometric", {"start": 2, "base_label": 5, "ratio": 3}), 0, 700)
+@example(("block-geometric", {"start": 2, "base_label": 5, "ratio": 3}), 5, 3)
+def test_label_runs_agree_with_label_at_every_point(spec, lo, width):
+    kind, params = spec
+    hi = lo + width
+    runs = list(LabelRule(kind, dict(params)).label_runs(lo, hi))
+    rule = LabelRule(kind, dict(params))
+    assert all(start < end for start, end, _ in runs)
+    assert [x for start, end, _ in runs for x in range(start, end)] == list(range(lo, hi))
+    for start, end, lab in runs:
+        assert all(rule.label(x) == lab for x in range(start, end))
+    if kind == "block-geometric":
+        cuts = set(reference_block_bounds(params["start"], hi))
+        assert all(end in cuts or end == hi for _, end, _ in runs)
+
+
+posdiff_specs = st.one_of(
+    st.builds(lambda start, base, ratio: ("block-geometric", {"start": start, "base_label": base,
+                                                              "ratio": ratio}),
+              st.integers(0, 12), st.integers(1, 9), st.integers(2, 5)),
+    st.just(("identity", {})),
+    st.just(("max-support", {})),
+    st.builds(lambda entries: ("table", {"entries": entries}),
+              st.dictionaries(st.integers(0, 300), st.none() | st.integers(0, 40), max_size=12)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(posdiff_specs, min_size=1, max_size=2), st.integers(1, 3000), st.integers(1, 7),
+       st.integers(0, 6000))
+@example([("block-geometric", {"start": 2, "base_label": 5, "ratio": 3})], 1200, 4, 0)
+@example([("block-geometric", {"start": 2, "base_label": 5, "ratio": 3})], 1200, 4, 5000)
+@example([("block-geometric", {"start": 2, "base_label": 5, "ratio": 3})], 1200, 7, 2000)
+@example([("identity", {})], 300, 4, 0)
+def test_run_based_stages_match_the_element_wise_engine(specs, horizon, stages, queried):
+    def models():
+        return [CriticalNodeModel(i, LabelRule(kind, dict(params)))
+                for i, (kind, params) in enumerate(specs)]
+
+    warmed = models()
+    for model in warmed:
+        model.rule.label(queried)   # a block scan already past the horizon, or not
+    assert (posdiff_outcome(run_posdiff_records, warmed, horizon, stages)
+            == posdiff_outcome(reference_posdiff, models(), horizon, stages))
+
+
+@pytest.mark.parametrize("start, base_label, ratio, horizon, stages", [
+    (2, 5, 3, 1200, 4), (3, 7, 4, 12000, 5), (0, 2, 2, 3000, 6), (4, 5, 3, 20000, 7),
+])
+def test_each_block_rule_stage_carves_one_whole_block(start, base_label, ratio, horizon, stages):
+    state = PosdiffState((CriticalNodeModel(0, block_rule(start, base_label, ratio)),), horizon)
+    with contextlib.suppress(HorizonExhausted):
+        for k in range(stages):
+            posdiff_stage(state, k)
+    bounds = reference_block_bounds(start, horizon)
+    assert len(state.stages) >= 3
+    for rec in state.stages:
+        lo, hi = rec.d_members[0], rec.d_members[-1] + 1
+        assert rec.d_members == tuple(range(lo, hi))
+        j = bounds.index(lo)
+        assert bounds[j + 1] == hi
+        assert rec.c_labels == (base_label * ratio ** j,)
+        assert rec.d_harmonic == harmonic(rec.d_members) >= 1
+        assert harmonic(rec.d_members[:-1]) < 1
+
+
+@pytest.mark.parametrize("below", [0, 1])
+def test_a_block_closing_at_the_horizon(below):
+    # the only block ends exactly at horizon - 1, or one successor later
+    end = reference_block_bounds(6, 400)[1]
+    horizon = end - below
+
+    def models():
+        return [CriticalNodeModel(0, block_rule(6, 5, 3))]
+
+    outcome = posdiff_outcome(run_posdiff_records, models(), horizon, 1)
+    assert outcome == posdiff_outcome(reference_posdiff, models(), horizon, 1)
+    if below:
+        assert outcome[0] == "exhausted" and "reaches only" in outcome[1]
+    else:
+        assert outcome[0] == "stages"
+        assert outcome[1][0].d_members == tuple(range(6, end))
 
 
 # -- difference engine --------------------------------------------------------------
@@ -498,6 +772,9 @@ PINNED_CERTIFICATES = {
         "12ca30a79f9ed4874387742236c0f56d0f323aa007a64eda59cd1b9c0aa18e13",
     ("diagonalization", "gen-posdiff-3-7-4-s5-h12000", 5):
         "7bed9768b2c0c5c2a8d19fd3fcdb3cc884678f16be0f035980411a0c4b6a062d",
+    # the heaviest posdiff job of the benchmark, pinned from the element-wise engine
+    ("diagonalization", "gen-posdiff-4-5-3-s7-h20000", 7):
+        "e0c2fb9b2f06871a6aab4e43ec2b95291f7ed097267a89ea25a68e9708d2c1b2",
 }
 
 
@@ -513,6 +790,7 @@ def generated_posdiff_scenario(start, base_label, ratio, stages, horizon):
 
 GENERATED_SCENARIOS = {
     "gen-posdiff-3-7-4-s5-h12000": generated_posdiff_scenario(3, 7, 4, 5, 12000),
+    "gen-posdiff-4-5-3-s7-h20000": generated_posdiff_scenario(4, 5, 3, 7, 20000),
 }
 
 
@@ -525,6 +803,21 @@ def test_engine_certificate_bytes_are_pinned(kind, name, stages):
     cert = certify.produce(kind, inputs, 0)
     digest = hashlib.sha256(canonical_bytes(cert)).hexdigest()
     assert digest == PINNED_CERTIFICATES[(kind, name, stages)]
+
+
+def test_open_block_stop_message_is_pinned():
+    # stage 6 takes the class whose only run is the block cut off at the
+    # horizon; the message carries its exact partial mass (17,404 characters,
+    # pinned from the element-wise engine)
+    scenario = generated_posdiff_scenario(2, 5, 2, 7, 20000)
+    with pytest.raises(HorizonExhausted) as exc:
+        certify.produce("diagonalization", {"scenario": scenario, "stages": 7}, 0)
+    text = str(exc.value)
+    assert text.startswith("stage 6: residue class 8 reaches only ")
+    assert text.endswith(" at the horizon")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "53f9d38cd9879208d67d3ec48e6eda871fce747e311de03130e4b65be0911871"
+    )
 
 
 # -- stage bookkeeping ---------------------------------------------------------------

@@ -244,13 +244,17 @@ def _hindman_scenario(**changes) -> dict:
         _changed_scenario("collision-posdiff", model_index="0"),
         _changed_scenario("collision-posdiff", model_index=-1),
         _changed_scenario("collision-posdiff", horizon="1200"),
+        _changed_scenario("collision-posdiff", stages=0),
+        _changed_scenario("collision-posdiff", stages=-1),
+        _hindman_scenario(stages_default=0),
     ],
     ids=["no-models", "empty-models", "constant-without-value", "scan-cap-not-int",
          "posdiff-no-horizon", "posdiff-horizon-not-int", "stages-default-not-int",
          "explicit-ground-without-members", "explicit-vertices-without-members",
          "collision-stages-not-int", "collision-model-index-out-of-range",
          "collision-model-index-not-int", "collision-model-index-negative",
-         "collision-horizon-not-int"],
+         "collision-horizon-not-int", "collision-stages-zero", "collision-stages-negative",
+         "stages-default-zero"],
 )
 def test_cli_diagonalize_rejects_malformed_scenarios(tmp_path, capsys, scenario):
     path = tmp_path / "scenario.json"
@@ -281,6 +285,24 @@ def test_cli_certify_rejects_malformed_sparseness_inputs(tmp_path, capsys, input
     path = tmp_path / "sparseness.json"
     dump_json(path, cert)
     assert run(["certify", "--in", str(path)]) == 2
+    assert "schema error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stages", ["2", None, 2.0, True, 0, -1],
+                         ids=["string", "null", "float", "bool", "zero", "negative"])
+def test_cli_certify_rejects_bad_diagonalization_stages(tmp_path, capsys, stages):
+    inputs = {"scenario": load_scenario("posdiff-identity").to_json(), "stages": 2}
+    cert = certify.produce("diagonalization", inputs, 0)
+    cert["inputs"]["stages"] = stages
+    path = tmp_path / "diagonalization.json"
+    dump_json(path, cert)
+    assert run(["certify", "--in", str(path)]) == 2
+    assert "schema error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stages", ["0", "-1"])
+def test_cli_diagonalize_rejects_stage_counts_below_one(capsys, stages):
+    assert run(["diagonalize", "--scenario", "posdiff-blocks", "--stages", stages]) == 2
     assert "schema error" in capsys.readouterr().err
 
 
