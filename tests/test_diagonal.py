@@ -775,6 +775,27 @@ PINNED_CERTIFICATES = {
     # the heaviest posdiff job of the benchmark, pinned from the element-wise engine
     ("diagonalization", "gen-posdiff-4-5-3-s7-h20000", 7):
         "e0c2fb9b2f06871a6aab4e43ec2b95291f7ed097267a89ea25a68e9708d2c1b2",
+    # every other bundled engine outcome, constant-form contradictions included
+    ("diagonalization", "pw-2a", 4):
+        "03c3e4a2f333ee32161605a0e033ababbe2aace0464f78e04dfb061e7077b1d8",
+    ("diagonalization", "pw-2b", 4):
+        "ec733d3fa66ad136f787b41ca42d041bd2a65aff6ca0383098327860bc3b1ac2",
+    ("diagonalization", "pw-2c", 4):
+        "a0f2e2eb2916d6175df3205c4c1fae3750aec4f643b58c941fc4d556a7476e7d",
+    ("diagonalization", "hindman-case1", 1):
+        "039bc9426565dd8832817aa28491817ddc75c1dfc2cddf3e239c1f3fd9fbb92a",
+    ("diagonalization", "hindman-case2", 4):
+        "6da76f20fd6faec3cc023d687bd50a6b68eb8a2901c4a130f444bac9e6087ec0",
+    ("diagonalization", "hindman-case3", 4):
+        "01a8a0e2d78a37e72fa3ab777b7ab566dfbc3f91ca38c6b367ee6aba87765763",
+    ("diagonalization", "ramsey-case1", 1):
+        "fbceba5ebf2dfb3d9fd54d0b20c2c749d3e0a08ebb38231a95c4aff5759ad031",
+    ("diagonalization", "ramsey-case2", 4):
+        "294af6aea334b788cd99d6634a1f33e4071014786f9205c1538e3caa4ed843bf",
+    ("diagonalization", "ramsey-case4", 4):
+        "6e2708047fe9cb3f8986778f7b65d6890033623ac2443d0c852b6675a5a00b46",
+    ("structural-identity", "ramsey-case4", 4):
+        "f8a5fb112b0d7e4c920ced02b5bf41b56885cf065d3cb03a1f53da26b2bbcb24",
 }
 
 
