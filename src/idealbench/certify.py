@@ -20,20 +20,11 @@ from .construction import (
     degenerate_prefix_weight,
     verify_partition,
 )
-from .diagonal import (
-    CriticalNodeModel,
-    assemble,
-    collision_check,
-    extract_profile,
-    run_hindman,
-    run_posdiff,
-    run_pwfin,
-    run_ramsey,
-)
+from .diagonal import CriticalNodeModel, assemble, collision_check, engine_named, extract_profile
 from .errors import ScenarioContradiction, SchemaError
 from .ideals import SumSelector
 from .pairing import code_unordered, pair_diag, unpair_diag
-from .ramsey import canonical_ramsey_search, difference_mask, fs
+from .ramsey import canonical_ramsey_search, difference_mask
 from .reduction import (
     IdentityHeightOne,
     ReductionClaim,
@@ -50,7 +41,7 @@ from .serialize import (
     int_str,
     rat_str,
 )
-from .sets import Cofinite, Finite, Progression, Union, set_from_json
+from .sets import Cofinite, Finite, Progression, Union
 from .trees import check_branching, compute_labels, find_critical, path_value_search
 
 
@@ -173,34 +164,26 @@ def produce_pigeonhole(inputs: dict, seed: int) -> dict:
     return envelope("pigeonhole", inputs, seed, [], body)
 
 
+def _scenario(inputs: dict, cls):
+    """The ``cls`` scenario carried in certificate inputs."""
+    scenario = inputs.get("scenario") if isinstance(inputs, dict) else None
+    if not isinstance(scenario, dict) or not isinstance(scenario.get("name"), str):
+        raise SchemaError("certificate inputs need a scenario object with a string name")
+    return cls(scenario["name"], scenario)
+
+
 def run_diag_scenario(scn: DiagScenario, stages: int):
     """Run the declared engine; contradictions are an outcome, not a crash."""
+    run = engine_named(scn.engine).run
     try:
-        if scn.engine == "pwfin":
-            partition = scn.partition()
-            models = scn.models(partition)
-            state = run_pwfin(
-                partition,
-                set_from_json(scn.payload["P"]),
-                set_from_json(scn.payload["Q"]),
-                models,
-                stages,
-            )
-        elif scn.engine == "posdiff":
-            state = run_posdiff(scn.models(), scn.horizon, stages)
-        elif scn.engine == "hindman":
-            state = run_hindman(scn.models(), stages, scn.scan_cap(64))
-        elif scn.engine == "ramsey":
-            state = run_ramsey(scn.models(), stages, scn.scan_cap(4096))
-        else:
-            raise SchemaError(f"not a diagonalization scenario: {scn.engine}")
+        state = run(scn, stages)
     except ScenarioContradiction as exc:
         return "contradiction", None, exc.report
     return "stages", state, None
 
 
 def produce_diagonalization(inputs: dict, seed: int) -> dict:
-    scn = DiagScenario(inputs["scenario"]["name"], inputs["scenario"]["engine"], inputs["scenario"])
+    scn = _scenario(inputs, DiagScenario)
     stages = integer_field(inputs, "stages", None, "diagonalization inputs", minimum=1)
     outcome, state, report = run_diag_scenario(scn, stages)
     if outcome == "stages":
@@ -222,30 +205,25 @@ def produce_diagonalization(inputs: dict, seed: int) -> dict:
 
 
 def produce_structural_identity(inputs: dict, seed: int) -> dict:
-    scn = DiagScenario(inputs["scenario"]["name"], inputs["scenario"]["engine"], inputs["scenario"])
+    scn = _scenario(inputs, DiagScenario)
     stages = integer_field(inputs, "stages", None, "structural-identity inputs", minimum=1)
+    enumerate_family = engine_named(scn.engine).enumerate_family
+    if enumerate_family is None:
+        raise SchemaError(f"the {scn.engine} engine has no independent family enumeration")
     outcome, state, _ = run_diag_scenario(scn, stages)
     if outcome != "stages":
         raise SchemaError("structural identity needs a staged run")
     assembled = assemble(state)
     rows = []
     for i_str, family in assembled.payload["families"].items():
-        i = int(i_str)
         members = [int(x) for x in family["members"]]
-        if scn.engine == "hindman":
-            anchors = [int(a) for a in family["anchors"]]
-            independent = list(fs(anchors))
-        else:
-            verts = [int(v) for v in family["vertices"]]
-            independent = sorted(
-                code_unordered(a, b) for a, b in combinations(verts, 2)
-            )
+        anchors, independent = enumerate_family(family)
         rows.append(
             {
-                "model": i,
+                "model": int(i_str),
                 "family_size": len(members),
-                "anchors": family.get("anchors", family.get("vertices")),
-                "union_matches_enumeration": members == list(independent),
+                "anchors": anchors,
+                "union_matches_enumeration": members == independent,
             }
         )
     body = {"engine": scn.engine, "checks": rows, "all_match": all(r["union_matches_enumeration"] for r in rows)}
@@ -253,7 +231,7 @@ def produce_structural_identity(inputs: dict, seed: int) -> dict:
 
 
 def produce_tree_labelling(inputs: dict, seed: int) -> dict:
-    scn = TreeScenario(inputs["scenario"]["name"], inputs["scenario"])
+    scn = _scenario(inputs, TreeScenario)
     tree = scn.tree()
     cmap = scn.coherent_map()
     oracle = scn.oracle()
@@ -451,7 +429,7 @@ def produce_ramsey_oracle(inputs: dict, seed: int) -> dict:
 
 
 def produce_collision(inputs: dict, seed: int) -> dict:
-    scn = CollisionScenario(inputs["scenario"]["name"], inputs["scenario"])
+    scn = _scenario(inputs, CollisionScenario)
     diag_scn = scn.diag()
     stages = scn.stages(diag_scn.default_stages)
     outcome, state, _ = run_diag_scenario(diag_scn, stages)
@@ -459,9 +437,7 @@ def produce_collision(inputs: dict, seed: int) -> dict:
         raise SchemaError("collision scenarios need a staged diagonalization")
     assembled = assemble(state)
     tree_scn = scn.tree_scenario()
-    partition = diag_scn.partition()
-    models = diag_scn.models(partition)
-    model_index = scn.model_index(len(models))
+    model_index = scn.model_index(len(state.models))
     report = collision_check(
         tree_scn.tree(),
         tree_scn.branching_ideal(),
@@ -469,7 +445,7 @@ def produce_collision(inputs: dict, seed: int) -> dict:
         tree_scn.oracle(),
         assembled,
         model_index,
-        models[model_index],
+        state.models[model_index],
         horizon=scn.horizon,
     )
     body = {

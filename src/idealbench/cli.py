@@ -29,7 +29,8 @@ from .reduction import (
     ReductionClaim,
     katetov_witness_check,
 )
-from .scenarios import bundled_names, ideal_from_json, integer_field, load_scenario
+from .scenarios import (DiagScenario, TreeScenario, bundled_names, ideal_from_json,
+                        integer_field, load_scenario)
 from .serialize import dump_json, load_json, rat_str
 from .sets import set_from_json
 
@@ -100,8 +101,7 @@ def _cmd_hindman_search(args) -> int:
 
 def _cmd_diagonalize(args) -> int:
     scn = load_scenario(args.scenario)
-    engine = scn.payload.get("engine")
-    if engine in ("pwfin", "posdiff", "hindman", "ramsey"):
+    if isinstance(scn, DiagScenario):
         if args.stages is None:
             stages = scn.default_stages
         else:
@@ -110,15 +110,13 @@ def _cmd_diagonalize(args) -> int:
             "diagonalization", {"scenario": scn.to_json(), "stages": stages}, args.seed
         )
         matched = cert["body"]["as_expected"]
-    elif engine == "tree":
+    elif isinstance(scn, TreeScenario):
         cert = certify.produce("tree-labelling", {"scenario": scn.to_json()}, args.seed)
         body = cert["body"]
         matched = body["root_as_expected"] and body["critical_as_declared"]
-    elif engine == "collision":
+    else:
         cert = certify.produce("collision", {"scenario": scn.to_json()}, args.seed)
         matched = cert["body"]["forbidden_label_hit"]
-    else:
-        raise SchemaError(f"cannot diagonalize a {engine!r} scenario")
     _emit(cert, args.out)
     return 0 if matched else FAILURE
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, exp, gcd
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .construction import PartitionData, interval_weight
 from .errors import HorizonExhausted, ScenarioContradiction, SchemaError, StructuralError
@@ -44,10 +44,8 @@ from .ramsey import (
     min_support,
 )
 from .serialize import rat_str
-from .sets import DescribedSet
+from .sets import DescribedSet, set_from_json
 from .ideals import diff_multiplicity
-
-BOT_TOKEN = "__bot__"
 
 
 def harmonic(members) -> Fraction:
@@ -175,7 +173,12 @@ class _BlockEnds:
 class LabelRule:
     """Successor-label assignment of a modelled critical node.
 
-    ``label`` maps a successor to its value or None (bottom).  Rules whose
+    ``label`` maps a successor to its value or None (bottom), and
+    ``pair_label`` maps an unordered pair {s, t} to its value; a kind
+    without a pair form raises ``StructuralError`` there.  Both are looked
+    up in ``LABEL_KINDS`` once, when the rule is built, so a call is one
+    plain function call.  For every kind with a pair form,
+    ``label(code_unordered(s, t)) == pair_label(s, t)``.  Rules whose
     alphabet is provably finite are flagged; the difference engine must
     refuse them with the harmonic-partition contradiction.
     """
@@ -183,55 +186,19 @@ class LabelRule:
     kind: str
     params: dict = field(default_factory=dict)
     _blocks: _BlockEnds = field(default_factory=_BlockEnds, init=False, repr=False, compare=False)
+    label: Callable[[int], Optional[int]] = field(init=False, repr=False, compare=False)
+    pair_label: Callable[[int, int], Optional[int]] = field(init=False, repr=False, compare=False)
 
-    def label(self, x: int) -> Optional[int]:
-        k = self.kind
-        if k == "identity":
-            return x
-        if k == "constant":
-            return self.params["value"]
-        if k == "all-bot":
-            return None
-        if k == "table":
-            return self.params["entries"].get(x)
-        if k == "prev-interval-max":
-            p: PartitionData = self.params["partition"]
-            n = p.interval_of(x)
-            return None if n == 0 else p.end(n - 1) - 1
-        if k == "block-geometric":
-            return self._block_label(x)
-        if k == "min-support":
-            return None if x < 1 else min_support(x)
-        if k == "max-support":
-            return None if x < 1 else max_support(x)
-        if k == "support-pair-code":
-            if x < 1:
-                return None
-            return pair_diag(min_support(x).bit_length() - 1, max_support(x).bit_length() - 1)
-        if k in ("pair-min", "pair-max", "pair-code", "pair-constant"):
-            lo, hi = decode_unordered(x)
-            return self.pair_label(lo, hi)
-        raise StructuralError(f"unknown label rule {self.kind!r}")
-
-    def pair_label(self, s: int, t: int) -> Optional[int]:
-        lo, hi = (s, t) if s < t else (t, s)
-        k = self.kind
-        if k == "pair-min":
-            return lo
-        if k == "pair-max":
-            return hi
-        if k == "pair-code":
-            return code_unordered(lo, hi)
-        if k == "pair-constant":
-            return self.params["value"]
-        if k == "table":
-            return self.params["entries"].get(code_unordered(lo, hi))
-        if k == "constant":
-            return self.params["value"]
-        raise StructuralError(f"rule {self.kind!r} has no pair form")
+    def __post_init__(self):
+        spec = LABEL_KINDS.get(self.kind)
+        if spec is None:
+            raise StructuralError(f"unknown label rule {self.kind!r}")
+        pair = (spec.pair or _no_pair)(self)
+        object.__setattr__(self, "pair_label", pair)
+        object.__setattr__(self, "label", spec.label(self))
 
     def finite_alphabet(self) -> bool:
-        return self.kind in ("constant", "all-bot", "table", "pair-constant")
+        return LABEL_KINDS[self.kind].finite
 
     def label_runs(self, lo: int, hi: int) -> Iterator[Tuple[int, int, Optional[int]]]:
         """Runs (start, end, label) covering lo .. hi - 1 in ascending order.
@@ -243,8 +210,9 @@ class LabelRule:
         """
         if lo >= hi:
             return
-        if self.kind == "block-geometric":
-            yield from self._block_runs(lo, hi)
+        runs = LABEL_KINDS[self.kind].runs
+        if runs is not None:
+            yield from runs(self, lo, hi)
             return
         label = self.label
         start, current = lo, label(lo)
@@ -310,11 +278,85 @@ class LabelRule:
         return blocks.starts
 
     def to_json(self) -> dict:
-        params = {k: v for k, v in self.params.items()
+        """The rule in scenario form; a dict parameter becomes sorted (key, value) pairs."""
+        params = {k: sorted(v.items()) if isinstance(v, dict) else v
+                  for k, v in self.params.items()
                   if not k.startswith("_") and k != "partition"}
-        if self.kind == "table":
-            params = {"entries": sorted(self.params["entries"].items())}
         return {"kind": self.kind, **params}
+
+
+@dataclass(frozen=True)
+class LabelKind:
+    """One kind of label rule.
+
+    ``params`` are the parameters the kind reads unconditionally.  ``label``
+    and ``pair`` take a rule and return its successor and pair labelling
+    functions; ``pair`` is None for a kind without a pair form.  ``runs``,
+    if set, yields the rule's label runs directly instead of reading one
+    successor at a time.
+    """
+
+    label: Callable[[LabelRule], Callable[[int], Optional[int]]]
+    pair: Optional[Callable[[LabelRule], Callable[[int, int], Optional[int]]]] = None
+    params: Tuple[str, ...] = ()
+    finite: bool = False
+    runs: Optional[Callable[[LabelRule, int, int], Iterator[Tuple[int, int, Optional[int]]]]] = None
+
+
+def _no_pair(rule: LabelRule):
+    def pair_label(s: int, t: int):
+        raise StructuralError(f"rule {rule.kind!r} has no pair form")
+    return pair_label
+
+
+def _constant(rule: LabelRule):
+    value = rule.params["value"]
+    return lambda *_: value
+
+
+def _via_pair(rule: LabelRule):
+    pair = rule.pair_label
+    return lambda x: pair(*decode_unordered(x))
+
+
+def _table_pair(rule: LabelRule):
+    get = rule.params["entries"].get
+    return lambda s, t: get(code_unordered(s, t))
+
+
+def _prev_interval_max(rule: LabelRule):
+    p: PartitionData = rule.params["partition"]
+
+    def label(x: int) -> Optional[int]:
+        n = p.interval_of(x)
+        return None if n == 0 else p.end(n - 1) - 1
+    return label
+
+
+def _support_pair_code(x: int) -> Optional[int]:
+    if x < 1:
+        return None
+    return pair_diag(min_support(x).bit_length() - 1, max_support(x).bit_length() - 1)
+
+
+LABEL_KINDS: Dict[str, LabelKind] = {
+    "identity": LabelKind(lambda rule: lambda x: x),
+    "constant": LabelKind(_constant, _constant, ("value",), finite=True),
+    "all-bot": LabelKind(lambda rule: lambda x: None, finite=True),
+    "table": LabelKind(lambda rule: rule.params["entries"].get, _table_pair, ("entries",),
+                       finite=True),
+    "prev-interval-max": LabelKind(_prev_interval_max),
+    "block-geometric": LabelKind(lambda rule: rule._block_label,
+                                 params=("start", "base_label", "ratio"),
+                                 runs=LabelRule._block_runs),
+    "min-support": LabelKind(lambda rule: lambda x: None if x < 1 else min_support(x)),
+    "max-support": LabelKind(lambda rule: lambda x: None if x < 1 else max_support(x)),
+    "support-pair-code": LabelKind(lambda rule: _support_pair_code),
+    "pair-min": LabelKind(_via_pair, lambda rule: lambda s, t: s if s < t else t),
+    "pair-max": LabelKind(_via_pair, lambda rule: lambda s, t: t if s < t else s),
+    "pair-code": LabelKind(_via_pair, lambda rule: code_unordered),
+    "pair-constant": LabelKind(_constant, _constant, ("value",), finite=True),
+}
 
 
 @dataclass(frozen=True)
@@ -326,16 +368,6 @@ class CriticalNodeModel:
     case: Optional[str] = None     # pwfin: "2a" | "2b" | "2c"
     form: Optional[int] = None     # hindman 1..5 / ramsey 1..4
     ground: Optional[dict] = None  # hindman ground sequence / ramsey vertices
-
-    def to_json(self) -> dict:
-        out = {"index": self.index, "labels": self.rule.to_json()}
-        if self.case is not None:
-            out["case"] = self.case
-        if self.form is not None:
-            out["form"] = self.form
-        if self.ground is not None:
-            out["ground"] = self.ground
-        return out
 
 
 def model_for_stage(models: Sequence[CriticalNodeModel], k: int) -> Tuple[int, CriticalNodeModel]:
@@ -476,8 +508,12 @@ class PwfinStageRecord:
         }
 
 
+PWFIN_CASES = ("2a", "2b", "2c")
+
+
 @dataclass
 class PwfinState:
+    engine = "pwfin"
     partition: PartitionData
     p_set: DescribedSet
     q_set: DescribedSet
@@ -498,8 +534,6 @@ def pwfin_stage(state: PwfinState, k: int) -> PwfinStageRecord:
     """One stage of the interval engine; every bound re-checked exactly."""
     p = state.partition
     i, model = model_for_stage(state.models, k)
-    if model.case not in ("2a", "2b", "2c"):
-        raise StructuralError("interval engine models declare case 2a, 2b or 2c")
 
     candidates = state.difference_indices()
 
@@ -601,7 +635,7 @@ def run_pwfin(
     models: Sequence[CriticalNodeModel],
     stages: int,
 ) -> PwfinState:
-    state = PwfinState(partition, p_set, q_set, tuple(models))
+    state = PwfinState(partition, p_set, q_set, ENGINES["pwfin"].checked(models))
     for k in range(stages):
         pwfin_stage(state, k)
     return state
@@ -635,6 +669,7 @@ class PosdiffStageRecord:
 
 @dataclass
 class PosdiffState:
+    engine = "posdiff"
     models: Tuple[CriticalNodeModel, ...]
     horizon: int
     stages: List[PosdiffStageRecord] = field(default_factory=list)
@@ -798,7 +833,13 @@ def vertex_element(ground: Optional[dict], j: int) -> int:
     raise StructuralError(f"unknown vertex kind {kind!r}")
 
 
-# -- sums engine ---------------------------------------------------------------
+# -- anchored engines: sums and pairs --------------------------------------------
+
+SUMS_FORMS = (1, 2, 3, 4, 5)
+PAIRS_FORMS = (1, 2, 3, 4)
+SUMS_SCAN_CAP = 64
+PAIRS_SCAN_CAP = 4096
+
 
 @dataclass
 class SumsStageRecord:
@@ -821,107 +862,101 @@ class SumsStageRecord:
 
 
 @dataclass
-class SumsState:
+class AnchorState:
+    """Run state of the sums or the pairs engine.
+
+    ``anchors[i]`` lists model i's anchors in stage order: (ground index,
+    value) pairs for the sums engine, vertices for the pairs engine.
+    """
+
+    engine: str
     models: Tuple[CriticalNodeModel, ...]
-    scan_cap: int = 64
-    anchors: Dict[int, List[Tuple[int, int]]] = field(default_factory=dict)  # i -> [(j, h)]
+    scan_cap: int
+    anchors: Dict[int, list] = field(default_factory=dict)
     stage_of: Dict[Tuple[int, int], int] = field(default_factory=dict)       # (i, b) -> k
     stages: List[SumsStageRecord] = field(default_factory=list)
 
 
-def _probe_constant(model: CriticalNodeModel, probes: List[int], label_of) -> None:
-    values = {label_of(x) for x in probes}
-    if len(values) == 1:
-        constant = next(iter(values))
+def _clears(label: Optional[int], threshold: int) -> bool:
+    return label is not None and label > threshold
+
+
+def _probe_constant(labels: set, summary: str, assumption: str, **extra) -> None:
+    """Probes that all share one label put a whole family in one label class."""
+    if len(labels) == 1:
         raise ScenarioContradiction(
-            {
-                "summary": "constant form: all probed values share the label "
-                f"{constant!r}, so the full structured family sits inside one "
-                "label class, against the criticality of the node",
-                "probes": [str(x) for x in probes],
-                "assumption": "the modelled node is critical, so each label class "
-                "omits the structured family",
-            }
+            {"summary": summary.format(next(iter(labels))), **extra, "assumption": assumption}
         )
 
 
-def hindman_stage(state: SumsState, k: int) -> SumsStageRecord:
-    """Extend one model's anchor subsequence under its case threshold."""
-    i, model = model_for_stage(state.models, k)
-    if model.form not in (1, 2, 3, 4, 5):
-        raise StructuralError("sums engine models declare form 1..5")
-    ground = model.ground or {"kind": "powers-of-two"}
-    label_of = model.rule.label
+def _scan(state: AnchorState, k: int, first: int, element, clears, threshold: int,
+          what: str) -> Tuple[int, int]:
+    """First (j, element(j)) with j in first .. scan_cap - 1 that clears the threshold."""
+    for j in range(first, state.scan_cap):
+        x = element(j)
+        if clears(j, x):
+            return j, x
+    raise HorizonExhausted(f"stage {k}: no {what} clears threshold {threshold}")
 
-    if model.form == 1:
-        probe_values = [ground_element(ground, j) for j in range(4)]
-        probes = list(fs(probe_values))
-        _probe_constant(model, probes, label_of)
 
-    anchors = state.anchors.setdefault(i, [])
+def _record(state: AnchorState, k: int, i: int, anchor, index: int, value: int,
+            threshold: int) -> SumsStageRecord:
+    anchors = state.anchors[i]
     b = len(anchors)
-    last_idx = anchors[-1][0] if anchors else -1
-    prev_values = [h for _, h in anchors]
-    prev_sums = [0] + list(fs(prev_values)) if prev_values else [0]
-
-    if model.form in (2, 3):
-        threshold = 1 << k
-    elif model.form == 4:
-        threshold = (k + 1) * (1 << k)
-    else:
-        threshold = 1 << (2 * k)
-
-    chosen = None
-    for j in range(last_idx + 1, state.scan_cap):
-        h = ground_element(ground, j)
-        if model.form in (2, 3):
-            lab = label_of(h)
-            if lab is not None and lab > threshold:
-                chosen = (j, h)
-                break
-        elif model.form == 4:
-            packet = [h] + [h + hv for hv in prev_values]
-            labs = [label_of(x) for x in packet]
-            if all(l is not None and l > threshold for l in labs):
-                chosen = (j, h)
-                break
-        else:  # form 5: the whole anchored block must clear the threshold
-            if prev_values and h <= max(fs(prev_values)):
-                continue
-            block = [h + y for y in prev_sums]
-            labs = [label_of(x) for x in block]
-            if all(l is not None and l > threshold for l in labs):
-                chosen = (j, h)
-                break
-    if chosen is None:
-        raise HorizonExhausted(f"stage {k}: no anchor clears threshold {threshold}")
-
-    anchors.append(chosen)
+    anchors.append(anchor)
     state.stage_of[(i, b)] = k
-    record = SumsStageRecord(k, i, b, chosen[0], chosen[1], threshold)
+    record = SumsStageRecord(k, i, b, index, value, threshold)
     state.stages.append(record)
     return record
 
 
-def run_hindman(models: Sequence[CriticalNodeModel], stages: int, scan_cap: int = 64) -> SumsState:
-    state = SumsState(tuple(models), scan_cap)
+def hindman_stage(state: AnchorState, k: int) -> SumsStageRecord:
+    """Extend one model's anchor subsequence under its case threshold."""
+    i, model = model_for_stage(state.models, k)
+    ground = model.ground or {"kind": "powers-of-two"}
+    label_of = model.rule.label
+
+    if model.form == 1:
+        probes = list(fs([ground_element(ground, j) for j in range(4)]))
+        _probe_constant(
+            {label_of(x) for x in probes},
+            "constant form: all probed values share the label {!r}, so the full "
+            "structured family sits inside one label class, against the criticality "
+            "of the node",
+            "the modelled node is critical, so each label class omits the structured family",
+            probes=[str(x) for x in probes],
+        )
+
+    anchors = state.anchors.setdefault(i, [])
+    prev = [h for _, h in anchors]
+    sums = (0,) + fs(prev)   # at every form: fs refuses repeated or negative anchors
+    # h + y must clear the threshold for every offset y; the whole anchored
+    # block under form 5 (and 1), whose anchor must exceed every earlier sum
+    if model.form in (2, 3):
+        threshold, offsets, floor = 1 << k, (0,), None
+    elif model.form == 4:
+        threshold, offsets, floor = (k + 1) * (1 << k), (0, *prev), None
+    else:
+        threshold, offsets, floor = 1 << (2 * k), sums, sums[-1] if prev else None
+
+    def clears(j, h):
+        return (floor is None or h > floor) and all(
+            _clears(label_of(h + y), threshold) for y in offsets)
+
+    first = anchors[-1][0] + 1 if anchors else 0
+    j, h = _scan(state, k, first, lambda j: ground_element(ground, j), clears, threshold, "anchor")
+    return _record(state, k, i, (j, h), j, h, threshold)
+
+
+def run_hindman(models: Sequence[CriticalNodeModel], stages: int,
+                scan_cap: int = SUMS_SCAN_CAP) -> AnchorState:
+    state = AnchorState("hindman", ENGINES["hindman"].checked(models), scan_cap)
     for k in range(stages):
         hindman_stage(state, k)
     return state
 
 
-# -- pairs engine ---------------------------------------------------------------
-
-@dataclass
-class PairsState:
-    models: Tuple[CriticalNodeModel, ...]
-    scan_cap: int = 4096
-    anchors: Dict[int, List[int]] = field(default_factory=dict)
-    stage_of: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    stages: List[SumsStageRecord] = field(default_factory=list)
-
-
-def ramsey_stage(state: PairsState, k: int) -> SumsStageRecord:
+def ramsey_stage(state: AnchorState, k: int) -> SumsStageRecord:
     """Extend one model's vertex subsequence under its case threshold.
 
     Minimum-form stages need the common label of the new vertex with later
@@ -930,54 +965,35 @@ def ramsey_stage(state: PairsState, k: int) -> SumsStageRecord:
     which is exactly what their stage smallness uses.
     """
     i, model = model_for_stage(state.models, k)
-    if model.form not in (1, 2, 3, 4):
-        raise StructuralError("pairs engine models declare form 1..4")
+    ground = model.ground
     label_of = model.rule.pair_label
 
     if model.form == 1:
-        verts = [vertex_element(model.ground, j) for j in range(5)]
-        values = {label_of(a, b) for a, b in combinations(verts, 2)}
-        if len(values) == 1:
-            raise ScenarioContradiction(
-                {
-                    "summary": "constant form: every probed pair shares the label "
-                    f"{next(iter(values))!r}, putting a full clique inside one "
-                    "label class, against the criticality of the node",
-                    "assumption": "the modelled node is critical",
-                }
-            )
+        verts = [vertex_element(ground, j) for j in range(5)]
+        _probe_constant(
+            {label_of(a, b) for a, b in combinations(verts, 2)},
+            "constant form: every probed pair shares the label {!r}, putting a full "
+            "clique inside one label class, against the criticality of the node",
+            "the modelled node is critical",
+        )
 
     anchors = state.anchors.setdefault(i, [])
-    b = len(anchors)
     threshold = (1 << k) if model.form in (2, 3) else k * (1 << k)
 
-    chosen = None
-    for j in range(state.scan_cap):
-        t = vertex_element(model.ground, j)
+    def clears(j, t):
         if anchors and t <= anchors[-1]:
-            continue
+            return False
         if model.form == 2:
-            probe = vertex_element(model.ground, j + 1)
-            lab = label_of(t, probe)
-            ok = lab is not None and lab > threshold
-        else:
-            labs = [label_of(s, t) for s in anchors]
-            ok = all(l is not None and l > threshold for l in labs)
-        if ok:
-            chosen = t
-            break
-    if chosen is None:
-        raise HorizonExhausted(f"stage {k}: no vertex clears threshold {threshold}")
+            return _clears(label_of(t, vertex_element(ground, j + 1)), threshold)
+        return all(_clears(label_of(s, t), threshold) for s in anchors)
 
-    anchors.append(chosen)
-    state.stage_of[(i, b)] = k
-    record = SumsStageRecord(k, i, b, b, chosen, threshold)
-    state.stages.append(record)
-    return record
+    j, t = _scan(state, k, 0, lambda j: vertex_element(ground, j), clears, threshold, "vertex")
+    return _record(state, k, i, t, len(anchors), t, threshold)
 
 
-def run_ramsey(models: Sequence[CriticalNodeModel], stages: int, scan_cap: int = 4096) -> PairsState:
-    state = PairsState(tuple(models), scan_cap)
+def run_ramsey(models: Sequence[CriticalNodeModel], stages: int,
+               scan_cap: int = PAIRS_SCAN_CAP) -> AnchorState:
+    state = AnchorState("ramsey", ENGINES["ramsey"].checked(models), scan_cap)
     for k in range(stages):
         ramsey_stage(state, k)
     return state
@@ -998,29 +1014,50 @@ class AssembledRun:
         return [int(x) for x in self.families[i]["members"]]
 
 
-def _anchored_sums(values: List[int], b: int, anchored: str) -> List[int]:
-    """Sums over the anchor prefix with the stated extreme summand."""
-    if anchored == "min":
-        rest = values[b + 1:]
-    else:
-        rest = values[:b]
-    out = []
-    for mask in range(1 << len(rest)):
-        total = values[b]
-        for pos, v in enumerate(rest):
-            if mask >> pos & 1:
-                total += v
-        out.append(total)
-    return sorted(out)
+def _sums_blocks(i: int, model: CriticalNodeModel, anchors: list):
+    """Blocks, finite sums and family head of one sums-engine model.
+
+    Block b holds the sums whose least summand (form 2) or greatest summand
+    (the other forms) is anchor b.  Block-disjoint anchors have distinct
+    subset sums, so each block is anchor b plus ``fs`` of the other side.
+    """
+    values = [h for _, h in anchors]
+    if not block_disjoint(values):
+        raise ScenarioContradiction(
+            {"summary": f"model {i}: anchors are not block disjoint"}
+        )
+    blocks = [[h + y for y in (0,) + fs(values[b + 1:] if model.form == 2 else values[:b])]
+              for b, h in enumerate(values)]
+    return blocks, list(fs(values)), {"structure": "finite-sums",
+                                      "anchors": [str(v) for v in values]}
 
 
-def _label_map(xs: List[int], label_of) -> Dict[int, object]:
-    return {x: (BOT_TOKEN if label_of(x) is None else label_of(x)) for x in xs}
+def _pairs_blocks(i: int, model: CriticalNodeModel, verts: list):
+    """Blocks, pair codes and family head of one pairs-engine model.
+
+    Block b holds the pairs of vertex b with the later vertices (form 2)
+    or with the earlier ones, each pair as its ``code_unordered``.
+    """
+    blocks = [[code_unordered(t, verts[r])
+               for r in (range(b + 1, len(verts)) if model.form == 2 else range(b))]
+              for b, t in enumerate(verts)]
+    codes = sorted(code_unordered(s, t) for s, t in combinations(verts, 2))
+    return blocks, codes, {"structure": "clique", "vertices": [str(v) for v in verts]}
 
 
-def assemble_hindman(state: SumsState) -> AssembledRun:
-    """Verify the sums engine invariants and package the run."""
-    anchored = {2: "min", 3: "max", 4: "max", 5: "max"}
+def _assemble_anchored(state: AnchorState, blocks_of, canonical: str, point,
+                       texts: Tuple[str, str, str, str, str]) -> AssembledRun:
+    """Verify the sums or pairs engine invariants and package the run.
+
+    ``blocks_of(i, model, anchors)`` gives a model's blocks, its expected
+    members in ascending order and its family head; ``point`` maps a member
+    to its point of the ``canonical`` form domain.  Each block has no
+    bottom label, label mass below 2^-k, and a single label under forms 2
+    and 3.  A model's blocks are pairwise disjoint, their union is the
+    expected family, and the declared canonical form holds on it.  Each
+    member is labelled once.  ``texts`` words the engine's own reports.
+    """
+    bottom, single, overlap, union, domain_name = texts
     forbidden: set = set()
     measure = Fraction(0)
     families: Dict[int, dict] = {}
@@ -1028,23 +1065,17 @@ def assemble_hindman(state: SumsState) -> AssembledRun:
     for i, model in enumerate(state.models):
         if i not in state.anchors:
             continue
-        values = [h for _, h in state.anchors[i]]
-        if not block_disjoint(values):
-            raise ScenarioContradiction(
-                {"summary": f"model {i}: anchors are not block disjoint"}
-            )
+        blocks, expected, family = blocks_of(i, model, state.anchors[i])
         label_of = model.rule.label
-        side = anchored[model.form]
-        blocks: List[List[int]] = []
-        for b in range(len(values)):
+        labels: Dict[int, int] = {}
+        for b, block in enumerate(blocks):
             k = state.stage_of[(i, b)]
-            block = _anchored_sums(values, b, side)
-            labels = [label_of(x) for x in block]
-            if any(l is None for l in labels):
+            block_labels = [label_of(x) for x in block]
+            if any(lab is None for lab in block_labels):
                 raise ScenarioContradiction(
-                    {"summary": f"model {i} stage {k}: bottom label inside a block"}
+                    {"summary": f"model {i} stage {k}: {bottom}"}
                 )
-            c_block = sorted(set(labels))
+            c_block = sorted(set(block_labels))
             small = harmonic(c_block)
             bound = Fraction(1, 1 << k)
             if small >= bound:
@@ -1054,14 +1085,13 @@ def assemble_hindman(state: SumsState) -> AssembledRun:
                         f"{rat_str(small)} not below {rat_str(bound)}"
                     }
                 )
-            if model.form in (2, 3) and len(c_block) != 1:
+            if model.form in (2, 3) and block and len(c_block) != 1:
                 raise ScenarioContradiction(
-                    {"summary": f"model {i} stage {k}: extreme-support form "
-                     "must give a single label per block"}
+                    {"summary": f"model {i} stage {k}: {single}"}
                 )
+            labels.update(zip(block, block_labels))
             forbidden.update(c_block)
             measure += small
-            blocks.append(block)
             stage_rows.append(
                 {
                     "i": i,
@@ -1073,36 +1103,28 @@ def assemble_hindman(state: SumsState) -> AssembledRun:
                     "bound": rat_str(bound),
                 }
             )
-        for x, y in combinations(range(len(blocks)), 2):
-            if set(blocks[x]) & set(blocks[y]):
+        sets = [set(block) for block in blocks]
+        for x, y in combinations(range(len(sets)), 2):
+            if not sets[x].isdisjoint(sets[y]):
                 raise ScenarioContradiction(
-                    {"summary": f"model {i}: blocks {x} and {y} intersect"}
+                    {"summary": f"model {i}: " + overlap.format(x=x, y=y)}
                 )
-        union = sorted(set().union(*blocks)) if blocks else []
-        expected = list(fs(values)) if values else []
-        if union != expected:
-            raise ScenarioContradiction(
-                {"summary": f"model {i}: block union differs from the finite sums"}
-            )
-        fmap = _label_map(expected, label_of)
-        cases = matching_cases(fmap, expected, HINDMAN)
+        if sorted(set().union(*sets)) != expected:
+            raise ScenarioContradiction({"summary": f"model {i}: {union}"})
+        domain = [point(x) for x in expected]
+        cases = matching_cases(dict(zip(domain, map(labels.get, expected))), domain, canonical)
         if model.form not in cases:
             raise ScenarioContradiction(
                 {
                     "summary": f"model {i}: declared form {model.form} does not "
-                    f"hold on the anchored sums (holding: {cases})"
+                    f"hold on the {domain_name} (holding: {cases})"
                 }
             )
-        families[i] = {
-            "structure": "finite-sums",
-            "anchors": [str(v) for v in values],
-            "members": [str(x) for x in expected],
-            "size": len(expected),
-        }
+        families[i] = {**family, "members": [str(x) for x in expected], "size": len(expected)}
     stages = len(state.stages)
     closed = Fraction(2) - Fraction(1, 1 << (stages - 1)) if stages else Fraction(0)
     payload = {
-        "engine": "hindman",
+        "engine": state.engine,
         "stages": stage_rows,
         "forbidden_labels": [str(c) for c in sorted(forbidden)],
         "forbidden_mass": rat_str(measure),
@@ -1110,103 +1132,22 @@ def assemble_hindman(state: SumsState) -> AssembledRun:
         "tail_bound": rat_str(Fraction(1, 1 << (stages - 1))) if stages else "0/1",
         "families": {str(i): fam for i, fam in families.items()},
     }
-    return AssembledRun("hindman", sorted(forbidden), measure, closed, families, payload)
+    return AssembledRun(state.engine, sorted(forbidden), measure, closed, families, payload)
 
 
-def assemble_ramsey(state: PairsState) -> AssembledRun:
+def assemble_hindman(state: AnchorState) -> AssembledRun:
+    """Verify the sums engine invariants and package the run."""
+    return _assemble_anchored(state, _sums_blocks, HINDMAN, lambda x: x, (
+        "bottom label inside a block", "extreme-support form must give a single label per block",
+        "blocks {x} and {y} intersect", "block union differs from the finite sums",
+        "anchored sums"))
+
+
+def assemble_ramsey(state: AnchorState) -> AssembledRun:
     """Verify the pairs engine invariants and package the run."""
-    forbidden: set = set()
-    measure = Fraction(0)
-    families: Dict[int, dict] = {}
-    stage_rows: List[dict] = []
-    for i, model in enumerate(state.models):
-        if i not in state.anchors:
-            continue
-        verts = state.anchors[i]
-        label_of = model.rule.pair_label
-        blocks: List[List[Tuple[int, int]]] = []
-        for b in range(len(verts)):
-            k = state.stage_of[(i, b)]
-            if model.form == 2:
-                pairs = [(verts[b], verts[r]) for r in range(b + 1, len(verts))]
-            else:
-                pairs = [(verts[r], verts[b]) for r in range(b)]
-            labels = [label_of(s, t) for s, t in pairs]
-            if any(l is None for l in labels):
-                raise ScenarioContradiction(
-                    {"summary": f"model {i} stage {k}: bottom label on a pair"}
-                )
-            c_block = sorted(set(labels))
-            small = harmonic(c_block)
-            bound = Fraction(1, 1 << k)
-            if small >= bound:
-                raise ScenarioContradiction(
-                    {
-                        "summary": f"model {i} stage {k}: label mass "
-                        f"{rat_str(small)} not below {rat_str(bound)}"
-                    }
-                )
-            if model.form in (2, 3) and pairs and len(c_block) != 1:
-                raise ScenarioContradiction(
-                    {"summary": f"model {i} stage {k}: extreme form must give "
-                     "a single label per block"}
-                )
-            forbidden.update(c_block)
-            measure += small
-            blocks.append(pairs)
-            stage_rows.append(
-                {
-                    "i": i,
-                    "b": b,
-                    "k": k,
-                    "block_size": len(pairs),
-                    "labels": [str(c) for c in c_block],
-                    "label_mass": rat_str(small),
-                    "bound": rat_str(bound),
-                }
-            )
-        flat = [frozenset(p) for block in blocks for p in block]
-        if len(flat) != len(set(flat)):
-            raise ScenarioContradiction(
-                {"summary": f"model {i}: pair blocks intersect"}
-            )
-        expected = {frozenset(p) for p in combinations(verts, 2)}
-        if set(flat) != expected:
-            raise ScenarioContradiction(
-                {"summary": f"model {i}: pair union differs from the full pair set"}
-            )
-        domain = [frozenset(p) for p in combinations(verts, 2)]
-        fmap = {
-            x: (BOT_TOKEN if label_of(min(x), max(x)) is None else label_of(min(x), max(x)))
-            for x in domain
-        }
-        cases = matching_cases(fmap, domain, RAMSEY)
-        if model.form not in cases:
-            raise ScenarioContradiction(
-                {
-                    "summary": f"model {i}: declared form {model.form} does not "
-                    f"hold on the anchored pairs (holding: {cases})"
-                }
-            )
-        codes = sorted(code_unordered(min(x), max(x)) for x in domain)
-        families[i] = {
-            "structure": "clique",
-            "vertices": [str(v) for v in verts],
-            "members": [str(c) for c in codes],
-            "size": len(codes),
-        }
-    stages = len(state.stages)
-    closed = Fraction(2) - Fraction(1, 1 << (stages - 1)) if stages else Fraction(0)
-    payload = {
-        "engine": "ramsey",
-        "stages": stage_rows,
-        "forbidden_labels": [str(c) for c in sorted(forbidden)],
-        "forbidden_mass": rat_str(measure),
-        "per_stage_bound_sum": rat_str(closed),
-        "tail_bound": rat_str(Fraction(1, 1 << (stages - 1))) if stages else "0/1",
-        "families": {str(i): fam for i, fam in families.items()},
-    }
-    return AssembledRun("ramsey", sorted(forbidden), measure, closed, families, payload)
+    return _assemble_anchored(state, _pairs_blocks, RAMSEY, decode_unordered, (
+        "bottom label on a pair", "extreme form must give a single label per block",
+        "pair blocks intersect", "pair union differs from the full pair set", "anchored pairs"))
 
 
 def assemble_posdiff(state: PosdiffState) -> AssembledRun:
@@ -1279,15 +1220,7 @@ def assemble_pwfin(state: PwfinState) -> AssembledRun:
 
 def assemble(state) -> AssembledRun:
     """Package a finished run, re-verifying every family invariant."""
-    if isinstance(state, SumsState):
-        return assemble_hindman(state)
-    if isinstance(state, PairsState):
-        return assemble_ramsey(state)
-    if isinstance(state, PosdiffState):
-        return assemble_posdiff(state)
-    if isinstance(state, PwfinState):
-        return assemble_pwfin(state)
-    raise StructuralError(f"no assembly for {type(state).__name__}")
+    return ENGINES[state.engine].assemble(state)
 
 
 # -- collision checking -----------------------------------------------------------
@@ -1353,15 +1286,11 @@ def collision_check(
             "inconclusive",
             reason="no obstruction member meets the tree below the horizon",
         )
-    if assembled.engine == "ramsey":
-        lo, hi = decode_unordered(hit)
-        label = model.rule.pair_label(lo, hi)
-    else:
-        label = model.rule.label(hit)
+    label = model.rule.label(hit)
     labelled = compute_labels(tree, coherent_map, oracle)
     path = path_value_search(labelled, label)
-    forbidden = {int(str(c)) for c in assembled.forbidden} if assembled.engine != "pwfin" else None
-    if forbidden is not None and label not in forbidden:
+    if (ENGINES[assembled.engine].explicit_forbidden
+            and label not in {int(str(c)) for c in assembled.forbidden}):
         return CollisionReport(
             "rejected", successor=hit, label=label,
             reason="label of the located successor is not forbidden",
@@ -1374,3 +1303,90 @@ def collision_check(
         path=path,
         reason="forbidden label realized on a branching tree",
     )
+
+
+# -- engine registry ------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Engine:
+    """One diagonalization engine; ``ENGINES`` is the one place an engine is declared.
+
+    ``run`` takes a diagonalization scenario and a stage count and returns
+    the run state; ``assemble`` packages a state.  Both look up the module's
+    ``run_<name>`` and ``assemble_<name>`` at call time, so a wrapper bound
+    to those names later (a tracer, a test spy) is the one that runs.
+    ``explicit_forbidden`` says whether the assembled forbidden labels are
+    label values rather than descriptors.  ``enumerate_family`` maps an
+    assembled family payload to its anchors and to its members enumerated
+    afresh, or is None.  A model declares its form or case in the attribute
+    ``declares``, one of ``values``; the rules of a ``pairs`` engine need a
+    pair form.
+    """
+
+    run: Callable[[object, int], object]
+    assemble: Callable[[object], AssembledRun]
+    explicit_forbidden: bool = True
+    enumerate_family: Optional[Callable[[dict], Tuple[list, List[int]]]] = None
+    declares: Optional[str] = None
+    values: tuple = ()
+    pairs: bool = False
+
+    def checked(self, models: Sequence[CriticalNodeModel]) -> Tuple[CriticalNodeModel, ...]:
+        """The models, after a SchemaError for any that does not fit this engine."""
+        for model in models:
+            if self.declares and getattr(model, self.declares) not in self.values:
+                raise SchemaError(f"model {model.index}: {self.declares} "
+                                  f"{getattr(model, self.declares)!r} is not one of "
+                                  f"{', '.join(map(str, self.values))}")
+            if self.pairs and LABEL_KINDS[model.rule.kind].pair is None:
+                raise SchemaError(
+                    f"model {model.index}: label rule {model.rule.kind!r} has no pair form")
+        return tuple(models)
+
+
+def _run_pwfin_scenario(scn, stages: int) -> PwfinState:
+    partition = scn.partition()
+    models = scn.models(partition)
+    return run_pwfin(
+        partition, set_from_json(scn.payload["P"]), set_from_json(scn.payload["Q"]), models, stages
+    )
+
+
+def _sums_enumeration(family: dict) -> Tuple[list, List[int]]:
+    anchors = family["anchors"]
+    return anchors, list(fs(int(a) for a in anchors))
+
+
+def _clique_enumeration(family: dict) -> Tuple[list, List[int]]:
+    vertices = family["vertices"]
+    pairs = combinations([int(v) for v in vertices], 2)
+    return vertices, sorted(code_unordered(a, b) for a, b in pairs)
+
+
+ENGINES: Dict[str, Engine] = {
+    "pwfin": Engine(
+        _run_pwfin_scenario, lambda state: assemble_pwfin(state),
+        explicit_forbidden=False, declares="case", values=PWFIN_CASES,
+    ),
+    "posdiff": Engine(
+        lambda scn, stages: run_posdiff(scn.models(), scn.horizon, stages),
+        lambda state: assemble_posdiff(state),
+    ),
+    "hindman": Engine(
+        lambda scn, stages: run_hindman(scn.models(), stages, scn.scan_cap(SUMS_SCAN_CAP)),
+        lambda state: assemble_hindman(state),
+        enumerate_family=_sums_enumeration, declares="form", values=SUMS_FORMS,
+    ),
+    "ramsey": Engine(
+        lambda scn, stages: run_ramsey(scn.models(), stages, scn.scan_cap(PAIRS_SCAN_CAP)),
+        lambda state: assemble_ramsey(state),
+        enumerate_family=_clique_enumeration, declares="form", values=PAIRS_FORMS, pairs=True,
+    ),
+}
+
+
+def engine_named(name) -> Engine:
+    """The registered engine called ``name``; SchemaError for anything else."""
+    if not isinstance(name, str) or name not in ENGINES:
+        raise SchemaError(f"not a diagonalization scenario: {name}")
+    return ENGINES[name]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .construction import DEFAULT_DEPTH, PartitionData, build_partition
-from .diagonal import CriticalNodeModel, LabelRule
+from .diagonal import ENGINES, LABEL_KINDS, CriticalNodeModel, LabelRule
 from .errors import SchemaError
 from .ideals import (
     DensityZero,
@@ -65,24 +65,18 @@ def ideal_from_json(obj: dict, partition: Optional[PartitionData] = None) -> Ide
     raise SchemaError(f"unknown ideal kind {kind!r}")
 
 
-# parameters a label rule reads unconditionally
-_RULE_PARAMS = {
-    "constant": ("value",),
-    "pair-constant": ("value",),
-    "table": ("entries",),
-    "block-geometric": ("start", "base_label", "ratio"),
-}
-
-
 def rule_from_json(obj: dict, partition: Optional[PartitionData] = None) -> LabelRule:
     if not isinstance(obj, dict):
         raise SchemaError("a label rule must be an object")
     kind = obj.get("kind")
-    missing = [name for name in _RULE_PARAMS.get(kind, ()) if name not in obj]
+    spec = LABEL_KINDS.get(kind) if isinstance(kind, str) else None
+    if spec is None:
+        raise SchemaError(f"unknown label rule {kind!r}")
+    missing = [name for name in spec.params if name not in obj]
     if missing:
         raise SchemaError(f"label rule {kind!r} lacks {', '.join(missing)}")
     if kind == "block-geometric":
-        values = [obj[name] for name in _RULE_PARAMS[kind]]
+        values = [obj[name] for name in spec.params]
         if any(not isinstance(v, int) or isinstance(v, bool) for v in values) or obj["start"] < 0:
             raise SchemaError("block-geometric needs integers start >= 0, base_label and ratio")
     params = {k: v for k, v in obj.items() if k != "kind"}
@@ -125,8 +119,11 @@ def model_from_json(obj: dict, partition: Optional[PartitionData] = None) -> Cri
 @dataclass(frozen=True)
 class DiagScenario:
     name: str
-    engine: str                    # pwfin | posdiff | hindman | ramsey
     payload: dict                  # full scenario JSON (schema form)
+
+    @property
+    def engine(self):
+        return self.payload.get("engine")
 
     @property
     def expect(self) -> str:
@@ -140,9 +137,7 @@ class DiagScenario:
     def horizon(self) -> int:
         return self._integer("horizon", None)
 
-    def partition(self) -> Optional[PartitionData]:
-        if self.engine != "pwfin":
-            return None
+    def partition(self) -> PartitionData:
         return build_partition(self.payload.get("depth", DEFAULT_DEPTH))
 
     def models(self, partition: Optional[PartitionData] = None) -> List[CriticalNodeModel]:
@@ -504,8 +499,8 @@ def load_scenario(name_or_path: str):
     check_assumptions(payload.get("assumptions"), payload.get("name", name_or_path))
     engine = payload.get("engine")
     name = payload.get("name", name_or_path)
-    if engine in ("pwfin", "posdiff", "hindman", "ramsey"):
-        return DiagScenario(name, engine, payload)
+    if isinstance(engine, str) and engine in ENGINES:
+        return DiagScenario(name, payload)
     if engine == "tree":
         return TreeScenario(name, payload)
     if engine == "collision":

@@ -16,7 +16,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from idealbench import certify, diagonal
 from idealbench.construction import build_partition
@@ -39,7 +39,7 @@ from idealbench.diagonal import (
     run_pwfin,
     run_ramsey,
 )
-from idealbench.errors import HorizonExhausted, ScenarioContradiction
+from idealbench.errors import HorizonExhausted, ScenarioContradiction, StructuralError
 from idealbench.ideals import diff_multiplicity
 from idealbench.pairing import code_unordered, unpair_diag
 from idealbench.ramsey import block_disjoint, delta, eventually_sparse_check
@@ -488,6 +488,20 @@ def test_label_runs_agree_with_label_at_every_point(spec, lo, width):
         assert all(end in cuts or end == hi for _, end, _ in runs)
 
 
+@given(st.sampled_from(LABEL_RULES), st.integers(0, 300), st.integers(0, 300))
+@example(("table", {"entries": {0: 4, 1: 4, 2: None, 5: 9, 6: 9, 40: 1}}), 3, 2)
+def test_pair_labels_are_the_labels_of_pair_codes(spec, s, t):
+    # the pairs engine and the collision check label a pair by its code
+    assume(s != t)
+    kind, params = spec
+    rule = LabelRule(kind, dict(params))
+    if diagonal.LABEL_KINDS[kind].pair is None:
+        with pytest.raises(StructuralError):
+            rule.pair_label(s, t)
+    else:
+        assert rule.pair_label(s, t) == rule.pair_label(t, s) == rule.label(code_unordered(s, t))
+
+
 posdiff_specs = st.one_of(
     st.builds(lambda start, base, ratio: ("block-geometric", {"start": start, "base_label": base,
                                                               "ratio": ratio}),
@@ -897,6 +911,27 @@ def test_two_model_posdiff_shares_forbidden_labels_globally():
     assert state.stages[1].n_bound == max(state.stages[0].c_labels)
     assembled = assemble(state)
     assert set(assembled.families) == {0, 1}
+
+
+# -- engine registry ------------------------------------------------------------------
+
+def test_registry_runs_engines_through_their_module_names(monkeypatch):
+    # perfbench's tracer rebinds diagonal.run_<engine> and assemble_<engine>
+    # by name; a registry holding the function objects would bypass it
+    staged = {"pwfin": "pw-2b", "posdiff": "posdiff-blocks", "hindman": "hindman-case2",
+              "ramsey": "ramsey-case2"}
+    assert set(staged) == set(diagonal.ENGINES)
+    calls = {}
+    for engine in staged:
+        for name in (f"run_{engine}", f"assemble_{engine}"):
+            def counting(*args, _name=name, _original=getattr(diagonal, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(diagonal, name, counting)
+    for scenario in staged.values():
+        inputs = {"scenario": load_scenario(scenario).to_json(), "stages": 2}
+        assert certify.produce("diagonalization", inputs, 0)["body"]["outcome"] == "stages"
+    assert calls == {f"{step}_{engine}": 1 for engine in staged for step in ("run", "assemble")}
 
 
 # -- collision ------------------------------------------------------------------------

@@ -247,6 +247,19 @@ def _hindman_scenario(**changes) -> dict:
         _changed_scenario("collision-posdiff", stages=0),
         _changed_scenario("collision-posdiff", stages=-1),
         _hindman_scenario(stages_default=0),
+        _changed_scenario(
+            "posdiff-blocks", models=[{"index": 0, "labels": {"kind": "block-geometrical"}}]
+        ),
+        _hindman_scenario(models=[{"index": 0, "form": 6, "labels": {"kind": "identity"}}]),
+        _changed_scenario(
+            "ramsey-case2", models=[{"index": 0, "form": 5, "labels": {"kind": "pair-min"}}]
+        ),
+        _changed_scenario(
+            "pw-2b", models=[{"index": 0, "case": "2d", "labels": {"kind": "identity"}}]
+        ),
+        _changed_scenario(
+            "ramsey-case2", models=[{"index": 0, "form": 4, "labels": {"kind": "identity"}}]
+        ),
     ],
     ids=["no-models", "empty-models", "constant-without-value", "scan-cap-not-int",
          "posdiff-no-horizon", "posdiff-horizon-not-int", "stages-default-not-int",
@@ -254,7 +267,8 @@ def _hindman_scenario(**changes) -> dict:
          "collision-stages-not-int", "collision-model-index-out-of-range",
          "collision-model-index-not-int", "collision-model-index-negative",
          "collision-horizon-not-int", "collision-stages-zero", "collision-stages-negative",
-         "stages-default-zero"],
+         "stages-default-zero", "unknown-label-kind", "hindman-form-6", "ramsey-form-5",
+         "pwfin-case-2d", "ramsey-rule-without-pair-form"],
 )
 def test_cli_diagonalize_rejects_malformed_scenarios(tmp_path, capsys, scenario):
     path = tmp_path / "scenario.json"
@@ -295,6 +309,38 @@ def test_cli_certify_rejects_bad_diagonalization_stages(tmp_path, capsys, stages
     cert = certify.produce("diagonalization", inputs, 0)
     cert["inputs"]["stages"] = stages
     path = tmp_path / "diagonalization.json"
+    dump_json(path, cert)
+    assert run(["certify", "--in", str(path)]) == 2
+    assert "schema error" in capsys.readouterr().err
+
+
+def _without_name(name: str) -> dict:
+    scenario = load_scenario(name).to_json()
+    del scenario["name"]
+    return {"scenario": scenario, "stages": 2}
+
+
+@pytest.mark.parametrize(
+    "kind, inputs",
+    [
+        ("diagonalization", _without_name("hindman-case2")),
+        ("structural-identity", _without_name("hindman-case2")),
+        ("tree-labelling", _without_name("sep1-basic")),
+        ("collision", _without_name("collision-posdiff")),
+        ("diagonalization", []),
+        ("diagonalization", {"scenario": "hindman-case2", "stages": 2}),
+        ("structural-identity", {"scenario": _changed_scenario("posdiff-blocks"), "stages": 2}),
+        ("structural-identity", {"scenario": _changed_scenario("pw-2b"), "stages": 2}),
+    ],
+    ids=["diagonalization-no-name", "structural-identity-no-name", "tree-labelling-no-name",
+         "collision-no-name", "inputs-a-list", "scenario-not-an-object",
+         "structural-identity-on-posdiff", "structural-identity-on-pwfin"],
+)
+def test_cli_certify_rejects_malformed_scenario_inputs(tmp_path, capsys, kind, inputs):
+    cert = certify.produce("pairing", {"bound": 3, "unordered_bound": 3}, 0)
+    cert["kind"] = kind
+    cert["inputs"] = inputs
+    path = tmp_path / "certificate.json"
     dump_json(path, cert)
     assert run(["certify", "--in", str(path)]) == 2
     assert "schema error" in capsys.readouterr().err
