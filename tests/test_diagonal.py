@@ -34,6 +34,7 @@ from idealbench.diagonal import (
     harmonic,
     model_for_stage,
     posdiff_stage,
+    profile_label_weight,
     run_hindman,
     run_posdiff,
     run_pwfin,
@@ -45,7 +46,7 @@ from idealbench.pairing import code_unordered, unpair_diag
 from idealbench.ramsey import block_disjoint, delta, eventually_sparse_check
 from idealbench.scenarios import load_scenario
 from idealbench.serialize import canonical_bytes, rat_str
-from idealbench.sets import Cofinite, Progression
+from idealbench.sets import Cofinite, Finite, Progression
 
 
 # -- colouring and extraction ---------------------------------------------------
@@ -103,6 +104,37 @@ def test_extract_profile_grouped_labels():
     assert prof.f_count == 24
     assert prof.g_count == 12       # the larger label class within the block
     assert prof.g_count * p.prefix_size(2) >= prof.f_count
+
+
+def test_closed_form_profiles_match_enumeration():
+    # every closed-form kind against a table rule with the same labels, on
+    # every interval of a depth-5 partition that a table can enumerate
+    # (I_4 has 432,221,184 points, past the enumeration cap)
+    p = build_partition(5)
+    selectors = [Cofinite(()), Progression(0, 2), Progression(1, 2), Finite(())]
+    rules = [LabelRule("identity"), LabelRule("all-bot"),
+             LabelRule("prev-interval-max", {"partition": p})]
+    rules += [LabelRule("constant", {"value": c}) for c in (0, 2, 3, 30, 5210)]
+    checked = set()
+    for n in range(p.depth):
+        if p.lengths[n] > diagonal._ENUM_CAP:
+            continue
+        for rule in rules:
+            model = CriticalNodeModel(0, rule)
+            entries = {x: rule.label(x) for x in p.interval_members(n)}
+            closed = extract_profile(model, p, n)
+            counted = extract_profile(table_model(entries), p, n)
+            assert (closed.colour, closed.f_count, closed.g_count) == (
+                counted.colour, counted.f_count, counted.g_count), (rule.kind, n)
+            checked.add((rule.kind, closed.colour))
+            if closed.colour == 0:
+                continue
+            for selector in selectors:
+                assert profile_label_weight(closed, selector, p) == profile_label_weight(
+                    counted, selector, p), (rule.kind, n, selector)
+    # the constants land on both sides of I_n, and every kind is exercised
+    assert {("constant", 1), ("constant", 2), ("identity", 2), ("all-bot", 0),
+            ("prev-interval-max", 0), ("prev-interval-max", 1)} <= checked
 
 
 # -- interval engine --------------------------------------------------------------
