@@ -12,6 +12,7 @@ and weight-bound certificates that the integrity criterion re-verifies.
 
 from __future__ import annotations
 
+import functools
 import json
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import certify
+from .scenarios import load_scenario
 from .serialize import dump_json, mutate_one_field
 
 DIAGNOSTIC_DEPTH = 16
@@ -105,81 +107,95 @@ def _depth30(budget: float) -> Optional[dict]:
     return _depth30_cache[budget]
 
 
-def crit_01_partition_conditions(seed: int, budget: float = DEPTH30_BUDGET) -> CriterionResult:
-    t0 = time.time()
-    diag = certify.produce("partition", {"depth": DIAGNOSTIC_DEPTH}, seed)
-    diag_ok = diag["body"]["report"]["passed"]
+def criterion(number: int, name: str, budget: Optional[float] = None):
+    """Make a check into a timed criterion.
+
+    The check returns (passed, detail, certificates).  The criterion passes
+    when the check passes and, with a ``budget``, finishes in fewer
+    wall-clock seconds.
+    """
+    def timed(check):
+        @functools.wraps(check)
+        def run(*args, **kwargs) -> CriterionResult:
+            t0 = time.time()
+            passed, detail, certs = check(*args, **kwargs)
+            elapsed = time.time() - t0
+            passed = passed and (budget is None or elapsed < budget)
+            return CriterionResult(number, name, passed, detail, elapsed, certs)
+        return run
+    return timed
+
+
+def _scenario_certs(kind: str, prefix: str, names, seed: int, stages=None):
+    """A ``kind`` certificate per bundled scenario, filed as ``<prefix>-<name>.json``.
+
+    ``stages(scenario)``, if given, is the stage count each one runs.
+    """
+    certs = []
+    for name in names:
+        scn = load_scenario(name)
+        inputs = {"scenario": scn.to_json()}
+        if stages is not None:
+            inputs["stages"] = stages(scn)
+        certs.append((f"{prefix}-{name}.json", certify.produce(kind, inputs, seed)))
+    return certs
+
+
+def _depth30_check(kind: str, diag_ok, child_keys: Tuple[str, str], missed: str,
+                   reached: str, seed: int, budget: float):
+    """A depth-30 criterion: the diagnostic-depth certificate, then the depth-30 child.
+
+    ``diag_ok`` reads the diagnostic body's verdict, ``child_keys`` name the
+    child's verdict and its seconds, and ``missed`` and ``reached`` word the
+    detail when the child did not finish and when it did.
+    """
+    diag = certify.produce(kind, {"depth": DIAGNOSTIC_DEPTH}, seed)
+    ok = diag_ok(diag["body"])
+    certs = [(f"{kind}-diagnostic.json", diag)]
     got = _depth30(budget)
     if got is None:
-        passed = False
-        detail = (
-            f"depth-30 build+verify did not finish within the {budget:.0f}s budget "
-            f"(bound is 1s; the growth conditions force ~1e8-digit interval sizes); "
-            f"identical conditions pass at depth {DIAGNOSTIC_DEPTH}: {diag_ok}"
-        )
-    else:
-        passed = got["passed"] and got["build_elapsed"] < 1.0
-        detail = (
-            f"depth-30 verified={got['passed']} in {got['build_elapsed']:.2f}s "
-            f"(bound 1s); diagnostic depth {DIAGNOSTIC_DEPTH} passed={diag_ok}"
-        )
-    return CriterionResult(
-        1,
-        "partition conditions, zero tolerance",
-        passed,
-        detail,
-        time.time() - t0,
-        [("partition-diagnostic.json", diag)],
-    )
+        return False, missed.format(budget=budget, depth=DIAGNOSTIC_DEPTH, ok=ok), certs
+    verdict, seconds = (got[key] for key in child_keys)
+    detail = reached.format(verdict=verdict, seconds=seconds, depth=DIAGNOSTIC_DEPTH, ok=ok)
+    return verdict and seconds < 1.0, detail, certs
 
 
-def crit_02_degenerate_weight(seed: int, budget: float = DEPTH30_BUDGET) -> CriterionResult:
-    t0 = time.time()
-    diag = certify.produce("weight-bound", {"depth": DIAGNOSTIC_DEPTH}, seed)
-    diag_ok = diag["body"]["below_one"]
-    got = _depth30(budget)
-    if got is None:
-        passed = False
-        detail = (
-            f"depth-30 weight sum not reachable within the {budget:.0f}s budget "
-            f"(bound is 1s); full-selector prefix weight stays below 1 at depth "
-            f"{DIAGNOSTIC_DEPTH}: {diag_ok}"
-        )
-    else:
-        passed = got["weight_below_one"] and got["weight_elapsed"] < 1.0
-        detail = (
-            f"depth-30 weight below one={got['weight_below_one']} in "
-            f"{got['weight_elapsed']:.2f}s; diagnostic depth ok={diag_ok}"
-        )
-    return CriterionResult(
-        2,
-        "degenerate selector weight below one",
-        passed,
-        detail,
-        time.time() - t0,
-        [("weight-bound-diagnostic.json", diag)],
-    )
+@criterion(1, "partition conditions, zero tolerance")
+def crit_01_partition_conditions(seed: int, budget: float = DEPTH30_BUDGET):
+    return _depth30_check(
+        "partition", lambda body: body["report"]["passed"], ("passed", "build_elapsed"),
+        "depth-30 build+verify did not finish within the {budget:.0f}s budget "
+        "(bound is 1s; the growth conditions force ~1e8-digit interval sizes); "
+        "identical conditions pass at depth {depth}: {ok}",
+        "depth-30 verified={verdict} in {seconds:.2f}s (bound 1s); "
+        "diagnostic depth {depth} passed={ok}",
+        seed, budget)
 
 
-def crit_03_positive_direction(seed: int) -> CriterionResult:
-    t0 = time.time()
+@criterion(2, "degenerate selector weight below one")
+def crit_02_degenerate_weight(seed: int, budget: float = DEPTH30_BUDGET):
+    return _depth30_check(
+        "weight-bound", lambda body: body["below_one"], ("weight_below_one", "weight_elapsed"),
+        "depth-30 weight sum not reachable within the {budget:.0f}s budget "
+        "(bound is 1s); full-selector prefix weight stays below 1 at depth {depth}: {ok}",
+        "depth-30 weight below one={verdict} in {seconds:.2f}s; diagnostic depth ok={ok}",
+        seed, budget)
+
+
+@criterion(3, "positive direction with identity witness", 5.0)
+def crit_03_positive_direction(seed: int):
     cert = certify.produce("subset-reduction", {"depth": 12, "pairs": 20}, seed)
     body = cert["body"]
-    passed = body["all_included"] and body["all_certificates"]
-    elapsed = time.time() - t0
-    passed = passed and elapsed < 5.0
     detail = (
         f"20 nested selector pairs: weight domination={body['all_included']}, "
         f"height-one certificates revalidated={body['all_certificates']}"
     )
-    return CriterionResult(
-        3, "positive direction with identity witness", passed, detail, elapsed,
-        [("subset-reduction.json", cert)],
-    )
+    return (body["all_included"] and body["all_certificates"], detail,
+            [("subset-reduction.json", cert)])
 
 
-def crit_04_pigeonhole(seed: int) -> CriterionResult:
-    t0 = time.time()
+@criterion(4, "pigeonhole extraction", 5.0)
+def crit_04_pigeonhole(seed: int):
     cert = certify.produce(
         "pigeonhole", {"depth": 4, "samples": 200, "interval": 2}, seed
     )
@@ -190,123 +206,79 @@ def crit_04_pigeonhole(seed: int) -> CriterionResult:
         and body["block_bound_holds"]
         and body["weight_bound_holds"]
     )
-    elapsed = time.time() - t0
-    passed = passed and elapsed < 5.0
     detail = (
         f"200 colourings of a 24-point interval: min block {body['min_block']} >= 8, "
         f"worst off-selector weight {body['worst_weight']} >= 1/3"
     )
-    return CriterionResult(
-        4, "pigeonhole extraction", passed, detail, elapsed,
-        [("pigeonhole.json", cert)],
-    )
+    return passed, detail, [("pigeonhole.json", cert)]
 
 
-def crit_05_stage_bounds(seed: int) -> CriterionResult:
-    t0 = time.time()
-    certs: List[Tuple[str, dict]] = []
-    problems: List[str] = []
-    from .scenarios import load_scenario
-
-    for name in STAGED_SCENARIOS:
-        scn = load_scenario(name)
-        cert = certify.produce(
-            "diagonalization", {"scenario": scn.to_json(), "stages": 4}, seed
-        )
-        certs.append((f"diag-{name}.json", cert))
-        if not cert["body"]["as_expected"]:
-            problems.append(f"{name}: {cert['body']['outcome']}")
-    for name in CONTRADICTION_SCENARIOS:
-        scn = load_scenario(name)
-        cert = certify.produce(
-            "diagonalization",
-            {"scenario": scn.to_json(), "stages": scn.default_stages},
-            seed,
-        )
-        certs.append((f"diag-{name}.json", cert))
-        if not cert["body"]["as_expected"]:
-            problems.append(f"{name}: {cert['body']['outcome']}")
-    elapsed = time.time() - t0
-    passed = not problems and elapsed < 30.0
+@criterion(5, "stage bounds, all four engines", 30.0)
+def crit_05_stage_bounds(seed: int):
+    certs = _scenario_certs("diagonalization", "diag", STAGED_SCENARIOS, seed, lambda scn: 4)
+    certs += _scenario_certs("diagonalization", "diag", CONTRADICTION_SCENARIOS, seed,
+                             lambda scn: scn.default_stages)
+    problems = [
+        f"{name}: {cert['body']['outcome']}"
+        for name, (_, cert) in zip(STAGED_SCENARIOS + CONTRADICTION_SCENARIOS, certs)
+        if not cert["body"]["as_expected"]
+    ]
     detail = (
         f"{len(STAGED_SCENARIOS)} staged runs of 4 stages with exact bounds, "
         f"{len(CONTRADICTION_SCENARIOS)} contradiction reports"
         + (f"; problems: {problems}" if problems else "")
     )
-    return CriterionResult(5, "stage bounds, all four engines", passed, detail, elapsed, certs)
+    return not problems, detail, certs
 
 
-def crit_06_structural_identities(seed: int) -> CriterionResult:
-    t0 = time.time()
-    certs: List[Tuple[str, dict]] = []
+@criterion(6, "structural identities at the horizon", 5.0)
+def crit_06_structural_identities(seed: int):
+    certs = _scenario_certs("structural-identity", "identity", IDENTITY_SCENARIOS, seed,
+                            lambda scn: 4)
     ok = True
     details = []
-    from .scenarios import load_scenario
-
-    for name in IDENTITY_SCENARIOS:
-        scn = load_scenario(name)
-        cert = certify.produce(
-            "structural-identity", {"scenario": scn.to_json(), "stages": 4}, seed
-        )
-        certs.append((f"identity-{name}.json", cert))
+    for name, (_, cert) in zip(IDENTITY_SCENARIOS, certs):
         body = cert["body"]
         sizes = [row["family_size"] for row in body["checks"]]
         anchors = [len(row["anchors"]) for row in body["checks"]]
         ok = ok and body["all_match"] and all(a >= 4 for a in anchors)
         details.append(f"{name}: {anchors[0]} anchors, family {sizes[0]}")
-    elapsed = time.time() - t0
-    passed = ok and elapsed < 5.0
-    return CriterionResult(
-        6, "structural identities at the horizon", passed, "; ".join(details), elapsed, certs
-    )
+    return ok, "; ".join(details), certs
 
 
-def crit_07_ramsey_oracle(seed: int) -> CriterionResult:
-    t0 = time.time()
+@criterion(7, "canonical search equals brute-force oracle", 120.0)
+def crit_07_ramsey_oracle(seed: int):
     cert = certify.produce(
         "ramsey-oracle",
         {"size": 3, "exhaustive_n": 4, "sample_n": 5, "samples": 10000},
         seed,
     )
     body = cert["body"]
-    elapsed = time.time() - t0
-    passed = body["agreement"] and body["minimal_n_for_size"] is not None and elapsed < 120.0
     detail = (
         f"agreement on {body['exhaustive_checked']} partitions of the 4-point edge set "
         f"and {body['sample_checked']} sampled 5-point partitions; minimal n for a "
         f"canonical triple = {body['minimal_n_for_size']}"
     )
-    return CriterionResult(
-        7, "canonical search equals brute-force oracle", passed, detail, elapsed,
-        [("ramsey-oracle.json", cert)],
-    )
+    passed = body["agreement"] and body["minimal_n_for_size"] is not None
+    return passed, detail, [("ramsey-oracle.json", cert)]
 
 
-def crit_08_sparseness(seed: int) -> CriterionResult:
-    t0 = time.time()
+@criterion(8, "sparseness mechanism", 10.0)
+def crit_08_sparseness(seed: int):
     cert = certify.produce("sparseness", {"universe": 25, "sizes": [4, 5]}, seed)
     body = cert["body"]
-    elapsed = time.time() - t0
-    passed = body["all_fail"] and body["all_witnessed"] and elapsed < 10.0
     detail = (
         f"{body['checked']} generator families: sparseness check fails as predicted "
         f"on every difference image, shared difference witnessed every time"
     )
-    return CriterionResult(
-        8, "sparseness mechanism", passed, detail, elapsed, [("sparseness.json", cert)],
-    )
+    return body["all_fail"] and body["all_witnessed"], detail, [("sparseness.json", cert)]
 
 
-def crit_09_separation_lemmas(seed: int) -> CriterionResult:
-    t0 = time.time()
-    certs: List[Tuple[str, dict]] = []
+@criterion(9, "finite-horizon separation lemmas", 5.0)
+def crit_09_separation_lemmas(seed: int):
+    certs = _scenario_certs("tree-labelling", "tree", TREE_SCENARIOS, seed)
     problems: List[str] = []
-    from .scenarios import load_scenario
-
-    for name in TREE_SCENARIOS:
-        scn = load_scenario(name)
-        cert = certify.produce("tree-labelling", {"scenario": scn.to_json()}, seed)
-        certs.append((f"tree-{name}.json", cert))
+    for name, (_, cert) in zip(TREE_SCENARIOS, certs):
         body = cert["body"]
         if not body["all_branching_in"]:
             problems.append(f"{name}: branching not in the dual filter everywhere")
@@ -319,34 +291,25 @@ def crit_09_separation_lemmas(seed: int) -> CriterionResult:
             problems.append(f"{name}: no critical node found")
         if not body["critical_as_declared"]:
             problems.append(f"{name}: critical nodes differ from the declaration")
-    elapsed = time.time() - t0
-    passed = not problems and elapsed < 5.0
     detail = (
         f"{len(TREE_SCENARIOS)} branching scenario trees: value roots realize paths, "
         f"bottom roots yield critical nodes" + (f"; problems: {problems}" if problems else "")
     )
-    return CriterionResult(9, "finite-horizon separation lemmas", passed, detail, elapsed, certs)
+    return not problems, detail, certs
 
 
-def crit_10_pairing(seed: int) -> CriterionResult:
-    t0 = time.time()
+@criterion(10, "pairing properties", 1.0)
+def crit_10_pairing(seed: int):
     cert = certify.produce("pairing", {"bound": 100, "unordered_bound": 50}, seed)
-    body = cert["body"]
-    elapsed = time.time() - t0
-    passed = body["all_hold"] and elapsed < 1.0
     detail = (
         "diagonal pairing bijective and monotone with dominated second argument "
         "on [0,100]^2; unordered coding symmetric and injective on [0,50]"
     )
-    return CriterionResult(
-        10, "pairing properties", passed, detail, elapsed, [("pairing.json", cert)],
-    )
+    return cert["body"]["all_hold"], detail, [("pairing.json", cert)]
 
 
-def crit_11_certificate_integrity(
-    seed: int, earlier: List[CriterionResult]
-) -> CriterionResult:
-    t0 = time.time()
+@criterion(11, "certificate integrity", 10.0)
+def crit_11_certificate_integrity(seed: int, earlier: List[CriterionResult]):
     total = 0
     mutated_caught = 0
     problems: List[str] = []
@@ -368,13 +331,11 @@ def crit_11_certificate_integrity(
                 problems.append(f"{name}: mutation at {path} went unnoticed")
             else:
                 mutated_caught += 1
-    elapsed = time.time() - t0
-    passed = not problems and total > 0 and elapsed < 10.0
     detail = (
         f"{total} certificates re-verified, {mutated_caught} single-field mutations "
         f"rejected" + (f"; problems: {problems}" if problems else "")
     )
-    return CriterionResult(11, "certificate integrity", passed, detail, elapsed, [])
+    return not problems and total > 0, detail, []
 
 
 def run_all(

@@ -58,16 +58,19 @@ def envelope(kind: str, inputs: dict, seed: int, assumptions: List[dict], body: 
 
 # -- producers ----------------------------------------------------------------
 
+def _depth(inputs: dict, kind: str, default: Optional[int] = None) -> int:
+    return integer_field(inputs, "depth", default, f"{kind} inputs", minimum=1)
+
+
 def produce_partition(inputs: dict, seed: int) -> dict:
-    depth = inputs["depth"]
-    p = build_partition(depth)
+    p = build_partition(_depth(inputs, "partition"))
     report = verify_partition(p)
     body = {"partition": p.to_json(), "report": report.to_json()}
     return envelope("partition", inputs, seed, [], body)
 
 
 def produce_weight_bound(inputs: dict, seed: int) -> dict:
-    depth = inputs["depth"]
+    depth = _depth(inputs, "weight-bound")
     p = build_partition(depth)
     upto = p.coverage_end - 1  # strictly below the largest covered point
     total = degenerate_prefix_weight(p, upto)
@@ -92,8 +95,8 @@ def _random_selector_pair(rng: random.Random, depth: int):
 
 
 def produce_subset_reduction(inputs: dict, seed: int) -> dict:
-    depth = inputs["depth"]
-    pairs = inputs["pairs"]
+    depth = _depth(inputs, "subset-reduction")
+    pairs = integer_field(inputs, "pairs", None, "subset-reduction inputs", minimum=0)
     p = build_partition(depth)
     rng = random.Random(seed)
     rows = []
@@ -126,9 +129,11 @@ def produce_subset_reduction(inputs: dict, seed: int) -> dict:
 
 
 def produce_pigeonhole(inputs: dict, seed: int) -> dict:
-    depth = inputs.get("depth", 4)
-    samples = inputs["samples"]
-    interval = inputs.get("interval", 2)
+    depth = _depth(inputs, "pigeonhole", 4)
+    samples = integer_field(inputs, "samples", None, "pigeonhole inputs", minimum=1)
+    interval = integer_field(inputs, "interval", 2, "pigeonhole inputs", minimum=1)
+    if interval >= depth:
+        raise SchemaError(f"pigeonhole inputs: interval must be below depth {depth}")
     p = build_partition(depth)
     rng = random.Random(seed)
     members = list(p.interval_members(interval))
@@ -167,9 +172,7 @@ def produce_pigeonhole(inputs: dict, seed: int) -> dict:
 def _scenario(inputs: dict, cls):
     """The ``cls`` scenario carried in certificate inputs."""
     scenario = inputs.get("scenario") if isinstance(inputs, dict) else None
-    if not isinstance(scenario, dict) or not isinstance(scenario.get("name"), str):
-        raise SchemaError("certificate inputs need a scenario object with a string name")
-    return cls(scenario["name"], scenario)
+    return cls.from_json(scenario, "certificate inputs")
 
 
 def run_diag_scenario(scn: DiagScenario, stages: int):
@@ -263,11 +266,7 @@ def produce_tree_labelling(inputs: dict, seed: int) -> dict:
 
 
 def _sparseness_inputs(inputs: dict) -> Tuple[int, list]:
-    if not isinstance(inputs, dict):
-        raise SchemaError("sparseness inputs must be an object")
-    universe = integer_field(inputs, "universe", None, "sparseness inputs")
-    if universe < 0:
-        raise SchemaError("sparseness inputs: universe must not be negative")
+    universe = integer_field(inputs, "universe", None, "sparseness inputs", minimum=0)
     sizes = inputs.get("sizes")
     if not isinstance(sizes, list):
         raise SchemaError("sparseness inputs: sizes must be a list")
@@ -375,10 +374,11 @@ def _colouring_from_rgs(n: int, rgs):
 
 
 def produce_ramsey_oracle(inputs: dict, seed: int) -> dict:
-    m = inputs.get("size", 3)
-    exhaustive_n = inputs.get("exhaustive_n", 4)
-    sample_n = inputs.get("sample_n", 5)
-    sample_count = inputs.get("samples", 10000)
+    where = "ramsey-oracle inputs"
+    m = integer_field(inputs, "size", 3, where, minimum=0)
+    exhaustive_n = integer_field(inputs, "exhaustive_n", 4, where, minimum=0)
+    sample_n = integer_field(inputs, "sample_n", 5, where, minimum=0)
+    sample_count = integer_field(inputs, "samples", 10000, where, minimum=0)
     rng = random.Random(seed)
 
     edge_count = exhaustive_n * (exhaustive_n - 1) // 2
@@ -459,8 +459,8 @@ def produce_collision(inputs: dict, seed: int) -> dict:
 
 
 def produce_pairing(inputs: dict, seed: int) -> dict:
-    bound = inputs.get("bound", 100)
-    unordered_bound = inputs.get("unordered_bound", 50)
+    bound = integer_field(inputs, "bound", 100, "pairing inputs", minimum=0)
+    unordered_bound = integer_field(inputs, "unordered_bound", 50, "pairing inputs", minimum=0)
     codes = {}
     monotone = True
     dominates = True

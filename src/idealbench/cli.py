@@ -22,15 +22,14 @@ from .construction import (
     weight_fn,
 )
 from .errors import HorizonExhausted, IdealbenchError, SchemaError, StructuralError
-from .ideals import hindman_witness_search, membership, ramsey_witness_search
+from .ideals import hindman_witness_search, ideal_from_json, membership, ramsey_witness_search
 from .reduction import (
     IdentityHeightOne,
     KatetovMap,
     ReductionClaim,
     katetov_witness_check,
 )
-from .scenarios import (DiagScenario, TreeScenario, bundled_names, ideal_from_json,
-                        integer_field, load_scenario)
+from .scenarios import DiagScenario, TreeScenario, bundled_names, integer_field, load_scenario
 from .serialize import dump_json, load_json, rat_str
 from .sets import set_from_json
 

@@ -269,13 +269,17 @@ def harmonic_weight() -> WeightFunction:
     return WeightFunction(lambda m: Fraction(1, m + 1), "harmonic", "harmonic")
 
 
+def selector_weight(selector: DescribedSet, p: PartitionData, n: int) -> Fraction:
+    """Weight of each point of I_n: r_{n+1} when n is on the selector, r_n when not."""
+    return p.rationals[n + 1] if selector.contains(n) else p.rationals[n]
+
+
 def weight_fn(selector: DescribedSet, p: PartitionData) -> WeightFunction:
     """Selector weights: r_n off the selector, r_{n+1} on it."""
     from .sets import is_co_infinite
 
     def evaluate(m: int) -> Fraction:
-        n = p.interval_of(m)
-        return p.rationals[n + 1] if selector.contains(n) else p.rationals[n]
+        return selector_weight(selector, p, p.interval_of(m))
 
     co_inf = is_co_infinite(selector)
     divergence = "interval-block" if co_inf else "none"
@@ -284,8 +288,7 @@ def weight_fn(selector: DescribedSet, p: PartitionData) -> WeightFunction:
 
 def interval_weight(selector: DescribedSet, p: PartitionData, n: int) -> Fraction:
     """Exact selector-weight of the whole interval I_n, without enumeration."""
-    value = p.rationals[n + 1] if selector.contains(n) else p.rationals[n]
-    return value * p.lengths[n]
+    return selector_weight(selector, p, n) * p.lengths[n]
 
 
 def degenerate_prefix_weight(p: PartitionData, upto: int) -> Fraction:

@@ -27,10 +27,10 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, exp, gcd
+from math import ceil, exp
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .construction import PartitionData, interval_weight
+from .construction import PartitionData, interval_weight, selector_weight
 from .errors import HorizonExhausted, ScenarioContradiction, SchemaError, StructuralError
 from .pairing import code_unordered, decode_unordered, pair_diag, unpair_diag
 from .ramsey import (
@@ -46,20 +46,6 @@ from .ramsey import (
 from .serialize import rat_str
 from .sets import DescribedSet, set_from_json
 from .ideals import diff_multiplicity
-
-
-def harmonic(members) -> Fraction:
-    """Exact sum of 1/(x+1) over the members, reduced once by ``Fraction``.
-
-    The running denominator is kept the lcm of the denominators seen, so
-    each term costs one gcd and a few products with a small integer.
-    """
-    num, den = 0, 1
-    for x in members:
-        g = gcd(den, x + 1)
-        step = (x + 1) // g
-        num, den = num * step + den // g, den * step
-    return Fraction(num, den)
 
 
 def _sum_pairs(pairs: Sequence[Tuple[int, int]], lo: int = 0, hi: Optional[int] = None) -> Tuple[int, int]:
@@ -85,6 +71,11 @@ def _sum_pairs(pairs: Sequence[Tuple[int, int]], lo: int = 0, hi: Optional[int] 
 def _harmonic_pair(members) -> Tuple[int, int]:
     """Unreduced P/Q equal to ``harmonic(members)``, by binary splitting."""
     return _sum_pairs([(1, x + 1) for x in members])
+
+
+def harmonic(members) -> Fraction:
+    """Exact sum of 1/(x+1) over the members: ``_harmonic_pair``, reduced once."""
+    return Fraction(*_harmonic_pair(members))
 
 
 def _reach_one(a: int, limit: int, p: int = 0, q: int = 1) -> Tuple[Optional[int], int, int]:
@@ -289,11 +280,15 @@ class LabelRule:
 class LabelKind:
     """One kind of label rule.
 
-    ``params`` are the parameters the kind reads unconditionally.  ``label``
-    and ``pair`` take a rule and return its successor and pair labelling
-    functions; ``pair`` is None for a kind without a pair form.  ``runs``,
-    if set, yields the rule's label runs directly instead of reading one
-    successor at a time.
+    ``params`` are the parameters the kind reads unconditionally.  ``parse``
+    turns the parameters of a scenario rule (every field but ``kind``) and
+    the partition in scope into the rule's params, raising SchemaError on
+    malformed ones.  ``label`` and ``pair`` take a rule and return its
+    successor and pair labelling functions; ``pair`` is None for a kind
+    without a pair form.  ``runs``, if set, yields the rule's label runs
+    directly instead of reading one successor at a time.  ``profile``, if
+    set, gives the rule's profile of an interval in closed form, without
+    enumerating it.
     """
 
     label: Callable[[LabelRule], Callable[[int], Optional[int]]]
@@ -301,6 +296,8 @@ class LabelKind:
     params: Tuple[str, ...] = ()
     finite: bool = False
     runs: Optional[Callable[[LabelRule, int, int], Iterator[Tuple[int, int, Optional[int]]]]] = None
+    parse: Callable[[dict, Optional[PartitionData]], dict] = lambda params, partition: params
+    profile: Optional[Callable[[LabelRule, PartitionData, int], IntervalClassProfile]] = None
 
 
 def _no_pair(rule: LabelRule):
@@ -324,13 +321,43 @@ def _table_pair(rule: LabelRule):
     return lambda s, t: get(code_unordered(s, t))
 
 
+def _parse_table(params: dict, partition) -> dict:
+    try:
+        entries = {int(x): (None if v is None else int(v)) for x, v in params["entries"]}
+    except (TypeError, ValueError) as exc:
+        raise SchemaError("table entries must be [successor, label or null] pairs") from exc
+    return {**params, "entries": entries}
+
+
+def _parse_block_geometric(params: dict, partition) -> dict:
+    values = [params[name] for name in ("start", "base_label", "ratio")]
+    if any(not isinstance(v, int) or isinstance(v, bool) for v in values) or params["start"] < 0:
+        raise SchemaError("block-geometric needs integers start >= 0, base_label and ratio")
+    return params
+
+
+def _parse_prev_interval_max(params: dict, partition) -> dict:
+    if partition is None:
+        raise SchemaError("prev-interval-max needs the partition in scope")
+    return {**params, "partition": partition}
+
+
+def _prev_interval_label(p: PartitionData, n: int) -> Optional[int]:
+    """The prev-interval-max label of every member of I_n: max I_(n-1), bottom on I_0."""
+    return None if n == 0 else p.end(n - 1) - 1
+
+
 def _prev_interval_max(rule: LabelRule):
     p: PartitionData = rule.params["partition"]
+    return lambda x: _prev_interval_label(p, p.interval_of(x))
 
-    def label(x: int) -> Optional[int]:
-        n = p.interval_of(x)
-        return None if n == 0 else p.end(n - 1) - 1
-    return label
+
+def _uniform_profile(p: PartitionData, n: int, label: Optional[int]) -> IntervalClassProfile:
+    """Profile of I_n when every member carries ``label`` (None is bottom)."""
+    length = p.lengths[n]
+    if label is None:
+        return IntervalClassProfile(n, 0, length, length, "none")
+    return IntervalClassProfile(n, 1 if label < p.starts[n] else 2, length, length, "single", label)
 
 
 def _support_pair_code(x: int) -> Optional[int]:
@@ -340,15 +367,23 @@ def _support_pair_code(x: int) -> Optional[int]:
 
 
 LABEL_KINDS: Dict[str, LabelKind] = {
-    "identity": LabelKind(lambda rule: lambda x: x),
-    "constant": LabelKind(_constant, _constant, ("value",), finite=True),
-    "all-bot": LabelKind(lambda rule: lambda x: None, finite=True),
+    "identity": LabelKind(
+        lambda rule: lambda x: x,
+        profile=lambda rule, p, n: IntervalClassProfile(
+            n, 2, p.lengths[n], p.lengths[n], "interval")),
+    "constant": LabelKind(
+        _constant, _constant, ("value",), finite=True,
+        profile=lambda rule, p, n: _uniform_profile(p, n, rule.params["value"])),
+    "all-bot": LabelKind(lambda rule: lambda x: None, finite=True,
+                         profile=lambda rule, p, n: _uniform_profile(p, n, None)),
     "table": LabelKind(lambda rule: rule.params["entries"].get, _table_pair, ("entries",),
-                       finite=True),
-    "prev-interval-max": LabelKind(_prev_interval_max),
+                       finite=True, parse=_parse_table),
+    "prev-interval-max": LabelKind(
+        _prev_interval_max, parse=_parse_prev_interval_max,
+        profile=lambda rule, p, n: _uniform_profile(p, n, _prev_interval_label(p, n))),
     "block-geometric": LabelKind(lambda rule: rule._block_label,
                                  params=("start", "base_label", "ratio"),
-                                 runs=LabelRule._block_runs),
+                                 runs=LabelRule._block_runs, parse=_parse_block_geometric),
     "min-support": LabelKind(lambda rule: lambda x: None if x < 1 else min_support(x)),
     "max-support": LabelKind(lambda rule: lambda x: None if x < 1 else max_support(x)),
     "support-pair-code": LabelKind(lambda rule: _support_pair_code),
@@ -417,28 +452,15 @@ _ENUM_CAP = 1 << 16
 def extract_profile(model: CriticalNodeModel, p: PartitionData, n: int) -> IntervalClassProfile:
     """Largest monochromatic class of I_n with its label data.
 
-    Closed-form rules avoid enumerating the interval, which matters once
-    interval sizes leave the enumerable range.  Ties go to the least
-    colour; within colour 1 the largest label class wins, least label on
-    ties.
+    Kinds with a closed-form ``LabelKind.profile`` avoid enumerating the
+    interval, which matters once interval sizes leave the enumerable range.
+    Ties go to the least colour; within colour 1 the largest label class
+    wins, least label on ties.
     """
-    kind = model.rule.kind
-    length = p.lengths[n]
-    if kind == "identity":
-        return IntervalClassProfile(n, 2, length, length, "interval")
-    if kind == "all-bot":
-        return IntervalClassProfile(n, 0, length, length, "none")
-    if kind == "prev-interval-max":
-        if n == 0:
-            return IntervalClassProfile(n, 0, length, length, "none")
-        c = p.end(n - 1) - 1
-        return IntervalClassProfile(n, 1, length, length, "single", c)
-    if kind == "constant":
-        c = model.rule.params["value"]
-        colour = 1 if c < p.starts[n] else 2
-        return IntervalClassProfile(n, colour, length, length, "single", c)
-
-    if length > _ENUM_CAP:
+    closed = LABEL_KINDS[model.rule.kind].profile
+    if closed is not None:
+        return closed(model.rule, p, n)
+    if p.lengths[n] > _ENUM_CAP:
         raise HorizonExhausted(f"interval {n} too large for a table model")
     by_colour: Dict[int, List[int]] = {0: [], 1: [], 2: []}
     for x in p.interval_members(n):
@@ -466,20 +488,12 @@ def profile_label_weight(
     prof: IntervalClassProfile, selector: DescribedSet, p: PartitionData
 ) -> Fraction:
     """Exact selector-weight of the profile's label set."""
-    if prof.label_kind == "single":
-        c = prof.label_value
-        j = p.interval_of(c)
-        value = p.rationals[j + 1] if selector.contains(j) else p.rationals[j]
-        return value
     if prof.label_kind == "interval":
         return interval_weight(selector, p, prof.n)
-    if prof.label_kind == "explicit":
-        total = Fraction(0)
-        for c in prof.label_members:
-            j = p.interval_of(c)
-            total += p.rationals[j + 1] if selector.contains(j) else p.rationals[j]
-        return total
-    raise StructuralError("bottom class has no label weight")
+    if prof.label_kind == "none":
+        raise StructuralError("bottom class has no label weight")
+    members = (prof.label_value,) if prof.label_kind == "single" else prof.label_members
+    return sum((selector_weight(selector, p, p.interval_of(c)) for c in members), Fraction(0))
 
 
 @dataclass
@@ -582,10 +596,7 @@ def pwfin_stage(state: PwfinState, k: int) -> PwfinStageRecord:
         )
     d_count = prof.g_count if model.case == "2b" else prof.f_count
     # members of the extracted block all sit in I_n, off the target selector
-    q_value = (
-        p.rationals[n + 1] if state.q_set.contains(n) else p.rationals[n]
-    )
-    d_weight = q_value * d_count
+    d_weight = selector_weight(state.q_set, p, n) * d_count
     if d_weight < Fraction(1, 3):
         raise ScenarioContradiction(
             {"summary": f"stage {k}: block weight {rat_str(d_weight)} below 1/3"}
@@ -613,9 +624,9 @@ def _pwfin_refute_2a(state: PwfinState, model: CriticalNodeModel, candidates):
         prof = extract_profile(model, p, n)
         if prof.colour != 0:
             continue
-        q_value = p.rationals[n + 1] if state.q_set.contains(n) else p.rationals[n]
-        total += q_value * prof.f_count
-        rows.append({"n": n, "wQ": rat_str(q_value * prof.f_count)})
+        weight = selector_weight(state.q_set, p, n) * prof.f_count
+        total += weight
+        rows.append({"n": n, "wQ": rat_str(weight)})
         if total >= 1:
             break
     raise ScenarioContradiction(
@@ -798,39 +809,45 @@ def run_posdiff(
 
 # -- ground sequences ---------------------------------------------------------
 
-def ground_element(ground: dict, j: int) -> int:
-    kind = ground.get("kind", "powers-of-two")
-    if kind == "powers-of-two":
-        return 1 << j
-    if kind == "explicit":
-        seq = _explicit_members(ground, "ground")
-        if j >= len(seq):
-            raise HorizonExhausted("ground sequence exhausted")
-        return seq[j]
-    raise StructuralError(f"unknown ground kind {kind!r}")
+def _explicit(what: str):
+    def sequence(ground: dict) -> Callable[[int], int]:
+        seq = ground.get("members")
+        if not isinstance(seq, list):
+            raise SchemaError(f"an explicit {what} sequence needs a members list")
+
+        def element(j: int) -> int:
+            if j >= len(seq):
+                raise HorizonExhausted(f"{what} sequence exhausted")
+            return seq[j]
+        return element
+    return sequence
 
 
-def _explicit_members(ground: dict, what: str) -> list:
-    seq = ground.get("members")
-    if not isinstance(seq, list):
-        raise SchemaError(f"an explicit {what} sequence needs a members list")
-    return seq
+# the element function j -> element j of a sums-engine ground and of a
+# pairs-engine vertex sequence, by kind; the first kind of each table is the
+# one a sequence without "kind" has
+GroundKinds = Dict[str, Callable[[dict], Callable[[int], int]]]
+GROUND_KINDS: GroundKinds = {
+    "powers-of-two": lambda ground: lambda j: 1 << j,
+    "explicit": _explicit("ground"),
+}
+VERTEX_KINDS: GroundKinds = {
+    "all": lambda ground: lambda j: j,
+    "ap": lambda ground: lambda j: ground["base"] + j * ground["step"],
+    "explicit": _explicit("vertex"),
+}
 
 
-def vertex_element(ground: Optional[dict], j: int) -> int:
+def _ground_kind(kinds: GroundKinds, ground) -> Optional[str]:
+    """Kind of a model's ground; no ground, or one without "kind", has the table's first."""
     if ground is None:
-        return j
-    kind = ground.get("kind", "all")
-    if kind == "all":
-        return j
-    if kind == "ap":
-        return ground["base"] + j * ground["step"]
-    if kind == "explicit":
-        seq = _explicit_members(ground, "vertex")
-        if j >= len(seq):
-            raise HorizonExhausted("vertex sequence exhausted")
-        return seq[j]
-    raise StructuralError(f"unknown vertex kind {kind!r}")
+        ground = {}
+    return ground.get("kind", next(iter(kinds))) if isinstance(ground, dict) else None
+
+
+def _sequence(kinds: GroundKinds, ground) -> Callable[[int], int]:
+    """Element function of a model's ground, whose kind ``Engine.checked`` has checked."""
+    return kinds[_ground_kind(kinds, ground)](ground)
 
 
 # -- anchored engines: sums and pairs --------------------------------------------
@@ -913,11 +930,11 @@ def _record(state: AnchorState, k: int, i: int, anchor, index: int, value: int,
 def hindman_stage(state: AnchorState, k: int) -> SumsStageRecord:
     """Extend one model's anchor subsequence under its case threshold."""
     i, model = model_for_stage(state.models, k)
-    ground = model.ground or {"kind": "powers-of-two"}
+    element = _sequence(GROUND_KINDS, model.ground)
     label_of = model.rule.label
 
     if model.form == 1:
-        probes = list(fs([ground_element(ground, j) for j in range(4)]))
+        probes = list(fs([element(j) for j in range(4)]))
         _probe_constant(
             {label_of(x) for x in probes},
             "constant form: all probed values share the label {!r}, so the full "
@@ -944,7 +961,7 @@ def hindman_stage(state: AnchorState, k: int) -> SumsStageRecord:
             _clears(label_of(h + y), threshold) for y in offsets)
 
     first = anchors[-1][0] + 1 if anchors else 0
-    j, h = _scan(state, k, first, lambda j: ground_element(ground, j), clears, threshold, "anchor")
+    j, h = _scan(state, k, first, element, clears, threshold, "anchor")
     return _record(state, k, i, (j, h), j, h, threshold)
 
 
@@ -965,11 +982,11 @@ def ramsey_stage(state: AnchorState, k: int) -> SumsStageRecord:
     which is exactly what their stage smallness uses.
     """
     i, model = model_for_stage(state.models, k)
-    ground = model.ground
+    vertex = _sequence(VERTEX_KINDS, model.ground)
     label_of = model.rule.pair_label
 
     if model.form == 1:
-        verts = [vertex_element(ground, j) for j in range(5)]
+        verts = [vertex(j) for j in range(5)]
         _probe_constant(
             {label_of(a, b) for a, b in combinations(verts, 2)},
             "constant form: every probed pair shares the label {!r}, putting a full "
@@ -984,10 +1001,10 @@ def ramsey_stage(state: AnchorState, k: int) -> SumsStageRecord:
         if anchors and t <= anchors[-1]:
             return False
         if model.form == 2:
-            return _clears(label_of(t, vertex_element(ground, j + 1)), threshold)
+            return _clears(label_of(t, vertex(j + 1)), threshold)
         return all(_clears(label_of(s, t), threshold) for s in anchors)
 
-    j, t = _scan(state, k, 0, lambda j: vertex_element(ground, j), clears, threshold, "vertex")
+    j, t = _scan(state, k, 0, vertex, clears, threshold, "vertex")
     return _record(state, k, i, t, len(anchors), t, threshold)
 
 
@@ -1320,7 +1337,8 @@ class Engine:
     assembled family payload to its anchors and to its members enumerated
     afresh, or is None.  A model declares its form or case in the attribute
     ``declares``, one of ``values``; the rules of a ``pairs`` engine need a
-    pair form.
+    pair form.  ``grounds``, if set, is the table of the ground kinds a
+    model's ``ground`` may have.
     """
 
     run: Callable[[object, int], object]
@@ -1330,6 +1348,7 @@ class Engine:
     declares: Optional[str] = None
     values: tuple = ()
     pairs: bool = False
+    grounds: Optional[GroundKinds] = None
 
     def checked(self, models: Sequence[CriticalNodeModel]) -> Tuple[CriticalNodeModel, ...]:
         """The models, after a SchemaError for any that does not fit this engine."""
@@ -1341,15 +1360,18 @@ class Engine:
             if self.pairs and LABEL_KINDS[model.rule.kind].pair is None:
                 raise SchemaError(
                     f"model {model.index}: label rule {model.rule.kind!r} has no pair form")
+            kind = _ground_kind(self.grounds, model.ground) if self.grounds else None
+            if self.grounds and kind not in self.grounds:
+                raise SchemaError(f"model {model.index}: ground kind {kind!r} is not one of "
+                                  f"{', '.join(self.grounds)}")
         return tuple(models)
 
 
 def _run_pwfin_scenario(scn, stages: int) -> PwfinState:
     partition = scn.partition()
     models = scn.models(partition)
-    return run_pwfin(
-        partition, set_from_json(scn.payload["P"]), set_from_json(scn.payload["Q"]), models, stages
-    )
+    return run_pwfin(partition, set_from_json(scn.required("P")),
+                     set_from_json(scn.required("Q")), models, stages)
 
 
 def _sums_enumeration(family: dict) -> Tuple[list, List[int]]:
@@ -1376,11 +1398,13 @@ ENGINES: Dict[str, Engine] = {
         lambda scn, stages: run_hindman(scn.models(), stages, scn.scan_cap(SUMS_SCAN_CAP)),
         lambda state: assemble_hindman(state),
         enumerate_family=_sums_enumeration, declares="form", values=SUMS_FORMS,
+        grounds=GROUND_KINDS,
     ),
     "ramsey": Engine(
         lambda scn, stages: run_ramsey(scn.models(), stages, scn.scan_cap(PAIRS_SCAN_CAP)),
         lambda state: assemble_ramsey(state),
         enumerate_family=_clique_enumeration, declares="form", values=PAIRS_FORMS, pairs=True,
+        grounds=VERTEX_KINDS,
     ),
 }
 

@@ -15,10 +15,18 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, Optional, Tuple
 
-from .construction import PartitionData, WeightFunction, harmonic_weight, weight_fn
+from .construction import (
+    DEFAULT_DEPTH,
+    PartitionData,
+    WeightFunction,
+    build_partition,
+    harmonic_weight,
+    weight_fn,
+)
+from .errors import SchemaError
 from .pairing import code_unordered
 from .serialize import rat_str
-from .sets import DescribedSet, is_co_infinite, subset_sums
+from .sets import DescribedSet, is_co_infinite, set_from_json, subset_sums
 
 IN = "in"
 OUT = "out"
@@ -143,6 +151,25 @@ class PowerSet(IdealDescriptor):
 def sum_ideal_of(selector: DescribedSet, p: PartitionData) -> SumSelector:
     """The summable ideal induced by a selector set over the partition."""
     return SumSelector(selector, p)
+
+
+# descriptors without fields, by the ``kind`` each class declares
+_FIELDLESS = {cls.kind: cls for cls in (
+    FinIdeal, SumHarmonic, DensityZero, DiffIdeal, HindmanIdeal, RamseyIdeal, PowerSet)}
+
+
+def ideal_from_json(obj: dict, partition: Optional[PartitionData] = None) -> IdealDescriptor:
+    """Decode an ideal descriptor; a ``sum_s`` selector is taken over ``partition``.
+
+    Without a partition, ``sum_s`` builds the greedy one of its ``depth``.
+    """
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind in _FIELDLESS:
+        return _FIELDLESS[kind]()
+    if kind == SumSelector.kind:
+        p = partition or build_partition(obj.get("depth", DEFAULT_DEPTH))
+        return SumSelector(set_from_json(obj.get("selector")), p)
+    raise SchemaError(f"unknown ideal kind {kind!r}")
 
 
 # -- weights ----------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .construction import PartitionData
+from .construction import PartitionData, selector_weight
 from .ideals import (
     IN,
     OUT,
@@ -148,8 +148,8 @@ def check_subset_reduction(
     bound = (max(exceptions) + 1) if exceptions else 0
     compared = 0
     for n in range(bound, p.depth):
-        wp = p.rationals[n + 1] if p_set.contains(n) else p.rationals[n]
-        wq = p.rationals[n + 1] if q_set.contains(n) else p.rationals[n]
+        wp = selector_weight(p_set, p, n)
+        wq = selector_weight(q_set, p, n)
         if wq > wp:
             verdict = Verdict(
                 OUT,

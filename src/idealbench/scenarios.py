@@ -17,17 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from .construction import DEFAULT_DEPTH, PartitionData, build_partition
 from .diagonal import ENGINES, LABEL_KINDS, CriticalNodeModel, LabelRule
 from .errors import SchemaError
-from .ideals import (
-    DensityZero,
-    DiffIdeal,
-    FinIdeal,
-    HindmanIdeal,
-    IdealDescriptor,
-    PowerSet,
-    RamseyIdeal,
-    SumHarmonic,
-    SumSelector,
-)
+from .ideals import IdealDescriptor, ideal_from_json
 from .serialize import SCENARIO_SCHEMA, check_assumptions, load_json
 from .sets import Cofinite, set_from_json
 from .trees import (
@@ -43,28 +33,6 @@ from .trees import (
 ENV_SCENARIO_DIR = "IDEALBENCH_SCENARIOS"
 
 
-def ideal_from_json(obj: dict, partition: Optional[PartitionData] = None) -> IdealDescriptor:
-    kind = obj.get("kind")
-    if kind == "fin":
-        return FinIdeal()
-    if kind == "sum_harmonic":
-        return SumHarmonic()
-    if kind == "den0":
-        return DensityZero()
-    if kind == "diff":
-        return DiffIdeal()
-    if kind == "hindman":
-        return HindmanIdeal()
-    if kind == "ramsey":
-        return RamseyIdeal()
-    if kind == "powerset":
-        return PowerSet()
-    if kind == "sum_s":
-        p = partition or build_partition(obj.get("depth", DEFAULT_DEPTH))
-        return SumSelector(set_from_json(obj["selector"]), p)
-    raise SchemaError(f"unknown ideal kind {kind!r}")
-
-
 def rule_from_json(obj: dict, partition: Optional[PartitionData] = None) -> LabelRule:
     if not isinstance(obj, dict):
         raise SchemaError("a label rule must be an object")
@@ -75,18 +43,7 @@ def rule_from_json(obj: dict, partition: Optional[PartitionData] = None) -> Labe
     missing = [name for name in spec.params if name not in obj]
     if missing:
         raise SchemaError(f"label rule {kind!r} lacks {', '.join(missing)}")
-    if kind == "block-geometric":
-        values = [obj[name] for name in spec.params]
-        if any(not isinstance(v, int) or isinstance(v, bool) for v in values) or obj["start"] < 0:
-            raise SchemaError("block-geometric needs integers start >= 0, base_label and ratio")
-    params = {k: v for k, v in obj.items() if k != "kind"}
-    if kind == "table":
-        params["entries"] = {int(x): (None if v is None else int(v)) for x, v in obj["entries"]}
-    if kind == "prev-interval-max":
-        if partition is None:
-            raise SchemaError("prev-interval-max needs the partition in scope")
-        params["partition"] = partition
-    return LabelRule(kind, params)
+    return LabelRule(kind, spec.parse({k: v for k, v in obj.items() if k != "kind"}, partition))
 
 
 def integer_field(
@@ -94,8 +51,11 @@ def integer_field(
 ) -> int:
     """``obj[key]`` (or ``default`` when absent) as an integer; bools are not.
 
-    With ``minimum``, a smaller integer is refused too.
+    With ``minimum``, a smaller integer is refused too, and an ``obj`` that
+    is not an object is refused always.
     """
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where} must be an object")
     value = obj.get(key, default)
     if not isinstance(value, int) or isinstance(value, bool):
         raise SchemaError(f"{where}: {key} must be an integer")
@@ -117,10 +77,36 @@ def model_from_json(obj: dict, partition: Optional[PartitionData] = None) -> Cri
 
 
 @dataclass(frozen=True)
-class DiagScenario:
-    name: str
-    payload: dict                  # full scenario JSON (schema form)
+class Scenario:
+    """A named scenario and its full JSON payload (schema form)."""
 
+    name: str
+    payload: dict
+
+    @classmethod
+    def from_json(cls, obj, where: str):
+        """The scenario ``obj``; a SchemaError unless it is an object with a string name."""
+        if not isinstance(obj, dict) or not isinstance(obj.get("name"), str):
+            raise SchemaError(f"{where}: not a scenario object with a string name")
+        return cls(obj["name"], obj)
+
+    def required(self, key: str):
+        """``payload[key]``; a SchemaError when the scenario lacks it."""
+        if key not in self.payload:
+            raise SchemaError(f"scenario {self.name!r} needs {key!r}")
+        return self.payload[key]
+
+    def _integer(self, key: str, default: Optional[int], minimum: Optional[int] = None) -> int:
+        return integer_field(self.payload, key, default, f"scenario {self.name!r}", minimum)
+
+    def assumptions(self) -> List[dict]:
+        return check_assumptions(self.payload.get("assumptions"), self.name)
+
+    def to_json(self) -> dict:
+        return dict(self.payload)
+
+
+class DiagScenario(Scenario):
     @property
     def engine(self):
         return self.payload.get("engine")
@@ -149,21 +135,8 @@ class DiagScenario:
     def scan_cap(self, default: int) -> int:
         return self._integer("scan_cap", default)
 
-    def _integer(self, key: str, default: Optional[int], minimum: Optional[int] = None) -> int:
-        return integer_field(self.payload, key, default, f"scenario {self.name!r}", minimum)
 
-    def assumptions(self) -> List[dict]:
-        return check_assumptions(self.payload.get("assumptions"), self.name)
-
-    def to_json(self) -> dict:
-        return dict(self.payload)
-
-
-@dataclass(frozen=True)
-class TreeScenario:
-    name: str
-    payload: dict
-
+class TreeScenario(Scenario):
     @property
     def horizon(self) -> int:
         return self.payload.get("horizon", 16)
@@ -207,11 +180,7 @@ class TreeScenario:
         return [tuple(n) for n in self.payload.get("declared_critical", [])]
 
     def assumptions(self) -> List[dict]:
-        entries = check_assumptions(self.payload.get("assumptions"), self.name)
-        return entries + self.oracle().assumption_entries()
-
-    def to_json(self) -> dict:
-        return dict(self.payload)
+        return super().assumptions() + self.oracle().assumption_entries()
 
 
 # -- bundled registry ---------------------------------------------------------
@@ -547,34 +516,28 @@ def realize_model(
     return cmap, tree, oracle
 
 
-@dataclass(frozen=True)
-class CollisionScenario:
-    name: str
-    payload: dict
-
+class CollisionScenario(Scenario):
     def diag(self) -> DiagScenario:
-        return load_scenario(self.payload["diag"])
+        name = self.required("diag")
+        scn = load_scenario(name) if isinstance(name, str) else None
+        if not isinstance(scn, DiagScenario):
+            raise SchemaError(f"scenario {self.name!r}: diag must name a diagonalization scenario")
+        return scn
 
     def tree_scenario(self) -> TreeScenario:
-        return TreeScenario(self.payload["tree"]["name"], self.payload["tree"])
+        return TreeScenario.from_json(self.required("tree"), f"scenario {self.name!r} tree")
 
     @property
     def horizon(self) -> int:
-        return integer_field(self.payload, "horizon", 4096, f"scenario {self.name!r}")
+        return self._integer("horizon", 4096)
 
     def stages(self, default: int) -> int:
-        return integer_field(self.payload, "stages", default, f"scenario {self.name!r}", minimum=1)
+        return self._integer("stages", default, minimum=1)
 
     def model_index(self, count: int) -> int:
-        index = integer_field(self.payload, "model_index", 0, f"scenario {self.name!r}")
+        index = self._integer("model_index", 0)
         if not 0 <= index < count:
             raise SchemaError(
                 f"scenario {self.name!r}: model_index {index} is not in 0..{count - 1}"
             )
         return index
-
-    def assumptions(self) -> List[dict]:
-        return check_assumptions(self.payload.get("assumptions"), self.name)
-
-    def to_json(self) -> dict:
-        return dict(self.payload)

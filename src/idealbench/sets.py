@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Tuple
 
-from .errors import StructuralError
+from .errors import SchemaError, StructuralError
 
 _FS_GEN_CAP = 22  # 2^22 subset sums is already beyond any sane scenario
 
@@ -294,9 +294,19 @@ def full_set() -> Cofinite:
 
 
 def set_from_json(obj: dict) -> DescribedSet:
-    """Decode the tagged descriptor-tree serialization."""
+    """Decode the tagged descriptor-tree serialization.
+
+    A non-object, an unknown kind or a missing field is a SchemaError.
+    """
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise StructuralError("set descriptor must be a tagged object")
+        raise SchemaError("set descriptor must be a tagged object")
+    try:
+        return _decode_set(obj)
+    except KeyError as exc:
+        raise SchemaError(f"set descriptor {obj['kind']!r} lacks {exc.args[0]!r}") from None
+
+
+def _decode_set(obj: dict) -> DescribedSet:
     kind = obj["kind"]
     if kind == "finite":
         return Finite(obj["members"])
@@ -316,7 +326,7 @@ def set_from_json(obj: dict) -> DescribedSet:
         return Intersection(set_from_json(p) for p in obj["parts"])
     if kind == "complement":
         return Complement(set_from_json(obj["of"]))
-    raise StructuralError(f"unknown set kind {kind!r}")
+    raise SchemaError(f"unknown set kind {kind!r}")
 
 
 def is_co_infinite(s: DescribedSet) -> Optional[bool]:

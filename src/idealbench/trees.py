@@ -180,11 +180,7 @@ class PositivityOracle:
         return Verdict(value, "stipulated", {"tag": tag, "statement": statement})
 
     def bottom_null(self, node: Node) -> Verdict:
-        got = self.stipulations.get((tuple(node), BOT))
-        if got is None:
-            return Verdict(UNKNOWN, "no-stipulation")
-        value, tag, statement = got
-        return Verdict(value, "stipulated", {"tag": tag, "statement": statement})
+        return self.positivity(node, BOT)
 
     def assumption_entries(self) -> List[dict]:
         out = []

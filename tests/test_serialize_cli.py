@@ -260,6 +260,29 @@ def _hindman_scenario(**changes) -> dict:
         _changed_scenario(
             "ramsey-case2", models=[{"index": 0, "form": 4, "labels": {"kind": "identity"}}]
         ),
+        _changed_scenario("pw-2b", P=None),
+        _changed_scenario("pw-2b", Q=None),
+        _changed_scenario("pw-2b", P={"kind": "ap", "base": 0}),
+        _changed_scenario("pw-2b", P={"kind": "nope"}),
+        _changed_scenario("pw-2b", P={"kind": "finite"}),
+        _changed_scenario("pw-2b", P=[0, 1]),
+        _changed_scenario("collision-posdiff", tree=None),
+        _changed_scenario("collision-posdiff", diag=None),
+        _changed_scenario("collision-posdiff", diag="sep1-basic"),
+        _changed_scenario("collision-posdiff", tree={"engine": "tree"}),
+        _hindman_scenario(
+            models=[{"index": 0, "form": 2, "labels": {"kind": "min-support"},
+                     "ground": {"kind": "odd"}}]
+        ),
+        _changed_scenario(
+            "ramsey-case2",
+            models=[{"index": 0, "form": 2, "labels": {"kind": "pair-min"},
+                     "ground": {"kind": "odd"}}],
+        ),
+        _changed_scenario(
+            "posdiff-finite-labels",
+            models=[{"index": 0, "labels": {"kind": "table", "entries": 5}}],
+        ),
     ],
     ids=["no-models", "empty-models", "constant-without-value", "scan-cap-not-int",
          "posdiff-no-horizon", "posdiff-horizon-not-int", "stages-default-not-int",
@@ -268,7 +291,11 @@ def _hindman_scenario(**changes) -> dict:
          "collision-model-index-not-int", "collision-model-index-negative",
          "collision-horizon-not-int", "collision-stages-zero", "collision-stages-negative",
          "stages-default-zero", "unknown-label-kind", "hindman-form-6", "ramsey-form-5",
-         "pwfin-case-2d", "ramsey-rule-without-pair-form"],
+         "pwfin-case-2d", "ramsey-rule-without-pair-form", "pwfin-no-P", "pwfin-no-Q",
+         "pwfin-ap-without-step", "pwfin-unknown-set-kind", "pwfin-finite-without-members",
+         "pwfin-P-not-an-object", "collision-no-tree", "collision-no-diag",
+         "collision-diag-not-diagonalization", "collision-tree-without-name",
+         "hindman-ground-kind-odd", "ramsey-vertex-kind-odd", "table-entries-not-pairs"],
 )
 def test_cli_diagonalize_rejects_malformed_scenarios(tmp_path, capsys, scenario):
     path = tmp_path / "scenario.json"
@@ -331,10 +358,24 @@ def _without_name(name: str) -> dict:
         ("diagonalization", {"scenario": "hindman-case2", "stages": 2}),
         ("structural-identity", {"scenario": _changed_scenario("posdiff-blocks"), "stages": 2}),
         ("structural-identity", {"scenario": _changed_scenario("pw-2b"), "stages": 2}),
+        ("partition", {}),
+        ("partition", {"depth": 0}),
+        ("weight-bound", {"depth": "3"}),
+        ("subset-reduction", {"depth": 12}),
+        ("pigeonhole", {"depth": 4}),
+        ("pigeonhole", {"depth": 4, "samples": 3, "interval": 4}),
+        ("ramsey-oracle", {"size": "x"}),
+        ("ramsey-oracle", {"samples": -1}),
+        ("pairing", {"bound": "x"}),
+        ("pairing", []),
     ],
     ids=["diagonalization-no-name", "structural-identity-no-name", "tree-labelling-no-name",
          "collision-no-name", "inputs-a-list", "scenario-not-an-object",
-         "structural-identity-on-posdiff", "structural-identity-on-pwfin"],
+         "structural-identity-on-posdiff", "structural-identity-on-pwfin",
+         "partition-no-depth", "partition-depth-zero", "weight-bound-depth-not-int",
+         "subset-reduction-no-pairs", "pigeonhole-no-samples", "pigeonhole-interval-past-depth",
+         "ramsey-oracle-size-not-int", "ramsey-oracle-samples-negative", "pairing-bound-not-int",
+         "pairing-inputs-a-list"],
 )
 def test_cli_certify_rejects_malformed_scenario_inputs(tmp_path, capsys, kind, inputs):
     cert = certify.produce("pairing", {"bound": 3, "unordered_bound": 3}, 0)
@@ -391,6 +432,24 @@ def test_cli_membership(capsys):
     assert code == 0
     got = json.loads(capsys.readouterr().out)
     assert got["value"] == "in"
+
+
+@pytest.mark.parametrize(
+    "ideal, described",
+    [
+        ('{"kind": "fin"}', '{"kind": "finite"}'),
+        ('{"kind": "fin"}', '{"kind": "odd"}'),
+        ('{"kind": "fin"}', '[1, 2]'),
+        ('{"kind": "fin"}', '{"kind": "union", "parts": [{"kind": "ap", "base": 1}]}'),
+        ('{"kind": "nope"}', '{"kind": "finite", "members": []}'),
+        ('[]', '{"kind": "finite", "members": []}'),
+    ],
+    ids=["finite-without-members", "unknown-set-kind", "set-not-an-object",
+         "nested-ap-without-step", "unknown-ideal-kind", "ideal-not-an-object"],
+)
+def test_cli_membership_rejects_malformed_descriptors(capsys, ideal, described):
+    assert run(["membership", "--ideal", ideal, "--set", described]) == 2
+    assert "schema error" in capsys.readouterr().err
 
 
 def test_cli_witness_searches(capsys):
