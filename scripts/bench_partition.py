@@ -52,7 +52,7 @@ def main() -> int:
     if args.posdiff is not None:
         bench_posdiff(args.posdiff)
         return 0
-    for depth in range(4, args.max_depth + 1, 2):
+    for depth in range(4, args.max_depth + 1):
         t0 = time.perf_counter()
         p = build_partition(depth)
         t1 = time.perf_counter()

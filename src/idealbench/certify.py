@@ -18,6 +18,7 @@ from . import diagonal
 from .construction import (
     build_partition,
     degenerate_prefix_weight,
+    selector_weight,
     verify_partition,
 )
 from .diagonal import CriticalNodeModel, assemble, collision_check, engine_named, extract_profile
@@ -32,13 +33,15 @@ from .reduction import (
     check_subset_reduction,
     revalidate_certificate,
 )
-from .scenarios import CollisionScenario, DiagScenario, TreeScenario, integer_field
+from .scenarios import CollisionScenario, DiagScenario, TreeScenario
 from .serialize import (
     CERTIFICATE_SCHEMA,
+    EXACT,
     canonical_bytes,
     check_assumptions,
     diff_paths,
     int_str,
+    integer_field,
     rat_str,
 )
 from .sets import Cofinite, Finite, Progression, Union
@@ -74,10 +77,29 @@ def produce_weight_bound(inputs: dict, seed: int) -> dict:
     p = build_partition(depth)
     upto = p.coverage_end - 1  # strictly below the largest covered point
     total = degenerate_prefix_weight(p, upto)
+    # On greedy data each full interval I_n (n < d-1) weighs
+    # r_{n+1} L_n = 2^-(n+1) by tight decay, and the L_{d-1} - 1 points of
+    # I_{d-1} below upto weigh r_d = 1/R_d each, with R_d = 2^d L_{d-1}; so
+    #   total = 1 - 2^-(d-1) + (L_{d-1} - 1)/R_d = ((2^d - 1) L_{d-1} - 1)/R_d.
+    # When the reduced sum has exactly this numerator and denominator and
+    # the whole partition is its greedy prefix, the replay holds L_{d-1},
+    # S_{d-1} and R_d exactly, so its texts are those of the sum and of upto.
+    # (For d >= 2 the closed form is reduced: its numerator is odd, as
+    # L_{d-1} = S_{d-1} R_{d-1} is even, and is -1 mod L_{d-1}.  At d = 1 it
+    # reads 0/2, which the reduced 0/1 does not match.)
+    last = p.lengths[-1]
+    closed_form = (((1 << depth) - 1) * last - 1, p.rationals[depth].denominator)
+    if p.greedy_prefix == depth and (total.numerator, total.denominator) == closed_form:
+        S, L, R = p.decimal_replay
+        points_summed = str(EXACT.subtract(EXACT.add(S[-1], L[-1]), 1))
+        numerator = EXACT.subtract(EXACT.multiply(L[-1], (1 << depth) - 1), 1)
+        total_weight = f"{numerator}/{R[depth]}"
+    else:
+        points_summed, total_weight = int_str(upto), rat_str(total)
     body = {
         "depth": depth,
-        "points_summed": int_str(upto),
-        "total_weight": rat_str(total),
+        "points_summed": points_summed,
+        "total_weight": total_weight,
         "below_one": total < 1,
     }
     return envelope("weight-bound", inputs, seed, [], body)
@@ -137,7 +159,7 @@ def produce_pigeonhole(inputs: dict, seed: int) -> dict:
     p = build_partition(depth)
     rng = random.Random(seed)
     members = list(p.interval_members(interval))
-    q_set = Progression(1, 2)  # interval index 2 stays off the selector
+    q_set = Progression(1, 2)  # even interval indices stay off the selector
     min_block = None
     worst_weight: Optional[Fraction] = None
     for _ in range(samples):
@@ -153,7 +175,7 @@ def produce_pigeonhole(inputs: dict, seed: int) -> dict:
         model = CriticalNodeModel(0, diagonal.LabelRule("table", {"entries": entries}))
         prof = extract_profile(model, p, interval)
         min_block = prof.f_count if min_block is None else min(min_block, prof.f_count)
-        weight = p.rationals[interval] * prof.f_count
+        weight = selector_weight(q_set, p, interval) * prof.f_count
         worst_weight = weight if worst_weight is None else min(worst_weight, weight)
     need = -(-p.lengths[interval] // 3)
     body = {

@@ -29,8 +29,8 @@ from .reduction import (
     ReductionClaim,
     katetov_witness_check,
 )
-from .scenarios import DiagScenario, TreeScenario, bundled_names, integer_field, load_scenario
-from .serialize import dump_json, load_json, rat_str
+from .scenarios import DiagScenario, TreeScenario, bundled_names, load_scenario
+from .serialize import dump_json, integer_field, load_json, rat_str
 from .sets import set_from_json
 
 USAGE_ERROR = 2

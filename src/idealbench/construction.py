@@ -19,23 +19,29 @@ conditions (1) and (2) hold with equality-tight slack.  Conditions (1)
 and (2) jointly force |I_{n+1}| >= 2^(n+1) |I_n|^2, i.e. interval sizes
 whose digit counts double every level.
 
-Decimal input and output of these integers is subquadratic (see
-``serialize.int_str`` and ``serialize.int_parse``), and verification
-checks unit fractions with integer arithmetic.  What remains is the
-big-integer arithmetic itself: the build's products, the gcds that reduce
-the descending slacks and the decimal conversions each grow three- to
-fourfold per level, so past depth 21 build plus verify takes seconds.
+On the longest prefix where the data obeys the greedy identities
+(``PartitionData.greedy_prefix``) every integer follows from the base by
+S_{n+1} = S_n + L_n, L_n = S_n R_n and R_{n+1} = 2^(n+1) L_n, writing
+S_n = |I_<n| and L_n = |I_n|.  There the decimal text comes from an exact
+``Decimal`` replay of those identities instead of a radix conversion, and
+the descending slacks are in lowest terms without a gcd (see
+``verify_partition``).  Elsewhere ``serialize.int_str`` converts and
+``Fraction`` reduces.  What remains is the big-integer arithmetic itself:
+the build's products and the replay's products grow three- to fourfold per
+level, and so does parsing the decimal text back (``serialize.int_parse``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from functools import cached_property
+from typing import Callable, List, Optional, Tuple, Union
 
 from .errors import HorizonExhausted, SchemaError, StructuralError
 from .sets import DescribedSet
-from .serialize import int_parse, int_str, rat_parse, rat_str
+from .serialize import EXACT, int_parse, int_str, rat_parse, rat_str
 
 DEFAULT_DEPTH = 12
 
@@ -83,12 +89,58 @@ class PartitionData:
             raise HorizonExhausted(f"interval {n} too large to enumerate")
         return range(self.starts[n], self.end(n))
 
+    @cached_property
+    def greedy_prefix(self) -> int:
+        """The number t of leading indices on which the greedy identities hold.
+
+        Index 0 counts when the base holds: S_0 = 0, L_0 = 1, r_0 = 1 and
+        r_1 = 1/2.  Index n >= 1 counts when index n-1 does and
+        S_n = S_{n-1} + L_{n-1} (contiguity), r_{n+1} = 1/R_{n+1} (a unit
+        fraction, as r_n already is), L_n = S_n R_n (tight growth) and
+        R_{n+1} = 2^(n+1) L_n (tight decay).  So S_n and L_n for n < t and
+        R_n for n <= t are what ``decimal_replay`` computes from the base.
+        Computed on first use and kept with this instance only:
+        ``dataclasses.replace`` makes a new one that computes its own.
+        """
+        S, L, r = self.starts, self.lengths, self.rationals
+        depth = min(len(S), len(L), len(r) - 1)
+        if depth < 1 or (S[0], L[0], r[0], r[1]) != (0, 1, 1, Fraction(1, 2)):
+            return 0
+        for n in range(1, depth):
+            R = r[n].denominator
+            if not (
+                S[n] == S[n - 1] + L[n - 1]
+                and r[n + 1].numerator == 1
+                and r[n + 1].denominator == L[n] << (n + 1)
+                and L[n] == S[n] * R
+            ):
+                return n
+        return depth
+
+    @cached_property
+    def decimal_replay(self) -> Tuple[List[Decimal], List[Decimal], List[Decimal]]:
+        """Exact ``Decimal`` S_n, L_n (n < t) and R_n (n <= t), t = ``greedy_prefix``.
+
+        Replayed from the base by the identities, so equal to the stored
+        integers without converting any of them.
+        """
+        t = self.greedy_prefix
+        if t == 0:
+            return [], [], []
+        S, L, R = [Decimal(0)], [Decimal(1)], [Decimal(1), Decimal(2)]
+        for n in range(1, t):
+            S.append(EXACT.add(S[n - 1], L[n - 1]))
+            L.append(EXACT.multiply(S[n], R[n]))
+            R.append(EXACT.multiply(L[n], 1 << (n + 1)))
+        return S, L, R
+
     def to_json(self) -> dict:
+        S, L, R = self.decimal_replay
         return {
             "depth": self.depth,
-            "starts": [int_str(s) for s in self.starts],
-            "lengths": [int_str(l) for l in self.lengths],
-            "rationals": [rat_str(r) for r in self.rationals],
+            "starts": _texts(S, self.starts),
+            "lengths": _texts(L, self.lengths),
+            "rationals": [f"1/{d}" for d in R] + [rat_str(r) for r in self.rationals[len(R):]],
         }
 
     @staticmethod
@@ -115,6 +167,11 @@ class PartitionData:
         return PartitionData(starts, lengths, rationals)
 
 
+def _texts(replayed: List[Decimal], values: Tuple[int, ...]) -> List[str]:
+    """Decimal text of each value: the replay's where it reaches, ``int_str`` past it."""
+    return [str(d) for d in replayed] + [int_str(v) for v in values[len(replayed):]]
+
+
 def build_partition(depth: int) -> PartitionData:
     """Greedy partition of the given depth (number of intervals)."""
     if depth < 1:
@@ -135,18 +192,46 @@ def build_partition(depth: int) -> PartitionData:
 
 
 @dataclass(frozen=True)
+class ReducedSlack:
+    """A slack numerator/denominator already in lowest terms (see ``verify_partition``).
+
+    Its text is the decimal replay's 2^(n+1) S_n - 1 over R_{n+1}, for the
+    descending slack at index n of ``partition``.
+    """
+
+    numerator: int
+    denominator: int
+    partition: PartitionData = field(compare=False, repr=False)
+    index: int = field(compare=False, repr=False)
+
+    def text(self) -> str:
+        S, _, R = self.partition.decimal_replay
+        n = self.index
+        numerator = EXACT.subtract(EXACT.multiply(S[n], 1 << (n + 1)), 1)
+        return f"{numerator}/{R[n + 1]}"
+
+
+Slack = Union[Fraction, ReducedSlack]
+
+
+@dataclass(frozen=True)
 class ConditionReport:
     name: str
     index: int
     holds: bool
-    slack: Optional[Fraction]  # bound minus attained value, exact
+    slack: Optional[Slack]  # bound minus attained value, exact
 
     def to_json(self) -> dict:
+        slack = self.slack
         return {
             "condition": self.name,
             "index": self.index,
             "holds": self.holds,
-            "slack": None if self.slack is None else rat_str(self.slack),
+            "slack": (
+                None if slack is None
+                else slack.text() if isinstance(slack, ReducedSlack)
+                else rat_str(slack)
+            ),
         }
 
 
@@ -162,7 +247,7 @@ class PartitionReport:
         return {"passed": self.passed, "checks": [r.to_json() for r in self.reports]}
 
 
-Slacks = Tuple[List[Fraction], List[Fraction], List[Fraction]]
+Slacks = Tuple[List[Fraction], List[Fraction], List[Slack]]
 
 
 def _fraction_slacks(p: PartitionData) -> Slacks:
@@ -179,25 +264,33 @@ def _unit_slacks(p: PartitionData) -> Slacks:
 
     Growth and decay slacks are integer numerators over known denominators,
     and a Fraction (with its gcd) is built only for a non-zero numerator.
-    Where both are zero, as on the greedy partition, R_{n+1} = k R_n with
-    k = 2^(n+1) |I_<n|, so the descending slack (1/R_n) (k-1)/k needs no
-    division of R_{n+1} by R_n.
+    On the greedy prefix those numerators are zero by ``greedy_prefix``'s
+    checks, and each descending slack past index 0 is a ``ReducedSlack``.
+    Elsewhere, where both are zero, R_{n+1} = k R_n with k = 2^(n+1) |I_<n|,
+    so the descending slack (1/R_n) (k-1)/k needs no division of R_{n+1}
+    by R_n.
     """
     R = [r.denominator for r in p.rationals]
+    t = p.greedy_prefix
     # numerators of |I_n|/R_n - |I_<n| over R_n and of 2^(-n-1) - |I_n|/R_{n+1}
     # over 2^(n+1) R_{n+1}; grow_num[0] = |I_0| is never zero and never reported
-    grow_num = [p.lengths[n] - p.prefix_size(n) * R[n] for n in range(p.depth)]
-    decay_num = [R[n + 1] - (p.lengths[n] << (n + 1)) for n in range(p.depth)]
+    grow_num = [
+        0 if 0 < n < t else p.lengths[n] - p.prefix_size(n) * R[n] for n in range(p.depth)
+    ]
+    decay_num = [0 if n < t else R[n + 1] - (p.lengths[n] << (n + 1)) for n in range(p.depth)]
 
     def over(num: int, den: int) -> Fraction:
         return Fraction(num, den) if num else Fraction(0)
 
     growth = [over(grow_num[n], R[n]) for n in range(1, p.depth)]
     decay = [over(decay_num[n], R[n + 1] << (n + 1)) for n in range(p.depth)]
-    descending = []
+    descending: List[Slack] = []
     for n in range(p.depth):
         if grow_num[n] == 0 and decay_num[n] == 0:
             k = p.prefix_size(n) << (n + 1)
+            if n < t:  # and n >= 1, as grow_num[0] = |I_0| > 0
+                descending.append(ReducedSlack(k - 1, R[n + 1], p, n))
+                continue
         else:
             k, rem = divmod(R[n + 1], R[n])
             if rem:
@@ -208,7 +301,24 @@ def _unit_slacks(p: PartitionData) -> Slacks:
 
 
 def verify_partition(p: PartitionData) -> PartitionReport:
-    """Exact per-condition verification with rational slack."""
+    """Exact per-condition verification with rational slack.
+
+    On the greedy prefix (indices n < t = ``p.greedy_prefix``) the growth
+    and decay slacks are zero, and each descending slack at 1 <= n < t is
+    kept as the pair (k-1, R_{n+1}) with k = 2^(n+1) S_n, which is in
+    lowest terms, so no gcd is taken.
+
+    Proof.  For 1 <= j <= n < t the prefix gives L_j = S_j R_j,
+    R_{j+1} = 2^(j+1) L_j = 2^(j+1) S_j R_j and S_{j+1} = S_j + L_j =
+    S_j (1 + R_j), with S_1 = 1 and R_1 = 2.  Hence R_{n+1} = k R_n, and
+    r_n - r_{n+1} = 1/R_n - 1/R_{n+1} = (k-1)/R_{n+1}, with k - 1 >= 1
+    because S_n >= S_1 = 1.  By induction R_n = 2^a * prod_{1<=j<n} S_j for
+    some a >= 1, and each S_j with j <= n divides S_n.  Now k - 1 is odd
+    (k is even), and k - 1 = -1 (mod S_j) for every j <= n, so gcd(k-1, R_n) = 1; and
+    gcd(k-1, k) = 1.  So gcd(k-1, R_{n+1}) = gcd(k-1, k R_n) = 1.
+
+    Index 0 and every index from t on take the ``Fraction`` paths.
+    """
     if p.depth < 1 or len(p.rationals) != p.depth + 1:
         raise StructuralError("need depth intervals and depth+1 rationals")
     if p.starts[0] != 0:
@@ -238,9 +348,9 @@ def verify_partition(p: PartitionData) -> PartitionReport:
     # condition (2): |I_n| r_{n+1} <= 2^{-n-1}
     for n, slack in enumerate(decay):
         reports.append(ConditionReport("decay", n, slack >= 0, slack))
-    # strictly descending rationals
+    # strictly descending rationals; the sign of a slack is its numerator's
     for n, slack in enumerate(descending):
-        reports.append(ConditionReport("descending", n, slack > 0, slack))
+        reports.append(ConditionReport("descending", n, slack.numerator > 0, slack))
 
     return PartitionReport(all(r.holds for r in reports), tuple(reports))
 

@@ -43,7 +43,7 @@ from .ramsey import (
     max_support,
     min_support,
 )
-from .serialize import rat_str
+from .serialize import integer_field, rat_str
 from .sets import DescribedSet, set_from_json
 from .ideals import diff_multiplicity
 
@@ -823,6 +823,12 @@ def _explicit(what: str):
     return sequence
 
 
+def _ap(ground: dict) -> Callable[[int], int]:
+    base = integer_field(ground, "base", None, "an ap vertex sequence")
+    step = integer_field(ground, "step", None, "an ap vertex sequence")
+    return lambda j: base + j * step
+
+
 # the element function j -> element j of a sums-engine ground and of a
 # pairs-engine vertex sequence, by kind; the first kind of each table is the
 # one a sequence without "kind" has
@@ -833,7 +839,7 @@ GROUND_KINDS: GroundKinds = {
 }
 VERTEX_KINDS: GroundKinds = {
     "all": lambda ground: lambda j: j,
-    "ap": lambda ground: lambda j: ground["base"] + j * ground["step"],
+    "ap": _ap,
     "explicit": _explicit("vertex"),
 }
 
@@ -846,7 +852,7 @@ def _ground_kind(kinds: GroundKinds, ground) -> Optional[str]:
 
 
 def _sequence(kinds: GroundKinds, ground) -> Callable[[int], int]:
-    """Element function of a model's ground, whose kind ``Engine.checked`` has checked."""
+    """Element function of a model's ground, which ``Engine.checked`` has checked."""
     return kinds[_ground_kind(kinds, ground)](ground)
 
 
@@ -1360,10 +1366,12 @@ class Engine:
             if self.pairs and LABEL_KINDS[model.rule.kind].pair is None:
                 raise SchemaError(
                     f"model {model.index}: label rule {model.rule.kind!r} has no pair form")
-            kind = _ground_kind(self.grounds, model.ground) if self.grounds else None
-            if self.grounds and kind not in self.grounds:
-                raise SchemaError(f"model {model.index}: ground kind {kind!r} is not one of "
-                                  f"{', '.join(self.grounds)}")
+            if self.grounds:
+                kind = _ground_kind(self.grounds, model.ground)
+                if kind not in self.grounds:
+                    raise SchemaError(f"model {model.index}: ground kind {kind!r} is not one "
+                                      f"of {', '.join(self.grounds)}")
+                _sequence(self.grounds, model.ground)  # a SchemaError for bad parameters
         return tuple(models)
 
 

@@ -25,7 +25,7 @@ from .construction import (
 )
 from .errors import SchemaError
 from .pairing import code_unordered
-from .serialize import rat_str
+from .serialize import integer_field, rat_str
 from .sets import DescribedSet, is_co_infinite, set_from_json, subset_sums
 
 IN = "in"
@@ -167,7 +167,8 @@ def ideal_from_json(obj: dict, partition: Optional[PartitionData] = None) -> Ide
     if kind in _FIELDLESS:
         return _FIELDLESS[kind]()
     if kind == SumSelector.kind:
-        p = partition or build_partition(obj.get("depth", DEFAULT_DEPTH))
+        p = partition or build_partition(
+            integer_field(obj, "depth", DEFAULT_DEPTH, "a sum_s ideal", minimum=1))
         return SumSelector(set_from_json(obj.get("selector")), p)
     raise SchemaError(f"unknown ideal kind {kind!r}")
 

@@ -18,7 +18,7 @@ from .construction import DEFAULT_DEPTH, PartitionData, build_partition
 from .diagonal import ENGINES, LABEL_KINDS, CriticalNodeModel, LabelRule
 from .errors import SchemaError
 from .ideals import IdealDescriptor, ideal_from_json
-from .serialize import SCENARIO_SCHEMA, check_assumptions, load_json
+from .serialize import SCENARIO_SCHEMA, check_assumptions, integer_field, load_json
 from .sets import Cofinite, set_from_json
 from .trees import (
     BOT,
@@ -44,24 +44,6 @@ def rule_from_json(obj: dict, partition: Optional[PartitionData] = None) -> Labe
     if missing:
         raise SchemaError(f"label rule {kind!r} lacks {', '.join(missing)}")
     return LabelRule(kind, spec.parse({k: v for k, v in obj.items() if k != "kind"}, partition))
-
-
-def integer_field(
-    obj: dict, key: str, default: Optional[int], where: str, minimum: Optional[int] = None
-) -> int:
-    """``obj[key]`` (or ``default`` when absent) as an integer; bools are not.
-
-    With ``minimum``, a smaller integer is refused too, and an ``obj`` that
-    is not an object is refused always.
-    """
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where} must be an object")
-    value = obj.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(f"{where}: {key} must be an integer")
-    if minimum is not None and value < minimum:
-        raise SchemaError(f"{where}: {key} must be at least {minimum}")
-    return value
 
 
 def model_from_json(obj: dict, partition: Optional[PartitionData] = None) -> CriticalNodeModel:

@@ -35,6 +35,15 @@ _PLAIN_BITS = 33_219  # floor(PLAIN_DIGITS * log2(10))
 # _PLAIN_BITS.
 _DECIMAL_LEAF_BITS = 1024
 
+# Exact decimal arithmetic on integers: unbounded precision and exponents,
+# and any result that would be rounded raises Inexact instead.
+EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow],
+)
+
 
 def int_str(n: int) -> str:
     """``str(n)`` in time subquadratic in the number of digits."""
@@ -65,11 +74,7 @@ def int_str(n: int) -> str:
         lo = m - (hi << half)
         return to_decimal(lo, half) + to_decimal(hi, w - half) * two_to(half)
 
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.Emin = decimal.MIN_EMIN
-        ctx.traps[decimal.Inexact] = True  # a rounded result raises
+    with decimal.localcontext(EXACT):
         m = abs(n)
         digits = str(to_decimal(m, m.bit_length()))
     return "-" + digits if n < 0 else digits
@@ -163,6 +168,24 @@ def check_assumptions(entries: Any, where: str) -> List[dict]:
             raise SchemaError(f"{where}: assumption tag must be assumption|derived")
         out.append({"tag": e["tag"], "statement": e["statement"]})
     return out
+
+
+def integer_field(
+    obj: dict, key: str, default: Optional[int], where: str, minimum: Optional[int] = None
+) -> int:
+    """``obj[key]`` (or ``default`` when absent) as an integer; bools are not.
+
+    With ``minimum``, a smaller integer is refused too, and an ``obj`` that
+    is not an object is refused always.
+    """
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where} must be an object")
+    value = obj.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SchemaError(f"{where}: {key} must be an integer")
+    if minimum is not None and value < minimum:
+        raise SchemaError(f"{where}: {key} must be at least {minimum}")
+    return value
 
 
 def diff_paths(a: Any, b: Any, prefix: str = "$") -> Optional[str]:

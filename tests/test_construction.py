@@ -1,12 +1,14 @@
 """Greedy partition data: exact conditions and weight behavior."""
 
+import dataclasses
 import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from idealbench import certify
+from idealbench.cli import run
 from idealbench.construction import (
     PartitionData,
     _fraction_slacks,
@@ -18,7 +20,7 @@ from idealbench.construction import (
     weight_fn,
 )
 from idealbench.errors import HorizonExhausted, StructuralError
-from idealbench.serialize import canonical_bytes
+from idealbench.serialize import canonical_bytes, dump_json, int_parse, int_str, load_json, rat_str
 from idealbench.sets import Finite, Progression, full_set
 
 
@@ -130,7 +132,129 @@ def test_unit_slacks_match_fraction_slacks(depth, edits):
         index %= len(dens)
         dens[index] = max(1, dens[index] * factor + shift)
     tampered = PartitionData(p.starts, p.lengths, tuple(Fraction(1, d) for d in dens))
-    assert _unit_slacks(tampered) == _fraction_slacks(tampered)
+
+    def pairs(slacks):
+        # a descending slack on the greedy prefix is a reduced (p, q) pair,
+        # not a Fraction; lowest terms make the pairs of equal values equal
+        return [[(s.numerator, s.denominator) for s in group] for group in slacks]
+
+    assert pairs(_unit_slacks(tampered)) == pairs(_fraction_slacks(tampered))
+
+
+def reference_partition_bytes(p):
+    """``p.to_json()`` as plain ``int_str`` and ``rat_str`` write it."""
+    return canonical_bytes({
+        "depth": p.depth,
+        "starts": [int_str(s) for s in p.starts],
+        "lengths": [int_str(l) for l in p.lengths],
+        "rationals": [rat_str(r) for r in p.rationals],
+    })
+
+
+def reference_report_bytes(p):
+    """The report of ``verify_partition(p)`` from ``_fraction_slacks`` and ``rat_str``."""
+    growth, decay, descending = _fraction_slacks(p)
+    checks = [{"condition": "base", "index": 0, "slack": None,
+               "holds": p.lengths[0] == 1 and p.rationals[0] == 1}]
+    for name, first, slacks, strict in (("growth", 1, growth, False), ("decay", 0, decay, False),
+                                        ("descending", 0, descending, True)):
+        for n, slack in enumerate(slacks, first):
+            holds = slack > 0 if strict else slack >= 0
+            checks.append({"condition": name, "index": n, "holds": holds, "slack": rat_str(slack)})
+    return canonical_bytes({"passed": all(c["holds"] for c in checks), "checks": checks})
+
+
+def assert_matches_reference(p):
+    assert canonical_bytes(p.to_json()) == reference_partition_bytes(p)
+    if all(p.starts[n] == sum(p.lengths[:n]) for n in range(p.depth)):
+        assert canonical_bytes(verify_partition(p).to_json()) == reference_report_bytes(p)
+    else:
+        with pytest.raises(StructuralError):
+            verify_partition(p)
+
+
+# the identity a break offsets: the base (S_0, L_0, R_0 or R_1 by index mod
+# 4), contiguity S_n = S_{n-1} + L_{n-1}, tight growth L_n = S_n R_n, tight
+# decay R_{n+1} = 2^(n+1) L_n, or the unit numerator of r_n
+BREAKS = ("base", "contiguity", "growth", "decay", "unit")
+
+
+def greedy_with_breaks(depth, breaks):
+    """Data built by the greedy identities, each (what, n, delta) offsetting one at n."""
+    offset = {}
+    base = [0, 1, 1, 2]
+    for what, n, delta in breaks:
+        if what == "base":
+            base[n % 4] += delta
+        else:
+            key = (what, n % (depth + 1 if what == "unit" else depth))
+            offset[key] = offset.get(key, 0) + delta
+    S, L, R = [base[0]], [base[1]], base[2:]
+    for n in range(1, depth):
+        S.append(S[n - 1] + L[n - 1] + offset.get(("contiguity", n), 0))
+        L.append(S[n] * R[n] + offset.get(("growth", n), 0))
+        R.append((L[n] << (n + 1)) + offset.get(("decay", n), 0))
+    rationals = tuple(Fraction(1 + offset.get(("unit", n), 0), R[n]) for n in range(depth + 1))
+    return PartitionData(tuple(S), tuple(L), rationals)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    depth=st.integers(1, 9),
+    breaks=st.lists(st.tuples(st.sampled_from(BREAKS), st.integers(0, 9), st.integers(1, 3)),
+                    max_size=2),
+)
+@example(depth=9, breaks=[])
+@example(depth=6, breaks=[("growth", 3, 1)])
+@example(depth=6, breaks=[("contiguity", 2, 1)])
+@example(depth=6, breaks=[("base", 3, 2)])
+def test_replayed_text_and_reduced_slacks_match_plain_conversion(depth, breaks):
+    # the greedy prefix ends at the first break although the identities hold
+    # again past it; texts and slacks from there on take int_str and the
+    # Fraction paths, and the bytes never change
+    p = greedy_with_breaks(depth, breaks)
+    if not breaks:
+        assert p == build_partition(depth)
+    assert_matches_reference(p)
+
+
+def test_replace_with_an_edited_integer_emits_fresh_text():
+    p = build_partition(8)
+    p.to_json()
+    verify_partition(p).to_json()  # fills p's greedy prefix and replay
+    lengths = list(p.lengths)
+    lengths[5] += 1
+    starts = p.starts[:6] + tuple(s + 1 for s in p.starts[6:])
+    edited = dataclasses.replace(p, starts=starts, lengths=tuple(lengths))
+    assert p.greedy_prefix == 8 and edited.greedy_prefix == 5
+    assert edited.to_json()["lengths"][5] == str(lengths[5])
+    assert_matches_reference(edited)
+    rationals = list(p.rationals)
+    rationals[3] = Fraction(1, rationals[3].denominator * 3)
+    assert_matches_reference(dataclasses.replace(p, rationals=tuple(rationals)))
+
+
+@pytest.mark.parametrize("depth", range(1, 11))
+def test_weight_bound_texts_match_plain_conversion(depth):
+    # depth 1 sums 0/1, which the closed form 0/2 does not match
+    p = build_partition(depth)
+    upto = p.coverage_end - 1
+    body = certify.produce("weight-bound", {"depth": depth}, 0)["body"]
+    assert body["points_summed"] == int_str(upto)
+    assert body["total_weight"] == rat_str(degenerate_prefix_weight(p, upto))
+
+
+def test_tampered_report_bytes_are_pinned(tmp_path):
+    # r_9 of a depth-17 partition moved off its greedy value: the greedy
+    # prefix ends at index 8, and the report past it takes the gcd paths
+    doc = build_partition(17).to_json()
+    num, den = doc["rationals"][9].split("/")
+    doc["rationals"][9] = f"{num}/{int_str(int_parse(den) + 1)}"
+    src, out = tmp_path / "partition.json", tmp_path / "report.json"
+    dump_json(src, doc)
+    assert run(["verify-construction", "--in", str(src), "--out", str(out)]) == 1
+    digest = hashlib.sha256(canonical_bytes(load_json(out))).hexdigest()
+    assert digest == "52bc54205015a6e9567432b506dfd3ecb3ce85d256603ae7a74ea1f8ca776a54"
 
 
 # sha256 of the canonical certificate bytes (seed 0) as plain str() writes

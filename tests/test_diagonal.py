@@ -9,6 +9,7 @@ the threshold rules evaluated by hand.
 
 import contextlib
 import copy
+import dataclasses
 import hashlib
 from bisect import bisect_right
 from fractions import Fraction
@@ -40,7 +41,7 @@ from idealbench.diagonal import (
     run_pwfin,
     run_ramsey,
 )
-from idealbench.errors import HorizonExhausted, ScenarioContradiction, StructuralError
+from idealbench.errors import HorizonExhausted, ScenarioContradiction, SchemaError, StructuralError
 from idealbench.ideals import diff_multiplicity
 from idealbench.pairing import code_unordered, unpair_diag
 from idealbench.ramsey import block_disjoint, delta, eventually_sparse_check
@@ -785,6 +786,14 @@ def test_ramsey_case4_threshold_arithmetic():
     for k in range(1, 8):
         for b in range(k + 1):
             assert Fraction(b, k * 2 ** k) <= Fraction(1, 2 ** k)
+
+
+@pytest.mark.parametrize("ground", [{"base": 0}, {"base": "0", "step": 2}, {"step": True}])
+def test_ramsey_ap_vertices_checked_before_any_stage(ground):
+    model = dataclasses.replace(load_scenario("ramsey-case2").models()[0],
+                                ground={"kind": "ap", **ground})
+    with pytest.raises(SchemaError, match="ap vertex sequence"):
+        run_ramsey([model], 0)
 
 
 def test_ramsey_case1_contradiction():

@@ -283,6 +283,14 @@ def _hindman_scenario(**changes) -> dict:
             "posdiff-finite-labels",
             models=[{"index": 0, "labels": {"kind": "table", "entries": 5}}],
         ),
+        *(
+            _changed_scenario(
+                "ramsey-case2",
+                models=[{"index": 0, "form": 2, "labels": {"kind": "pair-min"},
+                         "ground": {"kind": "ap", **ground}}],
+            )
+            for ground in ({"base": 0}, {"base": "0", "step": 2}, {"base": 0, "step": 1.5})
+        ),
     ],
     ids=["no-models", "empty-models", "constant-without-value", "scan-cap-not-int",
          "posdiff-no-horizon", "posdiff-horizon-not-int", "stages-default-not-int",
@@ -295,7 +303,8 @@ def _hindman_scenario(**changes) -> dict:
          "pwfin-ap-without-step", "pwfin-unknown-set-kind", "pwfin-finite-without-members",
          "pwfin-P-not-an-object", "collision-no-tree", "collision-no-diag",
          "collision-diag-not-diagonalization", "collision-tree-without-name",
-         "hindman-ground-kind-odd", "ramsey-vertex-kind-odd", "table-entries-not-pairs"],
+         "hindman-ground-kind-odd", "ramsey-vertex-kind-odd", "table-entries-not-pairs",
+         "ramsey-ap-without-step", "ramsey-ap-base-not-int", "ramsey-ap-step-not-int"],
 )
 def test_cli_diagonalize_rejects_malformed_scenarios(tmp_path, capsys, scenario):
     path = tmp_path / "scenario.json"
@@ -443,9 +452,14 @@ def test_cli_membership(capsys):
         ('{"kind": "fin"}', '{"kind": "union", "parts": [{"kind": "ap", "base": 1}]}'),
         ('{"kind": "nope"}', '{"kind": "finite", "members": []}'),
         ('[]', '{"kind": "finite", "members": []}'),
+        ('{"kind": "sum_s", "selector": {"kind": "finite", "members": []}, "depth": "3"}',
+         '{"kind": "finite", "members": []}'),
+        ('{"kind": "sum_s", "selector": {"kind": "finite", "members": []}, "depth": 0}',
+         '{"kind": "finite", "members": []}'),
     ],
     ids=["finite-without-members", "unknown-set-kind", "set-not-an-object",
-         "nested-ap-without-step", "unknown-ideal-kind", "ideal-not-an-object"],
+         "nested-ap-without-step", "unknown-ideal-kind", "ideal-not-an-object",
+         "sum-s-depth-not-int", "sum-s-depth-zero"],
 )
 def test_cli_membership_rejects_malformed_descriptors(capsys, ideal, described):
     assert run(["membership", "--ideal", ideal, "--set", described]) == 2
