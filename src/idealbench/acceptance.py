@@ -126,19 +126,14 @@ def criterion(number: int, name: str, budget: Optional[float] = None):
     return timed
 
 
-def _scenario_certs(kind: str, prefix: str, names, seed: int, stages=None):
+def _scenario_certs(kind: str, prefix: str, names, seed: int, stages: Optional[int] = None):
     """A ``kind`` certificate per bundled scenario, filed as ``<prefix>-<name>.json``.
 
-    ``stages(scenario)``, if given, is the stage count each one runs.
+    The inputs are the scenario's ``certificate_inputs(stages)``.
     """
-    certs = []
-    for name in names:
-        scn = load_scenario(name)
-        inputs = {"scenario": scn.to_json()}
-        if stages is not None:
-            inputs["stages"] = stages(scn)
-        certs.append((f"{prefix}-{name}.json", certify.produce(kind, inputs, seed)))
-    return certs
+    return [(f"{prefix}-{name}.json",
+             certify.produce(kind, load_scenario(name).certificate_inputs(stages), seed))
+            for name in names]
 
 
 def _depth30_check(kind: str, diag_ok, child_keys: Tuple[str, str], missed: str,
@@ -215,9 +210,8 @@ def crit_04_pigeonhole(seed: int):
 
 @criterion(5, "stage bounds, all four engines", 30.0)
 def crit_05_stage_bounds(seed: int):
-    certs = _scenario_certs("diagonalization", "diag", STAGED_SCENARIOS, seed, lambda scn: 4)
-    certs += _scenario_certs("diagonalization", "diag", CONTRADICTION_SCENARIOS, seed,
-                             lambda scn: scn.default_stages)
+    certs = _scenario_certs("diagonalization", "diag", STAGED_SCENARIOS, seed, 4)
+    certs += _scenario_certs("diagonalization", "diag", CONTRADICTION_SCENARIOS, seed)
     problems = [
         f"{name}: {cert['body']['outcome']}"
         for name, (_, cert) in zip(STAGED_SCENARIOS + CONTRADICTION_SCENARIOS, certs)
@@ -233,8 +227,7 @@ def crit_05_stage_bounds(seed: int):
 
 @criterion(6, "structural identities at the horizon", 5.0)
 def crit_06_structural_identities(seed: int):
-    certs = _scenario_certs("structural-identity", "identity", IDENTITY_SCENARIOS, seed,
-                            lambda scn: 4)
+    certs = _scenario_certs("structural-identity", "identity", IDENTITY_SCENARIOS, seed, 4)
     ok = True
     details = []
     for name, (_, cert) in zip(IDENTITY_SCENARIOS, certs):

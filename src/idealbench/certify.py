@@ -5,14 +5,19 @@ and inputs (plus the recorded seed) fully determine the body, so checking
 is re-production followed by a byte-level comparison in canonical JSON
 form.  Every stipulated infinitary fact rides along in the assumptions
 list and must carry its tag; untagged stipulations are schema violations.
+
+Only the three kinds that ``KINDS`` declares ``seeded`` read the seed.  The
+other eight record it but do not include it in their claim, so a
+certificate of theirs with its seed changed still rechecks.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from . import diagonal
 from .construction import (
@@ -48,32 +53,15 @@ from .sets import Cofinite, Finite, Progression, Union
 from .trees import check_branching, compute_labels, find_critical, path_value_search
 
 
-def envelope(kind: str, inputs: dict, seed: int, assumptions: List[dict], body: dict) -> dict:
-    return {
-        "schema": CERTIFICATE_SCHEMA,
-        "kind": kind,
-        "seed": seed,
-        "inputs": inputs,
-        "assumptions": assumptions,
-        "body": body,
-    }
+# -- bodies ---------------------------------------------------------------------
 
-
-# -- producers ----------------------------------------------------------------
-
-def _depth(inputs: dict, kind: str, default: Optional[int] = None) -> int:
-    return integer_field(inputs, "depth", default, f"{kind} inputs", minimum=1)
-
-
-def produce_partition(inputs: dict, seed: int) -> dict:
-    p = build_partition(_depth(inputs, "partition"))
+def _partition(depth: int) -> dict:
+    p = build_partition(depth)
     report = verify_partition(p)
-    body = {"partition": p.to_json(), "report": report.to_json()}
-    return envelope("partition", inputs, seed, [], body)
+    return {"partition": p.to_json(), "report": report.to_json()}
 
 
-def produce_weight_bound(inputs: dict, seed: int) -> dict:
-    depth = _depth(inputs, "weight-bound")
+def _weight_bound(depth: int) -> dict:
     p = build_partition(depth)
     upto = p.coverage_end - 1  # strictly below the largest covered point
     total = degenerate_prefix_weight(p, upto)
@@ -96,13 +84,12 @@ def produce_weight_bound(inputs: dict, seed: int) -> dict:
         total_weight = f"{numerator}/{R[depth]}"
     else:
         points_summed, total_weight = int_str(upto), rat_str(total)
-    body = {
+    return {
         "depth": depth,
         "points_summed": points_summed,
         "total_weight": total_weight,
         "below_one": total < 1,
     }
-    return envelope("weight-bound", inputs, seed, [], body)
 
 
 def _random_selector_pair(rng: random.Random, depth: int):
@@ -116,11 +103,8 @@ def _random_selector_pair(rng: random.Random, depth: int):
     return p_set, q_set
 
 
-def produce_subset_reduction(inputs: dict, seed: int) -> dict:
-    depth = _depth(inputs, "subset-reduction")
-    pairs = integer_field(inputs, "pairs", None, "subset-reduction inputs", minimum=0)
+def _subset_reduction(depth: int, pairs: int, rng: random.Random) -> dict:
     p = build_partition(depth)
-    rng = random.Random(seed)
     rows = []
     for _ in range(pairs):
         p_set, q_set = _random_selector_pair(rng, depth)
@@ -142,22 +126,17 @@ def produce_subset_reduction(inputs: dict, seed: int) -> dict:
                 ),
             }
         )
-    body = {
+    return {
         "pairs": rows,
         "all_included": all(r["report"]["verdict"]["value"] == "in" for r in rows),
         "all_certificates": all(r["revalidated"] for r in rows),
     }
-    return envelope("subset-reduction", inputs, seed, [], body)
 
 
-def produce_pigeonhole(inputs: dict, seed: int) -> dict:
-    depth = _depth(inputs, "pigeonhole", 4)
-    samples = integer_field(inputs, "samples", None, "pigeonhole inputs", minimum=1)
-    interval = integer_field(inputs, "interval", 2, "pigeonhole inputs", minimum=1)
+def _pigeonhole(depth: int, samples: int, interval: int, rng: random.Random) -> dict:
     if interval >= depth:
-        raise SchemaError(f"pigeonhole inputs: interval must be below depth {depth}")
+        raise SchemaError(f"interval {interval} must be below depth {depth}")
     p = build_partition(depth)
-    rng = random.Random(seed)
     members = list(p.interval_members(interval))
     q_set = Progression(1, 2)  # even interval indices stay off the selector
     min_block = None
@@ -178,7 +157,7 @@ def produce_pigeonhole(inputs: dict, seed: int) -> dict:
         weight = selector_weight(q_set, p, interval) * prof.f_count
         worst_weight = weight if worst_weight is None else min(worst_weight, weight)
     need = -(-p.lengths[interval] // 3)
-    body = {
+    return {
         "samples": samples,
         "interval": interval,
         "interval_size": p.lengths[interval],
@@ -188,57 +167,36 @@ def produce_pigeonhole(inputs: dict, seed: int) -> dict:
         "worst_weight": rat_str(worst_weight),
         "weight_bound_holds": worst_weight >= Fraction(1, 3),
     }
-    return envelope("pigeonhole", inputs, seed, [], body)
 
 
-def _scenario(inputs: dict, cls):
-    """The ``cls`` scenario carried in certificate inputs."""
-    scenario = inputs.get("scenario") if isinstance(inputs, dict) else None
-    return cls.from_json(scenario, "certificate inputs")
-
-
-def run_diag_scenario(scn: DiagScenario, stages: int):
-    """Run the declared engine; contradictions are an outcome, not a crash."""
-    run = engine_named(scn.engine).run
+def _staged_run(scenario: DiagScenario, stages: int):
+    """The state and assembly of a run that must end in stages, not a contradiction."""
     try:
-        state = run(scn, stages)
+        state = engine_named(scenario.engine).run(scenario, stages)
     except ScenarioContradiction as exc:
-        return "contradiction", None, exc.report
-    return "stages", state, None
+        raise SchemaError(
+            f"scenario {scenario.name!r} needs a staged run, not a contradiction"
+        ) from exc
+    return state, assemble(state)
 
 
-def produce_diagonalization(inputs: dict, seed: int) -> dict:
-    scn = _scenario(inputs, DiagScenario)
-    stages = integer_field(inputs, "stages", None, "diagonalization inputs", minimum=1)
-    outcome, state, report = run_diag_scenario(scn, stages)
-    if outcome == "stages":
-        assembled = assemble(state)
-        body = {
-            "outcome": "stages",
-            "expected": scn.expect,
-            "as_expected": scn.expect == "stages",
-            "result": assembled.payload,
-        }
+def _diagonalization(scenario: DiagScenario, stages: int) -> dict:
+    """The assembled run, or the report of the contradiction it ran into."""
+    try:
+        state = engine_named(scenario.engine).run(scenario, stages)
+    except ScenarioContradiction as exc:
+        outcome = {"outcome": "contradiction", "report": exc.report}
     else:
-        body = {
-            "outcome": "contradiction",
-            "expected": scn.expect,
-            "as_expected": scn.expect == "contradiction",
-            "report": report,
-        }
-    return envelope("diagonalization", inputs, seed, scn.assumptions(), body)
+        outcome = {"outcome": "stages", "result": assemble(state).payload}
+    expected = scenario.expect
+    return {**outcome, "expected": expected, "as_expected": expected == outcome["outcome"]}
 
 
-def produce_structural_identity(inputs: dict, seed: int) -> dict:
-    scn = _scenario(inputs, DiagScenario)
-    stages = integer_field(inputs, "stages", None, "structural-identity inputs", minimum=1)
-    enumerate_family = engine_named(scn.engine).enumerate_family
+def _structural_identity(scenario: DiagScenario, stages: int) -> dict:
+    enumerate_family = engine_named(scenario.engine).enumerate_family
     if enumerate_family is None:
-        raise SchemaError(f"the {scn.engine} engine has no independent family enumeration")
-    outcome, state, _ = run_diag_scenario(scn, stages)
-    if outcome != "stages":
-        raise SchemaError("structural identity needs a staged run")
-    assembled = assemble(state)
+        raise SchemaError(f"the {scenario.engine} engine has no independent family enumeration")
+    _, assembled = _staged_run(scenario, stages)
     rows = []
     for i_str, family in assembled.payload["families"].items():
         members = [int(x) for x in family["members"]]
@@ -251,54 +209,42 @@ def produce_structural_identity(inputs: dict, seed: int) -> dict:
                 "union_matches_enumeration": members == independent,
             }
         )
-    body = {"engine": scn.engine, "checks": rows, "all_match": all(r["union_matches_enumeration"] for r in rows)}
-    return envelope("structural-identity", inputs, seed, scn.assumptions(), body)
+    return {
+        "engine": scenario.engine,
+        "checks": rows,
+        "all_match": all(r["union_matches_enumeration"] for r in rows),
+    }
 
 
-def produce_tree_labelling(inputs: dict, seed: int) -> dict:
-    scn = _scenario(inputs, TreeScenario)
-    tree = scn.tree()
-    cmap = scn.coherent_map()
-    oracle = scn.oracle()
-    labelled = compute_labels(tree, cmap, oracle)
+def _tree_labelling(scenario: TreeScenario) -> dict:
+    tree = scenario.tree()
+    oracle = scenario.oracle()
+    labelled = compute_labels(tree, scenario.coherent_map(), oracle)
     critical = find_critical(labelled, oracle)
-    branching = check_branching(tree, scn.branching_ideal(), scn.horizon)
+    branching = check_branching(tree, scenario.branching_ideal(), scenario.horizon)
     root_label = labelled.labels[()]
-    expected = scn.payload.get("expect_root_label")
     path = None
     if root_label is not None:
         found = path_value_search(labelled, root_label)
         path = None if found is None else [list(n) for n in found]
-    body = {
-        "root_label": "bot" if root_label is None else root_label,
+    root = "bot" if root_label is None else root_label
+    expected = scenario.payload.get("expect_root_label")
+    declared = scenario.declared_critical()
+    return {
+        "root_label": root,
         "expected_root_label": expected,
-        "root_as_expected": (
-            ("bot" if root_label is None else root_label) == expected
-        ),
+        "root_as_expected": root == expected,
         "root_branching": branching[()].to_json(),
         "all_branching_in": all(v.value == "in" for v in branching.values()),
         "critical": [list(n) for n in critical.critical],
         "undetermined": [list(n) for n in critical.undetermined],
-        "declared_critical": [list(n) for n in scn.declared_critical()],
-        "critical_as_declared": list(critical.critical)
-        == [tuple(n) for n in scn.declared_critical()],
+        "declared_critical": [list(n) for n in declared],
+        "critical_as_declared": list(critical.critical) == declared,
         "path_realizing_root": path,
     }
-    return envelope("tree-labelling", inputs, seed, scn.assumptions(), body)
 
 
-def _sparseness_inputs(inputs: dict) -> Tuple[int, list]:
-    universe = integer_field(inputs, "universe", None, "sparseness inputs", minimum=0)
-    sizes = inputs.get("sizes")
-    if not isinstance(sizes, list):
-        raise SchemaError("sparseness inputs: sizes must be a list")
-    for size in sizes:
-        if not isinstance(size, int) or isinstance(size, bool) or size < 2:
-            raise SchemaError("sparseness inputs: every size must be an integer >= 2")
-    return universe, sizes
-
-
-def produce_sparseness(inputs: dict, seed: int) -> dict:
+def _sparseness(universe: int, sizes: List[int]) -> dict:
     """Check that the difference image of every small family is not sparse.
 
     For each family A of ``size`` members of ``range(universe)`` this is
@@ -310,7 +256,6 @@ def produce_sparseness(inputs: dict, seed: int) -> dict:
     exceeds ``floor = max(size - 3, 0)``.  At size 2 the image is a single
     difference: nothing is violated, yet ``0 >= size - 2`` witnesses it.
     """
-    universe, sizes = _sparseness_inputs(inputs)
     checked = 0
     failed = 0
     witnessed = 0
@@ -328,7 +273,7 @@ def produce_sparseness(inputs: dict, seed: int) -> dict:
                 failed += 1
             if (m if m > floor else 0) >= size - 2:
                 witnessed += 1
-    body = {
+    return {
         "universe": universe,
         "sizes": list(sizes),
         "checked": checked,
@@ -337,7 +282,6 @@ def produce_sparseness(inputs: dict, seed: int) -> dict:
         "all_fail": failed == checked,
         "all_witnessed": witnessed == checked,
     }
-    return envelope("sparseness", inputs, seed, [], body)
 
 
 # independent brute-force oracle for the canonical pair search ----------------
@@ -390,53 +334,42 @@ def _random_rgs(count: int, rng: random.Random):
     return tuple(out)
 
 
-def _colouring_from_rgs(n: int, rgs):
+def _colourings(n: int, strings: Callable[[int], Iterable[tuple]]):
+    """The edge colourings of K_n given by ``strings(edge count)``, in order.
+
+    The edge list is built once, and the restricted-growth strings are
+    drawn one at a time as the colourings are used.
+    """
     edges = [frozenset(p) for p in combinations(range(n), 2)]
-    return {e: rgs[i] for i, e in enumerate(edges)}
+    return (dict(zip(edges, rgs)) for rgs in strings(len(edges)))
 
 
-def produce_ramsey_oracle(inputs: dict, seed: int) -> dict:
-    where = "ramsey-oracle inputs"
-    m = integer_field(inputs, "size", 3, where, minimum=0)
-    exhaustive_n = integer_field(inputs, "exhaustive_n", 4, where, minimum=0)
-    sample_n = integer_field(inputs, "sample_n", 5, where, minimum=0)
-    sample_count = integer_field(inputs, "samples", 10000, where, minimum=0)
-    rng = random.Random(seed)
+def _agreement(n: int, size: int, strings: Callable[[int], Iterable[tuple]]) -> Tuple[int, int]:
+    """How many colourings were checked, and on how many the search and the oracle agree."""
+    checked = agree = 0
+    for f in _colourings(n, strings):
+        mine = canonical_ramsey_search(f, n, size)
+        oracle = oracle_ramsey_search(f, n, size)
+        checked += 1
+        if (None if mine is None else (mine[0], mine[1].case)) == oracle:
+            agree += 1
+    return checked, agree
 
-    edge_count = exhaustive_n * (exhaustive_n - 1) // 2
-    exhaustive_checked = exhaustive_agree = 0
-    for rgs in _partitions_rgs(edge_count):
-        f = _colouring_from_rgs(exhaustive_n, rgs)
-        mine = canonical_ramsey_search(f, exhaustive_n, m)
-        oracle = oracle_ramsey_search(f, exhaustive_n, m)
-        exhaustive_checked += 1
-        mine_norm = None if mine is None else (mine[0], mine[1].case)
-        if mine_norm == oracle:
-            exhaustive_agree += 1
 
-    sample_edges = sample_n * (sample_n - 1) // 2
-    sample_checked = sample_agree = 0
-    for _ in range(sample_count):
-        f = _colouring_from_rgs(sample_n, _random_rgs(sample_edges, rng))
-        mine = canonical_ramsey_search(f, sample_n, m)
-        oracle = oracle_ramsey_search(f, sample_n, m)
-        sample_checked += 1
-        mine_norm = None if mine is None else (mine[0], mine[1].case)
-        if mine_norm == oracle:
-            sample_agree += 1
-
+def _ramsey_oracle(size: int, exhaustive_n: int, sample_n: int, samples: int,
+                   rng: random.Random) -> dict:
+    exhaustive_checked, exhaustive_agree = _agreement(exhaustive_n, size, _partitions_rgs)
+    sample_checked, sample_agree = _agreement(
+        sample_n, size, lambda count: (_random_rgs(count, rng) for _ in range(samples))
+    )
     minimal_n = None
-    for n in range(m, 6):
-        edges = n * (n - 1) // 2
-        if all(
-            oracle_ramsey_search(_colouring_from_rgs(n, rgs), n, m) is not None
-            for rgs in _partitions_rgs(edges)
-        ):
+    for n in range(size, 6):
+        if all(oracle_ramsey_search(f, n, size) is not None
+               for f in _colourings(n, _partitions_rgs)):
             minimal_n = n
             break
-
-    body = {
-        "size": m,
+    return {
+        "size": size,
         "exhaustive_n": exhaustive_n,
         "exhaustive_checked": exhaustive_checked,
         "exhaustive_agree": exhaustive_agree,
@@ -447,19 +380,14 @@ def produce_ramsey_oracle(inputs: dict, seed: int) -> dict:
         and sample_agree == sample_checked,
         "minimal_n_for_size": minimal_n,
     }
-    return envelope("ramsey-oracle", inputs, seed, [], body)
 
 
-def produce_collision(inputs: dict, seed: int) -> dict:
-    scn = _scenario(inputs, CollisionScenario)
-    diag_scn = scn.diag()
-    stages = scn.stages(diag_scn.default_stages)
-    outcome, state, _ = run_diag_scenario(diag_scn, stages)
-    if outcome != "stages":
-        raise SchemaError("collision scenarios need a staged diagonalization")
-    assembled = assemble(state)
-    tree_scn = scn.tree_scenario()
-    model_index = scn.model_index(len(state.models))
+def _collision(scenario: CollisionScenario) -> dict:
+    diag_scn = scenario.diag()
+    stages = scenario.stages(diag_scn.default_stages)
+    state, assembled = _staged_run(diag_scn, stages)
+    tree_scn = scenario.tree_scenario()
+    model_index = scenario.model_index(len(state.models))
     report = collision_check(
         tree_scn.tree(),
         tree_scn.branching_ideal(),
@@ -468,21 +396,17 @@ def produce_collision(inputs: dict, seed: int) -> dict:
         assembled,
         model_index,
         state.models[model_index],
-        horizon=scn.horizon,
+        horizon=scenario.horizon,
     )
-    body = {
+    return {
         "diag": diag_scn.name,
         "stages": stages,
         "collision": report.to_json(),
         "forbidden_label_hit": report.outcome == "collision",
     }
-    assumptions = diag_scn.assumptions() + tree_scn.assumptions() + scn.assumptions()
-    return envelope("collision", inputs, seed, assumptions, body)
 
 
-def produce_pairing(inputs: dict, seed: int) -> dict:
-    bound = integer_field(inputs, "bound", 100, "pairing inputs", minimum=0)
-    unordered_bound = integer_field(inputs, "unordered_bound", 50, "pairing inputs", minimum=0)
+def _pairing(bound: int, unordered_bound: int) -> dict:
     codes = {}
     monotone = True
     dominates = True
@@ -509,7 +433,7 @@ def produce_pairing(inputs: dict, seed: int) -> dict:
                 symmetric = False
             ucodes.add(code_unordered(a, b))
     u_injective = len(ucodes) == (unordered_bound + 1) * unordered_bound // 2
-    body = {
+    return {
         "bound": bound,
         "ordered_injective": injective,
         "ordered_monotone": monotone,
@@ -519,28 +443,92 @@ def produce_pairing(inputs: dict, seed: int) -> dict:
         "unordered_injective": u_injective,
         "all_hold": injective and monotone and dominates and symmetric and u_injective,
     }
-    return envelope("pairing", inputs, seed, [], body)
 
 
+# -- kinds ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Kind:
+    """One certificate kind; ``KINDS`` is the one place a kind is declared.
+
+    Its inputs are ``integers``, each ``(key, default, minimum)`` with the
+    default None when required; with ``sizes``, a list of integers >= 2;
+    with ``scenario``, a scenario object of that class, whose assumptions
+    the certificate records.  ``compute`` takes them by name, plus ``rng``,
+    a fresh ``random.Random(seed)``, when ``seeded``, and returns the body.
+    ``expected`` names the body fields that are all true when a run came out
+    as its scenario declares.
+    """
+
+    name: str
+    compute: Callable[..., dict]
+    integers: Tuple[Tuple[str, Optional[int], int], ...] = ()
+    sizes: bool = False
+    scenario: Optional[type] = None
+    seeded: bool = False
+    expected: Tuple[str, ...] = ()
+
+    def produce(self, inputs: dict, seed: int) -> dict:
+        """The certificate of ``inputs``; a SchemaError before any work for bad ones."""
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise SchemaError(f"certificate seed must be an integer, not {seed!r}")
+        where = f"{self.name} inputs"
+        if not isinstance(inputs, dict):
+            raise SchemaError(f"{where} must be an object")
+        args = {key: integer_field(inputs, key, default, where, minimum)
+                for key, default, minimum in self.integers}
+        if self.sizes:
+            args["sizes"] = sizes = inputs.get("sizes")
+            if not isinstance(sizes, list) or not all(
+                isinstance(size, int) and not isinstance(size, bool) and size >= 2
+                for size in sizes
+            ):
+                raise SchemaError(f"{where}: sizes must be a list of integers >= 2")
+        assumptions: List[dict] = []
+        if self.scenario is not None:
+            args["scenario"] = scenario = self.scenario.from_json(inputs.get("scenario"), where)
+            assumptions = scenario.assumptions()
+        if self.seeded:
+            args["rng"] = random.Random(seed)
+        return {"schema": CERTIFICATE_SCHEMA, "kind": self.name, "seed": seed, "inputs": inputs,
+                "assumptions": assumptions, "body": self.compute(**args)}
+
+
+_DEPTH = ("depth", None, 1)
+_STAGES = ("stages", None, 1)
+
+KINDS: Dict[str, Kind] = {kind.name: kind for kind in (
+    Kind("partition", _partition, (_DEPTH,)),
+    Kind("weight-bound", _weight_bound, (_DEPTH,)),
+    Kind("subset-reduction", _subset_reduction, (_DEPTH, ("pairs", None, 0)), seeded=True),
+    Kind("pigeonhole", _pigeonhole,
+         (("depth", 4, 1), ("samples", None, 1), ("interval", 2, 1)), seeded=True),
+    Kind("diagonalization", _diagonalization, (_STAGES,), scenario=DiagScenario,
+         expected=("as_expected",)),
+    Kind("structural-identity", _structural_identity, (_STAGES,), scenario=DiagScenario),
+    Kind("tree-labelling", _tree_labelling, scenario=TreeScenario,
+         expected=("root_as_expected", "critical_as_declared")),
+    Kind("sparseness", _sparseness, (("universe", None, 0),), sizes=True),
+    Kind("ramsey-oracle", _ramsey_oracle, (("size", 3, 0), ("exhaustive_n", 4, 0),
+                                            ("sample_n", 5, 0), ("samples", 10000, 0)),
+         seeded=True),
+    Kind("collision", _collision, scenario=CollisionScenario,
+         expected=("forbidden_label_hit",)),
+    Kind("pairing", _pairing, (("bound", 100, 0), ("unordered_bound", 50, 0))),
+)}
+
+# the callable ``produce`` runs per kind, looked up at call time so that a
+# wrapper stored here (a tracer's span) is the one that runs
 _PRODUCERS: Dict[str, Callable[[dict, int], dict]] = {
-    "partition": produce_partition,
-    "weight-bound": produce_weight_bound,
-    "subset-reduction": produce_subset_reduction,
-    "pigeonhole": produce_pigeonhole,
-    "diagonalization": produce_diagonalization,
-    "structural-identity": produce_structural_identity,
-    "tree-labelling": produce_tree_labelling,
-    "sparseness": produce_sparseness,
-    "ramsey-oracle": produce_ramsey_oracle,
-    "collision": produce_collision,
-    "pairing": produce_pairing,
+    name: kind.produce for name, kind in KINDS.items()
 }
 
 
 def produce(kind: str, inputs: dict, seed: int = 0) -> dict:
-    if kind not in _PRODUCERS:
+    producer = _PRODUCERS.get(kind) if isinstance(kind, str) else None
+    if producer is None:
         raise SchemaError(f"unknown certificate kind {kind!r}")
-    return _PRODUCERS[kind](inputs, seed)
+    return producer(inputs, seed)
 
 
 def recheck(cert: dict) -> Tuple[bool, str]:

@@ -29,8 +29,8 @@ from .reduction import (
     ReductionClaim,
     katetov_witness_check,
 )
-from .scenarios import DiagScenario, TreeScenario, bundled_names, load_scenario
-from .serialize import dump_json, integer_field, load_json, rat_str
+from .scenarios import bundled_names, load_scenario
+from .serialize import dump_json, load_json, rat_str
 from .sets import set_from_json
 
 USAGE_ERROR = 2
@@ -100,24 +100,10 @@ def _cmd_hindman_search(args) -> int:
 
 def _cmd_diagonalize(args) -> int:
     scn = load_scenario(args.scenario)
-    if isinstance(scn, DiagScenario):
-        if args.stages is None:
-            stages = scn.default_stages
-        else:
-            stages = integer_field(vars(args), "stages", None, "--stages", minimum=1)
-        cert = certify.produce(
-            "diagonalization", {"scenario": scn.to_json(), "stages": stages}, args.seed
-        )
-        matched = cert["body"]["as_expected"]
-    elif isinstance(scn, TreeScenario):
-        cert = certify.produce("tree-labelling", {"scenario": scn.to_json()}, args.seed)
-        body = cert["body"]
-        matched = body["root_as_expected"] and body["critical_as_declared"]
-    else:
-        cert = certify.produce("collision", {"scenario": scn.to_json()}, args.seed)
-        matched = cert["body"]["forbidden_label_hit"]
+    kind = certify.KINDS[scn.certificate_kind]
+    cert = certify.produce(kind.name, scn.certificate_inputs(args.stages), args.seed)
     _emit(cert, args.out)
-    return 0 if matched else FAILURE
+    return 0 if all(cert["body"][key] for key in kind.expected) else FAILURE
 
 
 def _cmd_check_reduction(args) -> int:

@@ -266,9 +266,6 @@ def _unit_slacks(p: PartitionData) -> Slacks:
     and a Fraction (with its gcd) is built only for a non-zero numerator.
     On the greedy prefix those numerators are zero by ``greedy_prefix``'s
     checks, and each descending slack past index 0 is a ``ReducedSlack``.
-    Elsewhere, where both are zero, R_{n+1} = k R_n with k = 2^(n+1) |I_<n|,
-    so the descending slack (1/R_n) (k-1)/k needs no division of R_{n+1}
-    by R_n.
     """
     R = [r.denominator for r in p.rationals]
     t = p.greedy_prefix
@@ -286,17 +283,14 @@ def _unit_slacks(p: PartitionData) -> Slacks:
     decay = [over(decay_num[n], R[n + 1] << (n + 1)) for n in range(p.depth)]
     descending: List[Slack] = []
     for n in range(p.depth):
-        if grow_num[n] == 0 and decay_num[n] == 0:
-            k = p.prefix_size(n) << (n + 1)
-            if n < t:  # and n >= 1, as grow_num[0] = |I_0| > 0
-                descending.append(ReducedSlack(k - 1, R[n + 1], p, n))
-                continue
+        if 0 < n < t:  # both numerators are zero: R_{n+1} = 2^(n+1) |I_<n| R_n
+            descending.append(ReducedSlack((p.prefix_size(n) << (n + 1)) - 1, R[n + 1], p, n))
+            continue
+        k, rem = divmod(R[n + 1], R[n])
+        if rem:
+            descending.append(Fraction(R[n + 1] - R[n], R[n] * R[n + 1]))
         else:
-            k, rem = divmod(R[n + 1], R[n])
-            if rem:
-                descending.append(Fraction(R[n + 1] - R[n], R[n] * R[n + 1]))
-                continue
-        descending.append(p.rationals[n] * Fraction(k - 1, k))
+            descending.append(p.rationals[n] * Fraction(k - 1, k))
     return growth, decay, descending
 
 

@@ -60,7 +60,11 @@ def model_from_json(obj: dict, partition: Optional[PartitionData] = None) -> Cri
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named scenario and its full JSON payload (schema form)."""
+    """A named scenario and its full JSON payload (schema form).
+
+    ``certificate_kind`` names the certificate kind that ``idealbench
+    diagonalize`` produces for the scenario from ``certificate_inputs``.
+    """
 
     name: str
     payload: dict
@@ -87,8 +91,14 @@ class Scenario:
     def to_json(self) -> dict:
         return dict(self.payload)
 
+    def certificate_inputs(self, stages: Optional[int]) -> dict:
+        """The inputs of this scenario's certificate; ``stages`` is for a staged run."""
+        return {"scenario": self.to_json()}
+
 
 class DiagScenario(Scenario):
+    certificate_kind = "diagonalization"
+
     @property
     def engine(self):
         return self.payload.get("engine")
@@ -106,7 +116,7 @@ class DiagScenario(Scenario):
         return self._integer("horizon", None)
 
     def partition(self) -> PartitionData:
-        return build_partition(self.payload.get("depth", DEFAULT_DEPTH))
+        return build_partition(self._integer("depth", DEFAULT_DEPTH, minimum=1))
 
     def models(self, partition: Optional[PartitionData] = None) -> List[CriticalNodeModel]:
         models = self.payload.get("models")
@@ -117,11 +127,18 @@ class DiagScenario(Scenario):
     def scan_cap(self, default: int) -> int:
         return self._integer("scan_cap", default)
 
+    def certificate_inputs(self, stages: Optional[int]) -> dict:
+        """The run of ``stages`` stages, or of ``stages_default`` when None."""
+        return {"scenario": self.to_json(),
+                "stages": self.default_stages if stages is None else stages}
+
 
 class TreeScenario(Scenario):
+    certificate_kind = "tree-labelling"
+
     @property
     def horizon(self) -> int:
-        return self.payload.get("horizon", 16)
+        return self._integer("horizon", 16, minimum=0)
 
     def coherent_map(self) -> CoherentMap:
         return CoherentMap({tuple(k): v for k, v in self.payload.get("assignments", [])})
@@ -499,6 +516,8 @@ def realize_model(
 
 
 class CollisionScenario(Scenario):
+    certificate_kind = "collision"
+
     def diag(self) -> DiagScenario:
         name = self.required("diag")
         scn = load_scenario(name) if isinstance(name, str) else None
@@ -508,6 +527,11 @@ class CollisionScenario(Scenario):
 
     def tree_scenario(self) -> TreeScenario:
         return TreeScenario.from_json(self.required("tree"), f"scenario {self.name!r} tree")
+
+    def assumptions(self) -> List[dict]:
+        """What the diagonalization and the tree stipulate, then this scenario's own."""
+        own = super().assumptions()
+        return self.diag().assumptions() + self.tree_scenario().assumptions() + own
 
     @property
     def horizon(self) -> int:

@@ -291,6 +291,9 @@ def _hindman_scenario(**changes) -> dict:
             )
             for ground in ({"base": 0}, {"base": "0", "step": 2}, {"base": 0, "step": 1.5})
         ),
+        *(_changed_scenario("pw-2b", depth=depth) for depth in ("3", 2.5, True, 0)),
+        _changed_scenario("sep1-basic", horizon="10"),
+        _changed_scenario("sep1-basic", horizon=-1),
     ],
     ids=["no-models", "empty-models", "constant-without-value", "scan-cap-not-int",
          "posdiff-no-horizon", "posdiff-horizon-not-int", "stages-default-not-int",
@@ -304,7 +307,9 @@ def _hindman_scenario(**changes) -> dict:
          "pwfin-P-not-an-object", "collision-no-tree", "collision-no-diag",
          "collision-diag-not-diagonalization", "collision-tree-without-name",
          "hindman-ground-kind-odd", "ramsey-vertex-kind-odd", "table-entries-not-pairs",
-         "ramsey-ap-without-step", "ramsey-ap-base-not-int", "ramsey-ap-step-not-int"],
+         "ramsey-ap-without-step", "ramsey-ap-base-not-int", "ramsey-ap-step-not-int",
+         "pwfin-depth-string", "pwfin-depth-float", "pwfin-depth-bool", "pwfin-depth-zero",
+         "tree-horizon-string", "tree-horizon-negative"],
 )
 def test_cli_diagonalize_rejects_malformed_scenarios(tmp_path, capsys, scenario):
     path = tmp_path / "scenario.json"
@@ -394,6 +399,53 @@ def test_cli_certify_rejects_malformed_scenario_inputs(tmp_path, capsys, kind, i
     dump_json(path, cert)
     assert run(["certify", "--in", str(path)]) == 2
     assert "schema error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("kind", ["partition"]), ("kind", 5), ("kind", None),
+     ("seed", None), ("seed", True), ("seed", 1.5), ("seed", "x"), ("seed", [1])],
+    ids=["kind-a-list", "kind-an-int", "kind-null", "seed-null", "seed-bool", "seed-float",
+         "seed-string", "seed-a-list"],
+)
+def test_cli_certify_rejects_malformed_envelopes(tmp_path, capsys, field, value):
+    cert = certify.produce("pigeonhole", {"samples": 2}, 0)
+    cert[field] = value
+    path = tmp_path / "certificate.json"
+    dump_json(path, cert)
+    assert run(["certify", "--in", str(path)]) == 2
+    assert "schema error" in capsys.readouterr().err
+
+
+# a small valid input per kind
+MINIMAL_INPUTS = {
+    "partition": lambda: {"depth": 3},
+    "weight-bound": lambda: {"depth": 3},
+    "subset-reduction": lambda: {"depth": 4, "pairs": 2},
+    "pigeonhole": lambda: {"samples": 2},
+    "diagonalization": lambda: {"scenario": load_scenario("hindman-case2").to_json(),
+                                "stages": 2},
+    "structural-identity": lambda: {"scenario": load_scenario("ramsey-case2").to_json(),
+                                    "stages": 2},
+    "tree-labelling": lambda: {"scenario": load_scenario("sep1-basic").to_json()},
+    "sparseness": lambda: {"universe": 6, "sizes": [3]},
+    "ramsey-oracle": lambda: {"size": 2, "exhaustive_n": 3, "sample_n": 3, "samples": 4},
+    "collision": lambda: {"scenario": load_scenario("collision-posdiff").to_json()},
+    "pairing": lambda: {"bound": 3, "unordered_bound": 3},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(certify._PRODUCERS))
+def test_every_kind_rechecks_and_seedless_kinds_ignore_the_seed(kind):
+    assert set(MINIMAL_INPUTS) == set(certify._PRODUCERS)
+    cert = certify.produce(kind, MINIMAL_INPUTS[kind](), 7)
+    assert cert["seed"] == 7
+    ok, detail = certify.recheck(cert)
+    assert ok, detail
+    if not certify.KINDS[kind].seeded:
+        for seed in (0, 8, -3):
+            ok, detail = certify.recheck({**cert, "seed": seed})
+            assert ok, detail
 
 
 @pytest.mark.parametrize("stages", ["0", "-1"])
