@@ -60,7 +60,6 @@ class CriterionResult:
 
 _DEPTH30_SNIPPET = """
 import json, sys, time
-sys.set_int_max_str_digits(0)
 sys.path.insert(0, {src!r})
 from idealbench.construction import build_partition, verify_partition, degenerate_prefix_weight
 t0 = time.time()
@@ -348,7 +347,7 @@ def run_all(
     results.append(crit_08_sparseness(seed))
     results.append(crit_09_separation_lemmas(seed))
     results.append(crit_10_pairing(seed))
-    results.append(crit_11_certificate_integrity(seed, results[:9]))
+    results.append(crit_11_certificate_integrity(seed, results))
     if out_dir is not None:
         import os
 

@@ -22,7 +22,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from . import diagonal
 from .construction import (
     build_partition,
-    degenerate_prefix_weight,
+    degenerate_weight_below_last_point,
     selector_weight,
     verify_partition,
 )
@@ -41,11 +41,9 @@ from .reduction import (
 from .scenarios import CollisionScenario, DiagScenario, TreeScenario
 from .serialize import (
     CERTIFICATE_SCHEMA,
-    EXACT,
     canonical_bytes,
     check_assumptions,
     diff_paths,
-    int_str,
     integer_field,
     rat_str,
 )
@@ -63,27 +61,7 @@ def _partition(depth: int) -> dict:
 
 def _weight_bound(depth: int) -> dict:
     p = build_partition(depth)
-    upto = p.coverage_end - 1  # strictly below the largest covered point
-    total = degenerate_prefix_weight(p, upto)
-    # On greedy data each full interval I_n (n < d-1) weighs
-    # r_{n+1} L_n = 2^-(n+1) by tight decay, and the L_{d-1} - 1 points of
-    # I_{d-1} below upto weigh r_d = 1/R_d each, with R_d = 2^d L_{d-1}; so
-    #   total = 1 - 2^-(d-1) + (L_{d-1} - 1)/R_d = ((2^d - 1) L_{d-1} - 1)/R_d.
-    # When the reduced sum has exactly this numerator and denominator and
-    # the whole partition is its greedy prefix, the replay holds L_{d-1},
-    # S_{d-1} and R_d exactly, so its texts are those of the sum and of upto.
-    # (For d >= 2 the closed form is reduced: its numerator is odd, as
-    # L_{d-1} = S_{d-1} R_{d-1} is even, and is -1 mod L_{d-1}.  At d = 1 it
-    # reads 0/2, which the reduced 0/1 does not match.)
-    last = p.lengths[-1]
-    closed_form = (((1 << depth) - 1) * last - 1, p.rationals[depth].denominator)
-    if p.greedy_prefix == depth and (total.numerator, total.denominator) == closed_form:
-        S, L, R = p.decimal_replay
-        points_summed = str(EXACT.subtract(EXACT.add(S[-1], L[-1]), 1))
-        numerator = EXACT.subtract(EXACT.multiply(L[-1], (1 << depth) - 1), 1)
-        total_weight = f"{numerator}/{R[depth]}"
-    else:
-        points_summed, total_weight = int_str(upto), rat_str(total)
+    points_summed, total, total_weight = degenerate_weight_below_last_point(p)
     return {
         "depth": depth,
         "points_summed": points_summed,
@@ -384,6 +362,9 @@ def _ramsey_oracle(size: int, exhaustive_n: int, sample_n: int, samples: int,
 
 def _collision(scenario: CollisionScenario) -> dict:
     diag_scn = scenario.diag()
+    if not engine_named(diag_scn.engine).explicit_forbidden:
+        raise SchemaError(f"scenario {scenario.name!r}: a {diag_scn.engine} run forbids "
+                          f"label descriptors, so its families list no members to collide")
     stages = scenario.stages(diag_scn.default_stages)
     state, assembled = _staged_run(diag_scn, stages)
     tree_scn = scenario.tree_scenario()

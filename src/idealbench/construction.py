@@ -7,43 +7,54 @@ strictly descending positive rationals r_0 > r_1 > ... subject to
   (2)  |I_n| * r_{n+1}        <=  2^(-n-1)         for 0 <= n < depth,
   (3)  I_0 = {0} and r_0 = 1.
 
-The greedy builder takes the smallest interval and the largest next
-rational permitted at each step:
+The greedy rule takes the smallest interval and the largest next rational
+permitted at each step:
 
   L_n = ceil(|I_<n| / r_n),   I_n = next L_n integers,
   r_{n+1} = min(r_n / 2, 2^(-n-1) / L_n).
 
-Every r_n the greedy rule produces is a unit fraction 1/R_n with
-R_{n+1} = max(2 R_n, 2^(n+1) L_n), so L_n = |I_<n| * R_n exactly and
-conditions (1) and (2) hold with equality-tight slack.  Conditions (1)
+Write S_n = |I_<n| and L_n = |I_n|.  From the base S_0 = 0, L_0 = 1,
+r_0 = 1 and r_1 = 1/2, every r_n the rule produces is a unit fraction
+1/R_n, so the ceiling is exact and L_n = S_n R_n.  For n >= 1 the decay
+arm of the minimum binds, because 2^(n+1) L_n = 2^(n+1) S_n R_n >= 4 R_n
+(S_n >= S_1 = 1).  So the greedy rule is exactly the recurrence
+
+  S_{n+1} = S_n + L_n,   L_n = S_n R_n,   R_{n+1} = 2^(n+1) L_n,
+
+and conditions (1) and (2) hold with equality-tight slack.  Conditions (1)
 and (2) jointly force |I_{n+1}| >= 2^(n+1) |I_n|^2, i.e. interval sizes
 whose digit counts double every level.
 
-On the longest prefix where the data obeys the greedy identities
-(``PartitionData.greedy_prefix``) every integer follows from the base by
-S_{n+1} = S_n + L_n, L_n = S_n R_n and R_{n+1} = 2^(n+1) L_n, writing
-S_n = |I_<n| and L_n = |I_n|.  There the decimal text comes from an exact
-``Decimal`` replay of those identities instead of a radix conversion, and
-the descending slacks are in lowest terms without a gcd (see
-``verify_partition``).  Elsewhere ``serialize.int_str`` converts and
-``Fraction`` reduces.  What remains is the big-integer arithmetic itself:
-the build's products and the replay's products grow three- to fourfold per
-level, and so does parsing the decimal text back (``serialize.int_parse``).
+``greedy_numbers`` is the one place the recurrence is written; only its
+arithmetic varies, ``int`` or exact ``Decimal``.  ``build_partition`` takes
+its first terms in ``int``.  ``PartitionData.greedy_prefix`` counts the
+leading indices on which given data agrees with it.  On that prefix
+``PartitionData.decimal_replay`` runs it in ``Decimal``, so the decimal
+text needs no radix conversion, and the descending slacks are in lowest
+terms without a gcd (see ``verify_partition``).  Elsewhere
+``serialize.int_str`` converts and ``Fraction`` reduces.  What remains is
+the big-integer arithmetic itself: the recurrence's products grow three-
+to fourfold per level, and so does parsing the decimal text back
+(``serialize.int_parse``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, List, Optional, Tuple, Union
+from itertools import count, islice
+from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 from .errors import HorizonExhausted, SchemaError, StructuralError
 from .sets import DescribedSet
 from .serialize import EXACT, int_parse, int_str, rat_parse, rat_str
 
 DEFAULT_DEPTH = 12
+
+Number = Union[int, Decimal]
 
 
 @dataclass(frozen=True)
@@ -91,29 +102,21 @@ class PartitionData:
 
     @cached_property
     def greedy_prefix(self) -> int:
-        """The number t of leading indices on which the greedy identities hold.
+        """The number t of leading indices on which this data is the greedy partition.
 
-        Index 0 counts when the base holds: S_0 = 0, L_0 = 1, r_0 = 1 and
-        r_1 = 1/2.  Index n >= 1 counts when index n-1 does and
-        S_n = S_{n-1} + L_{n-1} (contiguity), r_{n+1} = 1/R_{n+1} (a unit
-        fraction, as r_n already is), L_n = S_n R_n (tight growth) and
-        R_{n+1} = 2^(n+1) L_n (tight decay).  So S_n and L_n for n < t and
-        R_n for n <= t are what ``decimal_replay`` computes from the base.
-        Computed on first use and kept with this instance only:
-        ``dataclasses.replace`` makes a new one that computes its own.
+        Index n counts when index n-1 does and S_n, L_n and r_{n+1} = 1/R_{n+1}
+        are the n-th terms of ``greedy_numbers``; index 0 also needs r_0 = 1.
+        So S_n and L_n for n < t and R_n for n <= t are what
+        ``decimal_replay`` computes.  Computed on first use and kept with
+        this instance only: ``dataclasses.replace`` makes a new one that
+        computes its own.
         """
         S, L, r = self.starts, self.lengths, self.rationals
         depth = min(len(S), len(L), len(r) - 1)
-        if depth < 1 or (S[0], L[0], r[0], r[1]) != (0, 1, 1, Fraction(1, 2)):
+        if depth < 1 or r[0] != 1:
             return 0
-        for n in range(1, depth):
-            R = r[n].denominator
-            if not (
-                S[n] == S[n - 1] + L[n - 1]
-                and r[n + 1].numerator == 1
-                and r[n + 1].denominator == L[n] << (n + 1)
-                and L[n] == S[n] * R
-            ):
+        for n, (s, l, R) in zip(range(depth), greedy_numbers()):
+            if (S[n], L[n], r[n + 1].numerator, r[n + 1].denominator) != (s, l, 1, R):
                 return n
         return depth
 
@@ -121,18 +124,14 @@ class PartitionData:
     def decimal_replay(self) -> Tuple[List[Decimal], List[Decimal], List[Decimal]]:
         """Exact ``Decimal`` S_n, L_n (n < t) and R_n (n <= t), t = ``greedy_prefix``.
 
-        Replayed from the base by the identities, so equal to the stored
-        integers without converting any of them.
+        ``greedy_numbers`` in ``Decimal``, so equal to the stored integers
+        without converting any of them.
         """
         t = self.greedy_prefix
         if t == 0:
             return [], [], []
-        S, L, R = [Decimal(0)], [Decimal(1)], [Decimal(1), Decimal(2)]
-        for n in range(1, t):
-            S.append(EXACT.add(S[n - 1], L[n - 1]))
-            L.append(EXACT.multiply(S[n], R[n]))
-            R.append(EXACT.multiply(L[n], 1 << (n + 1)))
-        return S, L, R
+        S, L, R = zip(*islice(greedy_numbers(Decimal), t))
+        return list(S), list(L), [Decimal(1), *R]
 
     def to_json(self) -> dict:
         S, L, R = self.decimal_replay
@@ -172,43 +171,42 @@ def _texts(replayed: List[Decimal], values: Tuple[int, ...]) -> List[str]:
     return [str(d) for d in replayed] + [int_str(v) for v in values[len(replayed):]]
 
 
+# add and multiply in each arithmetic that greedy_numbers runs in
+_ARITHMETIC = {int: (operator.add, operator.mul), Decimal: (EXACT.add, EXACT.multiply)}
+
+
+def greedy_numbers(number: Callable[[int], Number] = int) -> Iterator[Tuple[Number, ...]]:
+    """S_n, L_n and R_{n+1} of the greedy partition for n = 0, 1, 2, ...
+
+    The recurrence of the module docstring from its base S_0 = 0, L_0 = 1,
+    R_1 = 2, in the arithmetic of ``number``: ``int``, or ``Decimal`` under
+    ``serialize.EXACT``, which never rounds.  A term is computed only when
+    it is asked for.
+    """
+    add, multiply = _ARITHMETIC[number]
+    S, L, R = number(0), number(1), number(2)
+    for n in count(1):
+        yield S, L, R
+        S = add(S, L)
+        L = multiply(S, R)
+        R = multiply(L, 1 << (n + 1))
+
+
 def build_partition(depth: int) -> PartitionData:
     """Greedy partition of the given depth (number of intervals)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    starts: List[int] = [0]
-    lengths: List[int] = [1]
-    r_dens: List[int] = [1]  # r_n = 1 / r_dens[n]
-    covered = 1
-    r_dens.append(max(2 * r_dens[0], 2 * lengths[0]))
-    for n in range(1, depth):
-        length = covered * r_dens[n]  # ceil(|I_<n| / r_n), exact for unit fractions
-        starts.append(covered)
-        lengths.append(length)
-        covered += length
-        r_dens.append(max(2 * r_dens[n], (1 << (n + 1)) * length))
-    rationals = tuple(Fraction(1, d) for d in r_dens)
-    return PartitionData(tuple(starts), tuple(lengths), rationals)
+    S, L, R = zip(*islice(greedy_numbers(), depth))
+    return PartitionData(S, L, tuple(Fraction(1, d) for d in (1,) + R))
 
 
 @dataclass(frozen=True)
 class ReducedSlack:
-    """A slack numerator/denominator already in lowest terms (see ``verify_partition``).
-
-    Its text is the decimal replay's 2^(n+1) S_n - 1 over R_{n+1}, for the
-    descending slack at index n of ``partition``.
-    """
+    """A slack in lowest terms by ``verify_partition``'s lemma, and its replayed text."""
 
     numerator: int
     denominator: int
-    partition: PartitionData = field(compare=False, repr=False)
-    index: int = field(compare=False, repr=False)
-
-    def text(self) -> str:
-        S, _, R = self.partition.decimal_replay
-        n = self.index
-        numerator = EXACT.subtract(EXACT.multiply(S[n], 1 << (n + 1)), 1)
-        return f"{numerator}/{R[n + 1]}"
+    text: str
 
 
 Slack = Union[Fraction, ReducedSlack]
@@ -229,7 +227,7 @@ class ConditionReport:
             "holds": self.holds,
             "slack": (
                 None if slack is None
-                else slack.text() if isinstance(slack, ReducedSlack)
+                else slack.text if isinstance(slack, ReducedSlack)
                 else rat_str(slack)
             ),
         }
@@ -269,6 +267,7 @@ def _unit_slacks(p: PartitionData) -> Slacks:
     """
     R = [r.denominator for r in p.rationals]
     t = p.greedy_prefix
+    replay_S, _, replay_R = p.decimal_replay
     # numerators of |I_n|/R_n - |I_<n| over R_n and of 2^(-n-1) - |I_n|/R_{n+1}
     # over 2^(n+1) R_{n+1}; grow_num[0] = |I_0| is never zero and never reported
     grow_num = [
@@ -284,7 +283,9 @@ def _unit_slacks(p: PartitionData) -> Slacks:
     descending: List[Slack] = []
     for n in range(p.depth):
         if 0 < n < t:  # both numerators are zero: R_{n+1} = 2^(n+1) |I_<n| R_n
-            descending.append(ReducedSlack((p.prefix_size(n) << (n + 1)) - 1, R[n + 1], p, n))
+            numerator = EXACT.subtract(EXACT.multiply(replay_S[n], 1 << (n + 1)), 1)
+            text = f"{numerator}/{replay_R[n + 1]}"
+            descending.append(ReducedSlack((p.prefix_size(n) << (n + 1)) - 1, R[n + 1], text))
             continue
         k, rem = divmod(R[n + 1], R[n])
         if rem:
@@ -360,17 +361,13 @@ class WeightFunction:
 
     evaluator: Callable[[int], Fraction]
     divergence: str
-    name: str
 
     def __call__(self, m: int) -> Fraction:
         return self.evaluator(m)
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "divergence": self.divergence}
-
 
 def harmonic_weight() -> WeightFunction:
-    return WeightFunction(lambda m: Fraction(1, m + 1), "harmonic", "harmonic")
+    return WeightFunction(lambda m: Fraction(1, m + 1), "harmonic")
 
 
 def selector_weight(selector: DescribedSet, p: PartitionData, n: int) -> Fraction:
@@ -387,7 +384,7 @@ def weight_fn(selector: DescribedSet, p: PartitionData) -> WeightFunction:
 
     co_inf = is_co_infinite(selector)
     divergence = "interval-block" if co_inf else "none"
-    return WeightFunction(evaluate, divergence, "selector")
+    return WeightFunction(evaluate, divergence)
 
 
 def interval_weight(selector: DescribedSet, p: PartitionData, n: int) -> Fraction:
@@ -410,3 +407,30 @@ def degenerate_prefix_weight(p: PartitionData, upto: int) -> Fraction:
         total += p.rationals[n + 1] * p.lengths[n]
     total += p.rationals[last + 1] * (upto - p.starts[last])
     return total
+
+
+def degenerate_weight_below_last_point(p: PartitionData) -> Tuple[str, Fraction, str]:
+    """The full-selector weight of [0, e), e = ``coverage_end`` - 1, with texts.
+
+    Returns the text of e, the weight, and the weight's text.  On greedy
+    data each full interval I_n (n < d-1) weighs r_{n+1} L_n = 2^-(n+1) by
+    tight decay, and the L_{d-1} - 1 points of I_{d-1} below e weigh
+    r_d = 1/R_d each, with R_d = 2^d L_{d-1}; so
+      weight = 1 - 2^-(d-1) + (L_{d-1} - 1)/R_d = ((2^d - 1) L_{d-1} - 1)/R_d.
+    When the reduced sum has exactly this numerator and denominator and the
+    whole partition is its greedy prefix, the decimal replay holds L_{d-1},
+    S_{d-1} and R_d exactly, so the texts are written from it.  (For d >= 2
+    the closed form is reduced: its numerator is odd, as L_{d-1} =
+    S_{d-1} R_{d-1} is even, and is -1 mod L_{d-1}.  At d = 1 it reads 0/2,
+    which the reduced 0/1 does not match.)  Otherwise ``int_str`` and
+    ``rat_str`` write them.
+    """
+    upto = p.coverage_end - 1
+    total = degenerate_prefix_weight(p, upto)
+    d = p.depth
+    closed_form = (((1 << d) - 1) * p.lengths[-1] - 1, p.rationals[d].denominator)
+    if p.greedy_prefix == d and (total.numerator, total.denominator) == closed_form:
+        S, L, R = p.decimal_replay
+        numerator = EXACT.subtract(EXACT.multiply(L[-1], (1 << d) - 1), 1)
+        return str(EXACT.subtract(EXACT.add(S[-1], L[-1]), 1)), total, f"{numerator}/{R[d]}"
+    return int_str(upto), total, rat_str(total)

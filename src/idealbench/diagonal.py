@@ -873,16 +873,6 @@ class SumsStageRecord:
     anchor_value: int
     threshold: int
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "i": self.i,
-            "b": self.b,
-            "ground_index": self.anchor_index,
-            "anchor": str(self.anchor_value),
-            "threshold": str(self.threshold),
-        }
-
 
 @dataclass
 class AnchorState:
@@ -1284,7 +1274,8 @@ def collision_check(
     explicit finite successor set fails that claim outright.  A member x of
     the family below the horizon yields the forbidden label and a realizing
     path; absence below the horizon is reported as inconclusive, never as a
-    refutation.
+    refutation.  The run's engine must have ``explicit_forbidden`` set, so
+    that its families list their members.
     """
     from .trees import check_branching, compute_labels, path_value_search
 
@@ -1312,8 +1303,7 @@ def collision_check(
     label = model.rule.label(hit)
     labelled = compute_labels(tree, coherent_map, oracle)
     path = path_value_search(labelled, label)
-    if (ENGINES[assembled.engine].explicit_forbidden
-            and label not in {int(str(c)) for c in assembled.forbidden}):
+    if label not in {int(str(c)) for c in assembled.forbidden}:
         return CollisionReport(
             "rejected", successor=hit, label=label,
             reason="label of the located successor is not forbidden",
@@ -1339,12 +1329,13 @@ class Engine:
     ``run_<name>`` and ``assemble_<name>`` at call time, so a wrapper bound
     to those names later (a tracer, a test spy) is the one that runs.
     ``explicit_forbidden`` says whether the assembled forbidden labels are
-    label values rather than descriptors.  ``enumerate_family`` maps an
-    assembled family payload to its anchors and to its members enumerated
-    afresh, or is None.  A model declares its form or case in the attribute
-    ``declares``, one of ``values``; the rules of a ``pairs`` engine need a
-    pair form.  ``grounds``, if set, is the table of the ground kinds a
-    model's ``ground`` may have.
+    label values rather than descriptors, and so whether each family lists
+    its ``members``: only such a run can be checked for a collision.
+    ``enumerate_family`` maps an assembled family payload to its anchors and
+    to its members enumerated afresh, or is None.  A model declares its
+    form or case in the attribute ``declares``, one of ``values``; the rules
+    of a ``pairs`` engine need a pair form.  ``grounds``, if set, is the
+    table of the ground kinds a model's ``ground`` may have.
     """
 
     run: Callable[[object, int], object]

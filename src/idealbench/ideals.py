@@ -83,17 +83,6 @@ class SumHarmonic(IdealDescriptor):
 
 
 @dataclass(frozen=True)
-class SumWeighted(IdealDescriptor):
-    """Summable ideal for an explicit weight function."""
-
-    weight: WeightFunction
-    kind: str = field(default="sum_f", init=False)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "weight": self.weight.to_json()}
-
-
-@dataclass(frozen=True)
 class SumSelector(IdealDescriptor):
     """Summable ideal induced by a selector set over a partition."""
 
@@ -201,7 +190,7 @@ def _sum_partial(ideal, s: DescribedSet, horizon: int) -> dict:
 
 
 def _sum_like_membership(ideal, shape, s, horizon) -> Verdict:
-    """Shared rules for sum_harmonic / sum_f / sum_s descriptors."""
+    """Shared rules for sum_harmonic / sum_s descriptors."""
     divergence = ideal.weight.divergence
     if shape is not None:
         tag = shape[0]
@@ -251,7 +240,7 @@ def membership(ideal: IdealDescriptor, s: DescribedSet, horizon: int = 64) -> Ve
             return _unknown("selector-shape-unknown")
         return _sum_like_membership(ideal, shape, s, horizon)
 
-    if isinstance(ideal, (SumHarmonic, SumWeighted)):
+    if isinstance(ideal, SumHarmonic):
         return _sum_like_membership(ideal, shape, s, horizon)
 
     if shape is None:

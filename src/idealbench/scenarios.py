@@ -92,7 +92,15 @@ class Scenario:
         return dict(self.payload)
 
     def certificate_inputs(self, stages: Optional[int]) -> dict:
-        """The inputs of this scenario's certificate; ``stages`` is for a staged run."""
+        """The inputs of this scenario's certificate; a SchemaError if ``stages`` is set.
+
+        Only a diagonalization certificate takes a stage count (a collision
+        scenario names its own ``stages``), so a count given here would be
+        dropped.
+        """
+        if stages is not None:
+            raise SchemaError(f"scenario {self.name!r}: a {self.certificate_kind} "
+                              f"certificate takes no stage count")
         return {"scenario": self.to_json()}
 
 

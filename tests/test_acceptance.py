@@ -84,6 +84,11 @@ def test_c11_certificate_integrity(results):
     assert r.passed, r.detail
 
 
+def test_c11_rechecks_every_certificate_of_c01_to_c10(results):
+    produced = sum(len(results[n].certificates) for n in range(1, 11))
+    assert results[11].detail.startswith(f"{produced} certificates re-verified")
+
+
 def test_suite_runtime_budget(results):
     # the whole acceptance pass must stay comfortably inside five minutes
     total = sum(r.elapsed for r in results.values())

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,23 @@ def test_greedy_hand_run_depth_three():
     )
     # decay condition is tight at the last interval: 24 * 1/192 = 1/8
     assert p.lengths[2] * p.rationals[3] == Fraction(1, 8)
+
+
+@pytest.mark.parametrize("depth", range(1, 13))
+def test_builder_follows_the_greedy_rule_in_fractions(depth):
+    # the rule as the module docstring states it, in Fraction arithmetic:
+    # I_0 = {0}, r_0 = 1, L_n = ceil(S_n / r_n), r_{n+1} = min(r_n/2, 2^-(n+1)/L_n)
+    starts, lengths, rationals = [], [], [Fraction(1)]
+    covered = 0
+    for n in range(depth):
+        r = rationals[n]
+        length = 1 if n == 0 else math.ceil(Fraction(covered) / r)
+        starts.append(covered)
+        lengths.append(length)
+        covered += length
+        rationals.append(min(r / 2, Fraction(1, 2 ** (n + 1)) / length))
+    assert build_partition(depth) == PartitionData(tuple(starts), tuple(lengths),
+                                                   tuple(rationals))
 
 
 def test_greedy_depth_four_interval():

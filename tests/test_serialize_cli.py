@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from idealbench import certify
+from idealbench import certify, diagonal
 from idealbench.cli import run
 from idealbench.errors import SchemaError
 from idealbench.scenarios import load_scenario, rule_from_json
@@ -451,6 +451,33 @@ def test_every_kind_rechecks_and_seedless_kinds_ignore_the_seed(kind):
 @pytest.mark.parametrize("stages", ["0", "-1"])
 def test_cli_diagonalize_rejects_stage_counts_below_one(capsys, stages):
     assert run(["diagonalize", "--scenario", "posdiff-blocks", "--stages", stages]) == 2
+    assert "schema error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, stages", [("sep1-basic", "0"), ("sep1-basic", "4"),
+                                              ("collision-posdiff", "99")])
+def test_cli_diagonalize_refuses_stages_for_scenarios_without_a_stage_count(
+        tmp_path, capsys, scenario, stages):
+    # a tree certificate has no stage count and a collision names its own,
+    # so --stages would be dropped; without it both keep their certificates
+    assert run(["diagonalize", "--scenario", scenario, "--stages", stages]) == 2
+    assert "schema error" in capsys.readouterr().err
+    out = tmp_path / "cert.json"
+    assert run(["diagonalize", "--scenario", scenario, "--out", str(out)]) == 0
+    scn = load_scenario(scenario)
+    assert load_json(out) == certify.produce(scn.certificate_kind, {"scenario": scn.to_json()}, 0)
+
+
+def test_cli_collision_over_a_pwfin_run_is_refused_before_any_stage(
+        tmp_path, capsys, monkeypatch):
+    # pwfin families list intervals, not members, so no member can meet the tree
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a pwfin stage ran")
+
+    monkeypatch.setattr(diagonal, "run_pwfin", no_stage)
+    path = tmp_path / "scenario.json"
+    dump_json(path, _changed_scenario("collision-posdiff", diag="pw-2b"))
+    assert run(["diagonalize", "--scenario", str(path)]) == 2
     assert "schema error" in capsys.readouterr().err
 
 
