@@ -1,14 +1,18 @@
-"""Measure greedy partition growth, build, verify and decimal I/O times by depth.
+"""Measure greedy partition build, verify and decimal I/O times by depth.
 
-The growth conditions force |I_{n+1}| >= 2^(n+1) |I_n|^2, so interval
-sizes gain roughly a doubling digit count per level and build times grow
-by about a factor of three per level past depth 20.  For each depth this
-script prints the build and verify times, the emit time (``to_json`` of
-the partition and of its report, which turns every integer into a decimal
-string), the parse time (``PartitionData.from_json`` of that output) and
-the digit count of the last interval, so the depth-30 infeasibility
-documented in the acceptance suite can be reproduced on any machine.
-Times are wall seconds from ``time.perf_counter``.
+The growth conditions force |I_{n+1}| >= 2^(n+1) |I_n|^2, so the digit
+count of the interval sizes doubles per level: about 1.7e5 digits at depth
+19 and 5.5e6 at depth 24.  ``build_partition`` computes no number until
+one is read, so the build of the greedy numbers in exact ``Decimal``
+(libmpdec's transform multiply) shows under verify; it grows about twofold
+per level at those depths.  For each depth this script prints the build
+and verify times, the emit time (``to_json`` of the partition and of
+its report), the parse time (``PartitionData.from_json`` of that output)
+and the digit count of the last interval, read off the emitted text so
+that no int is made.  It ends with the frontier: the largest depth whose
+build plus verify fits in one second.  The depth-30 infeasibility
+documented in the acceptance suite can be reproduced this way on any
+machine.  Times are wall seconds from ``time.perf_counter``.
 
 ``--posdiff HORIZON`` times the difference engine instead: ``run_posdiff``
 and ``assemble`` on the bundled ``posdiff-blocks`` scenario at its default
@@ -52,6 +56,7 @@ def main() -> int:
     if args.posdiff is not None:
         bench_posdiff(args.posdiff)
         return 0
+    frontier = None
     for depth in range(4, args.max_depth + 1):
         t0 = time.perf_counter()
         p = build_partition(depth)
@@ -63,15 +68,17 @@ def main() -> int:
         t3 = time.perf_counter()
         PartitionData.from_json(emitted)
         t4 = time.perf_counter()
-        bits = p.lengths[-1].bit_length()
         print(
             f"depth {depth:2d}: build {t1 - t0:8.3f}s verify {t2 - t1:8.3f}s "
             f"emit {t3 - t2:8.3f}s parse {t4 - t3:8.3f}s "
-            f"last interval ~{bits / 3.32:.3g} digits passed={report.passed}"
+            f"last interval {len(emitted['lengths'][-1])} digits passed={report.passed}"
         )
+        if t2 - t0 <= 1.0:
+            frontier = depth
         if t1 - t0 > args.budget:
             print("budget exceeded, stopping")
             break
+    print(f"frontier: depth {frontier}")
     return 0
 
 

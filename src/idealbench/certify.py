@@ -21,6 +21,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from . import diagonal
 from .construction import (
+    MAX_DEPTH,
     build_partition,
     degenerate_weight_below_last_point,
     selector_weight,
@@ -432,18 +433,19 @@ def _pairing(bound: int, unordered_bound: int) -> dict:
 class Kind:
     """One certificate kind; ``KINDS`` is the one place a kind is declared.
 
-    Its inputs are ``integers``, each ``(key, default, minimum)`` with the
-    default None when required; with ``sizes``, a list of integers >= 2;
-    with ``scenario``, a scenario object of that class, whose assumptions
-    the certificate records.  ``compute`` takes them by name, plus ``rng``,
-    a fresh ``random.Random(seed)``, when ``seeded``, and returns the body.
+    Its inputs are ``integers``, each ``(key, default, minimum)`` or
+    ``(key, default, minimum, maximum)`` with the default None when
+    required; with ``sizes``, a list of integers >= 2; with ``scenario``,
+    a scenario object of that class, whose assumptions the certificate
+    records.  ``compute`` takes them by name, plus ``rng``, a fresh
+    ``random.Random(seed)``, when ``seeded``, and returns the body.
     ``expected`` names the body fields that are all true when a run came out
     as its scenario declares.
     """
 
     name: str
     compute: Callable[..., dict]
-    integers: Tuple[Tuple[str, Optional[int], int], ...] = ()
+    integers: Tuple[Tuple, ...] = ()
     sizes: bool = False
     scenario: Optional[type] = None
     seeded: bool = False
@@ -456,8 +458,8 @@ class Kind:
         where = f"{self.name} inputs"
         if not isinstance(inputs, dict):
             raise SchemaError(f"{where} must be an object")
-        args = {key: integer_field(inputs, key, default, where, minimum)
-                for key, default, minimum in self.integers}
+        args = {key: integer_field(inputs, key, default, where, *bounds)
+                for key, default, *bounds in self.integers}
         if self.sizes:
             args["sizes"] = sizes = inputs.get("sizes")
             if not isinstance(sizes, list) or not all(
@@ -475,7 +477,7 @@ class Kind:
                 "assumptions": assumptions, "body": self.compute(**args)}
 
 
-_DEPTH = ("depth", None, 1)
+_DEPTH = ("depth", None, 1, MAX_DEPTH)
 _STAGES = ("stages", None, 1)
 
 KINDS: Dict[str, Kind] = {kind.name: kind for kind in (
@@ -483,7 +485,7 @@ KINDS: Dict[str, Kind] = {kind.name: kind for kind in (
     Kind("weight-bound", _weight_bound, (_DEPTH,)),
     Kind("subset-reduction", _subset_reduction, (_DEPTH, ("pairs", None, 0)), seeded=True),
     Kind("pigeonhole", _pigeonhole,
-         (("depth", 4, 1), ("samples", None, 1), ("interval", 2, 1)), seeded=True),
+         (("depth", 4, 1, MAX_DEPTH), ("samples", None, 1), ("interval", 2, 1)), seeded=True),
     Kind("diagonalization", _diagonalization, (_STAGES,), scenario=DiagScenario,
          expected=("as_expected",)),
     Kind("structural-identity", _structural_identity, (_STAGES,), scenario=DiagScenario),

@@ -16,6 +16,7 @@ from . import certify
 from .acceptance import run_all
 from .construction import (
     DEFAULT_DEPTH,
+    MAX_DEPTH,
     PartitionData,
     build_partition,
     verify_partition,
@@ -30,7 +31,7 @@ from .reduction import (
     katetov_witness_check,
 )
 from .scenarios import bundled_names, load_scenario
-from .serialize import dump_json, load_json, rat_str
+from .serialize import dump_json, integer_field, load_json, rat_str
 from .sets import set_from_json
 
 USAGE_ERROR = 2
@@ -46,8 +47,13 @@ def _emit(obj, out: Optional[str]) -> None:
         sys.stdout.write("\n")
 
 
+def _depth(args) -> int:
+    """``--depth``, from 1 to ``MAX_DEPTH``; a SchemaError outside."""
+    return integer_field(vars(args), "depth", None, f"{args.command} --depth", 1, MAX_DEPTH)
+
+
 def _cmd_construct(args) -> int:
-    p = build_partition(args.depth)
+    p = build_partition(_depth(args))
     _emit(p.to_json(), args.out)
     return 0
 
@@ -67,7 +73,7 @@ def _cmd_verify_construction(args) -> int:
 
 
 def _cmd_weights(args) -> int:
-    p = build_partition(args.depth)
+    p = build_partition(_depth(args))
     selector = set_from_json(json.loads(args.selector))
     w = weight_fn(selector, p)
     upto = min(args.horizon, p.coverage_end)

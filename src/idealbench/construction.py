@@ -26,16 +26,30 @@ and (2) jointly force |I_{n+1}| >= 2^(n+1) |I_n|^2, i.e. interval sizes
 whose digit counts double every level.
 
 ``greedy_numbers`` is the one place the recurrence is written; only its
-arithmetic varies, ``int`` or exact ``Decimal``.  ``build_partition`` takes
-its first terms in ``int``.  ``PartitionData.greedy_prefix`` counts the
-leading indices on which given data agrees with it.  On that prefix
-``PartitionData.decimal_replay`` runs it in ``Decimal``, so the decimal
-text needs no radix conversion, and the descending slacks are in lowest
-terms without a gcd (see ``verify_partition``).  Elsewhere
-``serialize.int_str`` converts and ``Fraction`` reduces.  What remains is
-the big-integer arithmetic itself: the recurrence's products grow three-
-to fourfold per level, and so does parsing the decimal text back
-(``serialize.int_parse``).
+arithmetic varies, ``int`` or exact ``Decimal`` (``serialize.EXACT``).  The
+two hold the same numbers, and a partition runs each at most once, when
+its numbers are first read in it.  ``build_partition(d)`` knows that its
+data is greedy throughout, and ``PartitionData.from_json`` reads each
+digit run as ``Decimal`` (linear time) while it agrees with the
+recurrence, so both know their greedy prefix without a second run.
+
+* ``Decimal`` (``decimal_replay``) holds the greedy numbers for everything
+  that writes or checks them.  On the greedy prefix the decimal text needs
+  no radix conversion, ``verify_partition`` reads the identities and the
+  descending slacks in lowest terms (its lemma) off the replay, and the
+  weight bound's texts come from its closed form.  libmpdec multiplies
+  large numbers by a number-theoretic transform, where CPython's ``int``
+  uses Karatsuba, so this is the faster build.
+* ``int`` fields (``starts``, ``lengths``, ``rationals``) appear on first
+  read, the greedy prefix from ``greedy_numbers(int)``; no ``Decimal`` is
+  ever converted to ``int``, which CPython does in quadratic time.  The
+  engines, ideals and reductions read ints, as does the exact weight sum
+  ``degenerate_prefix_weight``.  Data past the greedy prefix (a tampered or
+  foreign file) is parsed by ``serialize.int_parse``, written by
+  ``serialize.int_str`` and checked with ``Fraction``.
+
+The greedy numbers double their digit count per level, so a depth is
+accepted from outside only up to ``MAX_DEPTH``.
 """
 
 from __future__ import annotations
@@ -46,26 +60,63 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice
-from typing import Callable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import HorizonExhausted, SchemaError, StructuralError
 from .sets import DescribedSet
-from .serialize import EXACT, int_parse, int_str, rat_parse, rat_str
+from .serialize import EXACT, digit_run, int_parse, int_str, rat_parse, rat_str
 
 DEFAULT_DEPTH = 12
+# the largest depth built for a request (a certificate or scenario input, a
+# descriptor, a command-line flag); the Decimal build there takes about 0.5 s
+# on a 2-core x86-64 machine, and each level doubles it
+MAX_DEPTH = 24
 
 Number = Union[int, Decimal]
+Replay = Tuple[List[Decimal], List[Decimal], List[Decimal]]
 
 
 @dataclass(frozen=True)
 class PartitionData:
-    """Intervals as (start, length) pairs plus rationals r_0 .. r_depth."""
+    """Intervals as (start, length) pairs plus rationals r_0 .. r_depth.
+
+    ``PartitionData(starts, lengths, rationals)`` holds the given ints.
+    ``build_partition`` and ``from_json`` hold the length of the greedy
+    prefix instead, plus the ints past it.  Their int fields are made on
+    first read, the prefix by ``greedy_numbers(int)``, and the prefix's
+    ``Decimal`` terms (``decimal_replay``) likewise, unless ``from_json``
+    has them already.
+    """
 
     starts: Tuple[int, ...]
     lengths: Tuple[int, ...]
     rationals: Tuple[Fraction, ...]
 
-    @property
+    @staticmethod
+    def _greedy_then(t: int, past: Tuple[tuple, tuple, tuple] = ((), (), ()),
+                     replay: Optional[Replay] = None) -> "PartitionData":
+        """The greedy partition's first t indices, then the entries ``past`` them.
+
+        ``past`` holds ``starts[t:]``, ``lengths[t:]`` and ``rationals[t+1:]``
+        (all the rationals when t is 0); ``replay``, when given, is what
+        ``decimal_replay`` would compute.
+        """
+        p = object.__new__(PartitionData)
+        vars(p).update(greedy_prefix=t, depth=t + len(past[1]), _past_prefix=past)
+        if replay is not None:
+            vars(p)["decimal_replay"] = replay
+        return p
+
+    def __getattr__(self, name: str):
+        # only reached for an int field of ``_greedy_then`` data not read yet
+        past = vars(self).get("_past_prefix")
+        if past is None or name not in ("starts", "lengths", "rationals"):
+            raise AttributeError(name)
+        S, L, r = _greedy_ints(self.greedy_prefix)
+        vars(self).update(starts=S + past[0], lengths=L + past[1], rationals=r + past[2])
+        return vars(self)[name]
+
+    @cached_property
     def depth(self) -> int:
         return len(self.lengths)
 
@@ -105,27 +156,27 @@ class PartitionData:
         """The number t of leading indices on which this data is the greedy partition.
 
         Index n counts when index n-1 does and S_n, L_n and r_{n+1} = 1/R_{n+1}
-        are the n-th terms of ``greedy_numbers``; index 0 also needs r_0 = 1.
-        So S_n and L_n for n < t and R_n for n <= t are what
-        ``decimal_replay`` computes.  Computed on first use and kept with
-        this instance only: ``dataclasses.replace`` makes a new one that
-        computes its own.
+        are the n-th terms of ``greedy_numbers``; index 0 also needs r_0 = 1,
+        and data without as many starts as lengths and one more rational has
+        t = 0.  So S_n and L_n for n < t and R_n for n <= t are what
+        ``decimal_replay`` holds.  ``build_partition`` and ``from_json`` know
+        t; given ints are compared on first use, and ``dataclasses.replace``
+        makes a new instance that compares its own.
         """
         S, L, r = self.starts, self.lengths, self.rationals
-        depth = min(len(S), len(L), len(r) - 1)
-        if depth < 1 or r[0] != 1:
+        if not len(S) == len(L) == len(r) - 1 or r[0] != 1:
             return 0
-        for n, (s, l, R) in zip(range(depth), greedy_numbers()):
+        for n, (s, l, R) in zip(range(len(L)), greedy_numbers()):
             if (S[n], L[n], r[n + 1].numerator, r[n + 1].denominator) != (s, l, 1, R):
                 return n
-        return depth
+        return len(L)
 
     @cached_property
-    def decimal_replay(self) -> Tuple[List[Decimal], List[Decimal], List[Decimal]]:
+    def decimal_replay(self) -> Replay:
         """Exact ``Decimal`` S_n, L_n (n < t) and R_n (n <= t), t = ``greedy_prefix``.
 
-        ``greedy_numbers`` in ``Decimal``, so equal to the stored integers
-        without converting any of them.
+        ``greedy_numbers`` in ``Decimal``, so equal to the integers of the
+        prefix without converting any of them.
         """
         t = self.greedy_prefix
         if t == 0:
@@ -134,17 +185,24 @@ class PartitionData:
         return list(S), list(L), [Decimal(1), *R]
 
     def to_json(self) -> dict:
+        """Decimal text: the replay's on the greedy prefix, ``int_str`` past it."""
         S, L, R = self.decimal_replay
-        return {
-            "depth": self.depth,
-            "starts": _texts(S, self.starts),
-            "lengths": _texts(L, self.lengths),
-            "rationals": [f"1/{d}" for d in R] + [rat_str(r) for r in self.rationals[len(R):]],
-        }
+        starts, lengths = [str(d) for d in S], [str(d) for d in L]
+        rationals = [f"1/{d}" for d in R]
+        if self.greedy_prefix < self.depth:
+            starts += [int_str(s) for s in self.starts[len(S):]]
+            lengths += [int_str(l) for l in self.lengths[len(L):]]
+            rationals += [rat_str(r) for r in self.rationals[len(R):]]
+        return {"depth": self.depth, "starts": starts, "lengths": lengths, "rationals": rationals}
 
     @staticmethod
     def from_json(obj: dict) -> "PartitionData":
-        """Parse ``to_json`` output; raises SchemaError on any other shape."""
+        """Parse ``to_json`` output; raises SchemaError on any other shape.
+
+        The entries are read as exact ``Decimal`` (in linear time) while they
+        agree with ``greedy_numbers(Decimal)``; only the entries past that
+        greedy prefix go through ``int_parse``.
+        """
         if not isinstance(obj, dict):
             raise SchemaError("partition must be a JSON object")
         for key in ("starts", "lengths", "rationals"):
@@ -152,23 +210,58 @@ class PartitionData:
                 raise SchemaError(f"partition needs a list {key!r}")
             if not all(isinstance(x, str) for x in obj[key]):
                 raise SchemaError(f"partition {key!r} entries must be strings")
-        try:
-            starts = tuple(int_parse(s) for s in obj["starts"])
-            lengths = tuple(int_parse(l) for l in obj["lengths"])
-        except ValueError as exc:
-            raise SchemaError(f"partition bounds must be decimal integers: {exc}") from exc
-        rationals = tuple(rat_parse(r) for r in obj["rationals"])
+        starts, lengths, rationals = obj["starts"], obj["lengths"], obj["rationals"]
         if len(starts) != len(lengths):
             raise SchemaError("partition needs as many starts as lengths")
+        if not lengths:
+            raise SchemaError("partition needs at least one interval")
+        if len(rationals) != len(lengths) + 1:
+            raise SchemaError("partition needs one more rational than lengths")
         depth = obj.get("depth", len(lengths))
         if type(depth) is not int or depth != len(lengths):
             raise SchemaError(f"partition depth {depth!r} disagrees with {len(lengths)} lengths")
-        return PartitionData(starts, lengths, rationals)
+        replay = _greedy_texts(starts, lengths, rationals)
+        t = len(replay[0])
+        try:
+            past = (tuple(int_parse(s) for s in starts[t:]),
+                    tuple(int_parse(l) for l in lengths[t:]),
+                    tuple(rat_parse(r) for r in rationals[t + 1 if t else 0:]))
+        except ValueError as exc:
+            raise SchemaError(f"partition bounds must be decimal integers: {exc}") from exc
+        return PartitionData._greedy_then(t, past, replay)
 
 
-def _texts(replayed: List[Decimal], values: Tuple[int, ...]) -> List[str]:
-    """Decimal text of each value: the replay's where it reaches, ``int_str`` past it."""
-    return [str(d) for d in replayed] + [int_str(v) for v in values[len(replayed):]]
+def _greedy_texts(starts: Sequence[str], lengths: Sequence[str], rationals: Sequence[str]) -> Replay:
+    """The replay of the leading indices whose texts write the greedy partition's values.
+
+    A text counts only when it is a ``digit_run``, read as ``Decimal``; any
+    other text ends the prefix, and ``int_parse`` reads it past there.
+    """
+    S: List[Decimal] = []
+    L: List[Decimal] = []
+    R = [Decimal(1)]
+    if not _writes_unit(rationals[0], R[0]):
+        return [], [], []
+    for s, l, r, (gs, gl, gR) in zip(starts, lengths, rationals[1:], greedy_numbers(Decimal)):
+        if not (_writes(s, gs) and _writes(l, gl) and _writes_unit(r, gR)):
+            break
+        S.append(gs)
+        L.append(gl)
+        R.append(gR)
+    return (S, L, R) if S else ([], [], [])
+
+
+def _writes(text: str, value: Decimal) -> bool:
+    return digit_run(text) and Decimal(text) == value
+
+
+def _writes_unit(text: str, R: Decimal) -> bool:
+    """Whether ``text`` is 'p/q' with digit runs p != 0 and q = p R, so writes 1/R."""
+    p, _, q = text.partition("/")
+    if not (digit_run(p) and digit_run(q)):
+        return False
+    numerator = Decimal(p)
+    return numerator != 0 and Decimal(q) == EXACT.multiply(numerator, R)
 
 
 # add and multiply in each arithmetic that greedy_numbers runs in
@@ -192,21 +285,36 @@ def greedy_numbers(number: Callable[[int], Number] = int) -> Iterator[Tuple[Numb
         R = multiply(L, 1 << (n + 1))
 
 
+def _greedy_ints(t: int) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[Fraction, ...]]:
+    """``starts[:t]``, ``lengths[:t]`` and ``rationals[:t+1]`` of the greedy partition (none at t = 0)."""
+    if t == 0:
+        return (), (), ()
+    S, L, R = zip(*islice(greedy_numbers(), t))
+    return S, L, tuple(Fraction(1, d) for d in (1,) + R)
+
+
 def build_partition(depth: int) -> PartitionData:
-    """Greedy partition of the given depth (number of intervals)."""
+    """Greedy partition of the given depth (number of intervals).
+
+    It knows it is greedy throughout, and runs ``greedy_numbers`` in each
+    arithmetic only when its numbers are first read in it: ``int`` for the
+    int fields, ``Decimal`` for the text and the checks.
+    """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    S, L, R = zip(*islice(greedy_numbers(), depth))
-    return PartitionData(S, L, tuple(Fraction(1, d) for d in (1,) + R))
+    return PartitionData._greedy_then(depth)
 
 
 @dataclass(frozen=True)
 class ReducedSlack:
-    """A slack in lowest terms by ``verify_partition``'s lemma, and its replayed text."""
+    """A slack (k-1)/R_{n+1} in lowest terms by ``verify_partition``'s lemma, in exact Decimal."""
 
-    numerator: int
-    denominator: int
-    text: str
+    numerator: Decimal
+    denominator: Decimal
+
+    @property
+    def text(self) -> str:
+        return f"{self.numerator}/{self.denominator}"
 
 
 Slack = Union[Fraction, ReducedSlack]
@@ -260,33 +368,34 @@ def _fraction_slacks(p: PartitionData) -> Slacks:
 def _unit_slacks(p: PartitionData) -> Slacks:
     """The same slacks when every r_n is a unit fraction 1/R_n.
 
-    Growth and decay slacks are integer numerators over known denominators,
-    and a Fraction (with its gcd) is built only for a non-zero numerator.
-    On the greedy prefix those numerators are zero by ``greedy_prefix``'s
-    checks, and each descending slack past index 0 is a ``ReducedSlack``.
+    On the greedy prefix (n < t = ``greedy_prefix``) the growth and decay
+    slacks are zero, the descending slack at 0 is 1/2, and each one past 0
+    is a ``ReducedSlack`` from the decimal replay; no int is read there.
+    From index t on, growth and decay slacks are integer numerators over
+    known denominators, and a Fraction (with its gcd) is built only for a
+    non-zero numerator.
     """
-    R = [r.denominator for r in p.rationals]
     t = p.greedy_prefix
     replay_S, _, replay_R = p.decimal_replay
-    # numerators of |I_n|/R_n - |I_<n| over R_n and of 2^(-n-1) - |I_n|/R_{n+1}
-    # over 2^(n+1) R_{n+1}; grow_num[0] = |I_0| is never zero and never reported
-    grow_num = [
-        0 if 0 < n < t else p.lengths[n] - p.prefix_size(n) * R[n] for n in range(p.depth)
-    ]
-    decay_num = [0 if n < t else R[n + 1] - (p.lengths[n] << (n + 1)) for n in range(p.depth)]
+    growth: List[Fraction] = [Fraction(0)] * max(t - 1, 0)
+    decay: List[Fraction] = [Fraction(0)] * t
+    descending: List[Slack] = [Fraction(1, 2)] * min(t, 1)
+    for n in range(1, t):  # R_{n+1} = 2^(n+1) |I_<n| R_n
+        numerator = EXACT.subtract(EXACT.multiply(replay_S[n], 1 << (n + 1)), 1)
+        descending.append(ReducedSlack(numerator, replay_R[n + 1]))
+    if t == p.depth:
+        return growth, decay, descending
 
     def over(num: int, den: int) -> Fraction:
         return Fraction(num, den) if num else Fraction(0)
 
-    growth = [over(grow_num[n], R[n]) for n in range(1, p.depth)]
-    decay = [over(decay_num[n], R[n + 1] << (n + 1)) for n in range(p.depth)]
-    descending: List[Slack] = []
-    for n in range(p.depth):
-        if 0 < n < t:  # both numerators are zero: R_{n+1} = 2^(n+1) |I_<n| R_n
-            numerator = EXACT.subtract(EXACT.multiply(replay_S[n], 1 << (n + 1)), 1)
-            text = f"{numerator}/{replay_R[n + 1]}"
-            descending.append(ReducedSlack((p.prefix_size(n) << (n + 1)) - 1, R[n + 1], text))
-            continue
+    R = [r.denominator for r in p.rationals]
+    # numerators of |I_n|/R_n - |I_<n| over R_n and of 2^(-n-1) - |I_n|/R_{n+1}
+    # over 2^(n+1) R_{n+1}
+    for n in range(max(t, 1), p.depth):
+        growth.append(over(p.lengths[n] - p.prefix_size(n) * R[n], R[n]))
+    for n in range(t, p.depth):
+        decay.append(over(R[n + 1] - (p.lengths[n] << (n + 1)), R[n + 1] << (n + 1)))
         k, rem = divmod(R[n + 1], R[n])
         if rem:
             descending.append(Fraction(R[n + 1] - R[n], R[n] * R[n + 1]))
@@ -312,28 +421,34 @@ def verify_partition(p: PartitionData) -> PartitionReport:
     (k is even), and k - 1 = -1 (mod S_j) for every j <= n, so gcd(k-1, R_n) = 1; and
     gcd(k-1, k) = 1.  So gcd(k-1, R_{n+1}) = gcd(k-1, k R_n) = 1.
 
-    Index 0 and every index from t on take the ``Fraction`` paths.
+    Data that is greedy throughout (0 < t = depth) has the shape, the base,
+    contiguous non-empty intervals and unit rationals by those identities,
+    so it is checked and reported from its decimal replay alone.  Any other
+    data is checked on its ints, and index 0 and every index from t on take
+    the ``Fraction`` paths.
     """
-    if p.depth < 1 or len(p.rationals) != p.depth + 1:
-        raise StructuralError("need depth intervals and depth+1 rationals")
-    if p.starts[0] != 0:
-        raise StructuralError("intervals must start at 0")
-    for n in range(1, p.depth):
-        if p.starts[n] != p.end(n - 1):
-            raise StructuralError(f"interval {n} is not contiguous")
-    if any(l < 1 for l in p.lengths):
-        raise StructuralError("intervals must be non-empty")
-    if any(r <= 0 for r in p.rationals):
-        raise StructuralError("rationals must be positive")
+    greedy = 0 < p.greedy_prefix == p.depth
+    if not greedy:
+        if p.depth < 1 or len(p.rationals) != p.depth + 1:
+            raise StructuralError("need depth intervals and depth+1 rationals")
+        if p.starts[0] != 0:
+            raise StructuralError("intervals must start at 0")
+        for n in range(1, p.depth):
+            if p.starts[n] != p.end(n - 1):
+                raise StructuralError(f"interval {n} is not contiguous")
+        if any(l < 1 for l in p.lengths):
+            raise StructuralError("intervals must be non-empty")
+        if any(r <= 0 for r in p.rationals):
+            raise StructuralError("rationals must be positive")
 
     reports: List[ConditionReport] = []
     # condition (3): I_0 = {0}, r_0 = 1
     reports.append(
         ConditionReport(
-            "base", 0, p.lengths[0] == 1 and p.rationals[0] == 1, None
+            "base", 0, p.greedy_prefix > 0 or (p.lengths[0] == 1 and p.rationals[0] == 1), None
         )
     )
-    if all(r.numerator == 1 for r in p.rationals):
+    if greedy or all(r.numerator == 1 for r in p.rationals):
         growth, decay, descending = _unit_slacks(p)
     else:
         growth, decay, descending = _fraction_slacks(p)

@@ -17,6 +17,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from .construction import (
     DEFAULT_DEPTH,
+    MAX_DEPTH,
     PartitionData,
     WeightFunction,
     build_partition,
@@ -157,7 +158,7 @@ def ideal_from_json(obj: dict, partition: Optional[PartitionData] = None) -> Ide
         return _FIELDLESS[kind]()
     if kind == SumSelector.kind:
         p = partition or build_partition(
-            integer_field(obj, "depth", DEFAULT_DEPTH, "a sum_s ideal", minimum=1))
+            integer_field(obj, "depth", DEFAULT_DEPTH, "a sum_s ideal", 1, MAX_DEPTH))
         return SumSelector(set_from_json(obj.get("selector")), p)
     raise SchemaError(f"unknown ideal kind {kind!r}")
 

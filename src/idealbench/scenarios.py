@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .construction import DEFAULT_DEPTH, PartitionData, build_partition
+from .construction import DEFAULT_DEPTH, MAX_DEPTH, PartitionData, build_partition
 from .diagonal import ENGINES, LABEL_KINDS, CriticalNodeModel, LabelRule
 from .errors import SchemaError
 from .ideals import IdealDescriptor, ideal_from_json
@@ -82,8 +82,10 @@ class Scenario:
             raise SchemaError(f"scenario {self.name!r} needs {key!r}")
         return self.payload[key]
 
-    def _integer(self, key: str, default: Optional[int], minimum: Optional[int] = None) -> int:
-        return integer_field(self.payload, key, default, f"scenario {self.name!r}", minimum)
+    def _integer(self, key: str, default: Optional[int], minimum: Optional[int] = None,
+                 maximum: Optional[int] = None) -> int:
+        return integer_field(self.payload, key, default, f"scenario {self.name!r}",
+                             minimum, maximum)
 
     def assumptions(self) -> List[dict]:
         return check_assumptions(self.payload.get("assumptions"), self.name)
@@ -124,7 +126,7 @@ class DiagScenario(Scenario):
         return self._integer("horizon", None)
 
     def partition(self) -> PartitionData:
-        return build_partition(self._integer("depth", DEFAULT_DEPTH, minimum=1))
+        return build_partition(self._integer("depth", DEFAULT_DEPTH, 1, MAX_DEPTH))
 
     def models(self, partition: Optional[PartitionData] = None) -> List[CriticalNodeModel]:
         models = self.payload.get("models")

@@ -80,15 +80,26 @@ def int_str(n: int) -> str:
     return "-" + digits if n < 0 else digits
 
 
+def digit_run(s: str) -> bool:
+    """Whether ``s`` is an optionally signed run of ASCII digits.
+
+    These are the texts that ``int_parse`` splits, and the only ones that
+    may be read as ``Decimal`` in its place: ``Decimal()`` also accepts
+    exponents, points, NaN and Infinity, which ``int()`` refuses.
+    """
+    body = s[1:] if s[:1] in ("+", "-") else s
+    return body.isascii() and body.isdigit()
+
+
 def int_parse(s: str) -> int:
     """``int(s)`` in time subquadratic in the length of ``s``.
 
-    Accepts and rejects exactly what ``int()`` does: only an optionally
-    signed run of ASCII digits takes the split path, and everything else
-    (underscores, whitespace, non-ASCII digits) goes to ``int()`` itself.
+    Accepts and rejects exactly what ``int()`` does: only a ``digit_run``
+    takes the split path, and everything else (underscores, whitespace,
+    non-ASCII digits) goes to ``int()`` itself.
     """
     body = s[1:] if s[:1] in ("+", "-") else s
-    if len(body) <= PLAIN_DIGITS or not (body.isascii() and body.isdigit()):
+    if len(body) <= PLAIN_DIGITS or not digit_run(s):
         return int(s)
     pow5 = {}  # w -> 5**w, per call: the split widths recur
 
@@ -171,12 +182,13 @@ def check_assumptions(entries: Any, where: str) -> List[dict]:
 
 
 def integer_field(
-    obj: dict, key: str, default: Optional[int], where: str, minimum: Optional[int] = None
+    obj: dict, key: str, default: Optional[int], where: str,
+    minimum: Optional[int] = None, maximum: Optional[int] = None,
 ) -> int:
     """``obj[key]`` (or ``default`` when absent) as an integer; bools are not.
 
-    With ``minimum``, a smaller integer is refused too, and an ``obj`` that
-    is not an object is refused always.
+    With ``minimum`` or ``maximum``, an integer outside them is refused too,
+    and an ``obj`` that is not an object is refused always.
     """
     if not isinstance(obj, dict):
         raise SchemaError(f"{where} must be an object")
@@ -185,6 +197,8 @@ def integer_field(
         raise SchemaError(f"{where}: {key} must be an integer")
     if minimum is not None and value < minimum:
         raise SchemaError(f"{where}: {key} must be at least {minimum}")
+    if maximum is not None and value > maximum:
+        raise SchemaError(f"{where}: {key} must be at most {maximum}")
     return value
 
 

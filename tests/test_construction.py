@@ -1,14 +1,16 @@
 """Greedy partition data: exact conditions and weight behavior."""
 
 import dataclasses
+import decimal
 import hashlib
+import json
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from idealbench import certify
+from idealbench import certify, construction
 from idealbench.cli import run
 from idealbench.construction import (
     PartitionData,
@@ -20,8 +22,16 @@ from idealbench.construction import (
     verify_partition,
     weight_fn,
 )
-from idealbench.errors import HorizonExhausted, StructuralError
-from idealbench.serialize import canonical_bytes, dump_json, int_parse, int_str, load_json, rat_str
+from idealbench.errors import HorizonExhausted, SchemaError, StructuralError
+from idealbench.serialize import (
+    canonical_bytes,
+    dump_json,
+    int_parse,
+    int_str,
+    load_json,
+    rat_parse,
+    rat_str,
+)
 from idealbench.sets import Finite, Progression, full_set
 
 
@@ -276,12 +286,17 @@ def test_tampered_report_bytes_are_pinned(tmp_path):
 
 
 # sha256 of the canonical certificate bytes (seed 0) as plain str() writes
-# them; depths 16 and 17 carry integers long enough for int_str to split
+# them; depths 16 to 19 carry integers long enough for int_str to split,
+# and 18 and 19 are the deepest that the benchmark's partition workload draws
 PINNED_CERTIFICATES = {
     ("partition", 16): "fe0e61ba38752c8f891761d1f8ea080485bacd16057a2c0f62b712a89851449f",
     ("partition", 17): "c5e20ae0278265e6253b10ca9df62e6713ee9f536a566d60610c1fcb11a577d4",
+    ("partition", 18): "589fbeec6af57f8ef7d8d590ac3a9f6863a78e9aff093f6fdab3d77798e8cb03",
+    ("partition", 19): "53038c9f0ccadfc906d4055912424db29fb60e6a1fb040295c8febaf59b5de95",
     ("weight-bound", 16): "752157cbf2f829ea0c53b99b0360a22406f84481126ece7e67c87ce0a2e1163d",
     ("weight-bound", 17): "1397d3a1b9cb386e63f713f18cac440cb96550f035ab5fead32dc0789e2a527d",
+    ("weight-bound", 18): "7e225a8e8a9385856d2dfb9e120581e04ece59a7a9a8930a143a24da01abadf7",
+    ("weight-bound", 19): "4c8ce22cdd94e4b50782b3c6140e7805b9b2c6c4b9660da67e3322217fc3dab9",
 }
 
 
@@ -290,6 +305,15 @@ def test_partition_certificate_bytes_are_pinned(kind, depth):
     cert = certify.produce(kind, {"depth": depth}, 0)
     digest = hashlib.sha256(canonical_bytes(cert)).hexdigest()
     assert digest == PINNED_CERTIFICATES[(kind, depth)]
+
+
+def test_verify_construction_report_of_depth_19_is_pinned(tmp_path):
+    # construct, emit, parse and verify through the CLI at the benchmark's deepest depth
+    src, out = tmp_path / "partition.json", tmp_path / "report.json"
+    assert run(["construct", "--depth", "19", "--out", str(src)]) == 0
+    assert run(["verify-construction", "--in", str(src), "--out", str(out)]) == 0
+    digest = hashlib.sha256(canonical_bytes(load_json(out))).hexdigest()
+    assert digest == "ab73f943b8e9ff5e1a2bddfd14b521d59d608cbd416a52443fe92d567f72637e"
 
 
 def test_non_contiguous_intervals_rejected():
@@ -375,3 +399,128 @@ def test_partition_serialization_roundtrip():
     p = build_partition(5)
     back = PartitionData.from_json(p.to_json())
     assert back == p
+
+
+def _depth_six_with(position, text):
+    """A depth-6 greedy document with one entry, or one side of a rational, replaced."""
+    doc = build_partition(6).to_json()
+    key, index, side = position
+    if side is None:
+        doc[key][index] = text
+    else:
+        num, den = doc[key][index].split("/")
+        doc[key][index] = f"{text}/{den}" if side == "num" else f"{num}/{text}"
+    return doc
+
+
+def _reference_verdict(doc):
+    """Exit code and report bytes of verify-construction with every text read by ``int_parse``."""
+    try:
+        p = PartitionData(tuple(int_parse(s) for s in doc["starts"]),
+                          tuple(int_parse(l) for l in doc["lengths"]),
+                          tuple(rat_parse(r) for r in doc["rationals"]))
+    except (ValueError, SchemaError):
+        return 2, None
+    try:
+        report = verify_partition(p)
+    except StructuralError:
+        return 1, None
+    return (0 if report.passed else 1), canonical_bytes(report.to_json())
+
+
+@pytest.mark.parametrize(
+    "text", ["1e3", "NaN", "Infinity", "1.0", "-0", "+5", "0005", "1_000", " 5 ", "٣", "²"]
+)
+@pytest.mark.parametrize(
+    "position",
+    [("starts", 0, None), ("starts", 4, None), ("lengths", 0, None), ("lengths", 5, None),
+     ("rationals", 0, "num"), ("rationals", 1, "den"), ("rationals", 6, "num")],
+    ids=["S0", "S4", "L0", "L5", "r0-num", "r1-den", "r6-num"],
+)
+def test_verify_construction_reads_every_text_as_int_parse_does(tmp_path, text, position):
+    # Decimal() takes texts that int() refuses, and keeps signs and exponents;
+    # only a signed ASCII digit run may be read as Decimal on the greedy prefix
+    doc = _depth_six_with(position, text)
+    src, out = tmp_path / "partition.json", tmp_path / "report.json"
+    dump_json(src, doc)
+    code = run(["verify-construction", "--in", str(src), "--out", str(out)])
+    report = canonical_bytes(load_json(out)) if code != 2 and out.exists() else None
+    assert (code, report) == _reference_verdict(doc)
+
+
+def test_texts_equal_to_greedy_values_stay_on_the_prefix():
+    doc = build_partition(6).to_json()
+    doc["starts"][0], doc["lengths"][2], doc["rationals"][3] = "-0", "+0024", "2/384"
+    p = PartitionData.from_json(doc)
+    assert p.greedy_prefix == 6
+    assert p == build_partition(6)
+
+
+def test_greedy_prefix_is_parsed_without_int_parse(monkeypatch):
+    doc = build_partition(12).to_json()
+    num, den = doc["rationals"][11].split("/")
+    doc["rationals"][11] = f"{num}/{int_parse(den) + 1}"
+
+    def refuse(text):
+        raise AssertionError(f"int_parse on the greedy prefix: {text[:20]}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(construction, "int_parse", refuse)
+        assert PartitionData.from_json(build_partition(12).to_json()).greedy_prefix == 12
+    seen = []
+    monkeypatch.setattr(construction, "int_parse", lambda text: seen.append(text) or int_parse(text))
+    p = PartitionData.from_json(doc)
+    assert p.greedy_prefix == 10
+    assert seen == doc["starts"][10:] + doc["lengths"][10:]
+    assert verify_partition(p).to_json() == verify_partition(
+        PartitionData(p.starts, p.lengths, p.rationals)).to_json()
+
+
+def test_depth_19_bytes_are_exact_under_a_rounding_context():
+    # every large Decimal operation runs in serialize.EXACT, never in the
+    # thread's context, so a 28-digit context that traps rounding changes nothing
+    def round_trip():
+        p = build_partition(19)
+        emitted = canonical_bytes(p.to_json())
+        parsed = PartitionData.from_json(json.loads(emitted))
+        return [emitted, canonical_bytes(verify_partition(p).to_json()),
+                canonical_bytes(verify_partition(parsed).to_json()),
+                canonical_bytes(certify.produce("weight-bound", {"depth": 19}, 0))]
+
+    plain = round_trip()
+    with decimal.localcontext(decimal.Context(prec=28, traps=[decimal.Inexact, decimal.Rounded])):
+        assert round_trip() == plain
+
+
+def test_partition_certificates_run_no_int_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("int arithmetic on greedy terms")
+
+    monkeypatch.setitem(construction._ARITHMETIC, int, (refuse, refuse))
+    cert = certify.produce("partition", {"depth": 19}, 0)
+    assert certify.recheck(cert) == (True, "certificate re-verified")
+    assert cert["body"]["report"]["passed"]
+
+
+@pytest.mark.parametrize(
+    "kind, inputs, arithmetics",
+    [("partition", {"depth": 19}, ["Decimal"]),
+     ("weight-bound", {"depth": 19}, ["Decimal", "int"]),
+     ("subset-reduction", {"depth": 12, "pairs": 2}, ["int"])],
+)
+def test_a_certificate_runs_the_recurrence_once_per_arithmetic_it_reads(
+    monkeypatch, kind, inputs, arithmetics
+):
+    builds = []
+    greedy_numbers = construction.greedy_numbers
+
+    def counted(number=int):
+        builds.append(number.__name__)
+        return greedy_numbers(number)
+
+    monkeypatch.setattr(construction, "greedy_numbers", counted)
+    cert = certify.produce(kind, inputs, 0)
+    assert sorted(builds) == arithmetics
+    builds.clear()
+    assert certify.recheck(cert)[0]
+    assert sorted(builds) == arithmetics

@@ -1,6 +1,7 @@
 """Serialization schema, scenario loading, certificates, and the CLI."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from idealbench import certify, diagonal
 from idealbench.cli import run
+from idealbench.construction import MAX_DEPTH
 from idealbench.errors import SchemaError
 from idealbench.scenarios import load_scenario, rule_from_json
 from idealbench.serialize import (
@@ -197,8 +199,13 @@ def test_cli_verify_construction(tmp_path, capsys):
         {"starts": 5, "lengths": ["1"], "rationals": ["1/1", "1/2"]},
         [1],
         {"depth": 2, "starts": ["0"], "lengths": ["1"], "rationals": ["1/1", "1/2"]},
+        {"depth": 5, "starts": ["0", "1", "3", "27", "5211"],
+         "lengths": ["1", "2", "24", "5184", "432221184"],
+         "rationals": ["1/1", "1/2", "1/8", "1/192", "1/82944"]},
+        {"depth": 0, "starts": [], "lengths": [], "rationals": ["1/1"]},
     ],
-    ids=["empty", "no-rationals", "starts-not-list", "top-level-list", "wrong-depth"],
+    ids=["empty", "no-rationals", "starts-not-list", "top-level-list", "wrong-depth",
+         "rationals-one-short", "no-intervals"],
 )
 def test_cli_verify_construction_rejects_malformed_files(tmp_path, capsys, document):
     path = tmp_path / "partition.json"
@@ -291,7 +298,7 @@ def _hindman_scenario(**changes) -> dict:
             )
             for ground in ({"base": 0}, {"base": "0", "step": 2}, {"base": 0, "step": 1.5})
         ),
-        *(_changed_scenario("pw-2b", depth=depth) for depth in ("3", 2.5, True, 0)),
+        *(_changed_scenario("pw-2b", depth=depth) for depth in ("3", 2.5, True, 0, 25)),
         _changed_scenario("sep1-basic", horizon="10"),
         _changed_scenario("sep1-basic", horizon=-1),
     ],
@@ -309,7 +316,7 @@ def _hindman_scenario(**changes) -> dict:
          "hindman-ground-kind-odd", "ramsey-vertex-kind-odd", "table-entries-not-pairs",
          "ramsey-ap-without-step", "ramsey-ap-base-not-int", "ramsey-ap-step-not-int",
          "pwfin-depth-string", "pwfin-depth-float", "pwfin-depth-bool", "pwfin-depth-zero",
-         "tree-horizon-string", "tree-horizon-negative"],
+         "pwfin-depth-past-max", "tree-horizon-string", "tree-horizon-negative"],
 )
 def test_cli_diagonalize_rejects_malformed_scenarios(tmp_path, capsys, scenario):
     path = tmp_path / "scenario.json"
@@ -378,6 +385,10 @@ def _without_name(name: str) -> dict:
         ("subset-reduction", {"depth": 12}),
         ("pigeonhole", {"depth": 4}),
         ("pigeonhole", {"depth": 4, "samples": 3, "interval": 4}),
+        ("partition", {"depth": 25}),
+        ("weight-bound", {"depth": 100000}),
+        ("subset-reduction", {"depth": 25, "pairs": 1}),
+        ("pigeonhole", {"depth": 25, "samples": 1}),
         ("ramsey-oracle", {"size": "x"}),
         ("ramsey-oracle", {"samples": -1}),
         ("pairing", {"bound": "x"}),
@@ -388,6 +399,8 @@ def _without_name(name: str) -> dict:
          "structural-identity-on-posdiff", "structural-identity-on-pwfin",
          "partition-no-depth", "partition-depth-zero", "weight-bound-depth-not-int",
          "subset-reduction-no-pairs", "pigeonhole-no-samples", "pigeonhole-interval-past-depth",
+         "partition-depth-past-max", "weight-bound-depth-past-max",
+         "subset-reduction-depth-past-max", "pigeonhole-depth-past-max",
          "ramsey-oracle-size-not-int", "ramsey-oracle-samples-negative", "pairing-bound-not-int",
          "pairing-inputs-a-list"],
 )
@@ -399,6 +412,29 @@ def test_cli_certify_rejects_malformed_scenario_inputs(tmp_path, capsys, kind, i
     dump_json(path, cert)
     assert run(["certify", "--in", str(path)]) == 2
     assert "schema error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["construct", "--depth", "25"], ["construct", "--depth", "0"],
+     ["weights", "--depth", "25", "--selector", '{"kind": "finite", "members": []}']],
+    ids=["construct-past-max", "construct-zero", "weights-past-max"],
+)
+def test_cli_depth_flags_are_bounded(capsys, argv):
+    assert run(argv) == 2
+    assert "schema error" in capsys.readouterr().err
+
+
+def test_a_deep_certificate_is_refused_before_any_work(tmp_path, capsys):
+    # depth 100000 would build numbers of about 10^30000 digits
+    cert = certify.produce("weight-bound", {"depth": 3}, 0)
+    cert["inputs"]["depth"] = 100000
+    path = tmp_path / "certificate.json"
+    dump_json(path, cert)
+    started = time.perf_counter()
+    assert run(["certify", "--in", str(path)]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert f"depth must be at most {MAX_DEPTH}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -535,10 +571,12 @@ def test_cli_membership(capsys):
          '{"kind": "finite", "members": []}'),
         ('{"kind": "sum_s", "selector": {"kind": "finite", "members": []}, "depth": 0}',
          '{"kind": "finite", "members": []}'),
+        ('{"kind": "sum_s", "selector": {"kind": "finite", "members": []}, "depth": 25}',
+         '{"kind": "finite", "members": []}'),
     ],
     ids=["finite-without-members", "unknown-set-kind", "set-not-an-object",
          "nested-ap-without-step", "unknown-ideal-kind", "ideal-not-an-object",
-         "sum-s-depth-not-int", "sum-s-depth-zero"],
+         "sum-s-depth-not-int", "sum-s-depth-zero", "sum-s-depth-past-max"],
 )
 def test_cli_membership_rejects_malformed_descriptors(capsys, ideal, described):
     assert run(["membership", "--ideal", ideal, "--set", described]) == 2
