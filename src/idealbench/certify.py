@@ -14,10 +14,11 @@ certificate of theirs with its seed changed still rechecks.
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from itertools import combinations, repeat
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import diagonal
 from .construction import (
@@ -281,9 +282,14 @@ def _oracle_case_holds(f: Dict, pairs: List, case: int) -> bool:
     return True
 
 
-def oracle_ramsey_search(f: Dict, n: int, m: int):
-    for t in combinations(range(n), m):
-        pairs = [frozenset(p) for p in combinations(t, 2)]
+def _oracle_domains(n: int, m: int) -> List[Tuple[Tuple[int, ...], List[frozenset]]]:
+    """Each T in [n] of size m with its pairs, in the order the oracle tries them."""
+    return [(t, [frozenset(p) for p in combinations(t, 2)]) for t in combinations(range(n), m)]
+
+
+def oracle_ramsey_search(f: Dict, domains: List[Tuple[Tuple[int, ...], List[frozenset]]]):
+    """The first ``(t, case)`` of ``_oracle_domains(n, m)`` whose case holds on ``f``."""
+    for t, pairs in domains:
         for case in (1, 2, 3, 4):
             if _oracle_case_holds(f, pairs, case):
                 return t, case
@@ -303,14 +309,63 @@ def _partitions_rgs(count: int):
     yield from extend([], -1)
 
 
-def _random_rgs(count: int, rng: random.Random):
-    out = []
-    top = -1
-    for _ in range(count):
-        v = rng.randrange(top + 2)
-        out.append(v)
-        top = max(top, v)
-    return tuple(out)
+# the most 32-bit words ``_random_rgs`` draws from its rng at once
+_REFILL_WORDS = 1024
+
+
+def _random_rgs(samples: int, length: int, rng: random.Random) -> Iterator[Tuple[int, ...]]:
+    """``samples`` random restricted-growth strings of ``length``, made one at a time.
+
+    Each value is the one ``rng.randrange(top + 2)`` would return, ``top``
+    the largest value so far in its string (-1 at the start), and ``rng``
+    ends in the state that those ``samples * length`` calls leave.  The
+    values are read from ``rng``'s 32-bit output words directly, which is
+    exact for ``random.Random`` on CPython, because CPython:
+
+    - computes ``randrange(n)`` for ``n >= 1`` as
+      ``_randbelow_with_getrandbits(n)``: with ``k = n.bit_length()`` it
+      draws ``getrandbits(k)`` until the result is below ``n``;
+    - computes ``getrandbits(k)`` for ``k <= 32`` from exactly one output
+      word ``w`` as ``w >> (32 - k)``, so a draw is accepted exactly when
+      ``w < n << (32 - k)``;
+    - returns the next ``j`` words from ``getrandbits(32 * j)``, the first of
+      them in the lowest 32 bits.
+
+    Every ``randrange`` call uses at least one word, so a refill of at most
+    as many words as calls still to make never draws a word the calls would
+    not use: all drawn words are used, and ``rng``'s state at the end is
+    the state after the calls.  Refills are capped at ``_REFILL_WORDS`` so
+    that a long stream is never held in memory at once.
+    """
+    if not length:
+        yield from repeat((), samples)
+        return
+    limits = [n << (32 - n.bit_length()) for n in range(length + 1)]
+    shifts = [32 - n.bit_length() for n in range(length + 1)]
+    calls = samples * length  # calls of the strings not yet made
+    string = [0] * length
+    filled = 0
+    bound = 1  # top + 2
+    limit, shift = limits[1], shifts[1]
+    while calls:
+        count = min(calls - filled, _REFILL_WORDS)
+        for word in struct.unpack(f"<{count}I",
+                                  rng.getrandbits(32 * count).to_bytes(4 * count, "little")):
+            if word >= limit:
+                continue
+            value = word >> shift
+            string[filled] = value
+            filled += 1
+            if filled == length:
+                calls -= length
+                yield tuple(string)
+                filled = 0
+                bound = 1
+            elif value == bound - 1:
+                bound += 1
+            else:
+                continue
+            limit, shift = limits[bound], shifts[bound]
 
 
 def _colourings(n: int, strings: Callable[[int], Iterable[tuple]]):
@@ -326,9 +381,10 @@ def _colourings(n: int, strings: Callable[[int], Iterable[tuple]]):
 def _agreement(n: int, size: int, strings: Callable[[int], Iterable[tuple]]) -> Tuple[int, int]:
     """How many colourings were checked, and on how many the search and the oracle agree."""
     checked = agree = 0
+    domains = _oracle_domains(n, size)
     for f in _colourings(n, strings):
         mine = canonical_ramsey_search(f, n, size)
-        oracle = oracle_ramsey_search(f, n, size)
+        oracle = oracle_ramsey_search(f, domains)
         checked += 1
         if (None if mine is None else (mine[0], mine[1].case)) == oracle:
             agree += 1
@@ -339,11 +395,12 @@ def _ramsey_oracle(size: int, exhaustive_n: int, sample_n: int, samples: int,
                    rng: random.Random) -> dict:
     exhaustive_checked, exhaustive_agree = _agreement(exhaustive_n, size, _partitions_rgs)
     sample_checked, sample_agree = _agreement(
-        sample_n, size, lambda count: (_random_rgs(count, rng) for _ in range(samples))
+        sample_n, size, lambda count: _random_rgs(samples, count, rng)
     )
     minimal_n = None
     for n in range(size, 6):
-        if all(oracle_ramsey_search(f, n, size) is not None
+        domains = _oracle_domains(n, size)
+        if all(oracle_ramsey_search(f, domains) is not None
                for f in _colourings(n, _partitions_rgs)):
             minimal_n = n
             break
@@ -492,8 +549,8 @@ KINDS: Dict[str, Kind] = {kind.name: kind for kind in (
     Kind("tree-labelling", _tree_labelling, scenario=TreeScenario,
          expected=("root_as_expected", "critical_as_declared")),
     Kind("sparseness", _sparseness, (("universe", None, 0),), sizes=True),
-    Kind("ramsey-oracle", _ramsey_oracle, (("size", 3, 0), ("exhaustive_n", 4, 0),
-                                            ("sample_n", 5, 0), ("samples", 10000, 0)),
+    Kind("ramsey-oracle", _ramsey_oracle, (("size", 3, 0, 5), ("exhaustive_n", 4, 0, 5),
+                                            ("sample_n", 5, 0, 6), ("samples", 10000, 0, 20000)),
          seeded=True),
     Kind("collision", _collision, scenario=CollisionScenario,
          expected=("forbidden_label_hit",)),

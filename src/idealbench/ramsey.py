@@ -19,6 +19,7 @@ smallest case number wins and the answer is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -133,6 +134,15 @@ _CASE_KEYS = {
 }
 
 
+def _biconditional(keys: Sequence, key_count: int, values: Sequence, value_count: int) -> bool:
+    """Whether ``values[i] == values[j]`` exactly when ``keys[i] == keys[j]``.
+
+    ``key_count`` and ``value_count`` are the numbers of distinct keys and
+    values; the pairs are only counted when those agree.
+    """
+    return key_count == value_count == len(set(zip(keys, values)))
+
+
 def _holding_cases(f: Dict, domain: Iterable, family: str) -> Iterator[int]:
     """Each case whose biconditional holds on the domain, in ascending order."""
     dom = list(domain)
@@ -140,7 +150,7 @@ def _holding_cases(f: Dict, domain: Iterable, family: str) -> Iterator[int]:
     distinct = len(set(values))
     for case, key in _CASE_KEYS[family]:
         keys = list(map(key, dom))
-        if len(set(keys)) == distinct == len(set(zip(keys, values))):
+        if _biconditional(keys, len(set(keys)), values, distinct):
             yield case
 
 
@@ -157,20 +167,50 @@ def classify_canonical(f: Dict, domain: Iterable, family: str) -> Optional[Canon
     return CanonicalForm(family, case)
 
 
+# the search tables of [n] for n <= _TABLE_N are kept: they hold no colouring
+# data, and the 45 of them (m <= n) have fewer than 3,000 pairs together
+_TABLE_N = 8
+
+
+def _pair_row(t: Tuple[int, ...]):
+    """``t``, its pair domain, and for each pair case its form, keys and distinct-key count."""
+    domain = tuple(frozenset(p) for p in combinations(t, 2))
+    cases = []
+    for case, key in _CASE_KEYS[RAMSEY]:
+        keys = tuple(map(key, domain))
+        cases.append((CanonicalForm(RAMSEY, case), keys, len(set(keys))))
+    return t, domain, tuple(cases)
+
+
+@lru_cache(maxsize=None)
+def _pair_table(n: int, m: int):
+    """The rows of every T in [n] of size m, in search order."""
+    return tuple(map(_pair_row, combinations(range(n), m)))
+
+
 def canonical_ramsey_search(
     f: Dict, n: int, m: int
 ) -> Optional[Tuple[Tuple[int, ...], CanonicalForm]]:
     """Least T in [n] of size m whose pair restriction is canonical.
 
     ``f`` maps frozenset pairs of [n] to values and must be total there.
+    Each T's pair domain and case keys come from a table of [n]; a
+    colouring costs one ``f`` lookup per pair and one biconditional per
+    case tried, the same as ``classify_canonical`` on that domain.
     """
     if m > n:
         return None
-    for t in combinations(range(n), m):
-        domain = [frozenset(p) for p in combinations(t, 2)]
-        form = classify_canonical(f, domain, RAMSEY)
-        if form is not None:
-            return t, form
+    if n <= _TABLE_N:
+        rows = _pair_table(n, m)
+    else:
+        rows = map(_pair_row, combinations(range(n), m))
+    lookup = f.__getitem__
+    for t, domain, cases in rows:
+        values = list(map(lookup, domain))
+        distinct = len(set(values))
+        for form, keys, key_count in cases:
+            if _biconditional(keys, key_count, values, distinct):
+                return t, form
     return None
 
 

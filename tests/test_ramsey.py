@@ -1,7 +1,8 @@
 """Finite-sums algebra and canonical-form searches."""
 
 import hashlib
-from itertools import combinations
+import random
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -254,6 +255,64 @@ def test_canonical_ramsey_search_none_when_nothing_matches():
     assert canonical_ramsey_search(f, 3, 3) is None
 
 
+# the definition the table-driven search must meet
+def first_canonical_subset(f, n, m):
+    for t in combinations(range(n), m):
+        form = classify_canonical(f, pair_domain(t), RAMSEY)
+        if form is not None:
+            return t, form
+    return None
+
+
+def test_canonical_ramsey_search_on_every_k4_colouring():
+    edges = pair_domain(range(4))
+    colourings = [dict(zip(edges, rgs)) for rgs in certify._partitions_rgs(len(edges))]
+    assert len(colourings) == 203
+    for f in colourings:
+        for m in range(6):
+            assert canonical_ramsey_search(f, 4, m) == first_canonical_subset(f, 4, m)
+
+
+@st.composite
+def pair_colourings(draw):
+    """A colouring of the pairs of [n], n <= 7, and a subset size m <= n + 1.
+
+    Colourings are random or factor through one case's key, so matches of
+    every case and searches without a match are both drawn.
+    """
+    n = draw(st.integers(0, 7))
+    m = draw(st.integers(0, n + 1))
+    mode = draw(st.sampled_from(["random"] + sorted(REFERENCE_KEYS[RAMSEY])))
+    values = st.integers(0, 2)
+    f = {}
+    if mode == "random":
+        for x in pair_domain(range(n)):
+            f[x] = draw(values)
+    else:
+        key = REFERENCE_KEYS[RAMSEY][mode]
+        relabel = {}
+        for x in pair_domain(range(n)):
+            if key(x) not in relabel:
+                relabel[key(x)] = draw(values)
+            f[x] = relabel[key(x)]
+    return f, n, m
+
+
+@given(pair_colourings())
+def test_canonical_ramsey_search_is_the_first_canonical_subset(drawn):
+    f, n, m = drawn
+    assert canonical_ramsey_search(f, n, m) == first_canonical_subset(f, n, m)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_canonical_ramsey_search_past_the_kept_tables(seed):
+    rng = random.Random(seed)
+    for n in (9, 10):
+        f = {x: rng.randrange(3) for x in pair_domain(range(n))}
+        for m in range(6):
+            assert canonical_ramsey_search(f, n, m) == first_canonical_subset(f, n, m)
+
+
 def test_canonical_hindman_search_examples():
     constant = {x: 3 for x in range(1, 8)}
     got = canonical_hindman_search(constant, 8, 2)
@@ -371,3 +430,84 @@ def test_sparseness_certificate_bytes_are_pinned(universe, sizes):
     cert = certify.produce("sparseness", {"universe": universe, "sizes": list(sizes)}, 0)
     digest = hashlib.sha256(canonical_bytes(cert)).hexdigest()
     assert digest == PINNED_SPARSENESS[(universe, sizes)]
+
+
+# -- the ramsey-oracle certificate --------------------------------------------------
+
+def randrange_rgs(length, rng):
+    """A restricted-growth string drawn by ``rng.randrange``, value by value."""
+    out = []
+    top = -1
+    for _ in range(length):
+        value = rng.randrange(top + 2)
+        out.append(value)
+        top = max(top, value)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("seed", range(64))
+def test_word_sampler_draws_what_randrange_draws(seed):
+    # 1,500 strings of any length cross the refill cap of 1,024 words
+    for length in (0, 1, 2, 3, 6, 10, 15):
+        for samples in (1, 7, 1500):
+            fast, slow = random.Random(seed), random.Random(seed)
+            got = list(certify._random_rgs(samples, length, fast))
+            assert got == [randrange_rgs(length, slow) for _ in range(samples)]
+            assert fast.getstate() == slow.getstate()
+
+
+# sha256 of the 10,000 strings that C07 samples at seed 0, one byte per value,
+# as the randrange loop drew them
+C07_STREAM = "287608505aa21cf1289137c55b9ca294df404ff93587f382c2745ab4fa66b340"
+
+
+def test_c07_sample_stream_is_pinned():
+    strings = certify._random_rgs(10000, 10, random.Random(0))
+    assert hashlib.sha256(bytes(chain.from_iterable(strings))).hexdigest() == C07_STREAM
+
+
+C07_INPUTS = {"size": 3, "exhaustive_n": 4, "sample_n": 5, "samples": 10000}
+
+# sha256 of the canonical certificate bytes of C07's inputs per seed, as the
+# randrange sampler and the per-colouring search wrote them
+PINNED_RAMSEY_ORACLE = [
+    "7dfdfa64dc3cc9a88ffbdeb7761232a93390f2f9bd9091547399f88c14c2b043",
+    "58419341fc1b82beda8b2d67bb7af219ec088cb3d8500420a2f6a2206ea3fb8d",
+    "6f12fa8c9db0f2c6881527e441f5b62e937706ca5161a8481a10562937783c98",
+    "a97e385bd75a5daeebedb628d6a3763fbaf853f46a18a27868aacee90e4dc6ea",
+    "51b10d0eda0118c0a866bcccaffbbb015c9c3755a294255750c2d2e11d3bc304",
+    "997f86d4cdecd87f75e11fb132d1310ced326095d6f545fb9d848a227ca1c4b6",
+    "3c2b0acc88161ee8f5443136a2b8fa5d094872e3ae3810c1cbb0680511c0e721",
+    "cc2bbc225d5ec0aa07b01f5ed1d41cea8871031d254a5ea0c6bb64f43eee1519",
+    "39e4c04e8c76a780b86deaa846e0753ec07ebf1471695a599cacb98554974ec4",
+    "2d150079cee61fe2e03757114462bc975540809c7b52dce6963dd27c99277f5f",
+    "d2fa271441f54140f7858f013f77d5cd909ce6d085b99a60a0b28e86c9516099",
+    "50d3f0efc91eaf25662cc9f324963376084f069455fc7e435f96a6048031f5da",
+    "d4c5d8ce428f8671be004cf03b28fad15157f0c7911ea6ab026b2db4c2045a3c",
+    "42ac4ef8a9b68af749b3d9e87395bcfd6b164143756bea17ce0edae4b03c6d48",
+    "c2e5b18ab13d9348dbc51957c23ae1eabff138bc51e50af0c620989f8fb1a4df",
+    "d760c6ba385f8d220a84939560ec87ee2cbd7f543ce2573dd1b28565e8413fd4",
+]
+
+
+@pytest.mark.parametrize("seed", range(len(PINNED_RAMSEY_ORACLE)))
+def test_ramsey_oracle_certificate_bytes_are_pinned(seed):
+    cert = certify.produce("ramsey-oracle", C07_INPUTS, seed)
+    digest = hashlib.sha256(canonical_bytes(cert)).hexdigest()
+    assert digest == PINNED_RAMSEY_ORACLE[seed]
+
+
+def test_recheck_recomputes_every_colouring(monkeypatch):
+    cert = certify.produce("ramsey-oracle", C07_INPUTS, 0)
+    search = certify.canonical_ramsey_search
+    calls = []
+
+    def counted(f, n, m):
+        calls.append(n)
+        return search(f, n, m)
+
+    monkeypatch.setattr(certify, "canonical_ramsey_search", counted)
+    for _ in range(2):
+        calls.clear()
+        assert certify.recheck(cert) == (True, "certificate re-verified")
+        assert len(calls) == 203 + 10000

@@ -393,6 +393,10 @@ def _without_name(name: str) -> dict:
         ("ramsey-oracle", {"samples": -1}),
         ("pairing", {"bound": "x"}),
         ("pairing", []),
+        ("ramsey-oracle", {"size": 6}),
+        ("ramsey-oracle", {"exhaustive_n": 6}),
+        ("ramsey-oracle", {"sample_n": 7}),
+        ("ramsey-oracle", {"samples": 20001}),
     ],
     ids=["diagonalization-no-name", "structural-identity-no-name", "tree-labelling-no-name",
          "collision-no-name", "inputs-a-list", "scenario-not-an-object",
@@ -402,7 +406,9 @@ def _without_name(name: str) -> dict:
          "partition-depth-past-max", "weight-bound-depth-past-max",
          "subset-reduction-depth-past-max", "pigeonhole-depth-past-max",
          "ramsey-oracle-size-not-int", "ramsey-oracle-samples-negative", "pairing-bound-not-int",
-         "pairing-inputs-a-list"],
+         "pairing-inputs-a-list", "ramsey-oracle-size-past-max",
+         "ramsey-oracle-exhaustive-n-past-max", "ramsey-oracle-sample-n-past-max",
+         "ramsey-oracle-samples-past-max"],
 )
 def test_cli_certify_rejects_malformed_scenario_inputs(tmp_path, capsys, kind, inputs):
     cert = certify.produce("pairing", {"bound": 3, "unordered_bound": 3}, 0)
@@ -435,6 +441,18 @@ def test_a_deep_certificate_is_refused_before_any_work(tmp_path, capsys):
     assert run(["certify", "--in", str(path)]) == 2
     assert time.perf_counter() - started < 1.0
     assert f"depth must be at most {MAX_DEPTH}" in capsys.readouterr().err
+
+
+def test_a_huge_ramsey_sample_is_refused_before_any_work(tmp_path, capsys):
+    # 10^9 sampled colourings would take hours
+    cert = certify.produce("ramsey-oracle", MINIMAL_INPUTS["ramsey-oracle"](), 0)
+    cert["inputs"]["samples"] = 10**9
+    path = tmp_path / "certificate.json"
+    dump_json(path, cert)
+    started = time.perf_counter()
+    assert run(["certify", "--in", str(path)]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert "samples must be at most 20000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
