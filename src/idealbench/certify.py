@@ -267,14 +267,14 @@ def _sparseness(universe: int, sizes: List[int]) -> dict:
 # independent brute-force oracle for the canonical pair search ----------------
 
 def _oracle_case_holds(f: Dict, pairs: List, case: int) -> bool:
-    for x, y in combinations(pairs, 2):
+    for (x, x_min, x_max), (y, y_min, y_max) in combinations(pairs, 2):
         same = f[x] == f[y]
         if case == 1:
             expect = True
         elif case == 2:
-            expect = min(x) == min(y)
+            expect = x_min == y_min
         elif case == 3:
-            expect = max(x) == max(y)
+            expect = x_max == y_max
         else:
             expect = x == y
         if same != expect:
@@ -282,12 +282,17 @@ def _oracle_case_holds(f: Dict, pairs: List, case: int) -> bool:
     return True
 
 
-def _oracle_domains(n: int, m: int) -> List[Tuple[Tuple[int, ...], List[frozenset]]]:
+# a domain: T in [n] of size m, and each pair of T with its least and greatest point
+Domain = Tuple[Tuple[int, ...], List[Tuple[frozenset, int, int]]]
+
+
+def _oracle_domains(n: int, m: int) -> List[Domain]:
     """Each T in [n] of size m with its pairs, in the order the oracle tries them."""
-    return [(t, [frozenset(p) for p in combinations(t, 2)]) for t in combinations(range(n), m)]
+    return [(t, [(frozenset(p), *p) for p in combinations(t, 2)])
+            for t in combinations(range(n), m)]
 
 
-def oracle_ramsey_search(f: Dict, domains: List[Tuple[Tuple[int, ...], List[frozenset]]]):
+def oracle_ramsey_search(f: Dict, domains: List[Domain]):
     """The first ``(t, case)`` of ``_oracle_domains(n, m)`` whose case holds on ``f``."""
     for t, pairs in domains:
         for case in (1, 2, 3, 4):

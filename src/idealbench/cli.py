@@ -13,7 +13,7 @@ import sys
 from typing import List, Optional
 
 from . import certify
-from .acceptance import run_all
+from .acceptance import DEPTH30_BUDGET, run_all
 from .construction import (
     DEFAULT_DEPTH,
     MAX_DEPTH,
@@ -114,9 +114,13 @@ def _cmd_diagonalize(args) -> int:
 
 def _cmd_check_reduction(args) -> int:
     claim_obj = json.loads(args.claim)
+    if not isinstance(claim_obj, dict) or not {"source", "target"} <= claim_obj.keys():
+        raise SchemaError("check-reduction --claim must be an object with 'source' and 'target'")
+    witness_obj = claim_obj.get("witness", {"kind": "identity-height-one"})
+    if not isinstance(witness_obj, dict) or "kind" not in witness_obj:
+        raise SchemaError("check-reduction --claim witness must be an object with a 'kind'")
     source = ideal_from_json(claim_obj["source"])
     target = ideal_from_json(claim_obj["target"])
-    witness_obj = claim_obj.get("witness", {"kind": "identity-height-one"})
     queried = set_from_json(json.loads(args.set))
     if witness_obj.get("kind") == "identity-height-one":
         from .reduction import check_reduction_witness
@@ -225,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("suite", help="run the acceptance criteria")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="directory for certificates")
-    sp.add_argument("--budget", type=float, default=15.0,
+    sp.add_argument("--budget", type=float, default=DEPTH30_BUDGET,
                     help="wall-clock budget for the depth-30 attempt")
     sp.set_defaults(func=_cmd_suite)
 

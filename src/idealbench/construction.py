@@ -27,25 +27,26 @@ whose digit counts double every level.
 
 ``greedy_numbers`` is the one place the recurrence is written; only its
 arithmetic varies, ``int`` or exact ``Decimal`` (``serialize.EXACT``).  The
-two hold the same numbers, and a partition runs each at most once, when
-its numbers are first read in it.  ``build_partition(d)`` knows that its
-data is greedy throughout, and ``PartitionData.from_json`` reads each
-digit run as ``Decimal`` (linear time) while it agrees with the
-recurrence, so both know their greedy prefix without a second run.
+two hold the same numbers.  A ``PartitionData`` is one of two things: the
+greedy partition of a depth (``greedy`` is True), from ``build_partition``
+or from a ``PartitionData.from_json`` document whose every entry writes
+the greedy value, or the ints it was given.  Greedy data runs each
+arithmetic at most once, when its numbers are first read in it.
 
 * ``Decimal`` (``decimal_replay``) holds the greedy numbers for everything
-  that writes or checks them.  On the greedy prefix the decimal text needs
-  no radix conversion, ``verify_partition`` reads the identities and the
-  descending slacks in lowest terms (its lemma) off the replay, and the
-  weight bound's texts come from its closed form.  libmpdec multiplies
-  large numbers by a number-theoretic transform, where CPython's ``int``
-  uses Karatsuba, so this is the faster build.
-* ``int`` fields (``starts``, ``lengths``, ``rationals``) appear on first
-  read, the greedy prefix from ``greedy_numbers(int)``; no ``Decimal`` is
+  that writes or checks them: the text needs no radix conversion,
+  ``verify_partition`` reads the identities and the descending slacks in
+  lowest terms (its lemma) off the replay, and the weight bound's texts
+  come from its closed form.  ``from_json`` reads each digit run as
+  ``Decimal`` (linear time) and compares it with the replay.  libmpdec
+  multiplies large numbers by a number-theoretic transform, where
+  CPython's ``int`` uses Karatsuba, so this is the faster build.
+* ``int`` fields (``starts``, ``lengths``, ``rationals``) of greedy data
+  appear on first read, from ``greedy_numbers(int)``; no ``Decimal`` is
   ever converted to ``int``, which CPython does in quadratic time.  The
   engines, ideals and reductions read ints, as does the exact weight sum
-  ``degenerate_prefix_weight``.  Data past the greedy prefix (a tampered or
-  foreign file) is parsed by ``serialize.int_parse``, written by
+  ``degenerate_prefix_weight``.  Any other data (a tampered or foreign
+  file) is parsed by ``serialize.int_parse``, written by
   ``serialize.int_str`` and checked with ``Fraction``.
 
 The greedy numbers double their digit count per level, so a depth is
@@ -60,7 +61,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, ClassVar, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import HorizonExhausted, SchemaError, StructuralError
 from .sets import DescribedSet
@@ -81,39 +82,33 @@ class PartitionData:
     """Intervals as (start, length) pairs plus rationals r_0 .. r_depth.
 
     ``PartitionData(starts, lengths, rationals)`` holds the given ints.
-    ``build_partition`` and ``from_json`` hold the length of the greedy
-    prefix instead, plus the ints past it.  Their int fields are made on
-    first read, the prefix by ``greedy_numbers(int)``, and the prefix's
-    ``Decimal`` terms (``decimal_replay``) likewise, unless ``from_json``
-    has them already.
+    ``build_partition`` and ``from_json`` of greedy text hold only the
+    depth of the greedy partition, and ``greedy`` is True.  Their int fields
+    are made on first read by ``greedy_numbers(int)``, and their ``Decimal``
+    terms (``decimal_replay``) likewise, unless ``from_json`` has them
+    already.
     """
 
     starts: Tuple[int, ...]
     lengths: Tuple[int, ...]
     rationals: Tuple[Fraction, ...]
+    greedy: ClassVar[bool] = False
 
     @staticmethod
-    def _greedy_then(t: int, past: Tuple[tuple, tuple, tuple] = ((), (), ()),
-                     replay: Optional[Replay] = None) -> "PartitionData":
-        """The greedy partition's first t indices, then the entries ``past`` them.
-
-        ``past`` holds ``starts[t:]``, ``lengths[t:]`` and ``rationals[t+1:]``
-        (all the rationals when t is 0); ``replay``, when given, is what
-        ``decimal_replay`` would compute.
-        """
+    def _greedy(depth: int, replay: Optional[Replay] = None) -> "PartitionData":
+        """The greedy partition of ``depth``; ``replay``, when given, is its ``decimal_replay``."""
         p = object.__new__(PartitionData)
-        vars(p).update(greedy_prefix=t, depth=t + len(past[1]), _past_prefix=past)
+        vars(p).update(greedy=True, depth=depth)
         if replay is not None:
             vars(p)["decimal_replay"] = replay
         return p
 
     def __getattr__(self, name: str):
-        # only reached for an int field of ``_greedy_then`` data not read yet
-        past = vars(self).get("_past_prefix")
-        if past is None or name not in ("starts", "lengths", "rationals"):
+        # only reached for an int field of greedy data not read yet
+        if not self.greedy or name not in ("starts", "lengths", "rationals"):
             raise AttributeError(name)
-        S, L, r = _greedy_ints(self.greedy_prefix)
-        vars(self).update(starts=S + past[0], lengths=L + past[1], rationals=r + past[2])
+        S, L, R = zip(*islice(greedy_numbers(), self.depth))
+        vars(self).update(starts=S, lengths=L, rationals=tuple(Fraction(1, d) for d in (1,) + R))
         return vars(self)[name]
 
     @cached_property
@@ -152,56 +147,33 @@ class PartitionData:
         return range(self.starts[n], self.end(n))
 
     @cached_property
-    def greedy_prefix(self) -> int:
-        """The number t of leading indices on which this data is the greedy partition.
-
-        Index n counts when index n-1 does and S_n, L_n and r_{n+1} = 1/R_{n+1}
-        are the n-th terms of ``greedy_numbers``; index 0 also needs r_0 = 1,
-        and data without as many starts as lengths and one more rational has
-        t = 0.  So S_n and L_n for n < t and R_n for n <= t are what
-        ``decimal_replay`` holds.  ``build_partition`` and ``from_json`` know
-        t; given ints are compared on first use, and ``dataclasses.replace``
-        makes a new instance that compares its own.
-        """
-        S, L, r = self.starts, self.lengths, self.rationals
-        if not len(S) == len(L) == len(r) - 1 or r[0] != 1:
-            return 0
-        for n, (s, l, R) in zip(range(len(L)), greedy_numbers()):
-            if (S[n], L[n], r[n + 1].numerator, r[n + 1].denominator) != (s, l, 1, R):
-                return n
-        return len(L)
-
-    @cached_property
     def decimal_replay(self) -> Replay:
-        """Exact ``Decimal`` S_n, L_n (n < t) and R_n (n <= t), t = ``greedy_prefix``.
+        """Exact ``Decimal`` S_n, L_n (n < depth) and R_n (n <= depth) of greedy data.
 
-        ``greedy_numbers`` in ``Decimal``, so equal to the integers of the
-        prefix without converting any of them.
+        ``greedy_numbers`` in ``Decimal``, so equal to the int fields
+        without converting any of them.
         """
-        t = self.greedy_prefix
-        if t == 0:
-            return [], [], []
-        S, L, R = zip(*islice(greedy_numbers(Decimal), t))
+        S, L, R = zip(*islice(greedy_numbers(Decimal), self.depth))
         return list(S), list(L), [Decimal(1), *R]
 
     def to_json(self) -> dict:
-        """Decimal text: the replay's on the greedy prefix, ``int_str`` past it."""
-        S, L, R = self.decimal_replay
-        starts, lengths = [str(d) for d in S], [str(d) for d in L]
-        rationals = [f"1/{d}" for d in R]
-        if self.greedy_prefix < self.depth:
-            starts += [int_str(s) for s in self.starts[len(S):]]
-            lengths += [int_str(l) for l in self.lengths[len(L):]]
-            rationals += [rat_str(r) for r in self.rationals[len(R):]]
+        """Decimal text: the replay's for greedy data, ``int_str`` and ``rat_str`` otherwise."""
+        if self.greedy:
+            S, L, R = self.decimal_replay
+            starts, lengths = [str(d) for d in S], [str(d) for d in L]
+            rationals = [f"1/{d}" for d in R]
+        else:
+            starts, lengths = [int_str(s) for s in self.starts], [int_str(l) for l in self.lengths]
+            rationals = [rat_str(r) for r in self.rationals]
         return {"depth": self.depth, "starts": starts, "lengths": lengths, "rationals": rationals}
 
     @staticmethod
     def from_json(obj: dict) -> "PartitionData":
         """Parse ``to_json`` output; raises SchemaError on any other shape.
 
-        The entries are read as exact ``Decimal`` (in linear time) while they
-        agree with ``greedy_numbers(Decimal)``; only the entries past that
-        greedy prefix go through ``int_parse``.
+        When every entry writes the greedy partition's value, read as exact
+        ``Decimal`` (in linear time), the result is that greedy partition;
+        otherwise every entry goes through ``int_parse``.
         """
         if not isinstance(obj, dict):
             raise SchemaError("partition must be a JSON object")
@@ -220,35 +192,36 @@ class PartitionData:
         depth = obj.get("depth", len(lengths))
         if type(depth) is not int or depth != len(lengths):
             raise SchemaError(f"partition depth {depth!r} disagrees with {len(lengths)} lengths")
-        replay = _greedy_texts(starts, lengths, rationals)
-        t = len(replay[0])
+        replay = _greedy_replay(starts, lengths, rationals)
+        if replay is not None:
+            return PartitionData._greedy(depth, replay)
         try:
-            past = (tuple(int_parse(s) for s in starts[t:]),
-                    tuple(int_parse(l) for l in lengths[t:]),
-                    tuple(rat_parse(r) for r in rationals[t + 1 if t else 0:]))
+            return PartitionData(tuple(int_parse(s) for s in starts),
+                                 tuple(int_parse(l) for l in lengths),
+                                 tuple(rat_parse(r) for r in rationals))
         except ValueError as exc:
             raise SchemaError(f"partition bounds must be decimal integers: {exc}") from exc
-        return PartitionData._greedy_then(t, past, replay)
 
 
-def _greedy_texts(starts: Sequence[str], lengths: Sequence[str], rationals: Sequence[str]) -> Replay:
-    """The replay of the leading indices whose texts write the greedy partition's values.
+def _greedy_replay(starts: Sequence[str], lengths: Sequence[str],
+                   rationals: Sequence[str]) -> Optional[Replay]:
+    """The greedy partition's replay when every text writes its value, else None.
 
     A text counts only when it is a ``digit_run``, read as ``Decimal``; any
-    other text ends the prefix, and ``int_parse`` reads it past there.
+    other text makes the document plain ints, which ``int_parse`` reads.
     """
     S: List[Decimal] = []
     L: List[Decimal] = []
     R = [Decimal(1)]
     if not _writes_unit(rationals[0], R[0]):
-        return [], [], []
+        return None
     for s, l, r, (gs, gl, gR) in zip(starts, lengths, rationals[1:], greedy_numbers(Decimal)):
         if not (_writes(s, gs) and _writes(l, gl) and _writes_unit(r, gR)):
-            break
+            return None
         S.append(gs)
         L.append(gl)
         R.append(gR)
-    return (S, L, R) if S else ([], [], [])
+    return S, L, R
 
 
 def _writes(text: str, value: Decimal) -> bool:
@@ -285,24 +258,16 @@ def greedy_numbers(number: Callable[[int], Number] = int) -> Iterator[Tuple[Numb
         R = multiply(L, 1 << (n + 1))
 
 
-def _greedy_ints(t: int) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[Fraction, ...]]:
-    """``starts[:t]``, ``lengths[:t]`` and ``rationals[:t+1]`` of the greedy partition (none at t = 0)."""
-    if t == 0:
-        return (), (), ()
-    S, L, R = zip(*islice(greedy_numbers(), t))
-    return S, L, tuple(Fraction(1, d) for d in (1,) + R)
-
-
 def build_partition(depth: int) -> PartitionData:
     """Greedy partition of the given depth (number of intervals).
 
-    It knows it is greedy throughout, and runs ``greedy_numbers`` in each
-    arithmetic only when its numbers are first read in it: ``int`` for the
-    int fields, ``Decimal`` for the text and the checks.
+    It runs ``greedy_numbers`` in each arithmetic only when its numbers are
+    first read in it: ``int`` for the int fields, ``Decimal`` for the text
+    and the checks.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    return PartitionData._greedy_then(depth)
+    return PartitionData._greedy(depth)
 
 
 @dataclass(frozen=True)
@@ -365,26 +330,26 @@ def _fraction_slacks(p: PartitionData) -> Slacks:
     return growth, decay, descending
 
 
+def _greedy_slacks(p: PartitionData) -> Slacks:
+    """The same slacks for greedy data, read off its decimal replay; no int is read.
+
+    The growth and decay slacks are zero, the descending slack at 0 is 1/2,
+    and each one past 0 is a ``ReducedSlack`` by ``verify_partition``'s lemma.
+    """
+    replay_S, _, replay_R = p.decimal_replay
+    descending: List[Slack] = [Fraction(1, 2)]
+    for n in range(1, p.depth):  # R_{n+1} = 2^(n+1) |I_<n| R_n
+        numerator = EXACT.subtract(EXACT.multiply(replay_S[n], 1 << (n + 1)), 1)
+        descending.append(ReducedSlack(numerator, replay_R[n + 1]))
+    return [Fraction(0)] * (p.depth - 1), [Fraction(0)] * p.depth, descending
+
+
 def _unit_slacks(p: PartitionData) -> Slacks:
     """The same slacks when every r_n is a unit fraction 1/R_n.
 
-    On the greedy prefix (n < t = ``greedy_prefix``) the growth and decay
-    slacks are zero, the descending slack at 0 is 1/2, and each one past 0
-    is a ``ReducedSlack`` from the decimal replay; no int is read there.
-    From index t on, growth and decay slacks are integer numerators over
-    known denominators, and a Fraction (with its gcd) is built only for a
-    non-zero numerator.
+    Growth and decay slacks are integer numerators over known denominators,
+    and a Fraction (with its gcd) is built only for a non-zero numerator.
     """
-    t = p.greedy_prefix
-    replay_S, _, replay_R = p.decimal_replay
-    growth: List[Fraction] = [Fraction(0)] * max(t - 1, 0)
-    decay: List[Fraction] = [Fraction(0)] * t
-    descending: List[Slack] = [Fraction(1, 2)] * min(t, 1)
-    for n in range(1, t):  # R_{n+1} = 2^(n+1) |I_<n| R_n
-        numerator = EXACT.subtract(EXACT.multiply(replay_S[n], 1 << (n + 1)), 1)
-        descending.append(ReducedSlack(numerator, replay_R[n + 1]))
-    if t == p.depth:
-        return growth, decay, descending
 
     def over(num: int, den: int) -> Fraction:
         return Fraction(num, den) if num else Fraction(0)
@@ -392,9 +357,10 @@ def _unit_slacks(p: PartitionData) -> Slacks:
     R = [r.denominator for r in p.rationals]
     # numerators of |I_n|/R_n - |I_<n| over R_n and of 2^(-n-1) - |I_n|/R_{n+1}
     # over 2^(n+1) R_{n+1}
-    for n in range(max(t, 1), p.depth):
-        growth.append(over(p.lengths[n] - p.prefix_size(n) * R[n], R[n]))
-    for n in range(t, p.depth):
+    growth = [over(p.lengths[n] - p.prefix_size(n) * R[n], R[n]) for n in range(1, p.depth)]
+    decay: List[Fraction] = []
+    descending: List[Fraction] = []
+    for n in range(p.depth):
         decay.append(over(R[n + 1] - (p.lengths[n] << (n + 1)), R[n + 1] << (n + 1)))
         k, rem = divmod(R[n + 1], R[n])
         if rem:
@@ -407,12 +373,11 @@ def _unit_slacks(p: PartitionData) -> Slacks:
 def verify_partition(p: PartitionData) -> PartitionReport:
     """Exact per-condition verification with rational slack.
 
-    On the greedy prefix (indices n < t = ``p.greedy_prefix``) the growth
-    and decay slacks are zero, and each descending slack at 1 <= n < t is
-    kept as the pair (k-1, R_{n+1}) with k = 2^(n+1) S_n, which is in
-    lowest terms, so no gcd is taken.
+    On greedy data the growth and decay slacks are zero, and each
+    descending slack at 1 <= n < depth is kept as the pair (k-1, R_{n+1})
+    with k = 2^(n+1) S_n, which is in lowest terms, so no gcd is taken.
 
-    Proof.  For 1 <= j <= n < t the prefix gives L_j = S_j R_j,
+    Proof.  For 1 <= j <= n the greedy identities give L_j = S_j R_j,
     R_{j+1} = 2^(j+1) L_j = 2^(j+1) S_j R_j and S_{j+1} = S_j + L_j =
     S_j (1 + R_j), with S_1 = 1 and R_1 = 2.  Hence R_{n+1} = k R_n, and
     r_n - r_{n+1} = 1/R_n - 1/R_{n+1} = (k-1)/R_{n+1}, with k - 1 >= 1
@@ -421,14 +386,13 @@ def verify_partition(p: PartitionData) -> PartitionReport:
     (k is even), and k - 1 = -1 (mod S_j) for every j <= n, so gcd(k-1, R_n) = 1; and
     gcd(k-1, k) = 1.  So gcd(k-1, R_{n+1}) = gcd(k-1, k R_n) = 1.
 
-    Data that is greedy throughout (0 < t = depth) has the shape, the base,
-    contiguous non-empty intervals and unit rationals by those identities,
-    so it is checked and reported from its decimal replay alone.  Any other
-    data is checked on its ints, and index 0 and every index from t on take
-    the ``Fraction`` paths.
+    Greedy data has the shape, the base, contiguous non-empty intervals and
+    unit rationals by those identities, so it is checked and reported from
+    its decimal replay alone.  Any other data is checked on its ints: by
+    integer numerators when every rational is a unit fraction, and by
+    ``Fraction`` arithmetic otherwise.
     """
-    greedy = 0 < p.greedy_prefix == p.depth
-    if not greedy:
+    if not p.greedy:
         if p.depth < 1 or len(p.rationals) != p.depth + 1:
             raise StructuralError("need depth intervals and depth+1 rationals")
         if p.starts[0] != 0:
@@ -444,11 +408,11 @@ def verify_partition(p: PartitionData) -> PartitionReport:
     reports: List[ConditionReport] = []
     # condition (3): I_0 = {0}, r_0 = 1
     reports.append(
-        ConditionReport(
-            "base", 0, p.greedy_prefix > 0 or (p.lengths[0] == 1 and p.rationals[0] == 1), None
-        )
+        ConditionReport("base", 0, p.greedy or (p.lengths[0] == 1 and p.rationals[0] == 1), None)
     )
-    if greedy or all(r.numerator == 1 for r in p.rationals):
+    if p.greedy:
+        growth, decay, descending = _greedy_slacks(p)
+    elif all(r.numerator == 1 for r in p.rationals):
         growth, decay, descending = _unit_slacks(p)
     else:
         growth, decay, descending = _fraction_slacks(p)
@@ -532,9 +496,9 @@ def degenerate_weight_below_last_point(p: PartitionData) -> Tuple[str, Fraction,
     tight decay, and the L_{d-1} - 1 points of I_{d-1} below e weigh
     r_d = 1/R_d each, with R_d = 2^d L_{d-1}; so
       weight = 1 - 2^-(d-1) + (L_{d-1} - 1)/R_d = ((2^d - 1) L_{d-1} - 1)/R_d.
-    When the reduced sum has exactly this numerator and denominator and the
-    whole partition is its greedy prefix, the decimal replay holds L_{d-1},
-    S_{d-1} and R_d exactly, so the texts are written from it.  (For d >= 2
+    When the data is greedy and the reduced sum has exactly this numerator
+    and denominator, the decimal replay holds L_{d-1}, S_{d-1} and R_d
+    exactly, so the texts are written from it.  (For d >= 2
     the closed form is reduced: its numerator is odd, as L_{d-1} =
     S_{d-1} R_{d-1} is even, and is -1 mod L_{d-1}.  At d = 1 it reads 0/2,
     which the reduced 0/1 does not match.)  Otherwise ``int_str`` and
@@ -544,7 +508,7 @@ def degenerate_weight_below_last_point(p: PartitionData) -> Tuple[str, Fraction,
     total = degenerate_prefix_weight(p, upto)
     d = p.depth
     closed_form = (((1 << d) - 1) * p.lengths[-1] - 1, p.rationals[d].denominator)
-    if p.greedy_prefix == d and (total.numerator, total.denominator) == closed_form:
+    if p.greedy and (total.numerator, total.denominator) == closed_form:
         S, L, R = p.decimal_replay
         numerator = EXACT.subtract(EXACT.multiply(L[-1], (1 << d) - 1), 1)
         return str(EXACT.subtract(EXACT.add(S[-1], L[-1]), 1)), total, f"{numerator}/{R[d]}"

@@ -24,9 +24,7 @@ from .ideals import (
 )
 from .serialize import rat_str
 from .sets import Complement, DescribedSet, Finite, full_set
-from .trees import Described, FiniteTree, check_branching
-
-ROOT = ()
+from .trees import ROOT, Described, FiniteTree, check_branching
 
 
 @dataclass(frozen=True)

@@ -278,10 +278,6 @@ class Complement(DescribedSet):
 
 # -- convenience constructors ---------------------------------------------
 
-def evens() -> Progression:
-    return Progression(0, 2)
-
-
 def modular_avoiders(m: int) -> Complement:
     """The set of naturals not divisible by m (m >= 2)."""
     if m < 2:
@@ -296,7 +292,8 @@ def full_set() -> Cofinite:
 def set_from_json(obj: dict) -> DescribedSet:
     """Decode the tagged descriptor-tree serialization.
 
-    A non-object, an unknown kind or a missing field is a SchemaError.
+    A non-object, an unknown kind, a missing field or a field of the wrong
+    type is a SchemaError.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError("set descriptor must be a tagged object")
@@ -304,6 +301,8 @@ def set_from_json(obj: dict) -> DescribedSet:
         return _decode_set(obj)
     except KeyError as exc:
         raise SchemaError(f"set descriptor {obj['kind']!r} lacks {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise SchemaError(f"set descriptor {obj['kind']!r} has a field of the wrong type: {exc}") from None
 
 
 def _decode_set(obj: dict) -> DescribedSet:

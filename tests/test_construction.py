@@ -162,8 +162,7 @@ def test_unit_slacks_match_fraction_slacks(depth, edits):
     tampered = PartitionData(p.starts, p.lengths, tuple(Fraction(1, d) for d in dens))
 
     def pairs(slacks):
-        # a descending slack on the greedy prefix is a reduced (p, q) pair,
-        # not a Fraction; lowest terms make the pairs of equal values equal
+        # lowest terms make the pairs of equal values equal
         return [[(s.numerator, s.denominator) for s in group] for group in slacks]
 
     assert pairs(_unit_slacks(tampered)) == pairs(_fraction_slacks(tampered))
@@ -194,11 +193,19 @@ def reference_report_bytes(p):
 
 def assert_matches_reference(p):
     assert canonical_bytes(p.to_json()) == reference_partition_bytes(p)
+    # a document parses as the greedy partition or as plain ints, never a mix
+    back = PartitionData.from_json(p.to_json())
+    assert back.greedy == (p == build_partition(p.depth))
+    assert canonical_bytes(back.to_json()) == reference_partition_bytes(p)
     if all(p.starts[n] == sum(p.lengths[:n]) for n in range(p.depth)):
-        assert canonical_bytes(verify_partition(p).to_json()) == reference_report_bytes(p)
+        report = canonical_bytes(verify_partition(p).to_json())
+        assert report == reference_report_bytes(p)
+        assert canonical_bytes(verify_partition(back).to_json()) == report
     else:
         with pytest.raises(StructuralError):
             verify_partition(p)
+        with pytest.raises(StructuralError):
+            verify_partition(back)
 
 
 # the identity a break offsets: the base (S_0, L_0, R_0 or R_1 by index mod
@@ -237,9 +244,9 @@ def greedy_with_breaks(depth, breaks):
 @example(depth=6, breaks=[("contiguity", 2, 1)])
 @example(depth=6, breaks=[("base", 3, 2)])
 def test_replayed_text_and_reduced_slacks_match_plain_conversion(depth, breaks):
-    # the greedy prefix ends at the first break although the identities hold
-    # again past it; texts and slacks from there on take int_str and the
-    # Fraction paths, and the bytes never change
+    # a break anywhere makes the whole document plain ints, although the
+    # identities hold again past it; its texts and slacks take int_str and
+    # the Fraction paths, and the bytes never change
     p = greedy_with_breaks(depth, breaks)
     if not breaks:
         assert p == build_partition(depth)
@@ -249,12 +256,12 @@ def test_replayed_text_and_reduced_slacks_match_plain_conversion(depth, breaks):
 def test_replace_with_an_edited_integer_emits_fresh_text():
     p = build_partition(8)
     p.to_json()
-    verify_partition(p).to_json()  # fills p's greedy prefix and replay
+    verify_partition(p).to_json()  # fills p's replay
     lengths = list(p.lengths)
     lengths[5] += 1
     starts = p.starts[:6] + tuple(s + 1 for s in p.starts[6:])
     edited = dataclasses.replace(p, starts=starts, lengths=tuple(lengths))
-    assert p.greedy_prefix == 8 and edited.greedy_prefix == 5
+    assert p.greedy and not edited.greedy
     assert edited.to_json()["lengths"][5] == str(lengths[5])
     assert_matches_reference(edited)
     rationals = list(p.rationals)
@@ -273,8 +280,8 @@ def test_weight_bound_texts_match_plain_conversion(depth):
 
 
 def test_tampered_report_bytes_are_pinned(tmp_path):
-    # r_9 of a depth-17 partition moved off its greedy value: the greedy
-    # prefix ends at index 8, and the report past it takes the gcd paths
+    # r_9 of a depth-17 partition moved off its greedy value: the document
+    # is read as ints, and the report takes the gcd paths
     doc = build_partition(17).to_json()
     num, den = doc["rationals"][9].split("/")
     doc["rationals"][9] = f"{num}/{int_str(int_parse(den) + 1)}"
@@ -439,7 +446,7 @@ def _reference_verdict(doc):
 )
 def test_verify_construction_reads_every_text_as_int_parse_does(tmp_path, text, position):
     # Decimal() takes texts that int() refuses, and keeps signs and exponents;
-    # only a signed ASCII digit run may be read as Decimal on the greedy prefix
+    # only a signed ASCII digit run may be read as Decimal against the replay
     doc = _depth_six_with(position, text)
     src, out = tmp_path / "partition.json", tmp_path / "report.json"
     dump_json(src, doc)
@@ -452,7 +459,7 @@ def test_texts_equal_to_greedy_values_stay_on_the_prefix():
     doc = build_partition(6).to_json()
     doc["starts"][0], doc["lengths"][2], doc["rationals"][3] = "-0", "+0024", "2/384"
     p = PartitionData.from_json(doc)
-    assert p.greedy_prefix == 6
+    assert p.greedy
     assert p == build_partition(6)
 
 
@@ -462,16 +469,16 @@ def test_greedy_prefix_is_parsed_without_int_parse(monkeypatch):
     doc["rationals"][11] = f"{num}/{int_parse(den) + 1}"
 
     def refuse(text):
-        raise AssertionError(f"int_parse on the greedy prefix: {text[:20]}")
+        raise AssertionError(f"int_parse on greedy text: {text[:20]}")
 
     with monkeypatch.context() as patch:
         patch.setattr(construction, "int_parse", refuse)
-        assert PartitionData.from_json(build_partition(12).to_json()).greedy_prefix == 12
+        assert PartitionData.from_json(build_partition(12).to_json()).greedy
     seen = []
     monkeypatch.setattr(construction, "int_parse", lambda text: seen.append(text) or int_parse(text))
     p = PartitionData.from_json(doc)
-    assert p.greedy_prefix == 10
-    assert seen == doc["starts"][10:] + doc["lengths"][10:]
+    assert not p.greedy
+    assert seen == doc["starts"] + doc["lengths"]
     assert verify_partition(p).to_json() == verify_partition(
         PartitionData(p.starts, p.lengths, p.rationals)).to_json()
 

@@ -591,10 +591,13 @@ def test_cli_membership(capsys):
          '{"kind": "finite", "members": []}'),
         ('{"kind": "sum_s", "selector": {"kind": "finite", "members": []}, "depth": 25}',
          '{"kind": "finite", "members": []}'),
+        ('{"kind": "fin"}', '{"kind": "ap", "base": "x", "step": 2}'),
+        ('{"kind": "fin"}', '{"kind": "union", "parts": 5}'),
     ],
     ids=["finite-without-members", "unknown-set-kind", "set-not-an-object",
          "nested-ap-without-step", "unknown-ideal-kind", "ideal-not-an-object",
-         "sum-s-depth-not-int", "sum-s-depth-zero", "sum-s-depth-past-max"],
+         "sum-s-depth-not-int", "sum-s-depth-zero", "sum-s-depth-past-max",
+         "ap-base-text", "union-parts-number"],
 )
 def test_cli_membership_rejects_malformed_descriptors(capsys, ideal, described):
     assert run(["membership", "--ideal", ideal, "--set", described]) == 2
@@ -671,6 +674,18 @@ def test_cli_check_reduction_height_one_witness(capsys):
     # a finite witnessed set cannot brace a branching tree
     assert run(["check-reduction", "--claim", claim,
                 "--set", '{"kind": "finite", "members": [3]}']) == 1
+
+
+@pytest.mark.parametrize(
+    "claim",
+    ["{}", "[]", '{"source": {"kind": "fin"}, "target": {"kind": "fin"}, "witness": 5}'],
+    ids=["claim-without-source", "claim-not-object", "witness-not-object"],
+)
+def test_cli_check_reduction_rejects_malformed_claims(capsys, claim):
+    assert run(["check-reduction", "--claim", claim,
+                "--set", '{"kind": "finite", "members": [3]}']) == 2
+    err = capsys.readouterr().err
+    assert "schema error" in err and "Traceback" not in err
 
 
 def test_cli_witness_search_reports_absence(capsys):
