@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import certify
 from .scenarios import load_scenario
@@ -78,8 +79,9 @@ print(json.dumps({{
 """
 
 
+@functools.lru_cache(maxsize=None)
 def _attempt_depth30(budget: float) -> Optional[dict]:
-    """Try the full depth-30 pipeline in a child process under a budget."""
+    """Try the full depth-30 pipeline in a child process under a budget, once per budget."""
     import idealbench
 
     src = idealbench.__path__[0].rsplit("/idealbench", 1)[0]
@@ -95,15 +97,6 @@ def _attempt_depth30(budget: float) -> Optional[dict]:
     if proc.returncode != 0:
         return None
     return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-_depth30_cache: Dict[float, Optional[dict]] = {}
-
-
-def _depth30(budget: float) -> Optional[dict]:
-    if budget not in _depth30_cache:
-        _depth30_cache[budget] = _attempt_depth30(budget)
-    return _depth30_cache[budget]
 
 
 def criterion(number: int, name: str, budget: Optional[float] = None):
@@ -146,7 +139,7 @@ def _depth30_check(kind: str, diag_ok, child_keys: Tuple[str, str], missed: str,
     diag = certify.produce(kind, {"depth": DIAGNOSTIC_DEPTH}, seed)
     ok = diag_ok(diag["body"])
     certs = [(f"{kind}-diagnostic.json", diag)]
-    got = _depth30(budget)
+    got = _attempt_depth30(budget)
     if got is None:
         return False, missed.format(budget=budget, depth=DIAGNOSTIC_DEPTH, ok=ok), certs
     verdict, seconds = (got[key] for key in child_keys)
@@ -349,8 +342,6 @@ def run_all(
     results.append(crit_10_pairing(seed))
     results.append(crit_11_certificate_integrity(seed, results))
     if out_dir is not None:
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
         for result in results:
             for name, cert in result.certificates:

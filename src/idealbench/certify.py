@@ -150,7 +150,7 @@ def _pigeonhole(depth: int, samples: int, interval: int, rng: random.Random) -> 
 
 
 def _staged_run(scenario: DiagScenario, stages: int):
-    """The state and assembly of a run that must end in stages, not a contradiction."""
+    """The state and payload of a run that must end in stages, not a contradiction."""
     try:
         state = engine_named(scenario.engine).run(scenario, stages)
     except ScenarioContradiction as exc:
@@ -161,13 +161,13 @@ def _staged_run(scenario: DiagScenario, stages: int):
 
 
 def _diagonalization(scenario: DiagScenario, stages: int) -> dict:
-    """The assembled run, or the report of the contradiction it ran into."""
+    """The run's payload, or the report of the contradiction it ran into."""
     try:
         state = engine_named(scenario.engine).run(scenario, stages)
     except ScenarioContradiction as exc:
         outcome = {"outcome": "contradiction", "report": exc.report}
     else:
-        outcome = {"outcome": "stages", "result": assemble(state).payload}
+        outcome = {"outcome": "stages", "result": assemble(state)}
     expected = scenario.expect
     return {**outcome, "expected": expected, "as_expected": expected == outcome["outcome"]}
 
@@ -176,9 +176,9 @@ def _structural_identity(scenario: DiagScenario, stages: int) -> dict:
     enumerate_family = engine_named(scenario.engine).enumerate_family
     if enumerate_family is None:
         raise SchemaError(f"the {scenario.engine} engine has no independent family enumeration")
-    _, assembled = _staged_run(scenario, stages)
+    _, payload = _staged_run(scenario, stages)
     rows = []
-    for i_str, family in assembled.payload["families"].items():
+    for i_str, family in payload["families"].items():
         members = [int(x) for x in family["members"]]
         anchors, independent = enumerate_family(family)
         rows.append(
@@ -429,7 +429,7 @@ def _collision(scenario: CollisionScenario) -> dict:
         raise SchemaError(f"scenario {scenario.name!r}: a {diag_scn.engine} run forbids "
                           f"label descriptors, so its families list no members to collide")
     stages = scenario.stages(diag_scn.default_stages)
-    state, assembled = _staged_run(diag_scn, stages)
+    state, payload = _staged_run(diag_scn, stages)
     tree_scn = scenario.tree_scenario()
     model_index = scenario.model_index(len(state.models))
     report = collision_check(
@@ -437,7 +437,7 @@ def _collision(scenario: CollisionScenario) -> dict:
         tree_scn.branching_ideal(),
         tree_scn.coherent_map(),
         tree_scn.oracle(),
-        assembled,
+        payload,
         model_index,
         state.models[model_index],
         horizon=scenario.horizon,

@@ -28,6 +28,7 @@ from .reduction import (
     IdentityHeightOne,
     KatetovMap,
     ReductionClaim,
+    check_reduction_witness,
     katetov_witness_check,
 )
 from .scenarios import bundled_names, load_scenario
@@ -123,8 +124,6 @@ def _cmd_check_reduction(args) -> int:
     target = ideal_from_json(claim_obj["target"])
     queried = set_from_json(json.loads(args.set))
     if witness_obj.get("kind") == "identity-height-one":
-        from .reduction import check_reduction_witness
-
         claim = ReductionClaim(source, target, IdentityHeightOne())
         cert = check_reduction_witness(claim, queried, horizon=args.horizon)
         _emit(
@@ -132,9 +131,8 @@ def _cmd_check_reduction(args) -> int:
             args.out,
         )
         return 0 if cert is not None else FAILURE
-    claim = ReductionClaim(
-        source, target, KatetovMap(witness_obj["kind"], witness_obj.get("value", 0))
-    )
+    value = integer_field(witness_obj, "value", 0, "check-reduction --claim witness")
+    claim = ReductionClaim(source, target, KatetovMap(witness_obj["kind"], value))
     verdict = katetov_witness_check(claim, queried, args.horizon)
     _emit(verdict.to_json(), args.out)
     return 0

@@ -47,7 +47,8 @@ arithmetic at most once, when its numbers are first read in it.
   engines, ideals and reductions read ints, as does the exact weight sum
   ``degenerate_prefix_weight``.  Any other data (a tampered or foreign
   file) is parsed by ``serialize.int_parse``, written by
-  ``serialize.int_str`` and checked with ``Fraction``.
+  ``serialize.int_str`` and checked by ``Fraction`` alone, unit fractions
+  or not.
 
 The greedy numbers double their digit count per level, so a depth is
 accepted from outside only up to ``MAX_DEPTH``.
@@ -344,32 +345,6 @@ def _greedy_slacks(p: PartitionData) -> Slacks:
     return [Fraction(0)] * (p.depth - 1), [Fraction(0)] * p.depth, descending
 
 
-def _unit_slacks(p: PartitionData) -> Slacks:
-    """The same slacks when every r_n is a unit fraction 1/R_n.
-
-    Growth and decay slacks are integer numerators over known denominators,
-    and a Fraction (with its gcd) is built only for a non-zero numerator.
-    """
-
-    def over(num: int, den: int) -> Fraction:
-        return Fraction(num, den) if num else Fraction(0)
-
-    R = [r.denominator for r in p.rationals]
-    # numerators of |I_n|/R_n - |I_<n| over R_n and of 2^(-n-1) - |I_n|/R_{n+1}
-    # over 2^(n+1) R_{n+1}
-    growth = [over(p.lengths[n] - p.prefix_size(n) * R[n], R[n]) for n in range(1, p.depth)]
-    decay: List[Fraction] = []
-    descending: List[Fraction] = []
-    for n in range(p.depth):
-        decay.append(over(R[n + 1] - (p.lengths[n] << (n + 1)), R[n + 1] << (n + 1)))
-        k, rem = divmod(R[n + 1], R[n])
-        if rem:
-            descending.append(Fraction(R[n + 1] - R[n], R[n] * R[n + 1]))
-        else:
-            descending.append(p.rationals[n] * Fraction(k - 1, k))
-    return growth, decay, descending
-
-
 def verify_partition(p: PartitionData) -> PartitionReport:
     """Exact per-condition verification with rational slack.
 
@@ -388,9 +363,8 @@ def verify_partition(p: PartitionData) -> PartitionReport:
 
     Greedy data has the shape, the base, contiguous non-empty intervals and
     unit rationals by those identities, so it is checked and reported from
-    its decimal replay alone.  Any other data is checked on its ints: by
-    integer numerators when every rational is a unit fraction, and by
-    ``Fraction`` arithmetic otherwise.
+    its decimal replay alone.  Any other data is checked on its ints, by
+    ``Fraction`` arithmetic (``_fraction_slacks``), whatever its rationals.
     """
     if not p.greedy:
         if p.depth < 1 or len(p.rationals) != p.depth + 1:
@@ -410,12 +384,7 @@ def verify_partition(p: PartitionData) -> PartitionReport:
     reports.append(
         ConditionReport("base", 0, p.greedy or (p.lengths[0] == 1 and p.rationals[0] == 1), None)
     )
-    if p.greedy:
-        growth, decay, descending = _greedy_slacks(p)
-    elif all(r.numerator == 1 for r in p.rationals):
-        growth, decay, descending = _unit_slacks(p)
-    else:
-        growth, decay, descending = _fraction_slacks(p)
+    growth, decay, descending = (_greedy_slacks if p.greedy else _fraction_slacks)(p)
     # condition (1): |I_<n| <= r_n |I_n|
     for n, slack in enumerate(growth, 1):
         reports.append(ConditionReport("growth", n, slack >= 0, slack))

@@ -1014,19 +1014,6 @@ def run_ramsey(models: Sequence[CriticalNodeModel], stages: int,
 
 # -- assembly -------------------------------------------------------------------
 
-@dataclass
-class AssembledRun:
-    engine: str
-    forbidden: list                      # explicit labels or symbolic descriptors
-    forbidden_measure: Fraction          # exact small-ideal measure of the union
-    closed_form_bound: Fraction          # sum over all stages of 2^-k
-    families: Dict[int, dict]            # i -> obstruction family payload
-    payload: dict                        # certificate body
-
-    def family_members(self, i: int) -> List[int]:
-        return [int(x) for x in self.families[i]["members"]]
-
-
 def _sums_blocks(i: int, model: CriticalNodeModel, anchors: list):
     """Blocks, finite sums and family head of one sums-engine model.
 
@@ -1059,8 +1046,8 @@ def _pairs_blocks(i: int, model: CriticalNodeModel, verts: list):
 
 
 def _assemble_anchored(state: AnchorState, blocks_of, canonical: str, point,
-                       texts: Tuple[str, str, str, str, str]) -> AssembledRun:
-    """Verify the sums or pairs engine invariants and package the run.
+                       texts: Tuple[str, str, str, str, str]) -> dict:
+    """Verify the sums or pairs engine invariants and return the run's payload.
 
     ``blocks_of(i, model, anchors)`` gives a model's blocks, its expected
     members in ascending order and its family head; ``point`` maps a member
@@ -1073,7 +1060,7 @@ def _assemble_anchored(state: AnchorState, blocks_of, canonical: str, point,
     bottom, single, overlap, union, domain_name = texts
     forbidden: set = set()
     measure = Fraction(0)
-    families: Dict[int, dict] = {}
+    families: Dict[str, dict] = {}
     stage_rows: List[dict] = []
     for i, model in enumerate(state.models):
         if i not in state.anchors:
@@ -1133,40 +1120,38 @@ def _assemble_anchored(state: AnchorState, blocks_of, canonical: str, point,
                     f"hold on the {domain_name} (holding: {cases})"
                 }
             )
-        families[i] = {**family, "members": [str(x) for x in expected], "size": len(expected)}
+        families[str(i)] = {**family, "members": [str(x) for x in expected], "size": len(expected)}
     stages = len(state.stages)
     closed = Fraction(2) - Fraction(1, 1 << (stages - 1)) if stages else Fraction(0)
-    payload = {
+    return {
         "engine": state.engine,
         "stages": stage_rows,
         "forbidden_labels": [str(c) for c in sorted(forbidden)],
         "forbidden_mass": rat_str(measure),
         "per_stage_bound_sum": rat_str(closed),
         "tail_bound": rat_str(Fraction(1, 1 << (stages - 1))) if stages else "0/1",
-        "families": {str(i): fam for i, fam in families.items()},
+        "families": families,
     }
-    return AssembledRun(state.engine, sorted(forbidden), measure, closed, families, payload)
 
 
-def assemble_hindman(state: AnchorState) -> AssembledRun:
-    """Verify the sums engine invariants and package the run."""
+def assemble_hindman(state: AnchorState) -> dict:
+    """Verify the sums engine invariants and return the run's payload."""
     return _assemble_anchored(state, _sums_blocks, HINDMAN, lambda x: x, (
         "bottom label inside a block", "extreme-support form must give a single label per block",
         "blocks {x} and {y} intersect", "block union differs from the finite sums",
         "anchored sums"))
 
 
-def assemble_ramsey(state: AnchorState) -> AssembledRun:
-    """Verify the pairs engine invariants and package the run."""
+def assemble_ramsey(state: AnchorState) -> dict:
+    """Verify the pairs engine invariants and return the run's payload."""
     return _assemble_anchored(state, _pairs_blocks, RAMSEY, decode_unordered, (
         "bottom label on a pair", "extreme form must give a single label per block",
         "pair blocks intersect", "pair union differs from the full pair set", "anchored pairs"))
 
 
-def assemble_posdiff(state: PosdiffState) -> AssembledRun:
-    """Verify the difference engine invariants and package the run."""
+def assemble_posdiff(state: PosdiffState) -> dict:
+    """Verify the difference engine invariants and return the run's payload."""
     forbidden: set = set()
-    families: Dict[int, dict] = {}
     per_model_mass: Dict[int, Fraction] = {}
     per_model_members: Dict[int, List[int]] = {}
     stage_rows = [rec.to_json() for rec in state.stages]
@@ -1176,30 +1161,28 @@ def assemble_posdiff(state: PosdiffState) -> AssembledRun:
         per_model_members.setdefault(rec.i, []).extend(rec.d_members)
     members = sorted(forbidden)
     table = diff_multiplicity(members)
-    measure = harmonic(members)
-    for i, mass in per_model_mass.items():
-        families[i] = {
-            "structure": "divergent-harmonic",
-            "members": [str(x) for x in sorted(per_model_members[i])],
-            "harmonic_mass": rat_str(mass),
-            "stages": sum(1 for rec in state.stages if rec.i == i),
-        }
-    payload = {
+    return {
         "engine": "posdiff",
         "stages": stage_rows,
         "forbidden_labels": [str(c) for c in members],
-        "forbidden_mass": rat_str(measure),
+        "forbidden_mass": rat_str(harmonic(members)),
         "difference_multiplicities": {str(d): c for d, c in sorted(table.items())},
-        "families": {str(i): fam for i, fam in families.items()},
+        "families": {
+            str(i): {
+                "structure": "divergent-harmonic",
+                "members": [str(x) for x in sorted(per_model_members[i])],
+                "harmonic_mass": rat_str(mass),
+                "stages": sum(1 for rec in state.stages if rec.i == i),
+            }
+            for i, mass in per_model_mass.items()
+        },
     }
-    return AssembledRun("posdiff", members, measure, Fraction(0), families, payload)
 
 
-def assemble_pwfin(state: PwfinState) -> AssembledRun:
-    """Verify the interval engine invariants and package the run."""
+def assemble_pwfin(state: PwfinState) -> dict:
+    """Verify the interval engine invariants and return the run's payload."""
     measure = Fraction(0)
     bound_sum = Fraction(0)
-    families: Dict[int, dict] = {}
     per_model_weight: Dict[int, Fraction] = {}
     rows = []
     descriptors = []
@@ -1213,26 +1196,27 @@ def assemble_pwfin(state: PwfinState) -> AssembledRun:
         raise ScenarioContradiction(
             {"summary": "forbidden-label weight exceeds the stage bound sum"}
         )
-    for i, intervals in state.used_intervals.items():
-        families[i] = {
-            "structure": "divergent-weight",
-            "intervals": sorted(intervals),
-            "target_weight": rat_str(per_model_weight[i]),
-            "stages": len(intervals),
-        }
-    payload = {
+    return {
         "engine": "pwfin",
         "stages": rows,
         "forbidden_labels": descriptors,
         "forbidden_weight": rat_str(measure),
         "closed_form_bound": "2/1",
-        "families": {str(i): fam for i, fam in families.items()},
+        "families": {
+            str(i): {
+                "structure": "divergent-weight",
+                "intervals": sorted(intervals),
+                "target_weight": rat_str(per_model_weight[i]),
+                "stages": len(intervals),
+            }
+            for i, intervals in state.used_intervals.items()
+        },
     }
-    return AssembledRun("pwfin", descriptors, measure, Fraction(2), families, payload)
 
 
-def assemble(state) -> AssembledRun:
-    """Package a finished run, re-verifying every family invariant."""
+def assemble(state) -> dict:
+    """Re-verify every family invariant of a finished run and return its payload:
+    the ``result`` a diagonalization certificate records, ``families`` keyed by ``str(i)``."""
     return ENGINES[state.engine].assemble(state)
 
 
@@ -1263,7 +1247,7 @@ def collision_check(
     branching_ideal,
     coherent_map,
     oracle,
-    assembled: AssembledRun,
+    payload: dict,
     model_index: int,
     model: CriticalNodeModel,
     horizon: int = 4096,
@@ -1274,8 +1258,8 @@ def collision_check(
     explicit finite successor set fails that claim outright.  A member x of
     the family below the horizon yields the forbidden label and a realizing
     path; absence below the horizon is reported as inconclusive, never as a
-    refutation.  The run's engine must have ``explicit_forbidden`` set, so
-    that its families list their members.
+    refutation.  ``payload`` comes from ``assemble`` on a run whose engine has
+    ``explicit_forbidden`` set, so that its families list their members.
     """
     from .trees import check_branching, compute_labels, path_value_search
 
@@ -1293,7 +1277,7 @@ def collision_check(
     if described is None:
         return CollisionReport("rejected", reason="explicit successor set")
 
-    members = assembled.family_members(model_index)
+    members = map(int, payload["families"][str(model_index)]["members"])
     hit = next((x for x in members if x < horizon and described.contains(x)), None)
     if hit is None:
         return CollisionReport(
@@ -1303,7 +1287,7 @@ def collision_check(
     label = model.rule.label(hit)
     labelled = compute_labels(tree, coherent_map, oracle)
     path = path_value_search(labelled, label)
-    if label not in {int(str(c)) for c in assembled.forbidden}:
+    if str(label) not in payload["forbidden_labels"]:
         return CollisionReport(
             "rejected", successor=hit, label=label,
             reason="label of the located successor is not forbidden",
@@ -1325,12 +1309,12 @@ class Engine:
     """One diagonalization engine; ``ENGINES`` is the one place an engine is declared.
 
     ``run`` takes a diagonalization scenario and a stage count and returns
-    the run state; ``assemble`` packages a state.  Both look up the module's
+    the run state; ``assemble`` turns a state into its payload.  Both look up the module's
     ``run_<name>`` and ``assemble_<name>`` at call time, so a wrapper bound
     to those names later (a tracer, a test spy) is the one that runs.
-    ``explicit_forbidden`` says whether the assembled forbidden labels are
-    label values rather than descriptors, and so whether each family lists
-    its ``members``: only such a run can be checked for a collision.
+    ``explicit_forbidden`` says whether the payload's ``forbidden_labels``
+    are label values rather than descriptors, and so whether each family
+    lists its ``members``: only such a run can be checked for a collision.
     ``enumerate_family`` maps an assembled family payload to its anchors and
     to its members enumerated afresh, or is None.  A model declares its
     form or case in the attribute ``declares``, one of ``values``; the rules
@@ -1339,7 +1323,7 @@ class Engine:
     """
 
     run: Callable[[object, int], object]
-    assemble: Callable[[object], AssembledRun]
+    assemble: Callable[[object], dict]
     explicit_forbidden: bool = True
     enumerate_family: Optional[Callable[[dict], Tuple[list, List[int]]]] = None
     declares: Optional[str] = None

@@ -20,7 +20,11 @@ _FS_GEN_CAP = 22  # 2^22 subset sums is already beyond any sane scenario
 
 
 def _nat_tuple(xs: Iterable[int]) -> Tuple[int, ...]:
-    out = tuple(sorted(set(int(x) for x in xs)))
+    xs = tuple(xs)
+    for x in xs:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise TypeError(f"member {x!r} is not an integer")
+    out = tuple(sorted(set(xs)))
     if out and out[0] < 0:
         raise ValueError("members must be naturals")
     return out
@@ -292,8 +296,8 @@ def full_set() -> Cofinite:
 def set_from_json(obj: dict) -> DescribedSet:
     """Decode the tagged descriptor-tree serialization.
 
-    A non-object, an unknown kind, a missing field or a field of the wrong
-    type is a SchemaError.
+    A non-object, an unknown kind, a missing field, a field of the wrong
+    type or a set its constructor refuses is a SchemaError.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError("set descriptor must be a tagged object")
@@ -303,6 +307,8 @@ def set_from_json(obj: dict) -> DescribedSet:
         raise SchemaError(f"set descriptor {obj['kind']!r} lacks {exc.args[0]!r}") from None
     except TypeError as exc:
         raise SchemaError(f"set descriptor {obj['kind']!r} has a field of the wrong type: {exc}") from None
+    except StructuralError as exc:
+        raise SchemaError(f"set descriptor {obj['kind']!r}: {exc}") from None
 
 
 def _decode_set(obj: dict) -> DescribedSet:

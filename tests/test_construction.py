@@ -15,7 +15,6 @@ from idealbench.cli import run
 from idealbench.construction import (
     PartitionData,
     _fraction_slacks,
-    _unit_slacks,
     build_partition,
     degenerate_prefix_weight,
     interval_weight,
@@ -144,28 +143,6 @@ def test_non_unit_rationals_take_the_fraction_path():
         ("descending", 1, True, "13/24"),
         ("descending", 2, True, "23/192"),
     ]
-
-
-@given(
-    depth=st.integers(1, 6),
-    edits=st.lists(st.tuples(st.integers(0, 6), st.integers(-3, 3), st.integers(1, 4)),
-                   max_size=3),
-)
-def test_unit_slacks_match_fraction_slacks(depth, edits):
-    # unit denominators moved off the greedy values reach the division and
-    # non-divisible branches; the Fraction path is the reference
-    p = build_partition(depth)
-    dens = [r.denominator for r in p.rationals]
-    for index, shift, factor in edits:
-        index %= len(dens)
-        dens[index] = max(1, dens[index] * factor + shift)
-    tampered = PartitionData(p.starts, p.lengths, tuple(Fraction(1, d) for d in dens))
-
-    def pairs(slacks):
-        # lowest terms make the pairs of equal values equal
-        return [[(s.numerator, s.denominator) for s in group] for group in slacks]
-
-    assert pairs(_unit_slacks(tampered)) == pairs(_fraction_slacks(tampered))
 
 
 def reference_partition_bytes(p):

@@ -46,7 +46,7 @@ from idealbench.ideals import diff_multiplicity
 from idealbench.pairing import code_unordered, unpair_diag
 from idealbench.ramsey import block_disjoint, delta, eventually_sparse_check
 from idealbench.scenarios import load_scenario
-from idealbench.serialize import canonical_bytes, rat_str
+from idealbench.serialize import canonical_bytes, rat_parse, rat_str
 from idealbench.sets import Cofinite, Finite, Progression
 
 
@@ -224,10 +224,10 @@ def test_pwfin_starves_without_fresh_indices():
 
 def test_pwfin_assemble_records_bound():
     state, _ = pwfin_run("2c")
-    assembled = assemble(state)
-    assert assembled.forbidden_measure <= 2
-    assert assembled.payload["closed_form_bound"] == "2/1"
-    fam = assembled.payload["families"]["0"]
+    payload = assemble(state)
+    assert rat_parse(payload["forbidden_weight"]) <= 2
+    assert payload["closed_form_bound"] == "2/1"
+    fam = payload["families"]["0"]
     assert fam["structure"] == "divergent-weight"
     assert fam["stages"] == 4
 
@@ -662,10 +662,10 @@ def test_posdiff_blocks_full_run():
 def test_posdiff_blocks_assemble():
     scn = load_scenario("posdiff-blocks")
     state = run_posdiff(scn.models(), scn.payload["horizon"], 4)
-    assembled = assemble(state)
-    assert assembled.forbidden == [5, 15, 45, 135]
-    assert assembled.forbidden_measure < 2
-    fam = assembled.families[0]
+    payload = assemble(state)
+    assert payload["forbidden_labels"] == ["5", "15", "45", "135"]
+    assert rat_parse(payload["forbidden_mass"]) < 2
+    fam = payload["families"]["0"]
     assert fam["structure"] == "divergent-harmonic"
     assert Fraction(*map(int, fam["harmonic_mass"].split("/"))) >= 4
 
@@ -694,8 +694,8 @@ def test_hindman_runs_and_invariants(form):
     values = [h for _, h in state.anchors[0]]
     assert values == HINDMAN_EXPECTED_ANCHORS[form]
     assert block_disjoint(values)
-    assembled = assemble(state)
-    rows = assembled.payload["stages"]
+    payload = assemble(state)
+    rows = payload["stages"]
     label_of = scn.models()[0].rule.label
     for row in rows:
         k = row["k"]
@@ -710,11 +710,11 @@ def test_hindman_runs_and_invariants(form):
     independent = sorted(
         sum(c) for r in range(1, 5) for c in combinations(values, r)
     )
-    members = [int(x) for x in assembled.payload["families"]["0"]["members"]]
+    members = [int(x) for x in payload["families"]["0"]["members"]]
     assert members == sorted(set(independent))
     # every family member is labelled inside the forbidden set
-    forbidden = set(assembled.forbidden)
-    assert all(label_of(x) in forbidden for x in members)
+    forbidden = set(payload["forbidden_labels"])
+    assert all(str(label_of(x)) in forbidden for x in members)
 
 
 def test_hindman_case4_threshold_arithmetic():
@@ -766,8 +766,8 @@ def test_ramsey_runs_and_invariants(form):
     state = run_ramsey(scn.models(), 4)
     verts = state.anchors[0]
     assert verts == RAMSEY_EXPECTED_ANCHORS[form]
-    assembled = assemble(state)
-    for row in assembled.payload["stages"]:
+    payload = assemble(state)
+    for row in payload["stages"]:
         small = Fraction(*map(int, row["label_mass"].split("/")))
         assert small < Fraction(1, 2 ** row["k"])
         if form in (2, 3) and row["block_size"]:
@@ -776,7 +776,7 @@ def test_ramsey_runs_and_invariants(form):
     independent = sorted(
         code_unordered(a, b) for a, b in combinations(verts, 2)
     )
-    members = [int(x) for x in assembled.payload["families"]["0"]["members"]]
+    members = [int(x) for x in payload["families"]["0"]["members"]]
     assert members == independent
     assert len(members) == 6  # four anchors, six pairs, each block-anchored once
 
@@ -930,12 +930,12 @@ def test_two_model_hindman_run_keeps_books_per_model():
     assert [rec.i for rec in state.stages] == [0, 1, 0, 0, 1]
     assert len(state.anchors[0]) == 3
     assert len(state.anchors[1]) == 2
-    assembled = assemble(state)
-    fams = assembled.payload["families"]
+    payload = assemble(state)
+    fams = payload["families"]
     assert set(fams) == {"0", "1"}
     assert fams["0"]["size"] == 7   # three anchors
     assert fams["1"]["size"] == 3   # two anchors
-    for row in assembled.payload["stages"]:
+    for row in payload["stages"]:
         small = Fraction(*map(int, row["label_mass"].split("/")))
         assert small < Fraction(1, 2 ** row["k"])
 
@@ -950,8 +950,8 @@ def test_two_model_posdiff_shares_forbidden_labels_globally():
     assert [rec.i for rec in state.stages] == [0, 1, 0]
     # freshness bounds accumulate across models, not per model
     assert state.stages[1].n_bound == max(state.stages[0].c_labels)
-    assembled = assemble(state)
-    assert set(assembled.families) == {0, 1}
+    payload = assemble(state)
+    assert set(payload["families"]) == {"0", "1"}
 
 
 # -- engine registry ------------------------------------------------------------------
@@ -981,19 +981,19 @@ def collision_parts():
     scn = load_scenario("collision-posdiff")
     diag = scn.diag()
     state = run_posdiff(diag.models(), diag.payload["horizon"], 4)
-    assembled = assemble(state)
+    payload = assemble(state)
     tree_scn = scn.tree_scenario()
-    return scn, diag, assembled, tree_scn
+    return scn, diag, payload, tree_scn
 
 
 def test_collision_finds_forbidden_label():
-    scn, diag, assembled, tree_scn = collision_parts()
+    scn, diag, payload, tree_scn = collision_parts()
     report = collision_check(
         tree_scn.tree(),
         tree_scn.branching_ideal(),
         tree_scn.coherent_map(),
         tree_scn.oracle(),
-        assembled,
+        payload,
         0,
         diag.models()[0],
     )
@@ -1001,20 +1001,20 @@ def test_collision_finds_forbidden_label():
     assert report.successor == 2
     assert report.label == 5
     assert report.path == [(), (2,)]
-    assert 5 in assembled.forbidden
+    assert "5" in payload["forbidden_labels"]
 
 
 def test_collision_rejects_explicit_successor_trees():
     from idealbench.trees import Explicit, FiniteTree
 
-    scn, diag, assembled, tree_scn = collision_parts()
+    scn, diag, payload, tree_scn = collision_parts()
     finite_tree = FiniteTree({(), (2,)}, {(): Explicit((2,))})
     report = collision_check(
         finite_tree,
         tree_scn.branching_ideal(),
         tree_scn.coherent_map(),
         tree_scn.oracle(),
-        assembled,
+        payload,
         0,
         diag.models()[0],
     )
@@ -1024,15 +1024,15 @@ def test_collision_rejects_explicit_successor_trees():
 def test_collision_inconclusive_when_tree_avoids_family():
     from idealbench.trees import Described, FiniteTree
 
-    scn, diag, assembled, tree_scn = collision_parts()
-    avoiding = Cofinite(tuple(assembled.family_members(0)))
+    scn, diag, payload, tree_scn = collision_parts()
+    avoiding = Cofinite(tuple(int(x) for x in payload["families"]["0"]["members"]))
     tree = FiniteTree({()}, {(): Described(avoiding)})
     report = collision_check(
         tree,
         tree_scn.branching_ideal(),
         tree_scn.coherent_map(),
         tree_scn.oracle(),
-        assembled,
+        payload,
         0,
         diag.models()[0],
     )

@@ -55,11 +55,11 @@ def test_realization_claims_branching_everywhere():
 def test_realized_tree_collides_with_the_obstruction_family():
     diag = load_scenario("posdiff-blocks")
     state = run_posdiff(diag.models(), diag.payload["horizon"], 4)
-    assembled = assemble(state)
+    payload = assemble(state)
     model = diag.models()[0]
     cmap, tree, oracle = realize_model(model, 60, branching_set=Cofinite((0, 1)))
     report = collision_check(
-        tree, SumHarmonic(), cmap, oracle, assembled, 0, model
+        tree, SumHarmonic(), cmap, oracle, payload, 0, model
     )
     assert report.outcome == "collision"
     assert report.successor == 2

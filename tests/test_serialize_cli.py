@@ -593,11 +593,18 @@ def test_cli_membership(capsys):
          '{"kind": "finite", "members": []}'),
         ('{"kind": "fin"}', '{"kind": "ap", "base": "x", "step": 2}'),
         ('{"kind": "fin"}', '{"kind": "union", "parts": 5}'),
+        ('{"kind": "fin"}', '{"kind": "intervals", "spans": [[5, 2]]}'),
+        ('{"kind": "fin"}', json.dumps({"kind": "fs_closure", "generators": list(range(1, 24))})),
+        ('{"kind": "fin"}', '{"kind": "finite", "members": [1.5]}'),
+        ('{"kind": "fin"}', '{"kind": "finite", "members": [true]}'),
+        ('{"kind": "fin"}', '{"kind": "finite", "members": ["3"]}'),
     ],
     ids=["finite-without-members", "unknown-set-kind", "set-not-an-object",
          "nested-ap-without-step", "unknown-ideal-kind", "ideal-not-an-object",
          "sum-s-depth-not-int", "sum-s-depth-zero", "sum-s-depth-past-max",
-         "ap-base-text", "union-parts-number"],
+         "ap-base-text", "union-parts-number", "intervals-reversed-span",
+         "fs-closure-past-generator-cap", "finite-member-float", "finite-member-bool",
+         "finite-member-text"],
 )
 def test_cli_membership_rejects_malformed_descriptors(capsys, ideal, described):
     assert run(["membership", "--ideal", ideal, "--set", described]) == 2
@@ -676,14 +683,27 @@ def test_cli_check_reduction_height_one_witness(capsys):
                 "--set", '{"kind": "finite", "members": [3]}']) == 1
 
 
-@pytest.mark.parametrize(
-    "claim",
-    ["{}", "[]", '{"source": {"kind": "fin"}, "target": {"kind": "fin"}, "witness": 5}'],
-    ids=["claim-without-source", "claim-not-object", "witness-not-object"],
+CONSTANT_TEXT_VALUE = json.dumps(
+    {"source": {"kind": "fin"}, "target": {"kind": "fin"},
+     "witness": {"kind": "constant", "value": "x"}}
 )
-def test_cli_check_reduction_rejects_malformed_claims(capsys, claim):
-    assert run(["check-reduction", "--claim", claim,
-                "--set", '{"kind": "finite", "members": [3]}']) == 2
+
+
+@pytest.mark.parametrize(
+    "claim, described",
+    [
+        ("{}", '{"kind": "finite", "members": [3]}'),
+        ("[]", '{"kind": "finite", "members": [3]}'),
+        ('{"source": {"kind": "fin"}, "target": {"kind": "fin"}, "witness": 5}',
+         '{"kind": "finite", "members": [3]}'),
+        (CONSTANT_TEXT_VALUE, '{"kind": "ap", "base": 1, "step": 2}'),
+        (CONSTANT_TEXT_VALUE, '{"kind": "finite", "members": [3]}'),
+    ],
+    ids=["claim-without-source", "claim-not-object", "witness-not-object",
+         "constant-value-text-over-ap", "constant-value-text-over-finite"],
+)
+def test_cli_check_reduction_rejects_malformed_claims(capsys, claim, described):
+    assert run(["check-reduction", "--claim", claim, "--set", described]) == 2
     err = capsys.readouterr().err
     assert "schema error" in err and "Traceback" not in err
 
