@@ -497,7 +497,8 @@ class Kind:
 
     Its inputs are ``integers``, each ``(key, default, minimum)`` or
     ``(key, default, minimum, maximum)`` with the default None when
-    required; with ``sizes``, a list of integers >= 2; with ``scenario``,
+    required; with ``sizes = (largest, most)``, a list of at most ``most``
+    integers from 2 to ``largest``; with ``scenario``,
     a scenario object of that class, whose assumptions the certificate
     records.  ``compute`` takes them by name, plus ``rng``, a fresh
     ``random.Random(seed)``, when ``seeded``, and returns the body.
@@ -508,7 +509,7 @@ class Kind:
     name: str
     compute: Callable[..., dict]
     integers: Tuple[Tuple, ...] = ()
-    sizes: bool = False
+    sizes: Optional[Tuple[int, int]] = None
     scenario: Optional[type] = None
     seeded: bool = False
     expected: Tuple[str, ...] = ()
@@ -523,12 +524,14 @@ class Kind:
         args = {key: integer_field(inputs, key, default, where, *bounds)
                 for key, default, *bounds in self.integers}
         if self.sizes:
+            largest, most = self.sizes
             args["sizes"] = sizes = inputs.get("sizes")
-            if not isinstance(sizes, list) or not all(
-                isinstance(size, int) and not isinstance(size, bool) and size >= 2
+            if not isinstance(sizes, list) or len(sizes) > most or not all(
+                isinstance(size, int) and not isinstance(size, bool) and 2 <= size <= largest
                 for size in sizes
             ):
-                raise SchemaError(f"{where}: sizes must be a list of integers >= 2")
+                raise SchemaError(f"{where}: sizes must be a list of at most {most} "
+                                  f"integers from 2 to {largest}")
         assumptions: List[dict] = []
         if self.scenario is not None:
             args["scenario"] = scenario = self.scenario.from_json(inputs.get("scenario"), where)
@@ -553,13 +556,13 @@ KINDS: Dict[str, Kind] = {kind.name: kind for kind in (
     Kind("structural-identity", _structural_identity, (_STAGES,), scenario=DiagScenario),
     Kind("tree-labelling", _tree_labelling, scenario=TreeScenario,
          expected=("root_as_expected", "critical_as_declared")),
-    Kind("sparseness", _sparseness, (("universe", None, 0),), sizes=True),
+    Kind("sparseness", _sparseness, (("universe", None, 0, 25),), sizes=(7, 3)),
     Kind("ramsey-oracle", _ramsey_oracle, (("size", 3, 0, 5), ("exhaustive_n", 4, 0, 5),
                                             ("sample_n", 5, 0, 6), ("samples", 10000, 0, 20000)),
          seeded=True),
     Kind("collision", _collision, scenario=CollisionScenario,
          expected=("forbidden_label_hit",)),
-    Kind("pairing", _pairing, (("bound", 100, 0), ("unordered_bound", 50, 0))),
+    Kind("pairing", _pairing, (("bound", 100, 0, 500), ("unordered_bound", 50, 0, 500))),
 )}
 
 # the callable ``produce`` runs per kind, looked up at call time so that a

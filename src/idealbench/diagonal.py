@@ -412,6 +412,21 @@ def model_for_stage(models: Sequence[CriticalNodeModel], k: int) -> Tuple[int, C
     return i, models[i]
 
 
+def run_stages(state, stages: int, stage):
+    """The one stage loop of every engine: stages 0 .. stages - 1 of a run.
+
+    Stage k goes to the model ``model_for_stage`` picks, and
+    ``stage(state, k, i, model)`` returns its record, which is appended to
+    ``state.stages``.  The records are the run's only state: a stage reads
+    what earlier stages did from them, and a stage that raises appends
+    nothing.
+    """
+    for k in range(stages):
+        i, model = model_for_stage(state.models, k)
+        state.stages.append(stage(state, k, i, model))
+    return state
+
+
 # -- interval engine (embedding argument) ------------------------------------
 
 @dataclass(frozen=True)
@@ -532,8 +547,6 @@ class PwfinState:
     p_set: DescribedSet
     q_set: DescribedSet
     models: Tuple[CriticalNodeModel, ...]
-    used_pairs: set = field(default_factory=set)
-    used_intervals: Dict[int, set] = field(default_factory=dict)
     stages: List[PwfinStageRecord] = field(default_factory=list)
 
     def difference_indices(self) -> List[int]:
@@ -544,19 +557,23 @@ class PwfinState:
         ]
 
 
-def pwfin_stage(state: PwfinState, k: int) -> PwfinStageRecord:
-    """One stage of the interval engine; every bound re-checked exactly."""
-    p = state.partition
-    i, model = model_for_stage(state.models, k)
+def pwfin_stage(state: PwfinState, k: int, i: int,
+                model: CriticalNodeModel) -> PwfinStageRecord:
+    """One stage of the interval engine; every bound re-checked exactly.
 
+    An interval is fresh for model i while no record of model i holds it,
+    so two models may each take the same interval.
+    """
+    p = state.partition
     candidates = state.difference_indices()
 
     if model.case == "2a":
         _pwfin_refute_2a(state, model, candidates)
 
+    used = {rec.n for rec in state.stages if rec.i == i}
     chosen = None
     for n in candidates:
-        if pair_diag(i, n) in state.used_pairs:
+        if n in used:
             continue
         prof = extract_profile(model, p, n)
         if model.case == "2b":
@@ -606,13 +623,9 @@ def pwfin_stage(state: PwfinState, k: int) -> PwfinStageRecord:
             {"summary": f"stage {k}: pigeonhole bound violated at interval {n}"}
         )
 
-    state.used_pairs.add(pair_diag(i, n))
-    state.used_intervals.setdefault(i, set()).add(n)
-    record = PwfinStageRecord(
+    return PwfinStageRecord(
         k, i, n, model.case, prof.labels_json(), c_weight, bound, d_count, d_weight
     )
-    state.stages.append(record)
-    return record
 
 
 def _pwfin_refute_2a(state: PwfinState, model: CriticalNodeModel, candidates):
@@ -647,9 +660,7 @@ def run_pwfin(
     stages: int,
 ) -> PwfinState:
     state = PwfinState(partition, p_set, q_set, ENGINES["pwfin"].checked(models))
-    for k in range(stages):
-        pwfin_stage(state, k)
-    return state
+    return run_stages(state, stages, pwfin_stage)
 
 
 # -- difference engine --------------------------------------------------------
@@ -685,15 +696,13 @@ class PosdiffState:
     horizon: int
     stages: List[PosdiffStageRecord] = field(default_factory=list)
 
-    def labels_before(self, k: int) -> List[int]:
-        out: set = set()
-        for rec in self.stages:
-            if rec.k < k:
-                out.update(rec.c_labels)
-        return sorted(out)
+    def labels(self) -> List[int]:
+        """The labels every stage so far has forbidden, ascending."""
+        return sorted({c for rec in self.stages for c in rec.c_labels})
 
 
-def posdiff_stage(state: PosdiffState, k: int) -> PosdiffStageRecord:
+def posdiff_stage(state: PosdiffState, k: int, i: int,
+                  model: CriticalNodeModel) -> PosdiffStageRecord:
     """One stage of the difference engine.
 
     Filters successors to fresh, large labels, splits them into residue
@@ -720,12 +729,11 @@ def posdiff_stage(state: PosdiffState, k: int) -> PosdiffStageRecord:
     run; the stage succeeds only when the block closes exactly at
     horizon - 1, and otherwise stops with its partial mass.
     """
-    i, model = model_for_stage(state.models, k)
     rule = model.rule
     if rule.finite_alphabet():
         _posdiff_refute_finite(state, i)
 
-    prev = state.labels_before(k)
+    prev = state.labels()
     diffs = delta(prev)
     n_bound = max(prev) if prev else 0
     m_bound = (max(diffs) if diffs else 0) + 1
@@ -773,11 +781,9 @@ def posdiff_stage(state: PosdiffState, k: int) -> PosdiffStageRecord:
                     }
                 )
 
-    record = PosdiffStageRecord(
+    return PosdiffStageRecord(
         k, i, n_bound, m_bound, best, tuple(members), tuple(c_now), acc
     )
-    state.stages.append(record)
-    return record
 
 
 def _posdiff_refute_finite(state: PosdiffState, i: int):
@@ -801,10 +807,8 @@ def _posdiff_refute_finite(state: PosdiffState, i: int):
 def run_posdiff(
     models: Sequence[CriticalNodeModel], horizon: int, stages: int
 ) -> PosdiffState:
-    state = PosdiffState(tuple(models), horizon)
-    for k in range(stages):
-        posdiff_stage(state, k)
-    return state
+    state = PosdiffState(ENGINES["posdiff"].checked(models), horizon)
+    return run_stages(state, stages, posdiff_stage)
 
 
 # -- ground sequences ---------------------------------------------------------
@@ -865,29 +869,27 @@ PAIRS_SCAN_CAP = 4096
 
 
 @dataclass
-class SumsStageRecord:
+class AnchorStageRecord:
+    """The anchor stage k adds to model i: a (ground index, value) pair for
+    the sums engine, a vertex for the pairs engine."""
+
     k: int
     i: int
-    b: int
-    anchor_index: int
-    anchor_value: int
-    threshold: int
+    anchor: object
 
 
 @dataclass
 class AnchorState:
-    """Run state of the sums or the pairs engine.
-
-    ``anchors[i]`` lists model i's anchors in stage order: (ground index,
-    value) pairs for the sums engine, vertices for the pairs engine.
-    """
+    """Run state of the sums or the pairs engine."""
 
     engine: str
     models: Tuple[CriticalNodeModel, ...]
     scan_cap: int
-    anchors: Dict[int, list] = field(default_factory=dict)
-    stage_of: Dict[Tuple[int, int], int] = field(default_factory=dict)       # (i, b) -> k
-    stages: List[SumsStageRecord] = field(default_factory=list)
+    stages: List[AnchorStageRecord] = field(default_factory=list)
+
+    def anchors(self, i: int) -> list:
+        """Model i's anchors in stage order."""
+        return [rec.anchor for rec in self.stages if rec.i == i]
 
 
 def _clears(label: Optional[int], threshold: int) -> bool:
@@ -912,20 +914,9 @@ def _scan(state: AnchorState, k: int, first: int, element, clears, threshold: in
     raise HorizonExhausted(f"stage {k}: no {what} clears threshold {threshold}")
 
 
-def _record(state: AnchorState, k: int, i: int, anchor, index: int, value: int,
-            threshold: int) -> SumsStageRecord:
-    anchors = state.anchors[i]
-    b = len(anchors)
-    anchors.append(anchor)
-    state.stage_of[(i, b)] = k
-    record = SumsStageRecord(k, i, b, index, value, threshold)
-    state.stages.append(record)
-    return record
-
-
-def hindman_stage(state: AnchorState, k: int) -> SumsStageRecord:
+def hindman_stage(state: AnchorState, k: int, i: int,
+                  model: CriticalNodeModel) -> AnchorStageRecord:
     """Extend one model's anchor subsequence under its case threshold."""
-    i, model = model_for_stage(state.models, k)
     element = _sequence(GROUND_KINDS, model.ground)
     label_of = model.rule.label
 
@@ -940,7 +931,7 @@ def hindman_stage(state: AnchorState, k: int) -> SumsStageRecord:
             probes=[str(x) for x in probes],
         )
 
-    anchors = state.anchors.setdefault(i, [])
+    anchors = state.anchors(i)
     prev = [h for _, h in anchors]
     sums = (0,) + fs(prev)   # at every form: fs refuses repeated or negative anchors
     # h + y must clear the threshold for every offset y; the whole anchored
@@ -957,19 +948,17 @@ def hindman_stage(state: AnchorState, k: int) -> SumsStageRecord:
             _clears(label_of(h + y), threshold) for y in offsets)
 
     first = anchors[-1][0] + 1 if anchors else 0
-    j, h = _scan(state, k, first, element, clears, threshold, "anchor")
-    return _record(state, k, i, (j, h), j, h, threshold)
+    return AnchorStageRecord(k, i, _scan(state, k, first, element, clears, threshold, "anchor"))
 
 
 def run_hindman(models: Sequence[CriticalNodeModel], stages: int,
                 scan_cap: int = SUMS_SCAN_CAP) -> AnchorState:
     state = AnchorState("hindman", ENGINES["hindman"].checked(models), scan_cap)
-    for k in range(stages):
-        hindman_stage(state, k)
-    return state
+    return run_stages(state, stages, hindman_stage)
 
 
-def ramsey_stage(state: AnchorState, k: int) -> SumsStageRecord:
+def ramsey_stage(state: AnchorState, k: int, i: int,
+                 model: CriticalNodeModel) -> AnchorStageRecord:
     """Extend one model's vertex subsequence under its case threshold.
 
     Minimum-form stages need the common label of the new vertex with later
@@ -977,7 +966,6 @@ def ramsey_stage(state: AnchorState, k: int) -> SumsStageRecord:
     stages need every pair with an earlier anchor to clear the threshold,
     which is exactly what their stage smallness uses.
     """
-    i, model = model_for_stage(state.models, k)
     vertex = _sequence(VERTEX_KINDS, model.ground)
     label_of = model.rule.pair_label
 
@@ -990,7 +978,7 @@ def ramsey_stage(state: AnchorState, k: int) -> SumsStageRecord:
             "the modelled node is critical",
         )
 
-    anchors = state.anchors.setdefault(i, [])
+    anchors = state.anchors(i)
     threshold = (1 << k) if model.form in (2, 3) else k * (1 << k)
 
     def clears(j, t):
@@ -1000,16 +988,14 @@ def ramsey_stage(state: AnchorState, k: int) -> SumsStageRecord:
             return _clears(label_of(t, vertex(j + 1)), threshold)
         return all(_clears(label_of(s, t), threshold) for s in anchors)
 
-    j, t = _scan(state, k, 0, vertex, clears, threshold, "vertex")
-    return _record(state, k, i, t, len(anchors), t, threshold)
+    _, t = _scan(state, k, 0, vertex, clears, threshold, "vertex")
+    return AnchorStageRecord(k, i, t)
 
 
 def run_ramsey(models: Sequence[CriticalNodeModel], stages: int,
                scan_cap: int = PAIRS_SCAN_CAP) -> AnchorState:
     state = AnchorState("ramsey", ENGINES["ramsey"].checked(models), scan_cap)
-    for k in range(stages):
-        ramsey_stage(state, k)
-    return state
+    return run_stages(state, stages, ramsey_stage)
 
 
 # -- assembly -------------------------------------------------------------------
@@ -1063,13 +1049,14 @@ def _assemble_anchored(state: AnchorState, blocks_of, canonical: str, point,
     families: Dict[str, dict] = {}
     stage_rows: List[dict] = []
     for i, model in enumerate(state.models):
-        if i not in state.anchors:
+        records = [rec for rec in state.stages if rec.i == i]
+        if not records:
             continue
-        blocks, expected, family = blocks_of(i, model, state.anchors[i])
+        blocks, expected, family = blocks_of(i, model, [rec.anchor for rec in records])
         label_of = model.rule.label
         labels: Dict[int, int] = {}
-        for b, block in enumerate(blocks):
-            k = state.stage_of[(i, b)]
+        for b, (block, rec) in enumerate(zip(blocks, records)):
+            k = rec.k
             block_labels = [label_of(x) for x in block]
             if any(lab is None for lab in block_labels):
                 raise ScenarioContradiction(
@@ -1205,11 +1192,11 @@ def assemble_pwfin(state: PwfinState) -> dict:
         "families": {
             str(i): {
                 "structure": "divergent-weight",
-                "intervals": sorted(intervals),
-                "target_weight": rat_str(per_model_weight[i]),
-                "stages": len(intervals),
+                "intervals": sorted(rec.n for rec in state.stages if rec.i == i),
+                "target_weight": rat_str(weight),
+                "stages": sum(1 for rec in state.stages if rec.i == i),
             }
-            for i, intervals in state.used_intervals.items()
+            for i, weight in per_model_weight.items()
         },
     }
 

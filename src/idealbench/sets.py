@@ -19,12 +19,15 @@ from .errors import SchemaError, StructuralError
 _FS_GEN_CAP = 22  # 2^22 subset sums is already beyond any sane scenario
 
 
+def _int(x, what: str) -> int:
+    """``x`` itself; a TypeError unless it is an int (a bool is not one)."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError(f"{what} {x!r} is not an integer")
+    return x
+
+
 def _nat_tuple(xs: Iterable[int]) -> Tuple[int, ...]:
-    xs = tuple(xs)
-    for x in xs:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise TypeError(f"member {x!r} is not an integer")
-    out = tuple(sorted(set(xs)))
+    out = tuple(sorted({_int(x, "member") for x in xs}))
     if out and out[0] < 0:
         raise ValueError("members must be naturals")
     return out
@@ -104,7 +107,7 @@ class Progression(DescribedSet):
     step: int
 
     def __post_init__(self):
-        if self.base < 0 or self.step < 1:
+        if _int(self.base, "base") < 0 or _int(self.step, "step") < 1:
             raise ValueError("progression needs base >= 0, step >= 1")
 
     def contains(self, x: int) -> bool:
@@ -124,7 +127,7 @@ class Intervals(DescribedSet):
     spans: Tuple[Tuple[int, int], ...]
 
     def __init__(self, spans: Iterable[Tuple[int, int]]):
-        norm = tuple(sorted((int(a), int(b)) for a, b in spans))
+        norm = tuple(sorted((_int(a, "span end"), _int(b, "span end")) for a, b in spans))
         for a, b in norm:
             if a < 0 or b < a:
                 raise StructuralError(f"bad interval [{a}, {b})")

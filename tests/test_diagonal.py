@@ -40,6 +40,7 @@ from idealbench.diagonal import (
     run_posdiff,
     run_pwfin,
     run_ramsey,
+    run_stages,
 )
 from idealbench.errors import HorizonExhausted, ScenarioContradiction, SchemaError, StructuralError
 from idealbench.ideals import diff_multiplicity
@@ -202,7 +203,7 @@ def test_pwfin_blocks_disjoint_and_fresh():
     state, _ = pwfin_run("2c")
     intervals = [r.n for r in state.stages]
     assert len(set(intervals)) == len(intervals)
-    assert len(state.used_pairs) == len(state.stages)
+    assert len({(r.i, r.n) for r in state.stages}) == len(state.stages)
 
 
 def test_pwfin_case_2a_contradiction():
@@ -407,7 +408,7 @@ def reference_posdiff(models, horizon, stages):
             raise ScenarioContradiction(
                 {"classes": {str(c): rat_str(v) for c, v in sorted(classes.items(), key=str)}}
             )
-        prev = state.labels_before(k)
+        prev = state.labels()
         diffs = delta(prev)
         n_bound = max(prev) if prev else 0
         m_bound = (max(diffs) if diffs else 0) + 1
@@ -571,8 +572,7 @@ def test_run_based_stages_match_the_element_wise_engine(specs, horizon, stages, 
 def test_each_block_rule_stage_carves_one_whole_block(start, base_label, ratio, horizon, stages):
     state = PosdiffState((CriticalNodeModel(0, block_rule(start, base_label, ratio)),), horizon)
     with contextlib.suppress(HorizonExhausted):
-        for k in range(stages):
-            posdiff_stage(state, k)
+        run_stages(state, stages, posdiff_stage)
     bounds = reference_block_bounds(start, horizon)
     assert len(state.stages) >= 3
     for rec in state.stages:
@@ -691,7 +691,7 @@ HINDMAN_EXPECTED_ANCHORS = {
 def test_hindman_runs_and_invariants(form):
     scn = load_scenario(f"hindman-case{form}")
     state = run_hindman(scn.models(), 4)
-    values = [h for _, h in state.anchors[0]]
+    values = [h for _, h in state.anchors(0)]
     assert values == HINDMAN_EXPECTED_ANCHORS[form]
     assert block_disjoint(values)
     payload = assemble(state)
@@ -764,7 +764,7 @@ RAMSEY_EXPECTED_ANCHORS = {2: [2, 3, 5, 9], 3: [0, 3, 5, 9], 4: [0, 3, 5, 8]}
 def test_ramsey_runs_and_invariants(form):
     scn = load_scenario(f"ramsey-case{form}")
     state = run_ramsey(scn.models(), 4)
-    verts = state.anchors[0]
+    verts = state.anchors(0)
     assert verts == RAMSEY_EXPECTED_ANCHORS[form]
     payload = assemble(state)
     for row in payload["stages"]:
@@ -851,6 +851,20 @@ PINNED_CERTIFICATES = {
         "6e2708047fe9cb3f8986778f7b65d6890033623ac2443d0c852b6675a5a00b46",
     ("structural-identity", "ramsey-case4", 4):
         "f8a5fb112b0d7e4c920ced02b5bf41b56885cf065d3cb03a1f53da26b2bbcb24",
+    # multi-model interval runs, pinned while freshness was a set of used
+    # (model, interval) pairs: each model may take an interval another took
+    ("diagonalization", "gen-pwfin-2c-2c-d14", 4):
+        "990c95e7da5fafdd9d4f418e7f58ff88138468960d26f6776f67bfa06e48f43f",
+    ("diagonalization", "gen-pwfin-2c-2c-d14", 8):
+        "a8fe69367a392e926a0f29453498ffa2b8caef77e27833085cfea793f48d5659",
+    ("diagonalization", "gen-pwfin-2b-2c-d16", 4):
+        "c1feab39db242acf4f84f4dc36b8dcd3e7d10716d7d78f7c57f126942cad3e5d",
+    ("diagonalization", "gen-pwfin-2b-2c-d16", 8):
+        "da14abb84418c2560e8e8d7c0d62f5ac5b39af7d5054cdd7b72e029cb90e2100",
+    ("diagonalization", "gen-pwfin-2c-2b-2c-d16", 4):
+        "0777ecc3b5b5f411dd290a7e21b4b96265dd43cdf7e825a06b0aaae85c3f37cb",
+    ("diagonalization", "gen-pwfin-2c-2b-2c-d16", 8):
+        "7578b4637151cabe369fe839e2c03d6ce08bcd2ecd460958756e08914d0ded35",
 }
 
 
@@ -864,9 +878,25 @@ def generated_posdiff_scenario(start, base_label, ratio, stages, horizon):
     return scenario
 
 
+PWFIN_RULES = {"2b": {"kind": "prev-interval-max"}, "2c": {"kind": "identity"}}
+
+
+def generated_pwfin_scenario(cases, depth):
+    """pw-2c with one model per case (its rule as in pw-2b or pw-2c) at another depth."""
+    scenario = copy.deepcopy(load_scenario("pw-2c").to_json())
+    scenario["name"] = f"gen-pwfin-{'-'.join(cases)}-d{depth}"
+    scenario["depth"] = depth
+    scenario["models"] = [{"index": i, "case": case, "labels": dict(PWFIN_RULES[case])}
+                          for i, case in enumerate(cases)]
+    return scenario
+
+
 GENERATED_SCENARIOS = {
     "gen-posdiff-3-7-4-s5-h12000": generated_posdiff_scenario(3, 7, 4, 5, 12000),
     "gen-posdiff-4-5-3-s7-h20000": generated_posdiff_scenario(4, 5, 3, 7, 20000),
+    "gen-pwfin-2c-2c-d14": generated_pwfin_scenario(("2c", "2c"), 14),
+    "gen-pwfin-2b-2c-d16": generated_pwfin_scenario(("2b", "2c"), 16),
+    "gen-pwfin-2c-2b-2c-d16": generated_pwfin_scenario(("2c", "2b", "2c"), 16),
 }
 
 
@@ -928,8 +958,8 @@ def test_two_model_hindman_run_keeps_books_per_model():
     state = run_hindman(models, 5)
     # diagonal stage order: stages 0,2,3 hit model 0 and stages 1,4 hit model 1
     assert [rec.i for rec in state.stages] == [0, 1, 0, 0, 1]
-    assert len(state.anchors[0]) == 3
-    assert len(state.anchors[1]) == 2
+    assert len(state.anchors(0)) == 3
+    assert len(state.anchors(1)) == 2
     payload = assemble(state)
     fams = payload["families"]
     assert set(fams) == {"0", "1"}

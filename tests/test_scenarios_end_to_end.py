@@ -56,7 +56,7 @@ def test_explicit_ground_sequences():
         ground={"kind": "explicit", "members": [2, 4, 8, 16, 32, 64]},
     )
     state = run_hindman([model], 3, scan_cap=6)
-    assert [h for _, h in state.anchors[0]] == [2, 4, 8]
+    assert [h for _, h in state.anchors(0)] == [2, 4, 8]
 
 
 def test_explicit_ground_exhaustion_is_reported():
@@ -80,12 +80,12 @@ def test_progression_vertex_ground():
         ground={"kind": "ap", "base": 1, "step": 3},
     )
     state = run_ramsey([model], 3, scan_cap=64)
-    verts = state.anchors[0]
+    verts = state.anchors(0)
     assert all(v % 3 == 1 for v in verts)
     assert verts == sorted(verts)
     # thresholds still hold: the common label of later pairs is the vertex
     for rec, bound in zip(state.stages, (1, 2, 4)):
-        assert rec.anchor_value > bound
+        assert rec.anchor > bound
 
 
 def test_scenario_files_roundtrip_through_certify(tmp_path, capsys):

@@ -397,6 +397,11 @@ def _without_name(name: str) -> dict:
         ("ramsey-oracle", {"exhaustive_n": 6}),
         ("ramsey-oracle", {"sample_n": 7}),
         ("ramsey-oracle", {"samples": 20001}),
+        ("pairing", {"bound": 501}),
+        ("pairing", {"unordered_bound": 501}),
+        ("sparseness", {"universe": 26, "sizes": [4]}),
+        ("sparseness", {"universe": 25, "sizes": [8]}),
+        ("sparseness", {"universe": 25, "sizes": [4, 4, 4, 4]}),
     ],
     ids=["diagonalization-no-name", "structural-identity-no-name", "tree-labelling-no-name",
          "collision-no-name", "inputs-a-list", "scenario-not-an-object",
@@ -408,7 +413,9 @@ def _without_name(name: str) -> dict:
          "ramsey-oracle-size-not-int", "ramsey-oracle-samples-negative", "pairing-bound-not-int",
          "pairing-inputs-a-list", "ramsey-oracle-size-past-max",
          "ramsey-oracle-exhaustive-n-past-max", "ramsey-oracle-sample-n-past-max",
-         "ramsey-oracle-samples-past-max"],
+         "ramsey-oracle-samples-past-max", "pairing-bound-past-max",
+         "pairing-unordered-bound-past-max", "sparseness-universe-past-max",
+         "sparseness-size-past-max", "sparseness-sizes-past-max-count"],
 )
 def test_cli_certify_rejects_malformed_scenario_inputs(tmp_path, capsys, kind, inputs):
     cert = certify.produce("pairing", {"bound": 3, "unordered_bound": 3}, 0)
@@ -598,13 +605,18 @@ def test_cli_membership(capsys):
         ('{"kind": "fin"}', '{"kind": "finite", "members": [1.5]}'),
         ('{"kind": "fin"}', '{"kind": "finite", "members": [true]}'),
         ('{"kind": "fin"}', '{"kind": "finite", "members": ["3"]}'),
+        ('{"kind": "fin"}', '{"kind": "intervals", "spans": [[1.5, 8]]}'),
+        ('{"kind": "fin"}', '{"kind": "intervals", "spans": [[1, "8"]]}'),
+        ('{"kind": "fin"}', '{"kind": "ap", "base": true, "step": 2}'),
+        ('{"kind": "fin"}', '{"kind": "ap", "base": 1, "step": 2.0}'),
     ],
     ids=["finite-without-members", "unknown-set-kind", "set-not-an-object",
          "nested-ap-without-step", "unknown-ideal-kind", "ideal-not-an-object",
          "sum-s-depth-not-int", "sum-s-depth-zero", "sum-s-depth-past-max",
          "ap-base-text", "union-parts-number", "intervals-reversed-span",
          "fs-closure-past-generator-cap", "finite-member-float", "finite-member-bool",
-         "finite-member-text"],
+         "finite-member-text", "intervals-end-float", "intervals-end-text", "ap-base-bool",
+         "ap-step-float"],
 )
 def test_cli_membership_rejects_malformed_descriptors(capsys, ideal, described):
     assert run(["membership", "--ideal", ideal, "--set", described]) == 2
