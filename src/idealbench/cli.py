@@ -3,6 +3,9 @@
 Exit codes: 0 success or pass, 1 verification failure, 2 usage or schema
 error, 3 horizon exhausted.  Every run that emits a certificate records its
 seed, so reruns are byte-identical.
+
+Each command imports the modules it runs, so a process loads only those:
+``construct`` and ``verify-construction`` never load the engines.
 """
 
 from __future__ import annotations
@@ -12,28 +15,9 @@ import json
 import sys
 from typing import List, Optional
 
-from . import certify
-from .acceptance import DEPTH30_BUDGET, run_all
-from .construction import (
-    DEFAULT_DEPTH,
-    MAX_DEPTH,
-    PartitionData,
-    build_partition,
-    verify_partition,
-    weight_fn,
-)
+from .construction import DEFAULT_DEPTH, MAX_DEPTH
 from .errors import HorizonExhausted, IdealbenchError, SchemaError, StructuralError
-from .ideals import hindman_witness_search, ideal_from_json, membership, ramsey_witness_search
-from .reduction import (
-    IdentityHeightOne,
-    KatetovMap,
-    ReductionClaim,
-    check_reduction_witness,
-    katetov_witness_check,
-)
-from .scenarios import bundled_names, load_scenario
 from .serialize import dump_json, integer_field, load_json, rat_str
-from .sets import set_from_json
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -54,12 +38,16 @@ def _depth(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from .construction import build_partition
+
     p = build_partition(_depth(args))
     _emit(p.to_json(), args.out)
     return 0
 
 
 def _cmd_verify_construction(args) -> int:
+    from .construction import PartitionData, verify_partition
+
     data = PartitionData.from_json(load_json(args.infile))
     report = verify_partition(data)
     _emit(report.to_json(), args.out)
@@ -74,6 +62,9 @@ def _cmd_verify_construction(args) -> int:
 
 
 def _cmd_weights(args) -> int:
+    from .construction import build_partition, weight_fn
+    from .sets import set_from_json
+
     p = build_partition(_depth(args))
     selector = set_from_json(json.loads(args.selector))
     w = weight_fn(selector, p)
@@ -84,6 +75,9 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_membership(args) -> int:
+    from .ideals import ideal_from_json, membership
+    from .sets import set_from_json
+
     ideal = ideal_from_json(json.loads(args.ideal))
     queried = set_from_json(json.loads(args.set))
     verdict = membership(ideal, queried, args.horizon)
@@ -92,6 +86,9 @@ def _cmd_membership(args) -> int:
 
 
 def _cmd_ramsey_search(args) -> int:
+    from .ideals import ramsey_witness_search
+    from .sets import set_from_json
+
     queried = set_from_json(json.loads(args.set))
     witness = ramsey_witness_search(queried, args.size, args.horizon)
     _emit({"witness": None if witness is None else list(witness)}, args.out)
@@ -99,6 +96,9 @@ def _cmd_ramsey_search(args) -> int:
 
 
 def _cmd_hindman_search(args) -> int:
+    from .ideals import hindman_witness_search
+    from .sets import set_from_json
+
     queried = set_from_json(json.loads(args.set))
     witness = hindman_witness_search(queried, args.size, args.horizon)
     _emit({"witness": None if witness is None else list(witness)}, args.out)
@@ -106,6 +106,9 @@ def _cmd_hindman_search(args) -> int:
 
 
 def _cmd_diagonalize(args) -> int:
+    from . import certify
+    from .scenarios import load_scenario
+
     scn = load_scenario(args.scenario)
     kind = certify.KINDS[scn.certificate_kind]
     cert = certify.produce(kind.name, scn.certificate_inputs(args.stages), args.seed)
@@ -114,6 +117,16 @@ def _cmd_diagonalize(args) -> int:
 
 
 def _cmd_check_reduction(args) -> int:
+    from .ideals import ideal_from_json
+    from .reduction import (
+        IdentityHeightOne,
+        KatetovMap,
+        ReductionClaim,
+        check_reduction_witness,
+        katetov_witness_check,
+    )
+    from .sets import set_from_json
+
     claim_obj = json.loads(args.claim)
     if not isinstance(claim_obj, dict) or not {"source", "target"} <= claim_obj.keys():
         raise SchemaError("check-reduction --claim must be an object with 'source' and 'target'")
@@ -139,6 +152,8 @@ def _cmd_check_reduction(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from . import certify
+
     cert = load_json(args.infile)
     ok, detail = certify.recheck(cert)
     print(detail)
@@ -146,7 +161,10 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    results = run_all(seed=args.seed, out_dir=args.out, depth30_budget=args.budget)
+    from .acceptance import DEPTH30_BUDGET, run_all
+
+    budget = DEPTH30_BUDGET if args.budget is None else args.budget
+    results = run_all(seed=args.seed, out_dir=args.out, depth30_budget=budget)
     stipulated = []
     for result in results:
         print(result.line())
@@ -158,6 +176,21 @@ def _cmd_suite(args) -> int:
     for statement in sorted(set(stipulated)):
         print(f"  [assumption] {statement}")
     return 0 if all(r.passed for r in results) else FAILURE
+
+
+class _ScenarioHelp(argparse.HelpFormatter):
+    """Appends the bundled scenario names to ``--scenario``'s help.
+
+    Only printing the help lists them, because ``scenarios`` loads the
+    engines.
+    """
+
+    def _get_help_string(self, action):
+        if action.dest != "scenario":
+            return action.help
+        from .scenarios import bundled_names
+
+        return f"{action.help}; bundled: {', '.join(bundled_names())}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,8 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_hindman_search)
 
-    sp = sub.add_parser("diagonalize", help="run a scenario end to end")
-    sp.add_argument("--scenario", required=True, help=f"name or path; bundled: {', '.join(bundled_names())}")
+    sp = sub.add_parser("diagonalize", help="run a scenario end to end",
+                        formatter_class=_ScenarioHelp)
+    sp.add_argument("--scenario", required=True, help="name or path")
     sp.add_argument("--stages", type=int)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out")
@@ -227,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("suite", help="run the acceptance criteria")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="directory for certificates")
-    sp.add_argument("--budget", type=float, default=DEPTH30_BUDGET,
+    sp.add_argument("--budget", type=float,
                     help="wall-clock budget for the depth-30 attempt")
     sp.set_defaults(func=_cmd_suite)
 

@@ -62,11 +62,13 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice
-from typing import Callable, ClassVar, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, ClassVar, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import HorizonExhausted, SchemaError, StructuralError
-from .sets import DescribedSet
 from .serialize import EXACT, digit_run, int_parse, int_str, rat_parse, rat_str
+
+if TYPE_CHECKING:
+    from .sets import DescribedSet
 
 DEFAULT_DEPTH = 12
 # the largest depth built for a request (a certificate or scenario input, a

@@ -472,6 +472,8 @@ def load_scenario(name_or_path: str):
                 payload = load_json(candidate)
     if payload is None:
         raise SchemaError(f"unknown scenario {name_or_path!r}")
+    if not isinstance(payload, dict):
+        raise SchemaError(f"scenario {name_or_path!r} must be a JSON object")
     if payload.get("schema") != SCENARIO_SCHEMA:
         raise SchemaError(f"scenario {name_or_path!r} lacks schema {SCENARIO_SCHEMA}")
     check_assumptions(payload.get("assumptions"), payload.get("name", name_or_path))

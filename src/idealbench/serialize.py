@@ -152,17 +152,24 @@ def canonical_bytes(obj: Any) -> bytes:
 
 
 def load_json(path) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """The JSON document at ``path``; a SchemaError naming it if unreadable."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def dump_json(path, obj: Any) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    """Write ``obj`` to ``path``; a SchemaError naming it if unwritable."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, sort_keys=True, indent=1)
+            fh.write("\n")
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot write: {exc.strerror}") from exc
 
 
 def check_assumptions(entries: Any, where: str) -> List[dict]:

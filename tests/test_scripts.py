@@ -1,5 +1,6 @@
 """The scripts under scripts/ run as written, in-process."""
 
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -42,3 +43,49 @@ def test_emitted_scenarios_load_back_unchanged(monkeypatch, capsys, tmp_path):
         path = tmp_path / f"{name}.json"
         assert load_scenario(str(path)).to_json() == load_scenario(name).to_json()
     assert len(capsys.readouterr().out.splitlines()) == len(names)
+
+
+def write_record(path, seed, cli_s, rss, changed=()):
+    """A perfbench record of a partition-deep run with the given metrics."""
+    metrics = {"cli_s.p50": cli_s, "peak_rss_mb": rss}
+    record = {"workload": "partition-deep", "seed": seed, "trace": 0, "failed": 0,
+              "git_rev": None, "source_sha256": "ab" * 32, "machine": {"nproc": 2},
+              "python": "3.11.7", "metrics": metrics,
+              "raw_metrics": {name: 2 * value for name, value in metrics.items()}}
+    record.update(changed)
+    path.write_text(json.dumps(record), encoding="utf-8")
+    return str(path)
+
+
+def test_bench_fold_writes_medians_quartiles_and_pair_wins(monkeypatch, capsys, tmp_path):
+    parents = [write_record(tmp_path / f"p{seed}.json", seed, 0.2 + seed / 100, 30.0)
+               for seed in range(1, 6)]
+    # the change is faster in four pairs and slower in the last one
+    changes = [write_record(tmp_path / f"c{seed}.json", seed, 0.1 if seed < 5 else 0.3, 31.0)
+               for seed in range(1, 6)]
+    assert run_script(monkeypatch, "bench_fold.py", "--rev", "abc1234", "--out-dir", str(tmp_path),
+                      "--parent", *parents, "--change", *changes) == 0
+    assert "cli_s.p50: 0.23 -> 0.1 (change better in 4 of 5)" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "BENCH_abc1234.json").read_text(encoding="utf-8"))
+    assert doc["rev"] == "abc1234"
+    assert doc["parent"]["source_sha256"] == ["ab" * 32]
+    folded = doc["workloads"]["partition-deep"]
+    assert folded["pairs"] == 5 and folded["seeds"] == [1, 2, 3, 4, 5]
+    cli = folded["normalized"]["cli_s.p50"]
+    assert cli["parent"] == pytest.approx({"q1": 0.215, "median": 0.23, "q3": 0.245})
+    assert cli["change"]["median"] == 0.1 and cli["change_better_pairs"] == 4
+    assert folded["raw"]["cli_s.p50"]["parent"]["median"] == pytest.approx(0.46)
+    assert folded["normalized"]["peak_rss_mb"]["change_better_pairs"] == 0
+    assert set(folded["normalized"]) == {"cli_s.p50", "peak_rss_mb"}
+
+
+@pytest.mark.parametrize("broken", [{"seed": 9}, {"failed": 1}, {"trace": 1}],
+                         ids=["unpaired-seed", "failed-operations", "traced-run"])
+def test_bench_fold_refuses_runs_it_cannot_compare(monkeypatch, capsys, tmp_path, broken):
+    parents = [write_record(tmp_path / f"p{seed}.json", seed, 0.2, 30.0) for seed in (1, 2)]
+    changes = [write_record(tmp_path / "c1.json", 1, 0.1, 30.0),
+               write_record(tmp_path / "c2.json", 2, 0.1, 30.0, broken)]
+    assert run_script(monkeypatch, "bench_fold.py", "--rev", "abc1234", "--out-dir", str(tmp_path),
+                      "--parent", *parents, "--change", *changes) == 2
+    assert capsys.readouterr().err.startswith("bench_fold: ")
+    assert not (tmp_path / "BENCH_abc1234.json").exists()

@@ -301,6 +301,8 @@ def _hindman_scenario(**changes) -> dict:
         *(_changed_scenario("pw-2b", depth=depth) for depth in ("3", 2.5, True, 0, 25)),
         _changed_scenario("sep1-basic", horizon="10"),
         _changed_scenario("sep1-basic", horizon=-1),
+        [1, 2],
+        "x",
     ],
     ids=["no-models", "empty-models", "constant-without-value", "scan-cap-not-int",
          "posdiff-no-horizon", "posdiff-horizon-not-int", "stages-default-not-int",
@@ -316,13 +318,33 @@ def _hindman_scenario(**changes) -> dict:
          "hindman-ground-kind-odd", "ramsey-vertex-kind-odd", "table-entries-not-pairs",
          "ramsey-ap-without-step", "ramsey-ap-base-not-int", "ramsey-ap-step-not-int",
          "pwfin-depth-string", "pwfin-depth-float", "pwfin-depth-bool", "pwfin-depth-zero",
-         "pwfin-depth-past-max", "tree-horizon-string", "tree-horizon-negative"],
+         "pwfin-depth-past-max", "tree-horizon-string", "tree-horizon-negative",
+         "top-level-list", "top-level-string"],
 )
 def test_cli_diagonalize_rejects_malformed_scenarios(tmp_path, capsys, scenario):
     path = tmp_path / "scenario.json"
     dump_json(path, scenario)
     assert run(["diagonalize", "--scenario", str(path)]) == 2
     assert "schema error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["certify", "--in", "{}"], "missing.json"),
+        (["verify-construction", "--in", "{}"], "missing.json"),
+        (["diagonalize", "--scenario", "{}"], "a-directory"),
+        (["construct", "--depth", "3", "--out", "{}"], "no-such-dir/x.json"),
+    ],
+    ids=["certify-missing-in", "verify-construction-missing-in", "diagonalize-directory",
+         "construct-out-in-missing-dir"],
+)
+def test_cli_unreadable_or_unwritable_paths_are_schema_errors(tmp_path, capsys, argv, path):
+    (tmp_path / "a-directory").mkdir()
+    target = str(tmp_path / path)
+    assert run([arg.format(target) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"schema error: {target}: cannot ")
 
 
 @pytest.mark.parametrize(
