@@ -18,14 +18,21 @@ machine.  Times are wall seconds from ``time.perf_counter``.
 and ``assemble`` on the bundled ``posdiff-blocks`` scenario at its default
 stage count, with the horizon raised to HORIZON.
 
+``--certs DEPTH...`` times certificates instead: for each depth, the CPU
+seconds (``time.process_time``) of ``certify.produce`` and of
+``certify.recheck`` of a ``partition`` and of a ``weight-bound``
+certificate.
+
 Usage: python scripts/bench_partition.py [MAX_DEPTH] [--budget SECONDS]
        python scripts/bench_partition.py --posdiff HORIZON
+       python scripts/bench_partition.py --certs DEPTH [DEPTH ...]
 """
 
 import argparse
 import sys
 import time
 
+from idealbench import certify
 from idealbench.construction import PartitionData, build_partition, verify_partition
 from idealbench.diagonal import assemble, run_posdiff
 from idealbench.scenarios import load_scenario
@@ -44,6 +51,21 @@ def bench_posdiff(horizon: int) -> None:
     )
 
 
+def bench_certs(depths) -> None:
+    for depth in depths:
+        cells = []
+        for kind in ("partition", "weight-bound"):
+            t0 = time.process_time()
+            cert = certify.produce(kind, {"depth": depth}, 0)
+            t1 = time.process_time()
+            passed, detail = certify.recheck(cert)
+            t2 = time.process_time()
+            if not passed:
+                raise SystemExit(f"{kind} depth {depth}: {detail}")
+            cells.append(f"{kind} produce {t1 - t0:8.3f}s recheck {t2 - t1:8.3f}s")
+        print(f"depth {depth:2d}: " + " ".join(cells))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("max_depth", nargs="?", type=int, default=24)
@@ -51,10 +73,15 @@ def main() -> int:
                         help="stop once one build exceeds this many seconds")
     parser.add_argument("--posdiff", type=int, metavar="HORIZON",
                         help="time the difference engine on posdiff-blocks instead")
+    parser.add_argument("--certs", type=int, nargs="+", metavar="DEPTH",
+                        help="time partition and weight-bound certificates instead")
     args = parser.parse_args()
 
     if args.posdiff is not None:
         bench_posdiff(args.posdiff)
+        return 0
+    if args.certs is not None:
+        bench_certs(args.certs)
         return 0
     frontier = None
     for depth in range(4, args.max_depth + 1):

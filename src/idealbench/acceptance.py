@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from . import certify
+from .errors import SchemaError
 from .scenarios import load_scenario
 from .serialize import dump_json, mutate_one_field
 
@@ -328,7 +329,16 @@ def run_all(
     out_dir: Optional[str] = None,
     depth30_budget: float = DEPTH30_BUDGET,
 ) -> List[CriterionResult]:
-    """Run every criterion, optionally writing certificates to a directory."""
+    """Run every criterion, optionally writing certificates to a directory.
+
+    The directory is made before any criterion runs; a SchemaError naming it
+    if it cannot be.
+    """
+    if out_dir is not None:
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise SchemaError(f"{out_dir}: cannot make a directory: {exc.strerror}") from exc
     results: List[CriterionResult] = []
     results.append(crit_01_partition_conditions(seed, depth30_budget))
     results.append(crit_02_degenerate_weight(seed, depth30_budget))
@@ -342,7 +352,6 @@ def run_all(
     results.append(crit_10_pairing(seed))
     results.append(crit_11_certificate_integrity(seed, results))
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         for result in results:
             for name, cert in result.certificates:
                 dump_json(os.path.join(out_dir, name), cert)

@@ -1,8 +1,10 @@
 """Certificate production and independent rechecking.
 
 A certificate is an envelope around a deterministic computation: the kind
-and inputs (plus the recorded seed) fully determine the body, so checking
-is re-production followed by a byte-level comparison in canonical JSON
+and inputs (plus the recorded seed) fully determine the body.  A recheck
+has two layers.  A kind with a checker first has its body confirmed from
+the body's own numbers, by code other than its producer; then every
+certificate is re-produced and compared byte for byte in canonical JSON
 form.  Every stipulated infinitary fact rides along in the assumptions
 list and must carry its tag; untagged stipulations are schema violations.
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, repeat
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -43,6 +46,7 @@ from .reduction import (
 from .scenarios import CollisionScenario, DiagScenario, TreeScenario
 from .serialize import (
     CERTIFICATE_SCHEMA,
+    EXACT,
     canonical_bytes,
     check_assumptions,
     diff_paths,
@@ -62,13 +66,12 @@ def _partition(depth: int) -> dict:
 
 
 def _weight_bound(depth: int) -> dict:
-    p = build_partition(depth)
-    points_summed, total, total_weight = degenerate_weight_below_last_point(p)
+    points_summed, total_weight, below_one = degenerate_weight_below_last_point(depth)
     return {
         "depth": depth,
         "points_summed": points_summed,
         "total_weight": total_weight,
-        "below_one": total < 1,
+        "below_one": below_one,
     }
 
 
@@ -489,6 +492,88 @@ def _pairing(bound: int, unordered_bound: int) -> dict:
     }
 
 
+# -- checkers -------------------------------------------------------------------
+
+class CheckFailed(Exception):
+    """A checker refutes the body at ``path``."""
+
+    def __init__(self, path: str, reason: str):
+        super().__init__(f"check failed at {path}: {reason}")
+
+
+# primes below 10^19, libmpdec's word radix, so that the residue of a Decimal
+# is one short division
+_RESIDUE_PRIMES = (10**19 - 39, 10**19 - 57, 10**19 - 81)
+
+
+def _greedy_residues(depth: int, q: int) -> Tuple[int, int, int]:
+    """S_{d-1}, L_{d-1} and R_d of the greedy partition of ``depth`` modulo ``q``."""
+    S, L, R = 0, 1, 2
+    for n in range(1, depth):
+        S = (S + L) % q
+        L = S * R % q
+        R = (L << (n + 1)) % q
+    return S, L, R
+
+
+def _natural(text, path: str) -> Decimal:
+    """``text`` as an exact Decimal when it is a run of ASCII digits."""
+    # bytes.isdigit reads a table of the ASCII digits, about seven times
+    # faster than str.isdigit on a text of 10^5 digits
+    if not (isinstance(text, str) and text.isascii() and text.encode().isdigit()):
+        raise CheckFailed(path, "is not a run of decimal digits")
+    return Decimal(text)
+
+
+def check_weight_bound(body: object, depth: int) -> None:
+    """Confirm a weight-bound body from its own numbers, or raise CheckFailed.
+
+    With N/D the weight and d >= 2, the closed form is N = (2^d - 1) L_{d-1} - 1
+    and D = R_d = 2^d L_{d-1} (``degenerate_weight_below_last_point``), so D
+    is divisible by 2^d and N = (2^d - 1) D/2^d - 1, both checked exactly
+    (N on its text: writing N costs less than reading it); at d = 1 the
+    weight is 0/1.  ``below_one`` must be N < D.  That D is R_d
+    (and so D/2^d is L_{d-1}) and ``points_summed`` is S_{d-1} + L_{d-1} - 1
+    is checked modulo each of ``_RESIDUE_PRIMES``, against the greedy
+    recurrence run in small ints.
+    """
+    if not isinstance(body, dict):
+        raise CheckFailed("$.body", "is not an object")
+    stray = sorted({"below_one", "depth", "points_summed", "total_weight"} ^ body.keys())
+    if stray:
+        raise CheckFailed(f"$.body.{stray[0]}",
+                          "is not a field" if stray[0] in body else "is missing")
+    if type(body["depth"]) is not int or body["depth"] != depth:
+        raise CheckFailed("$.body.depth", f"is not the input depth {depth}")
+    points = _natural(body["points_summed"], "$.body.points_summed")
+    weight = body["total_weight"]
+    if not isinstance(weight, str):
+        raise CheckFailed("$.body.total_weight", "is not a 'p/q' text")
+    numerator, _, denominator = weight.partition("/")  # no '/': no denominator digits
+    D = _natural(denominator, "$.body.total_weight")
+    if depth == 1:
+        if weight != "0/1":
+            raise CheckFailed("$.body.total_weight", "is not 0/1 at depth 1")
+        N = Decimal(0)
+    else:
+        L, rest = EXACT.divmod(D, 1 << depth)
+        if rest:
+            raise CheckFailed("$.body.total_weight",
+                              f"has a denominator not divisible by 2^{depth}")
+        N = EXACT.subtract(EXACT.multiply(L, (1 << depth) - 1), 1)
+        if numerator != str(N):
+            raise CheckFailed("$.body.total_weight", f"is not ((2^{depth} - 1) D/2^{depth} - 1)/D")
+    if type(body["below_one"]) is not bool or body["below_one"] != (N < D):
+        raise CheckFailed("$.body.below_one", f"is not {N < D}")
+    for q in _RESIDUE_PRIMES:
+        S, L, R = _greedy_residues(depth, q)
+        if depth > 1 and EXACT.remainder(D, q) != R:
+            raise CheckFailed("$.body.total_weight", f"has a denominator other than R_{depth}")
+        if EXACT.remainder(points, q) != (S + L - 1) % q:
+            raise CheckFailed("$.body.points_summed",
+                              f"is not S_{depth - 1} + L_{depth - 1} - 1")
+
+
 # -- kinds ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -503,7 +588,9 @@ class Kind:
     records.  ``compute`` takes them by name, plus ``rng``, a fresh
     ``random.Random(seed)``, when ``seeded``, and returns the body.
     ``expected`` names the body fields that are all true when a run came out
-    as its scenario declares.
+    as its scenario declares.  ``check``, when given, takes the body and the
+    same named inputs (``rng`` aside) and raises ``CheckFailed`` when they
+    refute the body; it calls none of the producer's code.
     """
 
     name: str
@@ -513,9 +600,10 @@ class Kind:
     scenario: Optional[type] = None
     seeded: bool = False
     expected: Tuple[str, ...] = ()
+    check: Optional[Callable[..., None]] = None
 
-    def produce(self, inputs: dict, seed: int) -> dict:
-        """The certificate of ``inputs``; a SchemaError before any work for bad ones."""
+    def arguments(self, inputs: dict, seed: int) -> dict:
+        """The named inputs of ``compute`` but ``rng``; a SchemaError for bad ones."""
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise SchemaError(f"certificate seed must be an integer, not {seed!r}")
         where = f"{self.name} inputs"
@@ -532,10 +620,14 @@ class Kind:
             ):
                 raise SchemaError(f"{where}: sizes must be a list of at most {most} "
                                   f"integers from 2 to {largest}")
-        assumptions: List[dict] = []
         if self.scenario is not None:
-            args["scenario"] = scenario = self.scenario.from_json(inputs.get("scenario"), where)
-            assumptions = scenario.assumptions()
+            args["scenario"] = self.scenario.from_json(inputs.get("scenario"), where)
+        return args
+
+    def produce(self, inputs: dict, seed: int) -> dict:
+        """The certificate of ``inputs``; a SchemaError before any work for bad ones."""
+        args = self.arguments(inputs, seed)
+        assumptions = args["scenario"].assumptions() if self.scenario is not None else []
         if self.seeded:
             args["rng"] = random.Random(seed)
         return {"schema": CERTIFICATE_SCHEMA, "kind": self.name, "seed": seed, "inputs": inputs,
@@ -547,7 +639,7 @@ _STAGES = ("stages", None, 1)
 
 KINDS: Dict[str, Kind] = {kind.name: kind for kind in (
     Kind("partition", _partition, (_DEPTH,)),
-    Kind("weight-bound", _weight_bound, (_DEPTH,)),
+    Kind("weight-bound", _weight_bound, (_DEPTH,), check=check_weight_bound),
     Kind("subset-reduction", _subset_reduction, (_DEPTH, ("pairs", None, 0)), seeded=True),
     Kind("pigeonhole", _pigeonhole,
          (("depth", 4, 1, MAX_DEPTH), ("samples", None, 1), ("interval", 2, 1)), seeded=True),
@@ -572,15 +664,24 @@ _PRODUCERS: Dict[str, Callable[[dict, int], dict]] = {
 }
 
 
+def _kind(name: str) -> Kind:
+    kind = KINDS.get(name) if isinstance(name, str) else None
+    if kind is None:
+        raise SchemaError(f"unknown certificate kind {name!r}")
+    return kind
+
+
 def produce(kind: str, inputs: dict, seed: int = 0) -> dict:
-    producer = _PRODUCERS.get(kind) if isinstance(kind, str) else None
-    if producer is None:
-        raise SchemaError(f"unknown certificate kind {kind!r}")
-    return producer(inputs, seed)
+    return _PRODUCERS[_kind(kind).name](inputs, seed)
 
 
 def recheck(cert: dict) -> Tuple[bool, str]:
-    """Recompute a certificate from its inputs and compare byte for byte."""
+    """Check a certificate's body with its kind's checker, if any, then recompute and compare.
+
+    The recomputation re-produces the certificate from its inputs and
+    compares body and assumptions byte for byte.  A SchemaError for a
+    malformed envelope or inputs, else ``(passed, detail)``.
+    """
     if not isinstance(cert, dict):
         raise SchemaError("certificate must be an object")
     for key in ("schema", "kind", "seed", "inputs", "assumptions", "body"):
@@ -589,6 +690,12 @@ def recheck(cert: dict) -> Tuple[bool, str]:
     if cert["schema"] != CERTIFICATE_SCHEMA:
         raise SchemaError(f"unsupported schema {cert['schema']!r}")
     check_assumptions(cert["assumptions"], "certificate")
+    kind = _kind(cert["kind"])
+    if kind.check is not None:
+        try:
+            kind.check(cert["body"], **kind.arguments(cert["inputs"], cert["seed"]))
+        except CheckFailed as exc:
+            return False, str(exc)
     rebuilt = produce(cert["kind"], cert["inputs"], cert["seed"])
     if canonical_bytes(rebuilt["body"]) != canonical_bytes(cert["body"]):
         path = diff_paths(rebuilt["body"], cert["body"], "$.body") or "$.body"

@@ -36,19 +36,20 @@ arithmetic at most once, when its numbers are first read in it.
 * ``Decimal`` (``decimal_replay``) holds the greedy numbers for everything
   that writes or checks them: the text needs no radix conversion,
   ``verify_partition`` reads the identities and the descending slacks in
-  lowest terms (its lemma) off the replay, and the weight bound's texts
-  come from its closed form.  ``from_json`` reads each digit run as
-  ``Decimal`` (linear time) and compares it with the replay.  libmpdec
-  multiplies large numbers by a number-theoretic transform, where
+  lowest terms (its lemma) off the replay, and so does the closed form of
+  the weight below the last point (``degenerate_weight_below_last_point``),
+  which the weight-bound certificate writes.  ``from_json`` reads each
+  digit run as ``Decimal`` (linear time) and compares it with the replay.
+  libmpdec multiplies large numbers by a number-theoretic transform, where
   CPython's ``int`` uses Karatsuba, so this is the faster build.
 * ``int`` fields (``starts``, ``lengths``, ``rationals``) of greedy data
   appear on first read, from ``greedy_numbers(int)``; no ``Decimal`` is
   ever converted to ``int``, which CPython does in quadratic time.  The
-  engines, ideals and reductions read ints, as does the exact weight sum
-  ``degenerate_prefix_weight``.  Any other data (a tampered or foreign
-  file) is parsed by ``serialize.int_parse``, written by
-  ``serialize.int_str`` and checked by ``Fraction`` alone, unit fractions
-  or not.
+  engines, ideals and reductions read ints, as does the exact ``Fraction``
+  sum ``degenerate_prefix_weight``; no certificate of a partition or of its
+  weight bound reads any.  Any other data (a tampered or foreign file) is
+  parsed by ``serialize.int_parse``, written by ``serialize.int_str`` and
+  checked by ``Fraction`` alone, unit fractions or not.
 
 The greedy numbers double their digit count per level, so a depth is
 accepted from outside only up to ``MAX_DEPTH``.
@@ -459,28 +460,22 @@ def degenerate_prefix_weight(p: PartitionData, upto: int) -> Fraction:
     return total
 
 
-def degenerate_weight_below_last_point(p: PartitionData) -> Tuple[str, Fraction, str]:
-    """The full-selector weight of [0, e), e = ``coverage_end`` - 1, with texts.
+def degenerate_weight_below_last_point(depth: int) -> Tuple[str, str, bool]:
+    """The full-selector weight of [0, e) on the greedy partition of ``depth``.
 
-    Returns the text of e, the weight, and the weight's text.  On greedy
-    data each full interval I_n (n < d-1) weighs r_{n+1} L_n = 2^-(n+1) by
-    tight decay, and the L_{d-1} - 1 points of I_{d-1} below e weigh
-    r_d = 1/R_d each, with R_d = 2^d L_{d-1}; so
-      weight = 1 - 2^-(d-1) + (L_{d-1} - 1)/R_d = ((2^d - 1) L_{d-1} - 1)/R_d.
-    When the data is greedy and the reduced sum has exactly this numerator
-    and denominator, the decimal replay holds L_{d-1}, S_{d-1} and R_d
-    exactly, so the texts are written from it.  (For d >= 2
-    the closed form is reduced: its numerator is odd, as L_{d-1} =
-    S_{d-1} R_{d-1} is even, and is -1 mod L_{d-1}.  At d = 1 it reads 0/2,
-    which the reduced 0/1 does not match.)  Otherwise ``int_str`` and
-    ``rat_str`` write them.
+    Here e = ``coverage_end`` - 1.  Returns the text of e, the weight's text
+    in lowest terms and whether the weight is below 1, all read off the
+    decimal replay: no int is made and no ``Fraction`` summed.  Each full
+    interval I_n (n < d-1) weighs r_{n+1} L_n = 2^-(n+1) by tight decay, and
+    the L_{d-1} - 1 points of I_{d-1} below e weigh r_d = 1/R_d each, with
+    R_d = 2^d L_{d-1}; so ``degenerate_prefix_weight(p, e)`` is
+      1 - 2^-(d-1) + (L_{d-1} - 1)/R_d = ((2^d - 1) L_{d-1} - 1)/R_d.
+    For d >= 2 this is in lowest terms: its numerator is odd, as L_{d-1} =
+    S_{d-1} R_{d-1} is even, and is -1 mod L_{d-1}.  At d = 1 it is 0/2,
+    written 0/1.
     """
-    upto = p.coverage_end - 1
-    total = degenerate_prefix_weight(p, upto)
-    d = p.depth
-    closed_form = (((1 << d) - 1) * p.lengths[-1] - 1, p.rationals[d].denominator)
-    if p.greedy and (total.numerator, total.denominator) == closed_form:
-        S, L, R = p.decimal_replay
-        numerator = EXACT.subtract(EXACT.multiply(L[-1], (1 << d) - 1), 1)
-        return str(EXACT.subtract(EXACT.add(S[-1], L[-1]), 1)), total, f"{numerator}/{R[d]}"
-    return int_str(upto), total, rat_str(total)
+    S, L, R = build_partition(depth).decimal_replay
+    numerator = EXACT.subtract(EXACT.multiply(L[-1], (1 << depth) - 1), 1)
+    points = str(EXACT.subtract(EXACT.add(S[-1], L[-1]), 1))
+    weight = f"{numerator}/{R[depth]}" if numerator else "0/1"
+    return points, weight, numerator < R[depth]

@@ -23,6 +23,7 @@ from idealbench.construction import (
 )
 from idealbench.errors import HorizonExhausted, SchemaError, StructuralError
 from idealbench.serialize import (
+    EXACT,
     canonical_bytes,
     dump_json,
     int_parse,
@@ -246,14 +247,108 @@ def test_replace_with_an_edited_integer_emits_fresh_text():
     assert_matches_reference(dataclasses.replace(p, rationals=tuple(rationals)))
 
 
-@pytest.mark.parametrize("depth", range(1, 11))
+@pytest.mark.parametrize("depth", range(1, 20))
 def test_weight_bound_texts_match_plain_conversion(depth):
-    # depth 1 sums 0/1, which the closed form 0/2 does not match
+    # the closed form against the exact Fraction sum; depth 1 sums 0/1,
+    # which the closed form 0/2 does not match
     p = build_partition(depth)
     upto = p.coverage_end - 1
     body = certify.produce("weight-bound", {"depth": depth}, 0)["body"]
     assert body["points_summed"] == int_str(upto)
     assert body["total_weight"] == rat_str(degenerate_prefix_weight(p, upto))
+
+
+def refuse_the_producer(monkeypatch):
+    """Make every helper that builds or sums greedy numbers raise."""
+    def refuse(*args):
+        raise AssertionError("the weight-bound checker ran producer code")
+
+    for module, name in [(construction, "greedy_numbers"), (construction, "build_partition"),
+                         (construction, "degenerate_prefix_weight"),
+                         (construction, "degenerate_weight_below_last_point"),
+                         (certify, "build_partition"),
+                         (certify, "degenerate_weight_below_last_point"), (certify, "produce")]:
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(PartitionData, "decimal_replay", property(refuse))
+
+
+def test_the_weight_bound_checker_accepts_every_genuine_body_without_the_producer(monkeypatch):
+    bodies = {d: certify.produce("weight-bound", {"depth": d}, 0)["body"] for d in range(1, 20)}
+    refuse_the_producer(monkeypatch)
+    for depth, body in bodies.items():
+        assert certify.check_weight_bound(body, depth) is None
+
+
+def plus_one(text):
+    return str(EXACT.add(decimal.Decimal(text), 1))
+
+
+def plus_one_in_weight(body, part):
+    """``body`` with part 0 (numerator) or 1 (denominator) of its weight raised by 1."""
+    texts = body["total_weight"].split("/")
+    texts[part] = plus_one(texts[part])
+    return {**body, "total_weight": "/".join(texts)}
+
+
+# one mutant of each leaf of a weight-bound body
+LEAF_MUTANTS = {
+    "depth": lambda body: {**body, "depth": body["depth"] + 1},
+    "points_summed": lambda body: {**body, "points_summed": plus_one(body["points_summed"])},
+    "numerator": lambda body: plus_one_in_weight(body, 0),
+    "denominator": lambda body: plus_one_in_weight(body, 1),
+    "below_one": lambda body: {**body, "below_one": not body["below_one"]},
+}
+
+
+@pytest.mark.parametrize("depth", [1, 2, 12, 19])
+def test_the_weight_bound_checker_alone_rejects_a_mutant_of_every_leaf(monkeypatch, depth):
+    cert = certify.produce("weight-bound", {"depth": depth}, 0)
+    refuse_the_producer(monkeypatch)
+    for leaf, mutate in LEAF_MUTANTS.items():
+        body = mutate(cert["body"])
+        field = "total_weight" if leaf in ("numerator", "denominator") else leaf
+        passed, detail = certify.recheck({**cert, "body": body})
+        assert not passed
+        assert detail.startswith(f"check failed at $.body.{field}: "), detail
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("points_summed", 21), ("points_summed", "2.5e1"), ("total_weight", "79"),
+     ("total_weight", ["79", "192"]), ("total_weight", "79/192/1"), ("total_weight", "-79/192"),
+     ("below_one", "true"), ("below_one", 1), ("depth", True), ("extra", 1)],
+    ids=["points-an-int", "points-not-digits", "weight-not-p-q", "weight-a-list",
+         "weight-two-slashes", "weight-signed", "below-one-a-string", "below-one-an-int",
+         "depth-a-bool", "a-stray-field"],
+)
+def test_cli_certify_fails_a_malformed_weight_bound_body_with_exit_1(tmp_path, capsys, field,
+                                                                      value):
+    cert = certify.produce("weight-bound", {"depth": 3}, 0)
+    cert["body"][field] = value
+    path = tmp_path / "certificate.json"
+    dump_json(path, cert)
+    assert run(["certify", "--in", str(path)]) == 1
+    assert capsys.readouterr().out.startswith(f"check failed at $.body.{field}: ")
+
+
+@pytest.mark.parametrize("field", ["depth", "points_summed", "total_weight", "below_one"])
+def test_cli_certify_fails_a_weight_bound_body_missing_a_field_with_exit_1(
+    tmp_path, capsys, field
+):
+    cert = certify.produce("weight-bound", {"depth": 3}, 0)
+    del cert["body"][field]
+    path = tmp_path / "certificate.json"
+    dump_json(path, cert)
+    assert run(["certify", "--in", str(path)]) == 1
+    assert capsys.readouterr().out == f"check failed at $.body.{field}: is missing\n"
+
+
+def test_a_weight_bound_text_the_checker_admits_is_caught_by_the_recomputation():
+    # a leading zero writes the same number, so only the byte comparison sees it
+    cert = certify.produce("weight-bound", {"depth": 5}, 0)
+    cert["body"]["points_summed"] = "0" + cert["body"]["points_summed"]
+    certify.check_weight_bound(cert["body"], 5)
+    assert certify.recheck(cert) == (False, "recomputation differs at $.body.points_summed")
 
 
 def test_tampered_report_bytes_are_pinned(tmp_path):
@@ -484,12 +579,15 @@ def test_partition_certificates_run_no_int_arithmetic(monkeypatch):
     cert = certify.produce("partition", {"depth": 19}, 0)
     assert certify.recheck(cert) == (True, "certificate re-verified")
     assert cert["body"]["report"]["passed"]
+    cert = certify.produce("weight-bound", {"depth": 19}, 0)
+    assert certify.recheck(cert) == (True, "certificate re-verified")
+    assert cert["body"]["below_one"]
 
 
 @pytest.mark.parametrize(
     "kind, inputs, arithmetics",
     [("partition", {"depth": 19}, ["Decimal"]),
-     ("weight-bound", {"depth": 19}, ["Decimal", "int"]),
+     ("weight-bound", {"depth": 19}, ["Decimal"]),
      ("subset-reduction", {"depth": 12, "pairs": 2}, ["int"])],
 )
 def test_a_certificate_runs_the_recurrence_once_per_arithmetic_it_reads(

@@ -35,6 +35,16 @@ def test_bench_partition_reaches_its_frontier(monkeypatch, capsys):
     assert lines[-1] == "frontier: depth 6"
 
 
+def test_bench_partition_times_certificates(monkeypatch, capsys):
+    assert run_script(monkeypatch, "bench_partition.py", "--certs", "3", "5") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["depth  3", "depth  5"]
+    for line in lines:
+        words = line.split()
+        assert words[2::5] == ["partition", "weight-bound"]
+        assert words[3::5] == ["produce", "produce"] and words[5::5] == ["recheck", "recheck"]
+
+
 def test_emitted_scenarios_load_back_unchanged(monkeypatch, capsys, tmp_path):
     assert run_script(monkeypatch, "emit_scenarios.py", str(tmp_path)) == 0
     names = bundled_names()

@@ -335,16 +335,19 @@ def test_cli_diagonalize_rejects_malformed_scenarios(tmp_path, capsys, scenario)
         (["verify-construction", "--in", "{}"], "missing.json"),
         (["diagonalize", "--scenario", "{}"], "a-directory"),
         (["construct", "--depth", "3", "--out", "{}"], "no-such-dir/x.json"),
+        (["suite", "--budget", "0.5", "--out", "{}"], "a-file"),
     ],
     ids=["certify-missing-in", "verify-construction-missing-in", "diagonalize-directory",
-         "construct-out-in-missing-dir"],
+         "construct-out-in-missing-dir", "suite-out-a-file"],
 )
 def test_cli_unreadable_or_unwritable_paths_are_schema_errors(tmp_path, capsys, argv, path):
     (tmp_path / "a-directory").mkdir()
+    (tmp_path / "a-file").write_text("", encoding="utf-8")
     target = str(tmp_path / path)
     assert run([arg.format(target) for arg in argv]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith(f"schema error: {target}: cannot ")
+    assert out == ""  # the suite ran no criterion
 
 
 @pytest.mark.parametrize(
