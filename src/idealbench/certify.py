@@ -5,7 +5,9 @@ and inputs (plus the recorded seed) fully determine the body.  A recheck
 has two layers.  A kind with a checker first has its body confirmed from
 the body's own numbers, by code other than its producer; then every
 certificate is re-produced and compared byte for byte in canonical JSON
-form.  Every stipulated infinitary fact rides along in the assumptions
+form.  A certificate that differs from the last re-production of its
+kind, inputs and seed is refuted from that one; an acceptance always
+re-produces.  Every stipulated infinitary fact rides along in the assumptions
 list and must carry its tag; untagged stipulations are schema violations.
 
 Only the three kinds that ``KINDS`` declares ``seeded`` read the seed.  The
@@ -20,7 +22,7 @@ import struct
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import combinations, islice, repeat
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import diagonal
@@ -28,6 +30,7 @@ from .construction import (
     MAX_DEPTH,
     build_partition,
     degenerate_weight_below_last_point,
+    greedy_numbers,
     selector_weight,
     verify_partition,
 )
@@ -116,9 +119,18 @@ def _subset_reduction(depth: int, pairs: int, rng: random.Random) -> dict:
     }
 
 
+# the most colour draws a pigeonhole certificate may make: samples * |I_interval|
+PIGEONHOLE_DRAWS = 250_000
+
+
 def _pigeonhole(depth: int, samples: int, interval: int, rng: random.Random) -> dict:
     if interval >= depth:
         raise SchemaError(f"interval {interval} must be below depth {depth}")
+    # |I_n| grows with n, so the first length past the bound decides
+    for _, length, _ in islice(greedy_numbers(), interval + 1):
+        if samples * length > PIGEONHOLE_DRAWS:
+            raise SchemaError(f"pigeonhole inputs: samples * |I_interval| must be at most "
+                              f"{PIGEONHOLE_DRAWS}, and {samples} samples of I_{interval} exceed it")
     p = build_partition(depth)
     members = list(p.interval_members(interval))
     q_set = Progression(1, 2)  # even interval indices stay off the selector
@@ -675,13 +687,35 @@ def produce(kind: str, inputs: dict, seed: int = 0) -> dict:
     return _PRODUCERS[_kind(kind).name](inputs, seed)
 
 
+@dataclass(frozen=True)
+class _Recompute:
+    """A fresh recomputation: its key, the rebuilt certificate, and its body and assumption bytes."""
+
+    key: bytes
+    rebuilt: dict
+    body: bytes
+    assumptions: bytes
+
+
+# the last fresh recomputation of ``recheck``, or None; replaced whole, never edited
+_last: Optional[_Recompute] = None
+
+
 def recheck(cert: dict) -> Tuple[bool, str]:
     """Check a certificate's body with its kind's checker, if any, then recompute and compare.
 
     The recomputation re-produces the certificate from its inputs and
     compares body and assumptions byte for byte.  A SchemaError for a
     malformed envelope or inputs, else ``(passed, detail)``.
+
+    The last fresh recomputation stays in one slot, keyed by the canonical
+    bytes of ``[kind, inputs, seed]`` once the inputs are accepted.  A
+    certificate of that key whose body or assumption bytes differ from the
+    slot's is refuted from the slot, with the detail a fresh recomputation
+    would give.  Any other certificate is recomputed fresh, the slot cleared
+    meanwhile, so an acceptance never rests on a cached recomputation.
     """
+    global _last
     if not isinstance(cert, dict):
         raise SchemaError("certificate must be an object")
     for key in ("schema", "kind", "seed", "inputs", "assumptions", "body"):
@@ -691,16 +725,24 @@ def recheck(cert: dict) -> Tuple[bool, str]:
         raise SchemaError(f"unsupported schema {cert['schema']!r}")
     check_assumptions(cert["assumptions"], "certificate")
     kind = _kind(cert["kind"])
+    args = kind.arguments(cert["inputs"], cert["seed"])
     if kind.check is not None:
         try:
-            kind.check(cert["body"], **kind.arguments(cert["inputs"], cert["seed"]))
+            kind.check(cert["body"], **args)
         except CheckFailed as exc:
             return False, str(exc)
-    rebuilt = produce(cert["kind"], cert["inputs"], cert["seed"])
-    if canonical_bytes(rebuilt["body"]) != canonical_bytes(cert["body"]):
-        path = diff_paths(rebuilt["body"], cert["body"], "$.body") or "$.body"
+    key = canonical_bytes([kind.name, cert["inputs"], cert["seed"]])
+    body, assumptions = canonical_bytes(cert["body"]), canonical_bytes(cert["assumptions"])
+    last = _last
+    if last is None or last.key != key or (last.body, last.assumptions) == (body, assumptions):
+        _last = None
+        rebuilt = produce(kind.name, cert["inputs"], cert["seed"])
+        last = _last = _Recompute(key, rebuilt, canonical_bytes(rebuilt["body"]),
+                                  canonical_bytes(rebuilt["assumptions"]))
+    if last.body != body:
+        path = diff_paths(last.rebuilt["body"], cert["body"], "$.body") or "$.body"
         return False, f"recomputation differs at {path}"
-    if canonical_bytes(rebuilt["assumptions"]) != canonical_bytes(cert["assumptions"]):
-        path = diff_paths(rebuilt["assumptions"], cert["assumptions"], "$.assumptions")
+    if last.assumptions != assumptions:
+        path = diff_paths(last.rebuilt["assumptions"], cert["assumptions"], "$.assumptions")
         return False, f"assumptions differ at {path}"
     return True, "certificate re-verified"

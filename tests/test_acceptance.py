@@ -10,8 +10,11 @@ and the identical checks pass at the diagnostic depth.  Every other
 criterion must pass.
 """
 
+import json
+
 import pytest
 
+from idealbench import certify
 from idealbench.acceptance import run_all
 
 
@@ -94,3 +97,45 @@ def test_suite_runtime_budget(results):
     total = sum(r.elapsed for r in results.values())
     print(f"[INFO] acceptance suite total {total:.1f}s")
     assert total < 300
+
+
+def body_leaves(node, path="$.body"):
+    """(container, key, path) of every scalar leaf, paths written as ``diff_paths`` writes them."""
+    items = sorted(node.items()) if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        at = f"{path}.{key}" if isinstance(node, dict) else f"{path}[{key}]"
+        if isinstance(child, (dict, list)):
+            yield from body_leaves(child, at)
+        else:
+            yield node, key, at
+
+
+def edited(leaf):
+    if isinstance(leaf, bool):
+        return not leaf
+    if isinstance(leaf, int):
+        return leaf + 1
+    if isinstance(leaf, str):
+        return leaf + "0"
+    return 0  # null
+
+
+def test_every_body_leaf_edit_is_rejected_at_its_path(results):
+    leaves = 0
+    for n in range(1, 11):
+        for name, cert in results[n].certificates:
+            body = json.loads(json.dumps(cert["body"]))
+            tampered = {**cert, "body": body}
+            for node, key, path in body_leaves(body):
+                leaf = node[key]
+                node[key] = edited(leaf)
+                passed, detail = certify.recheck(tampered)
+                node[key] = leaf
+                leaves += 1
+                assert not passed, (name, path)
+                if cert["kind"] == "weight-bound":
+                    assert detail.startswith(f"check failed at {path}: "), (name, detail)
+                else:
+                    assert detail == f"recomputation differs at {path}", (name, detail)
+    print(f"[INFO] {leaves} body leaves edited, each rejected at its path")
+    assert leaves

@@ -414,6 +414,9 @@ def _without_name(name: str) -> dict:
         ("weight-bound", {"depth": 100000}),
         ("subset-reduction", {"depth": 25, "pairs": 1}),
         ("pigeonhole", {"depth": 25, "samples": 1}),
+        ("pigeonhole", {"depth": 4, "samples": 100000000, "interval": 2}),
+        ("pigeonhole", {"depth": 4, "samples": 10417, "interval": 2}),
+        ("pigeonhole", {"depth": 5, "samples": 1, "interval": 4}),
         ("ramsey-oracle", {"size": "x"}),
         ("ramsey-oracle", {"samples": -1}),
         ("pairing", {"bound": "x"}),
@@ -435,6 +438,8 @@ def _without_name(name: str) -> dict:
          "subset-reduction-no-pairs", "pigeonhole-no-samples", "pigeonhole-interval-past-depth",
          "partition-depth-past-max", "weight-bound-depth-past-max",
          "subset-reduction-depth-past-max", "pigeonhole-depth-past-max",
+         "pigeonhole-samples-past-max", "pigeonhole-draws-past-max",
+         "pigeonhole-interval-past-max",
          "ramsey-oracle-size-not-int", "ramsey-oracle-samples-negative", "pairing-bound-not-int",
          "pairing-inputs-a-list", "ramsey-oracle-size-past-max",
          "ramsey-oracle-exhaustive-n-past-max", "ramsey-oracle-sample-n-past-max",
@@ -532,6 +537,51 @@ def test_every_kind_rechecks_and_seedless_kinds_ignore_the_seed(kind):
         for seed in (0, 8, -3):
             ok, detail = certify.recheck({**cert, "seed": seed})
             assert ok, detail
+
+
+def refuse_the_producer(monkeypatch, kind):
+    def refused(inputs, seed):
+        raise AssertionError(f"the {kind} producer ran")
+
+    monkeypatch.setitem(certify._PRODUCERS, kind, refused)
+
+
+@pytest.mark.parametrize("kind", sorted(certify.KINDS))
+def test_a_tampered_certificate_is_refuted_from_the_last_recompute(monkeypatch, kind):
+    cert = certify.produce(kind, MINIMAL_INPUTS[kind](), 7)
+    assert certify.recheck(cert) == (True, "certificate re-verified")
+    refuse_the_producer(monkeypatch, kind)
+    tampered = dict(cert)
+    tampered["body"], path = mutate_one_field(cert["body"])
+    path = "$.body" + path[1:]
+    ok, detail = certify.recheck(tampered)
+    assert not ok
+    if certify.KINDS[kind].check is None:
+        assert detail == f"recomputation differs at {path}"
+    else:
+        assert detail.startswith(f"check failed at {path}: ")
+    edited = [*cert["assumptions"], {"tag": "assumption", "statement": "one more"}]
+    assert certify.recheck({**cert, "assumptions": edited}) == (
+        False, "assumptions differ at $.assumptions.length")
+    # an acceptance is never read from the slot
+    with pytest.raises(AssertionError, match="producer ran"):
+        certify.recheck(cert)
+
+
+@pytest.mark.parametrize("kind", sorted(certify.KINDS))
+def test_inputs_are_validated_before_the_last_recompute_is_read(monkeypatch, kind):
+    cert = certify.produce(kind, MINIMAL_INPUTS[kind](), 1)
+    assert certify.recheck(cert)[0]
+    refuse_the_producer(monkeypatch, kind)
+    tampered = dict(cert)
+    tampered["body"], _ = mutate_one_field(cert["body"])
+    with pytest.raises(SchemaError, match="seed must be an integer"):
+        certify.recheck({**tampered, "seed": True})
+    if kind == "sparseness":
+        inputs = {**cert["inputs"], "sizes": tuple(cert["inputs"]["sizes"])}
+        assert canonical_dumps(inputs) == canonical_dumps(cert["inputs"])
+        with pytest.raises(SchemaError, match="sizes must be a list"):
+            certify.recheck({**tampered, "inputs": inputs})
 
 
 @pytest.mark.parametrize("stages", ["0", "-1"])
