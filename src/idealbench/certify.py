@@ -134,6 +134,7 @@ def _pigeonhole(depth: int, samples: int, interval: int, rng: random.Random) -> 
     p = build_partition(depth)
     members = list(p.interval_members(interval))
     q_set = Progression(1, 2)  # even interval indices stay off the selector
+    q_weight = selector_weight(q_set, p, interval)
     min_block = None
     worst_weight: Optional[Fraction] = None
     for _ in range(samples):
@@ -149,7 +150,7 @@ def _pigeonhole(depth: int, samples: int, interval: int, rng: random.Random) -> 
         model = CriticalNodeModel(0, diagonal.LabelRule("table", {"entries": entries}))
         prof = extract_profile(model, p, interval)
         min_block = prof.f_count if min_block is None else min(min_block, prof.f_count)
-        weight = selector_weight(q_set, p, interval) * prof.f_count
+        weight = q_weight * prof.f_count
         worst_weight = weight if worst_weight is None else min(worst_weight, weight)
     need = -(-p.lengths[interval] // 3)
     return {

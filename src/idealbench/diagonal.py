@@ -122,20 +122,37 @@ def _classes(pairs) -> Dict[object, list]:
     return groups
 
 
-def _heaviest_class(groups: Dict[int, List[Tuple[int, int]]]) -> int:
-    """Class of largest mass, by integer cross-multiplication.
+def _heaviest_class(groups: Dict[int, list], bracket: Callable[[object], Tuple[int, int]],
+                    mass: Callable[[object], Tuple[int, int]]) -> int:
+    """Class of largest mass, decided by brackets first and exact sums last.
 
-    ``groups`` maps each class to the unreduced masses P/Q of its runs;
-    a class's mass is their ``_sum_pairs``, and a lone class needs none.
-    Classes are visited in ascending order and the best is replaced only
-    on a strict ``>``, so the smallest class wins ties.
+    ``groups`` maps each class to its runs.  ``bracket(run)`` is a pair
+    (low, width), width >= 1, with low <= _SCALE * m < low + width for the
+    run's mass m, and ``mass(run)`` is m as an unreduced P/Q.  A class's
+    bracket is the sum of its runs' brackets.  Let F be the largest low, and
+    c a class that has it.  A class whose upper end low + width does not
+    pass F has mass below F / _SCALE <= mass(c), so it is neither heaviest
+    nor tied with the heaviest.  Only the others are summed exactly
+    (``_sum_pairs``) and compared by integer cross-multiplication, and a
+    lone survivor needs no exact sum.  They are visited in ascending order
+    and the best is replaced only on a strict ``>``, so the smallest class
+    wins ties.
     """
     keys = sorted(groups)
+    spans = {}
+    for key in keys:
+        low = width = 0
+        for run in groups[key]:
+            run_low, run_width = bracket(run)
+            low, width = low + run_low, width + run_width
+        spans[key] = (low, low + width)
+    floor = max(low for low, _ in spans.values())
+    keys = [key for key in keys if spans[key][1] > floor]
     if len(keys) == 1:
         return keys[0]
     best, best_p, best_q = None, 0, 1
     for key in keys:
-        p, q = _sum_pairs(groups[key])
+        p, q = _sum_pairs([mass(run) for run in groups[key]])
         if p * best_q > best_p * q:
             best, best_p, best_q = key, p, q
     return best
@@ -143,21 +160,42 @@ def _heaviest_class(groups: Dict[int, List[Tuple[int, int]]]) -> int:
 
 # -- label rules -------------------------------------------------------------
 
+# Fixed-point scale of the harmonic brackets (the bracket lemma of _BlockEnds)
+_SCALE = 1 << 64
+
+
+def _bracket_low(start: int, end: int) -> int:
+    """The bracket L of start .. end - 1: the sum of _SCALE // (x + 1) over them."""
+    return sum(map(_SCALE.__floordiv__, range(start + 1, end + 1)))
+
+
 @dataclass
 class _BlockEnds:
     """Blocks of a ``block-geometric`` rule proven so far.
 
-    ``starts[j]`` is the first successor of block j, and ``masses`` maps
-    each closed block's (start, end) to its unreduced harmonic mass.  The
-    last block is still open: p/q < 1 is its mass over starts[-1] .. pos - 1,
-    so every successor up to pos belongs to it.
+    ``starts[j]`` is the first successor of block j.  ``lows`` maps each
+    closed block's (start, end) to its bracket L, and ``masses`` holds a
+    closed block's exact unreduced mass once ``run_mass`` has been asked for
+    it.  The last block is still open: ``low`` is its bracket over
+    starts[-1] .. pos - 1, where its mass is below 1, so every successor up
+    to pos belongs to it.
+
+    Bracket lemma.  Write L_t for the bracket of a .. t - 1, the sum of
+    _SCALE // (x + 1) over them.  Each floor loses less than 1, so
+    L_t <= _SCALE * S(a, t) < L_t + (t - a) for t > a, and L_a = S(a, a) = 0.
+    Then S(a, t) >= 1 when L_t >= _SCALE, and S(a, t) < 1 when
+    L_t + (t - a) <= _SCALE.  So an end t is proven, S(a, t) >= 1 > S(a, t - 1),
+    when L_t >= _SCALE and L_{t-1} + (t - 1 - a) <= _SCALE, and an open block
+    is proven below 1 up to t when L_t + (t - a) <= _SCALE.  The scan decides
+    with those two integer tests alone; where neither settles it, the mass
+    is within (t - a) / _SCALE of 1 and ``_reach_one`` decides exactly.
     """
 
     starts: List[int] = field(default_factory=list)
+    lows: Dict[Tuple[int, int], int] = field(default_factory=dict)
     masses: Dict[Tuple[int, int], Tuple[int, int]] = field(default_factory=dict)
     pos: int = 0
-    p: int = 0
-    q: int = 1
+    low: int = 0
 
 
 @dataclass(frozen=True)
@@ -214,19 +252,34 @@ class LabelRule:
                 start, current = x, lab
         yield start, hi, current
 
+    def run_bracket(self, start: int, end: int) -> Tuple[int, int]:
+        """Bracket (L, end - start) of the harmonic mass S of start .. end - 1.
+
+        L <= _SCALE * S < L + (end - start).  A closed block, or the open
+        block up to the end of the block scan, reuses the bracket that scan
+        kept; any other run is summed term by term.
+        """
+        blocks = self._blocks
+        low = blocks.lows.get((start, end))
+        if low is None:
+            if blocks.starts and (start, end) == (blocks.starts[-1], blocks.pos):
+                low = blocks.low
+            else:
+                low = _bracket_low(start, end)
+        return low, end - start
+
     def run_mass(self, start: int, end: int) -> Tuple[int, int]:
         """Unreduced harmonic mass P/Q of the successors start .. end - 1.
 
-        A closed block, or the open block up to the end of the block scan,
-        reuses the sum that scan proved its end with.
+        Summed on first request; a closed block keeps its sum for the next.
         """
         blocks = self._blocks
         mass = blocks.masses.get((start, end))
-        if mass is not None:
-            return mass
-        if blocks.starts and (start, end) == (blocks.starts[-1], blocks.pos):
-            return blocks.p, blocks.q
-        return _harmonic_pair(range(start, end))
+        if mass is None:
+            mass = _harmonic_pair(range(start, end))
+            if (start, end) in blocks.lows:
+                blocks.masses[(start, end)] = mass
+        return mass
 
     def _block_label(self, x: int) -> Optional[int]:
         if x < self.params["start"]:
@@ -249,23 +302,48 @@ class LabelRule:
     def _block_bounds(self, upto: int) -> List[int]:
         """First successors of the blocks up to the one holding ``upto``.
 
-        A block ends where its harmonic mass first reaches 1, and
-        ``_reach_one`` proves each end exactly.  The scan stops at ``upto``
-        with the open block's partial mass kept, and a later, larger query
-        resumes from there, so no term past the largest query is ever added.
+        A block ends where its harmonic mass first reaches 1.  The scan adds
+        each successor's bracket term and proves each end, or the open
+        block's mass below 1, by the bracket lemma of ``_BlockEnds``; where
+        the bracket cannot tell, ``_reach_one`` decides exactly from the
+        block start.  The scan stops at ``upto`` with the open block's
+        bracket kept, and a later, larger query resumes from there, so no
+        term past the largest query is ever added.
         """
         blocks = self._blocks
         if not blocks.starts:
             blocks.starts.append(self.params["start"])
             blocks.pos = self.params["start"]
+        one = _SCALE
         while blocks.pos < upto:
-            end, p, q = _reach_one(blocks.pos, upto, blocks.p, blocks.q)
-            if end is None:
-                blocks.pos, blocks.p, blocks.q = upto, p, q
-            else:
-                blocks.masses[(blocks.starts[-1], end)] = (p, q)
-                blocks.starts.append(end)
-                blocks.pos, blocks.p, blocks.q = end, 0, 1
+            a, x, low = blocks.starts[-1], blocks.pos, blocks.low
+            before = low
+            while x < upto and low < one:
+                # terms fall, so the next `room` terms, each at most `term`,
+                # keep the bracket below one: add them at once
+                term = one // (x + 1)
+                room = (one - 1 - low) // term if term else upto - x
+                if room > 1:
+                    room = min(room, upto - x)
+                    low += _bracket_low(x, x + room)
+                    x += room
+                    continue
+                before = low
+                low += term
+                x += 1
+            if low < one and low + (x - a) <= one:
+                blocks.pos, blocks.low = x, low
+                continue
+            if not (low >= one and before + (x - 1 - a) <= one):
+                x, p, q = _reach_one(a, upto)
+                if x is None:
+                    blocks.pos, blocks.low = upto, _bracket_low(a, upto)
+                    continue
+                low = _bracket_low(a, x)
+                blocks.masses[(a, x)] = (p, q)
+            blocks.lows[(a, x)] = low
+            blocks.starts.append(x)
+            blocks.pos, blocks.low = x, 0
         return blocks.starts
 
     def to_json(self) -> dict:
@@ -713,12 +791,21 @@ def posdiff_stage(state: PosdiffState, k: int, i: int,
 
     The stage reads the rule's label runs, not single successors.
     Eligibility and residue depend only on the label, so each class is a
-    union of whole runs, and its mass is the sum of its runs' unreduced
-    masses P/Q.  Classes are compared by cross-multiplication, the
-    smallest residue winning ties.  The carve takes whole runs while the
-    mass stays below 1; inside the run that takes it to 1 or above,
+    union of whole runs, and its mass is the sum of its runs' masses.
+
+    Bracket lemma: a run's bracket (L, n), n its length, has
+    L <= _SCALE * S < L + n for its mass S (see ``_BlockEnds``), and a
+    class's bracket is the sum of its runs'.  ``_heaviest_class`` drops
+    every class whose upper end does not pass the largest lower end, since
+    each is strictly lighter than the class with that lower end, and
+    compares the rest by exact unreduced P/Q and cross-multiplication, the
+    smallest residue winning ties.  So the choice is the exact one, and a
+    class is summed exactly only when the brackets leave it in the running.
+    The carve takes whole runs, each with its exact mass, while the mass
+    stays below 1; inside the run that takes it to 1 or above,
     ``_reach_one`` finds the exact successor where it does.  Only the
-    recorded mass is reduced, once.  A stage costs O(runs + |D|).
+    recorded mass is reduced, once.  A stage costs O(runs + |D|) besides
+    its exact sums.
 
     Whole-block lemma: on a ``block-geometric`` rule each run is a whole
     block, and a block closes exactly where its mass first reaches 1.  So
@@ -747,12 +834,12 @@ def posdiff_stage(state: PosdiffState, k: int, i: int,
     if not groups:
         raise HorizonExhausted(f"stage {k}: no eligible successors below horizon")
 
-    masses = {key: [rule.run_mass(start, end) for start, end, _ in runs]
-              for key, runs in groups.items()}
-    best = _heaviest_class(masses)
+    best = _heaviest_class(groups, lambda run: rule.run_bracket(run[0], run[1]),
+                           lambda run: rule.run_mass(run[0], run[1]))
     p, q = 0, 1
     taken = []
-    for (start, end, lab), (rp, rq) in zip(groups[best], masses[best]):
+    for start, end, lab in groups[best]:
+        rp, rq = rule.run_mass(start, end)
         new_p, new_q = p * rq + rp * q, q * rq
         if new_p >= new_q and new_p * end - new_q >= new_q * end:
             # one term less already reaches 1: find where inside the run

@@ -32,6 +32,11 @@ from .trees import (
 
 ENV_SCENARIO_DIR = "IDEALBENCH_SCENARIOS"
 
+# Largest posdiff ``horizon``.  A run scans every successor below it, and the
+# blocks it carves or stops in are summed exactly, so the cost grows faster
+# than the horizon (docs/schemas.md states the worst admitted case).
+MAX_HORIZON = 50_000
+
 
 def rule_from_json(obj: dict, partition: Optional[PartitionData] = None) -> LabelRule:
     if not isinstance(obj, dict):
@@ -123,7 +128,7 @@ class DiagScenario(Scenario):
 
     @property
     def horizon(self) -> int:
-        return self._integer("horizon", None)
+        return self._integer("horizon", None, maximum=MAX_HORIZON)
 
     def partition(self) -> PartitionData:
         return build_partition(self._integer("depth", DEFAULT_DEPTH, 1, MAX_DEPTH))

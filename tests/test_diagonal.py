@@ -259,23 +259,41 @@ def unit_masses(groups):
     return {key: [(1, x + 1) for x in xs] for key, xs in groups.items()}
 
 
+def pair_bracket(run):
+    """The bracket (floor(_SCALE * P/Q), 1) of a run given as its mass P/Q."""
+    p, q = run
+    return diagonal._SCALE * p // q, 1
+
+
+def heaviest_of_masses(groups):
+    """``_heaviest_class`` over runs given as their unreduced masses P/Q."""
+    return _heaviest_class(groups, pair_bracket, lambda run: run)
+
+
 @given(st.dictionaries(st.integers(0, 12), st.lists(st.integers(0, 5), min_size=1, max_size=6),
                        min_size=1, max_size=6))
 def test_heaviest_class_matches_fraction_masses(groups):
     # members below 6 make equal masses common
-    assert _heaviest_class(unit_masses(groups)) == fraction_heaviest(groups)
+    assert heaviest_of_masses(unit_masses(groups)) == fraction_heaviest(groups)
 
 
 def test_heaviest_class_ties_go_to_the_smallest_residue():
     # 1/2 + 1/6 = 1/3 + 1/3 = 2/3, ahead of 1/4
-    assert _heaviest_class(unit_masses({3: [2, 2], 0: [3], 1: [1, 5]})) == 1
-    assert _heaviest_class(unit_masses({1: [1, 5], 3: [2, 2]})) == 1
-    assert _heaviest_class(unit_masses({5: [0]})) == 5
+    assert heaviest_of_masses(unit_masses({3: [2, 2], 0: [3], 1: [1, 5]})) == 1
+    assert heaviest_of_masses(unit_masses({1: [1, 5], 3: [2, 2]})) == 1
+    assert heaviest_of_masses(unit_masses({5: [0]})) == 5
+
+
+def test_heaviest_class_keeps_a_tie_whose_bracket_starts_lower():
+    # 1/3 + 1/6 ties 1/2, but its floored bracket starts one below 2^63
+    groups = unit_masses({0: [2, 5], 1: [1]})
+    assert sum(pair_bracket(run)[0] for run in groups[0]) == diagonal._SCALE // 2 - 1
+    assert heaviest_of_masses(groups) == 0
 
 
 def test_heaviest_class_sums_multi_term_runs():
     # 1/3 + 1/4 as one run, 2/7 + 1/3 as two, 1/2 alone: 7/12 < 13/21, so 4 wins
-    assert _heaviest_class({9: [(7, 12)], 4: [(2, 7), (1, 3)], 0: [(1, 2)]}) == 4
+    assert heaviest_of_masses({9: [(7, 12)], 4: [(2, 7), (1, 3)], 0: [(1, 2)]}) == 4
 
 
 # -- block-geometric labels ---------------------------------------------------------
@@ -489,6 +507,55 @@ def test_block_masses_close_exactly_at_the_block_end():
         p, q = rule.run_mass(a, e)
         assert Fraction(p, q) == harmonic(range(a, e)) >= 1
         assert harmonic(range(a, e - 1)) < 1
+
+
+@pytest.mark.parametrize("scale_bits", [4, 10])
+def test_coarse_brackets_fall_back_to_exact_sums(monkeypatch, scale_bits):
+    # at scale 2^4 every term past successor 15 floors to 0, so nearly every
+    # block end, open block and class choice falls back to exact sums
+    monkeypatch.setattr(diagonal, "_SCALE", 1 << scale_bits)
+    exact = []
+    reach_one = diagonal._reach_one
+
+    def spy(a, limit, p=0, q=1):
+        exact.append(a)
+        return reach_one(a, limit, p, q)
+
+    monkeypatch.setattr(diagonal, "_reach_one", spy)
+    for start, first, upto in [(0, 0, 900), (3, 40, 900), (4, 6000, 20000), (40, 0, 3000)]:
+        rule = block_rule(start, 5, 3)
+        rule._block_bounds(first)
+        assert rule._block_bounds(upto) == reference_block_bounds(start, max(first, upto))
+    assert exact
+    for key in [("diagonalization", "posdiff-blocks", 4),
+                ("diagonalization", "gen-posdiff-3-7-4-s5-h12000", 5),
+                ("diagonalization", "gen-posdiff-4-5-3-s7-h20000", 7)]:
+        assert certificate_digest(*key) == PINNED_CERTIFICATES[key]
+
+
+def test_uncarved_blocks_are_never_summed_exactly(monkeypatch):
+    # the 7-stage, horizon-20000 run carves blocks 0-6; block 7 and the open
+    # block 8 are 14,823 of its 19,996 successors, and brackets alone rule
+    # their classes out
+    summed = []
+    harmonic_pair, reach_one = diagonal._harmonic_pair, diagonal._reach_one
+
+    def pair_spy(members):
+        summed.append((members[0], members[-1] + 1))
+        return harmonic_pair(members)
+
+    def reach_spy(a, limit, p=0, q=1):
+        summed.append((a, limit))
+        return reach_one(a, limit, p, q)
+
+    monkeypatch.setattr(diagonal, "_harmonic_pair", pair_spy)
+    monkeypatch.setattr(diagonal, "_reach_one", reach_spy)
+    state = run_posdiff([CriticalNodeModel(0, block_rule(4, 5, 3))], 20000, 7)
+    bounds = reference_block_bounds(4, 20000)
+    assert bounds[-2:] == [5177, 14074]
+    carved = list(zip(bounds[:-2], bounds[1:-1]))
+    assert [(rec.d_members[0], rec.d_members[-1] + 1) for rec in state.stages] == carved
+    assert summed == carved
 
 
 LABEL_RULES = [
@@ -900,15 +967,18 @@ GENERATED_SCENARIOS = {
 }
 
 
-@pytest.mark.parametrize("kind, name, stages", list(PINNED_CERTIFICATES))
-def test_engine_certificate_bytes_are_pinned(kind, name, stages):
+def certificate_digest(kind, name, stages):
+    """sha256 of the canonical bytes of a seed-0 certificate of a pinned scenario."""
     scenario = GENERATED_SCENARIOS.get(name) or load_scenario(name).to_json()
     inputs = {"scenario": scenario}
     if stages is not None:
         inputs["stages"] = stages
-    cert = certify.produce(kind, inputs, 0)
-    digest = hashlib.sha256(canonical_bytes(cert)).hexdigest()
-    assert digest == PINNED_CERTIFICATES[(kind, name, stages)]
+    return hashlib.sha256(canonical_bytes(certify.produce(kind, inputs, 0))).hexdigest()
+
+
+@pytest.mark.parametrize("kind, name, stages", list(PINNED_CERTIFICATES))
+def test_engine_certificate_bytes_are_pinned(kind, name, stages):
+    assert certificate_digest(kind, name, stages) == PINNED_CERTIFICATES[(kind, name, stages)]
 
 
 def test_open_block_stop_message_is_pinned():

@@ -11,7 +11,7 @@ from idealbench import certify, diagonal
 from idealbench.cli import run
 from idealbench.construction import MAX_DEPTH
 from idealbench.errors import SchemaError
-from idealbench.scenarios import load_scenario, rule_from_json
+from idealbench.scenarios import MAX_HORIZON, load_scenario, rule_from_json
 from idealbench.serialize import (
     PLAIN_DIGITS,
     canonical_dumps,
@@ -236,6 +236,8 @@ def _hindman_scenario(**changes) -> dict:
         _hindman_scenario(scan_cap="x"),
         _changed_scenario("posdiff-blocks", horizon=None),
         _changed_scenario("posdiff-blocks", horizon="1200"),
+        _changed_scenario("posdiff-blocks", horizon=MAX_HORIZON + 1),
+        _changed_scenario("posdiff-blocks", horizon=10**12),
         _hindman_scenario(stages_default="4"),
         _hindman_scenario(
             models=[{"index": 0, "form": 2, "labels": {"kind": "min-support"},
@@ -305,7 +307,8 @@ def _hindman_scenario(**changes) -> dict:
         "x",
     ],
     ids=["no-models", "empty-models", "constant-without-value", "scan-cap-not-int",
-         "posdiff-no-horizon", "posdiff-horizon-not-int", "stages-default-not-int",
+         "posdiff-no-horizon", "posdiff-horizon-not-int", "posdiff-horizon-past-max",
+         "posdiff-horizon-1e12", "stages-default-not-int",
          "explicit-ground-without-members", "explicit-vertices-without-members",
          "collision-stages-not-int", "collision-model-index-out-of-range",
          "collision-model-index-not-int", "collision-model-index-negative",
@@ -326,6 +329,13 @@ def test_cli_diagonalize_rejects_malformed_scenarios(tmp_path, capsys, scenario)
     dump_json(path, scenario)
     assert run(["diagonalize", "--scenario", str(path)]) == 2
     assert "schema error" in capsys.readouterr().err
+
+
+def test_cli_posdiff_horizon_error_names_the_bound(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    dump_json(path, _changed_scenario("posdiff-blocks", horizon=MAX_HORIZON + 1))
+    assert run(["diagonalize", "--scenario", str(path)]) == 2
+    assert f"horizon must be at most {MAX_HORIZON}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -402,6 +412,8 @@ def _without_name(name: str) -> dict:
         ("collision", _without_name("collision-posdiff")),
         ("diagonalization", []),
         ("diagonalization", {"scenario": "hindman-case2", "stages": 2}),
+        ("diagonalization",
+         {"scenario": _changed_scenario("posdiff-blocks", horizon=MAX_HORIZON + 1), "stages": 1}),
         ("structural-identity", {"scenario": _changed_scenario("posdiff-blocks"), "stages": 2}),
         ("structural-identity", {"scenario": _changed_scenario("pw-2b"), "stages": 2}),
         ("partition", {}),
@@ -433,6 +445,7 @@ def _without_name(name: str) -> dict:
     ],
     ids=["diagonalization-no-name", "structural-identity-no-name", "tree-labelling-no-name",
          "collision-no-name", "inputs-a-list", "scenario-not-an-object",
+         "posdiff-horizon-past-max",
          "structural-identity-on-posdiff", "structural-identity-on-pwfin",
          "partition-no-depth", "partition-depth-zero", "weight-bound-depth-not-int",
          "subset-reduction-no-pairs", "pigeonhole-no-samples", "pigeonhole-interval-past-depth",
