@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, islice, repeat
+from math import comb
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import diagonal
@@ -38,7 +39,7 @@ from .diagonal import CriticalNodeModel, assemble, collision_check, engine_named
 from .errors import ScenarioContradiction, SchemaError
 from .ideals import SumSelector
 from .pairing import code_unordered, pair_diag, unpair_diag
-from .ramsey import canonical_ramsey_search, difference_mask
+from .ramsey import canonical_ramsey_search
 from .reduction import (
     IdentityHeightOne,
     ReductionClaim,
@@ -247,28 +248,25 @@ def _sparseness(universe: int, sizes: List[int]) -> dict:
     ``eventually_sparse_check(delta(A), size - 3)`` together with the check
     that the difference ``shared`` of the two smallest members has
     multiplicity at least ``size - 2`` among the violations, computed on
-    ``difference_mask(A)`` instead of tables.  Only multiplicities >= 1 are
-    ever tabulated, so the violations are the differences whose multiplicity
-    exceeds ``floor = max(size - 3, 0)``.  At size 2 the image is a single
-    difference: nothing is violated, yet ``0 >= size - 2`` witnesses it.
+    the bitmask ``D`` of ``delta(A)`` instead of tables: the multiplicity of
+    ``d`` in the difference table of ``delta(A)`` is
+    ``(D & (D >> d)).bit_count()`` (``ramsey.difference_mask``).  Only
+    multiplicities >= 1 are ever tabulated, so the violations are the
+    differences whose multiplicity exceeds ``floor = max(size - 3, 0)``.  At
+    size 2 the image is a single difference: nothing is violated, yet
+    ``0 >= size - 2`` witnesses it.
+
+    The families are grown in lexicographic order one member at a time
+    (``_family_tallies``), so each costs one shift-or on its prefix's masks
+    and the multiplicity test; ``check_sparseness`` confirms the tallies
+    without enumerating.
     """
-    checked = 0
-    failed = 0
-    witnessed = 0
+    checked = failed = witnessed = 0
     for size in sizes:
-        floor = max(size - 3, 0)
-        for family in combinations(range(universe), size):
-            diffs = difference_mask(family)
-            checked += 1
-            # the two smallest members anchor size-2 pairs sharing one difference
-            shared = family[1] - family[0]
-            m = (diffs & (diffs >> shared)).bit_count()
-            if m > floor or any(
-                (diffs & (diffs >> d)).bit_count() > floor for d in range(1, universe)
-            ):
-                failed += 1
-            if (m if m > floor else 0) >= size - 2:
-                witnessed += 1
+        tallies = _family_tallies(universe, size)
+        checked += tallies[0]
+        failed += tallies[1]
+        witnessed += tallies[2]
     return {
         "universe": universe,
         "sizes": list(sizes),
@@ -280,54 +278,108 @@ def _sparseness(universe: int, sizes: List[int]) -> dict:
     }
 
 
+def _family_tallies(universe: int, size: int) -> Tuple[int, int, int]:
+    """How many ``size``-member families of ``range(universe)`` were checked, failed and witnessed.
+
+    A prefix ``a_0 < ... < a_j`` of a family carries its reversed member
+    mask ``R`` (bit ``top - a`` per member, ``top = universe - 1``) and the
+    bitmask ``D`` of its differences.  Adding ``b > a_j`` adds the
+    differences ``b - a``, which are the bits of ``R >> (top - b)``: every
+    bit ``top - a`` of ``R`` lies above ``top - b``, so the shift keeps it
+    as bit ``b - a >= 1``.  So the grown family's masks are
+    ``R | 1 << (top - b)`` and ``D | R >> (top - b)``.
+    """
+    top = universe - 1
+    floor = max(size - 3, 0)
+    need = size - 2
+    differences = range(1, universe)
+
+    # a prefix of ``count`` members, all below ``lo``: its masks ``R`` and ``D``, its
+    # first member, and the gap ``shared`` to its second (0 until there is one)
+    def grow(count: int, lo: int, members: int, diffs: int, shared: int, first: int):
+        checked = failed = witnessed = 0
+        if count < size - 1:
+            for a in range(lo, universe - (size - 1 - count)):
+                tallies = grow(count + 1, a + 1, members | 1 << (top - a),
+                               diffs | members >> (top - a),
+                               a - first if count == 1 else shared, a if count == 0 else first)
+                checked += tallies[0]
+                failed += tallies[1]
+                witnessed += tallies[2]
+            return checked, failed, witnessed
+        for b in range(lo, universe):
+            grown = diffs | members >> (top - b)
+            # the two smallest members anchor size-2 pairs sharing one difference
+            m = (grown & (grown >> (shared or b - first))).bit_count()
+            if m > floor or any((grown & (grown >> d)).bit_count() > floor for d in differences):
+                failed += 1
+            if (m if m > floor else 0) >= need:
+                witnessed += 1
+        return len(range(lo, universe)), failed, witnessed
+
+    return grow(0, 0, 0, 0, 0, 0)
+
+
 # independent brute-force oracle for the canonical pair search ----------------
 
-def _oracle_case_holds(f: Dict, pairs: List, case: int) -> bool:
-    for (x, x_min, x_max), (y, y_min, y_max) in combinations(pairs, 2):
-        same = f[x] == f[y]
-        if case == 1:
-            expect = True
-        elif case == 2:
-            expect = x_min == y_min
-        elif case == 3:
-            expect = x_max == y_max
-        else:
-            expect = x == y
-        if same != expect:
-            return False
-    return True
+# a domain: T in [n] of size m, the edge ranks (i, j) of each two of its
+# pairs, and per case 1-4 whether that case's key is equal on those two pairs
+Domain = Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...], Tuple[Tuple[bool, ...], ...]]
 
-
-# a domain: T in [n] of size m, and each pair of T with its least and greatest point
-Domain = Tuple[Tuple[int, ...], List[Tuple[frozenset, int, int]]]
+# each case's key on a pair (a, b) with a < b: none, the least point, the
+# greatest point, the pair
+_ORACLE_KEYS = (lambda pair: 0, lambda pair: pair[0], lambda pair: pair[1], lambda pair: pair)
 
 
 def _oracle_domains(n: int, m: int) -> List[Domain]:
-    """Each T in [n] of size m with its pairs, in the order the oracle tries them."""
-    return [(t, [(frozenset(p), *p) for p in combinations(t, 2)])
-            for t in combinations(range(n), m)]
+    """Each T in [n] of size m with its pairs of pairs, in the order the oracle tries them.
+
+    Edge ranks are indices into ``combinations(range(n), 2)``, the order in
+    which a restricted-growth string colours the edges.
+    """
+    rank = {pair: k for k, pair in enumerate(combinations(range(n), 2))}
+    domains = []
+    for t in combinations(range(n), m):
+        twos = list(combinations(combinations(t, 2), 2))
+        domains.append((t, tuple((rank[x], rank[y]) for x, y in twos),
+                        tuple(tuple(key(x) == key(y) for x, y in twos) for key in _ORACLE_KEYS)))
+    return domains
 
 
-def oracle_ramsey_search(f: Dict, domains: List[Domain]):
-    """The first ``(t, case)`` of ``_oracle_domains(n, m)`` whose case holds on ``f``."""
-    for t, pairs in domains:
-        for case in (1, 2, 3, 4):
-            if _oracle_case_holds(f, pairs, case):
+def oracle_ramsey_search(colours: tuple, domains: List[Domain]):
+    """The first ``(t, case)`` of ``_oracle_domains(n, m)`` whose case holds on ``colours``.
+
+    ``colours`` holds each edge's colour by rank.  A case holds when every
+    two pairs of T have equal colours exactly when the case expects it.
+    """
+    for t, ranks, expected in domains:
+        same = tuple([colours[i] == colours[j] for i, j in ranks])
+        for case, expect in enumerate(expected, 1):
+            if same == expect:
                 return t, case
     return None
 
 
-def _partitions_rgs(count: int):
-    """All restricted-growth strings of the given length."""
+def _partitions_rgs(count: int) -> Iterator[Tuple[int, ...]]:
+    """All restricted-growth strings of the given length, in lexicographic order.
 
-    def extend(prefix, top):
-        if len(prefix) == count:
-            yield tuple(prefix)
+    The next string raises the last value that is at most the largest value
+    before it and resets the values after it to 0.
+    """
+    string = [0] * count
+    tops = [0] * count  # tops[k]: the largest of string[:k + 1]
+    while True:
+        yield tuple(string)
+        k = count - 1
+        while k > 0 and string[k] > tops[k - 1]:
+            k -= 1
+        if k <= 0:
             return
-        for v in range(top + 2):
-            yield from extend(prefix + [v], max(top, v))
-
-    yield from extend([], -1)
+        string[k] += 1
+        tops[k] = top = max(tops[k - 1], string[k])
+        for j in range(k + 1, count):
+            string[j] = 0
+            tops[j] = top
 
 
 # the most 32-bit words ``_random_rgs`` draws from its rng at once
@@ -389,23 +441,17 @@ def _random_rgs(samples: int, length: int, rng: random.Random) -> Iterator[Tuple
             limit, shift = limits[bound], shifts[bound]
 
 
-def _colourings(n: int, strings: Callable[[int], Iterable[tuple]]):
-    """The edge colourings of K_n given by ``strings(edge count)``, in order.
-
-    The edge list is built once, and the restricted-growth strings are
-    drawn one at a time as the colourings are used.
-    """
-    edges = [frozenset(p) for p in combinations(range(n), 2)]
-    return (dict(zip(edges, rgs)) for rgs in strings(len(edges)))
-
-
 def _agreement(n: int, size: int, strings: Callable[[int], Iterable[tuple]]) -> Tuple[int, int]:
-    """How many colourings were checked, and on how many the search and the oracle agree."""
+    """How many colourings were checked, and on how many the search and the oracle agree.
+
+    Each colouring of K_n is a restricted-growth string of ``strings(edge
+    count)``, read by both as the colour tuple by edge rank.
+    """
     checked = agree = 0
     domains = _oracle_domains(n, size)
-    for f in _colourings(n, strings):
-        mine = canonical_ramsey_search(f, n, size)
-        oracle = oracle_ramsey_search(f, domains)
+    for colours in strings(n * (n - 1) // 2):
+        mine = canonical_ramsey_search(colours, n, size)
+        oracle = oracle_ramsey_search(colours, domains)
         checked += 1
         if (None if mine is None else (mine[0], mine[1].case)) == oracle:
             agree += 1
@@ -421,8 +467,8 @@ def _ramsey_oracle(size: int, exhaustive_n: int, sample_n: int, samples: int,
     minimal_n = None
     for n in range(size, 6):
         domains = _oracle_domains(n, size)
-        if all(oracle_ramsey_search(f, domains) is not None
-               for f in _colourings(n, _partitions_rgs)):
+        if all(oracle_ramsey_search(colours, domains) is not None
+               for colours in _partitions_rgs(n * (n - 1) // 2)):
             minimal_n = n
             break
     return {
@@ -514,6 +560,17 @@ class CheckFailed(Exception):
         super().__init__(f"check failed at {path}: {reason}")
 
 
+def _body_fields(body: object, fields: Iterable[str]) -> dict:
+    """``body`` when it is an object with exactly ``fields``, else CheckFailed at the first stray."""
+    if not isinstance(body, dict):
+        raise CheckFailed("$.body", "is not an object")
+    stray = sorted(set(fields) ^ body.keys())
+    if stray:
+        raise CheckFailed(f"$.body.{stray[0]}",
+                          "is not a field" if stray[0] in body else "is missing")
+    return body
+
+
 # primes below 10^19, libmpdec's word radix, so that the residue of a Decimal
 # is one short division
 _RESIDUE_PRIMES = (10**19 - 39, 10**19 - 57, 10**19 - 81)
@@ -550,12 +607,7 @@ def check_weight_bound(body: object, depth: int) -> None:
     is checked modulo each of ``_RESIDUE_PRIMES``, against the greedy
     recurrence run in small ints.
     """
-    if not isinstance(body, dict):
-        raise CheckFailed("$.body", "is not an object")
-    stray = sorted({"below_one", "depth", "points_summed", "total_weight"} ^ body.keys())
-    if stray:
-        raise CheckFailed(f"$.body.{stray[0]}",
-                          "is not a field" if stray[0] in body else "is missing")
+    body = _body_fields(body, ("below_one", "depth", "points_summed", "total_weight"))
     if type(body["depth"]) is not int or body["depth"] != depth:
         raise CheckFailed("$.body.depth", f"is not the input depth {depth}")
     points = _natural(body["points_summed"], "$.body.points_summed")
@@ -585,6 +637,41 @@ def check_weight_bound(body: object, depth: int) -> None:
         if EXACT.remainder(points, q) != (S + L - 1) % q:
             raise CheckFailed("$.body.points_summed",
                               f"is not S_{depth - 1} + L_{depth - 1} - 1")
+
+
+def check_sparseness(body: object, universe: int, sizes: List[int]) -> None:
+    """Confirm a sparseness body from the inputs alone, or raise CheckFailed.
+
+    The tallies have a closed form.  Let A = {a_0 < ... < a_{s-1}} and
+    d = a_1 - a_0.  For each j >= 2 both a_j - a_1 and a_j - a_0 are in
+    delta(A), and they differ by d; the s - 2 pairs (a_j - a_1, a_j - a_0)
+    are distinct, so d has multiplicity at least s - 2 in the difference
+    table of delta(A).  For s >= 3 that exceeds the bound s - 3, so every
+    family fails and d witnesses it.  At s = 2, delta(A) = {d} has an empty
+    difference table: nothing fails, and the multiplicity 0 >= s - 2 still
+    witnesses.  So ``checked`` and ``shared_difference_witnessed`` are
+    Σ C(universe, s) over the sizes, ``failed_as_predicted`` is that sum
+    over the sizes s >= 3 only, ``all_fail`` is whether the two sums are
+    equal, and ``all_witnessed`` is true.  ``universe`` and ``sizes`` echo
+    the inputs.
+    """
+    body = _body_fields(body, ("all_fail", "all_witnessed", "checked", "failed_as_predicted",
+                               "shared_difference_witnessed", "sizes", "universe"))
+    checked = sum(comb(universe, size) for size in sizes)
+    failed = sum(comb(universe, size) for size in sizes if size >= 3)
+    if type(body["universe"]) is not int or body["universe"] != universe:
+        raise CheckFailed("$.body.universe", f"is not the input universe {universe}")
+    echoed = body["sizes"]
+    if not isinstance(echoed, list) or len(echoed) != len(sizes):
+        raise CheckFailed("$.body.sizes", f"is not the input sizes {sizes}")
+    for i, (got, size) in enumerate(zip(echoed, sizes)):
+        if type(got) is not int or got != size:
+            raise CheckFailed(f"$.body.sizes[{i}]", f"is not the input size {size}")
+    for field, value in (("checked", checked), ("failed_as_predicted", failed),
+                         ("shared_difference_witnessed", checked),
+                         ("all_fail", failed == checked), ("all_witnessed", True)):
+        if type(body[field]) is not type(value) or body[field] != value:
+            raise CheckFailed(f"$.body.{field}", f"is not {value}")
 
 
 # -- kinds ----------------------------------------------------------------------
@@ -653,7 +740,7 @@ _STAGES = ("stages", None, 1)
 KINDS: Dict[str, Kind] = {kind.name: kind for kind in (
     Kind("partition", _partition, (_DEPTH,)),
     Kind("weight-bound", _weight_bound, (_DEPTH,), check=check_weight_bound),
-    Kind("subset-reduction", _subset_reduction, (_DEPTH, ("pairs", None, 0)), seeded=True),
+    Kind("subset-reduction", _subset_reduction, (_DEPTH, ("pairs", None, 0, 100)), seeded=True),
     Kind("pigeonhole", _pigeonhole,
          (("depth", 4, 1, MAX_DEPTH), ("samples", None, 1), ("interval", 2, 1)), seeded=True),
     Kind("diagonalization", _diagonalization, (_STAGES,), scenario=DiagScenario,
@@ -661,7 +748,8 @@ KINDS: Dict[str, Kind] = {kind.name: kind for kind in (
     Kind("structural-identity", _structural_identity, (_STAGES,), scenario=DiagScenario),
     Kind("tree-labelling", _tree_labelling, scenario=TreeScenario,
          expected=("root_as_expected", "critical_as_declared")),
-    Kind("sparseness", _sparseness, (("universe", None, 0, 25),), sizes=(7, 3)),
+    Kind("sparseness", _sparseness, (("universe", None, 0, 25),), sizes=(7, 3),
+         check=check_sparseness),
     Kind("ramsey-oracle", _ramsey_oracle, (("size", 3, 0, 5), ("exhaustive_n", 4, 0, 5),
                                             ("sample_n", 5, 0, 6), ("samples", 10000, 0, 20000)),
          seeded=True),

@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .ideals import diff_multiplicity
 from .sets import subset_sums
@@ -172,44 +173,66 @@ def classify_canonical(f: Dict, domain: Iterable, family: str) -> Optional[Canon
 _TABLE_N = 8
 
 
-def _pair_row(t: Tuple[int, ...]):
-    """``t``, its pair domain, and for each pair case its form, keys and distinct-key count."""
-    domain = tuple(frozenset(p) for p in combinations(t, 2))
-    cases = []
+def _edge_rank(n: int, a: int, b: int) -> int:
+    """The index of the pair ``a < b`` in ``combinations(range(n), 2)``."""
+    return a * (2 * n - a - 1) // 2 + b - a - 1
+
+
+def _colours_at(ranks: Tuple[int, ...]) -> Callable[[Sequence], tuple]:
+    """The tuple of a colour sequence's entries at ``ranks``."""
+    if len(ranks) > 1:
+        return itemgetter(*ranks)
+    return lambda colours: tuple(colours[k] for k in ranks)
+
+
+def _pair_row(n: int, t: Tuple[int, ...]):
+    """``t``, its pairs' colours, and its pair cases in order, grouped by distinct-key count.
+
+    A case can only hold when its keys take as many distinct values as the
+    colours do, so the search tries only the cases of that count.
+    """
+    pairs = tuple(combinations(t, 2))
+    domain = tuple(map(frozenset, pairs))
+    by_count: Dict[int, list] = {}
     for case, key in _CASE_KEYS[RAMSEY]:
         keys = tuple(map(key, domain))
-        cases.append((CanonicalForm(RAMSEY, case), keys, len(set(keys))))
-    return t, domain, tuple(cases)
+        by_count.setdefault(len(set(keys)), []).append((CanonicalForm(RAMSEY, case), keys))
+    return t, _colours_at(tuple(_edge_rank(n, a, b) for a, b in pairs)), by_count
 
 
 @lru_cache(maxsize=None)
 def _pair_table(n: int, m: int):
     """The rows of every T in [n] of size m, in search order."""
-    return tuple(map(_pair_row, combinations(range(n), m)))
+    return tuple(_pair_row(n, t) for t in combinations(range(n), m))
 
 
 def canonical_ramsey_search(
-    f: Dict, n: int, m: int
+    f: Union[tuple, Dict], n: int, m: int
 ) -> Optional[Tuple[Tuple[int, ...], CanonicalForm]]:
     """Least T in [n] of size m whose pair restriction is canonical.
 
-    ``f`` maps frozenset pairs of [n] to values and must be total there.
-    Each T's pair domain and case keys come from a table of [n]; a
-    colouring costs one ``f`` lookup per pair and one biconditional per
-    case tried, the same as ``classify_canonical`` on that domain.
+    ``f`` is the colouring as a tuple of colours by edge rank, the colour
+    of the ``k``-th pair of ``combinations(range(n), 2)`` at index ``k``
+    (a restricted-growth string is one), or as a mapping from frozenset
+    pairs of [n] to values, total there, which is read into that tuple
+    once.  Each T's pair ranks and case keys come from a table of [n]; a
+    colouring costs one ``itemgetter`` call per T and one biconditional
+    per case whose key count equals T's colour count, the same answer as
+    ``classify_canonical`` on that domain.
     """
     if m > n:
         return None
+    if not isinstance(f, tuple):
+        f = tuple(f[frozenset(pair)] for pair in combinations(range(n), 2))
     if n <= _TABLE_N:
         rows = _pair_table(n, m)
     else:
-        rows = map(_pair_row, combinations(range(n), m))
-    lookup = f.__getitem__
-    for t, domain, cases in rows:
-        values = list(map(lookup, domain))
+        rows = (_pair_row(n, t) for t in combinations(range(n), m))
+    for t, colours_of, by_count in rows:
+        values = colours_of(f)
         distinct = len(set(values))
-        for form, keys, key_count in cases:
-            if _biconditional(keys, key_count, values, distinct):
+        for form, keys in by_count.get(distinct, ()):
+            if len(set(zip(keys, values))) == distinct:
                 return t, form
     return None
 

@@ -2,12 +2,13 @@
 
 import hashlib
 import random
-from itertools import chain, combinations
+from itertools import chain, combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from idealbench import certify
+from idealbench import certify, ramsey
+from idealbench.cli import run
 from idealbench.pairing import code_unordered
 from idealbench.ramsey import (
     HINDMAN,
@@ -26,7 +27,7 @@ from idealbench.ramsey import (
     min_support,
     support,
 )
-from idealbench.serialize import canonical_bytes
+from idealbench.serialize import canonical_bytes, dump_json
 
 
 def test_fs_examples():
@@ -273,6 +274,38 @@ def test_canonical_ramsey_search_on_every_k4_colouring():
             assert canonical_ramsey_search(f, 4, m) == first_canonical_subset(f, 4, m)
 
 
+def test_canonical_ramsey_search_reads_colour_tuples_by_edge_rank():
+    # a restricted-growth string colours the k-th pair of combinations(range(n), 2)
+    for n in (4, 9):
+        edges = pair_domain(range(n))
+        rng = random.Random(n)
+        strings = list(certify._partitions_rgs(len(edges))) if n == 4 else [
+            tuple(rng.randrange(3) for _ in edges) for _ in range(20)]
+        for rgs in strings:
+            f = dict(zip(edges, rgs))
+            for m in range(n + 2):
+                assert canonical_ramsey_search(rgs, n, m) == first_canonical_subset(f, n, m)
+
+
+def reference_rgs(length):
+    """Restricted-growth strings of ``length`` by recursion, in lexicographic order."""
+    def extend(prefix, top):
+        if len(prefix) == length:
+            yield tuple(prefix)
+            return
+        for v in range(top + 2):
+            yield from extend(prefix + [v], max(top, v))
+
+    return list(extend([], -1))
+
+
+@pytest.mark.parametrize("length", range(9))
+def test_restricted_growth_strings_are_every_set_partition_in_order(length):
+    got = list(certify._partitions_rgs(length))
+    assert got == reference_rgs(length)
+    assert len(got) == [1, 1, 2, 5, 15, 52, 203, 877, 4140][length]  # Bell numbers
+
+
 @st.composite
 def pair_colourings(draw):
     """A colouring of the pairs of [n], n <= 7, and a subset size m <= n + 1.
@@ -417,15 +450,137 @@ def test_sparseness_body_matches_difference_tables(universe, sizes):
     assert cert["body"] == _reference_sparseness_body(universe, sizes)
 
 
+def mask_tallies(universe, size):
+    """(checked, failed, witnessed) of each family's own ``difference_mask``."""
+    floor = max(size - 3, 0)
+    checked = failed = witnessed = 0
+    for family in combinations(range(universe), size):
+        diffs = difference_mask(family)
+        counts = [(diffs & (diffs >> d)).bit_count() for d in range(1, universe)]
+        m = (diffs & (diffs >> (family[1] - family[0]))).bit_count()
+        checked += 1
+        failed += any(c > floor for c in counts)
+        witnessed += (m if m > floor else 0) >= size - 2
+    return checked, failed, witnessed
+
+
+@pytest.mark.parametrize("universe", range(13))
+def test_grown_family_tallies_match_each_familys_difference_mask(universe):
+    for size in range(2, 8):
+        assert certify._family_tallies(universe, size) == mask_tallies(universe, size)
+
+
+def refuse_the_sparseness_producer(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sparseness checker ran producer code")
+
+    for name in ("produce", "_sparseness", "_family_tallies"):
+        monkeypatch.setattr(certify, name, refuse)
+    monkeypatch.setitem(certify._PRODUCERS, "sparseness", refuse)
+
+
+def every_sparseness_input(largest_universe=12):
+    """Each universe up to ``largest_universe`` with each sorted list of at most 3 sizes."""
+    for universe in range(largest_universe + 1):
+        for count in range(4):
+            for sizes in combinations_with_replacement(range(2, 8), count):
+                yield universe, list(sizes)
+
+
+def test_the_sparseness_checker_accepts_every_genuine_body_without_the_producer(monkeypatch):
+    bodies = [(u, sizes, certify._sparseness(u, sizes)) for u, sizes in every_sparseness_input()]
+    assert len(bodies) == 1092
+    assert any(not body["all_fail"] for _, _, body in bodies)
+    refuse_the_sparseness_producer(monkeypatch)
+    for universe, sizes, body in bodies:
+        assert certify.check_sparseness(body, universe, sizes) is None
+
+
+def sparseness_leaves(node, path="$.body"):
+    """(container, key, path) of every scalar leaf of a sparseness body."""
+    items = sorted(node.items()) if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        at = f"{path}.{key}" if isinstance(node, dict) else f"{path}[{key}]"
+        if isinstance(child, list):
+            yield from sparseness_leaves(child, at)
+        else:
+            yield node, key, at
+
+
+@pytest.mark.parametrize("universe, sizes", [(25, [4, 5]), (8, [2]), (12, [2, 3, 7]), (0, [])])
+def test_the_sparseness_checker_alone_rejects_a_mutant_of_every_leaf(monkeypatch, universe,
+                                                                      sizes):
+    cert = certify.produce("sparseness", {"universe": universe, "sizes": sizes}, 0)
+    refuse_the_sparseness_producer(monkeypatch)
+    body = cert["body"]
+    leaves = 0
+    for node, key, path in sparseness_leaves(body):
+        leaf = node[key]
+        node[key] = (not leaf) if isinstance(leaf, bool) else leaf + 1
+        passed, detail = certify.recheck(cert)
+        node[key] = leaf
+        leaves += 1
+        assert not passed
+        assert detail.startswith(f"check failed at {path}: "), detail
+    assert leaves == 6 + len(sizes)
+
+
+@pytest.mark.parametrize(
+    "field, value, path",
+    [("checked", "28", "checked"), ("checked", True, "checked"), ("checked", 28.0, "checked"),
+     ("failed_as_predicted", None, "failed_as_predicted"),
+     ("shared_difference_witnessed", 29, "shared_difference_witnessed"),
+     ("all_fail", 0, "all_fail"), ("all_witnessed", "true", "all_witnessed"),
+     ("universe", True, "universe"), ("sizes", "2", "sizes"), ("sizes", [2, 2], "sizes"),
+     ("sizes", [2.0], "sizes[0]"), ("sizes", [True], "sizes[0]"), ("extra", 1, "extra")],
+    ids=["checked-a-string", "checked-a-bool", "checked-a-float", "failed-null",
+         "witnessed-off-by-one", "all-fail-an-int", "all-witnessed-a-string",
+         "universe-a-bool", "sizes-a-string", "sizes-too-long", "size-a-float", "size-a-bool",
+         "a-stray-field"],
+)
+def test_cli_certify_fails_a_malformed_sparseness_body_with_exit_1(tmp_path, capsys, field,
+                                                                   value, path):
+    cert = certify.produce("sparseness", {"universe": 8, "sizes": [2]}, 0)
+    cert["body"][field] = value
+    src = tmp_path / "certificate.json"
+    dump_json(src, cert)
+    assert run(["certify", "--in", str(src)]) == 1
+    assert capsys.readouterr().out.startswith(f"check failed at $.body.{path}: ")
+
+
+@pytest.mark.parametrize("field", ["universe", "sizes", "checked", "failed_as_predicted",
+                                   "shared_difference_witnessed", "all_fail", "all_witnessed"])
+def test_cli_certify_fails_a_sparseness_body_missing_a_field_with_exit_1(tmp_path, capsys,
+                                                                        field):
+    cert = certify.produce("sparseness", {"universe": 8, "sizes": [2]}, 0)
+    del cert["body"][field]
+    src = tmp_path / "certificate.json"
+    dump_json(src, cert)
+    assert run(["certify", "--in", str(src)]) == 1
+    assert capsys.readouterr().out == f"check failed at $.body.{field}: is missing\n"
+
+
+def test_cli_certify_fails_a_sparseness_body_that_is_not_an_object(tmp_path, capsys):
+    cert = certify.produce("sparseness", {"universe": 8, "sizes": [2]}, 0)
+    src = tmp_path / "certificate.json"
+    dump_json(src, {**cert, "body": [28]})
+    assert run(["certify", "--in", str(src)]) == 1
+    assert capsys.readouterr().out.startswith("check failed at $.body: ")
+
+
 # sha256 of the canonical certificate bytes (seed 0) as the difference tables
-# wrote them; the second covers the size-2 and size-3 edge cases
+# wrote them; the later ones cover sizes 2 and 3, a size-2 list that does
+# not all fail, and no sizes at all
 PINNED_SPARSENESS = {
-    (25, (4, 5)): "50eb125b6fcaa2272d7124e9a673b08e9c7ef4e4fbd3154b7403e48effb0dedd",
     (12, (2, 3, 6)): "e4aae44fb6be586934040155ff9f5f117df60abeb4330029395fcdc111ee031a",
+    (25, (4, 5)): "50eb125b6fcaa2272d7124e9a673b08e9c7ef4e4fbd3154b7403e48effb0dedd",
+    (12, (2, 3, 7)): "6217983281f8b32ff32441a76a17b4e32d69cf20f2a737bf258e89c6a632c582",
+    (8, (2,)): "b0549e5a58ff6f1ef8afcd6a14fbe006b6d9c207eb1f39250bb1bfae5a66dc11",
+    (0, ()): "bc64efc3065ba69dec023ae23089694b6bd913b8a711fd7bd88652d66f2966ed",
 }
 
 
-@pytest.mark.parametrize("universe, sizes", sorted(PINNED_SPARSENESS))
+@pytest.mark.parametrize("universe, sizes", list(PINNED_SPARSENESS))
 def test_sparseness_certificate_bytes_are_pinned(universe, sizes):
     cert = certify.produce("sparseness", {"universe": universe, "sizes": list(sizes)}, 0)
     digest = hashlib.sha256(canonical_bytes(cert)).hexdigest()
@@ -495,6 +650,52 @@ def test_ramsey_oracle_certificate_bytes_are_pinned(seed):
     cert = certify.produce("ramsey-oracle", C07_INPUTS, seed)
     digest = hashlib.sha256(canonical_bytes(cert)).hexdigest()
     assert digest == PINNED_RAMSEY_ORACLE[seed]
+
+
+# sha256 of the canonical certificate bytes of small inputs of the other
+# sizes, as the per-colouring dicts wrote them: (size, exhaustive_n,
+# sample_n, samples, seed); size 2 enumerates all 115,975 colourings of K_5
+PINNED_RAMSEY_ORACLE_SIZES = {
+    (0, 4, 5, 300, 1): "c40c311dc2b386cdcee51f0408bf654c428ff70f0a0b615b0df838e56402afa4",
+    (2, 5, 6, 300, 2): "5ae4f478ae6defaad3304c04e1b1bfc87528513bcb5b0f7c4ce1b9ea6edc3ada",
+    (4, 4, 6, 500, 3): "bf48302c1fb286b7de847e5080d880f82115beda605e99738a14d962d69e7a30",
+    (5, 4, 6, 400, 4): "a6fc709a56a30d161ee6b3375bc57aa57867aef7fbac4f49c849d9d4b5f0c8f3",
+}
+
+
+@pytest.mark.parametrize("size, exhaustive_n, sample_n, samples, seed",
+                         sorted(PINNED_RAMSEY_ORACLE_SIZES))
+def test_ramsey_oracle_certificate_bytes_of_other_sizes_are_pinned(size, exhaustive_n, sample_n,
+                                                                   samples, seed):
+    inputs = {"size": size, "exhaustive_n": exhaustive_n, "sample_n": sample_n,
+              "samples": samples}
+    digest = hashlib.sha256(canonical_bytes(certify.produce("ramsey-oracle", inputs, seed)))
+    assert digest.hexdigest() == PINNED_RAMSEY_ORACLE_SIZES[size, exhaustive_n, sample_n,
+                                                            samples, seed]
+
+
+def test_the_oracle_answers_every_k4_colouring_without_the_ramsey_module(monkeypatch):
+    edges = pair_domain(range(4))
+    strings = list(certify._partitions_rgs(len(edges)))
+    expected = {}
+    for rgs in strings:
+        f = dict(zip(edges, rgs))
+        for m in range(6):
+            found = first_canonical_subset(f, 4, m)
+            expected[rgs, m] = None if found is None else (found[0], found[1].case)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called the ramsey module")
+
+    for name, value in vars(ramsey).items():
+        if callable(value) and not name.startswith("_") and value.__module__ == ramsey.__name__:
+            monkeypatch.setattr(ramsey, name, refuse)
+            if getattr(certify, name, None) is value:
+                monkeypatch.setattr(certify, name, refuse)
+    for m in range(6):
+        domains = certify._oracle_domains(4, m)
+        for rgs in strings:
+            assert certify.oracle_ramsey_search(rgs, domains) == expected[rgs, m]
 
 
 def test_recheck_recomputes_every_colouring(monkeypatch):

@@ -425,6 +425,7 @@ def _without_name(name: str) -> dict:
         ("partition", {"depth": 25}),
         ("weight-bound", {"depth": 100000}),
         ("subset-reduction", {"depth": 25, "pairs": 1}),
+        ("subset-reduction", {"depth": 4, "pairs": 101}),
         ("pigeonhole", {"depth": 25, "samples": 1}),
         ("pigeonhole", {"depth": 4, "samples": 100000000, "interval": 2}),
         ("pigeonhole", {"depth": 4, "samples": 10417, "interval": 2}),
@@ -450,7 +451,8 @@ def _without_name(name: str) -> dict:
          "partition-no-depth", "partition-depth-zero", "weight-bound-depth-not-int",
          "subset-reduction-no-pairs", "pigeonhole-no-samples", "pigeonhole-interval-past-depth",
          "partition-depth-past-max", "weight-bound-depth-past-max",
-         "subset-reduction-depth-past-max", "pigeonhole-depth-past-max",
+         "subset-reduction-depth-past-max", "subset-reduction-pairs-past-max",
+         "pigeonhole-depth-past-max",
          "pigeonhole-samples-past-max", "pigeonhole-draws-past-max",
          "pigeonhole-interval-past-max",
          "ramsey-oracle-size-not-int", "ramsey-oracle-samples-negative", "pairing-bound-not-int",
