@@ -26,7 +26,6 @@ from itertools import combinations, islice, repeat
 from math import comb
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from . import diagonal
 from .construction import (
     MAX_DEPTH,
     build_partition,
@@ -35,7 +34,7 @@ from .construction import (
     selector_weight,
     verify_partition,
 )
-from .diagonal import CriticalNodeModel, assemble, collision_check, engine_named, extract_profile
+from .diagonal import assemble, collision_check, engine_named
 from .errors import ScenarioContradiction, SchemaError
 from .ideals import SumSelector
 from .pairing import code_unordered, pair_diag, unpair_diag
@@ -125,6 +124,16 @@ PIGEONHOLE_DRAWS = 250_000
 
 
 def _pigeonhole(depth: int, samples: int, interval: int, rng: random.Random) -> dict:
+    """The least largest colour class of I_interval over random 3-colourings.
+
+    Each member draws its colour: bottom, a label drawn below I_interval,
+    or itself as label.  The largest class of a sample is its most frequent
+    colour, so only the three counts are kept; the label draw of colour 1
+    stays in the stream, which fixes the bytes of every later draw.  Levels
+    0 .. interval are those of every greedy partition deeper than
+    ``interval``, so ``build_partition(interval + 1)`` holds them whatever
+    ``depth`` is.
+    """
     if interval >= depth:
         raise SchemaError(f"interval {interval} must be below depth {depth}")
     # |I_n| grows with n, so the first length past the bound decides
@@ -132,32 +141,24 @@ def _pigeonhole(depth: int, samples: int, interval: int, rng: random.Random) -> 
         if samples * length > PIGEONHOLE_DRAWS:
             raise SchemaError(f"pigeonhole inputs: samples * |I_interval| must be at most "
                               f"{PIGEONHOLE_DRAWS}, and {samples} samples of I_{interval} exceed it")
-    p = build_partition(depth)
-    members = list(p.interval_members(interval))
-    q_set = Progression(1, 2)  # even interval indices stay off the selector
-    q_weight = selector_weight(q_set, p, interval)
-    min_block = None
-    worst_weight: Optional[Fraction] = None
+    p = build_partition(interval + 1)
+    start, length = p.starts[interval], p.lengths[interval]
+    min_block = length
     for _ in range(samples):
-        entries = {}
-        for x in members:
+        counts = [0, 0, 0]
+        for _ in range(length):
             colour = rng.randrange(3)
-            if colour == 0:
-                entries[x] = None
-            elif colour == 1:
-                entries[x] = rng.randrange(p.starts[interval])
-            else:
-                entries[x] = x
-        model = CriticalNodeModel(0, diagonal.LabelRule("table", {"entries": entries}))
-        prof = extract_profile(model, p, interval)
-        min_block = prof.f_count if min_block is None else min(min_block, prof.f_count)
-        weight = q_weight * prof.f_count
-        worst_weight = weight if worst_weight is None else min(worst_weight, weight)
-    need = -(-p.lengths[interval] // 3)
+            counts[colour] += 1
+            if colour == 1:
+                rng.randrange(start)
+        min_block = min(min_block, max(counts))
+    # even interval indices stay off the selector
+    worst_weight = selector_weight(Progression(1, 2), p, interval) * min_block
+    need = -(-length // 3)
     return {
         "samples": samples,
         "interval": interval,
-        "interval_size": p.lengths[interval],
+        "interval_size": length,
         "required_block": need,
         "min_block": min_block,
         "block_bound_holds": min_block >= need,

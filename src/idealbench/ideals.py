@@ -65,9 +65,6 @@ def _unknown(procedure: str, evidence: Optional[dict] = None) -> Verdict:
 class IdealDescriptor:
     kind = "abstract"
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind}
-
 
 @dataclass(frozen=True)
 class FinIdeal(IdealDescriptor):
@@ -98,13 +95,6 @@ class SumSelector(IdealDescriptor):
     def degenerate(self) -> Optional[bool]:
         co = is_co_infinite(self.selector)
         return None if co is None else not co
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "selector": self.selector.to_json(),
-            "depth": self.partition.depth,
-        }
 
 
 @dataclass(frozen=True)

@@ -34,14 +34,10 @@ class KatetovMap:
     kind: str  # "identity" | "constant"
     value: int = 0
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "value": self.value}
-
 
 @dataclass(frozen=True)
 class IdentityHeightOne:
-    def to_json(self) -> dict:
-        return {"kind": "identity-height-one"}
+    """The height-one tree witness whose root successors are the witnessed set."""
 
 
 @dataclass(frozen=True)
@@ -56,26 +52,12 @@ class CoherentWitness:
     assignments: "CoherentMap"
     families: Tuple[DescribedSet, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "coherent",
-            "assignments": self.assignments.to_json(),
-            "families": [f.to_json() for f in self.families],
-        }
-
 
 @dataclass(frozen=True)
 class ReductionClaim:
     source: IdealDescriptor
     target: IdealDescriptor
     witness: object
-
-    def to_json(self) -> dict:
-        return {
-            "source": self.source.to_json(),
-            "target": self.target.to_json(),
-            "witness": self.witness.to_json(),
-        }
 
 
 def katetov_witness_check(

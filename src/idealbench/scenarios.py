@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .construction import DEFAULT_DEPTH, MAX_DEPTH, PartitionData, build_partition
 from .diagonal import ENGINES, LABEL_KINDS, CriticalNodeModel, LabelRule
@@ -148,6 +148,14 @@ class DiagScenario(Scenario):
                 "stages": self.default_stages if stages is None else stages}
 
 
+def _node(row) -> bool:
+    return isinstance(row, list)
+
+
+def _node_pair(row) -> bool:
+    return isinstance(row, list) and len(row) == 2 and _node(row[0])
+
+
 class TreeScenario(Scenario):
     certificate_kind = "tree-labelling"
 
@@ -155,33 +163,49 @@ class TreeScenario(Scenario):
     def horizon(self) -> int:
         return self._integer("horizon", 16, minimum=0)
 
+    def _rows(self, key: str, shape: str, fits: Callable[[object], bool]) -> list:
+        """The list ``payload[key]``, empty when absent; a SchemaError that names
+        ``key`` and its ``shape`` unless every row ``fits``."""
+        rows = self.payload.get(key, [])
+        if not isinstance(rows, list) or not all(map(fits, rows)):
+            raise SchemaError(f"scenario {self.name!r}: {key} must be a list of {shape}")
+        return rows
+
     def coherent_map(self) -> CoherentMap:
-        return CoherentMap({tuple(k): v for k, v in self.payload.get("assignments", [])})
+        rows = self._rows("assignments", "[node, value] pairs", _node_pair)
+        return CoherentMap({tuple(k): v for k, v in rows})
 
     def tree(self) -> FiniteTree:
         base = canonical_tree(self.coherent_map(), self.horizon)
-        nodes = set(base.nodes) | {tuple(n) for n in self.payload.get("nodes_extra", [])}
+        extra = self._rows("nodes_extra", "node lists", _node)
+        nodes = set(base.nodes) | {tuple(n) for n in extra}
         successors = {}
         default = self.payload.get("default_successors")
         if default is not None:
             default_set = set_from_json(default)
             for node in nodes:
                 successors[node] = Described(default_set)
-        for key, spec in self.payload.get("successors", []):
+        for key, spec in self._rows("successors", "[node, spec object] pairs",
+                                    lambda row: _node_pair(row) and isinstance(row[1], dict)):
             if spec.get("kind") == "described":
-                successors[tuple(key)] = Described(set_from_json(spec["set"]))
+                successors[tuple(key)] = Described(set_from_json(spec.get("set")))
             else:
-                successors[tuple(key)] = Explicit(tuple(spec["members"]))
+                members = spec.get("members")
+                if not isinstance(members, list) or not all(type(m) is int for m in members):
+                    raise SchemaError(f"scenario {self.name!r}: an explicit successors spec "
+                                      f"needs a members list of integers")
+                successors[tuple(key)] = Explicit(tuple(members))
         return FiniteTree(nodes, successors)
 
     def oracle(self) -> PositivityOracle:
         oracle = PositivityOracle()
-        for row in self.payload.get("oracle", []):
+        for row in self._rows("oracle", "objects with a node list",
+                              lambda row: isinstance(row, dict) and _node(row.get("node"))):
             candidate = row.get("candidate")
             oracle.stipulate(
                 tuple(row["node"]),
                 BOT if candidate is None else int(candidate),
-                row["verdict"],
+                row.get("verdict"),
                 row.get("tag", "assumption"),
                 row.get("statement", ""),
             )
@@ -191,7 +215,7 @@ class TreeScenario(Scenario):
         return ideal_from_json(self.payload.get("branching_ideal", {"kind": "sum_harmonic"}))
 
     def declared_critical(self) -> List[Tuple[int, ...]]:
-        return [tuple(n) for n in self.payload.get("declared_critical", [])]
+        return [tuple(n) for n in self._rows("declared_critical", "node lists", _node)]
 
     def assumptions(self) -> List[dict]:
         return super().assumptions() + self.oracle().assumption_entries()

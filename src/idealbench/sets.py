@@ -58,9 +58,6 @@ class DescribedSet:
     def to_json(self) -> dict:
         raise NotImplementedError
 
-    def __contains__(self, x: int) -> bool:
-        return self.contains(x)
-
 
 @dataclass(frozen=True)
 class Finite(DescribedSet):

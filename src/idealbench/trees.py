@@ -51,9 +51,6 @@ class CoherentMap:
         sigma = tuple(sigma)
         return any(is_prefix(sigma, t) for t in self.assignments)
 
-    def to_json(self) -> list:
-        return [[list(k), v] for k, v in sorted(self.assignments.items())]
-
 
 def extend_coherent(m: CoherentMap, sigma: Iterable[int], value: int) -> CoherentMap:
     """New map with sigma assigned; rejects on any comparable disagreement."""
@@ -203,18 +200,6 @@ class LabelledTree:
     labels: Dict[Node, Optional[int]]
     assigned: frozenset = frozenset()
     outside: frozenset = frozenset()  # nodes outside the canonical tree
-
-    def label(self, sigma: Node) -> Optional[int]:
-        return self.labels[tuple(sigma)]
-
-    def to_json(self) -> dict:
-        return {
-            "labels": [
-                [list(n), self.labels[n]] for n in sorted(self.labels)
-            ],
-            "assigned": [list(n) for n in sorted(self.assigned)],
-            "outside": [list(n) for n in sorted(self.outside)],
-        }
 
 
 def compute_labels(

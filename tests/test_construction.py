@@ -386,6 +386,37 @@ def test_partition_certificate_bytes_are_pinned(kind, depth):
     assert digest == PINNED_CERTIFICATES[(kind, depth)]
 
 
+# sha256 of the canonical pigeonhole certificate bytes per (depth, interval,
+# samples, seed), as the per-sample table model and extract_profile wrote them;
+# depth 24 is MAX_DEPTH, and 48 samples of I_3 are nearly all the draws allowed
+PINNED_PIGEONHOLE = {
+    (4, 2, 200, 0): "7a399e596b53b6c91bf2cb947fb6357c1df60baa8e2bc6718a343cccfa930f9d",
+    (4, 2, 200, 1): "c36859c2c47985176a2d203e7960ae9a0e20dbfc035dedac921115074bca80ea",
+    (4, 2, 200, 5): "a841c979650f411599bd45e03b8e025beaa4346ff980eb073cf29281bb5bf264",
+    (4, 2, 200, 99): "d78b5819ae6a18819c989204f13398a690fe61846ca7c5b3f787e51b5d464594",
+    (12, 3, 48, 0): "296457819c3213047d28f9884a08b222781e232f4e0c7767ed8f6ac722e9b7b5",
+    (12, 3, 48, 1): "eaae9266495e6bcdbf1419f8e678e099249c3a2a604189e63c3126910acd3d34",
+    (12, 3, 48, 5): "828036366ee8bda8d8397d937dcffe47a7b32b8aca2603c81fc01f479a263089",
+    (12, 3, 48, 99): "587193fff37c49d966d58ec521020604d52475f89eebe8c69aa4e202c248a676",
+    (24, 1, 7, 0): "d74b9e55206476c044f61eb1aac7aed79d80df10ef89f5aec79a2fb971c274ed",
+    (24, 1, 7, 1): "ce9361086b60cc4ec3f608ec902e8230b7ee46b873703a309cfa36f9c5127009",
+    (24, 1, 7, 5): "4df580c81799ff49fe30abc23d8d4064506afec45779bc58eb5eb5336e1d0aea",
+    (24, 1, 7, 99): "bf55992821f8d3cf04f462dd3a6852285d9e71b43866a332d37b10c123fd1326",
+    (24, 1, 1, 0): "d940de7c6863805955b3d16660a3915fe1cd58c188a66e4bb66339ced084cb8c",
+    (24, 1, 1, 1): "0126c990a4844f22da63dd45ba5319f17b06d43f7c3aebd79010bdc1e5c87067",
+    (24, 1, 1, 5): "3c77802478556e586ea3f574e00dfca1abc720e5fbf121b375b6cc92a1cdeba1",
+    (24, 1, 1, 99): "b01bacd678c0b151e85cdc1be252d7231aa9e5967b28d956fed50d4c79ed1c4d",
+}
+
+
+@pytest.mark.parametrize("depth, interval, samples, seed", sorted(PINNED_PIGEONHOLE))
+def test_pigeonhole_certificate_bytes_are_pinned(depth, interval, samples, seed):
+    inputs = {"depth": depth, "interval": interval, "samples": samples}
+    cert = certify.produce("pigeonhole", inputs, seed)
+    digest = hashlib.sha256(canonical_bytes(cert)).hexdigest()
+    assert digest == PINNED_PIGEONHOLE[(depth, interval, samples, seed)]
+
+
 def test_verify_construction_report_of_depth_19_is_pinned(tmp_path):
     # construct, emit, parse and verify through the CLI at the benchmark's deepest depth
     src, out = tmp_path / "partition.json", tmp_path / "report.json"

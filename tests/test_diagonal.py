@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from idealbench import certify, diagonal
-from idealbench.construction import build_partition
+from idealbench.construction import PartitionData, build_partition
 from idealbench.diagonal import (
     CriticalNodeModel,
     LabelRule,
@@ -212,6 +212,16 @@ def test_pwfin_case_2a_contradiction():
     with pytest.raises(ScenarioContradiction) as exc:
         run_pwfin(partition, Cofinite(()), Progression(0, 2), scn.models(partition), 1)
     assert "declared null" in exc.value.report["summary"]
+
+
+def test_pwfin_refuses_a_partition_that_is_not_greedy():
+    # the bound lemma of pwfin_stage rests on the greedy identities; the
+    # same numbers given as ints are not taken on trust
+    p = build_partition(5)
+    given = PartitionData(p.starts, p.lengths, p.rationals)
+    models = load_scenario("pw-2c").models(given)
+    with pytest.raises(ValueError, match="greedy"):
+        run_pwfin(given, Cofinite(()), Progression(0, 2), models, 1)
 
 
 def test_pwfin_starves_without_fresh_indices():
@@ -507,6 +517,22 @@ def test_block_masses_close_exactly_at_the_block_end():
         p, q = rule.run_mass(a, e)
         assert Fraction(p, q) == harmonic(range(a, e)) >= 1
         assert harmonic(range(a, e - 1)) < 1
+
+
+@pytest.mark.parametrize("factor", [4.0, 0.25])
+@pytest.mark.parametrize("a, limit, taken", [(0, 50, (0, 1)), (7, 200, (1, 3)),
+                                             (40, 400, (0, 1)), (40, 60, (0, 1)),
+                                             (40, 40, (1, 2))])
+def test_reach_one_corrects_a_wrong_first_guess(monkeypatch, factor, a, limit, taken):
+    # the float guess is exact on every run the suite makes; scaled, it lands
+    # past or short of the first end, and the scans down and up must find it
+    real_exp = diagonal.exp
+    monkeypatch.setattr(diagonal, "exp", lambda x: factor * real_exp(x))
+    start = Fraction(*taken)
+    t, p, q = diagonal._reach_one(a, limit, *taken)
+    ends = [e for e in range(a + 1, limit + 1) if start + harmonic(range(a, e)) >= 1]
+    assert t == (ends[0] if ends else None)
+    assert Fraction(p, q) == start + harmonic(range(a, limit if t is None else t))
 
 
 @pytest.mark.parametrize("scale_bits", [4, 10])
@@ -820,6 +846,41 @@ def test_hindman_mislabelled_blocks_are_refused():
     state = run_hindman([model], 3)
     with pytest.raises(ScenarioContradiction):
         assemble(state)
+
+
+def sums_scenario(form, ground, labels):
+    """hindman-case2 with one model of another form, ground and label rule."""
+    scenario = copy.deepcopy(load_scenario("hindman-case2").to_json())
+    scenario["models"] = [{"index": 0, "form": form, "ground": ground, "labels": labels}]
+    return scenario
+
+
+# scenarios that trip each assembly guard of the sums engine with a
+# reachable failure, and the canonical bytes of the report each one raises
+TABLE_FORM_3 = {"kind": "table", "entries": [[2, 5], [8, 9]]}
+ASSEMBLY_GUARD_REPORTS = {
+    # explicit grounds need not be block disjoint: the lowest bit of anchor 5
+    # lies below the highest bit of anchor 2
+    "anchors-not-block-disjoint": (
+        sums_scenario(5, {"kind": "explicit", "members": [2, 3, 5]}, {"kind": "identity"}),
+        b'{"summary":"model 0: anchors are not block disjoint"}'),
+    # form 3 stages read the anchor's own label only; block 1 is {8, 10}
+    "bottom-label-in-block": (
+        sums_scenario(3, {"kind": "powers-of-two"}, TABLE_FORM_3),
+        b'{"summary":"model 0 stage 1: bottom label inside a block"}'),
+    "label-mass-not-small": (
+        sums_scenario(3, {"kind": "powers-of-two"},
+                      {**TABLE_FORM_3, "entries": TABLE_FORM_3["entries"] + [[10, 0]]}),
+        b'{"summary":"model 0 stage 1: label mass 11/10 not below 1/2"}'),
+}
+
+
+@pytest.mark.parametrize("name", list(ASSEMBLY_GUARD_REPORTS))
+def test_sums_assembly_guards_report_reachable_failures(name):
+    scenario, report = ASSEMBLY_GUARD_REPORTS[name]
+    with pytest.raises(ScenarioContradiction) as exc:
+        certify.produce("diagonalization", {"scenario": scenario, "stages": 2}, 0)
+    assert canonical_bytes(exc.value.report) == report
 
 
 # -- pairs engine -----------------------------------------------------------------

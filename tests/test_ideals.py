@@ -29,6 +29,7 @@ from idealbench.pairing import code_unordered
 from idealbench.ramsey import delta, fs
 from idealbench.sets import (
     Cofinite,
+    DiffsOf,
     Finite,
     Intervals,
     Progression,
@@ -162,6 +163,8 @@ def test_fin_ideal_rules():
     assert membership(FinIdeal(), Cofinite({1})).value == "out"
     assert membership(FinIdeal(), Progression(0, 7)).value == "out"
     assert membership(FinIdeal(), SumsOf({1, 2, 4})).value == "in"
+    assert membership(FinIdeal(), DiffsOf((1, 4, 9))).to_json() == {
+        "value": "in", "procedure": "finite-subset", "evidence": {"witness": [3, 5, 8]}}
 
 
 def test_selector_ideal_degenerate_and_proper():

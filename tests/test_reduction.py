@@ -14,6 +14,7 @@ from idealbench.reduction import (
     katetov_witness_check,
     revalidate_certificate,
 )
+from idealbench.serialize import canonical_bytes
 from idealbench.sets import (
     Cofinite,
     Complement,
@@ -86,6 +87,17 @@ def test_subset_reduction_reports_exception_bound():
     assert report.verdict.value == "in"
     assert report.exceptions == (1,)
     assert report.exception_bound == 2
+
+
+def test_weight_domination_failure_below_a_short_horizon():
+    # a horizon below the depth hides the exception at 5 from the window, so
+    # the weight comparison past the bound meets r_6 < r_5 there
+    report = check_subset_reduction(Finite({5}), Finite(()), build_partition(12), horizon=4)
+    assert canonical_bytes(report.to_json()) == (
+        b'{"compared_intervals":5,"exception_bound":0,"exceptions":[],"verdict":'
+        b'{"evidence":{"index":5,"wp":"1/382602043807645040640","wq":"1/13831077888"},'
+        b'"procedure":"weight-domination-failure","value":"out"}}'
+    )
 
 
 def test_height_one_certificate_and_revalidation():

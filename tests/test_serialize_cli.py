@@ -11,7 +11,7 @@ from idealbench import certify, diagonal
 from idealbench.cli import run
 from idealbench.construction import MAX_DEPTH
 from idealbench.errors import SchemaError
-from idealbench.scenarios import MAX_HORIZON, load_scenario, rule_from_json
+from idealbench.scenarios import MAX_HORIZON, TreeScenario, load_scenario, rule_from_json
 from idealbench.serialize import (
     PLAIN_DIGITS,
     canonical_dumps,
@@ -303,6 +303,27 @@ def _hindman_scenario(**changes) -> dict:
         *(_changed_scenario("pw-2b", depth=depth) for depth in ("3", 2.5, True, 0, 25)),
         _changed_scenario("sep1-basic", horizon="10"),
         _changed_scenario("sep1-basic", horizon=-1),
+        _changed_scenario("sep1-basic", successors=[5]),
+        _changed_scenario("label-tie", successors=[[[0], 5]]),
+        _changed_scenario("sep1-basic", successors=[[[0], {"kind": "explicit"}]]),
+        _changed_scenario("sep1-basic", oracle=[5]),
+        _changed_scenario("label-tie", assignments=[5]),
+        _changed_scenario("sep1-basic", nodes_extra=[5]),
+        _changed_scenario("label-tie", declared_critical=[5]),
+        _changed_scenario("pw-2b", models=[{"index": 0, "case": "2b",
+                                            "labels": {"kind": "constant", "value": "a"}}]),
+        _changed_scenario("hindman-case1", models=[{"index": 0, "form": 1, "labels": {
+            "kind": "constant", "value": [1]}, "ground": {"kind": "powers-of-two"}}]),
+        _changed_scenario("ramsey-case1", models=[{"index": 0, "form": 1, "labels": {
+            "kind": "pair-constant", "value": "a"}, "ground": {"kind": "all"}}]),
+        _changed_scenario("posdiff-finite-labels",
+                          models=[{"index": 0, "labels": {"kind": "constant", "value": 2.5}}]),
+        _changed_scenario("posdiff-finite-labels",
+                          models=[{"index": 0, "labels": {"kind": "constant", "value": -3}}]),
+        _changed_scenario("pw-2b", models=[{"index": 0, "case": "2b", "labels": {
+            "kind": "table", "entries": [[x, -1 - x] for x in range(27)]}}]),
+        _changed_scenario("posdiff-blocks", models=[{"index": 0, "labels": {
+            "kind": "block-geometric", "start": 2, "base_label": -5, "ratio": 3}}]),
         [1, 2],
         "x",
     ],
@@ -322,6 +343,13 @@ def _hindman_scenario(**changes) -> dict:
          "ramsey-ap-without-step", "ramsey-ap-base-not-int", "ramsey-ap-step-not-int",
          "pwfin-depth-string", "pwfin-depth-float", "pwfin-depth-bool", "pwfin-depth-zero",
          "pwfin-depth-past-max", "tree-horizon-string", "tree-horizon-negative",
+         "tree-successors-not-a-pair", "tree-successors-spec-not-an-object",
+         "tree-explicit-successors-without-members", "tree-oracle-row-not-an-object",
+         "tree-assignment-not-a-pair", "tree-nodes-extra-not-a-list",
+         "tree-declared-critical-not-a-list", "pwfin-constant-label-text",
+         "hindman-constant-label-list", "ramsey-pair-constant-label-text",
+         "posdiff-constant-label-float", "posdiff-constant-label-negative",
+         "pwfin-table-labels-negative", "posdiff-block-base-label-negative",
          "top-level-list", "top-level-string"],
 )
 def test_cli_diagonalize_rejects_malformed_scenarios(tmp_path, capsys, scenario):
@@ -645,11 +673,34 @@ def test_label_rules_without_their_parameters_are_rejected(kind):
         {"start": "2", "base_label": 5, "ratio": 3},
         {"start": 2, "base_label": 5.0, "ratio": 3},
         {"start": 2, "base_label": 5, "ratio": True},
+        {"start": 2, "base_label": -5, "ratio": 3},
+        {"start": 2, "base_label": 5, "ratio": -3},
     ],
 )
 def test_block_geometric_rules_need_integer_parameters(params):
     with pytest.raises(SchemaError):
         rule_from_json({"kind": "block-geometric", **params})
+
+
+@pytest.mark.parametrize("kind", ["constant", "pair-constant"])
+@pytest.mark.parametrize("value", ["a", [1], 2.5, -3, True])
+def test_constant_rules_need_a_natural_label(kind, value):
+    with pytest.raises(SchemaError, match="value must be"):
+        rule_from_json({"kind": kind, "value": value})
+
+
+def test_table_rules_refuse_negative_labels():
+    with pytest.raises(SchemaError, match="naturals"):
+        rule_from_json({"kind": "table", "entries": [[0, 2], [1, -1]]})
+    assert rule_from_json({"kind": "table", "entries": [[0, 0], [1, None]]}).label(1) is None
+
+
+def test_tree_successor_rows_round_trip():
+    rows = [[[], {"kind": "described", "set": {"base": 0, "kind": "ap", "step": 2}}],
+            [[0], {"kind": "explicit", "members": [1, 3]}]]
+    scenario = _changed_scenario("sep1-basic", default_successors=None, successors=rows)
+    tree = TreeScenario.from_json(scenario, "test").tree()
+    assert tree.to_json()["successors"] == rows
 
 
 def test_cli_weights(capsys):
