@@ -34,7 +34,7 @@ from .construction import (
     selector_weight,
     verify_partition,
 )
-from .diagonal import assemble, collision_check, engine_named
+from .diagonal import ENGINES, assemble, collision_check
 from .errors import ScenarioContradiction, SchemaError
 from .ideals import SumSelector
 from .pairing import code_unordered, pair_diag, unpair_diag
@@ -46,7 +46,7 @@ from .reduction import (
     check_subset_reduction,
     revalidate_certificate,
 )
-from .scenarios import CollisionScenario, DiagScenario, TreeScenario
+from .scenarios import CollisionScenario, DiagScenario, TreeScenario, scenario_from_json
 from .serialize import (
     CERTIFICATE_SCHEMA,
     EXACT,
@@ -168,30 +168,32 @@ def _pigeonhole(depth: int, samples: int, interval: int, rng: random.Random) -> 
 
 
 def _staged_run(scenario: DiagScenario, stages: int):
-    """The state and payload of a run that must end in stages, not a contradiction."""
+    """The state and payload of a run that must end in stages, not in a
+    contradiction of a stage or of the assembly."""
     try:
-        state = engine_named(scenario.engine).run(scenario, stages)
+        state = ENGINES[scenario.engine].run(scenario, stages)
+        return state, assemble(state)
     except ScenarioContradiction as exc:
         raise SchemaError(
             f"scenario {scenario.name!r} needs a staged run, not a contradiction"
         ) from exc
-    return state, assemble(state)
 
 
 def _diagonalization(scenario: DiagScenario, stages: int) -> dict:
-    """The run's payload, or the report of the contradiction it ran into."""
+    """The run's payload, or the report of the contradiction that a stage or the
+    assembly ran into."""
     try:
-        state = engine_named(scenario.engine).run(scenario, stages)
+        result = assemble(ENGINES[scenario.engine].run(scenario, stages))
     except ScenarioContradiction as exc:
         outcome = {"outcome": "contradiction", "report": exc.report}
     else:
-        outcome = {"outcome": "stages", "result": assemble(state)}
+        outcome = {"outcome": "stages", "result": result}
     expected = scenario.expect
     return {**outcome, "expected": expected, "as_expected": expected == outcome["outcome"]}
 
 
 def _structural_identity(scenario: DiagScenario, stages: int) -> dict:
-    enumerate_family = engine_named(scenario.engine).enumerate_family
+    enumerate_family = ENGINES[scenario.engine].enumerate_family
     if enumerate_family is None:
         raise SchemaError(f"the {scenario.engine} engine has no independent family enumeration")
     _, payload = _staged_run(scenario, stages)
@@ -488,7 +490,7 @@ def _ramsey_oracle(size: int, exhaustive_n: int, sample_n: int, samples: int,
 
 def _collision(scenario: CollisionScenario) -> dict:
     diag_scn = scenario.diag()
-    if not engine_named(diag_scn.engine).explicit_forbidden:
+    if not ENGINES[diag_scn.engine].explicit_forbidden:
         raise SchemaError(f"scenario {scenario.name!r}: a {diag_scn.engine} run forbids "
                           f"label descriptors, so its families list no members to collide")
     stages = scenario.stages(diag_scn.default_stages)
@@ -684,9 +686,9 @@ class Kind:
     Its inputs are ``integers``, each ``(key, default, minimum)`` or
     ``(key, default, minimum, maximum)`` with the default None when
     required; with ``sizes = (largest, most)``, a list of at most ``most``
-    integers from 2 to ``largest``; with ``scenario``,
-    a scenario object of that class, whose assumptions the certificate
-    records.  ``compute`` takes them by name, plus ``rng``, a fresh
+    integers from 2 to ``largest``; with ``scenario``, a scenario of that
+    class, parsed by ``scenario_from_json``, whose assumptions the
+    certificate records.  ``compute`` takes them by name, plus ``rng``, a fresh
     ``random.Random(seed)``, when ``seeded``, and returns the body.
     ``expected`` names the body fields that are all true when a run came out
     as its scenario declares.  ``check``, when given, takes the body and the
@@ -722,7 +724,8 @@ class Kind:
                 raise SchemaError(f"{where}: sizes must be a list of at most {most} "
                                   f"integers from 2 to {largest}")
         if self.scenario is not None:
-            args["scenario"] = self.scenario.from_json(inputs.get("scenario"), where)
+            args["scenario"] = scenario_from_json(inputs.get("scenario"), f"{where} scenario",
+                                                  self.scenario)
         return args
 
     def produce(self, inputs: dict, seed: int) -> dict:

@@ -1091,7 +1091,7 @@ def run_ramsey(models: Sequence[CriticalNodeModel], stages: int,
 # -- assembly -------------------------------------------------------------------
 
 def _sums_blocks(i: int, model: CriticalNodeModel, anchors: list):
-    """Blocks, finite sums and family head of one sums-engine model.
+    """Blocks and family head of one sums-engine model.
 
     Block b holds the sums whose least summand (form 2) or greatest summand
     (the other forms) is anchor b.  Block-disjoint anchors have distinct
@@ -1104,12 +1104,11 @@ def _sums_blocks(i: int, model: CriticalNodeModel, anchors: list):
         )
     blocks = [[h + y for y in (0,) + fs(values[b + 1:] if model.form == 2 else values[:b])]
               for b, h in enumerate(values)]
-    return blocks, list(fs(values)), {"structure": "finite-sums",
-                                      "anchors": [str(v) for v in values]}
+    return blocks, {"structure": "finite-sums", "anchors": [str(v) for v in values]}
 
 
 def _pairs_blocks(i: int, model: CriticalNodeModel, verts: list):
-    """Blocks, pair codes and family head of one pairs-engine model.
+    """Blocks and family head of one pairs-engine model.
 
     Block b holds the pairs of vertex b with the later vertices (form 2)
     or with the earlier ones, each pair as its ``code_unordered``.
@@ -1117,27 +1116,29 @@ def _pairs_blocks(i: int, model: CriticalNodeModel, verts: list):
     blocks = [[code_unordered(t, verts[r])
                for r in (range(b + 1, len(verts)) if model.form == 2 else range(b))]
               for b, t in enumerate(verts)]
-    codes = sorted(code_unordered(s, t) for s, t in combinations(verts, 2))
-    return blocks, codes, {"structure": "clique", "vertices": [str(v) for v in verts]}
+    return blocks, {"structure": "clique", "vertices": [str(v) for v in verts]}
 
 
 def _assemble_anchored(state: AnchorState, blocks_of, canonical: str, point,
                        texts: Tuple[str, str, str]) -> dict:
     """Verify the sums or pairs engine invariants and return the run's payload.
 
-    ``blocks_of(i, model, anchors)`` gives a model's blocks, its expected
-    members in ascending order and its family head; ``point`` maps a member
-    to its point of the ``canonical`` form domain.  Each block has no
-    bottom label, label mass below 2^-k, and a single label under forms 2
-    and 3, and the declared canonical form holds on the family.  Each
-    member is labelled once.  ``texts`` words the engine's own reports.
+    ``blocks_of(i, model, anchors)`` gives a model's blocks and its family
+    head; the family's members are the union of the blocks, in ascending
+    order.  ``point`` maps a member to its point of the ``canonical`` form
+    domain.  Each block has no bottom label, label mass below 2^-k, and a
+    single label under forms 2 and 3, and the declared canonical form
+    holds on the family.  Each member is labelled once.  ``texts`` words
+    the engine's own reports.
 
     Partition lemma: a model's blocks are pairwise disjoint and their union
-    is the expected family, whatever form the model declares, so neither
-    is checked.  Sums: ``_sums_blocks`` refuses anchors that are not block
-    disjoint, and block-disjoint anchors ascend with disjoint binary
-    supports, so distinct sets of anchors have distinct sums.  Block b
-    holds the sums of the sets whose least (form 2) or greatest anchor is
+    is the whole family (all finite sums of the anchors, or all pairs of
+    the vertices), whatever form the model declares, so neither is checked
+    here; a structural-identity certificate compares the union with the
+    family enumerated afresh.  Sums: ``_sums_blocks`` refuses anchors that
+    are not block disjoint, and block-disjoint anchors ascend with disjoint
+    binary supports, so distinct sets of anchors have distinct sums.  Block
+    b holds the sums of the sets whose least (form 2) or greatest anchor is
     anchor b, and each non-empty set has exactly one.  Pairs: each vertex
     lies above the one before (``ramsey_stage``), so distinct pairs have
     distinct ``code_unordered`` codes.  Block b holds the pairs whose
@@ -1153,7 +1154,7 @@ def _assemble_anchored(state: AnchorState, blocks_of, canonical: str, point,
         records = [rec for rec in state.stages if rec.i == i]
         if not records:
             continue
-        blocks, expected, family = blocks_of(i, model, [rec.anchor for rec in records])
+        blocks, family = blocks_of(i, model, [rec.anchor for rec in records])
         label_of = model.rule.label
         labels: Dict[int, int] = {}
         for b, (block, rec) in enumerate(zip(blocks, records)):
@@ -1191,8 +1192,9 @@ def _assemble_anchored(state: AnchorState, blocks_of, canonical: str, point,
                     "bound": rat_str(bound),
                 }
             )
-        domain = [point(x) for x in expected]
-        cases = matching_cases(dict(zip(domain, map(labels.get, expected))), domain, canonical)
+        members = sorted(labels)
+        domain = [point(x) for x in members]
+        cases = matching_cases(dict(zip(domain, map(labels.get, members))), domain, canonical)
         if model.form not in cases:
             raise ScenarioContradiction(
                 {
@@ -1200,7 +1202,7 @@ def _assemble_anchored(state: AnchorState, blocks_of, canonical: str, point,
                     f"hold on the {domain_name} (holding: {cases})"
                 }
             )
-        families[str(i)] = {**family, "members": [str(x) for x in expected], "size": len(expected)}
+        families[str(i)] = {**family, "members": [str(x) for x in members], "size": len(members)}
     stages = len(state.stages)
     closed = Fraction(2) - Fraction(1, 1 << (stages - 1)) if stages else Fraction(0)
     return {
@@ -1468,10 +1470,3 @@ ENGINES: Dict[str, Engine] = {
         grounds=VERTEX_KINDS,
     ),
 }
-
-
-def engine_named(name) -> Engine:
-    """The registered engine called ``name``; SchemaError for anything else."""
-    if not isinstance(name, str) or name not in ENGINES:
-        raise SchemaError(f"not a diagonalization scenario: {name}")
-    return ENGINES[name]

@@ -3,9 +3,11 @@
 A scenario file declares everything a run needs: engine, label models,
 horizons, and the infinitary facts it stipulates (each tagged as an
 assumption or as derived).  The bundled registry provides one scenario per
-engine case; ``emit`` writes them out as JSON so external files and the
-registry share one schema.  The environment variable IDEALBENCH_SCENARIOS
-points at a directory searched when a name is neither bundled nor a path.
+engine case; ``scripts/emit_scenarios.py`` writes them out as JSON so
+external files and the registry share one schema.  Every scenario, bundled,
+from a file or inside a certificate, is parsed by ``scenario_from_json``.
+The environment variable IDEALBENCH_SCENARIOS points at a directory
+searched when a name is neither bundled nor a path.
 """
 
 from __future__ import annotations
@@ -73,13 +75,6 @@ class Scenario:
 
     name: str
     payload: dict
-
-    @classmethod
-    def from_json(cls, obj, where: str):
-        """The scenario ``obj``; a SchemaError unless it is an object with a string name."""
-        if not isinstance(obj, dict) or not isinstance(obj.get("name"), str):
-            raise SchemaError(f"{where}: not a scenario object with a string name")
-        return cls(obj["name"], obj)
 
     def required(self, key: str):
         """``payload[key]``; a SchemaError when the scenario lacks it."""
@@ -221,6 +216,75 @@ class TreeScenario(Scenario):
         return super().assumptions() + self.oracle().assumption_entries()
 
 
+class CollisionScenario(Scenario):
+    certificate_kind = "collision"
+
+    def diag(self) -> DiagScenario:
+        name = self.required("diag")
+        scn = load_scenario(name) if isinstance(name, str) else None
+        if not isinstance(scn, DiagScenario):
+            raise SchemaError(f"scenario {self.name!r}: diag must name a diagonalization scenario")
+        return scn
+
+    def tree_scenario(self) -> TreeScenario:
+        return scenario_from_json(self.required("tree"), f"scenario {self.name!r} tree",
+                                  TreeScenario)
+
+    def assumptions(self) -> List[dict]:
+        """What the diagonalization and the tree stipulate, then this scenario's own."""
+        own = super().assumptions()
+        return self.diag().assumptions() + self.tree_scenario().assumptions() + own
+
+    @property
+    def horizon(self) -> int:
+        return self._integer("horizon", 4096)
+
+    def stages(self, default: int) -> int:
+        return self._integer("stages", default, minimum=1)
+
+    def model_index(self, count: int) -> int:
+        index = self._integer("model_index", 0)
+        if not 0 <= index < count:
+            raise SchemaError(
+                f"scenario {self.name!r}: model_index {index} is not in 0..{count - 1}"
+            )
+        return index
+
+
+def scenario_from_json(payload, where: str, expected: Optional[type] = None,
+                       name: Optional[str] = None) -> Scenario:
+    """The scenario ``payload``, checked as every scenario is; a SchemaError otherwise.
+
+    ``payload`` must be an object of schema ``scenario/1`` with a string
+    name (``name`` stands in for a missing one) and tagged assumptions.
+    Its engine picks the class: an engine of ``ENGINES`` a
+    ``DiagScenario``, ``tree`` a ``TreeScenario`` and ``collision`` a
+    ``CollisionScenario``.  With ``expected`` set, a scenario of another
+    class is refused.  ``where`` names the payload in the messages.
+    """
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{where} must be a JSON object")
+    if payload.get("schema") != SCENARIO_SCHEMA:
+        raise SchemaError(f"{where} lacks schema {SCENARIO_SCHEMA}")
+    name = payload.get("name", name)
+    if not isinstance(name, str):
+        raise SchemaError(f"{where}: not a scenario object with a string name")
+    check_assumptions(payload.get("assumptions"), name)
+    engine = payload.get("engine")
+    if isinstance(engine, str) and engine in ENGINES:
+        cls = DiagScenario
+    elif engine == "tree":
+        cls = TreeScenario
+    elif engine == "collision":
+        cls = CollisionScenario
+    else:
+        raise SchemaError(f"unknown engine {engine!r}")
+    if expected is not None and cls is not expected:
+        raise SchemaError(f"{where}: scenario {name!r} is a {cls.__name__}, "
+                          f"not a {expected.__name__}")
+    return cls(name, payload)
+
+
 # -- bundled registry ---------------------------------------------------------
 
 def _assume(statement: str) -> dict:
@@ -234,249 +298,119 @@ def _derived(statement: str) -> dict:
 _CRITICAL = _assume("each modelled node is critical: its bottom successor class is "
                     "null and no single label class is positive")
 
+# what a scenario declares that runs into its contradiction in the first stage
+_AT_ONCE = {"expect": "contradiction", "stages_default": 1}
 
-def _pwfin(name: str, case: str, rule: dict, expect: str = "stages") -> dict:
-    return {
-        "schema": SCENARIO_SCHEMA,
-        "name": name,
-        "engine": "pwfin",
-        "expect": expect,
-        "stages_default": 4,
-        "depth": 10,
-        "P": {"kind": "cofinite", "excluded": []},
-        "Q": {"kind": "ap", "base": 0, "step": 2},
-        "models": [{"index": 0, "case": case, "labels": rule}],
-        "assumptions": [
-            _CRITICAL,
-            _derived("the difference of the selectors is the odd indices, an "
-                     "infinite set"),
-        ],
-    }
+
+def _scenario(name: str, engine: str, **fields) -> dict:
+    return {"schema": SCENARIO_SCHEMA, "name": name, "engine": engine, **fields}
+
+
+def _diag(name: str, engine: str, model: dict, facts=(), expect: str = "stages",
+          stages_default: int = 4, **fields) -> dict:
+    """A diagonalization scenario of one critical model (index 0) and further ``facts``."""
+    return _scenario(name, engine, expect=expect, stages_default=stages_default, **fields,
+                     models=[{"index": 0, **model}], assumptions=[_CRITICAL, *facts])
+
+
+def _pwfin(case: str, rule: dict, expect: str = "stages") -> dict:
+    return _diag(f"pw-{case}", "pwfin", {"case": case, "labels": rule},
+                 [_derived("the difference of the selectors is the odd indices, an "
+                           "infinite set")],
+                 expect=expect, depth=10, P={"kind": "cofinite", "excluded": []},
+                 Q={"kind": "ap", "base": 0, "step": 2})
+
+
+def _posdiff(name: str, horizon: int, rule: dict, *assumed: str, **fields) -> dict:
+    return _diag(f"posdiff-{name}", "posdiff", {"labels": rule}, map(_assume, assumed),
+                 horizon=horizon, **fields)
+
+
+def _hindman(form: int, rule: dict) -> dict:
+    """Form 1 (constant labels) contradicts criticality at its first probe."""
+    facts = [] if form == 1 else [_derived("the powers of two are block disjoint")]
+    return _diag(f"hindman-case{form}", "hindman",
+                 {"form": form, "ground": {"kind": "powers-of-two"}, "labels": rule},
+                 facts, scan_cap=64, **(_AT_ONCE if form == 1 else {}))
+
+
+def _ramsey(form: int, rule: dict) -> dict:
+    """Form 1 (constant labels) contradicts criticality at its first probe."""
+    return _diag(f"ramsey-case{form}", "ramsey",
+                 {"form": form, "ground": {"kind": "all"}, "labels": rule},
+                 scan_cap=4096, **(_AT_ONCE if form == 1 else {}))
+
+
+def _row(candidate: Optional[int], verdict: str, statement: str) -> dict:
+    """An oracle row: the root's class labelled ``candidate`` (None: bottom) is ``verdict``."""
+    return {"node": [], "candidate": candidate, "verdict": verdict, "tag": "assumption",
+            "statement": statement}
+
+
+def _tree(name: str, horizon: int, assignments: list, rows: List[dict], root,
+          excluded: Tuple[int, ...] = ()) -> dict:
+    """A tree scenario over cofinite successors and the summable branching ideal.
+
+    A ``"bot"`` root is declared critical, and its bottom class is
+    stipulated null after the ``rows``.
+    """
+    critical = root == "bot"
+    if critical:
+        rows = rows + [_row(None, "in", "the bottom successor class of the root is null")]
+    return _scenario(name, "tree", horizon=horizon, assignments=assignments,
+                     default_successors={"kind": "cofinite", "excluded": list(excluded)},
+                     branching_ideal={"kind": "sum_harmonic"}, oracle=rows,
+                     declared_critical=[[]] if critical else [], expect_root_label=root,
+                     assumptions=[])
+
+
+def _not_positive(labels) -> List[dict]:
+    return [_row(c, "out", f"the class labelled {c} is not positive") for c in labels]
 
 
 def _bundled() -> Dict[str, dict]:
-    out: Dict[str, dict] = {}
-    out["pw-2b"] = _pwfin("pw-2b", "2b", {"kind": "prev-interval-max"})
-    out["pw-2c"] = _pwfin("pw-2c", "2c", {"kind": "identity"})
-    out["pw-2a"] = _pwfin("pw-2a", "2a", {"kind": "all-bot"}, expect="contradiction")
-
-    out["posdiff-blocks"] = {
-        "schema": SCENARIO_SCHEMA,
-        "name": "posdiff-blocks",
-        "engine": "posdiff",
-        "expect": "stages",
-        "stages_default": 4,
-        "horizon": 1200,
-        "models": [
-            {
-                "index": 0,
-                "labels": {"kind": "block-geometric", "start": 2, "base_label": 5, "ratio": 3},
-            }
-        ],
-        "assumptions": [
-            _CRITICAL,
-            _assume("every label class of the block rule extends to divergent "
-                    "harmonic mass beyond the horizon"),
-        ],
-    }
-    out["posdiff-identity"] = {
-        "schema": SCENARIO_SCHEMA,
-        "name": "posdiff-identity",
-        "engine": "posdiff",
-        "expect": "stages",
-        "stages_default": 2,
-        "horizon": 2200,
-        "models": [{"index": 0, "labels": {"kind": "identity"}}],
-        "assumptions": [
-            _CRITICAL,
-            _assume("every residue class of the identity labels has divergent "
-                    "harmonic mass beyond the horizon"),
-        ],
-    }
-    out["posdiff-finite-labels"] = {
-        "schema": SCENARIO_SCHEMA,
-        "name": "posdiff-finite-labels",
-        "engine": "posdiff",
-        "expect": "contradiction",
-        "stages_default": 1,
-        "horizon": 64,
-        "models": [
-            {"index": 0, "labels": {"kind": "table", "entries": [[x, x % 3] for x in range(64)]}}
-        ],
-        "assumptions": [_CRITICAL],
-    }
-
     hindman_rules = {
+        1: {"kind": "constant", "value": 7},
         2: {"kind": "min-support"},
         3: {"kind": "max-support"},
         4: {"kind": "support-pair-code"},
         5: {"kind": "identity"},
     }
-    for form, rule in hindman_rules.items():
-        out[f"hindman-case{form}"] = {
-            "schema": SCENARIO_SCHEMA,
-            "name": f"hindman-case{form}",
-            "engine": "hindman",
-            "expect": "stages",
-            "stages_default": 4,
-            "scan_cap": 64,
-            "models": [
-                {"index": 0, "form": form, "ground": {"kind": "powers-of-two"}, "labels": rule}
-            ],
-            "assumptions": [
-                _CRITICAL,
-                _derived("the powers of two are block disjoint"),
-            ],
-        }
-    out["hindman-case1"] = {
-        "schema": SCENARIO_SCHEMA,
-        "name": "hindman-case1",
-        "engine": "hindman",
-        "expect": "contradiction",
-        "stages_default": 1,
-        "scan_cap": 64,
-        "models": [
-            {"index": 0, "form": 1, "ground": {"kind": "powers-of-two"},
-             "labels": {"kind": "constant", "value": 7}}
-        ],
-        "assumptions": [_CRITICAL],
-    }
-
-    ramsey_rules = {2: {"kind": "pair-min"}, 3: {"kind": "pair-max"}, 4: {"kind": "pair-code"}}
-    for form, rule in ramsey_rules.items():
-        out[f"ramsey-case{form}"] = {
-            "schema": SCENARIO_SCHEMA,
-            "name": f"ramsey-case{form}",
-            "engine": "ramsey",
-            "expect": "stages",
-            "stages_default": 4,
-            "scan_cap": 4096,
-            "models": [{"index": 0, "form": form, "ground": {"kind": "all"}, "labels": rule}],
-            "assumptions": [_CRITICAL],
-        }
-    out["ramsey-case1"] = {
-        "schema": SCENARIO_SCHEMA,
-        "name": "ramsey-case1",
-        "engine": "ramsey",
-        "expect": "contradiction",
-        "stages_default": 1,
-        "scan_cap": 4096,
-        "models": [
-            {"index": 0, "form": 1, "ground": {"kind": "all"},
-             "labels": {"kind": "pair-constant", "value": 7}}
-        ],
-        "assumptions": [_CRITICAL],
-    }
-
-    # labelled-tree scenarios
-    out["sep1-basic"] = {
-        "schema": SCENARIO_SCHEMA,
-        "name": "sep1-basic",
-        "engine": "tree",
-        "horizon": 10,
-        "assignments": [[[n], 5] for n in range(0, 10, 2)],
-        "default_successors": {"kind": "cofinite", "excluded": []},
-        "branching_ideal": {"kind": "sum_harmonic"},
-        "oracle": [
-            {"node": [], "candidate": 5, "verdict": "in", "tag": "assumption",
-             "statement": "the class of successors labelled 5 is positive"}
-        ],
-        "declared_critical": [],
-        "expect_root_label": 5,
-        "assumptions": [],
-    }
-    out["sep2-critical"] = {
-        "schema": SCENARIO_SCHEMA,
-        "name": "sep2-critical",
-        "engine": "tree",
-        "horizon": 10,
-        "assignments": [[[n], n + 20] for n in range(10)],
-        "default_successors": {"kind": "cofinite", "excluded": []},
-        "branching_ideal": {"kind": "sum_harmonic"},
-        "oracle": (
-            [
-                {"node": [], "candidate": n + 20, "verdict": "out", "tag": "assumption",
-                 "statement": f"the class labelled {n + 20} is not positive"}
-                for n in range(10)
-            ]
-            + [{"node": [], "candidate": None, "verdict": "in", "tag": "assumption",
-                "statement": "the bottom successor class of the root is null"}]
-        ),
-        "declared_critical": [[]],
-        "expect_root_label": "bot",
-        "assumptions": [],
-    }
-    out["label-tie"] = {
-        "schema": SCENARIO_SCHEMA,
-        "name": "label-tie",
-        "engine": "tree",
-        "horizon": 10,
-        "assignments": [[[n], 5 if n % 2 == 0 else 7] for n in range(10)],
-        "default_successors": {"kind": "cofinite", "excluded": []},
-        "branching_ideal": {"kind": "sum_harmonic"},
-        "oracle": [
-            {"node": [], "candidate": 5, "verdict": "in", "tag": "assumption",
-             "statement": "the even successors form a positive class"},
-            {"node": [], "candidate": 7, "verdict": "in", "tag": "assumption",
-             "statement": "the odd successors form a positive class"},
-        ],
-        "declared_critical": [],
-        "expect_root_label": 5,
-        "assumptions": [],
-    }
-    out["pwfin-case2b"] = {
-        "schema": SCENARIO_SCHEMA,
-        "name": "pwfin-case2b",
-        "engine": "tree",
-        "horizon": 27,
-        "assignments": [[[x], 0] for x in (1, 2)] + [[[x], 2] for x in range(3, 27)],
-        "default_successors": {"kind": "cofinite", "excluded": [0]},
-        "branching_ideal": {"kind": "sum_harmonic"},
-        "oracle": [
-            {"node": [], "candidate": 0, "verdict": "out", "tag": "assumption",
-             "statement": "the class labelled 0 is not positive"},
-            {"node": [], "candidate": 2, "verdict": "out", "tag": "assumption",
-             "statement": "the class labelled 2 is not positive"},
-            {"node": [], "candidate": None, "verdict": "in", "tag": "assumption",
-             "statement": "the bottom successor class of the root is null"},
-        ],
-        "declared_critical": [[]],
-        "expect_root_label": "bot",
-        "assumptions": [],
-    }
-    out["collision-posdiff"] = {
-        "schema": SCENARIO_SCHEMA,
-        "name": "collision-posdiff",
-        "engine": "collision",
-        "diag": "posdiff-blocks",
-        "stages": 4,
-        "model_index": 0,
-        "horizon": 1200,
-        "tree": {
-            "schema": SCENARIO_SCHEMA,
-            "name": "collision-posdiff-tree",
-            "engine": "tree",
-            "horizon": 64,
-            "assignments": [[[2], 5], [[7], 15], [[21], 45]],
-            "default_successors": {"kind": "cofinite", "excluded": [0, 1]},
-            "branching_ideal": {"kind": "sum_harmonic"},
-            "oracle": [
-                {"node": [], "candidate": 5, "verdict": "out", "tag": "assumption",
-                 "statement": "no single label class at the root is positive"},
-                {"node": [], "candidate": 15, "verdict": "out", "tag": "assumption",
-                 "statement": "no single label class at the root is positive"},
-                {"node": [], "candidate": 45, "verdict": "out", "tag": "assumption",
-                 "statement": "no single label class at the root is positive"},
-                {"node": [], "candidate": None, "verdict": "in", "tag": "assumption",
-                 "statement": "the bottom successor class of the root is null"},
-            ],
-            "declared_critical": [[]],
-            "expect_root_label": "bot",
-            "assumptions": [],
-        },
-        "assumptions": [_CRITICAL],
-    }
-    return out
+    ramsey_rules = {1: {"kind": "pair-constant", "value": 7}, 2: {"kind": "pair-min"},
+                    3: {"kind": "pair-max"}, 4: {"kind": "pair-code"}}
+    scenarios = [
+        _pwfin("2b", {"kind": "prev-interval-max"}),
+        _pwfin("2c", {"kind": "identity"}),
+        _pwfin("2a", {"kind": "all-bot"}, expect="contradiction"),
+        _posdiff("blocks", 1200,
+                 {"kind": "block-geometric", "start": 2, "base_label": 5, "ratio": 3},
+                 "every label class of the block rule extends to divergent harmonic mass "
+                 "beyond the horizon"),
+        _posdiff("identity", 2200, {"kind": "identity"},
+                 "every residue class of the identity labels has divergent harmonic mass "
+                 "beyond the horizon", stages_default=2),
+        _posdiff("finite-labels", 64,
+                 {"kind": "table", "entries": [[x, x % 3] for x in range(64)]}, **_AT_ONCE),
+        *(_hindman(form, rule) for form, rule in hindman_rules.items()),
+        *(_ramsey(form, rule) for form, rule in ramsey_rules.items()),
+        # labelled-tree scenarios
+        _tree("sep1-basic", 10, [[[n], 5] for n in range(0, 10, 2)],
+              [_row(5, "in", "the class of successors labelled 5 is positive")], 5),
+        _tree("sep2-critical", 10, [[[n], n + 20] for n in range(10)],
+              _not_positive(range(20, 30)), "bot"),
+        _tree("label-tie", 10, [[[n], 5 if n % 2 == 0 else 7] for n in range(10)],
+              [_row(5, "in", "the even successors form a positive class"),
+               _row(7, "in", "the odd successors form a positive class")], 5),
+        _tree("pwfin-case2b", 27, [[[x], 0] for x in (1, 2)] + [[[x], 2] for x in range(3, 27)],
+              _not_positive((0, 2)), "bot", excluded=(0,)),
+        _scenario("collision-posdiff", "collision", diag="posdiff-blocks", stages=4,
+                  model_index=0, horizon=1200,
+                  tree=_tree("collision-posdiff-tree", 64, [[[2], 5], [[7], 15], [[21], 45]],
+                             [_row(c, "out", "no single label class at the root is positive")
+                              for c in (5, 15, 45)], "bot", excluded=(0, 1)),
+                  assumptions=[_CRITICAL]),
+    ]
+    return {scenario["name"]: scenario for scenario in scenarios}
 
 
 _BUNDLED = _bundled()
@@ -487,7 +421,7 @@ def bundled_names() -> List[str]:
 
 
 def load_scenario(name_or_path: str):
-    """Resolve a scenario by bundled name, scenario-dir name, or file path."""
+    """Resolve a scenario by bundled name, scenario-dir name, or file path, and parse it."""
     payload = None
     if name_or_path in _BUNDLED:
         payload = _BUNDLED[name_or_path]
@@ -501,20 +435,7 @@ def load_scenario(name_or_path: str):
                 payload = load_json(candidate)
     if payload is None:
         raise SchemaError(f"unknown scenario {name_or_path!r}")
-    if not isinstance(payload, dict):
-        raise SchemaError(f"scenario {name_or_path!r} must be a JSON object")
-    if payload.get("schema") != SCENARIO_SCHEMA:
-        raise SchemaError(f"scenario {name_or_path!r} lacks schema {SCENARIO_SCHEMA}")
-    check_assumptions(payload.get("assumptions"), payload.get("name", name_or_path))
-    engine = payload.get("engine")
-    name = payload.get("name", name_or_path)
-    if isinstance(engine, str) and engine in ENGINES:
-        return DiagScenario(name, payload)
-    if engine == "tree":
-        return TreeScenario(name, payload)
-    if engine == "collision":
-        return CollisionScenario(name, payload)
-    raise SchemaError(f"unknown engine {engine!r}")
+    return scenario_from_json(payload, f"scenario {name_or_path!r}", name=name_or_path)
 
 
 def realize_model(
@@ -554,37 +475,3 @@ def realize_model(
         "the bottom successor class of the modelled node is null",
     )
     return cmap, tree, oracle
-
-
-class CollisionScenario(Scenario):
-    certificate_kind = "collision"
-
-    def diag(self) -> DiagScenario:
-        name = self.required("diag")
-        scn = load_scenario(name) if isinstance(name, str) else None
-        if not isinstance(scn, DiagScenario):
-            raise SchemaError(f"scenario {self.name!r}: diag must name a diagonalization scenario")
-        return scn
-
-    def tree_scenario(self) -> TreeScenario:
-        return TreeScenario.from_json(self.required("tree"), f"scenario {self.name!r} tree")
-
-    def assumptions(self) -> List[dict]:
-        """What the diagonalization and the tree stipulate, then this scenario's own."""
-        own = super().assumptions()
-        return self.diag().assumptions() + self.tree_scenario().assumptions() + own
-
-    @property
-    def horizon(self) -> int:
-        return self._integer("horizon", 4096)
-
-    def stages(self, default: int) -> int:
-        return self._integer("stages", default, minimum=1)
-
-    def model_index(self, count: int) -> int:
-        index = self._integer("model_index", 0)
-        if not 0 <= index < count:
-            raise SchemaError(
-                f"scenario {self.name!r}: model_index {index} is not in 0..{count - 1}"
-            )
-        return index

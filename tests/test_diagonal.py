@@ -856,31 +856,60 @@ def sums_scenario(form, ground, labels):
 
 
 # scenarios that trip each assembly guard of the sums engine with a
-# reachable failure, and the canonical bytes of the report each one raises
+# reachable failure, the stages each runs, and the canonical bytes of the
+# report its certificate records
 TABLE_FORM_3 = {"kind": "table", "entries": [[2, 5], [8, 9]]}
 ASSEMBLY_GUARD_REPORTS = {
     # explicit grounds need not be block disjoint: the lowest bit of anchor 5
     # lies below the highest bit of anchor 2
     "anchors-not-block-disjoint": (
-        sums_scenario(5, {"kind": "explicit", "members": [2, 3, 5]}, {"kind": "identity"}),
+        sums_scenario(5, {"kind": "explicit", "members": [2, 3, 5]}, {"kind": "identity"}), 2,
         b'{"summary":"model 0: anchors are not block disjoint"}'),
     # form 3 stages read the anchor's own label only; block 1 is {8, 10}
     "bottom-label-in-block": (
-        sums_scenario(3, {"kind": "powers-of-two"}, TABLE_FORM_3),
+        sums_scenario(3, {"kind": "powers-of-two"}, TABLE_FORM_3), 2,
         b'{"summary":"model 0 stage 1: bottom label inside a block"}'),
     "label-mass-not-small": (
         sums_scenario(3, {"kind": "powers-of-two"},
-                      {**TABLE_FORM_3, "entries": TABLE_FORM_3["entries"] + [[10, 0]]}),
+                      {**TABLE_FORM_3, "entries": TABLE_FORM_3["entries"] + [[10, 0]]}), 2,
         b'{"summary":"model 0 stage 1: label mass 11/10 not below 1/2"}'),
+    # identity labels pass every stage of a form 4 run, but on the anchored
+    # sums of three stages only form 5 holds
+    "declared-form-not-holding": (
+        sums_scenario(4, {"kind": "powers-of-two"}, {"kind": "identity"}), 3,
+        b'{"summary":"model 0: declared form 4 does not hold on the anchored sums '
+        b'(holding: [5])"}'),
 }
 
 
 @pytest.mark.parametrize("name", list(ASSEMBLY_GUARD_REPORTS))
 def test_sums_assembly_guards_report_reachable_failures(name):
-    scenario, report = ASSEMBLY_GUARD_REPORTS[name]
-    with pytest.raises(ScenarioContradiction) as exc:
-        certify.produce("diagonalization", {"scenario": scenario, "stages": 2}, 0)
-    assert canonical_bytes(exc.value.report) == report
+    scenario, stages, report = ASSEMBLY_GUARD_REPORTS[name]
+    cert = certify.produce("diagonalization", {"scenario": scenario, "stages": stages}, 0)
+    assert cert["body"]["outcome"] == "contradiction"
+    assert canonical_bytes(cert["body"]["report"]) == report
+    assert certify.recheck(cert) == (True, "certificate re-verified")
+
+
+@pytest.mark.parametrize("name, blocks_name", [("hindman-case2", "_sums_blocks"),
+                                                ("ramsey-case3", "_pairs_blocks")])
+def test_structural_identity_compares_the_blocks_the_engine_built(monkeypatch, name,
+                                                                  blocks_name):
+    # the family's members are the union of its blocks, so a member that no
+    # block holds must show in the comparison with the fresh enumeration
+    real = getattr(diagonal, blocks_name)
+
+    def dropping_one(i, model, anchors):
+        blocks, *rest = real(i, model, anchors)
+        blocks[-1].pop()
+        return (blocks, *rest)
+
+    inputs = {"scenario": load_scenario(name).to_json(), "stages": 4}
+    assert certify.produce("structural-identity", inputs, 0)["body"]["all_match"]
+    monkeypatch.setattr(diagonal, blocks_name, dropping_one)
+    body = certify.produce("structural-identity", inputs, 0)["body"]
+    assert body["all_match"] is False
+    assert body["checks"][0]["union_matches_enumeration"] is False
 
 
 # -- pairs engine -----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Serialization schema, scenario loading, certificates, and the CLI."""
 
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -7,13 +8,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from idealbench import certify, diagonal
+from idealbench import certify, diagonal, scenarios
 from idealbench.cli import run
 from idealbench.construction import MAX_DEPTH
 from idealbench.errors import SchemaError
-from idealbench.scenarios import MAX_HORIZON, TreeScenario, load_scenario, rule_from_json
+from idealbench.scenarios import (
+    MAX_HORIZON,
+    TreeScenario,
+    load_scenario,
+    rule_from_json,
+    scenario_from_json,
+)
 from idealbench.serialize import (
     PLAIN_DIGITS,
+    canonical_bytes,
     canonical_dumps,
     diff_paths,
     dump_json,
@@ -214,6 +222,15 @@ def test_cli_verify_construction_rejects_malformed_files(tmp_path, capsys, docum
     assert "schema error" in capsys.readouterr().err
 
 
+# sha256 of the canonical bytes of the whole bundled registry: every bundled
+# scenario, field for field, however the registry is written
+BUNDLED_DIGEST = "1f98514d5114cb5a7fb8a16ae07a9554b32b9a7d4f9342a5fd54ff698a984cd9"
+
+
+def test_bundled_registry_bytes_are_pinned():
+    assert hashlib.sha256(canonical_bytes(scenarios._bundled())).hexdigest() == BUNDLED_DIGEST
+
+
 def _changed_scenario(name: str, **changes) -> dict:
     """A bundled scenario with fields replaced; None drops one."""
     scenario = load_scenario(name).to_json()
@@ -359,6 +376,18 @@ def test_cli_diagonalize_rejects_malformed_scenarios(tmp_path, capsys, scenario)
     assert "schema error" in capsys.readouterr().err
 
 
+def test_cli_diagonalize_records_an_assembly_contradiction(tmp_path):
+    # identity labels pass three form 4 stages; the assembly finds form 4 false
+    scenario = _hindman_scenario(models=[{"index": 0, "form": 4, "ground": {
+        "kind": "powers-of-two"}, "labels": {"kind": "identity"}}])
+    path, out = tmp_path / "scenario.json", tmp_path / "certificate.json"
+    dump_json(path, scenario)
+    assert run(["diagonalize", "--scenario", str(path), "--stages", "3", "--out", str(out)]) == 1
+    body = load_json(out)["body"]
+    assert (body["outcome"], body["as_expected"]) == ("contradiction", False)
+    assert run(["certify", "--in", str(out)]) == 0
+
+
 def test_cli_posdiff_horizon_error_names_the_bound(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     dump_json(path, _changed_scenario("posdiff-blocks", horizon=MAX_HORIZON + 1))
@@ -444,6 +473,11 @@ def _without_name(name: str) -> dict:
          {"scenario": _changed_scenario("posdiff-blocks", horizon=MAX_HORIZON + 1), "stages": 1}),
         ("structural-identity", {"scenario": _changed_scenario("posdiff-blocks"), "stages": 2}),
         ("structural-identity", {"scenario": _changed_scenario("pw-2b"), "stages": 2}),
+        ("tree-labelling", {"scenario": _changed_scenario("posdiff-blocks")}),
+        ("diagonalization", {"scenario": _changed_scenario("hindman-case2", schema=None),
+                             "stages": 2}),
+        ("collision", {"scenario": _changed_scenario(
+            "collision-posdiff", tree=_changed_scenario("posdiff-blocks"))}),
         ("partition", {}),
         ("partition", {"depth": 0}),
         ("weight-bound", {"depth": "3"}),
@@ -476,6 +510,7 @@ def _without_name(name: str) -> dict:
          "collision-no-name", "inputs-a-list", "scenario-not-an-object",
          "posdiff-horizon-past-max",
          "structural-identity-on-posdiff", "structural-identity-on-pwfin",
+         "tree-labelling-on-posdiff", "scenario-without-schema", "collision-tree-not-a-tree",
          "partition-no-depth", "partition-depth-zero", "weight-bound-depth-not-int",
          "subset-reduction-no-pairs", "pigeonhole-no-samples", "pigeonhole-interval-past-depth",
          "partition-depth-past-max", "weight-bound-depth-past-max",
@@ -498,6 +533,17 @@ def test_cli_certify_rejects_malformed_scenario_inputs(tmp_path, capsys, kind, i
     dump_json(path, cert)
     assert run(["certify", "--in", str(path)]) == 2
     assert "schema error" in capsys.readouterr().err
+
+
+def test_cli_certify_refuses_a_scenario_of_another_kind(tmp_path, capsys):
+    # a certificate's scenario passes the scenario-file checks, class included
+    cert = certify.produce("tree-labelling", load_scenario("sep1-basic").certificate_inputs(None))
+    cert["inputs"]["scenario"] = load_scenario("posdiff-blocks").to_json()
+    path = tmp_path / "certificate.json"
+    dump_json(path, cert)
+    assert run(["certify", "--in", str(path)]) == 2
+    assert ("tree-labelling inputs scenario: scenario 'posdiff-blocks' is a DiagScenario, "
+            "not a TreeScenario") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -699,7 +745,7 @@ def test_tree_successor_rows_round_trip():
     rows = [[[], {"kind": "described", "set": {"base": 0, "kind": "ap", "step": 2}}],
             [[0], {"kind": "explicit", "members": [1, 3]}]]
     scenario = _changed_scenario("sep1-basic", default_successors=None, successors=rows)
-    tree = TreeScenario.from_json(scenario, "test").tree()
+    tree = scenario_from_json(scenario, "test", TreeScenario).tree()
     assert tree.to_json()["successors"] == rows
 
 
