@@ -20,8 +20,10 @@ stage count, with the horizon raised to HORIZON.
 
 ``--certs DEPTH...`` times certificates instead: for each depth, the CPU
 seconds (``time.process_time``) of ``certify.produce`` and of
-``certify.recheck`` of a ``partition`` and of a ``weight-bound``
-certificate.
+``certify.recheck`` of a ``partition``, a ``weight-bound`` and a
+one-pair ``subset-reduction`` certificate, and from depth 8 on (the
+least at which its four stages fit) of a 4-stage diagonalization of the
+bundled ``pw-2c`` scenario at that depth.
 
 Usage: python scripts/bench_partition.py [MAX_DEPTH] [--budget SECONDS]
        python scripts/bench_partition.py --posdiff HORIZON
@@ -51,18 +53,32 @@ def bench_posdiff(horizon: int) -> None:
     )
 
 
+# the least depth at which pw-2c runs its 4 stages
+PW_2C_DEPTH = 8
+
+
+def timed_certificates(depth: int):
+    """Each certificate ``--certs`` times at ``depth``: its column, kind and inputs."""
+    yield "partition", "partition", {"depth": depth}
+    yield "weight-bound", "weight-bound", {"depth": depth}
+    yield "subset-reduction", "subset-reduction", {"depth": depth, "pairs": 1}
+    if depth >= PW_2C_DEPTH:
+        scenario = {**load_scenario("pw-2c").to_json(), "depth": depth}
+        yield "pw-2c", "diagonalization", {"scenario": scenario, "stages": 4}
+
+
 def bench_certs(depths) -> None:
     for depth in depths:
         cells = []
-        for kind in ("partition", "weight-bound"):
+        for column, kind, inputs in timed_certificates(depth):
             t0 = time.process_time()
-            cert = certify.produce(kind, {"depth": depth}, 0)
+            cert = certify.produce(kind, inputs, 0)
             t1 = time.process_time()
             passed, detail = certify.recheck(cert)
             t2 = time.process_time()
             if not passed:
-                raise SystemExit(f"{kind} depth {depth}: {detail}")
-            cells.append(f"{kind} produce {t1 - t0:8.3f}s recheck {t2 - t1:8.3f}s")
+                raise SystemExit(f"{column} depth {depth}: {detail}")
+            cells.append(f"{column} produce {t1 - t0:8.3f}s recheck {t2 - t1:8.3f}s")
         print(f"depth {depth:2d}: " + " ".join(cells))
 
 
@@ -74,7 +90,8 @@ def main() -> int:
     parser.add_argument("--posdiff", type=int, metavar="HORIZON",
                         help="time the difference engine on posdiff-blocks instead")
     parser.add_argument("--certs", type=int, nargs="+", metavar="DEPTH",
-                        help="time partition and weight-bound certificates instead")
+                        help="time partition, weight-bound, subset-reduction and pw-2c "
+                             "certificates instead")
     args = parser.parse_args()
 
     if args.posdiff is not None:

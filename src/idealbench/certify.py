@@ -94,7 +94,7 @@ def _subset_reduction(depth: int, pairs: int, rng: random.Random) -> dict:
     rows = []
     for _ in range(pairs):
         p_set, q_set = _random_selector_pair(rng, depth)
-        report = check_subset_reduction(p_set, q_set, p, horizon=depth)
+        report = check_subset_reduction(p_set, q_set, depth)
         claim = ReductionClaim(
             SumSelector(p_set, p), SumSelector(q_set, p), IdentityHeightOne()
         )

@@ -46,8 +46,8 @@ arithmetic at most once, when its numbers are first read in it.
   appear on first read, from ``greedy_numbers(int)``; no ``Decimal`` is
   ever converted to ``int``, which CPython does in quadratic time.  The
   engines, ideals and reductions read ints, as does the exact ``Fraction``
-  sum ``degenerate_prefix_weight``; no certificate of a partition or of its
-  weight bound reads any.  Any other data (a tampered or foreign file) is
+  sum ``degenerate_prefix_weight``; no certificate of a partition, of its
+  weight bound or of a subset reduction reads any.  Any other data (a tampered or foreign file) is
   parsed by ``serialize.int_parse``, written by ``serialize.int_str`` and
   checked by ``Fraction`` alone, unit fractions or not.
 

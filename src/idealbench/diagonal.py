@@ -404,13 +404,15 @@ def _table_pair(rule: LabelRule):
 
 
 def _parse_table(params: dict, partition) -> dict:
-    try:
-        entries = {int(x): (None if v is None else int(v)) for x, v in params["entries"]}
-    except (TypeError, ValueError) as exc:
-        raise SchemaError("table entries must be [successor, label or null] pairs") from exc
-    if any(v is not None and v < 0 for v in entries.values()):
+    entries = params["entries"]
+    if not isinstance(entries, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and type(pair[0]) is int for pair in entries
+    ):
+        raise SchemaError("table entries must be [successor, label or null] pairs, "
+                          "the successor an integer")
+    if not all(v is None or type(v) is int and v >= 0 for _, v in entries):
         raise SchemaError("table labels must be naturals or null")
-    return {**params, "entries": entries}
+    return {**params, "entries": dict(entries)}
 
 
 def _parse_constant(params: dict, partition) -> dict:

@@ -138,18 +138,14 @@ _FIELDLESS = {cls.kind: cls for cls in (
     FinIdeal, SumHarmonic, DensityZero, DiffIdeal, HindmanIdeal, RamseyIdeal, PowerSet)}
 
 
-def ideal_from_json(obj: dict, partition: Optional[PartitionData] = None) -> IdealDescriptor:
-    """Decode an ideal descriptor; a ``sum_s`` selector is taken over ``partition``.
-
-    Without a partition, ``sum_s`` builds the greedy one of its ``depth``.
-    """
+def ideal_from_json(obj: dict) -> IdealDescriptor:
+    """Decode an ideal descriptor; ``sum_s`` is over the greedy partition of its ``depth``."""
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind in _FIELDLESS:
         return _FIELDLESS[kind]()
     if kind == SumSelector.kind:
-        p = partition or build_partition(
-            integer_field(obj, "depth", DEFAULT_DEPTH, "a sum_s ideal", 1, MAX_DEPTH))
-        return SumSelector(set_from_json(obj.get("selector")), p)
+        depth = integer_field(obj, "depth", DEFAULT_DEPTH, "a sum_s ideal", 1, MAX_DEPTH)
+        return SumSelector(set_from_json(obj.get("selector")), build_partition(depth))
     raise SchemaError(f"unknown ideal kind {kind!r}")
 
 
@@ -180,38 +176,128 @@ def _sum_partial(ideal, s: DescribedSet, horizon: int) -> dict:
     return {"partial_weight": rat_str(total), "horizon": horizon}
 
 
-def _sum_like_membership(ideal, shape, s, horizon) -> Verdict:
-    """Shared rules for sum_harmonic / sum_s descriptors."""
+_OUTSIDE = _unknown("outside-whitelist")
+
+
+def _summable(ideal, shape, s, horizon) -> Verdict:
+    """The rules of the sum_harmonic and sum_s descriptors.
+
+    A sum_s descriptor comes here only with a co-infinite selector, whose
+    weights diverge block by block (``interval-block``), so a cofinite set
+    is in neither ideal.
+    """
     divergence = ideal.weight.divergence
-    if shape is not None:
-        tag = shape[0]
-        if tag == "cofinite":
-            if divergence in ("harmonic", "interval-block"):
-                return _out(
-                    "cofinite-divergence",
-                    divergence=divergence,
-                    excluded=list(shape[1]),
-                )
-        elif tag == "ap":
-            if divergence == "harmonic":
-                return _out(
-                    "ap-harmonic-comparison",
-                    base=shape[1],
-                    step=shape[2],
-                    note="subsum of the harmonic series along a progression diverges",
-                )
-        elif tag == "modcomp":
-            if divergence == "harmonic":
-                return _out(
-                    "modcomp-harmonic-comparison",
-                    modulus=shape[1],
-                    note="contains the progression base 1 step m, whose harmonic subsum diverges",
-                )
+    tag = shape and shape[0]
+    if tag == "cofinite":
+        return _out("cofinite-divergence", divergence=divergence, excluded=list(shape[1]))
+    if divergence == "harmonic" and tag == "ap":
+        return _out(
+            "ap-harmonic-comparison",
+            base=shape[1],
+            step=shape[2],
+            note="subsum of the harmonic series along a progression diverges",
+        )
+    if divergence == "harmonic" and tag == "modcomp":
+        return _out(
+            "modcomp-harmonic-comparison",
+            modulus=shape[1],
+            note="contains the progression base 1 step m, whose harmonic subsum diverges",
+        )
     return _unknown("outside-whitelist", _sum_partial(ideal, s, horizon))
 
 
+def _infinite_shape(ideal, shape, s, horizon) -> Verdict:
+    return _OUTSIDE if shape is None else _out("infinite-shape", shape=shape[0])
+
+
+def _positive_density(ideal, shape, s, horizon) -> Verdict:
+    tag = shape and shape[0]
+    if tag == "cofinite":
+        return _out("positive-density", density="1/1", excluded=list(shape[1]))
+    if tag == "ap":
+        return _out("positive-density", density=rat_str(Fraction(1, shape[2])))
+    if tag == "modcomp":
+        m = shape[1]
+        return _out("positive-density", density=rat_str(Fraction(m - 1, m)))
+    return _OUTSIDE
+
+
+# each ideal's words in ``_witness_or_pigeonhole``: the OUT procedure, the
+# evidence field of its witness and the multiples of g the witness lists,
+# the note of a cofinite set's witness, and the IN procedure and note of a
+# progression off its residue class and of a modcomp set
+_WORDS = {
+    DiffIdeal.kind: (
+        "difference-witness", "witness_ap", (1, 1),
+        "differences of the multiples of g are multiples of g, all past the excluded points",
+        "difference-additivity", "x+y=z among differences forces base = 0 mod step, which fails",
+        "pigeonhole-congruence",
+        "any m+1 points give two congruent mod m, whose difference the set omits"),
+    HindmanIdeal.kind: (
+        "sum-witness", "witness_generators", (1, 2, 4),
+        "sums of distinct multiples g*2^k are multiples of g past the excluded points",
+        "sum-congruence", "two members of the set sum outside its residue class",
+        "prefix-sum-pigeonhole",
+        "among m+1 prefix sums two agree mod m; their gap is a finite sum divisible by m"),
+}
+
+
+def _witness_or_pigeonhole(ideal, shape, s, horizon) -> Verdict:
+    """The one decision of the difference and the sum ideal, in the ideal's ``_WORDS``.
+
+    A progression off its residue class fails the base-mod-step test and a
+    modcomp set the pigeonhole on m+1 points (IN).  A cofinite set, or a
+    progression of base 0 mod step, holds the witness on the multiples of
+    g past the exclusions (OUT).
+    """
+    (witness, field, multiples, cofinite_note, residue, residue_note,
+     pigeonhole, pigeonhole_note) = _WORDS[ideal.kind]
+    tag = shape and shape[0]
+    if tag == "ap" and shape[1] % shape[2]:
+        return _in(residue, base=shape[1], step=shape[2], note=residue_note)
+    if tag == "modcomp":
+        return _in(pigeonhole, modulus=shape[1], note=pigeonhole_note)
+    if tag == "cofinite":
+        g = (max(shape[1]) + 1) if shape[1] else 1
+        return _out(witness, **{field: [g * k for k in multiples]}, note=cofinite_note)
+    if tag == "ap":
+        g = shape[1] or shape[2]
+        return _out(witness, **{field: [g * k for k in multiples]})
+    return _OUTSIDE
+
+
+def _tail_clique(ideal, shape, s, horizon) -> Verdict:
+    if shape is None or shape[0] != "cofinite":
+        return _OUTSIDE
+    bound = (max(shape[1]) + 1) if shape[1] else 0
+    k = 0
+    while k * (k + 1) // 2 < bound:
+        k += 1
+    return _out(
+        "tail-clique",
+        note="every pair code over a high enough tail clears the excluded codes",
+        clique_base=k,
+    )
+
+
+# each ideal's decision on a set of no finite shape, by the ideal's kind
+_ON_INFINITE_SHAPES = {
+    FinIdeal.kind: _infinite_shape,
+    SumHarmonic.kind: _summable,
+    SumSelector.kind: _summable,
+    DensityZero.kind: _positive_density,
+    DiffIdeal.kind: _witness_or_pigeonhole,
+    HindmanIdeal.kind: _witness_or_pigeonhole,
+    RamseyIdeal.kind: _tail_clique,
+}
+
+
 def membership(ideal: IdealDescriptor, s: DescribedSet, horizon: int = 64) -> Verdict:
-    """Three-valued membership of a described set in an ideal."""
+    """Three-valued membership of a described set in an ideal.
+
+    Past the powerset, the finite shapes and the cofinite or shapeless
+    selectors of sum_s, the ideal's entry in ``_ON_INFINITE_SHAPES`` decides.
+    """
     shape = s.shape()
 
     if isinstance(ideal, PowerSet):
@@ -229,106 +315,8 @@ def membership(ideal: IdealDescriptor, s: DescribedSet, horizon: int = 64) -> Ve
             )
         if deg is None:
             return _unknown("selector-shape-unknown")
-        return _sum_like_membership(ideal, shape, s, horizon)
 
-    if isinstance(ideal, SumHarmonic):
-        return _sum_like_membership(ideal, shape, s, horizon)
-
-    if shape is None:
-        return _unknown("outside-whitelist")
-
-    tag = shape[0]
-
-    if isinstance(ideal, FinIdeal):
-        # finite shapes were handled above; the remaining shapes are infinite
-        return _out("infinite-shape", shape=tag)
-
-    if isinstance(ideal, DensityZero):
-        if tag == "cofinite":
-            return _out("positive-density", density="1/1", excluded=list(shape[1]))
-        if tag == "ap":
-            return _out("positive-density", density=rat_str(Fraction(1, shape[2])))
-        if tag == "modcomp":
-            m = shape[1]
-            return _out("positive-density", density=rat_str(Fraction(m - 1, m)))
-        return _unknown("outside-whitelist")
-
-    if isinstance(ideal, DiffIdeal):
-        return _diff_membership(tag, shape)
-
-    if isinstance(ideal, HindmanIdeal):
-        return _hindman_membership(tag, shape)
-
-    if isinstance(ideal, RamseyIdeal):
-        if tag == "cofinite":
-            bound = (max(shape[1]) + 1) if shape[1] else 0
-            k = 0
-            while k * (k + 1) // 2 < bound:
-                k += 1
-            return _out(
-                "tail-clique",
-                note="every pair code over a high enough tail clears the excluded codes",
-                clique_base=k,
-            )
-        return _unknown("outside-whitelist")
-
-    return _unknown("outside-whitelist")
-
-
-def _diff_membership(tag, shape) -> Verdict:
-    if tag == "cofinite":
-        g = (max(shape[1]) + 1) if shape[1] else 1
-        return _out(
-            "difference-witness",
-            witness_ap=[g, g],
-            note="differences of the multiples of g are multiples of g, all past the excluded points",
-        )
-    if tag == "ap":
-        base, step = shape[1], shape[2]
-        if base % step == 0:
-            g = base if base > 0 else step
-            return _out("difference-witness", witness_ap=[g, g])
-        return _in(
-            "difference-additivity",
-            note="x+y=z among differences forces base = 0 mod step, which fails",
-            base=base,
-            step=step,
-        )
-    if tag == "modcomp":
-        return _in(
-            "pigeonhole-congruence",
-            modulus=shape[1],
-            note="any m+1 points give two congruent mod m, whose difference the set omits",
-        )
-    return _unknown("outside-whitelist")
-
-
-def _hindman_membership(tag, shape) -> Verdict:
-    if tag == "cofinite":
-        g = (max(shape[1]) + 1) if shape[1] else 1
-        return _out(
-            "sum-witness",
-            witness_generators=[g, 2 * g, 4 * g],
-            note="sums of distinct multiples g*2^k are multiples of g past the excluded points",
-        )
-    if tag == "ap":
-        base, step = shape[1], shape[2]
-        if base % step == 0:
-            g = base if base > 0 else step
-            return _out("sum-witness", witness_generators=[g, 2 * g, 4 * g])
-        return _in(
-            "sum-congruence",
-            base=base,
-            step=step,
-            note="two members of the set sum outside its residue class",
-        )
-    if tag == "modcomp":
-        return _in(
-            "prefix-sum-pigeonhole",
-            modulus=shape[1],
-            note="among m+1 prefix sums two agree mod m; their gap is a finite sum divisible by m",
-        )
-    return _unknown("outside-whitelist")
+    return _ON_INFINITE_SHAPES[ideal.kind](ideal, shape, s, horizon)
 
 
 def is_positive(ideal: IdealDescriptor, s: DescribedSet, horizon: int = 64) -> Verdict:

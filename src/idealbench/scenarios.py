@@ -144,11 +144,18 @@ class DiagScenario(Scenario):
 
 
 def _node(row) -> bool:
-    return isinstance(row, list)
+    return isinstance(row, list) and all(type(x) is int and x >= 0 for x in row)
 
 
 def _node_pair(row) -> bool:
     return isinstance(row, list) and len(row) == 2 and _node(row[0])
+
+
+def _oracle_row(row) -> bool:
+    return (isinstance(row, dict) and _node(row.get("node"))
+            and (row.get("candidate") is None or type(row["candidate"]) is int)
+            and row.get("verdict") in ("in", "out")
+            and row.get("tag", "assumption") in ("assumption", "derived"))
 
 
 class TreeScenario(Scenario):
@@ -167,7 +174,8 @@ class TreeScenario(Scenario):
         return rows
 
     def coherent_map(self) -> CoherentMap:
-        rows = self._rows("assignments", "[node, value] pairs", _node_pair)
+        rows = self._rows("assignments", "[node, integer value] pairs",
+                          lambda row: _node_pair(row) and type(row[1]) is int)
         return CoherentMap({tuple(k): v for k, v in rows})
 
     def tree(self) -> FiniteTree:
@@ -194,13 +202,13 @@ class TreeScenario(Scenario):
 
     def oracle(self) -> PositivityOracle:
         oracle = PositivityOracle()
-        for row in self._rows("oracle", "objects with a node list",
-                              lambda row: isinstance(row, dict) and _node(row.get("node"))):
-            candidate = row.get("candidate")
+        for row in self._rows("oracle", "objects with a node list, an integer or null "
+                              "candidate, an in/out verdict and an assumption/derived tag",
+                              _oracle_row):
             oracle.stipulate(
                 tuple(row["node"]),
-                BOT if candidate is None else int(candidate),
-                row.get("verdict"),
+                row.get("candidate", BOT),
+                row["verdict"],
                 row.get("tag", "assumption"),
                 row.get("statement", ""),
             )
@@ -220,11 +228,18 @@ class CollisionScenario(Scenario):
     certificate_kind = "collision"
 
     def diag(self) -> DiagScenario:
-        name = self.required("diag")
-        scn = load_scenario(name) if isinstance(name, str) else None
-        if not isinstance(scn, DiagScenario):
-            raise SchemaError(f"scenario {self.name!r}: diag must name a diagonalization scenario")
-        return scn
+        """The diagonalization ``diag`` names among the bundled scenarios, or embeds.
+
+        A file path or a scenario-directory name is refused: the body of a
+        collision certificate must follow from its inputs alone.
+        """
+        diag = self.required("diag")
+        if isinstance(diag, str) and diag in _BUNDLED:
+            diag = _BUNDLED[diag]
+        elif not isinstance(diag, dict):
+            raise SchemaError(f"scenario {self.name!r}: diag must be a bundled scenario name "
+                              f"or a diagonalization scenario object")
+        return scenario_from_json(diag, f"scenario {self.name!r} diag", DiagScenario)
 
     def tree_scenario(self) -> TreeScenario:
         return scenario_from_json(self.required("tree"), f"scenario {self.name!r} tree",

@@ -619,7 +619,7 @@ def test_partition_certificates_run_no_int_arithmetic(monkeypatch):
     "kind, inputs, arithmetics",
     [("partition", {"depth": 19}, ["Decimal"]),
      ("weight-bound", {"depth": 19}, ["Decimal"]),
-     ("subset-reduction", {"depth": 12, "pairs": 2}, ["int"])],
+     ("subset-reduction", {"depth": 12, "pairs": 2}, [])],
 )
 def test_a_certificate_runs_the_recurrence_once_per_arithmetic_it_reads(
     monkeypatch, kind, inputs, arithmetics
@@ -637,3 +637,13 @@ def test_a_certificate_runs_the_recurrence_once_per_arithmetic_it_reads(
     builds.clear()
     assert certify.recheck(cert)[0]
     assert sorted(builds) == arithmetics
+
+
+def test_a_subset_reduction_at_max_depth_reads_no_greedy_number(monkeypatch):
+    def refuse(number=int):
+        raise AssertionError("greedy numbers built")
+
+    monkeypatch.setattr(construction, "greedy_numbers", refuse)
+    cert = certify.produce("subset-reduction", {"depth": construction.MAX_DEPTH, "pairs": 100}, 0)
+    assert certify.recheck(cert) == (True, "certificate re-verified")
+    assert cert["body"]["all_included"] and cert["body"]["all_certificates"]

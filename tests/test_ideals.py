@@ -1,5 +1,6 @@
 """Membership verdicts, witness searches, and their independent oracles."""
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from idealbench.construction import build_partition, harmonic_weight, weight_fn
+from idealbench.errors import HorizonExhausted
 from idealbench.ideals import (
     DensityZero,
     DiffIdeal,
@@ -15,6 +17,7 @@ from idealbench.ideals import (
     PowerSet,
     RamseyIdeal,
     SumHarmonic,
+    SumSelector,
     density_at,
     diff_multiplicity,
     hindman_witness_search,
@@ -27,10 +30,13 @@ from idealbench.ideals import (
 )
 from idealbench.pairing import code_unordered
 from idealbench.ramsey import delta, fs
+from idealbench.serialize import canonical_bytes
 from idealbench.sets import (
     Cofinite,
+    Complement,
     DiffsOf,
     Finite,
+    Intersection,
     Intervals,
     Progression,
     SumsOf,
@@ -204,6 +210,46 @@ def test_positivity_flips_membership():
     assert is_positive(DiffIdeal(), SumsOf({1, 2, 4})).value == "out"
     mixed = Union((Progression(0, 2), Progression(1, 3)))
     assert is_positive(SumHarmonic(), mixed).value == "unknown"
+
+
+# every kind of ideal; sum_s over proper, degenerate and shapeless selectors,
+# and over a depth-3 partition whose coverage (27 points) a horizon of 64 exceeds
+PIN_SELECTORS = (Finite(()), Finite({1, 3}), Progression(0, 2), Progression(1, 3),
+                 modular_avoiders(3), Cofinite(()), Progression(2, 1),
+                 Union((Progression(0, 2), Progression(1, 3))))
+PIN_IDEALS = (FinIdeal(), SumHarmonic(), DensityZero(), DiffIdeal(), HindmanIdeal(),
+              RamseyIdeal(), PowerSet(),
+              *(SumSelector(selector, build_partition(5)) for selector in PIN_SELECTORS),
+              SumSelector(Finite({0}), build_partition(3)))
+# finite, cofinite, ap and modcomp shapes, shapes of no whitelist entry, and
+# sets whose shape is not written in its normal form
+PIN_SETS = (Finite(()), Finite({0, 2, 7}), Cofinite(()), Cofinite({0, 1, 5}), Cofinite({9}),
+            Progression(0, 1), Progression(3, 1), Progression(0, 2), Progression(1, 2),
+            Progression(6, 3), Progression(4, 6), Progression(5, 5), modular_avoiders(2),
+            modular_avoiders(5), Complement(Finite({2})), Complement(Cofinite({1, 4})),
+            Complement(modular_avoiders(3)), Complement(Progression(2, 3)),
+            Union((Progression(0, 2), Progression(1, 2))),
+            Union((Finite({1}), Intervals([(3, 6)]))),
+            Intersection((Progression(0, 2), Finite(range(10)))),
+            SumsOf({1, 2, 4}), DiffsOf((1, 4, 9)), Intervals([(0, 4)]))
+# sha256 over the canonical bytes of every membership and is_positive verdict
+# of PIN_IDEALS x PIN_SETS at horizons 0, 5 and 64, as the isinstance chain
+# of membership wrote them
+PINNED_VERDICTS = "a2391a2f70378a6fb830e0a67a527e0e5112465fcf2fb18ac9c29efb7ba840aa"
+
+
+def test_membership_and_positivity_verdict_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for ideal in PIN_IDEALS:
+        for queried in PIN_SETS:
+            for horizon in (0, 5, 64):
+                for decide in (membership, is_positive):
+                    try:
+                        got = decide(ideal, queried, horizon).to_json()
+                    except HorizonExhausted:
+                        got = "horizon-exhausted"
+                    digest.update(canonical_bytes(got))
+    assert digest.hexdigest() == PINNED_VERDICTS
 
 
 # -- witness searches ------------------------------------------------------------

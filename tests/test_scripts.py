@@ -36,13 +36,16 @@ def test_bench_partition_reaches_its_frontier(monkeypatch, capsys):
 
 
 def test_bench_partition_times_certificates(monkeypatch, capsys):
-    assert run_script(monkeypatch, "bench_partition.py", "--certs", "3", "5") == 0
+    assert run_script(monkeypatch, "bench_partition.py", "--certs", "3", "5", "8") == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["depth  3", "depth  5"]
-    for line in lines:
+    assert [line.split(":")[0] for line in lines] == ["depth  3", "depth  5", "depth  8"]
+    # pw-2c runs its four stages from depth 8 on
+    for line, pw_2c in zip(lines, ([], [], ["pw-2c"])):
         words = line.split()
-        assert words[2::5] == ["partition", "weight-bound"]
-        assert words[3::5] == ["produce", "produce"] and words[5::5] == ["recheck", "recheck"]
+        columns = ["partition", "weight-bound", "subset-reduction", *pw_2c]
+        assert words[2::5] == columns
+        assert set(words[3::5]) == {"produce"} and set(words[5::5]) == {"recheck"}
+        assert len(words) == 2 + 5 * len(columns)
 
 
 def test_emitted_scenarios_load_back_unchanged(monkeypatch, capsys, tmp_path):

@@ -242,6 +242,10 @@ def _hindman_scenario(**changes) -> dict:
     return _changed_scenario("hindman-case2", **changes)
 
 
+# the one oracle row of sep1-basic: its root's class labelled 5 is positive
+_SEP1_ROW = load_scenario("sep1-basic").to_json()["oracle"][0]
+
+
 @pytest.mark.parametrize(
     "scenario",
     [
@@ -341,6 +345,16 @@ def _hindman_scenario(**changes) -> dict:
             "kind": "table", "entries": [[x, -1 - x] for x in range(27)]}}]),
         _changed_scenario("posdiff-blocks", models=[{"index": 0, "labels": {
             "kind": "block-geometric", "start": 2, "base_label": -5, "ratio": 3}}]),
+        *(_changed_scenario("sep1-basic", oracle=[{**_SEP1_ROW, **change}])
+          for change in ({"candidate": 5.9}, {"candidate": "5"}, {"candidate": True},
+                         {"verdict": "maybe"}, {"verdict": None}, {"tag": "guess"},
+                         {"node": [0.5]}, {"node": [-1]})),
+        _changed_scenario("sep1-basic", assignments=[[[0], 5.9]]),
+        _changed_scenario("sep1-basic", assignments=[[[0], True]]),
+        *(_changed_scenario("posdiff-finite-labels", models=[{"index": 0, "labels": {
+            "kind": "table", "entries": entries}}])
+          for entries in ([[x, x % 3 + 0.9] for x in range(64)], [["5", 1]], [[5, True]],
+                          [[5, 1, 2]])),
         [1, 2],
         "x",
     ],
@@ -367,6 +381,12 @@ def _hindman_scenario(**changes) -> dict:
          "hindman-constant-label-list", "ramsey-pair-constant-label-text",
          "posdiff-constant-label-float", "posdiff-constant-label-negative",
          "pwfin-table-labels-negative", "posdiff-block-base-label-negative",
+         "tree-oracle-candidate-float", "tree-oracle-candidate-text",
+         "tree-oracle-candidate-bool", "tree-oracle-verdict-maybe", "tree-oracle-no-verdict",
+         "tree-oracle-tag-guess", "tree-oracle-node-float", "tree-oracle-node-negative",
+         "tree-assignment-value-float", "tree-assignment-value-bool",
+         "posdiff-table-labels-float", "posdiff-table-successor-text",
+         "posdiff-table-label-bool", "posdiff-table-entry-a-triple",
          "top-level-list", "top-level-string"],
 )
 def test_cli_diagonalize_rejects_malformed_scenarios(tmp_path, capsys, scenario):
@@ -704,6 +724,34 @@ def test_cli_collision_over_a_pwfin_run_is_refused_before_any_stage(
     dump_json(path, _changed_scenario("collision-posdiff", diag="pw-2b"))
     assert run(["diagonalize", "--scenario", str(path)]) == 2
     assert "schema error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form", ["path", "scenario-dir-name"])
+def test_cli_certify_refuses_a_collision_diag_outside_the_bundle(
+        tmp_path, capsys, monkeypatch, form):
+    # a file of the rechecking machine would decide the body, not the inputs
+    dump_json(tmp_path / "blocks.json", load_scenario("posdiff-blocks").to_json())
+    monkeypatch.setenv("IDEALBENCH_SCENARIOS", str(tmp_path))
+    diag = str(tmp_path / "blocks.json") if form == "path" else "blocks"
+    cert = certify.produce("collision", MINIMAL_INPUTS["collision"]())
+    cert["inputs"] = {"scenario": _changed_scenario("collision-posdiff", diag=diag)}
+    path = tmp_path / "certificate.json"
+    dump_json(path, cert)
+    assert run(["certify", "--in", str(path)]) == 2
+    assert "diag must be a bundled scenario name" in capsys.readouterr().err
+
+
+def test_a_collision_embeds_its_diagonalization_scenario(tmp_path, monkeypatch):
+    bundled = certify.produce("collision", MINIMAL_INPUTS["collision"]())
+    embedded = _changed_scenario("collision-posdiff",
+                                 diag=load_scenario("posdiff-blocks").to_json())
+    cert = certify.produce("collision", {"scenario": embedded})
+    assert certify.recheck(cert) == (True, "certificate re-verified")
+    assert canonical_dumps(cert["body"]) == canonical_dumps(bundled["body"])
+    # a bundled name resolves without any scenario directory
+    monkeypatch.setenv("IDEALBENCH_SCENARIOS", str(tmp_path))
+    assert canonical_dumps(certify.produce("collision", MINIMAL_INPUTS["collision"]())) == (
+        canonical_dumps(bundled))
 
 
 @pytest.mark.parametrize("kind", ["constant", "pair-constant", "table", "block-geometric"])
