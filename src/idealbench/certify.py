@@ -78,12 +78,17 @@ def _weight_bound(depth: int) -> dict:
     }
 
 
+def _extra_points(rng: random.Random, population: range) -> list:
+    """Up to two points of ``population``, sorted: never more than it holds."""
+    return sorted(rng.sample(population, min(rng.randrange(0, 3), len(population))))
+
+
 def _random_selector_pair(rng: random.Random, depth: int):
     """A nested selector pair: P almost included in Q by construction."""
     step = rng.choice([1, 2, 3])
     mult = rng.choice([1, 2, 3])
-    q_extra = sorted(rng.sample(range(depth), rng.randrange(0, 3)))
-    p_extra = sorted(rng.sample(range(max(1, depth // 2)), rng.randrange(0, 3)))
+    q_extra = _extra_points(rng, range(depth))
+    p_extra = _extra_points(rng, range(max(1, depth // 2)))
     q_set = Union((Progression(0, step), Finite(q_extra)))
     p_set = Union((Progression(0, step * mult), Finite(p_extra)))
     return p_set, q_set

@@ -38,17 +38,17 @@ from .construction import PartitionData, interval_weight, selector_weight
 from .errors import HorizonExhausted, ScenarioContradiction, SchemaError, StructuralError
 from .pairing import code_unordered, decode_unordered, pair_diag, unpair_diag
 from .ramsey import (
+    CASES,
     HINDMAN,
     RAMSEY,
     block_disjoint,
-    delta,
     fs,
     matching_cases,
     max_support,
     min_support,
 )
 from .serialize import integer_field, rat_str
-from .sets import DescribedSet, set_from_json
+from .sets import DescribedSet, delta, set_from_json
 from .ideals import diff_multiplicity
 
 
@@ -124,6 +124,12 @@ def _classes(pairs) -> Dict[object, list]:
     for key, x in pairs:
         groups.setdefault(key, []).append(x)
     return groups
+
+
+def _by_model(state) -> Dict[int, list]:
+    """Each model's stage records in stage order, the models in order of their first
+    stage, which is ascending: ``unpair_diag`` visits a new model after every lower one."""
+    return _classes((rec.i, rec) for rec in state.stages)
 
 
 def _heaviest_class(groups: Dict[int, list], bracket: Callable[[object], Tuple[int, int]],
@@ -954,8 +960,6 @@ def _sequence(kinds: GroundKinds, ground) -> Callable[[int], int]:
 
 # -- anchored engines: sums and pairs --------------------------------------------
 
-SUMS_FORMS = (1, 2, 3, 4, 5)
-PAIRS_FORMS = (1, 2, 3, 4)
 SUMS_SCAN_CAP = 64
 PAIRS_SCAN_CAP = 4096
 
@@ -1152,10 +1156,8 @@ def _assemble_anchored(state: AnchorState, blocks_of, canonical: str, point,
     measure = Fraction(0)
     families: Dict[str, dict] = {}
     stage_rows: List[dict] = []
-    for i, model in enumerate(state.models):
-        records = [rec for rec in state.stages if rec.i == i]
-        if not records:
-            continue
+    for i, records in _by_model(state).items():
+        model = state.models[i]
         blocks, family = blocks_of(i, model, [rec.anchor for rec in records])
         label_of = model.rule.label
         labels: Dict[int, int] = {}
@@ -1234,30 +1236,22 @@ def assemble_ramsey(state: AnchorState) -> dict:
 
 def assemble_posdiff(state: PosdiffState) -> dict:
     """Verify the difference engine invariants and return the run's payload."""
-    forbidden: set = set()
-    per_model_mass: Dict[int, Fraction] = {}
-    per_model_members: Dict[int, List[int]] = {}
-    stage_rows = [rec.to_json() for rec in state.stages]
-    for rec in state.stages:
-        forbidden.update(rec.c_labels)
-        per_model_mass[rec.i] = per_model_mass.get(rec.i, Fraction(0)) + rec.d_harmonic
-        per_model_members.setdefault(rec.i, []).extend(rec.d_members)
-    members = sorted(forbidden)
+    members = state.labels()
     table = diff_multiplicity(members)
     return {
         "engine": "posdiff",
-        "stages": stage_rows,
+        "stages": [rec.to_json() for rec in state.stages],
         "forbidden_labels": [str(c) for c in members],
         "forbidden_mass": rat_str(harmonic(members)),
         "difference_multiplicities": {str(d): c for d, c in sorted(table.items())},
         "families": {
             str(i): {
                 "structure": "divergent-harmonic",
-                "members": [str(x) for x in sorted(per_model_members[i])],
-                "harmonic_mass": rat_str(mass),
-                "stages": sum(1 for rec in state.stages if rec.i == i),
+                "members": [str(x) for x in sorted(x for rec in records for x in rec.d_members)],
+                "harmonic_mass": rat_str(sum((rec.d_harmonic for rec in records), Fraction(0))),
+                "stages": len(records),
             }
-            for i, mass in per_model_mass.items()
+            for i, records in _by_model(state).items()
         },
     }
 
@@ -1269,29 +1263,20 @@ def assemble_pwfin(state: PwfinState) -> dict:
     of ``pwfin_stage``), so the forbidden weight is at most the bound sum
     below 2, the closed form recorded.
     """
-    measure = Fraction(0)
-    per_model_weight: Dict[int, Fraction] = {}
-    rows = []
-    descriptors = []
-    for rec in state.stages:
-        measure += rec.c_weight_p
-        per_model_weight[rec.i] = per_model_weight.get(rec.i, Fraction(0)) + rec.d_weight_q
-        rows.append(rec.to_json())
-        descriptors.append(rec.c_labels)
     return {
         "engine": "pwfin",
-        "stages": rows,
-        "forbidden_labels": descriptors,
-        "forbidden_weight": rat_str(measure),
+        "stages": [rec.to_json() for rec in state.stages],
+        "forbidden_labels": [rec.c_labels for rec in state.stages],
+        "forbidden_weight": rat_str(sum((rec.c_weight_p for rec in state.stages), Fraction(0))),
         "closed_form_bound": "2/1",
         "families": {
             str(i): {
                 "structure": "divergent-weight",
-                "intervals": sorted(rec.n for rec in state.stages if rec.i == i),
-                "target_weight": rat_str(weight),
-                "stages": sum(1 for rec in state.stages if rec.i == i),
+                "intervals": sorted(rec.n for rec in records),
+                "target_weight": rat_str(sum((rec.d_weight_q for rec in records), Fraction(0))),
+                "stages": len(records),
             }
-            for i, weight in per_model_weight.items()
+            for i, records in _by_model(state).items()
         },
     }
 
@@ -1462,13 +1447,13 @@ ENGINES: Dict[str, Engine] = {
     "hindman": Engine(
         lambda scn, stages: run_hindman(scn.models(), stages, scn.scan_cap(SUMS_SCAN_CAP)),
         lambda state: assemble_hindman(state),
-        enumerate_family=_sums_enumeration, declares="form", values=SUMS_FORMS,
+        enumerate_family=_sums_enumeration, declares="form", values=CASES[HINDMAN],
         grounds=GROUND_KINDS,
     ),
     "ramsey": Engine(
         lambda scn, stages: run_ramsey(scn.models(), stages, scn.scan_cap(PAIRS_SCAN_CAP)),
         lambda state: assemble_ramsey(state),
-        enumerate_family=_clique_enumeration, declares="form", values=PAIRS_FORMS, pairs=True,
+        enumerate_family=_clique_enumeration, declares="form", values=CASES[RAMSEY], pairs=True,
         grounds=VERTEX_KINDS,
     ),
 }

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -27,7 +28,7 @@ from .construction import (
 from .errors import SchemaError
 from .pairing import code_unordered
 from .serialize import integer_field, rat_str
-from .sets import DescribedSet, is_co_infinite, set_from_json, subset_sums
+from .sets import DescribedSet, ascending_tuples, is_co_infinite, set_from_json, subset_sums
 
 IN = "in"
 OUT = "out"
@@ -152,10 +153,8 @@ def ideal_from_json(obj: dict) -> IdealDescriptor:
 # -- weights ----------------------------------------------------------------
 
 def weight_of(w: WeightFunction, members: Iterable[int]) -> Fraction:
-    total = Fraction(0)
-    for m in set(members):
-        total += w(m)
-    return total
+    """Exact weight of a finite set: the sum of ``w`` over its distinct members."""
+    return sum(map(w, set(members)), Fraction(0))
 
 
 def density_at(a: DescribedSet, n: int) -> Fraction:
@@ -169,10 +168,7 @@ def density_at(a: DescribedSet, n: int) -> Fraction:
 # -- membership -------------------------------------------------------------
 
 def _sum_partial(ideal, s: DescribedSet, horizon: int) -> dict:
-    w = ideal.weight
-    total = Fraction(0)
-    for x in s.enumerate_upto(horizon):
-        total += w(x)
+    total = weight_of(ideal.weight, s.enumerate_upto(horizon))
     return {"partial_weight": rat_str(total), "horizon": horizon}
 
 
@@ -337,22 +333,14 @@ def hindman_witness_search(
     """Lexicographically least B with |B| = size and all sums inside a, below horizon."""
     if size < 1:
         raise ValueError("witness size must be >= 1")
+    # the sums of the prefixes on the search path, at most ``size`` of them
+    prefix_sums = lru_cache(maxsize=size)(subset_sums)
 
-    def extend(prefix: Tuple[int, ...], partial_sums: Tuple[int, ...], lo: int):
-        if len(prefix) == size:
-            return prefix
-        for x in range(lo, horizon):
-            if not a.contains(x):
-                continue
-            new_sums = [x] + [s + x for s in partial_sums]
-            if any(t >= horizon or not a.contains(t) for t in new_sums):
-                continue
-            got = extend(prefix + (x,), partial_sums + tuple(new_sums), x + 1)
-            if got is not None:
-                return got
-        return None
+    def fits(prefix: Tuple[int, ...], x: int) -> bool:
+        return a.contains(x) and all(
+            s + x < horizon and a.contains(s + x) for s in prefix_sums(prefix))
 
-    return extend((), (), 0)
+    return next(ascending_tuples(size, 0, horizon, fits), None)
 
 
 def ramsey_witness_search(
@@ -362,17 +350,10 @@ def ramsey_witness_search(
     if size < 2:
         raise ValueError("clique size must be >= 2")
 
-    def extend(prefix: Tuple[int, ...], lo: int):
-        if len(prefix) == size:
-            return prefix
-        for v in range(lo, horizon):
-            if all(a.contains(code_unordered(u, v)) for u in prefix):
-                got = extend(prefix + (v,), v + 1)
-                if got is not None:
-                    return got
-        return None
+    def fits(prefix: Tuple[int, ...], v: int) -> bool:
+        return all(a.contains(code_unordered(u, v)) for u in prefix)
 
-    return extend((), 0)
+    return next(ascending_tuples(size, 0, horizon, fits), None)
 
 
 def verify_sum_witness(a: DescribedSet, b: Iterable[int]) -> bool:

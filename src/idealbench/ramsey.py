@@ -25,12 +25,10 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .ideals import diff_multiplicity
-from .sets import subset_sums
+from .sets import ascending_tuples, delta, subset_sums  # delta: also read as ramsey.delta
 
 RAMSEY = "ramsey"
 HINDMAN = "hindman"
-
-_CASE_RANGE = {RAMSEY: (1, 2, 3, 4), HINDMAN: (1, 2, 3, 4, 5)}
 
 
 @dataclass(frozen=True)
@@ -39,7 +37,7 @@ class CanonicalForm:
     case: int
 
     def __post_init__(self):
-        if self.case not in _CASE_RANGE[self.family]:
+        if self.case not in CASES[self.family]:
             raise ValueError(f"case {self.case} outside {self.family} range")
 
 
@@ -80,12 +78,6 @@ def max_support(x: int) -> int:
     if x < 1:
         raise ValueError("support is defined for positive naturals")
     return 1 << (x.bit_length() - 1)
-
-
-def delta(b: Iterable[int]) -> Tuple[int, ...]:
-    """Positive differences of distinct elements."""
-    members = sorted(set(b))
-    return tuple(sorted({y - x for x, y in combinations(members, 2)}))
 
 
 def difference_mask(family: Iterable[int]) -> int:
@@ -133,6 +125,8 @@ _CASE_KEYS = {
         (5, lambda x: x),
     ),
 }
+# each family's case numbers, ascending
+CASES = {family: tuple(case for case, _ in keys) for family, keys in _CASE_KEYS.items()}
 
 
 def _biconditional(keys: Sequence, key_count: int, values: Sequence, value_count: int) -> bool:
@@ -237,20 +231,6 @@ def canonical_ramsey_search(
     return None
 
 
-def _block_disjoint_tuples(length: int, bound: int):
-    """Ascending block-disjoint tuples with all entries below bound, lex order."""
-
-    def extend(prefix: Tuple[int, ...], lo: int):
-        if len(prefix) == length:
-            yield prefix
-            return
-        for h in range(lo, bound):
-            if not prefix or max_support(prefix[-1]) < min_support(h):
-                yield from extend(prefix + (h,), h + 1)
-
-    yield from extend((), 1)
-
-
 def canonical_hindman_search(
     f: Dict, sum_bound: int, m: int
 ) -> Optional[Tuple[Tuple[int, ...], CanonicalForm]]:
@@ -260,13 +240,13 @@ def canonical_hindman_search(
     """
     if m < 1:
         raise ValueError("need at least one element")
-    for h in _block_disjoint_tuples(m, sum_bound):
-        if sum(h) >= sum_bound:
-            continue
-        domain = list(fs(h))
-        if domain[-1] >= sum_bound:
-            continue
-        form = classify_canonical(f, domain, HINDMAN)
+
+    def fits(prefix: Tuple[int, ...], h: int) -> bool:
+        # a tuple's largest sum is its total, which extending only raises
+        return sum(prefix) + h < sum_bound and block_disjoint(prefix[-1:] + (h,))
+
+    for h in ascending_tuples(m, 1, sum_bound, fits):
+        form = classify_canonical(f, fs(h), HINDMAN)
         if form is not None:
             return h, form
     return None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Tuple
 
 from .errors import SchemaError, StructuralError
 
@@ -117,8 +117,18 @@ class Progression(DescribedSet):
         return {"kind": "ap", "base": self.base, "step": self.step}
 
 
+class _Listed(DescribedSet):
+    """A finite set that lists its ``members()``: its shape, and membership by lookup."""
+
+    def contains(self, x: int) -> bool:
+        return x in self.members()
+
+    def shape(self):
+        return ("finite", self.members())
+
+
 @dataclass(frozen=True)
-class Intervals(DescribedSet):
+class Intervals(_Listed):
     """Union of half-open intervals [a, b)."""
 
     spans: Tuple[Tuple[int, int], ...]
@@ -139,25 +149,45 @@ class Intervals(DescribedSet):
             out.update(range(a, b))
         return tuple(sorted(out))
 
-    def shape(self):
-        return ("finite", self.members())
-
     def to_json(self) -> dict:
         return {"kind": "intervals", "spans": [list(s) for s in self.spans]}
 
 
 def subset_sums(gens: Tuple[int, ...]) -> Tuple[int, ...]:
     """All non-empty subset sums of a finite set of distinct naturals."""
-    sums = set()
     acc = {0}
     for g in gens:
         acc |= {s + g for s in acc}
-    sums = acc - {0}
-    return tuple(sorted(sums))
+    return tuple(sorted(acc - {0}))
+
+
+def ascending_tuples(size: int, lo: int, hi: int,
+                     fits: Callable[[Tuple[int, ...], int], bool]) -> Iterator[Tuple[int, ...]]:
+    """Ascending tuples of ``size`` entries from lo .. hi - 1 in lexicographic order.
+
+    An entry ``x`` extends a prefix only when ``fits(prefix, x)``, so a
+    prefix that fails is never extended further.
+    """
+
+    def extend(prefix: Tuple[int, ...], start: int) -> Iterator[Tuple[int, ...]]:
+        if len(prefix) == size:
+            yield prefix
+            return
+        for x in range(start, hi):
+            if fits(prefix, x):
+                yield from extend(prefix + (x,), x + 1)
+
+    return extend((), lo)
+
+
+def delta(b: Iterable[int]) -> Tuple[int, ...]:
+    """Positive differences of distinct elements."""
+    members = sorted(set(b))
+    return tuple(sorted({y - x for x, y in combinations(members, 2)}))
 
 
 @dataclass(frozen=True)
-class SumsOf(DescribedSet):
+class SumsOf(_Listed):
     """Finite non-empty sums of distinct elements of a finite generator set."""
 
     generators: Tuple[int, ...]
@@ -171,18 +201,12 @@ class SumsOf(DescribedSet):
     def members(self) -> Tuple[int, ...]:
         return subset_sums(self.generators)
 
-    def contains(self, x: int) -> bool:
-        return x in self.members()
-
-    def shape(self):
-        return ("finite", self.members())
-
     def to_json(self) -> dict:
         return {"kind": "fs_closure", "generators": list(self.generators)}
 
 
 @dataclass(frozen=True)
-class DiffsOf(DescribedSet):
+class DiffsOf(_Listed):
     """Positive differences of distinct elements of a finite generator set."""
 
     generators: Tuple[int, ...]
@@ -191,14 +215,7 @@ class DiffsOf(DescribedSet):
         object.__setattr__(self, "generators", _nat_tuple(generators))
 
     def members(self) -> Tuple[int, ...]:
-        g = self.generators
-        return tuple(sorted({b - a for a, b in combinations(g, 2)}))
-
-    def contains(self, x: int) -> bool:
-        return x in self.members()
-
-    def shape(self):
-        return ("finite", self.members())
+        return delta(self.generators)
 
     def to_json(self) -> dict:
         return {"kind": "delta_image", "generators": list(self.generators)}

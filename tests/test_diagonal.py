@@ -1086,6 +1086,68 @@ def test_open_block_stop_message_is_pinned():
     )
 
 
+def two_model_scenario(name, models):
+    """The bundled scenario ``name`` with the given models, indexed 0, 1, ..."""
+    scenario = copy.deepcopy(load_scenario(name).to_json())
+    scenario["name"] = f"{name}-two-models"
+    scenario["models"] = [{**model, "index": i} for i, model in enumerate(models)]
+    return scenario
+
+
+# every engine with two models, so that assembly groups the records of
+# interleaved stages by model
+TWO_MODEL_SCENARIOS = (
+    two_model_scenario("hindman-case2", [
+        {"form": 2, "ground": {"kind": "powers-of-two"}, "labels": {"kind": "min-support"}},
+        {"form": 5, "ground": {"kind": "powers-of-two"}, "labels": {"kind": "identity"}}]),
+    two_model_scenario("ramsey-case2", [
+        {"form": 2, "ground": {"kind": "all"}, "labels": {"kind": "pair-min"}},
+        {"form": 4, "ground": {"kind": "all"}, "labels": {"kind": "pair-code"}}]),
+    two_model_scenario("posdiff-blocks", [
+        {"labels": {"kind": "block-geometric", "start": 2, "base_label": 5, "ratio": 3}},
+        {"labels": {"kind": "identity"}}]),
+    generated_pwfin_scenario(("2b", "2c"), 14),
+)
+
+
+def _outcome_bytes(kind, scenario, stages):
+    """Canonical bytes of a seed-0 certificate, or the error a run stops with."""
+    inputs = {"scenario": scenario}
+    if stages is not None:
+        inputs["stages"] = stages
+    try:
+        return canonical_bytes(certify.produce(kind, inputs, 0))
+    except (HorizonExhausted, SchemaError) as exc:
+        return f"{type(exc).__name__}: {exc}".encode()
+
+
+# sha256 over the certificates of every bundled diagonalization scenario and
+# of TWO_MODEL_SCENARIOS at stages 1-6 (both outcomes, and runs that exhaust
+# their horizon), the structural-identity certificates of the four identity
+# scenarios at stages 1-6, and the bundled collision certificate, as the
+# per-engine grouping of stage records wrote them
+PINNED_ENGINE_GRID = "53c20aedb9b80492e6863e3b35f2638c9a6cb2fbc866882ec954058d6662e088"
+
+
+def test_engine_certificate_grid_is_pinned():
+    from idealbench.acceptance import IDENTITY_SCENARIOS
+    from idealbench.scenarios import DiagScenario, bundled_names
+
+    bundled = [load_scenario(name) for name in bundled_names()]
+    scenarios = [s.to_json() for s in bundled if isinstance(s, DiagScenario)]
+    scenarios += TWO_MODEL_SCENARIOS
+    assert {s["expect"] for s in scenarios} == {"stages", "contradiction"}
+    digest = hashlib.sha256()
+    for stages in range(1, 7):
+        for scenario in scenarios:
+            digest.update(_outcome_bytes("diagonalization", scenario, stages))
+        for name in IDENTITY_SCENARIOS:
+            digest.update(_outcome_bytes("structural-identity", load_scenario(name).to_json(),
+                                         stages))
+    digest.update(_outcome_bytes("collision", load_scenario("collision-posdiff").to_json(), None))
+    assert digest.hexdigest() == PINNED_ENGINE_GRID
+
+
 # -- stage bookkeeping ---------------------------------------------------------------
 
 def test_model_visits_never_outrun_the_stage():

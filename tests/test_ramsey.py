@@ -712,3 +712,47 @@ def test_recheck_recomputes_every_colouring(monkeypatch):
         calls.clear()
         assert certify.recheck(cert) == (True, "certificate re-verified")
         assert len(calls) == 203 + 10000
+
+
+# -- pinned search outputs ---------------------------------------------------------------
+
+def _search_grid():
+    """(search, its output) over a grid of sets, sizes and horizons, misses included."""
+    from idealbench.ideals import hindman_witness_search, ramsey_witness_search
+    from idealbench.sets import (Cofinite, Complement, Finite, Intervals, Progression, Union,
+                                 modular_avoiders)
+
+    sets = (Progression(0, 3), Progression(1, 2), Progression(2, 4), modular_avoiders(3),
+            Cofinite((0, 1, 2, 5)), Finite((1, 2, 3, 5, 8, 13)), Finite(()),
+            Intervals(((3, 9), (20, 40))), Complement(Progression(1, 3)),
+            Union((Progression(0, 5), Finite((1, 2, 4)))))
+    for a in sets:
+        for size in (1, 2, 3):
+            for horizon in (0, 9, 40, 130):
+                yield "hindman", hindman_witness_search(a, size, horizon)
+        for size in (2, 3, 4):
+            for horizon in (0, 6, 15, 30):
+                yield "ramsey", ramsey_witness_search(a, size, horizon)
+    rng = random.Random(27)
+    colourings = (lambda x: 0, lambda x: x, min_support, max_support, lambda x: x % 3,
+                  lambda x: bin(x).count("1") % 2, lambda x: rng.randrange(3))
+    for colour in colourings:
+        for sum_bound in (1, 8, 20, 64):
+            f = {x: colour(x) for x in range(1, sum_bound)}
+            for m in (1, 2, 3):
+                found = canonical_hindman_search(f, sum_bound, m)
+                yield "canonical", None if found is None else (found[0], found[1].case)
+
+
+# sha256 over the repr of every output of _search_grid, as the three hand-written
+# depth-first searches found them
+PINNED_SEARCH_GRID = "8eb88cbb277e8563925ba9c9152bb350c56b614473eca843f9e338c3e10c3629"
+
+
+def test_witness_and_canonical_search_outputs_are_pinned():
+    outputs = list(_search_grid())
+    assert any(found is None for _, found in outputs)
+    assert all(any(found is not None for what, found in outputs if what == search)
+               for search in ("hindman", "ramsey", "canonical"))
+    digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
+    assert digest == PINNED_SEARCH_GRID

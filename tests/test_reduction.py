@@ -93,25 +93,29 @@ def test_subset_reduction_reports_exception_bound():
 
 
 # sha256 over the canonical bytes of subset-reduction certificates at depths
-# 1-20 and 22, per (seed, pairs) in SUBSET_REDUCTION_RUNS, as the exact
-# weight comparison past the exception bound wrote them.  Below depth 4 a
-# pair may draw more extra indices than the depth has, and production raises
-# ValueError; such a run adds the bytes "ValueError".
+# 4-20 and 22, per (seed, pairs) in SUBSET_REDUCTION_RUNS, as the exact
+# weight comparison past the exception bound wrote them
 SUBSET_REDUCTION_RUNS = ((0, 1), (1, 5), (5, 12))
-PINNED_SUBSET_REDUCTIONS = "c5083a25965d273b631f16e3e928a1e3b68592a2b0e104ebfc0499d50ec2deb0"
+PINNED_SUBSET_REDUCTIONS = "4ac1b25a348d263391738dee04060cb03f2e5c5339e2aaa8fc2eeabf6cb5fc49"
 
 
 def test_subset_reduction_certificate_bytes_are_pinned():
     digest = hashlib.sha256()
-    for depth in (*range(1, 21), 22):
+    for depth in (*range(4, 21), 22):
         for seed, pairs in SUBSET_REDUCTION_RUNS:
-            try:
-                cert = certify.produce("subset-reduction", {"depth": depth, "pairs": pairs}, seed)
-            except ValueError:
-                digest.update(b"ValueError")
-            else:
-                digest.update(canonical_bytes(cert))
+            cert = certify.produce("subset-reduction", {"depth": depth, "pairs": pairs}, seed)
+            digest.update(canonical_bytes(cert))
     assert digest.hexdigest() == PINNED_SUBSET_REDUCTIONS
+
+
+def test_subset_reduction_below_depth_4_produces_and_rechecks():
+    # below depth 4 a pair may draw more extra points than the depth has;
+    # each draw takes as many as there are
+    for depth in (1, 2, 3):
+        for seed in range(20):
+            cert = certify.produce("subset-reduction", {"depth": depth, "pairs": 5}, seed)
+            assert cert["body"]["all_included"]
+            assert certify.recheck(cert) == (True, "certificate re-verified")
 
 
 def test_height_one_certificate_and_revalidation():

@@ -102,3 +102,27 @@ def test_bench_fold_refuses_runs_it_cannot_compare(monkeypatch, capsys, tmp_path
                       "--parent", *parents, "--change", *changes) == 2
     assert capsys.readouterr().err.startswith("bench_fold: ")
     assert not (tmp_path / "BENCH_abc1234.json").exists()
+
+
+
+@pytest.mark.parametrize("tamper", [False, True])
+def test_check_refs_compares_each_output_with_its_reference(monkeypatch, capsys, tamper):
+    monkeypatch.syspath_prepend(str(SCRIPTS.parent))
+    from perfbench import harness, workloads
+
+    universe = workloads.universe
+    # one job of each type: a certificate, a bundled scenario and a partition
+    # through the CLI
+    picks = {"partition-deep": ("cli-partition",), "engine-stages": ("cert", "cli-scenario")}
+    monkeypatch.setattr(workloads, "universe", lambda workload: [
+        next(job for job in universe(workload) if job["type"] == kind)
+        for kind in picks.get(workload, ())])
+    refs = harness.load_refs()
+    if tamper:
+        refs[harness.ref_key({"cli": "construct", "depth": 12})] = "0" * 64
+    monkeypatch.setattr(harness, "load_refs", lambda: refs)
+    assert run_script(monkeypatch, "check_refs.py") == (1 if tamper else 0)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith(f"{3 if tamper else 4} of 4 outputs match perfbench/refs.json")
+    assert lines[-1].endswith(": 1 cert, 1 construct, 1 diagonalize, 1 verify-construction")
+    assert lines[:-1] == (['differs: {"cli": "construct", "depth": 12}'] if tamper else [])
