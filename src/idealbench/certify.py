@@ -233,7 +233,7 @@ def _tree_labelling(scenario: TreeScenario) -> dict:
         found = path_value_search(labelled, root_label)
         path = None if found is None else [list(n) for n in found]
     root = "bot" if root_label is None else root_label
-    expected = scenario.payload.get("expect_root_label")
+    expected = scenario.expect_root_label
     declared = scenario.declared_critical()
     return {
         "root_label": root,

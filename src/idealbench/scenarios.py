@@ -57,7 +57,7 @@ def model_from_json(obj: dict, partition: Optional[PartitionData] = None) -> Cri
     if not isinstance(obj, dict) or "labels" not in obj:
         raise SchemaError("a model must be an object with labels")
     return CriticalNodeModel(
-        index=obj.get("index", 0),
+        index=integer_field(obj, "index", 0, "a model", minimum=0),
         rule=rule_from_json(obj["labels"], partition),
         case=obj.get("case"),
         form=obj.get("form"),
@@ -106,6 +106,7 @@ class Scenario:
         return {"scenario": self.to_json()}
 
 
+@dataclass(frozen=True)
 class DiagScenario(Scenario):
     certificate_kind = "diagonalization"
 
@@ -116,6 +117,11 @@ class DiagScenario(Scenario):
     @property
     def expect(self) -> str:
         return self.payload.get("expect", "stages")
+
+    def __post_init__(self):
+        if self.expect not in ("stages", "contradiction"):
+            raise SchemaError(f"scenario {self.name!r}: expect must be stages or "
+                              f"contradiction, not {self.expect!r}")
 
     @property
     def default_stages(self) -> int:
@@ -155,11 +161,23 @@ def _oracle_row(row) -> bool:
     return (isinstance(row, dict) and _node(row.get("node"))
             and (row.get("candidate") is None or type(row["candidate"]) is int)
             and row.get("verdict") in ("in", "out")
-            and row.get("tag", "assumption") in ("assumption", "derived"))
+            and row.get("tag", "assumption") in ("assumption", "derived")
+            and isinstance(row.get("statement", ""), str))
 
 
+@dataclass(frozen=True)
 class TreeScenario(Scenario):
     certificate_kind = "tree-labelling"
+
+    @property
+    def expect_root_label(self):
+        return self.payload.get("expect_root_label")
+
+    def __post_init__(self):
+        label = self.expect_root_label
+        if not (label is None or label == "bot" or type(label) is int and label >= 0):
+            raise SchemaError(f"scenario {self.name!r}: expect_root_label must be a natural, "
+                              f"\"bot\" or null, not {label!r}")
 
     @property
     def horizon(self) -> int:
@@ -203,7 +221,8 @@ class TreeScenario(Scenario):
     def oracle(self) -> PositivityOracle:
         oracle = PositivityOracle()
         for row in self._rows("oracle", "objects with a node list, an integer or null "
-                              "candidate, an in/out verdict and an assumption/derived tag",
+                              "candidate, an in/out verdict, an assumption/derived tag "
+                              "and a string statement",
                               _oracle_row):
             oracle.stipulate(
                 tuple(row["node"]),

@@ -186,6 +186,8 @@ def check_assumptions(entries: Any, where: str) -> List[dict]:
             raise SchemaError(f"{where}: assumption entries need 'tag' and 'statement'")
         if e["tag"] not in ("assumption", "derived"):
             raise SchemaError(f"{where}: assumption tag must be assumption|derived")
+        if not isinstance(e["statement"], str):
+            raise SchemaError(f"{where}: an assumption statement must be a string")
         out.append({"tag": e["tag"], "statement": e["statement"]})
     return out
 

@@ -17,6 +17,9 @@ from typing import Callable, Iterable, Iterator, Optional, Tuple
 from .errors import SchemaError, StructuralError
 
 _FS_GEN_CAP = 22  # 2^22 subset sums is already beyond any sane scenario
+# most members an intervals descriptor lists, and most generator pairs (so
+# members) a delta_image descriptor has: each lists them on every lookup
+_LISTED_CAP = 1 << 16
 
 
 def _int(x, what: str) -> int:
@@ -135,9 +138,13 @@ class Intervals(_Listed):
 
     def __init__(self, spans: Iterable[Tuple[int, int]]):
         norm = tuple(sorted((_int(a, "span end"), _int(b, "span end")) for a, b in spans))
+        covered = end = 0
         for a, b in norm:
             if a < 0 or b < a:
                 raise StructuralError(f"bad interval [{a}, {b})")
+            covered, end = covered + max(0, b - max(a, end)), max(end, b)
+        if covered > _LISTED_CAP:
+            raise StructuralError(f"intervals hold {covered} members, more than {_LISTED_CAP}")
         object.__setattr__(self, "spans", norm)
 
     def contains(self, x: int) -> bool:
@@ -212,7 +219,11 @@ class DiffsOf(_Listed):
     generators: Tuple[int, ...]
 
     def __init__(self, generators: Iterable[int]):
-        object.__setattr__(self, "generators", _nat_tuple(generators))
+        gens = _nat_tuple(generators)
+        if len(gens) * (len(gens) - 1) // 2 > _LISTED_CAP:
+            raise StructuralError(f"{len(gens)} generators have more than {_LISTED_CAP} "
+                                  f"pairs to difference")
+        object.__setattr__(self, "generators", gens)
 
     def members(self) -> Tuple[int, ...]:
         return delta(self.generators)

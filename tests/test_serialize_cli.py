@@ -348,13 +348,23 @@ _SEP1_ROW = load_scenario("sep1-basic").to_json()["oracle"][0]
         *(_changed_scenario("sep1-basic", oracle=[{**_SEP1_ROW, **change}])
           for change in ({"candidate": 5.9}, {"candidate": "5"}, {"candidate": True},
                          {"verdict": "maybe"}, {"verdict": None}, {"tag": "guess"},
-                         {"node": [0.5]}, {"node": [-1]})),
+                         {"node": [0.5]}, {"node": [-1]}, {"statement": [1, {"a": 2}]})),
         _changed_scenario("sep1-basic", assignments=[[[0], 5.9]]),
         _changed_scenario("sep1-basic", assignments=[[[0], True]]),
         *(_changed_scenario("posdiff-finite-labels", models=[{"index": 0, "labels": {
             "kind": "table", "entries": entries}}])
           for entries in ([[x, x % 3 + 0.9] for x in range(64)], [["5", 1]], [[5, True]],
                           [[5, 1, 2]])),
+        _hindman_scenario(expect=7),
+        _hindman_scenario(expect="stage"),
+        _hindman_scenario(assumptions=[{"tag": "assumption", "statement": [1, {"a": 2}]}]),
+        _hindman_scenario(models=[{"index": "junk", "form": 2, "labels": {"kind": "min-support"},
+                                   "ground": {"kind": "powers-of-two"}}]),
+        _hindman_scenario(models=[{"index": -1, "form": 2, "labels": {"kind": "min-support"},
+                                   "ground": {"kind": "powers-of-two"}}]),
+        _changed_scenario("sep1-basic", expect_root_label={"x": 1}),
+        _changed_scenario("sep1-basic", expect_root_label=-1),
+        _changed_scenario("sep1-basic", expect_root_label="5"),
         [1, 2],
         "x",
     ],
@@ -384,9 +394,13 @@ _SEP1_ROW = load_scenario("sep1-basic").to_json()["oracle"][0]
          "tree-oracle-candidate-float", "tree-oracle-candidate-text",
          "tree-oracle-candidate-bool", "tree-oracle-verdict-maybe", "tree-oracle-no-verdict",
          "tree-oracle-tag-guess", "tree-oracle-node-float", "tree-oracle-node-negative",
+         "tree-oracle-statement-not-a-string",
          "tree-assignment-value-float", "tree-assignment-value-bool",
          "posdiff-table-labels-float", "posdiff-table-successor-text",
          "posdiff-table-label-bool", "posdiff-table-entry-a-triple",
+         "expect-a-number", "expect-unknown", "assumption-statement-not-a-string",
+         "model-index-text", "model-index-negative", "tree-expect-root-label-object",
+         "tree-expect-root-label-negative", "tree-expect-root-label-text",
          "top-level-list", "top-level-string"],
 )
 def test_cli_diagonalize_rejects_malformed_scenarios(tmp_path, capsys, scenario):
@@ -713,6 +727,26 @@ def test_cli_diagonalize_refuses_stages_for_scenarios_without_a_stage_count(
     assert load_json(out) == certify.produce(scn.certificate_kind, {"scenario": scn.to_json()}, 0)
 
 
+@pytest.mark.parametrize("scenario", [
+    _hindman_scenario(expect=7),
+    _hindman_scenario(models=[{"index": "junk", "form": 2, "labels": {"kind": "min-support"},
+                               "ground": {"kind": "powers-of-two"}}]),
+    _changed_scenario("sep1-basic", expect_root_label={"x": 1}),
+    _changed_scenario("sep1-basic", oracle=[{**_SEP1_ROW, "statement": 5}]),
+], ids=["expect", "model-index", "expect-root-label", "oracle-statement"])
+def test_untyped_scenario_fields_are_refused_before_any_work(
+        tmp_path, capsys, monkeypatch, scenario):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a stage or a labelling ran")
+
+    monkeypatch.setattr(diagonal, "run_stages", no_work)
+    monkeypatch.setattr(certify, "compute_labels", no_work)
+    path = tmp_path / "scenario.json"
+    dump_json(path, scenario)
+    assert run(["diagonalize", "--scenario", str(path)]) == 2
+    assert "schema error" in capsys.readouterr().err
+
+
 def test_cli_collision_over_a_pwfin_run_is_refused_before_any_stage(
         tmp_path, capsys, monkeypatch):
     # pwfin families list intervals, not members, so no member can meet the tree
@@ -844,6 +878,9 @@ def test_cli_membership(capsys):
         ('{"kind": "fin"}', '{"kind": "intervals", "spans": [[1, "8"]]}'),
         ('{"kind": "fin"}', '{"kind": "ap", "base": true, "step": 2}'),
         ('{"kind": "fin"}', '{"kind": "ap", "base": 1, "step": 2.0}'),
+        ('{"kind": "fin"}', '{"kind": "intervals", "spans": [[0, 65537]]}'),
+        ('{"kind": "fin"}', '{"kind": "intervals", "spans": [[0, 1000000000]]}'),
+        ('{"kind": "fin"}', json.dumps({"kind": "delta_image", "generators": list(range(363))})),
     ],
     ids=["finite-without-members", "unknown-set-kind", "set-not-an-object",
          "nested-ap-without-step", "unknown-ideal-kind", "ideal-not-an-object",
@@ -851,7 +888,8 @@ def test_cli_membership(capsys):
          "ap-base-text", "union-parts-number", "intervals-reversed-span",
          "fs-closure-past-generator-cap", "finite-member-float", "finite-member-bool",
          "finite-member-text", "intervals-end-float", "intervals-end-text", "ap-base-bool",
-         "ap-step-float"],
+         "ap-step-float", "intervals-past-member-cap", "intervals-of-a-billion",
+         "delta-image-past-pair-cap"],
 )
 def test_cli_membership_rejects_malformed_descriptors(capsys, ideal, described):
     assert run(["membership", "--ideal", ideal, "--set", described]) == 2

@@ -3,8 +3,10 @@
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, strategies as st
 
+from idealbench.errors import StructuralError
 from idealbench.sets import (
     Cofinite,
     Complement,
@@ -46,6 +48,17 @@ def test_diffs_of():
     assert DiffsOf({1, 3, 6}).members() == (2, 3, 5)
     assert DiffsOf({5}).members() == ()
     assert DiffsOf({0, 1, 2}).members() == (1, 2)
+
+
+def test_listed_descriptors_are_capped_at_2_16_members():
+    # a union of spans counts each member once, however the spans overlap
+    assert Intervals([(0, 40000), (30000, 1 << 16), (9, 9)]).spans
+    assert len(DiffsOf(range(362)).generators) == 362     # 65,341 pairs
+    for spans in ([(0, (1 << 16) + 1)], [(0, 40000), (39999, (1 << 16) + 1)], [(0, 10**9)]):
+        with pytest.raises(StructuralError, match="more than 65536"):
+            Intervals(spans)
+    with pytest.raises(StructuralError, match="363 generators have more than 65536 pairs"):
+        DiffsOf(range(363))
 
 
 small_descriptors = st.sampled_from(
