@@ -914,8 +914,8 @@ def run_posdiff(
 def _explicit(what: str):
     def sequence(ground: dict) -> Callable[[int], int]:
         seq = ground.get("members")
-        if not isinstance(seq, list):
-            raise SchemaError(f"an explicit {what} sequence needs a members list")
+        if not isinstance(seq, list) or not all(type(x) is int and x >= 0 for x in seq):
+            raise SchemaError(f"an explicit {what} sequence needs a members list of naturals")
 
         def element(j: int) -> int:
             if j >= len(seq):

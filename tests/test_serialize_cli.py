@@ -365,6 +365,13 @@ _SEP1_ROW = load_scenario("sep1-basic").to_json()["oracle"][0]
         _changed_scenario("sep1-basic", expect_root_label={"x": 1}),
         _changed_scenario("sep1-basic", expect_root_label=-1),
         _changed_scenario("sep1-basic", expect_root_label="5"),
+        *(_hindman_scenario(models=[{"index": 0, "form": 2, "labels": {"kind": "min-support"},
+                                     "ground": {"kind": "explicit", "members": members}}])
+          for members in (["a", "b"], [1.5, 2.5])),
+        *(_changed_scenario("ramsey-case2", models=[{
+            "index": 0, "form": 2, "labels": {"kind": "pair-min"},
+            "ground": {"kind": "explicit", "members": members}}])
+          for members in ([0.5, 1, 2], [-3, -1, 2], [True, 2, 3])),
         [1, 2],
         "x",
     ],
@@ -401,6 +408,9 @@ _SEP1_ROW = load_scenario("sep1-basic").to_json()["oracle"][0]
          "expect-a-number", "expect-unknown", "assumption-statement-not-a-string",
          "model-index-text", "model-index-negative", "tree-expect-root-label-object",
          "tree-expect-root-label-negative", "tree-expect-root-label-text",
+         "hindman-explicit-ground-text", "hindman-explicit-ground-float",
+         "ramsey-explicit-vertex-float", "ramsey-explicit-vertex-negative",
+         "ramsey-explicit-vertex-bool",
          "top-level-list", "top-level-string"],
 )
 def test_cli_diagonalize_rejects_malformed_scenarios(tmp_path, capsys, scenario):
