@@ -142,7 +142,8 @@ class Intervals(_Listed):
         for a, b in norm:
             if a < 0 or b < a:
                 raise StructuralError(f"bad interval [{a}, {b})")
-            covered, end = covered + max(0, b - max(a, end)), max(end, b)
+            covered += max(0, b - max(a, end))
+            end = max(end, b)
         if covered > _LISTED_CAP:
             raise StructuralError(f"intervals hold {covered} members, more than {_LISTED_CAP}")
         object.__setattr__(self, "spans", norm)
