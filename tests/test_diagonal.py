@@ -20,6 +20,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from idealbench import certify, diagonal
+from idealbench.acceptance import IDENTITY_SCENARIOS
 from idealbench.construction import PartitionData, build_partition
 from idealbench.diagonal import (
     CriticalNodeModel,
@@ -46,7 +47,7 @@ from idealbench.errors import HorizonExhausted, ScenarioContradiction, SchemaErr
 from idealbench.ideals import diff_multiplicity
 from idealbench.pairing import code_unordered, unpair_diag
 from idealbench.ramsey import block_disjoint, delta, eventually_sparse_check
-from idealbench.scenarios import load_scenario
+from idealbench.scenarios import DiagScenario, bundled_names, load_scenario
 from idealbench.serialize import canonical_bytes, rat_parse, rat_str
 from idealbench.sets import Cofinite, Finite, Progression
 
@@ -1130,9 +1131,6 @@ PINNED_ENGINE_GRID = "53c20aedb9b80492e6863e3b35f2638c9a6cb2fbc866882ec954058d66
 
 
 def test_engine_certificate_grid_is_pinned():
-    from idealbench.acceptance import IDENTITY_SCENARIOS
-    from idealbench.scenarios import DiagScenario, bundled_names
-
     bundled = [load_scenario(name) for name in bundled_names()]
     scenarios = [s.to_json() for s in bundled if isinstance(s, DiagScenario)]
     scenarios += TWO_MODEL_SCENARIOS

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from idealbench import certify, ramsey
 from idealbench.cli import run
+from idealbench.ideals import hindman_witness_search, ramsey_witness_search
 from idealbench.pairing import code_unordered
 from idealbench.ramsey import (
     HINDMAN,
@@ -28,6 +29,8 @@ from idealbench.ramsey import (
     support,
 )
 from idealbench.serialize import canonical_bytes, dump_json
+from idealbench.sets import (Cofinite, Complement, Finite, Intervals, Progression, Union,
+                             modular_avoiders)
 
 
 def test_fs_examples():
@@ -718,10 +721,6 @@ def test_recheck_recomputes_every_colouring(monkeypatch):
 
 def _search_grid():
     """(search, its output) over a grid of sets, sizes and horizons, misses included."""
-    from idealbench.ideals import hindman_witness_search, ramsey_witness_search
-    from idealbench.sets import (Cofinite, Complement, Finite, Intervals, Progression, Union,
-                                 modular_avoiders)
-
     sets = (Progression(0, 3), Progression(1, 2), Progression(2, 4), modular_avoiders(3),
             Cofinite((0, 1, 2, 5)), Finite((1, 2, 3, 5, 8, 13)), Finite(()),
             Intervals(((3, 9), (20, 40))), Complement(Progression(1, 3)),
