@@ -37,6 +37,11 @@ def _depth(args) -> int:
     return integer_field(vars(args), "depth", None, f"{args.command} --depth", 1, MAX_DEPTH)
 
 
+def _horizon(args) -> int:
+    """``--horizon``, a natural; a SchemaError otherwise."""
+    return integer_field(vars(args), "horizon", None, f"{args.command} --horizon", 0)
+
+
 def _cmd_construct(args) -> int:
     from .construction import build_partition
 
@@ -65,10 +70,11 @@ def _cmd_weights(args) -> int:
     from .construction import build_partition, weight_fn
     from .sets import set_from_json
 
+    horizon = _horizon(args)
     p = build_partition(_depth(args))
     selector = set_from_json(json.loads(args.selector))
     w = weight_fn(selector, p)
-    upto = min(args.horizon, p.coverage_end)
+    upto = min(horizon, p.coverage_end)
     table = {str(m): rat_str(w(m)) for m in range(upto)}
     _emit({"divergence": w.divergence, "values": table}, args.out)
     return 0
@@ -78,9 +84,10 @@ def _cmd_membership(args) -> int:
     from .ideals import ideal_from_json, membership
     from .sets import set_from_json
 
+    horizon = _horizon(args)
     ideal = ideal_from_json(json.loads(args.ideal))
     queried = set_from_json(json.loads(args.set))
-    verdict = membership(ideal, queried, args.horizon)
+    verdict = membership(ideal, queried, horizon)
     _emit(verdict.to_json(), args.out)
     return 0
 
@@ -89,8 +96,9 @@ def _cmd_ramsey_search(args) -> int:
     from .ideals import ramsey_witness_search
     from .sets import set_from_json
 
+    horizon = _horizon(args)
     queried = set_from_json(json.loads(args.set))
-    witness = ramsey_witness_search(queried, args.size, args.horizon)
+    witness = ramsey_witness_search(queried, args.size, horizon)
     _emit({"witness": None if witness is None else list(witness)}, args.out)
     return 0
 
@@ -99,8 +107,9 @@ def _cmd_hindman_search(args) -> int:
     from .ideals import hindman_witness_search
     from .sets import set_from_json
 
+    horizon = _horizon(args)
     queried = set_from_json(json.loads(args.set))
-    witness = hindman_witness_search(queried, args.size, args.horizon)
+    witness = hindman_witness_search(queried, args.size, horizon)
     _emit({"witness": None if witness is None else list(witness)}, args.out)
     return 0
 
@@ -127,6 +136,7 @@ def _cmd_check_reduction(args) -> int:
     )
     from .sets import set_from_json
 
+    horizon = _horizon(args)
     claim_obj = json.loads(args.claim)
     if not isinstance(claim_obj, dict) or not {"source", "target"} <= claim_obj.keys():
         raise SchemaError("check-reduction --claim must be an object with 'source' and 'target'")
@@ -138,7 +148,7 @@ def _cmd_check_reduction(args) -> int:
     queried = set_from_json(json.loads(args.set))
     if witness_obj.get("kind") == "identity-height-one":
         claim = ReductionClaim(source, target, IdentityHeightOne())
-        cert = check_reduction_witness(claim, queried, horizon=args.horizon)
+        cert = check_reduction_witness(claim, queried, horizon=horizon)
         _emit(
             {"certificate": None if cert is None else cert.to_json()},
             args.out,
@@ -146,7 +156,7 @@ def _cmd_check_reduction(args) -> int:
         return 0 if cert is not None else FAILURE
     value = integer_field(witness_obj, "value", 0, "check-reduction --claim witness")
     claim = ReductionClaim(source, target, KatetovMap(witness_obj["kind"], value))
-    verdict = katetov_witness_check(claim, queried, args.horizon)
+    verdict = katetov_witness_check(claim, queried, horizon)
     _emit(verdict.to_json(), args.out)
     return 0
 

@@ -145,9 +145,7 @@ class PartitionData:
         """|I_<n| = number of points below interval n."""
         return self.starts[n]
 
-    def interval_members(self, n: int, cap: int = 1 << 22) -> range:
-        if self.lengths[n] > cap:
-            raise HorizonExhausted(f"interval {n} too large to enumerate")
+    def interval_members(self, n: int) -> range:
         return range(self.starts[n], self.end(n))
 
     @cached_property

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from .errors import SchemaError
 from .ideals import (
     IN,
     OUT,
-    UNKNOWN,
     IdealDescriptor,
     Verdict,
     membership,
@@ -31,6 +31,10 @@ class KatetovMap:
 
     kind: str  # "identity" | "constant"
     value: int = 0
+
+    def __post_init__(self):
+        if self.kind not in ("identity", "constant"):
+            raise SchemaError(f"a map witness kind is identity or constant, not {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -63,20 +67,17 @@ def katetov_witness_check(
 ) -> Verdict:
     """Does h pull the source-dual-large set a back into the target dual.
 
-    The preimage is computed symbolically where the set algebra permits;
-    shapes outside it yield Unknown rather than a guess.
+    The preimage under the identity or a constant map is a described set;
+    a complement whose membership the target cannot decide yields Unknown
+    rather than a guess.
     """
     w = claim.witness
     if not isinstance(w, KatetovMap):
         raise ValueError("katetov_witness_check needs a map witness")
     if w.kind == "identity":
-        preimage: Optional[DescribedSet] = a
-    elif w.kind == "constant":
-        preimage = full_set() if a.contains(w.value) else Finite(())
+        preimage = a
     else:
-        preimage = None
-    if preimage is None:
-        return Verdict(UNKNOWN, "preimage-outside-algebra")
+        preimage = full_set() if a.contains(w.value) else Finite(())
     inner = membership(claim.target, Complement(preimage), horizon)
     return Verdict(inner.value, f"dual-filter:{inner.procedure}", inner.evidence)
 

@@ -210,12 +210,11 @@ class TreeScenario(Scenario):
                                     lambda row: _node_pair(row) and isinstance(row[1], dict)):
             if spec.get("kind") == "described":
                 successors[tuple(key)] = Described(set_from_json(spec.get("set")))
+            elif spec.get("kind") == "explicit" and _node(spec.get("members")):
+                successors[tuple(key)] = Explicit(tuple(spec["members"]))
             else:
-                members = spec.get("members")
-                if not isinstance(members, list) or not all(type(m) is int for m in members):
-                    raise SchemaError(f"scenario {self.name!r}: an explicit successors spec "
-                                      f"needs a members list of integers")
-                successors[tuple(key)] = Explicit(tuple(members))
+                raise SchemaError(f"scenario {self.name!r}: a successors spec must be described "
+                                  f"with a set, or explicit with a members list of naturals")
         return FiniteTree(nodes, successors)
 
     def oracle(self) -> PositivityOracle:

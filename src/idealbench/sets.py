@@ -10,7 +10,9 @@ decision procedures key on those shapes and refuse to guess elsewhere.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional, Tuple
 
@@ -18,7 +20,7 @@ from .errors import SchemaError, StructuralError
 
 _FS_GEN_CAP = 22  # 2^22 subset sums is already beyond any sane scenario
 # most members an intervals descriptor lists, and most generator pairs (so
-# members) a delta_image descriptor has: each lists them on every lookup
+# members) a delta_image descriptor has: each lists them on its first lookup
 _LISTED_CAP = 1 << 16
 
 
@@ -62,21 +64,29 @@ class DescribedSet:
         raise NotImplementedError
 
 
+class _Listed(DescribedSet):
+    """A finite set, decided by bisecting its ascending tuple ``members``: a field
+    of ``Finite``, and a ``cached_property`` listed once per descriptor elsewhere."""
+
+    def contains(self, x: int) -> bool:
+        i = bisect_left(self.members, x)
+        return i < len(self.members) and self.members[i] == x
+
+    def enumerate_upto(self, horizon: int) -> list:
+        if horizon < 0:
+            raise ValueError("horizon must be a natural")
+        return list(self.members[:bisect_left(self.members, horizon)])
+
+    def shape(self):
+        return ("finite", self.members)
+
+
 @dataclass(frozen=True)
-class Finite(DescribedSet):
+class Finite(_Listed):
     members: Tuple[int, ...]
 
     def __init__(self, members: Iterable[int]):
         object.__setattr__(self, "members", _nat_tuple(members))
-
-    def contains(self, x: int) -> bool:
-        return x in self.members
-
-    def enumerate_upto(self, horizon: int) -> list:
-        return [m for m in self.members if m < horizon]
-
-    def shape(self):
-        return ("finite", self.members)
 
     def to_json(self) -> dict:
         return {"kind": "finite", "members": list(self.members)}
@@ -120,16 +130,6 @@ class Progression(DescribedSet):
         return {"kind": "ap", "base": self.base, "step": self.step}
 
 
-class _Listed(DescribedSet):
-    """A finite set that lists its ``members()``: its shape, and membership by lookup."""
-
-    def contains(self, x: int) -> bool:
-        return x in self.members()
-
-    def shape(self):
-        return ("finite", self.members())
-
-
 @dataclass(frozen=True)
 class Intervals(_Listed):
     """Union of half-open intervals [a, b)."""
@@ -148,14 +148,9 @@ class Intervals(_Listed):
             raise StructuralError(f"intervals hold {covered} members, more than {_LISTED_CAP}")
         object.__setattr__(self, "spans", norm)
 
-    def contains(self, x: int) -> bool:
-        return any(a <= x < b for a, b in self.spans)
-
+    @cached_property
     def members(self) -> Tuple[int, ...]:
-        out = set()
-        for a, b in self.spans:
-            out.update(range(a, b))
-        return tuple(sorted(out))
+        return tuple(sorted({x for a, b in self.spans for x in range(a, b)}))
 
     def to_json(self) -> dict:
         return {"kind": "intervals", "spans": [list(s) for s in self.spans]}
@@ -206,6 +201,7 @@ class SumsOf(_Listed):
             raise StructuralError("generator set too large to expand")
         object.__setattr__(self, "generators", gens)
 
+    @cached_property
     def members(self) -> Tuple[int, ...]:
         return subset_sums(self.generators)
 
@@ -226,6 +222,7 @@ class DiffsOf(_Listed):
                                   f"pairs to difference")
         object.__setattr__(self, "generators", gens)
 
+    @cached_property
     def members(self) -> Tuple[int, ...]:
         return delta(self.generators)
 

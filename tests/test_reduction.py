@@ -6,6 +6,7 @@ import pytest
 
 from idealbench import certify
 from idealbench.construction import build_partition
+from idealbench.errors import SchemaError
 from idealbench.ideals import SumHarmonic, SumSelector, membership
 from idealbench.reduction import (
     CoherentWitness,
@@ -50,6 +51,12 @@ def test_katetov_constant_inside_the_set():
     )
     # preimage is all of omega, whose complement is empty, inside the ideal
     assert got.value == "in"
+
+
+@pytest.mark.parametrize("kind", ["junk", "identity-height-one", 5])
+def test_katetov_maps_are_identity_or_constant(kind):
+    with pytest.raises(SchemaError, match="identity or constant"):
+        KatetovMap(kind)
 
 
 def test_katetov_unknown_outside_algebra():

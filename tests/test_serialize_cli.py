@@ -372,6 +372,11 @@ _SEP1_ROW = load_scenario("sep1-basic").to_json()["oracle"][0]
             "index": 0, "form": 2, "labels": {"kind": "pair-min"},
             "ground": {"kind": "explicit", "members": members}}])
           for members in ([0.5, 1, 2], [-3, -1, 2], [True, 2, 3])),
+        *(_changed_scenario("sep1-basic", successors=[[[], spec]])
+          for spec in ({"kind": "junk", "members": [0, 2]}, {"kind": 5, "members": [0, 2]},
+                       {"members": [0, 2]}, {"members": [-2]},
+                       {"kind": "explicit", "members": [-2]},
+                       {"kind": "explicit", "members": [True, 2]})),
         [1, 2],
         "x",
     ],
@@ -410,7 +415,10 @@ _SEP1_ROW = load_scenario("sep1-basic").to_json()["oracle"][0]
          "tree-expect-root-label-negative", "tree-expect-root-label-text",
          "hindman-explicit-ground-text", "hindman-explicit-ground-float",
          "ramsey-explicit-vertex-float", "ramsey-explicit-vertex-negative",
-         "ramsey-explicit-vertex-bool",
+         "ramsey-explicit-vertex-bool", "tree-successors-kind-junk",
+         "tree-successors-kind-number", "tree-successors-without-kind",
+         "tree-successors-without-kind-negative-member",
+         "tree-explicit-successors-negative-member", "tree-explicit-successors-bool-member",
          "top-level-list", "top-level-string"],
 )
 def test_cli_diagonalize_rejects_malformed_scenarios(tmp_path, capsys, scenario):
@@ -590,11 +598,34 @@ def test_cli_certify_refuses_a_scenario_of_another_kind(tmp_path, capsys):
             "not a TreeScenario") in capsys.readouterr().err
 
 
+_EMPTY = '{"kind": "finite", "members": []}'
+_ALL = '{"kind": "cofinite", "excluded": []}'
+
+
+def _claim(witness_kind):
+    return json.dumps({"source": {"kind": "sum_harmonic"}, "target": {"kind": "sum_harmonic"},
+                       "witness": {"kind": witness_kind}})
+
+
 @pytest.mark.parametrize(
     "argv",
     [["construct", "--depth", "25"], ["construct", "--depth", "0"],
-     ["weights", "--depth", "25", "--selector", '{"kind": "finite", "members": []}']],
-    ids=["construct-past-max", "construct-zero", "weights-past-max"],
+     ["weights", "--depth", "25", "--selector", _EMPTY],
+     ["membership", "--ideal", '{"kind": "fin"}', "--set", _ALL, "--horizon", "-5"],
+     ["weights", "--depth", "4", "--selector", _EMPTY, "--horizon", "-3"],
+     ["ramsey-search", "--set", _ALL, "--size", "3", "--horizon", "-1"],
+     ["hindman-search", "--set", _ALL, "--size", "2", "--horizon", "-4"],
+     ["check-reduction", "--claim", _claim("identity-height-one"), "--set",
+      '{"kind": "finite", "members": [3]}', "--horizon", "-1"],
+     ["check-reduction", "--claim", _claim("identity-height-one"), "--set",
+      '{"kind": "fs_closure", "generators": [1, 2]}', "--horizon", "-1"],
+     ["check-reduction", "--claim", _claim("identity"), "--set", _ALL, "--horizon", "-1"]],
+    ids=["construct-past-max", "construct-zero", "weights-past-max",
+         "membership-horizon-negative", "weights-horizon-negative",
+         "ramsey-search-horizon-negative", "hindman-search-horizon-negative",
+         "check-reduction-horizon-negative-over-finite",
+         "check-reduction-horizon-negative-over-fs-closure",
+         "check-reduction-horizon-negative-identity-map"],
 )
 def test_cli_depth_flags_are_bounded(capsys, argv):
     assert run(argv) == 2
@@ -993,9 +1024,14 @@ CONSTANT_TEXT_VALUE = json.dumps(
          '{"kind": "finite", "members": [3]}'),
         (CONSTANT_TEXT_VALUE, '{"kind": "ap", "base": 1, "step": 2}'),
         (CONSTANT_TEXT_VALUE, '{"kind": "finite", "members": [3]}'),
+        (_claim("junk"), '{"kind": "ap", "base": 1, "step": 2}'),
+        (_claim("junk"), '{"kind": "finite", "members": [3]}'),
+        (_claim(5), '{"kind": "cofinite", "excluded": [2]}'),
     ],
     ids=["claim-without-source", "claim-not-object", "witness-not-object",
-         "constant-value-text-over-ap", "constant-value-text-over-finite"],
+         "constant-value-text-over-ap", "constant-value-text-over-finite",
+         "witness-kind-junk-over-ap", "witness-kind-junk-over-finite",
+         "witness-kind-number"],
 )
 def test_cli_check_reduction_rejects_malformed_claims(capsys, claim, described):
     assert run(["check-reduction", "--claim", claim, "--set", described]) == 2

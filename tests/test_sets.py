@@ -1,12 +1,17 @@
 """Described-set algebra: enumeration, shapes, serialization, rationals."""
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
+from idealbench import sets
 from idealbench.errors import StructuralError
+from idealbench.ideals import SumHarmonic, hindman_witness_search, ramsey_witness_search
+from idealbench.reduction import IdentityHeightOne, ReductionClaim, check_reduction_witness
+from idealbench.serialize import canonical_bytes
 from idealbench.sets import (
     Cofinite,
     Complement,
@@ -45,9 +50,57 @@ def test_enumerate_cofinite():
 
 
 def test_diffs_of():
-    assert DiffsOf({1, 3, 6}).members() == (2, 3, 5)
-    assert DiffsOf({5}).members() == ()
-    assert DiffsOf({0, 1, 2}).members() == (1, 2)
+    assert DiffsOf({1, 3, 6}).members == (2, 3, 5)
+    assert DiffsOf({5}).members == ()
+    assert DiffsOf({0, 1, 2}).members == (1, 2)
+
+
+# every finite descriptor kind, empty and not, with overlapping spans, and
+# the unions, intersections and complements of them
+_SUMS = SumsOf({3, 5, 17, 64})
+_DIFFS = DiffsOf({0, 3, 7, 50, 255})
+_SPANS = Intervals(((100, 130), (0, 3), (120, 140), (2, 9), (40, 41)))
+PIN_LISTED = (
+    Finite(()), Finite({1, 4, 9, 200}), Intervals(()), _SPANS, SumsOf(()), SumsOf({1, 2, 4}),
+    _SUMS, DiffsOf(()), DiffsOf({5}), _DIFFS,
+    Union((_SUMS, _SPANS)), Union((_DIFFS, Progression(0, 2))), Union((Finite(()), DiffsOf(()))),
+    Intersection((_SPANS, _SUMS)), Intersection((_DIFFS, Progression(1, 2))),
+    Intersection((Cofinite({4}), _SPANS)), Complement(_SUMS), Complement(Intervals(())),
+    Complement(Union((_DIFFS, _SPANS))),
+)
+# sha256 of membership 0..300, enumerations, shapes, both witness searches
+# and the height-one reduction certificate of every PIN_LISTED descriptor
+PINNED_LISTED = "eb54df24898f76ba3a5e29f7da98e8a1c432f4b5bf7108d3a94fc2663f1ce213"
+
+
+def test_listed_descriptor_answers_are_pinned():
+    digest = hashlib.sha256()
+    claim = ReductionClaim(SumHarmonic(), SumHarmonic(), IdentityHeightOne())
+    for s in PIN_LISTED:
+        cert = check_reduction_witness(claim, s, horizon=24)
+        digest.update(canonical_bytes([
+            [s.contains(x) for x in range(301)],
+            [s.enumerate_upto(h) for h in (0, 7, 64, 300)],
+            s.shape(),
+            hindman_witness_search(s, 3, 64),
+            ramsey_witness_search(s, 3, 24),
+            None if cert is None else cert.to_json(),
+        ]))
+    assert digest.hexdigest() == PINNED_LISTED
+
+
+@pytest.mark.parametrize("cls, lister", [(SumsOf, "subset_sums"), (DiffsOf, "delta")])
+def test_listed_members_are_listed_once(monkeypatch, cls, lister):
+    calls = []
+    real = getattr(sets, lister)
+    monkeypatch.setattr(sets, lister, lambda gens: calls.append(gens) or real(gens))
+    s = cls({0, 3, 7, 12})
+    assert s.members is s.members
+    for x in range(100):
+        s.contains(x)
+    s.enumerate_upto(64)
+    s.shape()
+    assert len(calls) == 1
 
 
 def test_listed_descriptors_are_capped_at_2_16_members():
@@ -103,8 +156,9 @@ def test_shapes():
 
 
 def test_intervals_are_finite_shape():
-    got = Intervals(((1, 3), (5, 6))).shape()
-    assert got == ("finite", (1, 2, 5))
+    s = Intervals(((1, 3), (5, 6)))
+    assert s.shape() == ("finite", (1, 2, 5))
+    assert s.members is s.members
 
 
 def test_co_infinite_detection():
