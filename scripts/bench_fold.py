@@ -16,6 +16,8 @@ refused: it measured wrong output.
 
 Usage: python scripts/bench_fold.py --rev REV --parent REC... --change REC...
                                     [--out-dir DIR]
+
+DIR, the repository root by default, is made if it does not exist.
 """
 
 import argparse
@@ -108,6 +110,7 @@ def main() -> int:
     except ValueError as exc:
         print(f"bench_fold: {exc}", file=sys.stderr)
         return 2
+    os.makedirs(args.out_dir, exist_ok=True)
     out = os.path.join(args.out_dir, f"BENCH_{args.rev}.json")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)

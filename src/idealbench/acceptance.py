@@ -18,11 +18,11 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from . import certify
 from .errors import SchemaError
+from .records import field, record
 from .scenarios import load_scenario
 from .serialize import dump_json, mutate_one_field
 
@@ -46,7 +46,7 @@ TREE_SCENARIOS = ("sep1-basic", "sep2-critical", "label-tie", "pwfin-case2b")
 IDENTITY_SCENARIOS = ("hindman-case2", "hindman-case3", "ramsey-case2", "ramsey-case4")
 
 
-@dataclass
+@record
 class CriterionResult:
     number: int
     name: str

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, islice, repeat
@@ -39,6 +38,7 @@ from .errors import ScenarioContradiction, SchemaError
 from .ideals import SumSelector
 from .pairing import code_unordered, pair_diag, unpair_diag
 from .ramsey import canonical_ramsey_search
+from .records import record
 from .reduction import (
     IdentityHeightOne,
     ReductionClaim,
@@ -684,7 +684,7 @@ def check_sparseness(body: object, universe: int, sizes: List[int]) -> None:
 
 # -- kinds ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Kind:
     """One certificate kind; ``KINDS`` is the one place a kind is declared.
 
@@ -785,7 +785,7 @@ def produce(kind: str, inputs: dict, seed: int = 0) -> dict:
     return _PRODUCERS[_kind(kind).name](inputs, seed)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _Recompute:
     """A fresh recomputation: its key, the rebuilt certificate, and its body and assumption bytes."""
 

@@ -6,6 +6,17 @@ seed, so reruns are byte-identical.
 
 Each command imports the modules it runs, so a process loads only those:
 ``construct`` and ``verify-construction`` never load the engines.
+
+Start-up is most of a short command's cost, and no command loads
+``dataclasses`` or ``inspect`` (see ``records``).  Median wall time of 21
+fresh children per command, alternating with the code that built its
+classes with ``dataclasses`` (2-core x86-64, Python 3.11.7, no bytecode
+cache; a bare interpreter took 44 ms):
+
+    diagonalize --scenario hindman-case2    162 -> 132 ms
+    certify --in (that certificate)         174 -> 126 ms
+    construct --depth 12                     92 ->  82 ms
+    verify-construction (depth 12)           97 ->  82 ms
 """
 
 from __future__ import annotations

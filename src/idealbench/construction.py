@@ -58,7 +58,6 @@ accepted from outside only up to ``MAX_DEPTH``.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
@@ -66,6 +65,7 @@ from itertools import count, islice
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import HorizonExhausted, SchemaError, StructuralError
+from .records import record
 from .serialize import EXACT, digit_run, int_parse, int_str, rat_parse, rat_str
 
 if TYPE_CHECKING:
@@ -81,7 +81,7 @@ Number = Union[int, Decimal]
 Replay = Tuple[List[Decimal], List[Decimal], List[Decimal]]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PartitionData:
     """Intervals as (start, length) pairs plus rationals r_0 .. r_depth.
 
@@ -272,7 +272,7 @@ def build_partition(depth: int) -> PartitionData:
     return PartitionData._greedy(depth)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ReducedSlack:
     """A slack (k-1)/R_{n+1} in lowest terms by ``verify_partition``'s lemma, in exact Decimal."""
 
@@ -287,7 +287,7 @@ class ReducedSlack:
 Slack = Union[Fraction, ReducedSlack]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConditionReport:
     name: str
     index: int
@@ -308,7 +308,7 @@ class ConditionReport:
         }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PartitionReport:
     passed: bool
     reports: Tuple[ConditionReport, ...]
@@ -399,7 +399,7 @@ def verify_partition(p: PartitionData) -> PartitionReport:
     return PartitionReport(all(r.holds for r in reports), tuple(reports))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WeightFunction:
     """Total weight assignment on the partition's coverage.
 

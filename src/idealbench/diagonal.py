@@ -28,7 +28,6 @@ contradiction reports instead.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, exp
@@ -47,6 +46,7 @@ from .ramsey import (
     max_support,
     min_support,
 )
+from .records import field, record
 from .serialize import integer_field, rat_str
 from .sets import DescribedSet, delta, set_from_json
 from .ideals import diff_multiplicity
@@ -179,7 +179,7 @@ def _bracket_low(start: int, end: int) -> int:
     return sum(map(_SCALE.__floordiv__, range(start + 1, end + 1)))
 
 
-@dataclass
+@record
 class _BlockEnds:
     """Blocks of a ``block-geometric`` rule proven so far.
 
@@ -208,7 +208,7 @@ class _BlockEnds:
     low: int = 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LabelRule:
     """Successor-label assignment of a modelled critical node.
 
@@ -364,7 +364,7 @@ class LabelRule:
         return {"kind": self.kind, **params}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LabelKind:
     """One kind of label rule.
 
@@ -491,7 +491,7 @@ LABEL_KINDS: Dict[str, LabelKind] = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CriticalNodeModel:
     """Declared critical node: an index, a label source, and case data."""
 
@@ -526,7 +526,7 @@ def run_stages(state, stages: int, stage):
 
 # -- interval engine (embedding argument) ------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IntervalClassProfile:
     """Homogeneous data extracted from one interval of successors."""
 
@@ -608,7 +608,7 @@ def profile_label_weight(
     return sum((selector_weight(selector, p, p.interval_of(c)) for c in members), Fraction(0))
 
 
-@dataclass
+@record
 class PwfinStageRecord:
     k: int
     i: int
@@ -637,7 +637,7 @@ class PwfinStageRecord:
 PWFIN_CASES = ("2a", "2b", "2c")
 
 
-@dataclass
+@record
 class PwfinState:
     engine = "pwfin"
     partition: PartitionData
@@ -762,7 +762,7 @@ def run_pwfin(
 
 # -- difference engine --------------------------------------------------------
 
-@dataclass
+@record
 class PosdiffStageRecord:
     k: int
     i: int
@@ -786,7 +786,7 @@ class PosdiffStageRecord:
         }
 
 
-@dataclass
+@record
 class PosdiffState:
     engine = "posdiff"
     models: Tuple[CriticalNodeModel, ...]
@@ -964,7 +964,7 @@ SUMS_SCAN_CAP = 64
 PAIRS_SCAN_CAP = 4096
 
 
-@dataclass
+@record
 class AnchorStageRecord:
     """The anchor stage k adds to model i: a (ground index, value) pair for
     the sums engine, a vertex for the pairs engine."""
@@ -974,7 +974,7 @@ class AnchorStageRecord:
     anchor: object
 
 
-@dataclass
+@record
 class AnchorState:
     """Run state of the sums or the pairs engine."""
 
@@ -1289,7 +1289,7 @@ def assemble(state) -> dict:
 
 # -- collision checking -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CollisionReport:
     outcome: str                 # "collision" | "inconclusive" | "rejected"
     node: Tuple[int, ...] = ()
@@ -1371,7 +1371,7 @@ def collision_check(
 
 # -- engine registry ------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Engine:
     """One diagonalization engine; ``ENGINES`` is the one place an engine is declared.
 

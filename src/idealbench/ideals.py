@@ -10,7 +10,6 @@ partial sums or exhausted search bounds computed at the horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -27,6 +26,7 @@ from .construction import (
 )
 from .errors import SchemaError
 from .pairing import code_unordered
+from .records import field, record
 from .serialize import integer_field, rat_str
 from .sets import DescribedSet, ascending_tuples, is_co_infinite, set_from_json, subset_sums
 
@@ -35,7 +35,7 @@ OUT = "out"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Verdict:
     value: str
     procedure: str
@@ -67,12 +67,12 @@ class IdealDescriptor:
     kind = "abstract"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FinIdeal(IdealDescriptor):
     kind: str = field(default="fin", init=False)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SumHarmonic(IdealDescriptor):
     kind: str = field(default="sum_harmonic", init=False)
 
@@ -81,7 +81,7 @@ class SumHarmonic(IdealDescriptor):
         return harmonic_weight()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SumSelector(IdealDescriptor):
     """Summable ideal induced by a selector set over a partition."""
 
@@ -98,33 +98,33 @@ class SumSelector(IdealDescriptor):
         return None if co is None else not co
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DensityZero(IdealDescriptor):
     kind: str = field(default="den0", init=False)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DiffIdeal(IdealDescriptor):
     """Sets containing no full positive-difference image of an infinite set."""
 
     kind: str = field(default="diff", init=False)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HindmanIdeal(IdealDescriptor):
     """Sets omitting some finite sum of every infinite set."""
 
     kind: str = field(default="hindman", init=False)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RamseyIdeal(IdealDescriptor):
     """Pair-coded graphs without infinite complete subgraphs."""
 
     kind: str = field(default="ramsey", init=False)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PowerSet(IdealDescriptor):
     kind: str = field(default="powerset", init=False)
 

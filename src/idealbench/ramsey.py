@@ -18,20 +18,20 @@ smallest case number wins and the answer is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .ideals import diff_multiplicity
+from .records import record
 from .sets import ascending_tuples, delta, subset_sums  # delta: also read as ramsey.delta
 
 RAMSEY = "ramsey"
 HINDMAN = "hindman"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CanonicalForm:
     family: str
     case: int
@@ -254,7 +254,7 @@ def canonical_hindman_search(
 
 # -- sparseness ------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SparsenessReport:
     passed: bool
     bound: int

@@ -10,7 +10,6 @@ certificate never asserts a non-reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .errors import SchemaError
@@ -21,11 +20,12 @@ from .ideals import (
     Verdict,
     membership,
 )
+from .records import record
 from .sets import Complement, DescribedSet, Finite, full_set
 from .trees import ROOT, Described, FiniteTree, check_branching
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class KatetovMap:
     """Total map given by a closed form the preimage algebra understands."""
 
@@ -37,12 +37,12 @@ class KatetovMap:
             raise SchemaError(f"a map witness kind is identity or constant, not {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IdentityHeightOne:
     """The height-one tree witness whose root successors are the witnessed set."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CoherentWitness:
     """A coherent finite-string assignment plus candidate successor families.
 
@@ -55,7 +55,7 @@ class CoherentWitness:
     families: Tuple[DescribedSet, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ReductionClaim:
     source: IdealDescriptor
     target: IdealDescriptor
@@ -82,7 +82,7 @@ def katetov_witness_check(
     return Verdict(inner.value, f"dual-filter:{inner.procedure}", inner.evidence)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SubsetReductionReport:
     verdict: Verdict
     exceptions: Tuple[int, ...]
@@ -141,7 +141,7 @@ def check_subset_reduction(
     return SubsetReductionReport(verdict, exceptions, bound, compared)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TreeCertificate:
     tree: FiniteTree
     branching: Dict[Tuple[int, ...], Verdict]

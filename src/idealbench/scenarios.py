@@ -13,13 +13,13 @@ searched when a name is neither bundled nor a path.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .construction import DEFAULT_DEPTH, MAX_DEPTH, PartitionData, build_partition
 from .diagonal import ENGINES, LABEL_KINDS, CriticalNodeModel, LabelRule
 from .errors import SchemaError
 from .ideals import IdealDescriptor, ideal_from_json
+from .records import record
 from .serialize import SCENARIO_SCHEMA, check_assumptions, integer_field, load_json
 from .sets import Cofinite, set_from_json
 from .trees import (
@@ -65,7 +65,7 @@ def model_from_json(obj: dict, partition: Optional[PartitionData] = None) -> Cri
     )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Scenario:
     """A named scenario and its full JSON payload (schema form).
 
@@ -106,7 +106,7 @@ class Scenario:
         return {"scenario": self.to_json()}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DiagScenario(Scenario):
     certificate_kind = "diagonalization"
 
@@ -165,7 +165,7 @@ def _oracle_row(row) -> bool:
             and isinstance(row.get("statement", ""), str))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TreeScenario(Scenario):
     certificate_kind = "tree-labelling"
 

@@ -11,12 +11,12 @@ decision procedures key on those shapes and refuse to guess elsewhere.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional, Tuple
 
 from .errors import SchemaError, StructuralError
+from .records import record
 
 _FS_GEN_CAP = 22  # 2^22 subset sums is already beyond any sane scenario
 # most members an intervals descriptor lists, and most generator pairs (so
@@ -81,7 +81,7 @@ class _Listed(DescribedSet):
         return ("finite", self.members)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Finite(_Listed):
     members: Tuple[int, ...]
 
@@ -92,7 +92,7 @@ class Finite(_Listed):
         return {"kind": "finite", "members": list(self.members)}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Cofinite(DescribedSet):
     excluded: Tuple[int, ...]
 
@@ -109,7 +109,7 @@ class Cofinite(DescribedSet):
         return {"kind": "cofinite", "excluded": list(self.excluded)}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Progression(DescribedSet):
     """Arithmetic progression {base + k*step : k >= 0}."""
 
@@ -130,7 +130,7 @@ class Progression(DescribedSet):
         return {"kind": "ap", "base": self.base, "step": self.step}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Intervals(_Listed):
     """Union of half-open intervals [a, b)."""
 
@@ -189,7 +189,7 @@ def delta(b: Iterable[int]) -> Tuple[int, ...]:
     return tuple(sorted({y - x for x, y in combinations(members, 2)}))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SumsOf(_Listed):
     """Finite non-empty sums of distinct elements of a finite generator set."""
 
@@ -209,7 +209,7 @@ class SumsOf(_Listed):
         return {"kind": "fs_closure", "generators": list(self.generators)}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DiffsOf(_Listed):
     """Positive differences of distinct elements of a finite generator set."""
 
@@ -230,7 +230,7 @@ class DiffsOf(_Listed):
         return {"kind": "delta_image", "generators": list(self.generators)}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Union(DescribedSet):
     parts: Tuple[DescribedSet, ...]
 
@@ -253,7 +253,7 @@ class Union(DescribedSet):
         return {"kind": "union", "parts": [p.to_json() for p in self.parts]}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Intersection(DescribedSet):
     parts: Tuple[DescribedSet, ...]
 
@@ -281,7 +281,7 @@ class Intersection(DescribedSet):
         return {"kind": "intersection", "parts": [p.to_json() for p in self.parts]}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Complement(DescribedSet):
     inner: DescribedSet
 

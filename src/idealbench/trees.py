@@ -16,12 +16,12 @@ answer on a needed query aborts with that query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union as TUnion
 
 from .errors import CoherenceError, LabellingBlocked, StructuralError
 from .ideals import IdealDescriptor, Verdict, membership, IN, OUT, UNKNOWN
 from .pairing import comparable, is_prefix
+from .records import field, record
 from .sets import Complement, DescribedSet, Finite
 
 Node = Tuple[int, ...]
@@ -30,7 +30,7 @@ BOT = None  # bottom label
 ROOT: Node = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CoherentMap:
     assignments: Dict[Node, int]
 
@@ -66,7 +66,7 @@ def extend_coherent(m: CoherentMap, sigma: Iterable[int], value: int) -> Coheren
     return CoherentMap(new)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Explicit:
     members: Tuple[int, ...]
 
@@ -74,7 +74,7 @@ class Explicit:
         return {"kind": "explicit", "members": list(self.members)}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Described:
     described: DescribedSet
 
@@ -85,7 +85,7 @@ class Described:
 SuccessorSpec = TUnion[Explicit, Described]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FiniteTree:
     """Prefix-closed finite node set plus per-node successor descriptors.
 
@@ -145,7 +145,7 @@ def canonical_tree(m: CoherentMap, horizon: int) -> FiniteTree:
     return FiniteTree(nodes)
 
 
-@dataclass
+@record
 class PositivityOracle:
     """Stipulated answers to positivity and nullity queries.
 
@@ -194,7 +194,7 @@ class PositivityOracle:
         return out
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LabelledTree:
     tree: FiniteTree
     labels: Dict[Node, Optional[int]]
@@ -243,7 +243,7 @@ def compute_labels(
     return LabelledTree(t, labels, frozenset(assigned_nodes), frozenset(outside_nodes))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CriticalReport:
     critical: Tuple[Node, ...]
     undetermined: Tuple[Node, ...]

@@ -9,7 +9,6 @@ the threshold rules evaluated by hand.
 
 import contextlib
 import copy
-import dataclasses
 import hashlib
 from bisect import bisect_right
 from fractions import Fraction
@@ -948,8 +947,9 @@ def test_ramsey_case4_threshold_arithmetic():
 
 @pytest.mark.parametrize("ground", [{"base": 0}, {"base": "0", "step": 2}, {"step": True}])
 def test_ramsey_ap_vertices_checked_before_any_stage(ground):
-    model = dataclasses.replace(load_scenario("ramsey-case2").models()[0],
-                                ground={"kind": "ap", **ground})
+    model = load_scenario("ramsey-case2").models()[0]
+    model = CriticalNodeModel(model.index, model.rule, model.case, model.form,
+                              {"kind": "ap", **ground})
     with pytest.raises(SchemaError, match="ap vertex sequence"):
         run_ramsey([model], 0)
 

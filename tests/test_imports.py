@@ -63,7 +63,22 @@ def test_construct_and_verify_construction_leave_the_engines_unloaded(tmp_path):
         # reduction, ramsey or sets
         loaded = loaded_by(f"from idealbench.cli import run\nassert run({argv!r}) == 0")
         assert loaded == {"idealbench.cli", "idealbench.construction", "idealbench.errors",
-                          "idealbench.serialize"}
+                          "idealbench.records", "idealbench.serialize"}
+
+
+def test_cli_commands_load_neither_dataclasses_nor_inspect(tmp_path):
+    # dataclasses, and the inspect it imports, cost each CLI child about 35 ms of start-up
+    cert = tmp_path / "cert.json"
+    commands = (["diagonalize", "--scenario", "hindman-case2", "--out", str(cert)],
+                ["certify", "--in", str(cert)],
+                ["construct", "--depth", "6", "--out", str(tmp_path / "p.json")])
+    code = ("import sys\n"
+            "from idealbench.cli import run\n"
+            f"for argv in {commands!r}:\n"
+            "    assert run(argv) == 0, argv\n"
+            "    assert not {'dataclasses', 'inspect'} & sys.modules.keys(), argv\n"
+            "print('ok')\n")
+    assert python(code).split()[-1] == "ok"
 
 
 def test_every_exported_name_still_resolves():

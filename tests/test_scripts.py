@@ -92,6 +92,17 @@ def test_bench_fold_writes_medians_quartiles_and_pair_wins(monkeypatch, capsys, 
     assert set(folded["normalized"]) == {"cli_s.p50", "peak_rss_mb"}
 
 
+def test_bench_fold_makes_its_output_directory(monkeypatch, capsys, tmp_path):
+    parents = [write_record(tmp_path / f"p{seed}.json", seed, 0.2, 30.0) for seed in (1, 2)]
+    changes = [write_record(tmp_path / f"c{seed}.json", seed, 0.1, 30.0) for seed in (1, 2)]
+    out_dir = tmp_path / "not" / "made"
+    assert run_script(monkeypatch, "bench_fold.py", "--rev", "abc1234", "--out-dir", str(out_dir),
+                      "--parent", *parents, "--change", *changes) == 0
+    assert json.loads((out_dir / "BENCH_abc1234.json").read_text(encoding="utf-8"))["rev"] == (
+        "abc1234")
+    assert f"wrote {out_dir / 'BENCH_abc1234.json'}" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("broken", [{"seed": 9}, {"failed": 1}, {"trace": 1}],
                          ids=["unpaired-seed", "failed-operations", "traced-run"])
 def test_bench_fold_refuses_runs_it_cannot_compare(monkeypatch, capsys, tmp_path, broken):

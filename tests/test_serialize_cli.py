@@ -703,6 +703,17 @@ def test_every_kind_rechecks_and_seedless_kinds_ignore_the_seed(kind):
             assert ok, detail
 
 
+@pytest.mark.parametrize("kind", sorted(certify.KINDS))
+def test_a_certificate_body_follows_from_its_inputs_alone(tmp_path, monkeypatch, kind):
+    # no file of the producing machine: not its working directory, not its scenario directory
+    normal = canonical_bytes(certify.produce(kind, MINIMAL_INPUTS[kind](), 7))
+    (tmp_path / "cwd").mkdir()
+    (tmp_path / "scenarios").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    monkeypatch.setenv("IDEALBENCH_SCENARIOS", str(tmp_path / "scenarios"))
+    assert canonical_bytes(certify.produce(kind, MINIMAL_INPUTS[kind](), 7)) == normal
+
+
 def refuse_the_producer(monkeypatch, kind):
     def refused(inputs, seed):
         raise AssertionError(f"the {kind} producer ran")
