@@ -18,10 +18,9 @@ certificate of theirs with its seed changed still rechecks.
 from __future__ import annotations
 
 import random
-import struct
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations, islice, repeat
+from itertools import combinations, islice
 from math import comb
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -53,6 +52,7 @@ from .serialize import (
     canonical_bytes,
     check_assumptions,
     diff_paths,
+    digit_run,
     integer_field,
     rat_str,
 )
@@ -390,63 +390,28 @@ def _partitions_rgs(count: int) -> Iterator[Tuple[int, ...]]:
             tops[j] = top
 
 
-# the most 32-bit words ``_random_rgs`` draws from its rng at once
-_REFILL_WORDS = 1024
-
-
 def _random_rgs(samples: int, length: int, rng: random.Random) -> Iterator[Tuple[int, ...]]:
     """``samples`` random restricted-growth strings of ``length``, made one at a time.
 
-    Each value is the one ``rng.randrange(top + 2)`` would return, ``top``
-    the largest value so far in its string (-1 at the start), and ``rng``
-    ends in the state that those ``samples * length`` calls leave.  The
-    values are read from ``rng``'s 32-bit output words directly, which is
-    exact for ``random.Random`` on CPython, because CPython:
-
-    - computes ``randrange(n)`` for ``n >= 1`` as
-      ``_randbelow_with_getrandbits(n)``: with ``k = n.bit_length()`` it
-      draws ``getrandbits(k)`` until the result is below ``n``;
-    - computes ``getrandbits(k)`` for ``k <= 32`` from exactly one output
-      word ``w`` as ``w >> (32 - k)``, so a draw is accepted exactly when
-      ``w < n << (32 - k)``;
-    - returns the next ``j`` words from ``getrandbits(32 * j)``, the first of
-      them in the lowest 32 bits.
-
-    Every ``randrange`` call uses at least one word, so a refill of at most
-    as many words as calls still to make never draws a word the calls would
-    not use: all drawn words are used, and ``rng``'s state at the end is
-    the state after the calls.  Refills are capped at ``_REFILL_WORDS`` so
-    that a long stream is never held in memory at once.
+    Each value is drawn below ``bound = top + 2``, ``top`` the largest value
+    so far in its string (-1 at the start): with ``k = bound.bit_length()``
+    it is the first ``rng.getrandbits(k)`` that is below ``bound``.  That is
+    how ``random.Random.randrange(bound)`` draws, so the strings and the
+    state ``rng`` is left in are those of ``samples * length`` such calls.
     """
-    if not length:
-        yield from repeat((), samples)
-        return
-    limits = [n << (32 - n.bit_length()) for n in range(length + 1)]
-    shifts = [32 - n.bit_length() for n in range(length + 1)]
-    calls = samples * length  # calls of the strings not yet made
-    string = [0] * length
-    filled = 0
-    bound = 1  # top + 2
-    limit, shift = limits[1], shifts[1]
-    while calls:
-        count = min(calls - filled, _REFILL_WORDS)
-        for word in struct.unpack(f"<{count}I",
-                                  rng.getrandbits(32 * count).to_bytes(4 * count, "little")):
-            if word >= limit:
-                continue
-            value = word >> shift
-            string[filled] = value
-            filled += 1
-            if filled == length:
-                calls -= length
-                yield tuple(string)
-                filled = 0
-                bound = 1
-            elif value == bound - 1:
+    getrandbits = rng.getrandbits
+    for _ in range(samples):
+        string = []
+        bound = 1
+        for _ in range(length):
+            k = bound.bit_length()
+            value = getrandbits(k)
+            while value >= bound:
+                value = getrandbits(k)
+            string.append(value)
+            if value == bound - 1:
                 bound += 1
-            else:
-                continue
-            limit, shift = limits[bound], shifts[bound]
+        yield tuple(string)
 
 
 def _agreement(n: int, size: int, strings: Callable[[int], Iterable[tuple]]) -> Tuple[int, int]:
@@ -595,10 +560,8 @@ def _greedy_residues(depth: int, q: int) -> Tuple[int, int, int]:
 
 
 def _natural(text, path: str) -> Decimal:
-    """``text`` as an exact Decimal when it is a run of ASCII digits."""
-    # bytes.isdigit reads a table of the ASCII digits, about seven times
-    # faster than str.isdigit on a text of 10^5 digits
-    if not (isinstance(text, str) and text.isascii() and text.encode().isdigit()):
+    """``text`` as an exact Decimal when it is an unsigned run of ASCII digits."""
+    if not (isinstance(text, str) and text[:1] not in ("+", "-") and digit_run(text)):
         raise CheckFailed(path, "is not a run of decimal digits")
     return Decimal(text)
 

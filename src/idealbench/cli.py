@@ -103,24 +103,13 @@ def _cmd_membership(args) -> int:
     return 0
 
 
-def _cmd_ramsey_search(args) -> int:
-    from .ideals import ramsey_witness_search
+def _cmd_witness_search(args) -> int:
+    from . import ideals
     from .sets import set_from_json
 
     horizon = _horizon(args)
     queried = set_from_json(json.loads(args.set))
-    witness = ramsey_witness_search(queried, args.size, horizon)
-    _emit({"witness": None if witness is None else list(witness)}, args.out)
-    return 0
-
-
-def _cmd_hindman_search(args) -> int:
-    from .ideals import hindman_witness_search
-    from .sets import set_from_json
-
-    horizon = _horizon(args)
-    queried = set_from_json(json.loads(args.set))
-    witness = hindman_witness_search(queried, args.size, horizon)
+    witness = getattr(ideals, args.search)(queried, args.size, horizon)
     _emit({"witness": None if witness is None else list(witness)}, args.out)
     return 0
 
@@ -246,19 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_membership)
 
-    sp = sub.add_parser("ramsey-search", help="bounded clique witness search")
-    sp.add_argument("--set", required=True)
-    sp.add_argument("--size", type=int, required=True)
-    sp.add_argument("--horizon", type=int, default=64)
-    sp.add_argument("--out")
-    sp.set_defaults(func=_cmd_ramsey_search)
-
-    sp = sub.add_parser("hindman-search", help="bounded finite-sums witness search")
-    sp.add_argument("--set", required=True)
-    sp.add_argument("--size", type=int, required=True)
-    sp.add_argument("--horizon", type=int, default=64)
-    sp.add_argument("--out")
-    sp.set_defaults(func=_cmd_hindman_search)
+    for name, witness, search in (("ramsey-search", "clique", "ramsey_witness_search"),
+                                  ("hindman-search", "finite-sums", "hindman_witness_search")):
+        sp = sub.add_parser(name, help=f"bounded {witness} witness search")
+        sp.add_argument("--set", required=True)
+        sp.add_argument("--size", type=int, required=True)
+        sp.add_argument("--horizon", type=int, default=64)
+        sp.add_argument("--out")
+        sp.set_defaults(func=_cmd_witness_search, search=search)
 
     sp = sub.add_parser("diagonalize", help="run a scenario end to end",
                         formatter_class=_ScenarioHelp)

@@ -216,24 +216,23 @@ class LabelRule:
     ``pair_label`` maps an unordered pair {s, t} to its value; a kind
     without a pair form raises ``StructuralError`` there.  Both are looked
     up in ``LABEL_KINDS`` once, when the rule is built, so a call is one
-    plain function call.  For every kind with a pair form,
-    ``label(code_unordered(s, t)) == pair_label(s, t)``.  Rules whose
+    plain function call.  They and the cache of scanned block ends are
+    attributes set in ``__post_init__``, not fields, so a rule equals any
+    rule of the same ``kind`` and ``params``.  For every kind with a pair
+    form, ``label(code_unordered(s, t)) == pair_label(s, t)``.  Rules whose
     alphabet is provably finite are flagged; the difference engine must
     refuse them with the harmonic-partition contradiction.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
-    _blocks: _BlockEnds = field(default_factory=_BlockEnds, init=False, repr=False, compare=False)
-    label: Callable[[int], Optional[int]] = field(init=False, repr=False, compare=False)
-    pair_label: Callable[[int, int], Optional[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         spec = LABEL_KINDS.get(self.kind)
         if spec is None:
             raise StructuralError(f"unknown label rule {self.kind!r}")
-        pair = (spec.pair or _no_pair)(self)
-        object.__setattr__(self, "pair_label", pair)
+        object.__setattr__(self, "_blocks", _BlockEnds())
+        object.__setattr__(self, "pair_label", (spec.pair or _no_pair)(self))
         object.__setattr__(self, "label", spec.label(self))
 
     def finite_alphabet(self) -> bool:

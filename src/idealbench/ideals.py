@@ -26,7 +26,7 @@ from .construction import (
 )
 from .errors import SchemaError
 from .pairing import code_unordered
-from .records import field, record
+from .records import record
 from .serialize import integer_field, rat_str
 from .sets import DescribedSet, ascending_tuples, is_co_infinite, set_from_json, subset_sums
 
@@ -69,12 +69,12 @@ class IdealDescriptor:
 
 @record(frozen=True)
 class FinIdeal(IdealDescriptor):
-    kind: str = field(default="fin", init=False)
+    kind = "fin"
 
 
 @record(frozen=True)
 class SumHarmonic(IdealDescriptor):
-    kind: str = field(default="sum_harmonic", init=False)
+    kind = "sum_harmonic"
 
     @property
     def weight(self) -> WeightFunction:
@@ -87,7 +87,7 @@ class SumSelector(IdealDescriptor):
 
     selector: DescribedSet
     partition: PartitionData
-    kind: str = field(default="sum_s", init=False)
+    kind = "sum_s"
 
     @property
     def weight(self) -> WeightFunction:
@@ -100,33 +100,33 @@ class SumSelector(IdealDescriptor):
 
 @record(frozen=True)
 class DensityZero(IdealDescriptor):
-    kind: str = field(default="den0", init=False)
+    kind = "den0"
 
 
 @record(frozen=True)
 class DiffIdeal(IdealDescriptor):
     """Sets containing no full positive-difference image of an infinite set."""
 
-    kind: str = field(default="diff", init=False)
+    kind = "diff"
 
 
 @record(frozen=True)
 class HindmanIdeal(IdealDescriptor):
     """Sets omitting some finite sum of every infinite set."""
 
-    kind: str = field(default="hindman", init=False)
+    kind = "hindman"
 
 
 @record(frozen=True)
 class RamseyIdeal(IdealDescriptor):
     """Pair-coded graphs without infinite complete subgraphs."""
 
-    kind: str = field(default="ramsey", init=False)
+    kind = "ramsey"
 
 
 @record(frozen=True)
 class PowerSet(IdealDescriptor):
-    kind: str = field(default="powerset", init=False)
+    kind = "powerset"
 
 
 def sum_ideal_of(selector: DescribedSet, p: PartitionData) -> SumSelector:

@@ -15,12 +15,13 @@ gives it:
 
 - fields are the class's own annotations after its record bases' fields,
   in definition order; ``ClassVar`` annotations are skipped;
-- ``field(default=..., default_factory=..., init=..., repr=..., compare=...)``;
-  a field with ``init=False`` and no default is left unset by ``__init__``;
-- ``__init__`` calls ``__post_init__`` when the class has one;
-- ``__eq__`` compares the tuples of compared fields of two instances of the
-  same class, and a frozen class hashes that tuple; a non-frozen class is
-  unhashable;
+- a field's default is its class attribute value, or a fresh
+  ``default_factory()`` per instance with ``field(default_factory=...)``;
+- ``__init__`` takes every field and calls ``__post_init__`` when the class
+  has one;
+- ``__repr__`` lists every field, ``__eq__`` compares the tuples of fields
+  of two instances of the same class, and a frozen class hashes that tuple;
+  a non-frozen class is unhashable;
 - a method the class body defines itself is kept, and so is the
   ``__hash__ = None`` that Python adds beside an ``__eq__`` it defines;
 - no ``__slots__``, so ``functools.cached_property`` works on any record.
@@ -43,22 +44,17 @@ class FrozenInstanceError(AttributeError):
 
 
 class Field:
-    __slots__ = ("name", "default", "default_factory", "init", "repr", "compare")
+    __slots__ = ("name", "default", "default_factory")
 
-    def __init__(self, default=MISSING, default_factory=MISSING, init=True, repr=True,
-                 compare=True):
+    def __init__(self, default=MISSING, default_factory=MISSING):
         self.name = None
         self.default = default
         self.default_factory = default_factory
-        self.init = init
-        self.repr = repr
-        self.compare = compare
 
 
-def field(*, default=MISSING, default_factory=MISSING, init=True, repr=True, compare=True):
-    """A field with a default, a default factory, or left out of ``__init__``,
-    ``__repr__`` or comparison."""
-    return Field(default, default_factory, init, repr, compare)
+def field(*, default_factory):
+    """A field whose default is a fresh ``default_factory()`` per instance."""
+    return Field(default_factory=default_factory)
 
 
 def record(cls=None, /, *, frozen: bool = False):
@@ -87,10 +83,7 @@ def _fields(cls) -> tuple:
         f.name = name
         fields[name] = f
         if isinstance(own.get(name), Field):
-            if f.default is MISSING:
-                delattr(cls, name)
-            else:
-                setattr(cls, name, f.default)
+            delattr(cls, name)
     return tuple(fields.values())
 
 
@@ -102,19 +95,16 @@ def _init_lines(fields, frozen: bool, post_init: bool, names: dict) -> list:
     params, body = ["self"], []
     for f in fields:
         name, default = f.name, f"_dflt_{f.name}"
-        if f.init:
-            if f.default is not MISSING:
-                names[default] = f.default
-                params.append(f"{name}={default}")
-            else:
-                params.append(f"{name}=_FACTORY" if f.default_factory is not MISSING else name)
-        if f.default_factory is not MISSING:
+        value = name
+        if f.default is not MISSING:
+            names[default] = f.default
+            params.append(f"{name}={default}")
+        elif f.default_factory is not MISSING:
             names[default] = f.default_factory
-            value = f"{default}() if {name} is _FACTORY else {name}" if f.init else f"{default}()"
-        elif f.init:
-            value = name
+            params.append(f"{name}=_FACTORY")
+            value = f"{default}() if {name} is _FACTORY else {name}"
         else:
-            continue  # left unset, or read from its class attribute default
+            params.append(name)
         body.append(f"_object_setattr(self,{name!r},{value})" if frozen else f"self.{name}={value}")
     if post_init:
         body.append("self.__post_init__()")
@@ -124,7 +114,6 @@ def _init_lines(fields, frozen: bool, post_init: bool, names: dict) -> list:
 def _build(cls, frozen: bool):
     own = dict(cls.__dict__)
     fields = _fields(cls)
-    compared = [f for f in fields if f.compare]
     # the globals of the generated methods: their defaults, factories and helpers
     names = {"_FACTORY": _FACTORY, "_object_setattr": object.__setattr__}
     made, lines = [], []
@@ -135,11 +124,11 @@ def _build(cls, frozen: bool):
         made.append("__eq__")
         lines += ["def __eq__(self,other):",
                   " if other.__class__ is self.__class__:",
-                  f"  return {_tuple('self', compared)}=={_tuple('other', compared)}",
+                  f"  return {_tuple('self', fields)}=={_tuple('other', fields)}",
                   " return NotImplemented"]
     if frozen and "__hash__" not in own:
         made.append("__hash__")
-        lines += ["def __hash__(self):", f" return hash({_tuple('self', compared)})"]
+        lines += ["def __hash__(self):", f" return hash({_tuple('self', fields)})"]
     if made:
         exec("\n".join(lines), names)
         for name in made:
@@ -148,7 +137,6 @@ def _build(cls, frozen: bool):
     if not frozen and "__hash__" not in own:
         cls.__hash__ = None
     cls.__record_fields__ = fields
-    cls.__record_repr__ = tuple(f.name for f in fields if f.repr)
     shared = {"__repr__": _repr}
     if frozen:
         shared.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
@@ -161,7 +149,7 @@ def _build(cls, frozen: bool):
 def _repr(self) -> str:
     cls = self.__class__
     return (f"{cls.__qualname__}("
-            f"{', '.join(f'{name}={getattr(self, name)!r}' for name in cls.__record_repr__)})")
+            f"{', '.join(f'{f.name}={getattr(self, f.name)!r}' for f in cls.__record_fields__)})")
 
 
 def _frozen(self, name: str) -> bool:

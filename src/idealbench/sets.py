@@ -157,11 +157,16 @@ class Intervals(_Listed):
 
 
 def subset_sums(gens: Tuple[int, ...]) -> Tuple[int, ...]:
-    """All non-empty subset sums of a finite set of distinct naturals."""
+    """All non-empty subset sums of a finite set of distinct naturals, ascending.
+
+    0 is one exactly when 0 is in the set: {0} is a non-empty subset.
+    """
     acc = {0}
     for g in gens:
-        acc |= {s + g for s in acc}
-    return tuple(sorted(acc - {0}))
+        acc.update([s + g for s in acc])
+    if 0 not in gens:
+        acc.discard(0)
+    return tuple(sorted(acc))
 
 
 def ascending_tuples(size: int, lo: int, hi: int,

@@ -360,6 +360,16 @@ def test_block_geometric_rule_stays_equal_to_itself_after_use():
     assert repr(rule) == repr(other)
 
 
+def test_label_rule_fields_are_its_kind_and_params():
+    # label, pair_label and the scanned block ends are attributes, not fields
+    assert [f.name for f in LabelRule.__record_fields__] == ["kind", "params"]
+    params = {"start": 2, "base_label": 5, "ratio": 3}
+    rule = LabelRule("block-geometric", dict(params))
+    assert list(rule.label_runs(0, 200))[-1][2] == 5 * 3 ** 4
+    assert rule._blocks.starts
+    assert rule == LabelRule("block-geometric", dict(params))
+
+
 # -- reference: the per-successor difference engine ----------------------------------
 
 def reference_add_units(members, num=0, den=1, to_one=False):

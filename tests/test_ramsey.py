@@ -40,6 +40,11 @@ def test_fs_examples():
         fs([2, 2])
 
 
+def test_fs_keeps_a_zero_summand():
+    assert fs([0, 3]) == (0, 3)
+    assert fs([3]) == (3,)
+
+
 @given(st.sets(st.integers(1, 40), min_size=1, max_size=8))
 def test_fs_bounds(a):
     sums = fs(a)

@@ -21,7 +21,7 @@ def declare(record, field):
     @record(frozen=True)
     class Base:
         name: str
-        payload: dict = field(default_factory=dict, compare=False)
+        payload: dict = field(default_factory=dict)
         greedy: ClassVar[bool] = False
 
         @cached_property
@@ -31,10 +31,9 @@ def declare(record, field):
     @record(frozen=True)
     class Child(Base):
         depth: int = 3
-        kind: str = field(default="child", init=False)
-        label: str = field(init=False, repr=False, compare=False)
+        kind: str = "child"
 
-        def __post_init__(self):
+        def __post_init__(self):  # ``label`` is an attribute, not a field
             object.__setattr__(self, "label", f"{self.name}/{self.depth}")
 
     @record
@@ -84,16 +83,17 @@ def test_repr_text_lists_the_repr_fields_in_field_order():
     agree(lambda Base, Child, Tally, Plain: repr(Tally(2)))  # the class's own __repr__
 
 
-def test_eq_and_hash_read_the_compared_fields_only():
+def test_eq_and_hash_read_every_field():
     def compare(Base, Child, Tally, Plain):
-        a, b = Child("a", {"x": 1}, 4), Child("a", {"y": 2}, 4)
-        return (a == b, a != Child("a", {}, 5), a == Base("a"), Base("a") == Plain("a"),
-                hash(a) == hash(b), Tally(1, [2]) == Tally(1, [2]), Tally(1) == Tally(1, [2]))
+        a = Child("a", {"x": 1}, 4)
+        return (a == Child("a", {"x": 1}, 4), a != Child("a", {}, 5), a == Base("a"),
+                Base("a") == Plain("a"), Tally(1, [2]) == Tally(1, [2]), Tally(1) == Tally(1, [2]))
 
-    assert agree(compare) == ("returned", (True, True, False, False, True, True, False))
-    # a frozen record hashes the tuple of its compared fields, as dataclasses does
-    hashes = {hash(classes[1]("a", {}, 4)) for classes in TWINS.values()}
-    assert hashes == {hash(("a", 4, "child"))}
+    assert agree(compare) == ("returned", (True, True, False, False, True, False))
+    # a frozen record hashes the tuple of its fields, as dataclasses does
+    hashes = {hash(classes[1]("a", (), 4)) for classes in TWINS.values()}
+    assert hashes == {hash(("a", (), 4, "child"))}
+    assert raised(lambda Base, Child, Tally, Plain: hash(Child("a"))) == "TypeError"
     agree(lambda Base, Child, Tally, Plain: hash(Tally()))
     agree(lambda Base, Child, Tally, Plain: Tally.__hash__ is None)
 
@@ -125,14 +125,12 @@ def test_each_instance_gets_a_fresh_default_factory_value():
     assert agree(fresh) == ("returned", ([], False, [7]))
 
 
-def test_init_false_fields_and_post_init():
+def test_post_init_runs_after_init():
     def built(Base, Child, Tally, Plain):
         c = Child("a", {}, 7)
-        return c.kind, c.label, vars(c).get("kind"), hasattr(Child, "label"), Child.kind
+        return c.kind, c.label, hasattr(Child, "label"), Child.kind
 
-    assert agree(built) == ("returned", ("child", "a/7", None, False, "child"))
-    assert raised(lambda Base, Child, Tally, Plain: Child("a", {}, 1, "other")) == "TypeError"
-    assert raised(lambda Base, Child, Tally, Plain: Child("a", kind="other")) == "TypeError"
+    assert agree(built) == ("returned", ("child", "a/7", False, "child"))
     assert raised(lambda Base, Child, Tally, Plain: Child()) == "TypeError"
 
 
@@ -145,4 +143,4 @@ def test_class_vars_are_skipped_and_inherited_fields_come_first():
     assert raised(lambda Base, Child, Tally, Plain: Base("a", {}, True)) == "TypeError"
     names = [f.name for f in dataclasses.fields(TWINS["dataclasses"][1])]
     assert names == [f.name for f in TWINS["records"][1].__record_fields__]
-    assert names == ["name", "payload", "depth", "kind", "label"]
+    assert names == ["name", "payload", "depth", "kind"]

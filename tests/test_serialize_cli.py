@@ -904,6 +904,15 @@ def test_cli_membership(capsys):
     assert got["value"] == "in"
 
 
+def test_cli_membership_witness_keeps_a_zero_generator(capsys):
+    code = run(["membership", "--ideal", '{"kind": "fin"}',
+                "--set", '{"kind": "fs_closure", "generators": [0, 3]}'])
+    assert code == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["value"] == "in"
+    assert got["evidence"]["witness"] == [0, 3]
+
+
 @pytest.mark.parametrize(
     "ideal, described",
     [

@@ -1,6 +1,7 @@
 """Described-set algebra: enumeration, shapes, serialization, rationals."""
 
 import hashlib
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -43,6 +44,26 @@ def test_enumerate_progression():
 def test_enumerate_sums_closure():
     s = SumsOf({1, 2, 4})
     assert s.enumerate_upto(8) == brute_subset_sums([1, 2, 4]) == list(range(1, 8))
+
+
+def test_a_zero_generator_is_its_own_sum():
+    # {0} is a non-empty subset, so 0 is a finite sum exactly when it generates
+    assert SumsOf({0, 3}).members == tuple(brute_subset_sums([0, 3])) == (0, 3)
+    assert SumsOf({0, 3}).contains(0) and not SumsOf({3}).contains(0)
+    assert SumsOf({0}).members == (0,)
+    assert SumsOf({0, 1, 2}).members == (0, 1, 2, 3)
+
+
+def test_subset_sums_peak_memory_is_near_the_result():
+    gens = tuple(1 << i for i in range(18))
+    tracemalloc.start()
+    try:
+        sums = sets.subset_sums(gens)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sums) == (1 << 18) - 1
+    assert peak <= 2.5 * held
 
 
 def test_enumerate_cofinite():
