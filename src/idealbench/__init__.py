@@ -8,7 +8,8 @@ certificates.
 
 Importing the package loads none of its submodules.  Each name below is
 imported from its submodule on first use (PEP 562) and then cached here,
-so a process pays only for the modules it uses.
+so a process pays only for the modules it uses.  So is each submodule that
+exports them: ``idealbench.diagonal`` imports ``diagonal`` when first read.
 """
 
 import sys as _sys
@@ -68,6 +69,8 @@ __all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):
+    if name in _EXPORTS:  # importing a submodule makes it an attribute here
+        return _import_module(f".{name}", __name__)
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,12 +3,17 @@
 A certificate is an envelope around a deterministic computation: the kind
 and inputs (plus the recorded seed) fully determine the body.  A recheck
 has two layers.  A kind with a checker first has its body confirmed from
-the body's own numbers, by code other than its producer; then every
-certificate is re-produced and compared byte for byte in canonical JSON
-form.  A certificate that differs from the last re-production of its
-kind, inputs and seed is refuted from that one; an acceptance always
-re-produces.  Every stipulated infinitary fact rides along in the assumptions
-list and must carry its tag; untagged stipulations are schema violations.
+the body's own numbers by ``idealbench.checkers``, which imports no
+producer; then every certificate is re-produced and compared byte for byte
+in canonical JSON form.  A certificate that differs from the last
+re-production of its kind, inputs and seed is refuted from that one; an
+acceptance always re-produces.  Every stipulated infinitary fact rides along
+in the assumptions list and must carry its tag; untagged stipulations are
+schema violations.
+
+Each body function reaches the modules it runs as ``idealbench.<module>``,
+which imports a module when first read, so a process that rechecks one kind
+loads only that kind's modules.
 
 Only the three kinds that ``KINDS`` declares ``seeded`` read the seed.  The
 other eight record it but do not include it in their claim, so a
@@ -18,58 +23,35 @@ certificate of theirs with its seed changed still rechecks.
 from __future__ import annotations
 
 import random
-from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations, islice
-from math import comb
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from itertools import islice
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .construction import (
-    MAX_DEPTH,
-    build_partition,
-    degenerate_weight_below_last_point,
-    greedy_numbers,
-    selector_weight,
-    verify_partition,
-)
-from .diagonal import ENGINES, assemble, collision_check
+import idealbench
+from .checkers import (CheckFailed, _oracle_domains, check_sparseness, check_weight_bound,
+                       oracle_ramsey_search)
+from .construction import MAX_DEPTH
 from .errors import ScenarioContradiction, SchemaError
-from .ideals import SumSelector
-from .pairing import code_unordered, pair_diag, unpair_diag
-from .ramsey import canonical_ramsey_search
 from .records import record
-from .reduction import (
-    IdentityHeightOne,
-    ReductionClaim,
-    check_reduction_witness,
-    check_subset_reduction,
-    revalidate_certificate,
-)
-from .scenarios import CollisionScenario, DiagScenario, TreeScenario, scenario_from_json
-from .serialize import (
-    CERTIFICATE_SCHEMA,
-    EXACT,
-    canonical_bytes,
-    check_assumptions,
-    diff_paths,
-    digit_run,
-    integer_field,
-    rat_str,
-)
-from .sets import Cofinite, Finite, Progression, Union
-from .trees import check_branching, compute_labels, find_critical, path_value_search
+from .serialize import (CERTIFICATE_SCHEMA, canonical_bytes, check_assumptions, diff_paths,
+                        integer_field, rat_str)
+
+if TYPE_CHECKING:
+    from .scenarios import CollisionScenario, DiagScenario, TreeScenario
 
 
 # -- bodies ---------------------------------------------------------------------
 
 def _partition(depth: int) -> dict:
-    p = build_partition(depth)
-    report = verify_partition(p)
+    construction = idealbench.construction
+    p = construction.build_partition(depth)
+    report = construction.verify_partition(p)
     return {"partition": p.to_json(), "report": report.to_json()}
 
 
 def _weight_bound(depth: int) -> dict:
-    points_summed, total_weight, below_one = degenerate_weight_below_last_point(depth)
+    construction = idealbench.construction
+    points_summed, total_weight, below_one = construction.degenerate_weight_below_last_point(depth)
     return {
         "depth": depth,
         "points_summed": points_summed,
@@ -85,26 +67,28 @@ def _extra_points(rng: random.Random, population: range) -> list:
 
 def _random_selector_pair(rng: random.Random, depth: int):
     """A nested selector pair: P almost included in Q by construction."""
+    sets = idealbench.sets
     step = rng.choice([1, 2, 3])
     mult = rng.choice([1, 2, 3])
     q_extra = _extra_points(rng, range(depth))
     p_extra = _extra_points(rng, range(max(1, depth // 2)))
-    q_set = Union((Progression(0, step), Finite(q_extra)))
-    p_set = Union((Progression(0, step * mult), Finite(p_extra)))
+    q_set = sets.Union((sets.Progression(0, step), sets.Finite(q_extra)))
+    p_set = sets.Union((sets.Progression(0, step * mult), sets.Finite(p_extra)))
     return p_set, q_set
 
 
 def _subset_reduction(depth: int, pairs: int, rng: random.Random) -> dict:
-    p = build_partition(depth)
+    reduction, SumSelector = idealbench.reduction, idealbench.ideals.SumSelector
+    p = idealbench.construction.build_partition(depth)
     rows = []
     for _ in range(pairs):
         p_set, q_set = _random_selector_pair(rng, depth)
-        report = check_subset_reduction(p_set, q_set, depth)
-        claim = ReductionClaim(
-            SumSelector(p_set, p), SumSelector(q_set, p), IdentityHeightOne()
+        report = reduction.check_subset_reduction(p_set, q_set, depth)
+        claim = reduction.ReductionClaim(
+            SumSelector(p_set, p), SumSelector(q_set, p), reduction.IdentityHeightOne()
         )
-        witnessed = Cofinite(tuple(sorted(rng.sample(range(8), 2))))
-        cert = check_reduction_witness(claim, witnessed, horizon=12)
+        witnessed = idealbench.sets.Cofinite(tuple(sorted(rng.sample(range(8), 2))))
+        cert = reduction.check_reduction_witness(claim, witnessed, horizon=12)
         rows.append(
             {
                 "P": p_set.to_json(),
@@ -113,7 +97,7 @@ def _subset_reduction(depth: int, pairs: int, rng: random.Random) -> dict:
                 "height_one_root": None if cert is None else cert.branching[()].to_json(),
                 "revalidated": (
                     cert is not None
-                    and revalidate_certificate(cert, claim, witnessed, horizon=12)
+                    and reduction.revalidate_certificate(cert, claim, witnessed, horizon=12)
                 ),
             }
         )
@@ -139,14 +123,15 @@ def _pigeonhole(depth: int, samples: int, interval: int, rng: random.Random) -> 
     ``interval``, so ``build_partition(interval + 1)`` holds them whatever
     ``depth`` is.
     """
+    construction = idealbench.construction
     if interval >= depth:
         raise SchemaError(f"interval {interval} must be below depth {depth}")
     # |I_n| grows with n, so the first length past the bound decides
-    for _, length, _ in islice(greedy_numbers(), interval + 1):
+    for _, length, _ in islice(construction.greedy_numbers(), interval + 1):
         if samples * length > PIGEONHOLE_DRAWS:
             raise SchemaError(f"pigeonhole inputs: samples * |I_interval| must be at most "
                               f"{PIGEONHOLE_DRAWS}, and {samples} samples of I_{interval} exceed it")
-    p = build_partition(interval + 1)
+    p = construction.build_partition(interval + 1)
     start, length = p.starts[interval], p.lengths[interval]
     min_block = length
     for _ in range(samples):
@@ -158,7 +143,8 @@ def _pigeonhole(depth: int, samples: int, interval: int, rng: random.Random) -> 
                 rng.randrange(start)
         min_block = min(min_block, max(counts))
     # even interval indices stay off the selector
-    worst_weight = selector_weight(Progression(1, 2), p, interval) * min_block
+    worst_weight = construction.selector_weight(idealbench.sets.Progression(1, 2), p,
+                                                interval) * min_block
     need = -(-length // 3)
     return {
         "samples": samples,
@@ -175,9 +161,10 @@ def _pigeonhole(depth: int, samples: int, interval: int, rng: random.Random) -> 
 def _staged_run(scenario: DiagScenario, stages: int):
     """The state and payload of a run that must end in stages, not in a
     contradiction of a stage or of the assembly."""
+    diagonal = idealbench.diagonal
     try:
-        state = ENGINES[scenario.engine].run(scenario, stages)
-        return state, assemble(state)
+        state = diagonal.ENGINES[scenario.engine].run(scenario, stages)
+        return state, diagonal.assemble(state)
     except ScenarioContradiction as exc:
         raise SchemaError(
             f"scenario {scenario.name!r} needs a staged run, not a contradiction"
@@ -187,8 +174,9 @@ def _staged_run(scenario: DiagScenario, stages: int):
 def _diagonalization(scenario: DiagScenario, stages: int) -> dict:
     """The run's payload, or the report of the contradiction that a stage or the
     assembly ran into."""
+    diagonal = idealbench.diagonal
     try:
-        result = assemble(ENGINES[scenario.engine].run(scenario, stages))
+        result = diagonal.assemble(diagonal.ENGINES[scenario.engine].run(scenario, stages))
     except ScenarioContradiction as exc:
         outcome = {"outcome": "contradiction", "report": exc.report}
     else:
@@ -198,7 +186,7 @@ def _diagonalization(scenario: DiagScenario, stages: int) -> dict:
 
 
 def _structural_identity(scenario: DiagScenario, stages: int) -> dict:
-    enumerate_family = ENGINES[scenario.engine].enumerate_family
+    enumerate_family = idealbench.diagonal.ENGINES[scenario.engine].enumerate_family
     if enumerate_family is None:
         raise SchemaError(f"the {scenario.engine} engine has no independent family enumeration")
     _, payload = _staged_run(scenario, stages)
@@ -222,15 +210,16 @@ def _structural_identity(scenario: DiagScenario, stages: int) -> dict:
 
 
 def _tree_labelling(scenario: TreeScenario) -> dict:
+    trees = idealbench.trees
     tree = scenario.tree()
     oracle = scenario.oracle()
-    labelled = compute_labels(tree, scenario.coherent_map(), oracle)
-    critical = find_critical(labelled, oracle)
-    branching = check_branching(tree, scenario.branching_ideal(), scenario.horizon)
+    labelled = trees.compute_labels(tree, scenario.coherent_map(), oracle)
+    critical = trees.find_critical(labelled, oracle)
+    branching = trees.check_branching(tree, scenario.branching_ideal(), scenario.horizon)
     root_label = labelled.labels[()]
     path = None
     if root_label is not None:
-        found = path_value_search(labelled, root_label)
+        found = trees.path_value_search(labelled, root_label)
         path = None if found is None else [list(n) for n in found]
     root = "bot" if root_label is None else root_label
     expected = scenario.expect_root_label
@@ -328,46 +317,6 @@ def _family_tallies(universe: int, size: int) -> Tuple[int, int, int]:
     return grow(0, 0, 0, 0, 0, 0)
 
 
-# independent brute-force oracle for the canonical pair search ----------------
-
-# a domain: T in [n] of size m, the edge ranks (i, j) of each two of its
-# pairs, and per case 1-4 whether that case's key is equal on those two pairs
-Domain = Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...], Tuple[Tuple[bool, ...], ...]]
-
-# each case's key on a pair (a, b) with a < b: none, the least point, the
-# greatest point, the pair
-_ORACLE_KEYS = (lambda pair: 0, lambda pair: pair[0], lambda pair: pair[1], lambda pair: pair)
-
-
-def _oracle_domains(n: int, m: int) -> List[Domain]:
-    """Each T in [n] of size m with its pairs of pairs, in the order the oracle tries them.
-
-    Edge ranks are indices into ``combinations(range(n), 2)``, the order in
-    which a restricted-growth string colours the edges.
-    """
-    rank = {pair: k for k, pair in enumerate(combinations(range(n), 2))}
-    domains = []
-    for t in combinations(range(n), m):
-        twos = list(combinations(combinations(t, 2), 2))
-        domains.append((t, tuple((rank[x], rank[y]) for x, y in twos),
-                        tuple(tuple(key(x) == key(y) for x, y in twos) for key in _ORACLE_KEYS)))
-    return domains
-
-
-def oracle_ramsey_search(colours: tuple, domains: List[Domain]):
-    """The first ``(t, case)`` of ``_oracle_domains(n, m)`` whose case holds on ``colours``.
-
-    ``colours`` holds each edge's colour by rank.  A case holds when every
-    two pairs of T have equal colours exactly when the case expects it.
-    """
-    for t, ranks, expected in domains:
-        same = tuple([colours[i] == colours[j] for i, j in ranks])
-        for case, expect in enumerate(expected, 1):
-            if same == expect:
-                return t, case
-    return None
-
-
 def _partitions_rgs(count: int) -> Iterator[Tuple[int, ...]]:
     """All restricted-growth strings of the given length, in lexicographic order.
 
@@ -420,10 +369,11 @@ def _agreement(n: int, size: int, strings: Callable[[int], Iterable[tuple]]) -> 
     Each colouring of K_n is a restricted-growth string of ``strings(edge
     count)``, read by both as the colour tuple by edge rank.
     """
+    search = idealbench.ramsey.canonical_ramsey_search
     checked = agree = 0
     domains = _oracle_domains(n, size)
     for colours in strings(n * (n - 1) // 2):
-        mine = canonical_ramsey_search(colours, n, size)
+        mine = search(colours, n, size)
         oracle = oracle_ramsey_search(colours, domains)
         checked += 1
         if (None if mine is None else (mine[0], mine[1].case)) == oracle:
@@ -459,15 +409,17 @@ def _ramsey_oracle(size: int, exhaustive_n: int, sample_n: int, samples: int,
 
 
 def _collision(scenario: CollisionScenario) -> dict:
+    diagonal = idealbench.diagonal
+    horizon = scenario.horizon
     diag_scn = scenario.diag()
-    if not ENGINES[diag_scn.engine].explicit_forbidden:
+    if not diagonal.ENGINES[diag_scn.engine].explicit_forbidden:
         raise SchemaError(f"scenario {scenario.name!r}: a {diag_scn.engine} run forbids "
                           f"label descriptors, so its families list no members to collide")
     stages = scenario.stages(diag_scn.default_stages)
     state, payload = _staged_run(diag_scn, stages)
     tree_scn = scenario.tree_scenario()
     model_index = scenario.model_index(len(state.models))
-    report = collision_check(
+    report = diagonal.collision_check(
         tree_scn.tree(),
         tree_scn.branching_ideal(),
         tree_scn.coherent_map(),
@@ -475,7 +427,7 @@ def _collision(scenario: CollisionScenario) -> dict:
         payload,
         model_index,
         state.models[model_index],
-        horizon=scenario.horizon,
+        horizon=horizon,
     )
     return {
         "diag": diag_scn.name,
@@ -486,6 +438,9 @@ def _collision(scenario: CollisionScenario) -> dict:
 
 
 def _pairing(bound: int, unordered_bound: int) -> dict:
+    pairing = idealbench.pairing
+    code_unordered, pair_diag, unpair_diag = (pairing.code_unordered, pairing.pair_diag,
+                                              pairing.unpair_diag)
     codes = {}
     monotone = True
     dominates = True
@@ -524,127 +479,6 @@ def _pairing(bound: int, unordered_bound: int) -> dict:
     }
 
 
-# -- checkers -------------------------------------------------------------------
-
-class CheckFailed(Exception):
-    """A checker refutes the body at ``path``."""
-
-    def __init__(self, path: str, reason: str):
-        super().__init__(f"check failed at {path}: {reason}")
-
-
-def _body_fields(body: object, fields: Iterable[str]) -> dict:
-    """``body`` when it is an object with exactly ``fields``, else CheckFailed at the first stray."""
-    if not isinstance(body, dict):
-        raise CheckFailed("$.body", "is not an object")
-    stray = sorted(set(fields) ^ body.keys())
-    if stray:
-        raise CheckFailed(f"$.body.{stray[0]}",
-                          "is not a field" if stray[0] in body else "is missing")
-    return body
-
-
-# primes below 10^19, libmpdec's word radix, so that the residue of a Decimal
-# is one short division
-_RESIDUE_PRIMES = (10**19 - 39, 10**19 - 57, 10**19 - 81)
-
-
-def _greedy_residues(depth: int, q: int) -> Tuple[int, int, int]:
-    """S_{d-1}, L_{d-1} and R_d of the greedy partition of ``depth`` modulo ``q``."""
-    S, L, R = 0, 1, 2
-    for n in range(1, depth):
-        S = (S + L) % q
-        L = S * R % q
-        R = (L << (n + 1)) % q
-    return S, L, R
-
-
-def _natural(text, path: str) -> Decimal:
-    """``text`` as an exact Decimal when it is an unsigned run of ASCII digits."""
-    if not (isinstance(text, str) and text[:1] not in ("+", "-") and digit_run(text)):
-        raise CheckFailed(path, "is not a run of decimal digits")
-    return Decimal(text)
-
-
-def check_weight_bound(body: object, depth: int) -> None:
-    """Confirm a weight-bound body from its own numbers, or raise CheckFailed.
-
-    With N/D the weight and d >= 2, the closed form is N = (2^d - 1) L_{d-1} - 1
-    and D = R_d = 2^d L_{d-1} (``degenerate_weight_below_last_point``), so D
-    is divisible by 2^d and N = (2^d - 1) D/2^d - 1, both checked exactly
-    (N on its text: writing N costs less than reading it); at d = 1 the
-    weight is 0/1.  ``below_one`` must be N < D.  That D is R_d
-    (and so D/2^d is L_{d-1}) and ``points_summed`` is S_{d-1} + L_{d-1} - 1
-    is checked modulo each of ``_RESIDUE_PRIMES``, against the greedy
-    recurrence run in small ints.
-    """
-    body = _body_fields(body, ("below_one", "depth", "points_summed", "total_weight"))
-    if type(body["depth"]) is not int or body["depth"] != depth:
-        raise CheckFailed("$.body.depth", f"is not the input depth {depth}")
-    points = _natural(body["points_summed"], "$.body.points_summed")
-    weight = body["total_weight"]
-    if not isinstance(weight, str):
-        raise CheckFailed("$.body.total_weight", "is not a 'p/q' text")
-    numerator, _, denominator = weight.partition("/")  # no '/': no denominator digits
-    D = _natural(denominator, "$.body.total_weight")
-    if depth == 1:
-        if weight != "0/1":
-            raise CheckFailed("$.body.total_weight", "is not 0/1 at depth 1")
-        N = Decimal(0)
-    else:
-        L, rest = EXACT.divmod(D, 1 << depth)
-        if rest:
-            raise CheckFailed("$.body.total_weight",
-                              f"has a denominator not divisible by 2^{depth}")
-        N = EXACT.subtract(EXACT.multiply(L, (1 << depth) - 1), 1)
-        if numerator != str(N):
-            raise CheckFailed("$.body.total_weight", f"is not ((2^{depth} - 1) D/2^{depth} - 1)/D")
-    if type(body["below_one"]) is not bool or body["below_one"] != (N < D):
-        raise CheckFailed("$.body.below_one", f"is not {N < D}")
-    for q in _RESIDUE_PRIMES:
-        S, L, R = _greedy_residues(depth, q)
-        if depth > 1 and EXACT.remainder(D, q) != R:
-            raise CheckFailed("$.body.total_weight", f"has a denominator other than R_{depth}")
-        if EXACT.remainder(points, q) != (S + L - 1) % q:
-            raise CheckFailed("$.body.points_summed",
-                              f"is not S_{depth - 1} + L_{depth - 1} - 1")
-
-
-def check_sparseness(body: object, universe: int, sizes: List[int]) -> None:
-    """Confirm a sparseness body from the inputs alone, or raise CheckFailed.
-
-    The tallies have a closed form.  Let A = {a_0 < ... < a_{s-1}} and
-    d = a_1 - a_0.  For each j >= 2 both a_j - a_1 and a_j - a_0 are in
-    delta(A), and they differ by d; the s - 2 pairs (a_j - a_1, a_j - a_0)
-    are distinct, so d has multiplicity at least s - 2 in the difference
-    table of delta(A).  For s >= 3 that exceeds the bound s - 3, so every
-    family fails and d witnesses it.  At s = 2, delta(A) = {d} has an empty
-    difference table: nothing fails, and the multiplicity 0 >= s - 2 still
-    witnesses.  So ``checked`` and ``shared_difference_witnessed`` are
-    Σ C(universe, s) over the sizes, ``failed_as_predicted`` is that sum
-    over the sizes s >= 3 only, ``all_fail`` is whether the two sums are
-    equal, and ``all_witnessed`` is true.  ``universe`` and ``sizes`` echo
-    the inputs.
-    """
-    body = _body_fields(body, ("all_fail", "all_witnessed", "checked", "failed_as_predicted",
-                               "shared_difference_witnessed", "sizes", "universe"))
-    checked = sum(comb(universe, size) for size in sizes)
-    failed = sum(comb(universe, size) for size in sizes if size >= 3)
-    if type(body["universe"]) is not int or body["universe"] != universe:
-        raise CheckFailed("$.body.universe", f"is not the input universe {universe}")
-    echoed = body["sizes"]
-    if not isinstance(echoed, list) or len(echoed) != len(sizes):
-        raise CheckFailed("$.body.sizes", f"is not the input sizes {sizes}")
-    for i, (got, size) in enumerate(zip(echoed, sizes)):
-        if type(got) is not int or got != size:
-            raise CheckFailed(f"$.body.sizes[{i}]", f"is not the input size {size}")
-    for field, value in (("checked", checked), ("failed_as_predicted", failed),
-                         ("shared_difference_witnessed", checked),
-                         ("all_fail", failed == checked), ("all_witnessed", True)):
-        if type(body[field]) is not type(value) or body[field] != value:
-            raise CheckFailed(f"$.body.{field}", f"is not {value}")
-
-
 # -- kinds ----------------------------------------------------------------------
 
 @record(frozen=True)
@@ -654,21 +488,21 @@ class Kind:
     Its inputs are ``integers``, each ``(key, default, minimum)`` or
     ``(key, default, minimum, maximum)`` with the default None when
     required; with ``sizes = (largest, most)``, a list of at most ``most``
-    integers from 2 to ``largest``; with ``scenario``, a scenario of that
-    class, parsed by ``scenario_from_json``, whose assumptions the
-    certificate records.  ``compute`` takes them by name, plus ``rng``, a fresh
-    ``random.Random(seed)``, when ``seeded``, and returns the body.
-    ``expected`` names the body fields that are all true when a run came out
-    as its scenario declares.  ``check``, when given, takes the body and the
-    same named inputs (``rng`` aside) and raises ``CheckFailed`` when they
-    refute the body; it calls none of the producer's code.
+    integers from 2 to ``largest``; with ``scenario``, naming a class of
+    ``scenarios``, a scenario of that class, parsed by ``scenario_from_json``,
+    whose assumptions the certificate records.  ``compute`` takes them by
+    name, plus ``rng``, a fresh ``random.Random(seed)``, when ``seeded``, and
+    returns the body.  ``expected`` names the body fields that are all true
+    when a run came out as its scenario declares.  ``check``, when given,
+    takes the body and the same named inputs (``rng`` aside) and raises
+    ``CheckFailed`` when they refute the body; it is a ``checkers`` function.
     """
 
     name: str
     compute: Callable[..., dict]
     integers: Tuple[Tuple, ...] = ()
     sizes: Optional[Tuple[int, int]] = None
-    scenario: Optional[type] = None
+    scenario: Optional[str] = None
     seeded: bool = False
     expected: Tuple[str, ...] = ()
     check: Optional[Callable[..., None]] = None
@@ -692,8 +526,9 @@ class Kind:
                 raise SchemaError(f"{where}: sizes must be a list of at most {most} "
                                   f"integers from 2 to {largest}")
         if self.scenario is not None:
-            args["scenario"] = scenario_from_json(inputs.get("scenario"), f"{where} scenario",
-                                                  self.scenario)
+            scenarios = idealbench.scenarios
+            args["scenario"] = scenarios.scenario_from_json(
+                inputs.get("scenario"), f"{where} scenario", getattr(scenarios, self.scenario))
         return args
 
     def produce(self, inputs: dict, seed: int) -> dict:
@@ -715,17 +550,17 @@ KINDS: Dict[str, Kind] = {kind.name: kind for kind in (
     Kind("subset-reduction", _subset_reduction, (_DEPTH, ("pairs", None, 0, 100)), seeded=True),
     Kind("pigeonhole", _pigeonhole,
          (("depth", 4, 1, MAX_DEPTH), ("samples", None, 1), ("interval", 2, 1)), seeded=True),
-    Kind("diagonalization", _diagonalization, (_STAGES,), scenario=DiagScenario,
+    Kind("diagonalization", _diagonalization, (_STAGES,), scenario="DiagScenario",
          expected=("as_expected",)),
-    Kind("structural-identity", _structural_identity, (_STAGES,), scenario=DiagScenario),
-    Kind("tree-labelling", _tree_labelling, scenario=TreeScenario,
+    Kind("structural-identity", _structural_identity, (_STAGES,), scenario="DiagScenario"),
+    Kind("tree-labelling", _tree_labelling, scenario="TreeScenario",
          expected=("root_as_expected", "critical_as_declared")),
     Kind("sparseness", _sparseness, (("universe", None, 0, 25),), sizes=(7, 3),
          check=check_sparseness),
     Kind("ramsey-oracle", _ramsey_oracle, (("size", 3, 0, 5), ("exhaustive_n", 4, 0, 5),
                                             ("sample_n", 5, 0, 6), ("samples", 10000, 0, 20000)),
          seeded=True),
-    Kind("collision", _collision, scenario=CollisionScenario,
+    Kind("collision", _collision, scenario="CollisionScenario",
          expected=("forbidden_label_hit",)),
     Kind("pairing", _pairing, (("bound", 100, 0, 500), ("unordered_bound", 50, 0, 500))),
 )}

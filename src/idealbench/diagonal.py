@@ -501,6 +501,31 @@ class CriticalNodeModel:
     ground: Optional[dict] = None  # hindman ground sequence / ramsey vertices
 
 
+def rule_from_json(obj: dict, partition: Optional[PartitionData] = None) -> LabelRule:
+    if not isinstance(obj, dict):
+        raise SchemaError("a label rule must be an object")
+    kind = obj.get("kind")
+    spec = LABEL_KINDS.get(kind) if isinstance(kind, str) else None
+    if spec is None:
+        raise SchemaError(f"unknown label rule {kind!r}")
+    missing = [name for name in spec.params if name not in obj]
+    if missing:
+        raise SchemaError(f"label rule {kind!r} lacks {', '.join(missing)}")
+    return LabelRule(kind, spec.parse({k: v for k, v in obj.items() if k != "kind"}, partition))
+
+
+def model_from_json(obj: dict, partition: Optional[PartitionData] = None) -> CriticalNodeModel:
+    if not isinstance(obj, dict) or "labels" not in obj:
+        raise SchemaError("a model must be an object with labels")
+    return CriticalNodeModel(
+        index=integer_field(obj, "index", 0, "a model", minimum=0),
+        rule=rule_from_json(obj["labels"], partition),
+        case=obj.get("case"),
+        form=obj.get("form"),
+        ground=obj.get("ground"),
+    )
+
+
 def model_for_stage(models: Sequence[CriticalNodeModel], k: int) -> Tuple[int, CriticalNodeModel]:
     """Critical node handled at stage k, visiting every model infinitely often."""
     i_raw, _ = unpair_diag(k)

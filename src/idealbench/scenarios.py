@@ -13,10 +13,10 @@ searched when a name is neither bundled nor a path.
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
+import idealbench
 from .construction import DEFAULT_DEPTH, MAX_DEPTH, PartitionData, build_partition
-from .diagonal import ENGINES, LABEL_KINDS, CriticalNodeModel, LabelRule
 from .errors import SchemaError
 from .ideals import IdealDescriptor, ideal_from_json
 from .records import record
@@ -32,37 +32,15 @@ from .trees import (
     canonical_tree,
 )
 
+if TYPE_CHECKING:
+    from .diagonal import CriticalNodeModel
+
 ENV_SCENARIO_DIR = "IDEALBENCH_SCENARIOS"
 
-# Largest posdiff ``horizon``.  A run scans every successor below it, and the
-# blocks it carves or stops in are summed exactly, so the cost grows faster
-# than the horizon (docs/schemas.md states the worst admitted case).
+# Largest ``horizon`` of a posdiff, tree or collision scenario.  Exact sums up
+# to the horizon make a run's or a labelling's cost grow faster than it
+# (docs/schemas.md states the worst admitted cases).
 MAX_HORIZON = 50_000
-
-
-def rule_from_json(obj: dict, partition: Optional[PartitionData] = None) -> LabelRule:
-    if not isinstance(obj, dict):
-        raise SchemaError("a label rule must be an object")
-    kind = obj.get("kind")
-    spec = LABEL_KINDS.get(kind) if isinstance(kind, str) else None
-    if spec is None:
-        raise SchemaError(f"unknown label rule {kind!r}")
-    missing = [name for name in spec.params if name not in obj]
-    if missing:
-        raise SchemaError(f"label rule {kind!r} lacks {', '.join(missing)}")
-    return LabelRule(kind, spec.parse({k: v for k, v in obj.items() if k != "kind"}, partition))
-
-
-def model_from_json(obj: dict, partition: Optional[PartitionData] = None) -> CriticalNodeModel:
-    if not isinstance(obj, dict) or "labels" not in obj:
-        raise SchemaError("a model must be an object with labels")
-    return CriticalNodeModel(
-        index=integer_field(obj, "index", 0, "a model", minimum=0),
-        rule=rule_from_json(obj["labels"], partition),
-        case=obj.get("case"),
-        form=obj.get("form"),
-        ground=obj.get("ground"),
-    )
 
 
 @record(frozen=True)
@@ -138,7 +116,7 @@ class DiagScenario(Scenario):
         models = self.payload.get("models")
         if not isinstance(models, list) or not models:
             raise SchemaError(f"scenario {self.name!r} needs a non-empty models list")
-        return [model_from_json(m, partition) for m in models]
+        return [idealbench.diagonal.model_from_json(m, partition) for m in models]
 
     def scan_cap(self, default: int) -> int:
         return self._integer("scan_cap", default)
@@ -181,7 +159,7 @@ class TreeScenario(Scenario):
 
     @property
     def horizon(self) -> int:
-        return self._integer("horizon", 16, minimum=0)
+        return self._integer("horizon", 16, 0, MAX_HORIZON)
 
     def _rows(self, key: str, shape: str, fits: Callable[[object], bool]) -> list:
         """The list ``payload[key]``, empty when absent; a SchemaError that names
@@ -270,7 +248,7 @@ class CollisionScenario(Scenario):
 
     @property
     def horizon(self) -> int:
-        return self._integer("horizon", 4096)
+        return self._integer("horizon", 4096, 0, MAX_HORIZON)
 
     def stages(self, default: int) -> int:
         return self._integer("stages", default, minimum=1)
@@ -290,9 +268,9 @@ def scenario_from_json(payload, where: str, expected: Optional[type] = None,
 
     ``payload`` must be an object of schema ``scenario/1`` with a string
     name (``name`` stands in for a missing one) and tagged assumptions.
-    Its engine picks the class: an engine of ``ENGINES`` a
-    ``DiagScenario``, ``tree`` a ``TreeScenario`` and ``collision`` a
-    ``CollisionScenario``.  With ``expected`` set, a scenario of another
+    Its engine picks the class: ``tree`` a ``TreeScenario``, ``collision`` a
+    ``CollisionScenario`` and an engine of ``diagonal.ENGINES`` (read only
+    then) a ``DiagScenario``.  With ``expected`` set, a scenario of another
     class is refused.  ``where`` names the payload in the messages.
     """
     if not isinstance(payload, dict):
@@ -304,12 +282,12 @@ def scenario_from_json(payload, where: str, expected: Optional[type] = None,
         raise SchemaError(f"{where}: not a scenario object with a string name")
     check_assumptions(payload.get("assumptions"), name)
     engine = payload.get("engine")
-    if isinstance(engine, str) and engine in ENGINES:
-        cls = DiagScenario
-    elif engine == "tree":
+    if engine == "tree":
         cls = TreeScenario
     elif engine == "collision":
         cls = CollisionScenario
+    elif isinstance(engine, str) and engine in idealbench.diagonal.ENGINES:
+        cls = DiagScenario
     else:
         raise SchemaError(f"unknown engine {engine!r}")
     if expected is not None and cls is not expected:

@@ -10,6 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from idealbench import certify
+from idealbench.scenarios import load_scenario
+from idealbench.serialize import dump_json
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # every name `idealbench` has exported, with the submodule that defines it
@@ -55,6 +59,10 @@ def test_importing_the_package_loads_no_submodule():
     assert loaded_by("import idealbench") == set()
 
 
+def test_reading_a_submodule_from_the_package_imports_it():
+    assert loaded_by("import idealbench\nidealbench.pairing") == {"idealbench.pairing"}
+
+
 def test_construct_and_verify_construction_leave_the_engines_unloaded(tmp_path):
     doc = tmp_path / "p.json"
     for argv in (["construct", "--depth", "6", "--out", str(doc)],
@@ -64,6 +72,42 @@ def test_construct_and_verify_construction_leave_the_engines_unloaded(tmp_path):
         loaded = loaded_by(f"from idealbench.cli import run\nassert run({argv!r}) == 0")
         assert loaded == {"idealbench.cli", "idealbench.construction", "idealbench.errors",
                           "idealbench.records", "idealbench.serialize"}
+
+
+def test_the_checkers_import_no_producer():
+    assert loaded_by("import idealbench.checkers") == {
+        "idealbench.checkers", "idealbench.errors", "idealbench.serialize"}
+
+
+def certify_loads(tmp_path, certificates):
+    """The idealbench modules a child loads to recheck each ``(kind, inputs)`` certificate."""
+    paths = []
+    for kind, inputs in certificates:
+        paths.append(str(tmp_path / f"{kind}.json"))
+        dump_json(paths[-1], certify.produce(kind, inputs, 0))
+    return loaded_by("from idealbench.cli import run\n"
+                     f"for path in {paths!r}:\n"
+                     "    assert run(['certify', '--in', path]) == 0, path\n")
+
+
+def test_certify_in_of_a_kind_without_a_scenario_loads_no_engine_scenario_or_ideal(tmp_path):
+    loaded = certify_loads(tmp_path, [
+        ("pairing", {"bound": 5, "unordered_bound": 5}),
+        ("sparseness", {"universe": 8, "sizes": [3]}),
+        ("weight-bound", {"depth": 5}),
+        ("partition", {"depth": 5}),
+        ("pigeonhole", {"depth": 4, "samples": 5, "interval": 2}),
+    ])
+    assert "idealbench.certify" in loaded
+    assert not loaded & {f"idealbench.{name}" for name in (
+        "diagonal", "scenarios", "trees", "reduction", "ideals", "ramsey")}
+
+
+def test_certify_in_of_a_tree_labelling_loads_neither_the_engines_nor_ramsey(tmp_path):
+    inputs = load_scenario("sep1-basic").certificate_inputs(None)
+    loaded = certify_loads(tmp_path, [("tree-labelling", inputs)])
+    assert "idealbench.trees" in loaded
+    assert not loaded & {"idealbench.diagonal", "idealbench.ramsey"}
 
 
 def test_cli_commands_load_neither_dataclasses_nor_inspect(tmp_path):

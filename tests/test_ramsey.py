@@ -7,7 +7,7 @@ from itertools import chain, combinations, combinations_with_replacement
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from idealbench import certify, ramsey
+from idealbench import certify, checkers, ramsey
 from idealbench.cli import run
 from idealbench.ideals import hindman_witness_search, ramsey_witness_search
 from idealbench.pairing import code_unordered
@@ -501,7 +501,7 @@ def test_the_sparseness_checker_accepts_every_genuine_body_without_the_producer(
     assert any(not body["all_fail"] for _, _, body in bodies)
     refuse_the_sparseness_producer(monkeypatch)
     for universe, sizes, body in bodies:
-        assert certify.check_sparseness(body, universe, sizes) is None
+        assert checkers.check_sparseness(body, universe, sizes) is None
 
 
 def sparseness_leaves(node, path="$.body"):
@@ -610,7 +610,7 @@ def randrange_rgs(length, rng):
 
 @pytest.mark.parametrize("seed", range(64))
 def test_word_sampler_draws_what_randrange_draws(seed):
-    # 1,500 strings of any length cross the refill cap of 1,024 words
+    # 1,500 strings of each length chain thousands of draws through one generator state
     for length in (0, 1, 2, 3, 6, 10, 15):
         for samples in (1, 7, 1500):
             fast, slow = random.Random(seed), random.Random(seed)
@@ -698,24 +698,22 @@ def test_the_oracle_answers_every_k4_colouring_without_the_ramsey_module(monkeyp
     for name, value in vars(ramsey).items():
         if callable(value) and not name.startswith("_") and value.__module__ == ramsey.__name__:
             monkeypatch.setattr(ramsey, name, refuse)
-            if getattr(certify, name, None) is value:
-                monkeypatch.setattr(certify, name, refuse)
     for m in range(6):
-        domains = certify._oracle_domains(4, m)
+        domains = checkers._oracle_domains(4, m)
         for rgs in strings:
-            assert certify.oracle_ramsey_search(rgs, domains) == expected[rgs, m]
+            assert checkers.oracle_ramsey_search(rgs, domains) == expected[rgs, m]
 
 
 def test_recheck_recomputes_every_colouring(monkeypatch):
     cert = certify.produce("ramsey-oracle", C07_INPUTS, 0)
-    search = certify.canonical_ramsey_search
+    search = ramsey.canonical_ramsey_search
     calls = []
 
     def counted(f, n, m):
         calls.append(n)
         return search(f, n, m)
 
-    monkeypatch.setattr(certify, "canonical_ramsey_search", counted)
+    monkeypatch.setattr(ramsey, "canonical_ramsey_search", counted)
     for _ in range(2):
         calls.clear()
         assert certify.recheck(cert) == (True, "certificate re-verified")

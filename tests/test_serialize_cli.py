@@ -8,17 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from idealbench import certify, diagonal, scenarios
+from idealbench import certify, diagonal, scenarios, trees
 from idealbench.cli import run
 from idealbench.construction import MAX_DEPTH
+from idealbench.diagonal import rule_from_json
 from idealbench.errors import SchemaError
-from idealbench.scenarios import (
-    MAX_HORIZON,
-    TreeScenario,
-    load_scenario,
-    rule_from_json,
-    scenario_from_json,
-)
+from idealbench.scenarios import MAX_HORIZON, TreeScenario, load_scenario, scenario_from_json
 from idealbench.serialize import (
     PLAIN_DIGITS,
     canonical_bytes,
@@ -276,6 +271,8 @@ _SEP1_ROW = load_scenario("sep1-basic").to_json()["oracle"][0]
         _changed_scenario("collision-posdiff", horizon="1200"),
         _changed_scenario("collision-posdiff", stages=0),
         _changed_scenario("collision-posdiff", stages=-1),
+        _changed_scenario("collision-posdiff", horizon=MAX_HORIZON + 1),
+        _changed_scenario("collision-posdiff", horizon=-1),
         _hindman_scenario(stages_default=0),
         _changed_scenario(
             "posdiff-blocks", models=[{"index": 0, "labels": {"kind": "block-geometrical"}}]
@@ -324,6 +321,7 @@ _SEP1_ROW = load_scenario("sep1-basic").to_json()["oracle"][0]
         *(_changed_scenario("pw-2b", depth=depth) for depth in ("3", 2.5, True, 0, 25)),
         _changed_scenario("sep1-basic", horizon="10"),
         _changed_scenario("sep1-basic", horizon=-1),
+        _changed_scenario("sep1-basic", horizon=MAX_HORIZON + 1),
         _changed_scenario("sep1-basic", successors=[5]),
         _changed_scenario("label-tie", successors=[[[0], 5]]),
         _changed_scenario("sep1-basic", successors=[[[0], {"kind": "explicit"}]]),
@@ -387,7 +385,7 @@ _SEP1_ROW = load_scenario("sep1-basic").to_json()["oracle"][0]
          "collision-stages-not-int", "collision-model-index-out-of-range",
          "collision-model-index-not-int", "collision-model-index-negative",
          "collision-horizon-not-int", "collision-stages-zero", "collision-stages-negative",
-         "stages-default-zero", "unknown-label-kind", "hindman-form-6", "ramsey-form-5",
+         "collision-horizon-past-max", "collision-horizon-negative", "stages-default-zero", "unknown-label-kind", "hindman-form-6", "ramsey-form-5",
          "pwfin-case-2d", "ramsey-rule-without-pair-form", "pwfin-no-P", "pwfin-no-Q",
          "pwfin-ap-without-step", "pwfin-unknown-set-kind", "pwfin-finite-without-members",
          "pwfin-P-not-an-object", "collision-no-tree", "collision-no-diag",
@@ -396,6 +394,7 @@ _SEP1_ROW = load_scenario("sep1-basic").to_json()["oracle"][0]
          "ramsey-ap-without-step", "ramsey-ap-base-not-int", "ramsey-ap-step-not-int",
          "pwfin-depth-string", "pwfin-depth-float", "pwfin-depth-bool", "pwfin-depth-zero",
          "pwfin-depth-past-max", "tree-horizon-string", "tree-horizon-negative",
+         "tree-horizon-past-max",
          "tree-successors-not-a-pair", "tree-successors-spec-not-an-object",
          "tree-explicit-successors-without-members", "tree-oracle-row-not-an-object",
          "tree-assignment-not-a-pair", "tree-nodes-extra-not-a-list",
@@ -443,6 +442,14 @@ def test_cli_diagonalize_records_an_assembly_contradiction(tmp_path):
 def test_cli_posdiff_horizon_error_names_the_bound(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     dump_json(path, _changed_scenario("posdiff-blocks", horizon=MAX_HORIZON + 1))
+    assert run(["diagonalize", "--scenario", str(path)]) == 2
+    assert f"horizon must be at most {MAX_HORIZON}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["sep1-basic", "collision-posdiff"])
+def test_cli_tree_and_collision_horizon_errors_name_the_bound(tmp_path, capsys, name):
+    path = tmp_path / "scenario.json"
+    dump_json(path, _changed_scenario(name, horizon=MAX_HORIZON + 1))
     assert run(["diagonalize", "--scenario", str(path)]) == 2
     assert f"horizon must be at most {MAX_HORIZON}" in capsys.readouterr().err
 
@@ -792,7 +799,7 @@ def test_untyped_scenario_fields_are_refused_before_any_work(
         raise AssertionError("a stage or a labelling ran")
 
     monkeypatch.setattr(diagonal, "run_stages", no_work)
-    monkeypatch.setattr(certify, "compute_labels", no_work)
+    monkeypatch.setattr(trees, "compute_labels", no_work)
     path = tmp_path / "scenario.json"
     dump_json(path, scenario)
     assert run(["diagonalize", "--scenario", str(path)]) == 2
