@@ -49,27 +49,7 @@ from .ramsey import (
 from .records import field, record
 from .serialize import integer_field, rat_str
 from .sets import DescribedSet, delta, set_from_json
-from .ideals import diff_multiplicity
-
-
-def _sum_pairs(pairs: Sequence[Tuple[int, int]], lo: int = 0, hi: Optional[int] = None) -> Tuple[int, int]:
-    """Unreduced sum of the fractions P/Q in ``pairs[lo:hi]``.
-
-    Binary splitting: halves combine as (P1*Q2 + P2*Q1, Q1*Q2), so Q is
-    the product of the denominators and every product is balanced.
-    """
-    if hi is None:
-        hi = len(pairs)
-    if hi - lo <= 16:
-        p, q = 0, 1
-        for j in range(lo, hi):
-            a, b = pairs[j]
-            p, q = p * b + a * q, q * b
-        return p, q
-    mid = (lo + hi) // 2
-    p1, q1 = _sum_pairs(pairs, lo, mid)
-    p2, q2 = _sum_pairs(pairs, mid, hi)
-    return p1 * q2 + p2 * q1, q1 * q2
+from .ideals import _sum_pairs, diff_multiplicity
 
 
 def _harmonic_pair(members) -> Tuple[int, int]:

@@ -10,10 +10,11 @@ partial sums or exhausted search bounds computed at the horizon.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .construction import (
     DEFAULT_DEPTH,
@@ -152,9 +153,35 @@ def ideal_from_json(obj: dict) -> IdealDescriptor:
 
 # -- weights ----------------------------------------------------------------
 
+def _sum_pairs(pairs: Sequence[Tuple[int, int]], lo: int = 0, hi: Optional[int] = None) -> Tuple[int, int]:
+    """Unreduced sum of the fractions P/Q in ``pairs[lo:hi]``.
+
+    Binary splitting: halves combine as (P1*Q2 + P2*Q1, Q1*Q2), so Q is
+    the product of the denominators and every product is balanced.
+    """
+    if hi is None:
+        hi = len(pairs)
+    if hi - lo <= 16:
+        p, q = 0, 1
+        for j in range(lo, hi):
+            a, b = pairs[j]
+            p, q = p * b + a * q, q * b
+        return p, q
+    mid = (lo + hi) // 2
+    p1, q1 = _sum_pairs(pairs, lo, mid)
+    p2, q2 = _sum_pairs(pairs, mid, hi)
+    return p1 * q2 + p2 * q1, q1 * q2
+
+
 def weight_of(w: WeightFunction, members: Iterable[int]) -> Fraction:
-    """Exact weight of a finite set: the sum of ``w`` over its distinct members."""
-    return sum(map(w, set(members)), Fraction(0))
+    """Exact weight of a finite set: the sum of ``w`` over its distinct members.
+
+    Members of equal weight are counted together, since selector weights
+    repeat per interval and ``_sum_pairs`` multiplies every denominator;
+    the sum is reduced once.
+    """
+    counts = Counter((f.numerator, f.denominator) for f in map(w, set(members)))
+    return Fraction(*_sum_pairs([(p * count, q) for (p, q), count in counts.items()]))
 
 
 def density_at(a: DescribedSet, n: int) -> Fraction:

@@ -449,21 +449,16 @@ def load_scenario(name_or_path: str):
     return scenario_from_json(payload, f"scenario {name_or_path!r}", name=name_or_path)
 
 
-def realize_model(
-    model,
-    horizon: int,
-    branching_set=None,
-    critical_tag: str = "assumption",
-):
+def realize_model(model, horizon: int, branching_set=None):
     """Concrete coherent map, tree, and oracle realizing a label model.
 
     The modelled critical node becomes the root: every successor with a
     non-bottom label is assigned that value outright, the successor
     descriptors claim the given branching set at every node, and the oracle
     stipulates criticality (no single label class positive, bottom class
-    null).  Labelling the result reproduces the model on the realized
-    window and leaves the root bottom and critical, which is what the
-    engines assume of their models.
+    null), each stipulation tagged an assumption.  Labelling the result
+    reproduces the model on the realized window and leaves the root bottom
+    and critical, which is what the engines assume of their models.
     """
     if branching_set is None:
         branching_set = Cofinite(())
@@ -478,11 +473,11 @@ def realize_model(
     oracle = PositivityOracle()
     for label in sorted(set(assignments.values())):
         oracle.stipulate(
-            (), label, "out", critical_tag,
+            (), label, "out", "assumption",
             f"no single label class at the modelled node is positive ({label})",
         )
     oracle.stipulate(
-        (), BOT, "in", critical_tag,
+        (), BOT, "in", "assumption",
         "the bottom successor class of the modelled node is null",
     )
     return cmap, tree, oracle

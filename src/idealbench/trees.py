@@ -20,7 +20,6 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union as TUnion
 
 from .errors import CoherenceError, LabellingBlocked, StructuralError
 from .ideals import IdealDescriptor, Verdict, membership, IN, OUT, UNKNOWN
-from .pairing import comparable, is_prefix
 from .records import field, record
 from .sets import Complement, DescribedSet, Finite
 
@@ -32,38 +31,40 @@ ROOT: Node = ()
 
 @record(frozen=True)
 class CoherentMap:
+    """Assigned strings; ``prefixes`` holds every prefix of each, itself included."""
+
     assignments: Dict[Node, int]
 
     def __init__(self, assignments: Optional[Dict[Node, int]] = None):
         clean: Dict[Node, int] = {}
         for sigma, value in (assignments or {}).items():
             clean[tuple(sigma)] = int(value)
-        for s in clean:
-            for t in clean:
-                if s < t and comparable(s, t) and clean[s] != clean[t]:
-                    raise CoherenceError(s, t, clean[s], clean[t])
+        prefixes = set()
+        for t, value in clean.items():
+            for i in range(len(t)):
+                s = t[:i]
+                prefixes.add(s)
+                if clean.get(s, value) != value:
+                    raise CoherenceError(s, t, clean[s], value)
+            prefixes.add(t)
         object.__setattr__(self, "assignments", clean)
+        object.__setattr__(self, "prefixes", frozenset(prefixes))
 
     def value(self, sigma: Node) -> Optional[int]:
         return self.assignments.get(tuple(sigma))
 
     def in_canonical_tree(self, sigma: Node) -> bool:
-        sigma = tuple(sigma)
-        return any(is_prefix(sigma, t) for t in self.assignments)
+        return tuple(sigma) in self.prefixes
 
 
 def extend_coherent(m: CoherentMap, sigma: Iterable[int], value: int) -> CoherentMap:
-    """New map with sigma assigned; rejects on any comparable disagreement."""
+    """New map with sigma assigned; rejects on any comparable disagreement,
+    which the new map reports unless sigma itself held another value."""
     sigma = tuple(sigma)
-    for t, v in m.assignments.items():
-        if comparable(sigma, t) and v != value:
-            first, second = (t, sigma) if len(t) <= len(sigma) else (sigma, t)
-            vf = m.assignments.get(first, value)
-            vs = value if second == sigma else m.assignments[second]
-            raise CoherenceError(first, second, vf, vs)
-    new = dict(m.assignments)
-    new[sigma] = int(value)
-    return CoherentMap(new)
+    old = m.assignments.get(sigma, value)
+    if old != value:
+        raise CoherenceError(sigma, sigma, old, value)
+    return CoherentMap({**m.assignments, sigma: value})
 
 
 @record(frozen=True)
@@ -98,29 +99,29 @@ class FiniteTree:
 
     def __init__(self, nodes: Iterable[Node], successors: Optional[Dict] = None):
         node_set = frozenset(tuple(n) for n in nodes) | {ROOT}
-        for n in node_set:
-            if n and n[:-1] not in node_set:
+        # each inner node's children, ascending; a leaf has no entry
+        kids: Dict[Node, List[Node]] = {}
+        for n in sorted(node_set)[1:]:
+            if n[:-1] not in node_set:
                 raise StructuralError(f"node {n} lacks its parent")
+            kids.setdefault(n[:-1], []).append(n)
         object.__setattr__(self, "nodes", node_set)
         object.__setattr__(
             self, "successors", {tuple(k): v for k, v in (successors or {}).items()}
         )
+        object.__setattr__(self, "kids", kids)
 
     def children(self, sigma: Node) -> List[Node]:
-        sigma = tuple(sigma)
-        depth = len(sigma)
-        return sorted(
-            n for n in self.nodes if len(n) == depth + 1 and n[:depth] == sigma
-        )
+        return list(self.kids.get(tuple(sigma), ()))
 
     def successor_spec(self, sigma: Node) -> SuccessorSpec:
         sigma = tuple(sigma)
         if sigma in self.successors:
             return self.successors[sigma]
-        return Explicit(tuple(n[-1] for n in self.children(sigma)))
+        return Explicit(tuple(n[-1] for n in self.kids.get(sigma, ())))
 
     def maximal_paths(self) -> List[List[Node]]:
-        leaves = [n for n in self.nodes if not self.children(n)]
+        leaves = [n for n in self.nodes if n not in self.kids]
         return [[n[:i] for i in range(len(n) + 1)] for n in sorted(leaves)]
 
     def to_json(self) -> dict:
@@ -134,15 +135,7 @@ class FiniteTree:
 
 def canonical_tree(m: CoherentMap, horizon: int) -> FiniteTree:
     """Downward closure of the assigned strings, entries below the horizon."""
-    nodes = {ROOT}
-    for sigma in m.assignments:
-        prefix = []
-        for entry in sigma:
-            if entry >= horizon:
-                break
-            prefix.append(entry)
-            nodes.add(tuple(prefix))
-    return FiniteTree(nodes)
+    return FiniteTree(p for p in m.prefixes if all(entry < horizon for entry in p))
 
 
 @record
@@ -207,6 +200,10 @@ def compute_labels(
 ) -> LabelledTree:
     """Bottom-up labelling; deterministic and independent of node order."""
     labels: Dict[Node, Optional[int]] = {}
+    stipulated: Dict[Node, set] = {}
+    for node, cand in oracle.stipulations:
+        if cand is not BOT:
+            stipulated.setdefault(node, set()).add(cand)
     assigned_nodes = set()
     outside_nodes = set()
     for sigma in sorted(t.nodes, key=len, reverse=True):
@@ -225,11 +222,7 @@ def compute_labels(
                 for child in t.children(sigma)
                 if labels[child] is not BOT
             }
-            | {
-                cand
-                for (node, cand) in oracle.stipulations
-                if node == sigma and cand is not BOT
-            }
+            | stipulated.get(sigma, set())
         )
         chosen = BOT
         for c in candidates:
@@ -265,13 +258,10 @@ def find_critical(lt: LabelledTree, oracle: PositivityOracle) -> CriticalReport:
             # every successor of a node outside the canonical tree carries
             # bottom, and the full successor class is never null
             continue
-        bottom_children = [
-            c for c in lt.tree.children(sigma) if lt.labels[c] is BOT
-        ]
+        children = lt.tree.children(sigma)
         spec = lt.tree.successor_spec(sigma)
-        if not bottom_children and isinstance(spec, Explicit):
-            realized = {c[-1] for c in lt.tree.children(sigma)}
-            if set(spec.members) <= realized:
+        if isinstance(spec, Explicit) and all(lt.labels[c] is not BOT for c in children):
+            if set(spec.members) <= {c[-1] for c in children}:
                 critical.append(sigma)
                 continue
         verdict = oracle.bottom_null(sigma)
@@ -289,14 +279,18 @@ def check_branching(
 
     A set belongs to the dual filter exactly when its complement belongs to
     the ideal, so the verdict is membership of the complement descriptor.
+    It depends on the descriptor alone, so equal descriptors share one.
     """
+    verdicts: Dict[SuccessorSpec, Verdict] = {}
     out: Dict[Node, Verdict] = {}
     for sigma in sorted(t.nodes):
         spec = t.successor_spec(sigma)
-        described = (
-            Finite(spec.members) if isinstance(spec, Explicit) else spec.described
-        )
-        out[sigma] = membership(ideal, Complement(described), horizon)
+        if spec not in verdicts:
+            described = (
+                Finite(spec.members) if isinstance(spec, Explicit) else spec.described
+            )
+            verdicts[spec] = membership(ideal, Complement(described), horizon)
+        out[sigma] = verdicts[spec]
     return out
 
 

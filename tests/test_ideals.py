@@ -69,6 +69,14 @@ def test_weight_additive_over_splits(members):
     assert weight_of(w, left) + weight_of(w, right) == weight_of(w, members)
 
 
+@given(st.lists(st.integers(0, 6000), max_size=60),
+       st.sampled_from([Finite(()), Progression(0, 2), Progression(1, 3), Cofinite(())]))
+def test_weight_of_equals_the_plain_sum(members, selector):
+    # harmonic weights, and the selector weights of depth 5, which repeat per interval
+    for w in (harmonic_weight(), weight_fn(selector, build_partition(5))):
+        assert weight_of(w, members) == sum(map(w, set(members)), Fraction(0))
+
+
 # -- membership whitelist -------------------------------------------------------
 
 def test_finite_sets_in_every_ideal():

@@ -110,6 +110,20 @@ def test_certify_in_of_a_tree_labelling_loads_neither_the_engines_nor_ramsey(tmp
     assert not loaded & {"idealbench.diagonal", "idealbench.ramsey"}
 
 
+def test_an_unknown_sum_ideal_verdict_loads_neither_the_engines_nor_ramsey():
+    # the partial weight of an unknown verdict sums through ``ideals.weight_of``,
+    # which a tree scenario's branching check reaches
+    loaded = loaded_by("from idealbench.ideals import SumHarmonic, membership\n"
+                       "from idealbench.sets import Intersection, Progression\n"
+                       "both = Intersection((Progression(0, 2), Progression(0, 3)))\n"
+                       "verdict = membership(SumHarmonic(), both, 64)\n"
+                       "assert verdict.value == 'unknown', verdict\n"
+                       "weight = verdict.evidence['partial_weight']\n"
+                       "assert weight == '14518986685813/10013535356825', verdict\n")
+    assert "idealbench.ideals" in loaded
+    assert not loaded & {"idealbench.diagonal", "idealbench.ramsey"}
+
+
 def test_cli_commands_load_neither_dataclasses_nor_inspect(tmp_path):
     # dataclasses, and the inspect it imports, cost each CLI child about 35 ms of start-up
     cert = tmp_path / "cert.json"

@@ -3,8 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from idealbench import trees
 from idealbench.errors import CoherenceError, LabellingBlocked
 from idealbench.ideals import SumHarmonic
+from idealbench.pairing import comparable, is_prefix
+from idealbench.scenarios import load_scenario
 from idealbench.sets import Cofinite, Progression, Union
 from idealbench.trees import (
     BOT,
@@ -248,3 +251,80 @@ def test_path_value_search():
     oracle2.stipulate((1,), 8, "in", "assumption", "")
     labelled2 = compute_labels(deep_tree, deep, oracle2)
     assert path_value_search(labelled2, 8) == [(), (1,), (1, 2)]
+
+
+def test_check_branching_decides_a_shared_successor_set_once(monkeypatch):
+    # sep1-basic: six nodes, each with its own Described of one default_successors set
+    tree = load_scenario("sep1-basic").tree()
+    decide, calls = trees.membership, []
+
+    def counting(*args):
+        calls.append(args)
+        return decide(*args)
+
+    monkeypatch.setattr(trees, "membership", counting)
+    got = check_branching(tree, SumHarmonic(), 32)
+    assert len(tree.nodes) == len(got) == 6
+    assert len(calls) == 1
+    assert {v.value for v in got.values()} == {"in"}
+
+
+# -- the indexed answers against the scans they replace ------------------------
+
+strings = st.lists(st.integers(0, 2), max_size=3).map(tuple)
+maps = st.dictionaries(strings, st.integers(0, 2), max_size=8)
+
+
+def pairwise_conflicts(assignments):
+    """Every (shorter, longer) comparable pair of differing values."""
+    return [(s, t) for s in assignments for t in assignments
+            if s != t and is_prefix(s, t) and assignments[s] != assignments[t]]
+
+
+@given(maps)
+def test_coherent_map_accepts_exactly_the_pairwise_coherent_maps(assignments):
+    conflicts = pairwise_conflicts(assignments)
+    if not conflicts:
+        m = CoherentMap(assignments)
+        for sigma in {s[:i] for s in assignments for i in range(4)} | {(0, 0, 0, 0), (1, 3)}:
+            assert m.in_canonical_tree(sigma) == any(is_prefix(sigma, t) for t in assignments)
+        for horizon in range(4):
+            below = {t[:i] for t in assignments for i in range(len(t) + 1)
+                     if all(entry < horizon for entry in t[:i])}
+            assert canonical_tree(m, horizon).nodes == below | {()}
+        return
+    with pytest.raises(CoherenceError) as exc:
+        CoherentMap(assignments)
+    got = exc.value
+    assert (got.first, got.second) in conflicts
+    assert (got.value_first, got.value_second) == (assignments[got.first], assignments[got.second])
+
+
+@given(maps, strings, st.integers(0, 2))
+def test_extend_coherent_refuses_exactly_a_comparable_disagreement(drawn, sigma, value):
+    assignments = {}
+    for s, v in drawn.items():
+        if not pairwise_conflicts({**assignments, s: v}):
+            assignments[s] = v
+    m = CoherentMap(assignments)
+    clashes = [(min(s, sigma, key=len), max(s, sigma, key=len))
+               for s, v in assignments.items() if comparable(s, sigma) and v != value]
+    if not clashes:
+        assert extend_coherent(m, sigma, value).value(sigma) == value
+        return
+    with pytest.raises(CoherenceError) as exc:
+        extend_coherent(m, sigma, value)
+    assert (exc.value.first, exc.value.second) in clashes
+
+
+@given(st.sets(strings, max_size=12))
+def test_children_and_maximal_paths_equal_their_scans(strings_drawn):
+    nodes = {s[:i] for s in strings_drawn for i in range(len(s) + 1)} | {()}
+    tree = FiniteTree(nodes)
+    for sigma in nodes | {(5,), (0, 0, 0, 0)}:
+        scan = sorted(n for n in nodes if len(n) == len(sigma) + 1 and n[:-1] == sigma)
+        assert tree.children(sigma) == scan
+        assert tree.successor_spec(sigma) == Explicit(tuple(n[-1] for n in scan))
+    leaves = sorted(n for n in nodes if not any(len(c) > len(n) and c[:len(n)] == n
+                                                for c in nodes))
+    assert tree.maximal_paths() == [[n[:i] for i in range(len(n) + 1)] for n in leaves]
