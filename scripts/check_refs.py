@@ -8,6 +8,8 @@ directory, and compares the sha256 of each output's canonical bytes
 A job that several universes draw is checked once.  Prints the number of
 matching outputs and each one that differs, and exits 1 if any differs.
 It only reads files under ``perfbench/``; the benchmark itself is not run.
+The summary line names the Python version that produced the outputs; to
+check another interpreter, run the script with it.
 
 Usage: python scripts/check_refs.py
 """
@@ -17,6 +19,7 @@ import contextlib
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 
@@ -79,7 +82,7 @@ def main(argv=None) -> int:
     for identity in differing:
         print(f"differs: {json.dumps(identity, sort_keys=True)[:200]}")
     print(f"{len(seen) - len(differing)} of {len(seen)} outputs match perfbench/refs.json "
-          f"({len(refs)} references): "
+          f"({len(refs)} references) under Python {platform.python_version()}: "
           + ", ".join(f"{count} {what}" for what, count in sorted(counts.items())))
     return 1 if differing else 0
 

@@ -4,11 +4,13 @@ A certificate is an envelope around a deterministic computation: the kind
 and inputs (plus the recorded seed) fully determine the body.  A recheck
 has two layers.  A kind with a checker first has its body confirmed from
 the body's own numbers by ``idealbench.checkers``, which imports no
-producer; then every certificate is re-produced and compared byte for byte
-in canonical JSON form.  A certificate that differs from the last
-re-production of its kind, inputs and seed is refuted from that one; an
-acceptance always re-produces.  Every stipulated infinitary fact rides along
-in the assumptions list and must carry its tag; untagged stipulations are
+producer.  A kind whose checker ``KINDS`` declares complete is then
+accepted once its assumptions equal those its producer records; every
+other certificate is re-produced and compared byte for byte in canonical
+JSON form.  A certificate that differs from the last re-production of its
+kind, inputs and seed is refuted from that one; an acceptance of such a
+kind always re-produces.  Every stipulated infinitary fact rides along in
+the assumptions list and must carry its tag; untagged stipulations are
 schema violations.
 
 Each body function reaches the modules it runs as ``idealbench.<module>``,
@@ -28,8 +30,8 @@ from itertools import islice
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import idealbench
-from .checkers import (CheckFailed, _oracle_domains, check_sparseness, check_weight_bound,
-                       oracle_ramsey_search)
+from .checkers import (CheckFailed, _oracle_domains, check_pairing, check_sparseness,
+                       check_weight_bound, oracle_ramsey_search)
 from .construction import MAX_DEPTH
 from .errors import ScenarioContradiction, SchemaError
 from .records import record
@@ -496,6 +498,8 @@ class Kind:
     when a run came out as its scenario declares.  ``check``, when given,
     takes the body and the same named inputs (``rng`` aside) and raises
     ``CheckFailed`` when they refute the body; it is a ``checkers`` function.
+    ``complete`` declares that ``check`` accepts exactly the bodies
+    ``compute`` returns, so ``recheck`` need not run the producer.
     """
 
     name: str
@@ -506,6 +510,7 @@ class Kind:
     seeded: bool = False
     expected: Tuple[str, ...] = ()
     check: Optional[Callable[..., None]] = None
+    complete: bool = False
 
     def arguments(self, inputs: dict, seed: int) -> dict:
         """The named inputs of ``compute`` but ``rng``; a SchemaError for bad ones."""
@@ -531,10 +536,14 @@ class Kind:
                 inputs.get("scenario"), f"{where} scenario", getattr(scenarios, self.scenario))
         return args
 
+    def assumptions(self, args: dict) -> list:
+        """The assumptions a certificate of the named inputs ``args`` records."""
+        return args["scenario"].assumptions() if self.scenario is not None else []
+
     def produce(self, inputs: dict, seed: int) -> dict:
         """The certificate of ``inputs``; a SchemaError before any work for bad ones."""
         args = self.arguments(inputs, seed)
-        assumptions = args["scenario"].assumptions() if self.scenario is not None else []
+        assumptions = self.assumptions(args)
         if self.seeded:
             args["rng"] = random.Random(seed)
         return {"schema": CERTIFICATE_SCHEMA, "kind": self.name, "seed": seed, "inputs": inputs,
@@ -556,13 +565,14 @@ KINDS: Dict[str, Kind] = {kind.name: kind for kind in (
     Kind("tree-labelling", _tree_labelling, scenario="TreeScenario",
          expected=("root_as_expected", "critical_as_declared")),
     Kind("sparseness", _sparseness, (("universe", None, 0, 25),), sizes=(7, 3),
-         check=check_sparseness),
+         check=check_sparseness, complete=True),
     Kind("ramsey-oracle", _ramsey_oracle, (("size", 3, 0, 5), ("exhaustive_n", 4, 0, 5),
                                             ("sample_n", 5, 0, 6), ("samples", 10000, 0, 20000)),
          seeded=True),
     Kind("collision", _collision, scenario="CollisionScenario",
          expected=("forbidden_label_hit",)),
-    Kind("pairing", _pairing, (("bound", 100, 0, 500), ("unordered_bound", 50, 0, 500))),
+    Kind("pairing", _pairing, (("bound", 100, 0, 500), ("unordered_bound", 50, 0, 500)),
+         check=check_pairing, complete=True),
 )}
 
 # the callable ``produce`` runs per kind, looked up at call time so that a
@@ -598,18 +608,22 @@ _last: Optional[_Recompute] = None
 
 
 def recheck(cert: dict) -> Tuple[bool, str]:
-    """Check a certificate's body with its kind's checker, if any, then recompute and compare.
+    """Check a certificate's body with its kind's checker, if any, then its assumptions.
 
-    The recomputation re-produces the certificate from its inputs and
-    compares body and assumptions byte for byte.  A SchemaError for a
-    malformed envelope or inputs, else ``(passed, detail)``.
+    A kind with a complete checker is accepted on the checker and on its
+    assumptions equalling those ``Kind.produce`` records, with no producer
+    run.  Any other kind is recomputed: its certificate is re-produced from
+    its inputs, and body and assumptions are compared byte for byte.  A
+    SchemaError for a malformed envelope or inputs, else
+    ``(passed, detail)``.
 
     The last fresh recomputation stays in one slot, keyed by the canonical
     bytes of ``[kind, inputs, seed]`` once the inputs are accepted.  A
     certificate of that key whose body or assumption bytes differ from the
     slot's is refuted from the slot, with the detail a fresh recomputation
     would give.  Any other certificate is recomputed fresh, the slot cleared
-    meanwhile, so an acceptance never rests on a cached recomputation.
+    meanwhile, so an acceptance never rests on a cached recomputation.  A
+    kind with a complete checker leaves the slot as it is.
     """
     global _last
     if not isinstance(cert, dict):
@@ -627,18 +641,24 @@ def recheck(cert: dict) -> Tuple[bool, str]:
             kind.check(cert["body"], **args)
         except CheckFailed as exc:
             return False, str(exc)
-    key = canonical_bytes([kind.name, cert["inputs"], cert["seed"]])
-    body, assumptions = canonical_bytes(cert["body"]), canonical_bytes(cert["assumptions"])
-    last = _last
-    if last is None or last.key != key or (last.body, last.assumptions) == (body, assumptions):
-        _last = None
-        rebuilt = produce(kind.name, cert["inputs"], cert["seed"])
-        last = _last = _Recompute(key, rebuilt, canonical_bytes(rebuilt["body"]),
-                                  canonical_bytes(rebuilt["assumptions"]))
-    if last.body != body:
-        path = diff_paths(last.rebuilt["body"], cert["body"], "$.body") or "$.body"
-        return False, f"recomputation differs at {path}"
-    if last.assumptions != assumptions:
-        path = diff_paths(last.rebuilt["assumptions"], cert["assumptions"], "$.assumptions")
+    assumptions = canonical_bytes(cert["assumptions"])
+    if kind.complete:
+        recorded = kind.assumptions(args)
+        recorded_bytes = canonical_bytes(recorded)
+    else:
+        key = canonical_bytes([kind.name, cert["inputs"], cert["seed"]])
+        body = canonical_bytes(cert["body"])
+        last = _last
+        if last is None or last.key != key or (last.body, last.assumptions) == (body, assumptions):
+            _last = None
+            rebuilt = produce(kind.name, cert["inputs"], cert["seed"])
+            last = _last = _Recompute(key, rebuilt, canonical_bytes(rebuilt["body"]),
+                                      canonical_bytes(rebuilt["assumptions"]))
+        if last.body != body:
+            path = diff_paths(last.rebuilt["body"], cert["body"], "$.body") or "$.body"
+            return False, f"recomputation differs at {path}"
+        recorded, recorded_bytes = last.rebuilt["assumptions"], last.assumptions
+    if recorded_bytes != assumptions:
+        path = diff_paths(recorded, cert["assumptions"], "$.assumptions")
         return False, f"assumptions differ at {path}"
     return True, "certificate re-verified"

@@ -51,9 +51,12 @@ def _greedy_residues(depth: int, q: int) -> Tuple[int, int, int]:
 
 
 def _natural(text, path: str) -> Decimal:
-    """``text`` as an exact Decimal when it is an unsigned run of ASCII digits."""
+    """``text`` as an exact Decimal when it is an unsigned run of ASCII digits that ``str``
+    would write: no leading zero, but "0" itself."""
     if not (isinstance(text, str) and text[:1] not in ("+", "-") and digit_run(text)):
         raise CheckFailed(path, "is not a run of decimal digits")
+    if text[:1] == "0" and len(text) > 1:
+        raise CheckFailed(path, "has a leading zero")
     return Decimal(text)
 
 
@@ -67,7 +70,14 @@ def check_weight_bound(body: object, depth: int) -> None:
     weight is 0/1.  ``below_one`` must be N < D.  That D is R_d
     (and so D/2^d is L_{d-1}) and ``points_summed`` is S_{d-1} + L_{d-1} - 1
     is checked modulo each of ``_RESIDUE_PRIMES``, against the greedy
-    recurrence run in small ints.
+    recurrence run in small ints.  ``points_summed`` and D must be written
+    without a leading zero, and N is compared as text, so every number has
+    its one canonical text.
+
+    The checker is not complete: it reads D only modulo the three primes,
+    so D = R_d + k 2^d p_1 p_2 p_3 (k >= 1), with N written from it by the
+    closed form, passes it.  A weight-bound certificate is therefore still
+    recomputed.
     """
     body = _body_fields(body, ("below_one", "depth", "points_summed", "total_weight"))
     if type(body["depth"]) is not int or body["depth"] != depth:
@@ -134,6 +144,28 @@ def check_sparseness(body: object, universe: int, sizes: List[int]) -> None:
                          ("all_fail", failed == checked), ("all_witnessed", True)):
         if type(body[field]) is not type(value) or body[field] != value:
             raise CheckFailed(f"$.body.{field}", f"is not {value}")
+
+
+def check_pairing(body: object, bound: int, unordered_bound: int) -> None:
+    """Confirm a pairing body from the inputs alone, or raise CheckFailed.
+
+    ``bound`` and ``unordered_bound`` echo the inputs.  Each of the six
+    flags holds on every input by a lemma stated in ``idealbench.pairing``
+    (``pair_diag``, ``unpair_diag`` and ``code_unordered``): the diagonal
+    code is injective, strictly increasing in its second argument and at
+    least that argument, and the unordered code is symmetric and injective.
+    So each flag, and ``all_hold``, is the bool true.
+    """
+    body = _body_fields(body, ("all_hold", "bound", "ordered_injective", "ordered_monotone",
+                               "second_argument_dominated", "unordered_bound",
+                               "unordered_injective", "unordered_symmetric"))
+    for field, value in (("bound", bound), ("unordered_bound", unordered_bound)):
+        if type(body[field]) is not int or body[field] != value:
+            raise CheckFailed(f"$.body.{field}", f"is not the input {field} {value}")
+    for field in ("ordered_injective", "ordered_monotone", "second_argument_dominated",
+                  "unordered_symmetric", "unordered_injective", "all_hold"):
+        if body[field] is not True:
+            raise CheckFailed(f"$.body.{field}", "is not true")
 
 
 # -- independent brute-force oracle for the canonical pair search ---------------

@@ -18,7 +18,15 @@ from typing import Tuple
 
 
 def pair_diag(i: int, b: int) -> int:
-    """Diagonal pairing code of the ordered pair (i, b)."""
+    """Diagonal pairing code of the ordered pair (i, b).
+
+    With s = i + b and T_s = s(s+1)/2 the code is T_s + b, 0 <= b <= s.
+    The diagonals' codes [T_s, T_s + s] tile the naturals, as
+    T_{s+1} = T_s + s + 1, so distinct pairs get distinct codes (injective).
+    For fixed i, raising b by one moves to diagonal s + 1 and adds
+    (s + 1) + 1 > 0 (strictly increasing in b); and T_s >= 0 gives
+    b <= T_s + b (the second argument is dominated).
+    """
     if i < 0 or b < 0:
         raise ValueError("pair_diag expects naturals")
     s = i + b
@@ -26,7 +34,13 @@ def pair_diag(i: int, b: int) -> int:
 
 
 def unpair_diag(k: int) -> Tuple[int, int]:
-    """Inverse of pair_diag."""
+    """Inverse of pair_diag.
+
+    k = T_s + b with 0 <= b <= s lies in [T_s, T_{s+1}), so s is the
+    largest with T_s <= k, that is (isqrt(8k + 1) - 1) // 2; then
+    b = k - T_s and i = s - b.  So unpair_diag(pair_diag(i, b)) == (i, b)
+    for all naturals i and b.
+    """
     if k < 0:
         raise ValueError("unpair_diag expects a natural")
     # largest s with s(s+1)/2 <= k
@@ -36,7 +50,14 @@ def unpair_diag(k: int) -> Tuple[int, int]:
 
 
 def code_unordered(a: int, b: int) -> int:
-    """Code of the unordered pair {a, b}, a != b."""
+    """Code of the unordered pair {a, b}, a != b.
+
+    The code C(hi, 2) + lo, lo < hi, reads the pair only as the set
+    {lo, hi}, so it is symmetric in a and b.  For fixed hi the codes fill
+    [C(hi, 2), C(hi + 1, 2)), and these ranges tile the naturals, so
+    distinct pairs get distinct codes (injective): the distinct pairs of
+    0..u have exactly u(u + 1)/2 codes.
+    """
     if a == b:
         raise ValueError("unordered pairs must have distinct members")
     if a < 0 or b < 0:

@@ -342,11 +342,34 @@ def test_cli_certify_fails_a_weight_bound_body_missing_a_field_with_exit_1(
 
 
 def test_a_weight_bound_text_the_checker_admits_is_caught_by_the_recomputation():
-    # a leading zero writes the same number, so only the byte comparison sees it
+    # the checker reads D only modulo three primes: D' = D + 2^d p1 p2 p3, with N'
+    # written from D' by the closed form, passes it, and only the recomputation differs
+    depth = 5
+    cert = certify.produce("weight-bound", {"depth": depth}, 0)
+    D = int(cert["body"]["total_weight"].split("/")[1])
+    D += (1 << depth) * math.prod(checkers._RESIDUE_PRIMES)
+    N = ((1 << depth) - 1) * D // (1 << depth) - 1
+    body = {**cert["body"], "total_weight": f"{N}/{D}"}
+    checkers.check_weight_bound(body, depth)
+    assert certify.recheck({**cert, "body": body}) == (
+        False, "recomputation differs at $.body.total_weight")
+
+
+def test_the_weight_bound_checker_refuses_a_leading_zero(monkeypatch):
+    # a leading zero writes the same number; the checker refuses it before any recomputation
     cert = certify.produce("weight-bound", {"depth": 5}, 0)
-    cert["body"]["points_summed"] = "0" + cert["body"]["points_summed"]
-    checkers.check_weight_bound(cert["body"], 5)
-    assert certify.recheck(cert) == (False, "recomputation differs at $.body.points_summed")
+    numerator, denominator = cert["body"]["total_weight"].split("/")
+    # "0" itself is canonical: depth 1 sums no point and weighs 0/1
+    zero = certify.produce("weight-bound", {"depth": 1}, 0)
+    assert (zero["body"]["points_summed"], zero["body"]["total_weight"]) == ("0", "0/1")
+    refuse_the_producer(monkeypatch)
+    for field, text in (("points_summed", "0" + cert["body"]["points_summed"]),
+                        ("total_weight", f"0{numerator}/{denominator}"),
+                        ("total_weight", f"{numerator}/0{denominator}")):
+        passed, detail = certify.recheck({**cert, "body": {**cert["body"], field: text}})
+        assert not passed
+        assert detail.startswith(f"check failed at $.body.{field}: "), detail
+    checkers.check_weight_bound(zero["body"], 1)
 
 
 def test_tampered_report_bytes_are_pinned(tmp_path):

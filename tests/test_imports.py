@@ -103,6 +103,13 @@ def test_certify_in_of_a_kind_without_a_scenario_loads_no_engine_scenario_or_ide
         "diagonal", "scenarios", "trees", "reduction", "ideals", "ramsey")}
 
 
+def test_certify_in_of_a_pairing_certificate_loads_no_pairing_code(tmp_path):
+    # the pairing checker is complete, so the recheck runs no producer
+    loaded = certify_loads(tmp_path, [("pairing", {"bound": 5, "unordered_bound": 5})])
+    assert "idealbench.checkers" in loaded
+    assert "idealbench.pairing" not in loaded
+
+
 def test_certify_in_of_a_tree_labelling_loads_neither_the_engines_nor_ramsey(tmp_path):
     inputs = load_scenario("sep1-basic").certificate_inputs(None)
     loaded = certify_loads(tmp_path, [("tree-labelling", inputs)])

@@ -1,8 +1,13 @@
 """Pairing enumerations against independent generation oracles."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
+from idealbench import certify
+from idealbench.cli import run
+from idealbench.serialize import dump_json, mutate_one_field
 from idealbench.pairing import (
     code_unordered,
     comparable,
@@ -118,3 +123,92 @@ def test_prefix_order():
             for u in strings:
                 if is_prefix(s, t) and is_prefix(t, u):
                     assert is_prefix(s, u)
+
+
+# -- the pairing certificate -------------------------------------------------------
+
+def refuse_the_pairing_producer(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pairing checker ran producer code")
+
+    monkeypatch.setattr(certify, "_pairing", refuse)
+    monkeypatch.setitem(certify._PRODUCERS, "pairing", refuse)
+
+
+def pairing_certificate(bound, unordered_bound):
+    return certify.produce("pairing", {"bound": bound, "unordered_bound": unordered_bound}, 0)
+
+
+def test_the_pairing_checker_accepts_every_genuine_body_without_the_producer(monkeypatch):
+    # every input up to 30, and the largest bound beside the smallest
+    inputs = [*product(range(31), repeat=2), (500, 500), (0, 500), (500, 0)]
+    certs = [pairing_certificate(bound, unordered_bound) for bound, unordered_bound in inputs]
+    refuse_the_pairing_producer(monkeypatch)
+    slot = certify._last
+    for cert in certs:
+        assert certify.recheck(cert) == (True, "certificate re-verified")
+    assert certify._last is slot
+
+
+@pytest.mark.parametrize("bound, unordered_bound", [(0, 0), (3, 1), (100, 50), (500, 500)])
+def test_the_pairing_checker_alone_rejects_a_mutant_of_every_leaf(monkeypatch, bound,
+                                                                  unordered_bound):
+    cert = pairing_certificate(bound, unordered_bound)
+    refuse_the_pairing_producer(monkeypatch)
+    for field, leaf in cert["body"].items():
+        body = {**cert["body"], field: mutate_one_field([leaf])[0][0]}
+        passed, detail = certify.recheck({**cert, "body": body})
+        assert not passed
+        assert detail.startswith(f"check failed at $.body.{field}: "), detail
+    assert len(cert["body"]) == 8
+
+
+PAIRING_FIELDS = ["all_hold", "bound", "ordered_injective", "ordered_monotone",
+                  "second_argument_dominated", "unordered_bound", "unordered_injective",
+                  "unordered_symmetric"]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("bound", "4"), ("bound", True), ("bound", 4.0), ("bound", 5),
+     ("unordered_bound", None), ("unordered_bound", 2),
+     ("ordered_injective", 1), ("ordered_monotone", "true"),
+     ("second_argument_dominated", False), ("unordered_symmetric", None),
+     ("unordered_injective", [True]), ("all_hold", 1.0), ("extra", True)],
+    ids=["bound-a-string", "bound-a-bool", "bound-a-float", "bound-off-by-one",
+         "unordered-bound-null", "unordered-bound-off-by-one", "injective-an-int",
+         "monotone-a-string", "dominated-false", "symmetric-null", "unordered-injective-a-list",
+         "all-hold-a-float", "a-stray-field"],
+)
+def test_cli_certify_fails_a_malformed_pairing_body_with_exit_1(tmp_path, capsys, field,
+                                                                value):
+    cert = pairing_certificate(4, 3)
+    cert["body"][field] = value
+    src = tmp_path / "certificate.json"
+    dump_json(src, cert)
+    assert run(["certify", "--in", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"check failed at $.body.{field}: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("field", PAIRING_FIELDS)
+def test_cli_certify_fails_a_pairing_body_missing_a_field_with_exit_1(tmp_path, capsys, field):
+    cert = pairing_certificate(4, 3)
+    del cert["body"][field]
+    src = tmp_path / "certificate.json"
+    dump_json(src, cert)
+    assert run(["certify", "--in", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"check failed at $.body.{field}: is missing\n"
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("body", [[True], "all_hold", None], ids=["a-list", "a-string", "null"])
+def test_cli_certify_fails_a_pairing_body_that_is_not_an_object(tmp_path, capsys, body):
+    src = tmp_path / "certificate.json"
+    dump_json(src, {**pairing_certificate(4, 3), "body": body})
+    assert run(["certify", "--in", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("check failed at $.body: ")
+    assert "Traceback" not in captured.err

@@ -28,7 +28,7 @@ from idealbench.ramsey import (
     min_support,
     support,
 )
-from idealbench.serialize import canonical_bytes, dump_json
+from idealbench.serialize import canonical_bytes, dump_json, mutate_one_field
 from idealbench.sets import (Cofinite, Complement, Finite, Intervals, Progression, Union,
                              modular_avoiders)
 
@@ -496,12 +496,17 @@ def every_sparseness_input(largest_universe=12):
 
 
 def test_the_sparseness_checker_accepts_every_genuine_body_without_the_producer(monkeypatch):
-    bodies = [(u, sizes, certify._sparseness(u, sizes)) for u, sizes in every_sparseness_input()]
-    assert len(bodies) == 1092
-    assert any(not body["all_fail"] for _, _, body in bodies)
+    # every input with U <= 12, and each size alone at the largest universe
+    inputs = [*every_sparseness_input(), *((25, [size]) for size in range(2, 8))]
+    certs = [certify.produce("sparseness", {"universe": u, "sizes": sizes}, 0)
+             for u, sizes in inputs]
+    assert len(certs) == 1092 + 6
+    assert any(not cert["body"]["all_fail"] for cert in certs)
     refuse_the_sparseness_producer(monkeypatch)
-    for universe, sizes, body in bodies:
-        assert checkers.check_sparseness(body, universe, sizes) is None
+    slot = certify._last
+    for cert in certs:
+        assert certify.recheck(cert) == (True, "certificate re-verified")
+    assert certify._last is slot
 
 
 def sparseness_leaves(node, path="$.body"):
@@ -524,7 +529,7 @@ def test_the_sparseness_checker_alone_rejects_a_mutant_of_every_leaf(monkeypatch
     leaves = 0
     for node, key, path in sparseness_leaves(body):
         leaf = node[key]
-        node[key] = (not leaf) if isinstance(leaf, bool) else leaf + 1
+        node[key] = mutate_one_field([leaf])[0][0]
         passed, detail = certify.recheck(cert)
         node[key] = leaf
         leaves += 1

@@ -1,6 +1,7 @@
 """The scripts under scripts/ run as written, in-process."""
 
 import json
+import platform
 import runpy
 import sys
 from pathlib import Path
@@ -135,5 +136,6 @@ def test_check_refs_compares_each_output_with_its_reference(monkeypatch, capsys,
     assert run_script(monkeypatch, "check_refs.py") == (1 if tamper else 0)
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1].startswith(f"{3 if tamper else 4} of 4 outputs match perfbench/refs.json")
-    assert lines[-1].endswith(": 1 cert, 1 construct, 1 diagonalize, 1 verify-construction")
+    assert lines[-1].endswith(f" under Python {platform.python_version()}: "
+                              "1 cert, 1 construct, 1 diagonalize, 1 verify-construction")
     assert lines[:-1] == (['differs: {"cli": "construct", "depth": 12}'] if tamper else [])
