@@ -6,10 +6,12 @@ has two layers.  A kind with a checker first has its body confirmed from
 the body's own numbers by ``idealbench.checkers``, which imports no
 producer.  A kind whose checker ``KINDS`` declares complete is then
 accepted once its assumptions equal those its producer records; every
-other certificate is re-produced and compared byte for byte in canonical
-JSON form.  A certificate that differs from the last re-production of its
-kind, inputs and seed is refuted from that one; an acceptance of such a
-kind always re-produces.  Every stipulated infinitary fact rides along in
+other certificate is re-produced and compared with the rebuilt one by the
+strict structural walk of ``serialize.diff_paths``, which agrees with a
+byte-for-byte comparison in canonical JSON form on the JSON-native values
+producers return.  A certificate that differs from the last re-production
+of its kind, inputs and seed is refuted from that one; an acceptance of
+such a kind always re-produces.  Every stipulated infinitary fact rides along in
 the assumptions list and must carry its tag; untagged stipulations are
 schema violations.
 
@@ -595,16 +597,28 @@ def produce(kind: str, inputs: dict, seed: int = 0) -> dict:
 
 @record(frozen=True)
 class _Recompute:
-    """A fresh recomputation: its key, the rebuilt certificate, and its body and assumption bytes."""
+    """A fresh recomputation: the rebuilt certificate, keyed by the canonical bytes of its
+    ``[kind, inputs, seed]``."""
 
     key: bytes
     rebuilt: dict
-    body: bytes
-    assumptions: bytes
 
 
 # the last fresh recomputation of ``recheck``, or None; replaced whole, never edited
 _last: Optional[_Recompute] = None
+
+
+def _assumptions_differ(recorded: list, cert: dict) -> Optional[str]:
+    path = diff_paths(recorded, cert["assumptions"], "$.assumptions")
+    return None if path is None else f"assumptions differ at {path}"
+
+
+def _refutation(rebuilt: dict, cert: dict) -> Optional[str]:
+    """Where ``cert`` first differs from ``rebuilt``, body before assumptions; None if equal."""
+    path = diff_paths(rebuilt["body"], cert["body"], "$.body")
+    if path is not None:
+        return f"recomputation differs at {path}"
+    return _assumptions_differ(rebuilt["assumptions"], cert)
 
 
 def recheck(cert: dict) -> Tuple[bool, str]:
@@ -613,13 +627,16 @@ def recheck(cert: dict) -> Tuple[bool, str]:
     A kind with a complete checker is accepted on the checker and on its
     assumptions equalling those ``Kind.produce`` records, with no producer
     run.  Any other kind is recomputed: its certificate is re-produced from
-    its inputs, and body and assumptions are compared byte for byte.  A
-    SchemaError for a malformed envelope or inputs, else
-    ``(passed, detail)``.
+    its inputs, and body and assumptions are compared with the rebuilt ones
+    by one strict structural walk, ``diff_paths``, which also names the
+    first differing path.  Rebuilt bodies and assumptions hold JSON-native
+    types only, and on those the walk accepts exactly when the canonical
+    bytes are equal, so no body is serialized.  A SchemaError for a
+    malformed envelope or inputs, else ``(passed, detail)``.
 
     The last fresh recomputation stays in one slot, keyed by the canonical
     bytes of ``[kind, inputs, seed]`` once the inputs are accepted.  A
-    certificate of that key whose body or assumption bytes differ from the
+    certificate of that key whose body or assumptions differ from the
     slot's is refuted from the slot, with the detail a fresh recomputation
     would give.  Any other certificate is recomputed fresh, the slot cleared
     meanwhile, so an acceptance never rests on a cached recomputation.  A
@@ -641,24 +658,14 @@ def recheck(cert: dict) -> Tuple[bool, str]:
             kind.check(cert["body"], **args)
         except CheckFailed as exc:
             return False, str(exc)
-    assumptions = canonical_bytes(cert["assumptions"])
     if kind.complete:
-        recorded = kind.assumptions(args)
-        recorded_bytes = canonical_bytes(recorded)
+        detail = _assumptions_differ(kind.assumptions(args), cert)
     else:
         key = canonical_bytes([kind.name, cert["inputs"], cert["seed"]])
-        body = canonical_bytes(cert["body"])
         last = _last
-        if last is None or last.key != key or (last.body, last.assumptions) == (body, assumptions):
+        detail = _refutation(last.rebuilt, cert) if last is not None and last.key == key else None
+        if detail is None:
             _last = None
-            rebuilt = produce(kind.name, cert["inputs"], cert["seed"])
-            last = _last = _Recompute(key, rebuilt, canonical_bytes(rebuilt["body"]),
-                                      canonical_bytes(rebuilt["assumptions"]))
-        if last.body != body:
-            path = diff_paths(last.rebuilt["body"], cert["body"], "$.body") or "$.body"
-            return False, f"recomputation differs at {path}"
-        recorded, recorded_bytes = last.rebuilt["assumptions"], last.assumptions
-    if recorded_bytes != assumptions:
-        path = diff_paths(recorded, cert["assumptions"], "$.assumptions")
-        return False, f"assumptions differ at {path}"
-    return True, "certificate re-verified"
+            last = _last = _Recompute(key, produce(kind.name, cert["inputs"], cert["seed"]))
+            detail = _refutation(last.rebuilt, cert)
+    return (False, detail) if detail is not None else (True, "certificate re-verified")

@@ -2,8 +2,9 @@
 
 All rationals travel as decimal-free "numerator/denominator" strings, so
 round-trips are lossless and diffs stay readable.  Canonical form is JSON
-with sorted keys and fixed separators; certificates are compared byte for
-byte in canonical form.
+with sorted keys and fixed separators.  Certificates are compared by the
+strict structural walk of ``diff_paths``, which on JSON-native documents
+finds a difference exactly when their canonical bytes differ.
 
 Partition data carries integers with hundreds of thousands of digits, and
 CPython's own int/str conversions are quadratic in the digit count.
@@ -214,26 +215,51 @@ def integer_field(
 
 
 def diff_paths(a: Any, b: Any, prefix: str = "$") -> Optional[str]:
-    """First JSON path at which two documents differ, or None."""
+    """First JSON path at which two documents differ, or None when they are equal.
+
+    One strict structural walk: values of different types differ (``True``
+    is not ``1``, a tuple is not a list), dict keys are visited in sorted
+    order with a key present on one side only naming its path, a length
+    difference names ``.length`` before any element, and leaves of one type
+    are compared with ``==``.  On documents of JSON-native types only (dicts
+    with str keys, lists, str, int, bool, None) the walk finds no difference
+    exactly when their ``canonical_bytes`` are equal.  The path is built only
+    on the way out of the first difference.
+    """
+    steps = _first_difference(a, b)
+    return None if steps is None else prefix + "".join(reversed(steps))
+
+
+_LEAF_TYPES = frozenset((str, int, bool, type(None)))
+
+
+def _first_difference(a: Any, b: Any) -> Optional[List[str]]:
+    """The path steps to the first difference of ``a`` and ``b``, innermost first; None if equal."""
     if type(a) is not type(b):
-        return prefix
+        return []
     if isinstance(a, dict):
-        for key in sorted(set(a) | set(b)):
+        for key in sorted(a.keys() | b.keys()):
             if key not in a or key not in b:
-                return f"{prefix}.{key}"
-            got = diff_paths(a[key], b[key], f"{prefix}.{key}")
-            if got:
-                return got
+                return [f".{key}"]
+            steps = _first_difference(a[key], b[key])
+            if steps is not None:
+                steps.append(f".{key}")
+                return steps
         return None
     if isinstance(a, list):
         if len(a) != len(b):
-            return f"{prefix}.length"
+            return [".length"]
+        types = list(map(type, a))
+        # a list of leaves whose types agree pairwise is decided by one C-level compare
+        if _LEAF_TYPES.issuperset(types) and types == list(map(type, b)) and a == b:
+            return None
         for i, (x, y) in enumerate(zip(a, b)):
-            got = diff_paths(x, y, f"{prefix}[{i}]")
-            if got:
-                return got
+            steps = _first_difference(x, y)
+            if steps is not None:
+                steps.append(f"[{i}]")
+                return steps
         return None
-    return None if a == b else prefix
+    return None if a == b else []
 
 
 def _is_rational_str(s: str) -> bool:
@@ -245,7 +271,9 @@ def mutate_one_field(obj: Any) -> Tuple[Any, str]:
 
     Used by integrity tests: a certified document must stop verifying after
     any single-field edit.  Rational strings are preferred targets, then
-    integers, numeric strings, other strings, and booleans.
+    integers, numeric strings, other strings, and booleans.  A document that
+    is itself one such leaf comes back edited, with the path ``$``; one with
+    no such leaf raises ValueError.
     """
     doc = json.loads(json.dumps(obj))
     leaves: List[Tuple[int, list, Any, str]] = []
@@ -284,6 +312,8 @@ def mutate_one_field(obj: Any) -> Tuple[Any, str]:
         replacement = value + "~"
     else:
         replacement = not value
+    if not trail:
+        return replacement, path
     target = doc
     for step in trail[:-1]:
         target = target[step]

@@ -11,6 +11,7 @@ criterion must pass.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -141,3 +142,58 @@ def test_every_body_leaf_edit_is_rejected_at_its_path(results):
     print(f"[INFO] {leaves} body leaves edited, each rejected at its path, "
           f"{by_checker} by a checker alone")
     assert leaves
+
+
+def json_native_violation(node, path="$"):
+    """The first path under ``node`` whose value is not JSON-native, or None.
+
+    JSON-native values are dicts with str keys, lists, str, int, bool and
+    None, each of exactly that type: no tuple, no float, no subclass.  On
+    such values ``diff_paths``' strict walk and canonical bytes agree, and
+    ``recheck`` relies on that.
+    """
+    if type(node) is dict:
+        for key, value in node.items():
+            if type(key) is not str:
+                return f"{path} (key {key!r})"
+            got = json_native_violation(value, f"{path}.{key}")
+            if got:
+                return got
+        return None
+    if type(node) is list:
+        for i, value in enumerate(node):
+            got = json_native_violation(value, f"{path}[{i}]")
+            if got:
+                return got
+        return None
+    return None if type(node) in (str, int, bool, type(None)) else path
+
+
+def assert_json_native(cert, name):
+    for field in ("body", "assumptions"):
+        assert json_native_violation(cert[field], f"$.{field}") is None, name
+
+
+def test_suite_certificates_are_json_native_and_recheck_read_back(results):
+    certs = [(name, cert) for n in range(1, 11) for name, cert in results[n].certificates]
+    assert len(certs) == 29
+    for name, cert in certs:
+        assert_json_native(cert, name)
+        assert certify.recheck(json.loads(json.dumps(cert))) == (
+            True, "certificate re-verified"), name
+
+
+def test_perfbench_certificates_are_json_native(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench import workloads
+
+    # the first certificate job of each label family: partition-d12, C05-pw-2b, ...
+    families = {}
+    for workload in workloads.WORKLOADS:
+        for job in workloads.universe(workload):
+            if job["type"] == "cert":
+                families.setdefault(job["label"].split("-")[0], job)
+    assert set(families) == {"partition", "weight", "hindman", "ramsey", "pwfin", "posdiff",
+                             *(f"C{n:02d}" for n in range(3, 11))}
+    for family, job in families.items():
+        assert_json_native(certify.produce(job["kind"], job["inputs"], job["seed"]), family)

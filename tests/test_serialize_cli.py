@@ -105,6 +105,106 @@ def test_diff_paths_finds_first_difference():
     assert diff_paths(left, {"x": [1, 2], "y": {"z": "3/5"}}) == "$.y.z"
 
 
+def reference_diff_paths(a, b, prefix="$"):
+    """``diff_paths`` as first written: it formats a path at every step, even where none differs."""
+    if type(a) is not type(b):
+        return prefix
+    if isinstance(a, dict):
+        for key in sorted(set(a) | set(b)):
+            if key not in a or key not in b:
+                return f"{prefix}.{key}"
+            got = reference_diff_paths(a[key], b[key], f"{prefix}.{key}")
+            if got:
+                return got
+        return None
+    if isinstance(a, list):
+        if len(a) != len(b):
+            return f"{prefix}.length"
+        for i, (x, y) in enumerate(zip(a, b)):
+            got = reference_diff_paths(x, y, f"{prefix}[{i}]")
+            if got:
+                return got
+        return None
+    return None if a == b else prefix
+
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers(-2, 2) | st.integers()
+                | st.sampled_from(["", "1/2", "1/3", "a", "true", "1"]))
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.dictionaries(st.sampled_from(["a", "b", "c", "1"]), children, max_size=4)),
+    max_leaves=24,
+)
+
+
+def _variant(draw, node):
+    """A copy of ``node`` with edits drawn at random; most subtrees come back equal."""
+    if not isinstance(node, (dict, list)):
+        edit = draw(st.sampled_from(["keep", "keep", "swap", "swap", "fresh"]))
+        # swap True for 1 and 0 for False or back: equal under ==, unequal in canonical bytes
+        if edit == "swap":
+            if type(node) is bool:
+                return int(node)
+            return bool(node) if type(node) is int and node in (0, 1) else node
+        return draw(_JSON_DOCS) if edit == "fresh" else node
+    edit = draw(st.sampled_from(["keep", "walk", "walk", "walk", "shape", "fresh"]))
+    if edit == "fresh":
+        return draw(_JSON_DOCS)
+    if isinstance(node, dict):
+        items = [(key, _variant(draw, value) if edit == "walk" else value)
+                 for key, value in node.items()]
+        if edit == "shape":
+            key = draw(st.sampled_from(["a", "b", "c", "d"]))
+            items = [item for item in items if item[0] != key]
+            if draw(st.booleans()):
+                items.append((key, draw(_JSON_DOCS)))
+        if draw(st.booleans()):  # insertion order is not part of a document
+            items.reverse()
+        return dict(items)
+    items = [_variant(draw, value) if edit == "walk" else value for value in node]
+    if edit == "shape":
+        if items and draw(st.booleans()):
+            items.pop(draw(st.integers(0, len(items) - 1)))
+        else:
+            items.insert(draw(st.integers(0, len(items))), draw(_JSON_DOCS))
+    return items
+
+
+@st.composite
+def _near_documents(draw):
+    doc = draw(_JSON_DOCS)
+    return doc, _variant(draw, doc)
+
+
+@settings(deadline=None, max_examples=400)
+@given(_near_documents())
+@example(([1, True], [True, 1]))
+@example(({"a": [0, 1]}, {"a": [False, 1]}))
+@example(({"a": 1, "b": [2]}, {"b": [2], "a": 1}))
+@example(({"a": 1}, {"a": 1, "b": 1}))
+@example(([1, [2, 3]], [1, [2, 3, 4]]))
+def test_diff_paths_agrees_with_canonical_bytes_and_the_first_implementation(pair):
+    a, b = pair
+    path = diff_paths(a, b)
+    assert (path is None) == (canonical_bytes(a) == canonical_bytes(b))
+    assert path == reference_diff_paths(a, b)
+    assert diff_paths(a, b, "$.body") == reference_diff_paths(a, b, "$.body")
+
+
+@pytest.mark.parametrize("leaf, edited", [(True, False), (5, 6), ("1/2", "2/2"), ("abc", "abc~")])
+def test_mutate_one_field_edits_a_document_that_is_one_leaf(leaf, edited):
+    assert mutate_one_field(leaf) == (edited, "$")
+    assert type(mutate_one_field(leaf)[0]) is type(leaf)
+
+
+def test_mutate_one_field_refuses_a_document_without_leaves():
+    for doc in (None, [], {}, {"a": [None]}):
+        with pytest.raises(ValueError, match="no mutable leaf"):
+            mutate_one_field(doc)
+
+
 def test_mutate_one_field_prefers_rationals():
     doc = {"note": "hello", "mass": "19/20", "count": 3}
     mutated, path = mutate_one_field(doc)
@@ -752,6 +852,33 @@ def test_a_tampered_certificate_is_refuted_from_the_last_recompute(monkeypatch, 
         # an acceptance is never read from the slot
         with pytest.raises(AssertionError, match="producer ran"):
             certify.recheck(cert)
+
+
+@pytest.mark.parametrize("kind", sorted(certify.KINDS))
+def test_a_certificate_read_back_from_json_rechecks(kind):
+    cert = certify.produce(kind, MINIMAL_INPUTS[kind](), 7)
+    assert certify.recheck(json.loads(json.dumps(cert))) == (True, "certificate re-verified")
+
+
+def test_recheck_serializes_no_body(monkeypatch):
+    # bodies are compared by diff_paths' walk; canonical bytes only key the slot
+    serialized = []
+
+    def recording(obj):
+        serialized.append(obj)
+        return canonical_bytes(obj)
+
+    monkeypatch.setattr(certify, "canonical_bytes", recording)
+    partition = certify.produce("partition", {"depth": 12}, 0)
+    diag = certify.produce("diagonalization", MINIMAL_INPUTS["diagonalization"](), 0)
+    tampered, path = mutate_one_field(diag["body"])
+    for cert, verdict in ((partition, (True, "certificate re-verified")),
+                          (diag, (True, "certificate re-verified")),
+                          ({**diag, "body": tampered},
+                           (False, "recomputation differs at $.body" + path[1:]))):
+        serialized.clear()
+        assert certify.recheck(cert) == verdict
+        assert serialized == [[cert["kind"], cert["inputs"], cert["seed"]]]
 
 
 @pytest.mark.parametrize("kind", sorted(certify.KINDS))
