@@ -9,10 +9,13 @@ per level at those depths.  For each depth this script prints the build
 and verify times, the emit time (``to_json`` of the partition and of
 its report), the parse time (``PartitionData.from_json`` of that output)
 and the digit count of the last interval, read off the emitted text so
-that no int is made.  It ends with the frontier: the largest depth whose
-build plus verify fits in one second.  The depth-30 infeasibility
-documented in the acceptance suite can be reproduced this way on any
-machine.  Times are wall seconds from ``time.perf_counter``.
+that no int is made.  A process keeps the greedy levels it has read
+(``construction.greedy_levels``), so the script empties that table before
+each build and each parse: both start cold, as in a fresh process, and
+no row is a one-level extension of the row before it.  It ends with the
+frontier: the largest depth whose build plus verify fits in one second.
+The depth-30 infeasibility documented in the acceptance suite can be
+reproduced this way on any machine.  Times are wall seconds from ``time.perf_counter``.
 
 ``--posdiff HORIZON`` times the difference engine instead: ``run_posdiff``
 and ``assemble`` on the bundled ``posdiff-blocks`` scenario at its default
@@ -23,7 +26,11 @@ seconds (``time.process_time``) of ``certify.produce`` and of
 ``certify.recheck`` of a ``partition``, a ``weight-bound`` and a
 one-pair ``subset-reduction`` certificate, and from depth 8 on (the
 least at which its four stages fit) of a 4-stage diagonalization of the
-bundled ``pw-2c`` scenario at that depth.
+bundled ``pw-2c`` scenario at that depth.  Each produce starts from an
+empty table of greedy levels (cold: it runs the recurrence to its depth
+in each arithmetic it reads), and the recheck right after it reads the
+levels that produce left (warm: it rebuilds the body but runs no
+recurrence).
 
 Usage: python scripts/bench_partition.py [MAX_DEPTH] [--budget SECONDS]
        python scripts/bench_partition.py --posdiff HORIZON
@@ -34,7 +41,7 @@ import argparse
 import sys
 import time
 
-from idealbench import certify
+from idealbench import certify, construction
 from idealbench.construction import PartitionData, build_partition, verify_partition
 from idealbench.diagonal import assemble, run_posdiff
 from idealbench.scenarios import load_scenario
@@ -71,6 +78,7 @@ def bench_certs(depths) -> None:
     for depth in depths:
         cells = []
         for column, kind, inputs in timed_certificates(depth):
+            construction._LEVELS.clear()
             t0 = time.process_time()
             cert = certify.produce(kind, inputs, 0)
             t1 = time.process_time()
@@ -102,6 +110,7 @@ def main() -> int:
         return 0
     frontier = None
     for depth in range(4, args.max_depth + 1):
+        construction._LEVELS.clear()
         t0 = time.perf_counter()
         p = build_partition(depth)
         t1 = time.perf_counter()
@@ -109,6 +118,7 @@ def main() -> int:
         t2 = time.perf_counter()
         emitted = p.to_json()
         report.to_json()
+        construction._LEVELS.clear()
         t3 = time.perf_counter()
         PartitionData.from_json(emitted)
         t4 = time.perf_counter()

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import islice
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import idealbench
@@ -130,8 +129,10 @@ def _pigeonhole(depth: int, samples: int, interval: int, rng: random.Random) -> 
     construction = idealbench.construction
     if interval >= depth:
         raise SchemaError(f"interval {interval} must be below depth {depth}")
-    # |I_n| grows with n, so the first length past the bound decides
-    for _, length, _ in islice(construction.greedy_numbers(), interval + 1):
+    # |I_n| grows with n, so the first length past the bound decides; the
+    # levels are read one at a time, so no level past it is built
+    for n in range(interval + 1):
+        _, length, _ = construction.greedy_levels(n + 1)[n]
         if samples * length > PIGEONHOLE_DRAWS:
             raise SchemaError(f"pigeonhole inputs: samples * |I_interval| must be at most "
                               f"{PIGEONHOLE_DRAWS}, and {samples} samples of I_{interval} exceed it")
@@ -631,7 +632,10 @@ def recheck(cert: dict) -> Tuple[bool, str]:
     by one strict structural walk, ``diff_paths``, which also names the
     first differing path.  Rebuilt bodies and assumptions hold JSON-native
     types only, and on those the walk accepts exactly when the canonical
-    bytes are equal, so no body is serialized.  A SchemaError for a
+    bytes are equal, so no body is serialized.  A recompute rebuilds the
+    whole body; of the partition it reads the process's greedy levels
+    (``construction.greedy_levels``), which hold numbers of the recurrence
+    only, never a cached certificate, body or text.  A SchemaError for a
     malformed envelope or inputs, else ``(passed, detail)``.
 
     The last fresh recomputation stays in one slot, keyed by the canonical

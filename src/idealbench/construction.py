@@ -30,8 +30,14 @@ arithmetic varies, ``int`` or exact ``Decimal`` (``serialize.EXACT``).  The
 two hold the same numbers.  A ``PartitionData`` is one of two things: the
 greedy partition of a depth (``greedy`` is True), from ``build_partition``
 or from a ``PartitionData.from_json`` document whose every entry writes
-the greedy value, or the ints it was given.  Greedy data runs each
-arithmetic at most once, when its numbers are first read in it.
+the greedy value, or the ints it was given.  Greedy data reads its numbers
+from ``greedy_levels`` when they are first read in it.  That accessor keeps
+one table per arithmetic for the whole process: the terms S_n, L_n and
+R_{n+1} of the levels read so far, which depend on the level alone, and no
+certificate, body or text.  It extends the table only as far as the deepest
+level read, so each arithmetic runs at most once per process, however many
+partitions, certificates and rechecks read it.  The weight-bound checker
+(``checkers``) runs its own residue recurrence and reads no table.
 
 * ``Decimal`` (``decimal_replay``) holds the greedy numbers for everything
   that writes or checks them: the text needs no radix conversion,
@@ -39,11 +45,11 @@ arithmetic at most once, when its numbers are first read in it.
   lowest terms (its lemma) off the replay, and so does the closed form of
   the weight below the last point (``degenerate_weight_below_last_point``),
   which the weight-bound certificate writes.  ``from_json`` reads each
-  digit run as ``Decimal`` (linear time) and compares it with the replay.
+  digit run as ``Decimal`` (linear time) and compares it with its level.
   libmpdec multiplies large numbers by a number-theoretic transform, where
   CPython's ``int`` uses Karatsuba, so this is the faster build.
 * ``int`` fields (``starts``, ``lengths``, ``rationals``) of greedy data
-  appear on first read, from ``greedy_numbers(int)``; no ``Decimal`` is
+  appear on first read, from the ``int`` levels; no ``Decimal`` is
   ever converted to ``int``, which CPython does in quadratic time.  The
   engines, ideals and reductions read ints, as does the exact ``Fraction``
   sum ``degenerate_prefix_weight``; no certificate of a partition, of its
@@ -62,7 +68,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice
-from typing import TYPE_CHECKING, Callable, ClassVar, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import HorizonExhausted, SchemaError, StructuralError
 from .records import record
@@ -88,9 +94,8 @@ class PartitionData:
     ``PartitionData(starts, lengths, rationals)`` holds the given ints.
     ``build_partition`` and ``from_json`` of greedy text hold only the
     depth of the greedy partition, and ``greedy`` is True.  Their int fields
-    are made on first read by ``greedy_numbers(int)``, and their ``Decimal``
-    terms (``decimal_replay``) likewise, unless ``from_json`` has them
-    already.
+    are made on first read from ``greedy_levels`` in ``int``, and their
+    ``Decimal`` terms (``decimal_replay``) likewise in ``Decimal``.
     """
 
     starts: Tuple[int, ...]
@@ -99,19 +104,17 @@ class PartitionData:
     greedy: ClassVar[bool] = False
 
     @staticmethod
-    def _greedy(depth: int, replay: Optional[Replay] = None) -> "PartitionData":
-        """The greedy partition of ``depth``; ``replay``, when given, is its ``decimal_replay``."""
+    def _greedy(depth: int) -> "PartitionData":
+        """The greedy partition of ``depth``."""
         p = object.__new__(PartitionData)
         vars(p).update(greedy=True, depth=depth)
-        if replay is not None:
-            vars(p)["decimal_replay"] = replay
         return p
 
     def __getattr__(self, name: str):
         # only reached for an int field of greedy data not read yet
         if not self.greedy or name not in ("starts", "lengths", "rationals"):
             raise AttributeError(name)
-        S, L, R = zip(*islice(greedy_numbers(), self.depth))
+        S, L, R = zip(*greedy_levels(self.depth))
         vars(self).update(starts=S, lengths=L, rationals=tuple(Fraction(1, d) for d in (1,) + R))
         return vars(self)[name]
 
@@ -153,9 +156,10 @@ class PartitionData:
         """Exact ``Decimal`` S_n, L_n (n < depth) and R_n (n <= depth) of greedy data.
 
         ``greedy_numbers`` in ``Decimal``, so equal to the int fields
-        without converting any of them.
+        without converting any of them.  The lists are this object's own,
+        made from the process's levels, so editing them edits no table.
         """
-        S, L, R = zip(*islice(greedy_numbers(Decimal), self.depth))
+        S, L, R = zip(*greedy_levels(self.depth, Decimal))
         return list(S), list(L), [Decimal(1), *R]
 
     def to_json(self) -> dict:
@@ -194,9 +198,8 @@ class PartitionData:
         depth = obj.get("depth", len(lengths))
         if type(depth) is not int or depth != len(lengths):
             raise SchemaError(f"partition depth {depth!r} disagrees with {len(lengths)} lengths")
-        replay = _greedy_replay(starts, lengths, rationals)
-        if replay is not None:
-            return PartitionData._greedy(depth, replay)
+        if _writes_greedy(starts, lengths, rationals):
+            return PartitionData._greedy(depth)
         try:
             return PartitionData(tuple(int_parse(s) for s in starts),
                                  tuple(int_parse(l) for l in lengths),
@@ -205,25 +208,22 @@ class PartitionData:
             raise SchemaError(f"partition bounds must be decimal integers: {exc}") from exc
 
 
-def _greedy_replay(starts: Sequence[str], lengths: Sequence[str],
-                   rationals: Sequence[str]) -> Optional[Replay]:
-    """The greedy partition's replay when every text writes its value, else None.
+def _writes_greedy(starts: Sequence[str], lengths: Sequence[str],
+                   rationals: Sequence[str]) -> bool:
+    """Whether every text writes the greedy partition's value.
 
     A text counts only when it is a ``digit_run``, read as ``Decimal``; any
     other text makes the document plain ints, which ``int_parse`` reads.
+    The levels are read one at a time, so a foreign document extends the
+    ``Decimal`` table no further than its first text that differs.
     """
-    S: List[Decimal] = []
-    L: List[Decimal] = []
-    R = [Decimal(1)]
-    if not _writes_unit(rationals[0], R[0]):
-        return None
-    for s, l, r, (gs, gl, gR) in zip(starts, lengths, rationals[1:], greedy_numbers(Decimal)):
+    if not _writes_unit(rationals[0], Decimal(1)):
+        return False
+    for n, (s, l, r) in enumerate(zip(starts, lengths, rationals[1:]), 1):
+        gs, gl, gR = greedy_levels(n, Decimal)[-1]
         if not (_writes(s, gs) and _writes(l, gl) and _writes_unit(r, gR)):
-            return None
-        S.append(gs)
-        L.append(gl)
-        R.append(gR)
-    return S, L, R
+            return False
+    return True
 
 
 def _writes(text: str, value: Decimal) -> bool:
@@ -260,10 +260,37 @@ def greedy_numbers(number: Callable[[int], Number] = int) -> Iterator[Tuple[Numb
         R = multiply(L, 1 << (n + 1))
 
 
+Level = Tuple[Number, Number, Number]
+# per arithmetic, the levels read so far in this process and the
+# greedy_numbers iterator that extends them; see greedy_levels
+_LEVELS: Dict[Callable[[int], Number],
+              Tuple[Tuple[Level, ...], Optional[Iterator[Level]]]] = {}
+
+
+def greedy_levels(depth: int, number: Callable[[int], Number] = int) -> Tuple[Level, ...]:
+    """The first ``depth`` terms (S_n, L_n, R_{n+1}) of ``greedy_numbers(number)``.
+
+    Every reader of greedy numbers reads them here.  The process keeps one
+    table per arithmetic, which holds the levels read so far and nothing
+    else (no certificate, body or text: a level depends on its index
+    alone), and extends it only as far as the deepest level asked for, so
+    the recurrence runs at most once per arithmetic and process.  The
+    entry is taken out while it is extended and put back whole, so a
+    reader interrupted there, or a second thread, never finds a short or
+    half-built table; at worst the recurrence runs again.
+    """
+    levels, numbers = _LEVELS.pop(number, ((), None))
+    if depth > len(levels):
+        numbers = numbers or greedy_numbers(number)
+        levels += tuple(islice(numbers, depth - len(levels)))
+    _LEVELS[number] = levels, numbers
+    return levels[:depth]
+
+
 def build_partition(depth: int) -> PartitionData:
     """Greedy partition of the given depth (number of intervals).
 
-    It runs ``greedy_numbers`` in each arithmetic only when its numbers are
+    It reads ``greedy_levels`` in each arithmetic only when its numbers are
     first read in it: ``int`` for the int fields, ``Decimal`` for the text
     and the checks.
     """

@@ -966,6 +966,11 @@ def _sequence(kinds: GroundKinds, ground) -> Callable[[int], int]:
 
 SUMS_SCAN_CAP = 64
 PAIRS_SCAN_CAP = 4096
+# the most members a sums-engine model's family may have: a anchors give it
+# 2^a - 1 sums, so a model takes at most 16 anchors.  The family doubles per
+# anchor; the costliest bundled form (5) takes about 4 CPU s to produce at
+# 16 anchors, and the others about 0.1 s (docs/schemas.md)
+SUMS_FAMILY_CAP = 1 << 16
 
 
 @record
@@ -1016,7 +1021,11 @@ def _scan(state: AnchorState, k: int, first: int, element, clears, threshold: in
 
 def hindman_stage(state: AnchorState, k: int, i: int,
                   model: CriticalNodeModel) -> AnchorStageRecord:
-    """Extend one model's anchor subsequence under its case threshold."""
+    """Extend one model's anchor subsequence under its case threshold.
+
+    A SchemaError, before any scan, for an anchor that would take the
+    model's family past ``SUMS_FAMILY_CAP`` members.
+    """
     element = _sequence(GROUND_KINDS, model.ground)
     label_of = model.rule.label
 
@@ -1032,6 +1041,11 @@ def hindman_stage(state: AnchorState, k: int, i: int,
         )
 
     anchors = state.anchors(i)
+    members = (2 << len(anchors)) - 1
+    if members > SUMS_FAMILY_CAP:
+        raise SchemaError(f"stage {k}: anchor {len(anchors) + 1} of model {i} would give its "
+                          f"anchored sums family {members} members, past the bound of "
+                          f"2^16 = {SUMS_FAMILY_CAP}")
     prev = [h for _, h in anchors]
     sums = (0,) + fs(prev)   # at every form: fs refuses repeated or negative anchors
     # h + y must clear the threshold for every offset y; the whole anchored

@@ -4,6 +4,7 @@ import decimal
 import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -262,7 +263,8 @@ def refuse_the_producer(monkeypatch):
     def refuse(*args):
         raise AssertionError("the weight-bound checker ran producer code")
 
-    for module, name in [(construction, "greedy_numbers"), (construction, "build_partition"),
+    for module, name in [(construction, "greedy_numbers"), (construction, "greedy_levels"),
+                         (construction, "build_partition"),
                          (construction, "degenerate_prefix_weight"),
                          (construction, "degenerate_weight_below_last_point"),
                          (certify, "produce")]:
@@ -627,6 +629,8 @@ def test_partition_certificates_run_no_int_arithmetic(monkeypatch):
     def refuse(*args):
         raise AssertionError("int arithmetic on greedy terms")
 
+    # an int table filled by an earlier test would serve an int read unseen
+    monkeypatch.delitem(construction._LEVELS, int, raising=False)
     monkeypatch.setitem(construction._ARITHMETIC, int, (refuse, refuse))
     cert = certify.produce("partition", {"depth": 19}, 0)
     assert certify.recheck(cert) == (True, "certificate re-verified")
@@ -640,11 +644,15 @@ def test_partition_certificates_run_no_int_arithmetic(monkeypatch):
     "kind, inputs, arithmetics",
     [("partition", {"depth": 19}, ["Decimal"]),
      ("weight-bound", {"depth": 19}, ["Decimal"]),
-     ("subset-reduction", {"depth": 12, "pairs": 2}, [])],
+     ("subset-reduction", {"depth": 12, "pairs": 2}, []),
+     ("pigeonhole", {"depth": 12, "samples": 3, "interval": 3}, ["int"])],
 )
 def test_a_certificate_runs_the_recurrence_once_per_arithmetic_it_reads(
     monkeypatch, kind, inputs, arithmetics
 ):
+    # from an empty table: the produce runs each arithmetic it reads once, and
+    # neither the recheck right after it nor a later produce at a lower depth
+    # runs any
     builds = []
     greedy_numbers = construction.greedy_numbers
 
@@ -652,12 +660,88 @@ def test_a_certificate_runs_the_recurrence_once_per_arithmetic_it_reads(
         builds.append(number.__name__)
         return greedy_numbers(number)
 
+    monkeypatch.setattr(construction, "_LEVELS", {})
     monkeypatch.setattr(construction, "greedy_numbers", counted)
     cert = certify.produce(kind, inputs, 0)
     assert sorted(builds) == arithmetics
     builds.clear()
-    assert certify.recheck(cert)[0]
-    assert sorted(builds) == arithmetics
+    assert certify.recheck(cert) == (True, "certificate re-verified")
+    assert builds == []
+    cert = certify.produce(kind, {**inputs, "depth": inputs["depth"] - 4}, 0)
+    assert certify.recheck(cert) == (True, "certificate re-verified")
+    assert builds == []
+
+
+def certificate_digest(kind, depth):
+    cert = certify.produce(kind, {"depth": depth}, 0)
+    return hashlib.sha256(canonical_bytes(cert)).hexdigest()
+
+
+def test_partition_certificates_do_not_depend_on_the_order_depths_are_read(monkeypatch):
+    depths = list(range(1, 20))
+    kinds = ("partition", "weight-bound")
+    fresh = {}
+    for kind in kinds:
+        for depth in depths:
+            monkeypatch.setattr(construction, "_LEVELS", {})
+            fresh[kind, depth] = certificate_digest(kind, depth)
+    shuffled = depths[:]
+    random.Random(35).shuffle(shuffled)
+    monkeypatch.setattr(construction, "_LEVELS", {})
+    for order in (depths[::-1], depths, shuffled):
+        assert {(kind, depth): certificate_digest(kind, depth)
+                for depth in order for kind in kinds} == fresh
+
+
+def scalar_leaves(node, path="$.body"):
+    """(container, key, path) of every scalar leaf, paths written as ``diff_paths`` writes them."""
+    for key, child in (sorted(node.items()) if isinstance(node, dict) else enumerate(node)):
+        at = f"{path}.{key}" if isinstance(node, dict) else f"{path}[{key}]"
+        if isinstance(child, (dict, list)):
+            yield from scalar_leaves(child, at)
+        else:
+            yield node, key, at
+
+
+def edited(leaf):
+    """``leaf`` with one edit of its own type; null becomes 0."""
+    if isinstance(leaf, bool):
+        return not leaf
+    if isinstance(leaf, int):
+        return leaf + 1
+    if isinstance(leaf, str):
+        return leaf + "0"
+    return 0
+
+
+@pytest.mark.parametrize("kind, depth", [("partition", 12), ("partition", 19),
+                                         ("weight-bound", 12), ("weight-bound", 19)])
+def test_with_a_full_table_a_mutant_of_every_leaf_is_refuted(kind, depth):
+    # the table past every level read: the recheck rebuilds from it and still
+    # refutes each single-field edit at its path
+    construction.greedy_levels(20, decimal.Decimal)
+    cert = certify.produce(kind, {"depth": depth}, 0)
+    leaves = 0
+    for node, key, path in scalar_leaves(cert["body"]):
+        leaf = node[key]
+        node[key] = edited(leaf)
+        passed, detail = certify.recheck(cert)
+        node[key] = leaf
+        leaves += 1
+        assert not passed
+        assert path in detail, (path, detail)
+    assert leaves
+    assert certify.recheck(cert) == (True, "certificate re-verified")
+
+
+def test_editing_a_decimal_replay_changes_no_later_certificate():
+    before = [certificate_digest(kind, 12) for kind in ("partition", "weight-bound")]
+    for terms in build_partition(12).decimal_replay:
+        terms[-1] = EXACT.add(terms[-1], 1)
+        terms.append(decimal.Decimal(7))
+        del terms[0]
+    after = [certificate_digest(kind, 12) for kind in ("partition", "weight-bound")]
+    assert after == before
 
 
 def test_a_subset_reduction_at_max_depth_reads_no_greedy_number(monkeypatch):

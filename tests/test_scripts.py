@@ -4,10 +4,12 @@ import json
 import platform
 import runpy
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
+from idealbench import certify, construction
 from idealbench.scenarios import bundled_names, load_scenario
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -47,6 +49,32 @@ def test_bench_partition_times_certificates(monkeypatch, capsys):
         assert words[2::5] == columns
         assert set(words[3::5]) == {"produce"} and set(words[5::5]) == {"recheck"}
         assert len(words) == 2 + 5 * len(columns)
+
+
+def test_bench_partition_times_each_produce_cold_and_its_recheck_warm(monkeypatch, capsys):
+    # levels read before the run serve no timed produce, and no recheck runs
+    # the recurrence; a repeated depth is timed cold again
+    events = []
+    greedy_numbers, recheck = construction.greedy_numbers, certify.recheck
+
+    def counted(number=int):
+        events.append(number.__name__)
+        return greedy_numbers(number)
+
+    def marked(cert):
+        events.append("recheck")
+        return recheck(cert)
+
+    monkeypatch.setattr(construction, "_LEVELS", {})
+    construction.greedy_levels(8, Decimal)
+    construction.greedy_levels(8)
+    monkeypatch.setattr(construction, "greedy_numbers", counted)
+    monkeypatch.setattr(certify, "recheck", marked)
+    assert run_script(monkeypatch, "bench_partition.py", "--certs", "8", "8") == 0
+    # partition, weight-bound, subset-reduction and pw-2c, in that order
+    row = ["Decimal", "recheck", "Decimal", "recheck", "recheck", "int", "recheck"]
+    assert events == row * 2
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 def test_emitted_scenarios_load_back_unchanged(monkeypatch, capsys, tmp_path):

@@ -355,6 +355,7 @@ _SEP1_ROW = load_scenario("sep1-basic").to_json()["oracle"][0]
         _changed_scenario("posdiff-blocks", horizon=MAX_HORIZON + 1),
         _changed_scenario("posdiff-blocks", horizon=10**12),
         _hindman_scenario(stages_default="4"),
+        _hindman_scenario(stages_default=17),
         _hindman_scenario(
             models=[{"index": 0, "form": 2, "labels": {"kind": "min-support"},
                      "ground": {"kind": "explicit"}}]
@@ -480,7 +481,7 @@ _SEP1_ROW = load_scenario("sep1-basic").to_json()["oracle"][0]
     ],
     ids=["no-models", "empty-models", "constant-without-value", "scan-cap-not-int",
          "posdiff-no-horizon", "posdiff-horizon-not-int", "posdiff-horizon-past-max",
-         "posdiff-horizon-1e12", "stages-default-not-int",
+         "posdiff-horizon-1e12", "stages-default-not-int", "hindman-family-past-max",
          "explicit-ground-without-members", "explicit-vertices-without-members",
          "collision-stages-not-int", "collision-model-index-out-of-range",
          "collision-model-index-not-int", "collision-model-index-negative",
@@ -544,6 +545,26 @@ def test_cli_posdiff_horizon_error_names_the_bound(tmp_path, capsys):
     dump_json(path, _changed_scenario("posdiff-blocks", horizon=MAX_HORIZON + 1))
     assert run(["diagonalize", "--scenario", str(path)]) == 2
     assert f"horizon must be at most {MAX_HORIZON}" in capsys.readouterr().err
+
+
+def test_cli_hindman_family_past_its_bound_is_a_schema_error_that_names_it(tmp_path, capsys):
+    # hindman-case2 has one model, so stage k gives it anchor k + 1; 16 anchors
+    # make 2^16 - 1 sums, and a 17th would pass 2^16
+    out, scenario = tmp_path / "certificate.json", tmp_path / "scenario.json"
+    assert run(["diagonalize", "--scenario", "hindman-case2", "--stages", "16",
+                "--out", str(out)]) == 0
+    assert run(["certify", "--in", str(out)]) == 0
+    cert = load_json(out)
+    cert["inputs"]["stages"] = 17
+    dump_json(out, cert)
+    dump_json(scenario, _hindman_scenario(stages_default=17))
+    capsys.readouterr()
+    for argv in (["diagonalize", "--scenario", "hindman-case2", "--stages", "17"],
+                 ["diagonalize", "--scenario", str(scenario)],
+                 ["certify", "--in", str(out)]):
+        assert run(argv) == 2
+        assert ("schema error: stage 16: anchor 17 of model 0 would give its anchored sums "
+                "family 131071 members, past the bound of 2^16 = 65536") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["sep1-basic", "collision-posdiff"])
@@ -631,6 +652,10 @@ def _without_name(name: str) -> dict:
         ("diagonalization",
          {"scenario": _changed_scenario("posdiff-blocks", horizon=MAX_HORIZON + 1), "stages": 1}),
         ("structural-identity", {"scenario": _changed_scenario("posdiff-blocks"), "stages": 2}),
+        ("diagonalization", {"scenario": _hindman_scenario(), "stages": 17}),
+        ("structural-identity", {"scenario": _hindman_scenario(), "stages": 17}),
+        ("collision", {"scenario": _changed_scenario(
+            "collision-posdiff", diag=_hindman_scenario(), stages=17)}),
         ("structural-identity", {"scenario": _changed_scenario("pw-2b"), "stages": 2}),
         ("tree-labelling", {"scenario": _changed_scenario("posdiff-blocks")}),
         ("diagonalization", {"scenario": _changed_scenario("hindman-case2", schema=None),
@@ -668,7 +693,9 @@ def _without_name(name: str) -> dict:
     ids=["diagonalization-no-name", "structural-identity-no-name", "tree-labelling-no-name",
          "collision-no-name", "inputs-a-list", "scenario-not-an-object",
          "posdiff-horizon-past-max",
-         "structural-identity-on-posdiff", "structural-identity-on-pwfin",
+         "structural-identity-on-posdiff", "diagonalization-hindman-family-past-max",
+         "structural-identity-hindman-family-past-max", "collision-hindman-family-past-max",
+         "structural-identity-on-pwfin",
          "tree-labelling-on-posdiff", "scenario-without-schema", "collision-tree-not-a-tree",
          "partition-no-depth", "partition-depth-zero", "weight-bound-depth-not-int",
          "subset-reduction-no-pairs", "pigeonhole-no-samples", "pigeonhole-interval-past-depth",
