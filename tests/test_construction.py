@@ -609,10 +609,12 @@ def test_greedy_prefix_is_parsed_without_int_parse(monkeypatch):
         PartitionData(p.starts, p.lengths, p.rationals)).to_json()
 
 
-def test_depth_19_bytes_are_exact_under_a_rounding_context():
+def test_depth_19_bytes_are_exact_under_a_rounding_context(monkeypatch):
     # every large Decimal operation runs in serialize.EXACT, never in the
-    # thread's context, so a 28-digit context that traps rounding changes nothing
+    # thread's context, so a 28-digit context that traps rounding changes nothing;
+    # each round trip starts from an empty table, so both run the recurrence
     def round_trip():
+        monkeypatch.setattr(construction, "_LEVELS", {})
         p = build_partition(19)
         emitted = canonical_bytes(p.to_json())
         parsed = PartitionData.from_json(json.loads(emitted))
@@ -716,9 +718,10 @@ def edited(leaf):
 
 @pytest.mark.parametrize("kind, depth", [("partition", 12), ("partition", 19),
                                          ("weight-bound", 12), ("weight-bound", 19)])
-def test_with_a_full_table_a_mutant_of_every_leaf_is_refuted(kind, depth):
+def test_with_a_full_table_a_mutant_of_every_leaf_is_refuted(monkeypatch, kind, depth):
     # the table past every level read: the recheck rebuilds from it and still
     # refutes each single-field edit at its path
+    monkeypatch.setattr(construction, "_LEVELS", {})
     construction.greedy_levels(20, decimal.Decimal)
     cert = certify.produce(kind, {"depth": depth}, 0)
     leaves = 0
@@ -734,7 +737,8 @@ def test_with_a_full_table_a_mutant_of_every_leaf_is_refuted(kind, depth):
     assert certify.recheck(cert) == (True, "certificate re-verified")
 
 
-def test_editing_a_decimal_replay_changes_no_later_certificate():
+def test_editing_a_decimal_replay_changes_no_later_certificate(monkeypatch):
+    monkeypatch.setattr(construction, "_LEVELS", {})
     before = [certificate_digest(kind, 12) for kind in ("partition", "weight-bound")]
     for terms in build_partition(12).decimal_replay:
         terms[-1] = EXACT.add(terms[-1], 1)
@@ -745,10 +749,13 @@ def test_editing_a_decimal_replay_changes_no_later_certificate():
 
 
 def test_a_subset_reduction_at_max_depth_reads_no_greedy_number(monkeypatch):
-    def refuse(number=int):
-        raise AssertionError("greedy numbers built")
+    def refuse(*args):
+        raise AssertionError("greedy numbers read")
 
+    # a table filled by an earlier test would serve a read without either call
+    monkeypatch.setattr(construction, "_LEVELS", {})
     monkeypatch.setattr(construction, "greedy_numbers", refuse)
+    monkeypatch.setattr(construction, "greedy_levels", refuse)
     cert = certify.produce("subset-reduction", {"depth": construction.MAX_DEPTH, "pairs": 100}, 0)
     assert certify.recheck(cert) == (True, "certificate re-verified")
     assert cert["body"]["all_included"] and cert["body"]["all_certificates"]
