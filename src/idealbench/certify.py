@@ -33,11 +33,10 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Opti
 import idealbench
 from .checkers import (CheckFailed, _oracle_domains, check_pairing, check_sparseness,
                        check_weight_bound, oracle_ramsey_search)
-from .construction import MAX_DEPTH
 from .errors import ScenarioContradiction, SchemaError
 from .records import record
-from .serialize import (CERTIFICATE_SCHEMA, canonical_bytes, check_assumptions, diff_paths,
-                        integer_field, rat_str)
+from .serialize import (CERTIFICATE_SCHEMA, MAX_DEPTH, canonical_bytes, check_assumptions,
+                        diff_paths, integer_field, rat_str)
 
 if TYPE_CHECKING:
     from .scenarios import CollisionScenario, DiagScenario, TreeScenario

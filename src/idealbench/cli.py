@@ -17,9 +17,8 @@ import json
 import sys
 from typing import List, Optional
 
-from .construction import DEFAULT_DEPTH, MAX_DEPTH
 from .errors import HorizonExhausted, IdealbenchError, SchemaError, StructuralError
-from .serialize import dump_json, integer_field, load_json, rat_str
+from .serialize import DEFAULT_DEPTH, MAX_DEPTH, dump_json, integer_field, load_json, rat_str
 
 USAGE_ERROR = 2
 FAILURE = 1

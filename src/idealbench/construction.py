@@ -72,16 +72,11 @@ from typing import TYPE_CHECKING, Callable, ClassVar, Dict, Iterator, List, Opti
 
 from .errors import HorizonExhausted, SchemaError, StructuralError
 from .records import record
-from .serialize import EXACT, digit_run, int_parse, int_str, rat_parse, rat_str
+from .serialize import (  # the depths: also read as construction.DEFAULT_DEPTH, MAX_DEPTH
+    DEFAULT_DEPTH, EXACT, MAX_DEPTH, digit_run, int_parse, int_str, rat_parse, rat_str)
 
 if TYPE_CHECKING:
     from .sets import DescribedSet
-
-DEFAULT_DEPTH = 12
-# the largest depth built for a request (a certificate or scenario input, a
-# descriptor, a command-line flag); the Decimal build there takes about 0.5 s
-# on a 2-core x86-64 machine, and each level doubles it
-MAX_DEPTH = 24
 
 Number = Union[int, Decimal]
 Replay = Tuple[List[Decimal], List[Decimal], List[Decimal]]

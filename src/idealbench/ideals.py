@@ -17,8 +17,6 @@ from itertools import combinations
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .construction import (
-    DEFAULT_DEPTH,
-    MAX_DEPTH,
     PartitionData,
     WeightFunction,
     build_partition,
@@ -28,7 +26,7 @@ from .construction import (
 from .errors import SchemaError
 from .pairing import code_unordered
 from .records import record
-from .serialize import integer_field, rat_str
+from .serialize import DEFAULT_DEPTH, MAX_DEPTH, integer_field, rat_str
 from .sets import DescribedSet, ascending_tuples, is_co_infinite, set_from_json, subset_sums
 
 IN = "in"

@@ -10,8 +10,9 @@ certificate never asserts a non-reduction.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
+import idealbench
 from .errors import SchemaError
 from .ideals import (
     IN,
@@ -22,7 +23,9 @@ from .ideals import (
 )
 from .records import record
 from .sets import Complement, DescribedSet, Finite, full_set
-from .trees import ROOT, Described, FiniteTree, check_branching
+
+if TYPE_CHECKING:
+    from .trees import FiniteTree
 
 
 @record(frozen=True)
@@ -172,12 +175,13 @@ def check_reduction_witness(
     family; every node must branch inside the target dual and every maximal
     path must reach an assigned value inside the witnessed set.
     """
+    trees = idealbench.trees
     if isinstance(claim.witness, IdentityHeightOne):
         realized = a.enumerate_upto(horizon)
-        nodes = [ROOT] + [(n,) for n in realized]
-        tree = FiniteTree(nodes, {ROOT: Described(a)})
-        branching = check_branching(tree, claim.target, horizon)
-        if branching[ROOT].value != IN:
+        nodes = [trees.ROOT] + [(n,) for n in realized]
+        tree = trees.FiniteTree(nodes, {trees.ROOT: trees.Described(a)})
+        branching = trees.check_branching(tree, claim.target, horizon)
+        if branching[trees.ROOT].value != IN:
             return None
         values = {(n,): n for n in realized}
         if any(not a.contains(v) for v in values.values()):
@@ -193,26 +197,27 @@ def _coherent_search(
 ) -> Optional[TreeCertificate]:
     from itertools import product
 
+    trees = idealbench.trees
     witness: CoherentWitness = claim.witness
     assignments = witness.assignments
 
     for per_level in product(witness.families, repeat=depth):
-        nodes = [ROOT]
-        frontier = [ROOT]
+        nodes = [trees.ROOT]
+        frontier = [trees.ROOT]
         specs = {}
         for level in range(depth):
             family = per_level[level]
             realized = family.enumerate_upto(horizon)
             next_frontier = []
             for node in frontier:
-                specs[node] = Described(family)
+                specs[node] = trees.Described(family)
                 for n in realized:
                     child = node + (n,)
                     nodes.append(child)
                     next_frontier.append(child)
             frontier = next_frontier
-        tree = FiniteTree(nodes, specs)
-        branching = check_branching(tree, claim.target, horizon)
+        tree = trees.FiniteTree(nodes, specs)
+        branching = trees.check_branching(tree, claim.target, horizon)
         if any(
             branching[node].value != IN for node in specs
         ):
@@ -238,7 +243,8 @@ def revalidate_certificate(
     cert: TreeCertificate, claim: ReductionClaim, a: DescribedSet, horizon: int = 16
 ) -> bool:
     """Round-trip: branching re-checks In at the root and values re-enumerate."""
-    fresh = check_branching(cert.tree, claim.target, horizon)
-    if fresh[ROOT].value != IN:
+    trees = idealbench.trees
+    fresh = trees.check_branching(cert.tree, claim.target, horizon)
+    if fresh[trees.ROOT].value != IN:
         return False
     return all(a.contains(v) for v in cert.values.values())

@@ -16,24 +16,17 @@ import os
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import idealbench
-from .construction import DEFAULT_DEPTH, MAX_DEPTH, PartitionData, build_partition
+from .construction import PartitionData, build_partition
 from .errors import SchemaError
 from .ideals import IdealDescriptor, ideal_from_json
 from .records import record
-from .serialize import SCENARIO_SCHEMA, check_assumptions, integer_field, load_json
+from .serialize import (DEFAULT_DEPTH, MAX_DEPTH, SCENARIO_SCHEMA, check_assumptions,
+                        integer_field, load_json)
 from .sets import Cofinite, set_from_json
-from .trees import (
-    BOT,
-    CoherentMap,
-    Described,
-    Explicit,
-    FiniteTree,
-    PositivityOracle,
-    canonical_tree,
-)
 
 if TYPE_CHECKING:
     from .diagonal import CriticalNodeModel
+    from .trees import CoherentMap, FiniteTree, PositivityOracle
 
 ENV_SCENARIO_DIR = "IDEALBENCH_SCENARIOS"
 
@@ -172,10 +165,11 @@ class TreeScenario(Scenario):
     def coherent_map(self) -> CoherentMap:
         rows = self._rows("assignments", "[node, integer value] pairs",
                           lambda row: _node_pair(row) and type(row[1]) is int)
-        return CoherentMap({tuple(k): v for k, v in rows})
+        return idealbench.trees.CoherentMap({tuple(k): v for k, v in rows})
 
     def tree(self) -> FiniteTree:
-        base = canonical_tree(self.coherent_map(), self.horizon)
+        trees = idealbench.trees
+        base = trees.canonical_tree(self.coherent_map(), self.horizon)
         extra = self._rows("nodes_extra", "node lists", _node)
         nodes = set(base.nodes) | {tuple(n) for n in extra}
         successors = {}
@@ -183,27 +177,28 @@ class TreeScenario(Scenario):
         if default is not None:
             default_set = set_from_json(default)
             for node in nodes:
-                successors[node] = Described(default_set)
+                successors[node] = trees.Described(default_set)
         for key, spec in self._rows("successors", "[node, spec object] pairs",
                                     lambda row: _node_pair(row) and isinstance(row[1], dict)):
             if spec.get("kind") == "described":
-                successors[tuple(key)] = Described(set_from_json(spec.get("set")))
+                successors[tuple(key)] = trees.Described(set_from_json(spec.get("set")))
             elif spec.get("kind") == "explicit" and _node(spec.get("members")):
-                successors[tuple(key)] = Explicit(tuple(spec["members"]))
+                successors[tuple(key)] = trees.Explicit(tuple(spec["members"]))
             else:
                 raise SchemaError(f"scenario {self.name!r}: a successors spec must be described "
                                   f"with a set, or explicit with a members list of naturals")
-        return FiniteTree(nodes, successors)
+        return trees.FiniteTree(nodes, successors)
 
     def oracle(self) -> PositivityOracle:
-        oracle = PositivityOracle()
+        trees = idealbench.trees
+        oracle = trees.PositivityOracle()
         for row in self._rows("oracle", "objects with a node list, an integer or null "
                               "candidate, an in/out verdict, an assumption/derived tag "
                               "and a string statement",
                               _oracle_row):
             oracle.stipulate(
                 tuple(row["node"]),
-                row.get("candidate", BOT),
+                row.get("candidate", trees.BOT),
                 row["verdict"],
                 row.get("tag", "assumption"),
                 row.get("statement", ""),
@@ -270,8 +265,9 @@ def scenario_from_json(payload, where: str, expected: Optional[type] = None,
     name (``name`` stands in for a missing one) and tagged assumptions.
     Its engine picks the class: ``tree`` a ``TreeScenario``, ``collision`` a
     ``CollisionScenario`` and an engine of ``diagonal.ENGINES`` (read only
-    then) a ``DiagScenario``.  With ``expected`` set, a scenario of another
-    class is refused.  ``where`` names the payload in the messages.
+    then, which loads that engine's module) a ``DiagScenario``.  With
+    ``expected`` set, a scenario of another class is refused.  ``where``
+    names the payload in the messages.
     """
     if not isinstance(payload, dict):
         raise SchemaError(f"{where} must be a JSON object")
@@ -460,6 +456,7 @@ def realize_model(model, horizon: int, branching_set=None):
     reproduces the model on the realized window and leaves the root bottom
     and critical, which is what the engines assume of their models.
     """
+    trees = idealbench.trees
     if branching_set is None:
         branching_set = Cofinite(())
     assignments = {}
@@ -467,17 +464,17 @@ def realize_model(model, horizon: int, branching_set=None):
         label = model.rule.label(x)
         if label is not None:
             assignments[(x,)] = label
-    cmap = CoherentMap(assignments)
-    nodes = set(canonical_tree(cmap, horizon).nodes) | {(x,) for x in range(horizon)}
-    tree = FiniteTree(nodes, {node: Described(branching_set) for node in nodes})
-    oracle = PositivityOracle()
+    cmap = trees.CoherentMap(assignments)
+    nodes = set(trees.canonical_tree(cmap, horizon).nodes) | {(x,) for x in range(horizon)}
+    tree = trees.FiniteTree(nodes, {node: trees.Described(branching_set) for node in nodes})
+    oracle = trees.PositivityOracle()
     for label in sorted(set(assignments.values())):
         oracle.stipulate(
             (), label, "out", "assumption",
             f"no single label class at the modelled node is positive ({label})",
         )
     oracle.stipulate(
-        (), BOT, "in", "assumption",
+        (), trees.BOT, "in", "assumption",
         "the bottom successor class of the modelled node is null",
     )
     return cmap, tree, oracle

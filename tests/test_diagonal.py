@@ -18,24 +18,19 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from idealbench import certify, diagonal
+from idealbench import anchored, certify, diagonal, posdiff, pwfin
 from idealbench.acceptance import IDENTITY_SCENARIOS
 from idealbench.construction import PartitionData, build_partition
 from idealbench.diagonal import (
     CriticalNodeModel,
     LabelRule,
-    PosdiffStageRecord,
-    PosdiffState,
     _harmonic_pair,
-    _heaviest_class,
     assemble,
     coarse_colour,
     collision_check,
     extract_profile,
     harmonic,
     model_for_stage,
-    posdiff_stage,
-    profile_label_weight,
     run_hindman,
     run_posdiff,
     run_pwfin,
@@ -45,6 +40,8 @@ from idealbench.diagonal import (
 from idealbench.errors import HorizonExhausted, ScenarioContradiction, SchemaError, StructuralError
 from idealbench.ideals import diff_multiplicity
 from idealbench.pairing import code_unordered, unpair_diag
+from idealbench.posdiff import PosdiffStageRecord, PosdiffState, _heaviest_class, posdiff_stage
+from idealbench.pwfin import profile_label_weight
 from idealbench.ramsey import block_disjoint, delta, eventually_sparse_check
 from idealbench.scenarios import DiagScenario, bundled_names, load_scenario
 from idealbench.serialize import canonical_bytes, rat_parse, rat_str
@@ -119,7 +116,7 @@ def test_closed_form_profiles_match_enumeration():
     rules += [LabelRule("constant", {"value": c}) for c in (0, 2, 3, 30, 5210)]
     checked = set()
     for n in range(p.depth):
-        if p.lengths[n] > diagonal._ENUM_CAP:
+        if p.lengths[n] > pwfin._ENUM_CAP:
             continue
         for rule in rules:
             model = CriticalNodeModel(0, rule)
@@ -585,7 +582,9 @@ def test_uncarved_blocks_are_never_summed_exactly(monkeypatch):
         return reach_one(a, limit, p, q)
 
     monkeypatch.setattr(diagonal, "_harmonic_pair", pair_spy)
+    # the block scan and the carve each read their own binding
     monkeypatch.setattr(diagonal, "_reach_one", reach_spy)
+    monkeypatch.setattr(posdiff, "_reach_one", reach_spy)
     state = run_posdiff([CriticalNodeModel(0, block_rule(4, 5, 3))], 20000, 7)
     bounds = reference_block_bounds(4, 20000)
     assert bounds[-2:] == [5177, 14074]
@@ -907,7 +906,7 @@ def test_structural_identity_compares_the_blocks_the_engine_built(monkeypatch, n
                                                                   blocks_name):
     # the family's members are the union of its blocks, so a member that no
     # block holds must show in the comparison with the fresh enumeration
-    real = getattr(diagonal, blocks_name)
+    real = getattr(anchored, blocks_name)
 
     def dropping_one(i, model, anchors):
         blocks, *rest = real(i, model, anchors)
@@ -916,7 +915,7 @@ def test_structural_identity_compares_the_blocks_the_engine_built(monkeypatch, n
 
     inputs = {"scenario": load_scenario(name).to_json(), "stages": 4}
     assert certify.produce("structural-identity", inputs, 0)["body"]["all_match"]
-    monkeypatch.setattr(diagonal, blocks_name, dropping_one)
+    monkeypatch.setattr(anchored, blocks_name, dropping_one)
     body = certify.produce("structural-identity", inputs, 0)["body"]
     assert body["all_match"] is False
     assert body["checks"][0]["union_matches_enumeration"] is False

@@ -10,11 +10,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from idealbench import certify
 from idealbench.scenarios import load_scenario
 from idealbench.serialize import dump_json
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 # every name `idealbench` has exported, with the submodule that defines it
 EXPORTED = {
@@ -101,6 +104,83 @@ def test_certify_in_of_a_kind_without_a_scenario_loads_no_engine_scenario_or_ide
     assert "idealbench.certify" in loaded
     assert not loaded & {f"idealbench.{name}" for name in (
         "diagonal", "scenarios", "trees", "reduction", "ideals", "ramsey")}
+
+
+def test_certify_in_of_a_pairing_or_sparseness_certificate_loads_no_construction(tmp_path):
+    loaded = certify_loads(tmp_path, [("pairing", {"bound": 5, "unordered_bound": 5}),
+                                      ("sparseness", {"universe": 8, "sizes": [3]})])
+    assert loaded == {f"idealbench.{name}" for name in (
+        "certify", "checkers", "cli", "errors", "records", "serialize")}
+
+
+def test_a_subset_reduction_without_a_witness_tree_loads_no_trees(tmp_path):
+    # only the height-one witness of each pair builds a tree; with no pairs
+    # the recheck reads ``reduction`` alone
+    loaded = certify_loads(tmp_path, [("subset-reduction", {"depth": 6, "pairs": 0})])
+    assert "idealbench.reduction" in loaded
+    assert "idealbench.trees" not in loaded
+
+
+# the modules of the engines and of collision_check, as ``idealbench.diagonal`` imports them
+ENGINE_MODULES = {"pwfin": "pwfin", "posdiff": "posdiff", "hindman": "anchored",
+                  "ramsey": "anchored"}
+STAGED = {"pwfin": "pw-2b", "posdiff": "posdiff-blocks", "hindman": "hindman-case2",
+          "ramsey": "ramsey-case2"}
+
+
+@pytest.mark.parametrize("engine, unloaded", [
+    ("pwfin", "posdiff anchored collision ramsey trees"),
+    ("posdiff", "pwfin anchored collision ramsey trees"),
+    ("hindman", "pwfin posdiff collision trees"),
+    ("ramsey", "pwfin posdiff collision trees"),
+])
+def test_a_diagonalize_and_certify_child_loads_only_its_engine(tmp_path, engine, unloaded):
+    cert = str(tmp_path / "cert.json")
+    loaded = loaded_by("from idealbench.cli import run\n"
+                       f"assert run(['diagonalize', '--scenario', {STAGED[engine]!r}, "
+                       f"'--out', {cert!r}]) == 0\n"
+                       f"assert run(['certify', '--in', {cert!r}]) == 0\n")
+    assert {"idealbench.diagonal", f"idealbench.{ENGINE_MODULES[engine]}"} <= loaded
+    assert not loaded & {f"idealbench.{name}" for name in unloaded.split()}
+
+
+def test_every_traced_diagonal_name_resolves_to_its_defining_function():
+    # perfbench's tracer reads each name on ``idealbench.diagonal`` and rebinds
+    # the function in every namespace that holds that same object
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(ROOT)!r})\n"
+            "from perfbench.tracing import TRACED\n"
+            "from idealbench import diagonal\n"
+            "names = [path for module, path in TRACED if module == 'diagonal']\n"
+            "assert len(names) == 9, names\n"
+            "for name in names:\n"
+            "    fn = getattr(diagonal, name)\n"
+            "    assert vars(sys.modules[fn.__module__])[name] is fn, name\n"
+            "    assert vars(diagonal)[name] is fn, name\n"
+            "print('ok')\n")
+    assert python(code).split() == ["ok"]
+
+
+def test_a_spy_bound_on_diagonal_before_its_engine_loads_is_what_a_run_calls():
+    code = ("import importlib\n"
+            "from idealbench import certify, diagonal\n"
+            "from idealbench.scenarios import load_scenario\n"
+            f"modules, staged = {ENGINE_MODULES!r}, {STAGED!r}\n"
+            "calls = []\n"
+            "def spy(name, module):\n"
+            "    def counting(*args, **kwargs):\n"
+            "        calls.append(name)\n"
+            "        return getattr(importlib.import_module(module), name)(*args, **kwargs)\n"
+            "    return counting\n"
+            "for engine, module in modules.items():\n"
+            "    for name in (f'run_{engine}', f'assemble_{engine}'):\n"
+            "        setattr(diagonal, name, spy(name, 'idealbench.' + module))\n"
+            "for engine, scenario in staged.items():\n"
+            "    inputs = {'scenario': load_scenario(scenario).to_json(), 'stages': 2}\n"
+            "    assert certify.produce('diagonalization', inputs, 0)['body']['outcome'] == 'stages'\n"
+            "    assert calls[-2:] == [f'run_{engine}', f'assemble_{engine}'], calls\n"
+            "print(len(calls))\n")
+    assert python(code).split() == ["8"]
 
 
 def test_certify_in_of_a_pairing_certificate_loads_no_pairing_code(tmp_path):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from idealbench import certify, diagonal, scenarios, trees
+from idealbench import anchored, certify, diagonal, posdiff, pwfin, scenarios, trees
 from idealbench.cli import run
 from idealbench.construction import MAX_DEPTH
 from idealbench.diagonal import rule_from_json
@@ -956,7 +956,9 @@ def test_untyped_scenario_fields_are_refused_before_any_work(
     def no_work(*args, **kwargs):
         raise AssertionError("a stage or a labelling ran")
 
-    monkeypatch.setattr(diagonal, "run_stages", no_work)
+    # each engine module's run_<engine> reads its own binding of the stage loop
+    for engine in (pwfin, posdiff, anchored):
+        monkeypatch.setattr(engine, "run_stages", no_work)
     monkeypatch.setattr(trees, "compute_labels", no_work)
     path = tmp_path / "scenario.json"
     dump_json(path, scenario)
