@@ -17,7 +17,7 @@ from .diagonal import (CriticalNodeModel, Engine, GroundKinds, _by_model, _seque
                        run_stages)
 from .errors import HorizonExhausted, ScenarioContradiction, SchemaError
 from .pairing import code_unordered, decode_unordered
-from .ramsey import CASES, HINDMAN, RAMSEY, block_disjoint, fs, matching_cases
+from .ramsey import CASES, HINDMAN, RAMSEY, block_disjoint, case_holds, fs, matching_cases
 from .records import field, record
 from .serialize import integer_field, rat_str
 
@@ -57,6 +57,10 @@ VERTEX_KINDS: GroundKinds = {
 
 SUMS_SCAN_CAP = 64
 PAIRS_SCAN_CAP = 4096
+# the largest scan_cap a scenario may declare: each admits about 0.4 CPU s
+# of scanning at worst (docs/schemas.md)
+SUMS_SCAN_MAX = 1 << 16
+PAIRS_SCAN_MAX = 1 << 18
 # the most members a sums-engine model's family may have: a anchors give it
 # 2^a - 1 sums, so a model takes at most 16 anchors.  The family doubles per
 # anchor; the costliest bundled form (5) takes about 4 CPU s to produce at
@@ -307,12 +311,14 @@ def _assemble_anchored(state: AnchorState, blocks_of, canonical: str, point,
             )
         members = sorted(labels)
         domain = [point(x) for x in members]
-        cases = matching_cases(dict(zip(domain, map(labels.get, members))), domain, canonical)
-        if model.form not in cases:
+        f = dict(zip(domain, map(labels.get, members)))
+        # only the declared form decides; every holding case only words the report
+        if not case_holds(f, domain, canonical, model.form):
             raise ScenarioContradiction(
                 {
                     "summary": f"model {i}: declared form {model.form} does not "
-                    f"hold on the {domain_name} (holding: {cases})"
+                    f"hold on the {domain_name} "
+                    f"(holding: {matching_cases(f, domain, canonical)})"
                 }
             )
         families[str(i)] = {**family, "members": [str(x) for x in members], "size": len(members)}
@@ -357,14 +363,14 @@ def _clique_enumeration(family: dict) -> Tuple[list, List[int]]:
 ENGINES = {
     "hindman": Engine(
         lambda scn, stages: diagonal.run_hindman(scn.models(), stages,
-                                                 scn.scan_cap(SUMS_SCAN_CAP)),
+                                                 scn.scan_cap(SUMS_SCAN_CAP, SUMS_SCAN_MAX)),
         lambda state: diagonal.assemble_hindman(state),
         enumerate_family=_sums_enumeration, declares="form", values=CASES[HINDMAN],
         grounds=GROUND_KINDS,
     ),
     "ramsey": Engine(
         lambda scn, stages: diagonal.run_ramsey(scn.models(), stages,
-                                                scn.scan_cap(PAIRS_SCAN_CAP)),
+                                                scn.scan_cap(PAIRS_SCAN_CAP, PAIRS_SCAN_MAX)),
         lambda state: diagonal.assemble_ramsey(state),
         enumerate_family=_clique_enumeration, declares="form", values=CASES[RAMSEY], pairs=True,
         grounds=VERTEX_KINDS,

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
+from . import diagonal
 from .diagonal import CriticalNodeModel
+from .errors import SchemaError
 from .records import record
 from .trees import check_branching, compute_labels, path_value_search
+
+if TYPE_CHECKING:
+    from .scenarios import CollisionScenario
 
 
 @record(frozen=True)
@@ -87,3 +92,23 @@ def collision_check(
     )
 
 
+def _collision(scenario: CollisionScenario) -> dict:
+    """The body of a ``collision`` certificate."""
+    horizon = scenario.horizon
+    diag_scn = scenario.diag()
+    if not diagonal.ENGINES[diag_scn.engine].explicit_forbidden:
+        raise SchemaError(f"scenario {scenario.name!r}: a {diag_scn.engine} run forbids "
+                          f"label descriptors, so its families list no members to collide")
+    stages = scenario.stages(diag_scn.default_stages)
+    state, payload = diagonal._staged_run(diag_scn, stages)
+    tree_scn = scenario.tree_scenario()
+    model_index = scenario.model_index(len(state.models))
+    report = collision_check(tree_scn.tree(), tree_scn.branching_ideal(), tree_scn.coherent_map(),
+                             tree_scn.oracle(), payload, model_index, state.models[model_index],
+                             horizon=horizon)
+    return {
+        "diag": diag_scn.name,
+        "stages": stages,
+        "collision": report.to_json(),
+        "forbidden_label_hit": report.outcome == "collision",
+    }

@@ -64,6 +64,7 @@ accepted from outside only up to ``MAX_DEPTH``.
 from __future__ import annotations
 
 import operator
+import random
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
@@ -499,3 +500,73 @@ def degenerate_weight_below_last_point(depth: int) -> Tuple[str, str, bool]:
     points = str(EXACT.subtract(EXACT.add(S[-1], L[-1]), 1))
     weight = f"{numerator}/{R[depth]}" if numerator else "0/1"
     return points, weight, numerator < R[depth]
+
+
+# -- certificate bodies: partition, weight-bound, pigeonhole ---------------------
+
+def _partition(depth: int) -> dict:
+    p = build_partition(depth)
+    report = verify_partition(p)
+    return {"partition": p.to_json(), "report": report.to_json()}
+
+
+def _weight_bound(depth: int) -> dict:
+    points_summed, total_weight, below_one = degenerate_weight_below_last_point(depth)
+    return {
+        "depth": depth,
+        "points_summed": points_summed,
+        "total_weight": total_weight,
+        "below_one": below_one,
+    }
+
+
+# the most colour draws a pigeonhole certificate may make: samples * |I_interval|
+PIGEONHOLE_DRAWS = 250_000
+
+
+def _pigeonhole(depth: int, samples: int, interval: int, rng: random.Random) -> dict:
+    """The least largest colour class of I_interval over random 3-colourings.
+
+    Each member draws its colour: bottom, a label drawn below I_interval,
+    or itself as label.  The largest class of a sample is its most frequent
+    colour, so only the three counts are kept; the label draw of colour 1
+    stays in the stream, which fixes the bytes of every later draw.  Levels
+    0 .. interval are those of every greedy partition deeper than
+    ``interval``, so ``build_partition(interval + 1)`` holds them whatever
+    ``depth`` is.
+    """
+    from .sets import Progression
+
+    if interval >= depth:
+        raise SchemaError(f"interval {interval} must be below depth {depth}")
+    # |I_n| grows with n, so the first length past the bound decides; the
+    # levels are read one at a time, so no level past it is built
+    for n in range(interval + 1):
+        _, length, _ = greedy_levels(n + 1)[n]
+        if samples * length > PIGEONHOLE_DRAWS:
+            raise SchemaError(f"pigeonhole inputs: samples * |I_interval| must be at most "
+                              f"{PIGEONHOLE_DRAWS}, and {samples} samples of I_{interval} exceed it")
+    p = build_partition(interval + 1)
+    start, length = p.starts[interval], p.lengths[interval]
+    min_block = length
+    for _ in range(samples):
+        counts = [0, 0, 0]
+        for _ in range(length):
+            colour = rng.randrange(3)
+            counts[colour] += 1
+            if colour == 1:
+                rng.randrange(start)
+        min_block = min(min_block, max(counts))
+    # even interval indices stay off the selector
+    worst_weight = selector_weight(Progression(1, 2), p, interval) * min_block
+    need = -(-length // 3)
+    return {
+        "samples": samples,
+        "interval": interval,
+        "interval_size": length,
+        "required_block": need,
+        "min_block": min_block,
+        "block_bound_holds": min_block >= need,
+        "worst_weight": rat_str(worst_weight),
+        "weight_bound_holds": worst_weight >= Fraction(1, 3),
+    }

@@ -45,14 +45,15 @@ from math import ceil, exp
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import idealbench
-from .errors import SchemaError, StructuralError
+from .errors import ScenarioContradiction, SchemaError, StructuralError
+from .finite import _sum_pairs
 from .pairing import code_unordered, decode_unordered, pair_diag, unpair_diag
 from .records import field, record
 from .serialize import integer_field
-from .ideals import _sum_pairs
 
 if TYPE_CHECKING:
     from .construction import PartitionData
+    from .scenarios import DiagScenario
 
 
 def _harmonic_pair(members) -> Tuple[int, int]:
@@ -616,3 +617,47 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _load(module)
     return globals()[name]
+
+
+# -- certificate bodies: diagonalization, structural-identity ----------------------
+
+def _staged_run(scenario: DiagScenario, stages: int):
+    """The state and payload of a run that must end in stages, not in a
+    contradiction of a stage or of the assembly."""
+    try:
+        state = ENGINES[scenario.engine].run(scenario, stages)
+        return state, assemble(state)
+    except ScenarioContradiction as exc:
+        raise SchemaError(f"scenario {scenario.name!r} needs a staged run, "
+                          f"not a contradiction") from exc
+
+
+def _diagonalization(scenario: DiagScenario, stages: int) -> dict:
+    """The run's payload, or the report of the contradiction that a stage or the
+    assembly ran into."""
+    try:
+        result = assemble(ENGINES[scenario.engine].run(scenario, stages))
+    except ScenarioContradiction as exc:
+        outcome = {"outcome": "contradiction", "report": exc.report}
+    else:
+        outcome = {"outcome": "stages", "result": result}
+    expected = scenario.expect
+    return {**outcome, "expected": expected, "as_expected": expected == outcome["outcome"]}
+
+
+def _structural_identity(scenario: DiagScenario, stages: int) -> dict:
+    enumerate_family = ENGINES[scenario.engine].enumerate_family
+    if enumerate_family is None:
+        raise SchemaError(f"the {scenario.engine} engine has no independent family enumeration")
+    _, payload = _staged_run(scenario, stages)
+    rows = []
+    for i_str, family in payload["families"].items():
+        members = [int(x) for x in family["members"]]
+        anchors, independent = enumerate_family(family)
+        rows.append({"model": int(i_str), "family_size": len(members), "anchors": anchors,
+                     "union_matches_enumeration": members == independent})
+    return {
+        "engine": scenario.engine,
+        "checks": rows,
+        "all_match": all(r["union_matches_enumeration"] for r in rows),
+    }

@@ -13,21 +13,19 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Optional, Tuple
 
-from .construction import (
-    PartitionData,
-    WeightFunction,
-    build_partition,
-    harmonic_weight,
-    weight_fn,
-)
+import idealbench
 from .errors import SchemaError
+from .finite import (  # diff_multiplicity: also read as ideals.diff_multiplicity
+    _sum_pairs, ascending_tuples, diff_multiplicity, subset_sums)
 from .pairing import code_unordered
 from .records import record
 from .serialize import DEFAULT_DEPTH, MAX_DEPTH, integer_field, rat_str
-from .sets import DescribedSet, ascending_tuples, is_co_infinite, set_from_json, subset_sums
+from .sets import DescribedSet, is_co_infinite, set_from_json
+
+if TYPE_CHECKING:
+    from .construction import PartitionData, WeightFunction
 
 IN = "in"
 OUT = "out"
@@ -77,7 +75,7 @@ class SumHarmonic(IdealDescriptor):
 
     @property
     def weight(self) -> WeightFunction:
-        return harmonic_weight()
+        return idealbench.construction.harmonic_weight()
 
 
 @record(frozen=True)
@@ -90,7 +88,7 @@ class SumSelector(IdealDescriptor):
 
     @property
     def weight(self) -> WeightFunction:
-        return weight_fn(self.selector, self.partition)
+        return idealbench.construction.weight_fn(self.selector, self.partition)
 
     def degenerate(self) -> Optional[bool]:
         co = is_co_infinite(self.selector)
@@ -145,31 +143,12 @@ def ideal_from_json(obj: dict) -> IdealDescriptor:
         return _FIELDLESS[kind]()
     if kind == SumSelector.kind:
         depth = integer_field(obj, "depth", DEFAULT_DEPTH, "a sum_s ideal", 1, MAX_DEPTH)
-        return SumSelector(set_from_json(obj.get("selector")), build_partition(depth))
+        return SumSelector(set_from_json(obj.get("selector")),
+                           idealbench.construction.build_partition(depth))
     raise SchemaError(f"unknown ideal kind {kind!r}")
 
 
 # -- weights ----------------------------------------------------------------
-
-def _sum_pairs(pairs: Sequence[Tuple[int, int]], lo: int = 0, hi: Optional[int] = None) -> Tuple[int, int]:
-    """Unreduced sum of the fractions P/Q in ``pairs[lo:hi]``.
-
-    Binary splitting: halves combine as (P1*Q2 + P2*Q1, Q1*Q2), so Q is
-    the product of the denominators and every product is balanced.
-    """
-    if hi is None:
-        hi = len(pairs)
-    if hi - lo <= 16:
-        p, q = 0, 1
-        for j in range(lo, hi):
-            a, b = pairs[j]
-            p, q = p * b + a * q, q * b
-        return p, q
-    mid = (lo + hi) // 2
-    p1, q1 = _sum_pairs(pairs, lo, mid)
-    p2, q2 = _sum_pairs(pairs, mid, hi)
-    return p1 * q2 + p2 * q1, q1 * q2
-
 
 def weight_of(w: WeightFunction, members: Iterable[int]) -> Fraction:
     """Exact weight of a finite set: the sum of ``w`` over its distinct members.
@@ -384,12 +363,3 @@ def ramsey_witness_search(
 def verify_sum_witness(a: DescribedSet, b: Iterable[int]) -> bool:
     """Independent re-check that every non-empty subset sum of b lies in a."""
     return all(a.contains(t) for t in subset_sums(tuple(sorted(set(b)))))
-
-
-def diff_multiplicity(a: Iterable[int]) -> Dict[int, int]:
-    """Multiplicity table of positive differences over a finite set."""
-    members = sorted(set(a))
-    table: Dict[int, int] = {}
-    for x, y in combinations(members, 2):
-        table[y - x] = table.get(y - x, 0) + 1
-    return table

@@ -88,3 +88,43 @@ def is_prefix(shorter, longer) -> bool:
 
 def comparable(s, t) -> bool:
     return is_prefix(s, t) or is_prefix(t, s)
+
+
+def _pairing(bound: int, unordered_bound: int) -> dict:
+    """The body of a ``pairing`` certificate: both codes checked on every pair up to the bounds."""
+    codes = {}
+    monotone = True
+    dominates = True
+    for i in range(bound + 1):
+        prev = None
+        for b in range(bound + 1):
+            k = pair_diag(i, b)
+            codes[k] = (i, b)
+            if unpair_diag(k) != (i, b):
+                raise AssertionError("pairing failed to invert")
+            if prev is not None and not (prev < k):
+                monotone = False
+            if b > k:
+                dominates = False
+            prev = k
+    injective = len(codes) == (bound + 1) ** 2
+    ucodes = set()
+    symmetric = True
+    for a in range(unordered_bound + 1):
+        for b in range(unordered_bound + 1):
+            if a == b:
+                continue
+            if code_unordered(a, b) != code_unordered(b, a):
+                symmetric = False
+            ucodes.add(code_unordered(a, b))
+    u_injective = len(ucodes) == (unordered_bound + 1) * unordered_bound // 2
+    return {
+        "bound": bound,
+        "ordered_injective": injective,
+        "ordered_monotone": monotone,
+        "second_argument_dominated": dominates,
+        "unordered_bound": unordered_bound,
+        "unordered_symmetric": symmetric,
+        "unordered_injective": u_injective,
+        "all_hold": injective and monotone and dominates and symmetric and u_injective,
+    }

@@ -14,10 +14,9 @@ from . import diagonal
 from .diagonal import (CriticalNodeModel, Engine, _by_model, _classes, _reach_one, harmonic,
                        run_stages)
 from .errors import HorizonExhausted, ScenarioContradiction
-from .ideals import _sum_pairs, diff_multiplicity
+from .finite import _sum_pairs, delta, diff_multiplicity
 from .records import field, record
 from .serialize import rat_str
-from .sets import delta
 
 
 def _heaviest_class(groups: Dict[int, list], bracket: Callable[[object], Tuple[int, int]],

@@ -18,14 +18,15 @@ smallest case number wins and the answer is deterministic.
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .ideals import diff_multiplicity
+from .finite import (  # delta: also read as ramsey.delta
+    ascending_tuples, delta, diff_multiplicity, subset_sums)
 from .records import record
-from .sets import ascending_tuples, delta, subset_sums  # delta: also read as ramsey.delta
 
 RAMSEY = "ramsey"
 HINDMAN = "hindman"
@@ -154,6 +155,13 @@ def matching_cases(f: Dict, domain: Iterable, family: str) -> List[int]:
     return list(_holding_cases(f, domain, family))
 
 
+def case_holds(f: Dict, domain: Iterable, family: str, case: int) -> bool:
+    """Whether the biconditional of ``case`` alone holds on the finite domain."""
+    dom = list(domain)
+    keys, values = list(map(dict(_CASE_KEYS[family])[case], dom)), [f[x] for x in dom]
+    return _biconditional(keys, len(set(keys)), values, len(set(values)))
+
+
 def classify_canonical(f: Dict, domain: Iterable, family: str) -> Optional[CanonicalForm]:
     """The matching canonical case, smallest case number on ties."""
     case = next(_holding_cases(f, domain, family), None)
@@ -266,3 +274,178 @@ def eventually_sparse_check(a: Iterable[int], multiplicity_bound: int) -> Sparse
     table = diff_multiplicity(a)
     bad = tuple(sorted((d, c) for d, c in table.items() if c > multiplicity_bound))
     return SparsenessReport(passed=not bad, bound=multiplicity_bound, violations=bad)
+
+
+# -- certificate bodies: sparseness, ramsey-oracle ---------------------------------
+
+def _sparseness(universe: int, sizes: List[int]) -> dict:
+    """Check that the difference image of every small family is not sparse.
+
+    For each family A of ``size`` members of ``range(universe)`` this is
+    ``eventually_sparse_check(delta(A), size - 3)`` together with the check
+    that the difference ``shared`` of the two smallest members has
+    multiplicity at least ``size - 2`` among the violations, computed on
+    the bitmask ``D`` of ``delta(A)`` instead of tables: the multiplicity of
+    ``d`` in the difference table of ``delta(A)`` is
+    ``(D & (D >> d)).bit_count()`` (``ramsey.difference_mask``).  Only
+    multiplicities >= 1 are ever tabulated, so the violations are the
+    differences whose multiplicity exceeds ``floor = max(size - 3, 0)``.  At
+    size 2 the image is a single difference: nothing is violated, yet
+    ``0 >= size - 2`` witnesses it.
+
+    The families are grown in lexicographic order one member at a time
+    (``_family_tallies``), so each costs one shift-or on its prefix's masks
+    and the multiplicity test; ``check_sparseness`` confirms the tallies
+    without enumerating.
+    """
+    checked = failed = witnessed = 0
+    for size in sizes:
+        tallies = _family_tallies(universe, size)
+        checked += tallies[0]
+        failed += tallies[1]
+        witnessed += tallies[2]
+    return {
+        "universe": universe,
+        "sizes": list(sizes),
+        "checked": checked,
+        "failed_as_predicted": failed,
+        "shared_difference_witnessed": witnessed,
+        "all_fail": failed == checked,
+        "all_witnessed": witnessed == checked,
+    }
+
+
+def _family_tallies(universe: int, size: int) -> Tuple[int, int, int]:
+    """How many ``size``-member families of ``range(universe)`` were checked, failed and witnessed.
+
+    A prefix ``a_0 < ... < a_j`` of a family carries its reversed member
+    mask ``R`` (bit ``top - a`` per member, ``top = universe - 1``) and the
+    bitmask ``D`` of its differences.  Adding ``b > a_j`` adds the
+    differences ``b - a``, which are the bits of ``R >> (top - b)``: every
+    bit ``top - a`` of ``R`` lies above ``top - b``, so the shift keeps it
+    as bit ``b - a >= 1``.  So the grown family's masks are
+    ``R | 1 << (top - b)`` and ``D | R >> (top - b)``.
+    """
+    top = universe - 1
+    floor = max(size - 3, 0)
+    need = size - 2
+    differences = range(1, universe)
+
+    # a prefix of ``count`` members, all below ``lo``: its masks ``R`` and ``D``, its
+    # first member, and the gap ``shared`` to its second (0 until there is one)
+    def grow(count: int, lo: int, members: int, diffs: int, shared: int, first: int):
+        checked = failed = witnessed = 0
+        if count < size - 1:
+            for a in range(lo, universe - (size - 1 - count)):
+                tallies = grow(count + 1, a + 1, members | 1 << (top - a),
+                               diffs | members >> (top - a),
+                               a - first if count == 1 else shared, a if count == 0 else first)
+                checked += tallies[0]
+                failed += tallies[1]
+                witnessed += tallies[2]
+            return checked, failed, witnessed
+        for b in range(lo, universe):
+            grown = diffs | members >> (top - b)
+            # the two smallest members anchor size-2 pairs sharing one difference
+            m = (grown & (grown >> (shared or b - first))).bit_count()
+            if m > floor or any((grown & (grown >> d)).bit_count() > floor for d in differences):
+                failed += 1
+            if (m if m > floor else 0) >= need:
+                witnessed += 1
+        return len(range(lo, universe)), failed, witnessed
+
+    return grow(0, 0, 0, 0, 0, 0)
+
+
+def _partitions_rgs(count: int) -> Iterator[Tuple[int, ...]]:
+    """All restricted-growth strings of the given length, in lexicographic order.
+
+    The next string raises the last value that is at most the largest value
+    before it and resets the values after it to 0.
+    """
+    string = [0] * count
+    tops = [0] * count  # tops[k]: the largest of string[:k + 1]
+    while True:
+        yield tuple(string)
+        k = count - 1
+        while k > 0 and string[k] > tops[k - 1]:
+            k -= 1
+        if k <= 0:
+            return
+        string[k] += 1
+        tops[k] = top = max(tops[k - 1], string[k])
+        for j in range(k + 1, count):
+            string[j] = 0
+            tops[j] = top
+
+
+def _random_rgs(samples: int, length: int, rng: random.Random) -> Iterator[Tuple[int, ...]]:
+    """``samples`` random restricted-growth strings of ``length``, made one at a time.
+
+    Each value is drawn below ``bound = top + 2``, ``top`` the largest value
+    so far in its string (-1 at the start): with ``k = bound.bit_length()``
+    it is the first ``rng.getrandbits(k)`` that is below ``bound``.  That is
+    how ``random.Random.randrange(bound)`` draws, so the strings and the
+    state ``rng`` is left in are those of ``samples * length`` such calls.
+    """
+    getrandbits = rng.getrandbits
+    for _ in range(samples):
+        string = []
+        bound = 1
+        for _ in range(length):
+            k = bound.bit_length()
+            value = getrandbits(k)
+            while value >= bound:
+                value = getrandbits(k)
+            string.append(value)
+            if value == bound - 1:
+                bound += 1
+        yield tuple(string)
+
+
+def _agreement(n: int, size: int, strings: Callable[[int], Iterable[tuple]]) -> Tuple[int, int]:
+    """How many colourings were checked, and on how many the search and the oracle agree.
+
+    Each colouring of K_n is a restricted-growth string of ``strings(edge
+    count)``, read by both as the colour tuple by edge rank.
+    """
+    from .checkers import _oracle_domains, oracle_ramsey_search
+
+    checked = agree = 0
+    domains = _oracle_domains(n, size)
+    for colours in strings(n * (n - 1) // 2):
+        mine = canonical_ramsey_search(colours, n, size)
+        oracle = oracle_ramsey_search(colours, domains)
+        checked += 1
+        if (None if mine is None else (mine[0], mine[1].case)) == oracle:
+            agree += 1
+    return checked, agree
+
+
+def _ramsey_oracle(size: int, exhaustive_n: int, sample_n: int, samples: int,
+                   rng: random.Random) -> dict:
+    from .checkers import _oracle_domains, oracle_ramsey_search
+
+    exhaustive_checked, exhaustive_agree = _agreement(exhaustive_n, size, _partitions_rgs)
+    sample_checked, sample_agree = _agreement(
+        sample_n, size, lambda count: _random_rgs(samples, count, rng)
+    )
+    minimal_n = None
+    for n in range(size, 6):
+        domains = _oracle_domains(n, size)
+        if all(oracle_ramsey_search(colours, domains) is not None
+               for colours in _partitions_rgs(n * (n - 1) // 2)):
+            minimal_n = n
+            break
+    return {
+        "size": size,
+        "exhaustive_n": exhaustive_n,
+        "exhaustive_checked": exhaustive_checked,
+        "exhaustive_agree": exhaustive_agree,
+        "sample_n": sample_n,
+        "sample_checked": sample_checked,
+        "sample_agree": sample_agree,
+        "agreement": exhaustive_agree == exhaustive_checked
+        and sample_agree == sample_checked,
+        "minimal_n_for_size": minimal_n,
+    }

@@ -10,19 +10,14 @@ certificate never asserts a non-reduction.
 
 from __future__ import annotations
 
+import random
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import idealbench
 from .errors import SchemaError
-from .ideals import (
-    IN,
-    OUT,
-    IdealDescriptor,
-    Verdict,
-    membership,
-)
+from .ideals import IN, OUT, IdealDescriptor, SumSelector, Verdict, membership
 from .records import record
-from .sets import Complement, DescribedSet, Finite, full_set
+from .sets import Cofinite, Complement, DescribedSet, Finite, Progression, Union, full_set
 
 if TYPE_CHECKING:
     from .trees import FiniteTree
@@ -248,3 +243,41 @@ def revalidate_certificate(
     if fresh[trees.ROOT].value != IN:
         return False
     return all(a.contains(v) for v in cert.values.values())
+
+
+# -- the subset-reduction certificate -----------------------------------------------
+
+def _extra_points(rng: random.Random, population: range) -> list:
+    """Up to two points of ``population``, sorted: never more than it holds."""
+    return sorted(rng.sample(population, min(rng.randrange(0, 3), len(population))))
+
+
+def _random_selector_pair(rng: random.Random, depth: int):
+    """A nested selector pair: P almost included in Q by construction."""
+    step = rng.choice([1, 2, 3])
+    mult = rng.choice([1, 2, 3])
+    q_extra = _extra_points(rng, range(depth))
+    p_extra = _extra_points(rng, range(max(1, depth // 2)))
+    q_set = Union((Progression(0, step), Finite(q_extra)))
+    p_set = Union((Progression(0, step * mult), Finite(p_extra)))
+    return p_set, q_set
+
+
+def _subset_reduction(depth: int, pairs: int, rng: random.Random) -> dict:
+    p = idealbench.construction.build_partition(depth)
+    rows = []
+    for _ in range(pairs):
+        p_set, q_set = _random_selector_pair(rng, depth)
+        report = check_subset_reduction(p_set, q_set, depth)
+        claim = ReductionClaim(SumSelector(p_set, p), SumSelector(q_set, p), IdentityHeightOne())
+        witnessed = Cofinite(tuple(sorted(rng.sample(range(8), 2))))
+        cert = check_reduction_witness(claim, witnessed, horizon=12)
+        rows.append({"P": p_set.to_json(), "Q": q_set.to_json(), "report": report.to_json(),
+                     "height_one_root": None if cert is None else cert.branching[()].to_json(),
+                     "revalidated": cert is not None
+                     and revalidate_certificate(cert, claim, witnessed, horizon=12)})
+    return {
+        "pairs": rows,
+        "all_included": all(r["report"]["verdict"]["value"] == "in" for r in rows),
+        "all_certificates": all(r["revalidated"] for r in rows),
+    }

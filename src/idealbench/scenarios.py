@@ -16,16 +16,15 @@ import os
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import idealbench
-from .construction import PartitionData, build_partition
 from .errors import SchemaError
-from .ideals import IdealDescriptor, ideal_from_json
 from .records import record
 from .serialize import (DEFAULT_DEPTH, MAX_DEPTH, SCENARIO_SCHEMA, check_assumptions,
                         integer_field, load_json)
-from .sets import Cofinite, set_from_json
 
 if TYPE_CHECKING:
+    from .construction import PartitionData
     from .diagonal import CriticalNodeModel
+    from .ideals import IdealDescriptor
     from .trees import CoherentMap, FiniteTree, PositivityOracle
 
 ENV_SCENARIO_DIR = "IDEALBENCH_SCENARIOS"
@@ -103,7 +102,8 @@ class DiagScenario(Scenario):
         return self._integer("horizon", None, maximum=MAX_HORIZON)
 
     def partition(self) -> PartitionData:
-        return build_partition(self._integer("depth", DEFAULT_DEPTH, 1, MAX_DEPTH))
+        depth = self._integer("depth", DEFAULT_DEPTH, 1, MAX_DEPTH)
+        return idealbench.construction.build_partition(depth)
 
     def models(self, partition: Optional[PartitionData] = None) -> List[CriticalNodeModel]:
         models = self.payload.get("models")
@@ -111,8 +111,8 @@ class DiagScenario(Scenario):
             raise SchemaError(f"scenario {self.name!r} needs a non-empty models list")
         return [idealbench.diagonal.model_from_json(m, partition) for m in models]
 
-    def scan_cap(self, default: int) -> int:
-        return self._integer("scan_cap", default)
+    def scan_cap(self, default: int, maximum: int) -> int:
+        return self._integer("scan_cap", default, maximum=maximum)
 
     def certificate_inputs(self, stages: Optional[int]) -> dict:
         """The run of ``stages`` stages, or of ``stages_default`` when None."""
@@ -168,7 +168,7 @@ class TreeScenario(Scenario):
         return idealbench.trees.CoherentMap({tuple(k): v for k, v in rows})
 
     def tree(self) -> FiniteTree:
-        trees = idealbench.trees
+        trees, set_from_json = idealbench.trees, idealbench.sets.set_from_json
         base = trees.canonical_tree(self.coherent_map(), self.horizon)
         extra = self._rows("nodes_extra", "node lists", _node)
         nodes = set(base.nodes) | {tuple(n) for n in extra}
@@ -206,7 +206,8 @@ class TreeScenario(Scenario):
         return oracle
 
     def branching_ideal(self) -> IdealDescriptor:
-        return ideal_from_json(self.payload.get("branching_ideal", {"kind": "sum_harmonic"}))
+        ideal = self.payload.get("branching_ideal", {"kind": "sum_harmonic"})
+        return idealbench.ideals.ideal_from_json(ideal)
 
     def declared_critical(self) -> List[Tuple[int, ...]]:
         return [tuple(n) for n in self._rows("declared_critical", "node lists", _node)]
@@ -458,7 +459,7 @@ def realize_model(model, horizon: int, branching_set=None):
     """
     trees = idealbench.trees
     if branching_set is None:
-        branching_set = Cofinite(())
+        branching_set = idealbench.sets.Cofinite(())
     assignments = {}
     for x in range(horizon):
         label = model.rule.label(x)

@@ -13,9 +13,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from .errors import SchemaError, StructuralError
+from .finite import ascending_tuples, delta, subset_sums  # also read as sets.<name>
 from .records import record
 
 _FS_GEN_CAP = 22  # 2^22 subset sums is already beyond any sane scenario
@@ -154,44 +155,6 @@ class Intervals(_Listed):
 
     def to_json(self) -> dict:
         return {"kind": "intervals", "spans": [list(s) for s in self.spans]}
-
-
-def subset_sums(gens: Tuple[int, ...]) -> Tuple[int, ...]:
-    """All non-empty subset sums of a finite set of distinct naturals, ascending.
-
-    0 is one exactly when 0 is in the set: {0} is a non-empty subset.
-    """
-    acc = {0}
-    for g in gens:
-        acc.update([s + g for s in acc])
-    if 0 not in gens:
-        acc.discard(0)
-    return tuple(sorted(acc))
-
-
-def ascending_tuples(size: int, lo: int, hi: int,
-                     fits: Callable[[Tuple[int, ...], int], bool]) -> Iterator[Tuple[int, ...]]:
-    """Ascending tuples of ``size`` entries from lo .. hi - 1 in lexicographic order.
-
-    An entry ``x`` extends a prefix only when ``fits(prefix, x)``, so a
-    prefix that fails is never extended further.
-    """
-
-    def extend(prefix: Tuple[int, ...], start: int) -> Iterator[Tuple[int, ...]]:
-        if len(prefix) == size:
-            yield prefix
-            return
-        for x in range(start, hi):
-            if fits(prefix, x):
-                yield from extend(prefix + (x,), x + 1)
-
-    return extend((), lo)
-
-
-def delta(b: Iterable[int]) -> Tuple[int, ...]:
-    """Positive differences of distinct elements."""
-    members = sorted(set(b))
-    return tuple(sorted({y - x for x, y in combinations(members, 2)}))
 
 
 @record(frozen=True)

@@ -16,12 +16,15 @@ answer on a needed query aborts with that query.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple, Union as TUnion
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union as TUnion
 
 from .errors import CoherenceError, LabellingBlocked, StructuralError
 from .ideals import IdealDescriptor, Verdict, membership, IN, OUT, UNKNOWN
 from .records import field, record
 from .sets import Complement, DescribedSet, Finite
+
+if TYPE_CHECKING:
+    from .scenarios import TreeScenario
 
 Node = Tuple[int, ...]
 BOT = None  # bottom label
@@ -304,3 +307,32 @@ def path_value_search(lt: LabelledTree, value: int) -> Optional[List[Node]]:
         if deepest == value:
             return path
     return None
+
+
+def _tree_labelling(scenario: TreeScenario) -> dict:
+    """The body of a ``tree-labelling`` certificate."""
+    tree = scenario.tree()
+    oracle = scenario.oracle()
+    labelled = compute_labels(tree, scenario.coherent_map(), oracle)
+    critical = find_critical(labelled, oracle)
+    branching = check_branching(tree, scenario.branching_ideal(), scenario.horizon)
+    root_label = labelled.labels[()]
+    path = None
+    if root_label is not None:
+        found = path_value_search(labelled, root_label)
+        path = None if found is None else [list(n) for n in found]
+    root = "bot" if root_label is None else root_label
+    expected = scenario.expect_root_label
+    declared = scenario.declared_critical()
+    return {
+        "root_label": root,
+        "expected_root_label": expected,
+        "root_as_expected": root == expected,
+        "root_branching": branching[()].to_json(),
+        "all_branching_in": all(v.value == "in" for v in branching.values()),
+        "critical": [list(n) for n in critical.critical],
+        "undetermined": [list(n) for n in critical.undetermined],
+        "declared_critical": [list(n) for n in declared],
+        "critical_as_declared": list(critical.critical) == declared,
+        "path_realizing_root": path,
+    }

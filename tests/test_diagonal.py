@@ -891,6 +891,30 @@ ASSEMBLY_GUARD_REPORTS = {
 }
 
 
+def test_only_a_failing_declared_form_lists_the_cases_that_hold(monkeypatch):
+    # the declared form alone decides an assembly; the full list of holding
+    # cases words the report of a failing one, with the text it always had
+    def refuse(*args):
+        raise AssertionError("listed every case of a holding form")
+
+    monkeypatch.setattr(anchored, "matching_cases", refuse)
+    for name in ("hindman-case2", "hindman-case5", "ramsey-case3", "ramsey-case4"):
+        inputs = {"scenario": load_scenario(name).to_json(), "stages": 4}
+        assert certify.produce("diagonalization", inputs, 0)["body"]["outcome"] == "stages"
+    monkeypatch.undo()
+    # a, b and a + b labelled 100, 100 and 200: no case holds on the three sums
+    no_case = sums_scenario(5, {"kind": "powers-of-two"},
+                            {"kind": "table", "entries": [[1, 100], [2, 100], [3, 200]]})
+    pairs = copy.deepcopy(load_scenario("ramsey-case2").to_json())
+    pairs["models"][0].update(form=4, labels={"kind": "pair-max"})
+    for scenario, stages, holding in ((no_case, 2, "sums (holding: [])"),
+                                      (pairs, 3, "pairs (holding: [3])")):
+        body = certify.produce("diagonalization", {"scenario": scenario, "stages": stages}, 0)
+        form = scenario["models"][0]["form"]
+        assert body["body"]["report"] == {"summary": f"model 0: declared form {form} does "
+                                                     f"not hold on the anchored {holding}"}
+
+
 @pytest.mark.parametrize("name", list(ASSEMBLY_GUARD_REPORTS))
 def test_sums_assembly_guards_report_reachable_failures(name):
     scenario, stages, report = ASSEMBLY_GUARD_REPORTS[name]

@@ -183,6 +183,79 @@ def test_a_spy_bound_on_diagonal_before_its_engine_loads_is_what_a_run_calls():
     assert python(code).split() == ["8"]
 
 
+def test_importing_certify_loads_no_producer_and_no_checker():
+    assert loaded_by("import idealbench.certify") == {
+        "idealbench.certify", "idealbench.errors", "idealbench.records", "idealbench.serialize"}
+
+
+# what every `certify --in` child loads, and what it loads beyond that to
+# recheck a certificate of each kind, from these inputs
+CERTIFY_CORE = "certify cli errors records serialize"
+CERTIFY_LOADS = {
+    "partition": (lambda: {"depth": 5}, "construction"),
+    "weight-bound": (lambda: {"depth": 5}, "checkers construction"),
+    "subset-reduction": (lambda: {"depth": 6, "pairs": 2},
+                         "construction finite ideals pairing reduction sets trees"),
+    "pigeonhole": (lambda: {"depth": 4, "samples": 5, "interval": 2},
+                   "construction finite sets"),
+    "diagonalization": (lambda: load_scenario("hindman-case2").certificate_inputs(2),
+                        "anchored diagonal finite pairing ramsey scenarios"),
+    "structural-identity": (lambda: load_scenario("ramsey-case2").certificate_inputs(2),
+                            "anchored diagonal finite pairing ramsey scenarios"),
+    "tree-labelling": (lambda: load_scenario("sep1-basic").certificate_inputs(None),
+                       "finite ideals pairing scenarios sets trees"),
+    "sparseness": (lambda: {"universe": 8, "sizes": [3]}, "checkers"),
+    "ramsey-oracle": (lambda: {"size": 2, "exhaustive_n": 3, "sample_n": 3, "samples": 4},
+                      "checkers finite ramsey"),
+    "collision": (lambda: load_scenario("collision-posdiff").certificate_inputs(None),
+                  "collision diagonal finite ideals pairing posdiff scenarios sets trees"),
+    "pairing": (lambda: {"bound": 5, "unordered_bound": 5}, "checkers"),
+}
+
+
+def modules(names):
+    return {f"idealbench.{name}" for name in names.split()}
+
+
+@pytest.mark.parametrize("kind", sorted(CERTIFY_LOADS))
+def test_certify_in_of_each_kind_loads_exactly_the_modules_it_runs(tmp_path, kind):
+    assert set(CERTIFY_LOADS) == set(certify.KINDS)
+    inputs, loads = CERTIFY_LOADS[kind]
+    assert certify_loads(tmp_path, [(kind, inputs())]) == modules(f"{CERTIFY_CORE} {loads}")
+
+
+# what a `diagonalize` child of each engine's staged scenario loads
+DIAGONALIZE_CORE = "certify cli diagonal errors finite pairing records scenarios serialize"
+DIAGONALIZE_LOADS = {"pwfin": "construction pwfin sets", "posdiff": "posdiff",
+                     "hindman": "anchored ramsey", "ramsey": "anchored ramsey"}
+
+
+@pytest.mark.parametrize("engine", sorted(DIAGONALIZE_LOADS))
+def test_a_diagonalize_child_loads_exactly_its_engines_modules(tmp_path, engine):
+    cert = str(tmp_path / "cert.json")
+    loaded = loaded_by("from idealbench.cli import run\n"
+                       f"assert run(['diagonalize', '--scenario', {STAGED[engine]!r}, "
+                       f"'--out', {cert!r}]) == 0\n")
+    assert loaded == modules(f"{DIAGONALIZE_CORE} {DIAGONALIZE_LOADS[engine]}")
+
+
+# only pwfin scenarios build a partition and read selector sets
+@pytest.mark.parametrize("engine, unloaded", [
+    ("pwfin", "ideals checkers"),
+    ("posdiff", "construction ideals sets checkers"),
+    ("hindman", "construction ideals sets checkers"),
+    ("ramsey", "construction ideals sets checkers"),
+])
+def test_a_diagonalize_and_certify_child_loads_no_ideal_and_no_checker(tmp_path, engine,
+                                                                       unloaded):
+    cert = str(tmp_path / "cert.json")
+    loaded = loaded_by("from idealbench.cli import run\n"
+                       f"assert run(['diagonalize', '--scenario', {STAGED[engine]!r}, "
+                       f"'--out', {cert!r}]) == 0\n"
+                       f"assert run(['certify', '--in', {cert!r}]) == 0\n")
+    assert not loaded & modules(unloaded)
+
+
 def test_certify_in_of_a_pairing_certificate_loads_no_pairing_code(tmp_path):
     # the pairing checker is complete, so the recheck runs no producer
     loaded = certify_loads(tmp_path, [("pairing", {"bound": 5, "unordered_bound": 5})])

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from idealbench import certify
+from idealbench import certify, pairing
 from idealbench.cli import run
 from idealbench.serialize import dump_json, mutate_one_field
 from idealbench.pairing import (
@@ -131,7 +131,7 @@ def refuse_the_pairing_producer(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the pairing checker ran producer code")
 
-    monkeypatch.setattr(certify, "_pairing", refuse)
+    monkeypatch.setattr(pairing, "_pairing", refuse)
     monkeypatch.setitem(certify._PRODUCERS, "pairing", refuse)
 
 

@@ -12,9 +12,11 @@ from idealbench.cli import run
 from idealbench.ideals import hindman_witness_search, ramsey_witness_search
 from idealbench.pairing import code_unordered
 from idealbench.ramsey import (
+    CASES,
     HINDMAN,
     RAMSEY,
     block_disjoint,
+    case_holds,
     canonical_hindman_search,
     canonical_ramsey_search,
     classify_canonical,
@@ -207,6 +209,8 @@ def test_matching_cases_agree_with_pairwise_reference(drawn):
     family, domain, f = drawn
     cases = matching_cases(f, domain, family)
     assert cases == pairwise_cases(f, domain, family)
+    # the engines decide a declared form by it alone
+    assert [case for case in CASES[family] if case_holds(f, domain, family, case)] == cases
     form = classify_canonical(f, domain, family)
     if cases:
         assert form.case == cases[0]
@@ -275,7 +279,7 @@ def first_canonical_subset(f, n, m):
 
 def test_canonical_ramsey_search_on_every_k4_colouring():
     edges = pair_domain(range(4))
-    colourings = [dict(zip(edges, rgs)) for rgs in certify._partitions_rgs(len(edges))]
+    colourings = [dict(zip(edges, rgs)) for rgs in ramsey._partitions_rgs(len(edges))]
     assert len(colourings) == 203
     for f in colourings:
         for m in range(6):
@@ -287,7 +291,7 @@ def test_canonical_ramsey_search_reads_colour_tuples_by_edge_rank():
     for n in (4, 9):
         edges = pair_domain(range(n))
         rng = random.Random(n)
-        strings = list(certify._partitions_rgs(len(edges))) if n == 4 else [
+        strings = list(ramsey._partitions_rgs(len(edges))) if n == 4 else [
             tuple(rng.randrange(3) for _ in edges) for _ in range(20)]
         for rgs in strings:
             f = dict(zip(edges, rgs))
@@ -309,7 +313,7 @@ def reference_rgs(length):
 
 @pytest.mark.parametrize("length", range(9))
 def test_restricted_growth_strings_are_every_set_partition_in_order(length):
-    got = list(certify._partitions_rgs(length))
+    got = list(ramsey._partitions_rgs(length))
     assert got == reference_rgs(length)
     assert len(got) == [1, 1, 2, 5, 15, 52, 203, 877, 4140][length]  # Bell numbers
 
@@ -475,15 +479,16 @@ def mask_tallies(universe, size):
 @pytest.mark.parametrize("universe", range(13))
 def test_grown_family_tallies_match_each_familys_difference_mask(universe):
     for size in range(2, 8):
-        assert certify._family_tallies(universe, size) == mask_tallies(universe, size)
+        assert ramsey._family_tallies(universe, size) == mask_tallies(universe, size)
 
 
 def refuse_the_sparseness_producer(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the sparseness checker ran producer code")
 
-    for name in ("produce", "_sparseness", "_family_tallies"):
-        monkeypatch.setattr(certify, name, refuse)
+    monkeypatch.setattr(certify, "produce", refuse)
+    for name in ("_sparseness", "_family_tallies"):
+        monkeypatch.setattr(ramsey, name, refuse)
     monkeypatch.setitem(certify._PRODUCERS, "sparseness", refuse)
 
 
@@ -619,7 +624,7 @@ def test_word_sampler_draws_what_randrange_draws(seed):
     for length in (0, 1, 2, 3, 6, 10, 15):
         for samples in (1, 7, 1500):
             fast, slow = random.Random(seed), random.Random(seed)
-            got = list(certify._random_rgs(samples, length, fast))
+            got = list(ramsey._random_rgs(samples, length, fast))
             assert got == [randrange_rgs(length, slow) for _ in range(samples)]
             assert fast.getstate() == slow.getstate()
 
@@ -630,7 +635,7 @@ C07_STREAM = "287608505aa21cf1289137c55b9ca294df404ff93587f382c2745ab4fa66b340"
 
 
 def test_c07_sample_stream_is_pinned():
-    strings = certify._random_rgs(10000, 10, random.Random(0))
+    strings = ramsey._random_rgs(10000, 10, random.Random(0))
     assert hashlib.sha256(bytes(chain.from_iterable(strings))).hexdigest() == C07_STREAM
 
 
@@ -689,7 +694,7 @@ def test_ramsey_oracle_certificate_bytes_of_other_sizes_are_pinned(size, exhaust
 
 def test_the_oracle_answers_every_k4_colouring_without_the_ramsey_module(monkeypatch):
     edges = pair_domain(range(4))
-    strings = list(certify._partitions_rgs(len(edges)))
+    strings = list(ramsey._partitions_rgs(len(edges)))
     expected = {}
     for rgs in strings:
         f = dict(zip(edges, rgs))

@@ -11,6 +11,7 @@ import pytest
 
 from idealbench import certify, construction
 from idealbench.scenarios import bundled_names, load_scenario
+from idealbench.serialize import dump_json
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -167,3 +168,24 @@ def test_check_refs_compares_each_output_with_its_reference(monkeypatch, capsys,
     assert lines[-1].endswith(f" under Python {platform.python_version()}: "
                               "1 cert, 1 construct, 1 diagonalize, 1 verify-construction")
     assert lines[:-1] == (['differs: {"cli": "construct", "depth": 12}'] if tamper else [])
+
+
+def test_trusted_lines_counts_the_modules_each_recheck_loads(monkeypatch, capsys, tmp_path):
+    certs = {"pairing.json": ("pairing", {"bound": 5, "unordered_bound": 5}),
+             "diag-hindman-case2.json": ("diagonalization",
+                                         load_scenario("hindman-case2").certificate_inputs(2)),
+             "diag-hindman-case3.json": ("diagonalization",
+                                         load_scenario("hindman-case3").certificate_inputs(2))}
+    for name, (kind, inputs) in certs.items():
+        dump_json(tmp_path / name, certify.produce(kind, inputs, 5))
+    assert run_script(monkeypatch, "trusted_lines.py", "--suite", str(tmp_path)) == 0
+
+    def row(group, modules, files):
+        source = SCRIPTS.parent / "src" / "idealbench"
+        lines = sum((source / f"{m}.py").read_text().count("\n") for m in modules.split())
+        return f"{group}: {lines} lines: {modules} ({len(files)}: {' '.join(files)})"
+
+    engine = "anchored certify cli diagonal errors finite pairing ramsey records scenarios serialize"
+    assert capsys.readouterr().out.splitlines() == [
+        row("diagonalization hindman", engine, sorted(certs)[:2]),
+        row("pairing", "certify checkers cli errors records serialize", ["pairing.json"])]

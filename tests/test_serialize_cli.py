@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from idealbench import anchored, certify, diagonal, posdiff, pwfin, scenarios, trees
+from idealbench.anchored import PAIRS_SCAN_MAX, SUMS_SCAN_MAX
 from idealbench.cli import run
 from idealbench.construction import MAX_DEPTH
 from idealbench.diagonal import rule_from_json
@@ -476,6 +477,8 @@ _SEP1_ROW = load_scenario("sep1-basic").to_json()["oracle"][0]
                        {"members": [0, 2]}, {"members": [-2]},
                        {"kind": "explicit", "members": [-2]},
                        {"kind": "explicit", "members": [True, 2]})),
+        _hindman_scenario(scan_cap=SUMS_SCAN_MAX + 1),
+        _changed_scenario("ramsey-case2", scan_cap=PAIRS_SCAN_MAX + 1),
         [1, 2],
         "x",
     ],
@@ -519,6 +522,7 @@ _SEP1_ROW = load_scenario("sep1-basic").to_json()["oracle"][0]
          "tree-successors-kind-number", "tree-successors-without-kind",
          "tree-successors-without-kind-negative-member",
          "tree-explicit-successors-negative-member", "tree-explicit-successors-bool-member",
+         "hindman-scan-cap-past-max", "ramsey-scan-cap-past-max",
          "top-level-list", "top-level-string"],
 )
 def test_cli_diagonalize_rejects_malformed_scenarios(tmp_path, capsys, scenario):
@@ -526,6 +530,19 @@ def test_cli_diagonalize_rejects_malformed_scenarios(tmp_path, capsys, scenario)
     dump_json(path, scenario)
     assert run(["diagonalize", "--scenario", str(path)]) == 2
     assert "schema error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, bound", [("hindman-case2", SUMS_SCAN_MAX),
+                                         ("ramsey-case2", PAIRS_SCAN_MAX)])
+def test_a_scan_cap_past_its_engines_bound_is_refused_before_any_stage(
+        tmp_path, capsys, monkeypatch, name, bound):
+    path = tmp_path / "scenario.json"
+    dump_json(path, _changed_scenario(name, scan_cap=bound))
+    assert run(["diagonalize", "--scenario", str(path), "--out", str(tmp_path / "c.json")]) == 0
+    monkeypatch.setattr(anchored, "run_stages", None)
+    dump_json(path, _changed_scenario(name, scan_cap=bound + 1))
+    assert run(["diagonalize", "--scenario", str(path)]) == 2
+    assert f"scan_cap must be at most {bound}" in capsys.readouterr().err
 
 
 def test_cli_diagonalize_records_an_assembly_contradiction(tmp_path):
