@@ -6,10 +6,11 @@ oracle-driven labelling recursion; canonical partition searches; and
 stage-by-stage diagonalization engines that emit re-checkable
 certificates.
 
-Importing the package loads none of its submodules.  Each name below is
-imported from its submodule on first use (PEP 562) and then cached here,
-so a process pays only for the modules it uses.  So is each submodule that
-exports them: ``idealbench.diagonal`` imports ``diagonal`` when first read.
+Importing the package loads none of its submodules.  Reading
+``idealbench.<module>`` imports that submodule the first time (PEP 562);
+this is the one way the package's modules load each other on demand, so a
+process pays only for the modules it uses.  Each name below is imported
+from its submodule on first use and then cached here.
 """
 
 import sys as _sys
@@ -69,14 +70,18 @@ __all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):
-    if name in _EXPORTS:  # importing a submodule makes it an attribute here
-        return _import_module(f".{name}", __name__)
     module = _MODULE_OF.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(_import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+    if module is not None:
+        value = getattr(_import_module(f".{module}", __name__), name)
+        globals()[name] = value
+        return value
+    if name.isidentifier():
+        try:  # importing a submodule makes it an attribute here
+            return _import_module(f".{name}", __name__)
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":  # raised inside the submodule
+                raise
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():

@@ -12,7 +12,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import diagonal
 from .diagonal import (CriticalNodeModel, Engine, GroundKinds, _by_model, _sequence, harmonic,
                        run_stages)
 from .errors import HorizonExhausted, ScenarioContradiction, SchemaError
@@ -37,8 +36,8 @@ def _explicit(what: str):
 
 
 def _ap(ground: dict) -> Callable[[int], int]:
-    base = integer_field(ground, "base", None, "an ap vertex sequence")
-    step = integer_field(ground, "step", None, "an ap vertex sequence")
+    base = integer_field(ground, "base", None, "an ap vertex sequence", minimum=0)
+    step = integer_field(ground, "step", None, "an ap vertex sequence", minimum=1)
     return lambda j: base + j * step
 
 
@@ -362,16 +361,16 @@ def _clique_enumeration(family: dict) -> Tuple[list, List[int]]:
 
 ENGINES = {
     "hindman": Engine(
-        lambda scn, stages: diagonal.run_hindman(scn.models(), stages,
-                                                 scn.scan_cap(SUMS_SCAN_CAP, SUMS_SCAN_MAX)),
-        lambda state: diagonal.assemble_hindman(state),
+        lambda scn, stages: run_hindman(scn.models(), stages,
+                                        scn.scan_cap(SUMS_SCAN_CAP, SUMS_SCAN_MAX)),
+        lambda state: assemble_hindman(state),
         enumerate_family=_sums_enumeration, declares="form", values=CASES[HINDMAN],
         grounds=GROUND_KINDS,
     ),
     "ramsey": Engine(
-        lambda scn, stages: diagonal.run_ramsey(scn.models(), stages,
-                                                scn.scan_cap(PAIRS_SCAN_CAP, PAIRS_SCAN_MAX)),
-        lambda state: diagonal.assemble_ramsey(state),
+        lambda scn, stages: run_ramsey(scn.models(), stages,
+                                       scn.scan_cap(PAIRS_SCAN_CAP, PAIRS_SCAN_MAX)),
+        lambda state: assemble_ramsey(state),
         enumerate_family=_clique_enumeration, declares="form", values=CASES[RAMSEY], pairs=True,
         grounds=VERTEX_KINDS,
     ),

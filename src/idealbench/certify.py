@@ -17,10 +17,11 @@ schema violations.
 
 This module imports only ``errors``, ``serialize`` and ``records``.  Each
 body lives in the module whose code it runs, and ``KINDS`` names it and the
-checker, each imported when first read.  So a recheck loads the modules of
-its scenario's parse, of its checker if any, and of its producer only when
-it re-produces: a complete kind runs no producer, and a kind without a
-checker never loads ``checkers``.
+checker, each read as ``idealbench.<module>``, which the package imports
+when first read.  So a recheck loads the modules of its scenario's parse,
+of its checker if any, and of its producer only when it re-produces: a
+complete kind runs no producer, and a kind without a checker never loads
+``checkers``.
 
 Only the three kinds that ``KINDS`` declares ``seeded`` read the seed.  The
 other eight record it but do not include it in their claim, so a
@@ -30,10 +31,9 @@ certificate of theirs with its seed changed still rechecks.
 from __future__ import annotations
 
 import random
-import sys
-from importlib import import_module
 from typing import Callable, Dict, Optional, Tuple
 
+import idealbench
 from .errors import SchemaError
 from .records import record
 from .serialize import (CERTIFICATE_SCHEMA, MAX_DEPTH, canonical_bytes, check_assumptions,
@@ -50,13 +50,13 @@ class Kind:
     integers from 2 to ``largest``; with ``scenario``, naming a class of
     ``scenarios``, a scenario of that class, parsed by ``scenario_from_json``,
     whose assumptions the certificate records.  ``compute``, the body, is
-    ``"<module>.<function>"``, read at each call: it takes them by name,
-    plus ``rng``, a fresh ``random.Random(seed)``, when ``seeded``, and
-    returns the body.  ``expected`` names the body fields that are all true
-    when a run came out as its scenario declares.  ``check``, when given,
-    names a ``checkers`` function that takes the body and the same named
-    inputs (``rng`` aside) and raises ``CheckFailed`` when they refute the
-    body.  ``complete`` declares that ``check`` accepts exactly the bodies
+    ``"<module>.<function>"``, read as ``idealbench.<module>`` at each call:
+    it takes them by name, plus ``rng``, a fresh ``random.Random(seed)``,
+    when ``seeded``, and returns the body.  ``expected`` names the body
+    fields that are all true when a run came out as its scenario declares.
+    ``check``, when given, names a ``checkers`` function that takes the body
+    and the same named inputs (``rng`` aside) and raises ``CheckFailed``
+    when they refute the body.  ``complete`` declares that ``check`` accepts exactly the bodies
     ``compute`` returns, so ``recheck`` need not run the producer.
     """
 
@@ -89,7 +89,7 @@ class Kind:
                 raise SchemaError(f"{where}: sizes must be a list of at most {most} "
                                   f"integers from 2 to {largest}")
         if self.scenario is not None:
-            scenarios = _module("scenarios")
+            scenarios = idealbench.scenarios
             args["scenario"] = scenarios.scenario_from_json(
                 inputs.get("scenario"), f"{where} scenario", getattr(scenarios, self.scenario))
         return args
@@ -105,14 +105,9 @@ class Kind:
         if self.seeded:
             args["rng"] = random.Random(seed)
         module, function = self.compute.split(".")
-        body = getattr(_module(module), function)(**args)
+        body = getattr(getattr(idealbench, module), function)(**args)
         return {"schema": CERTIFICATE_SCHEMA, "kind": self.name, "seed": seed, "inputs": inputs,
                 "assumptions": assumptions, "body": body}
-
-
-def _module(name: str):
-    """The package's submodule ``name``, imported by its first read."""
-    return sys.modules.get(f"{__package__}.{name}") or import_module(f".{name}", __package__)
 
 
 _DEPTH = ("depth", None, 1, MAX_DEPTH)
@@ -222,7 +217,7 @@ def recheck(cert: dict) -> Tuple[bool, str]:
     kind = _kind(cert["kind"])
     args = kind.arguments(cert["inputs"], cert["seed"])
     if kind.check is not None:
-        checkers = _module("checkers")
+        checkers = idealbench.checkers
         try:
             getattr(checkers, kind.check)(cert["body"], **args)
         except checkers.CheckFailed as exc:

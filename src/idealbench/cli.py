@@ -144,7 +144,7 @@ def _cmd_check_reduction(args) -> int:
             args.out,
         )
         return 0 if cert is not None else FAILURE
-    value = integer_field(witness_obj, "value", 0, "check-reduction --claim witness")
+    value = integer_field(witness_obj, "value", 0, "check-reduction --claim witness", minimum=0)
     claim = ReductionClaim(source, target, KatetovMap(witness_obj["kind"], value))
     verdict = katetov_witness_check(claim, queried, horizon)
     _emit(verdict.to_json(), args.out)

@@ -22,11 +22,12 @@ has its own module:
 
 ``collision`` holds ``collision_check``.  This module holds what they
 share: label rules, models, the stage loop ``run_stages``, ``assemble`` and
-``ENGINES``, which imports an engine's module when a scenario first names it.
-The names it exported before the split (``run_<engine>``,
+``ENGINES``, which reads an engine's module as ``idealbench.<module>``, so
+the package imports it when a scenario first names the engine.  The names
+this module exported before the split (``run_<engine>``,
 ``assemble_<engine>``, ``coarse_colour``, ``extract_profile``,
-``collision_check``) are bound here when their module is loaded, and
-``Engine`` looks up ``run_<engine>`` and ``assemble_<engine>`` here.
+``collision_check``) are read from their module on every read here, and
+none is bound here.
 
 Stage numbering follows the diagonal pairing, so a model's per-visit
 counter b never exceeds the stage number k; the smallness estimates lean
@@ -40,7 +41,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Mapping
 from fractions import Fraction
-from importlib import import_module
 from math import ceil, exp
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -487,11 +487,9 @@ def run_stages(state, stages: int, stage):
 GroundKinds = Dict[str, Callable[[dict], Callable[[int], int]]]
 
 
-def _ground_kind(kinds: GroundKinds, ground) -> Optional[str]:
+def _ground_kind(kinds: GroundKinds, ground: Optional[dict]):
     """Kind of a model's ground; no ground, or one without "kind", has the table's first."""
-    if ground is None:
-        ground = {}
-    return ground.get("kind", next(iter(kinds))) if isinstance(ground, dict) else None
+    return (ground or {}).get("kind", next(iter(kinds)))
 
 
 def _sequence(kinds: GroundKinds, ground) -> Callable[[int], int]:
@@ -514,10 +512,10 @@ class Engine:
     ``pwfin``, ``posdiff`` and ``anchored`` (``hindman`` and ``ramsey``)
     each declare their engines in a module-level ``ENGINES`` dict.  ``run``
     takes a diagonalization scenario and a stage count and returns the run
-    state; ``assemble`` turns a state into its payload.  Both look up
-    ``run_<name>`` and ``assemble_<name>`` on ``idealbench.diagonal`` at
-    call time, so a wrapper bound to those names there later (a tracer, a
-    test spy) is the one that runs.
+    state; ``assemble`` turns a state into its payload.  Both call
+    ``run_<name>`` and ``assemble_<name>`` as globals of the engine's module,
+    looked up at call time, so a wrapper bound to those names there later (a
+    tracer, a test spy) is the one that runs.
     ``explicit_forbidden`` says whether the payload's ``forbidden_labels``
     are label values rather than descriptors, and so whether each family
     lists its ``members``: only such a run can be checked for a collision.
@@ -548,8 +546,10 @@ class Engine:
                 raise SchemaError(
                     f"model {model.index}: label rule {model.rule.kind!r} has no pair form")
             if self.grounds:
+                if not isinstance(model.ground, (dict, type(None))):
+                    raise SchemaError(f"model {model.index}: ground must be an object")
                 kind = _ground_kind(self.grounds, model.ground)
-                if kind not in self.grounds:
+                if not isinstance(kind, str) or kind not in self.grounds:
                     raise SchemaError(f"model {model.index}: ground kind {kind!r} is not one "
                                       f"of {', '.join(self.grounds)}")
                 _sequence(self.grounds, model.ground)  # a SchemaError for bad parameters
@@ -572,32 +572,14 @@ _EXPORTED_FROM = {
 _MODULE_OF = {name: module for module, names in _EXPORTED_FROM.items() for name in names}
 
 
-def _load(module: str):
-    """The module ``module``, imported, with the names it exports bound here.
-
-    Each is bound once, when its module is first loaded through here, so a
-    tracer or a test spy that later rebinds it here is the one that runs; a
-    name already bound here is kept.
-    """
-    loaded = import_module(f".{module}", __package__)
-    for name in _EXPORTED_FROM[module]:
-        globals().setdefault(name, getattr(loaded, name))
-    return loaded
-
-
 class _Engines(Mapping):
-    """Every engine by name; its module is loaded the first time the engine is read.
+    """Every engine by name, read from its module as ``idealbench.<module>``.
 
     ``engine in ENGINES`` reads it too, so parsing a scenario loads its engine.
     """
 
-    def __init__(self) -> None:
-        self._loaded: Dict[str, Engine] = {}
-
     def __getitem__(self, name: str) -> Engine:
-        if name not in self._loaded:
-            self._loaded.update(_load(_ENGINE_MODULES[name]).ENGINES)
-        return self._loaded[name]
+        return getattr(idealbench, _ENGINE_MODULES[name]).ENGINES[name]
 
     def __iter__(self) -> Iterator[str]:
         return iter(_ENGINE_MODULES)
@@ -611,12 +593,11 @@ ENGINES: Mapping[str, Engine] = _Engines()
 
 
 def __getattr__(name: str):
-    """An exported name read before its module was loaded (PEP 562)."""
+    """An exported name, read from its module (PEP 562)."""
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load(module)
-    return globals()[name]
+    return getattr(getattr(idealbench, module), name)
 
 
 # -- certificate bodies: diagonalization, structural-identity ----------------------

@@ -139,8 +139,9 @@ _FIELDLESS = {cls.kind: cls for cls in (
 def ideal_from_json(obj: dict) -> IdealDescriptor:
     """Decode an ideal descriptor; ``sum_s`` is over the greedy partition of its ``depth``."""
     kind = obj.get("kind") if isinstance(obj, dict) else None
-    if kind in _FIELDLESS:
-        return _FIELDLESS[kind]()
+    fieldless = _FIELDLESS.get(kind) if isinstance(kind, str) else None
+    if fieldless is not None:
+        return fieldless()
     if kind == SumSelector.kind:
         depth = integer_field(obj, "depth", DEFAULT_DEPTH, "a sum_s ideal", 1, MAX_DEPTH)
         return SumSelector(set_from_json(obj.get("selector")),

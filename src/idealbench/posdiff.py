@@ -10,7 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from . import diagonal
 from .diagonal import (CriticalNodeModel, Engine, _by_model, _classes, _reach_one, harmonic,
                        run_stages)
 from .errors import HorizonExhausted, ScenarioContradiction
@@ -226,7 +225,7 @@ def assemble_posdiff(state: PosdiffState) -> dict:
 
 ENGINES = {
     "posdiff": Engine(
-        lambda scn, stages: diagonal.run_posdiff(scn.models(), scn.horizon, stages),
-        lambda state: diagonal.assemble_posdiff(state),
+        lambda scn, stages: run_posdiff(scn.models(), scn.horizon, stages),
+        lambda state: assemble_posdiff(state),
     ),
 }

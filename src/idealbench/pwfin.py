@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import diagonal
 from .construction import PartitionData, interval_weight, selector_weight
 from .diagonal import (CriticalNodeModel, Engine, LabelRule, _by_model, _prev_interval_label,
                        run_stages)
@@ -301,13 +300,13 @@ def assemble_pwfin(state: PwfinState) -> dict:
 def _run_pwfin_scenario(scn, stages: int) -> PwfinState:
     partition = scn.partition()
     models = scn.models(partition)
-    return diagonal.run_pwfin(partition, set_from_json(scn.required("P")),
-                              set_from_json(scn.required("Q")), models, stages)
+    return run_pwfin(partition, set_from_json(scn.required("P")),
+                     set_from_json(scn.required("Q")), models, stages)
 
 
 ENGINES = {
     "pwfin": Engine(
-        _run_pwfin_scenario, lambda state: diagonal.assemble_pwfin(state),
+        _run_pwfin_scenario, lambda state: assemble_pwfin(state),
         explicit_forbidden=False, declares="case", values=PWFIN_CASES,
     ),
 }

@@ -978,7 +978,9 @@ def test_ramsey_case4_threshold_arithmetic():
             assert Fraction(b, k * 2 ** k) <= Fraction(1, 2 ** k)
 
 
-@pytest.mark.parametrize("ground", [{"base": 0}, {"base": "0", "step": 2}, {"step": True}])
+@pytest.mark.parametrize("ground", [{"base": 0}, {"base": "0", "step": 2}, {"step": True},
+                                    {"base": -10, "step": 1}, {"base": 0, "step": 0},
+                                    {"base": 0, "step": -1}])
 def test_ramsey_ap_vertices_checked_before_any_stage(ground):
     model = load_scenario("ramsey-case2").models()[0]
     model = CriticalNodeModel(model.index, model.rule, model.case, model.form,
@@ -1240,18 +1242,19 @@ def test_two_model_posdiff_shares_forbidden_labels_globally():
 # -- engine registry ------------------------------------------------------------------
 
 def test_registry_runs_engines_through_their_module_names(monkeypatch):
-    # perfbench's tracer rebinds diagonal.run_<engine> and assemble_<engine>
-    # by name; a registry holding the function objects would bypass it
+    # perfbench's tracer rebinds run_<engine> and assemble_<engine> by name in
+    # the engine's module; a registry holding the function objects would bypass it
     staged = {"pwfin": "pw-2b", "posdiff": "posdiff-blocks", "hindman": "hindman-case2",
               "ramsey": "ramsey-case2"}
+    modules = {"pwfin": pwfin, "posdiff": posdiff, "hindman": anchored, "ramsey": anchored}
     assert set(staged) == set(diagonal.ENGINES)
     calls = {}
-    for engine in staged:
+    for engine, module in modules.items():
         for name in (f"run_{engine}", f"assemble_{engine}"):
-            def counting(*args, _name=name, _original=getattr(diagonal, name), **kwargs):
+            def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _original(*args, **kwargs)
-            monkeypatch.setattr(diagonal, name, counting)
+            monkeypatch.setattr(module, name, counting)
     for scenario in staged.values():
         inputs = {"scenario": load_scenario(scenario).to_json(), "stages": 2}
         assert certify.produce("diagonalization", inputs, 0)["body"]["outcome"] == "stages"

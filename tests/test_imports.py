@@ -146,41 +146,80 @@ def test_a_diagonalize_and_certify_child_loads_only_its_engine(tmp_path, engine,
 
 def test_every_traced_diagonal_name_resolves_to_its_defining_function():
     # perfbench's tracer reads each name on ``idealbench.diagonal`` and rebinds
-    # the function in every namespace that holds that same object
+    # the function in every namespace that holds that same object, which for
+    # run_<engine> and assemble_<engine> is the engine's module that calls them
     code = ("import sys\n"
             f"sys.path.insert(0, {str(ROOT)!r})\n"
-            "from perfbench.tracing import TRACED\n"
-            "from idealbench import diagonal\n"
+            "from perfbench.tracing import TRACED, Tracer\n"
+            "from idealbench import certify, diagonal\n"
+            "from idealbench.scenarios import load_scenario\n"
             "names = [path for module, path in TRACED if module == 'diagonal']\n"
             "assert len(names) == 9, names\n"
             "for name in names:\n"
             "    fn = getattr(diagonal, name)\n"
             "    assert vars(sys.modules[fn.__module__])[name] is fn, name\n"
-            "    assert vars(diagonal)[name] is fn, name\n"
+            "    assert name not in vars(diagonal), name\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            f"for scenario in {list(STAGED.values())!r}:\n"
+            "    inputs = {'scenario': load_scenario(scenario).to_json(), 'stages': 2}\n"
+            "    certify.produce('diagonalization', inputs, 0)\n"
+            "tracer.uninstall()\n"
+            "table = tracer.table()\n"
+            f"for engine in {list(STAGED)!r}:\n"
+            "    for step in ('run', 'assemble'):\n"
+            "        assert table[f'diagonal.{step}_{engine}']['calls'] == 1, (engine, step)\n"
             "print('ok')\n")
     assert python(code).split() == ["ok"]
 
 
-def test_a_spy_bound_on_diagonal_before_its_engine_loads_is_what_a_run_calls():
+def test_a_spy_bound_on_an_engine_module_before_the_engine_is_read_is_what_a_run_calls():
+    # the spy is bound on the engine's module before ``ENGINES`` first reads
+    # the engine; a run calls run_<engine> and assemble_<engine> there
     code = ("import importlib\n"
-            "from idealbench import certify, diagonal\n"
+            "from idealbench import certify\n"
             "from idealbench.scenarios import load_scenario\n"
             f"modules, staged = {ENGINE_MODULES!r}, {STAGED!r}\n"
             "calls = []\n"
-            "def spy(name, module):\n"
+            "def spy(name, original):\n"
             "    def counting(*args, **kwargs):\n"
             "        calls.append(name)\n"
-            "        return getattr(importlib.import_module(module), name)(*args, **kwargs)\n"
+            "        return original(*args, **kwargs)\n"
             "    return counting\n"
             "for engine, module in modules.items():\n"
+            "    module = importlib.import_module('idealbench.' + module)\n"
             "    for name in (f'run_{engine}', f'assemble_{engine}'):\n"
-            "        setattr(diagonal, name, spy(name, 'idealbench.' + module))\n"
+            "        setattr(module, name, spy(name, getattr(module, name)))\n"
             "for engine, scenario in staged.items():\n"
             "    inputs = {'scenario': load_scenario(scenario).to_json(), 'stages': 2}\n"
             "    assert certify.produce('diagonalization', inputs, 0)['body']['outcome'] == 'stages'\n"
             "    assert calls[-2:] == [f'run_{engine}', f'assemble_{engine}'], calls\n"
             "print(len(calls))\n")
     assert python(code).split() == ["8"]
+
+
+SUBMODULES = sorted(path.stem for path in (SRC / "idealbench").glob("*.py")
+                    if path.stem != "__init__")
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_each_submodule_is_imported_by_its_first_read_on_the_package(name):
+    code = ("import sys, idealbench\n"
+            f"assert 'idealbench.{name}' not in sys.modules\n"
+            f"assert idealbench.{name} is sys.modules['idealbench.{name}']\n"
+            "print('ok')\n")
+    assert python(code).split() == ["ok"]
+
+
+def test_an_unknown_module_is_no_attribute_and_a_failed_import_inside_one_is_not_hidden():
+    code = ("import sys, idealbench\n"
+            "assert not hasattr(idealbench, 'no_such_module')\n"
+            "sys.modules['idealbench.finite'] = None  # diagonal imports it\n"
+            "try:\n"
+            "    idealbench.diagonal\n"
+            "except ModuleNotFoundError as exc:\n"
+            "    print(exc.name)\n")
+    assert python(code).split() == ["idealbench.finite"]
 
 
 def test_importing_certify_loads_no_producer_and_no_checker():

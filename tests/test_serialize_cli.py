@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from idealbench import anchored, certify, diagonal, posdiff, pwfin, scenarios, trees
+from idealbench import anchored, certify, posdiff, pwfin, scenarios, trees
 from idealbench.anchored import PAIRS_SCAN_MAX, SUMS_SCAN_MAX
 from idealbench.cli import run
 from idealbench.construction import MAX_DEPTH
@@ -479,6 +479,18 @@ _SEP1_ROW = load_scenario("sep1-basic").to_json()["oracle"][0]
                        {"kind": "explicit", "members": [True, 2]})),
         _hindman_scenario(scan_cap=SUMS_SCAN_MAX + 1),
         _changed_scenario("ramsey-case2", scan_cap=PAIRS_SCAN_MAX + 1),
+        *(_changed_scenario("sep1-basic", branching_ideal={"kind": kind})
+          for kind in ([], {"kind": "fin"})),
+        *(_hindman_scenario(models=[{"index": 0, "form": 2, "labels": {"kind": "min-support"},
+                                     "ground": ground}])
+          for ground in ({"kind": []}, {"kind": {"kind": "explicit"}}, "abc")),
+        *(_changed_scenario("ramsey-case2", models=[{
+            "index": 0, "form": 2, "labels": {"kind": "pair-min"}, "ground": ground}])
+          for ground in ({"kind": ["ap"]}, "abc")),
+        *(_changed_scenario("ramsey-case2", models=[{
+            "index": 0, "form": form, "labels": {"kind": "pair-min"},
+            "ground": {"kind": "ap", **ground}}])
+          for form in (2, 3) for ground in ({"base": -10, "step": 1}, {"base": 0, "step": 0})),
         [1, 2],
         "x",
     ],
@@ -523,13 +535,45 @@ _SEP1_ROW = load_scenario("sep1-basic").to_json()["oracle"][0]
          "tree-successors-without-kind-negative-member",
          "tree-explicit-successors-negative-member", "tree-explicit-successors-bool-member",
          "hindman-scan-cap-past-max", "ramsey-scan-cap-past-max",
+         "tree-branching-ideal-kind-a-list", "tree-branching-ideal-kind-an-object",
+         "hindman-ground-kind-a-list", "hindman-ground-kind-an-object",
+         "hindman-ground-a-string", "ramsey-ground-kind-a-list", "ramsey-ground-a-string",
+         "ramsey-form-2-ap-base-negative", "ramsey-form-2-ap-step-zero",
+         "ramsey-form-3-ap-base-negative", "ramsey-form-3-ap-step-zero",
          "top-level-list", "top-level-string"],
 )
 def test_cli_diagonalize_rejects_malformed_scenarios(tmp_path, capsys, scenario):
     path = tmp_path / "scenario.json"
     dump_json(path, scenario)
     assert run(["diagonalize", "--scenario", str(path)]) == 2
-    assert "schema error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "schema error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, ground, message", [
+    ("hindman-case2", {"kind": []}, "ground kind [] is not one of"),
+    ("hindman-case2", "abc", "ground must be an object"),
+    ("ramsey-case2", {"kind": {"kind": "all"}}, "ground kind {'kind': 'all'} is not one of"),
+    ("ramsey-case2", "abc", "ground must be an object"),
+])
+@pytest.mark.parametrize("command", ["diagonalize", "certify"])
+def test_a_ground_of_the_wrong_type_is_a_schema_error_naming_ground(
+        tmp_path, capsys, name, ground, message, command):
+    model = {**load_scenario(name).to_json()["models"][0], "ground": ground}
+    scenario = _changed_scenario(name, models=[model])
+    path = tmp_path / "input.json"
+    if command == "certify":
+        cert = certify.produce("diagonalization", {"scenario": load_scenario(name).to_json(),
+                                                   "stages": 1})
+        cert["inputs"]["scenario"] = scenario
+        dump_json(path, cert)
+        argv = ["certify", "--in", str(path)]
+    else:
+        dump_json(path, scenario)
+        argv = ["diagonalize", "--scenario", str(path)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "schema error" in err and f"model 0: {message}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("name, bound", [("hindman-case2", SUMS_SCAN_MAX),
@@ -679,6 +723,13 @@ def _without_name(name: str) -> dict:
                              "stages": 2}),
         ("collision", {"scenario": _changed_scenario(
             "collision-posdiff", tree=_changed_scenario("posdiff-blocks"))}),
+        ("tree-labelling", {"scenario": _changed_scenario("sep1-basic",
+                                                          branching_ideal={"kind": []})}),
+        ("tree-labelling", {"scenario": _changed_scenario("sep1-basic",
+                                                          branching_ideal={"kind": {}})}),
+        ("diagonalization", {"scenario": _changed_scenario("ramsey-case2", models=[{
+            "index": 0, "form": 2, "labels": {"kind": "pair-min"},
+            "ground": {"kind": "ap", "base": -10, "step": 1}}]), "stages": 2}),
         ("partition", {}),
         ("partition", {"depth": 0}),
         ("weight-bound", {"depth": "3"}),
@@ -714,6 +765,8 @@ def _without_name(name: str) -> dict:
          "structural-identity-hindman-family-past-max", "collision-hindman-family-past-max",
          "structural-identity-on-pwfin",
          "tree-labelling-on-posdiff", "scenario-without-schema", "collision-tree-not-a-tree",
+         "tree-branching-ideal-kind-a-list", "tree-branching-ideal-kind-an-object",
+         "ramsey-ap-base-negative",
          "partition-no-depth", "partition-depth-zero", "weight-bound-depth-not-int",
          "subset-reduction-no-pairs", "pigeonhole-no-samples", "pigeonhole-interval-past-depth",
          "partition-depth-past-max", "weight-bound-depth-past-max",
@@ -735,7 +788,8 @@ def test_cli_certify_rejects_malformed_scenario_inputs(tmp_path, capsys, kind, i
     path = tmp_path / "certificate.json"
     dump_json(path, cert)
     assert run(["certify", "--in", str(path)]) == 2
-    assert "schema error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "schema error" in err and "Traceback" not in err
 
 
 def test_cli_certify_refuses_a_scenario_of_another_kind(tmp_path, capsys):
@@ -989,7 +1043,7 @@ def test_cli_collision_over_a_pwfin_run_is_refused_before_any_stage(
     def no_stage(*args, **kwargs):
         raise AssertionError("a pwfin stage ran")
 
-    monkeypatch.setattr(diagonal, "run_pwfin", no_stage)
+    monkeypatch.setattr(pwfin, "run_pwfin", no_stage)
     path = tmp_path / "scenario.json"
     dump_json(path, _changed_scenario("collision-posdiff", diag="pw-2b"))
     assert run(["diagonalize", "--scenario", str(path)]) == 2
@@ -1126,6 +1180,8 @@ def test_cli_membership_witness_keeps_a_zero_generator(capsys):
         ('{"kind": "fin"}', '{"kind": "intervals", "spans": [[0, 65537]]}'),
         ('{"kind": "fin"}', '{"kind": "intervals", "spans": [[0, 1000000000]]}'),
         ('{"kind": "fin"}', json.dumps({"kind": "delta_image", "generators": list(range(363))})),
+        ('{"kind": []}', '{"kind": "finite", "members": []}'),
+        ('{"kind": {"kind": "fin"}}', '{"kind": "finite", "members": []}'),
     ],
     ids=["finite-without-members", "unknown-set-kind", "set-not-an-object",
          "nested-ap-without-step", "unknown-ideal-kind", "ideal-not-an-object",
@@ -1134,11 +1190,12 @@ def test_cli_membership_witness_keeps_a_zero_generator(capsys):
          "fs-closure-past-generator-cap", "finite-member-float", "finite-member-bool",
          "finite-member-text", "intervals-end-float", "intervals-end-text", "ap-base-bool",
          "ap-step-float", "intervals-past-member-cap", "intervals-of-a-billion",
-         "delta-image-past-pair-cap"],
+         "delta-image-past-pair-cap", "ideal-kind-a-list", "ideal-kind-an-object"],
 )
 def test_cli_membership_rejects_malformed_descriptors(capsys, ideal, described):
     assert run(["membership", "--ideal", ideal, "--set", described]) == 2
-    assert "schema error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "schema error" in err and "Traceback" not in err
 
 
 def test_cli_witness_searches(capsys):
@@ -1217,6 +1274,10 @@ CONSTANT_TEXT_VALUE = json.dumps(
     {"source": {"kind": "fin"}, "target": {"kind": "fin"},
      "witness": {"kind": "constant", "value": "x"}}
 )
+CONSTANT_NEGATIVE_VALUE = json.dumps(
+    {"source": {"kind": "fin"}, "target": {"kind": "fin"},
+     "witness": {"kind": "constant", "value": -1}}
+)
 
 
 @pytest.mark.parametrize(
@@ -1231,11 +1292,12 @@ CONSTANT_TEXT_VALUE = json.dumps(
         (_claim("junk"), '{"kind": "ap", "base": 1, "step": 2}'),
         (_claim("junk"), '{"kind": "finite", "members": [3]}'),
         (_claim(5), '{"kind": "cofinite", "excluded": [2]}'),
+        (CONSTANT_NEGATIVE_VALUE, '{"kind": "finite", "members": [3]}'),
     ],
     ids=["claim-without-source", "claim-not-object", "witness-not-object",
          "constant-value-text-over-ap", "constant-value-text-over-finite",
          "witness-kind-junk-over-ap", "witness-kind-junk-over-finite",
-         "witness-kind-number"],
+         "witness-kind-number", "constant-value-negative"],
 )
 def test_cli_check_reduction_rejects_malformed_claims(capsys, claim, described):
     assert run(["check-reduction", "--claim", claim, "--set", described]) == 2
