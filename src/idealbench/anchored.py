@@ -12,8 +12,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .diagonal import (CriticalNodeModel, Engine, GroundKinds, _by_model, _sequence, harmonic,
-                       run_stages)
+from .diagonal import (LABEL_KINDS, CriticalNodeModel, Engine, _by_model, harmonic,
+                       model_for_stage, run_stages)
 from .errors import HorizonExhausted, ScenarioContradiction, SchemaError
 from .pairing import code_unordered, decode_unordered
 from .ramsey import CASES, HINDMAN, RAMSEY, block_disjoint, case_holds, fs, matching_cases
@@ -41,6 +41,10 @@ def _ap(ground: dict) -> Callable[[int], int]:
     return lambda j: base + j * step
 
 
+# the element function j -> element j of a ground sequence, by kind; the first
+# kind of a table is the one a ground without "kind" has
+GroundKinds = Dict[str, Callable[[dict], Callable[[int], int]]]
+
 # the kinds of a sums-engine ground and of a pairs-engine vertex sequence
 GROUND_KINDS: GroundKinds = {
     "powers-of-two": lambda ground: lambda j: 1 << j,
@@ -51,8 +55,6 @@ VERTEX_KINDS: GroundKinds = {
     "ap": _ap,
     "explicit": _explicit("vertex"),
 }
-
-
 
 SUMS_SCAN_CAP = 64
 PAIRS_SCAN_CAP = 4096
@@ -83,12 +85,35 @@ class AnchorState:
 
     engine: str
     models: Tuple[CriticalNodeModel, ...]
+    elements: Tuple[Callable[[int], int], ...]  # each model's ground sequence
     scan_cap: int
     stages: List[AnchorStageRecord] = field(default_factory=list)
 
     def anchors(self, i: int) -> list:
         """Model i's anchors in stage order."""
         return [rec.anchor for rec in self.stages if rec.i == i]
+
+
+def _grounded(engine: str, models: Sequence[CriticalNodeModel], kinds: GroundKinds,
+              pairs: bool = False) -> Tuple[Tuple[CriticalNodeModel, ...], tuple]:
+    """The models and each one's element function, after a SchemaError for the
+    first model that does not fit the engine: its form, then (pairs) its
+    rule's pair form, then its ground's kind and parameters."""
+    elements = []
+    for model in models:
+        ENGINES[engine].checked((model,))
+        if pairs and LABEL_KINDS[model.rule.kind].pair is None:
+            raise SchemaError(
+                f"model {model.index}: label rule {model.rule.kind!r} has no pair form")
+        ground = model.ground
+        if not isinstance(ground, (dict, type(None))):
+            raise SchemaError(f"model {model.index}: ground must be an object")
+        kind = (ground or {}).get("kind", next(iter(kinds)))
+        if not isinstance(kind, str) or kind not in kinds:
+            raise SchemaError(f"model {model.index}: ground kind {kind!r} is not one "
+                              f"of {', '.join(kinds)}")
+        elements.append(kinds[kind](ground))
+    return tuple(models), tuple(elements)
 
 
 def _clears(label: Optional[int], threshold: int) -> bool:
@@ -113,14 +138,30 @@ def _scan(state: AnchorState, k: int, first: int, element, clears, threshold: in
     raise HorizonExhausted(f"stage {k}: no {what} clears threshold {threshold}")
 
 
+def _family_bound(models: Sequence[CriticalNodeModel], stages: int) -> None:
+    """A SchemaError for the first of ``stages`` stages whose anchor would take
+    its model's family past ``SUMS_FAMILY_CAP`` members.
+
+    The schedule ``model_for_stage`` is fixed, so each model's anchor count
+    after each stage follows from the stage and the model count alone, and
+    the bound is decided before any stage runs.  With m models, some model
+    takes its 17th anchor by stage 16m, so the loop raises by then.
+    """
+    anchors = [0] * len(models)
+    for k in range(stages):
+        i, _ = model_for_stage(models, k)
+        anchors[i] += 1
+        members = (1 << anchors[i]) - 1
+        if members > SUMS_FAMILY_CAP:
+            raise SchemaError(f"stage {k}: anchor {anchors[i]} of model {i} would give its "
+                              f"anchored sums family {members} members, past the bound of "
+                              f"2^{SUMS_FAMILY_CAP.bit_length() - 1} = {SUMS_FAMILY_CAP}")
+
+
 def hindman_stage(state: AnchorState, k: int, i: int,
                   model: CriticalNodeModel) -> AnchorStageRecord:
-    """Extend one model's anchor subsequence under its case threshold.
-
-    A SchemaError, before any scan, for an anchor that would take the
-    model's family past ``SUMS_FAMILY_CAP`` members.
-    """
-    element = _sequence(GROUND_KINDS, model.ground)
+    """Extend one model's anchor subsequence under its case threshold."""
+    element = state.elements[i]
     label_of = model.rule.label
 
     if model.form == 1:
@@ -135,11 +176,6 @@ def hindman_stage(state: AnchorState, k: int, i: int,
         )
 
     anchors = state.anchors(i)
-    members = (2 << len(anchors)) - 1
-    if members > SUMS_FAMILY_CAP:
-        raise SchemaError(f"stage {k}: anchor {len(anchors) + 1} of model {i} would give its "
-                          f"anchored sums family {members} members, past the bound of "
-                          f"2^16 = {SUMS_FAMILY_CAP}")
     prev = [h for _, h in anchors]
     sums = (0,) + fs(prev)   # at every form: fs refuses repeated or negative anchors
     # h + y must clear the threshold for every offset y; the whole anchored
@@ -161,8 +197,9 @@ def hindman_stage(state: AnchorState, k: int, i: int,
 
 def run_hindman(models: Sequence[CriticalNodeModel], stages: int,
                 scan_cap: int = SUMS_SCAN_CAP) -> AnchorState:
-    state = AnchorState("hindman", ENGINES["hindman"].checked(models), scan_cap)
-    return run_stages(state, stages, hindman_stage)
+    models, elements = _grounded("hindman", models, GROUND_KINDS)
+    _family_bound(models, stages)
+    return run_stages(AnchorState("hindman", models, elements, scan_cap), stages, hindman_stage)
 
 
 def ramsey_stage(state: AnchorState, k: int, i: int,
@@ -174,7 +211,7 @@ def ramsey_stage(state: AnchorState, k: int, i: int,
     stages need every pair with an earlier anchor to clear the threshold,
     which is exactly what their stage smallness uses.
     """
-    vertex = _sequence(VERTEX_KINDS, model.ground)
+    vertex = state.elements[i]
     label_of = model.rule.pair_label
 
     if model.form == 1:
@@ -202,8 +239,8 @@ def ramsey_stage(state: AnchorState, k: int, i: int,
 
 def run_ramsey(models: Sequence[CriticalNodeModel], stages: int,
                scan_cap: int = PAIRS_SCAN_CAP) -> AnchorState:
-    state = AnchorState("ramsey", ENGINES["ramsey"].checked(models), scan_cap)
-    return run_stages(state, stages, ramsey_stage)
+    models, elements = _grounded("ramsey", models, VERTEX_KINDS, pairs=True)
+    return run_stages(AnchorState("ramsey", models, elements, scan_cap), stages, ramsey_stage)
 
 
 # -- assembly -------------------------------------------------------------------
@@ -365,13 +402,11 @@ ENGINES = {
                                         scn.scan_cap(SUMS_SCAN_CAP, SUMS_SCAN_MAX)),
         lambda state: assemble_hindman(state),
         enumerate_family=_sums_enumeration, declares="form", values=CASES[HINDMAN],
-        grounds=GROUND_KINDS,
     ),
     "ramsey": Engine(
         lambda scn, stages: run_ramsey(scn.models(), stages,
                                        scn.scan_cap(PAIRS_SCAN_CAP, PAIRS_SCAN_MAX)),
         lambda state: assemble_ramsey(state),
-        enumerate_family=_clique_enumeration, declares="form", values=CASES[RAMSEY], pairs=True,
-        grounds=VERTEX_KINDS,
+        enumerate_family=_clique_enumeration, declares="form", values=CASES[RAMSEY],
     ),
 }

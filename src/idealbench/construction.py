@@ -69,7 +69,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice
-from typing import TYPE_CHECKING, Callable, ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import HorizonExhausted, SchemaError, StructuralError
 from .records import record
@@ -97,7 +97,7 @@ class PartitionData:
     starts: Tuple[int, ...]
     lengths: Tuple[int, ...]
     rationals: Tuple[Fraction, ...]
-    greedy: ClassVar[bool] = False
+    greedy = False
 
     @staticmethod
     def _greedy(depth: int) -> "PartitionData":

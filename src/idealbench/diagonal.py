@@ -302,13 +302,6 @@ class LabelRule:
             blocks.pos, blocks.low = x, 0
         return blocks.starts
 
-    def to_json(self) -> dict:
-        """The rule in scenario form; a dict parameter becomes sorted (key, value) pairs."""
-        params = {k: sorted(v.items()) if isinstance(v, dict) else v
-                  for k, v in self.params.items()
-                  if not k.startswith("_") and k != "partition"}
-        return {"kind": self.kind, **params}
-
 
 @record(frozen=True)
 class LabelKind:
@@ -482,21 +475,6 @@ def run_stages(state, stages: int, stage):
     return state
 
 
-# the element function j -> element j of a ground sequence, by kind; the first
-# kind of a table is the one a sequence without "kind" has
-GroundKinds = Dict[str, Callable[[dict], Callable[[int], int]]]
-
-
-def _ground_kind(kinds: GroundKinds, ground: Optional[dict]):
-    """Kind of a model's ground; no ground, or one without "kind", has the table's first."""
-    return (ground or {}).get("kind", next(iter(kinds)))
-
-
-def _sequence(kinds: GroundKinds, ground) -> Callable[[int], int]:
-    """Element function of a model's ground, which ``Engine.checked`` has checked."""
-    return kinds[_ground_kind(kinds, ground)](ground)
-
-
 def assemble(state) -> dict:
     """Re-verify every family invariant of a finished run and return its payload:
     the ``result`` a diagonalization certificate records, ``families`` keyed by ``str(i)``."""
@@ -521,9 +499,7 @@ class Engine:
     lists its ``members``: only such a run can be checked for a collision.
     ``enumerate_family`` maps an assembled family payload to its anchors and
     to its members enumerated afresh, or is None.  A model declares its
-    form or case in the attribute ``declares``, one of ``values``; the rules
-    of a ``pairs`` engine need a pair form.  ``grounds``, if set, is the
-    table of the ground kinds a model's ``ground`` may have.
+    form or case in the attribute ``declares``, one of ``values``.
     """
 
     run: Callable[[object, int], object]
@@ -532,8 +508,6 @@ class Engine:
     enumerate_family: Optional[Callable[[dict], Tuple[list, List[int]]]] = None
     declares: Optional[str] = None
     values: tuple = ()
-    pairs: bool = False
-    grounds: Optional[GroundKinds] = None
 
     def checked(self, models: Sequence[CriticalNodeModel]) -> Tuple[CriticalNodeModel, ...]:
         """The models, after a SchemaError for any that does not fit this engine."""
@@ -542,17 +516,6 @@ class Engine:
                 raise SchemaError(f"model {model.index}: {self.declares} "
                                   f"{getattr(model, self.declares)!r} is not one of "
                                   f"{', '.join(map(str, self.values))}")
-            if self.pairs and LABEL_KINDS[model.rule.kind].pair is None:
-                raise SchemaError(
-                    f"model {model.index}: label rule {model.rule.kind!r} has no pair form")
-            if self.grounds:
-                if not isinstance(model.ground, (dict, type(None))):
-                    raise SchemaError(f"model {model.index}: ground must be an object")
-                kind = _ground_kind(self.grounds, model.ground)
-                if not isinstance(kind, str) or kind not in self.grounds:
-                    raise SchemaError(f"model {model.index}: ground kind {kind!r} is not one "
-                                      f"of {', '.join(self.grounds)}")
-                _sequence(self.grounds, model.ground)  # a SchemaError for bad parameters
         return tuple(models)
 
 

@@ -67,18 +67,19 @@ def code_unordered(a: int, b: int) -> int:
 
 
 def decode_unordered(k: int) -> Tuple[int, int]:
-    """Inverse of code_unordered; returns (lo, hi)."""
+    """Inverse of code_unordered; returns (lo, hi).
+
+    k = C(hi, 2) + lo with 0 <= lo < hi lies in [C(hi, 2), C(hi + 1, 2)),
+    so hi is the largest with C(hi, 2) <= k.  With r = isqrt(8k + 1), for
+    hi >= 1: C(hi, 2) <= k iff (2hi - 1)^2 <= 8k + 1 iff 2hi - 1 <= r, so
+    that hi is (r + 1) // 2, at least 1.  Then lo = k - C(hi, 2) >= 0, and
+    C(hi + 1, 2) = C(hi, 2) + hi > k gives lo < hi.  So
+    decode_unordered(code_unordered(a, b)) == (min, max) of a != b.
+    """
     if k < 0:
         raise ValueError("decode_unordered expects a natural")
-    # largest hi with hi(hi-1)/2 <= k
     hi = (isqrt(8 * k + 1) + 1) // 2
-    while hi * (hi - 1) // 2 > k:
-        hi -= 1
-    lo = k - hi * (hi - 1) // 2
-    if lo >= hi:  # k sits on the next column
-        hi += 1
-        lo = k - hi * (hi - 1) // 2
-    return lo, hi
+    return k - hi * (hi - 1) // 2, hi
 
 
 def is_prefix(shorter, longer) -> bool:

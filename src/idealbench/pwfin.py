@@ -193,6 +193,12 @@ def pwfin_stage(state: PwfinState, k: int, i: int,
       the class are naturals below S_n, so by pigeonhole the most frequent
       one holds g >= f/S_n of them, and the block weighs
       g/R_n >= f/L_n >= 1/3.
+
+    Horizon lemma: no stage k >= depth runs, so ``p.starts[k]`` exists.
+    The chosen n exceeds k: 2c skips n <= k, and in 2b the label lies in
+    [S_k, S_n) (fresh, and of colour 1), so S_k < S_n.  Every candidate n
+    is below the depth, so stage depth - 1 finds none and raises "no fresh
+    difference index" (or, for 2a, its contradiction), ending the run.
     """
     p = state.partition
     candidates = state.difference_indices()
@@ -210,10 +216,8 @@ def pwfin_stage(state: PwfinState, k: int, i: int,
             if prof.colour != 1:
                 continue
             # freshness of the label: outside I_<k, read as at least min I_k
-            if k < p.depth and prof.label_value < p.starts[k]:
+            if prof.label_value < p.starts[k]:
                 continue
-            if k >= p.depth:
-                raise HorizonExhausted("stage index beyond partition depth")
         else:
             if prof.colour != 2 or n <= k:
                 continue

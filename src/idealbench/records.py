@@ -14,7 +14,7 @@ It supports only what the package uses, with the meaning ``dataclasses``
 gives it:
 
 - fields are the class's own annotations after its record bases' fields,
-  in definition order; ``ClassVar`` annotations are skipped;
+  in definition order; a class attribute without an annotation is no field;
 - a field's default is its class attribute value, or a fresh
   ``default_factory()`` per instance with ``field(default_factory=...)``;
 - ``__init__`` takes every field and calls ``__post_init__`` when the class
@@ -22,6 +22,8 @@ gives it:
 - ``__repr__`` lists every field, ``__eq__`` compares the tuples of fields
   of two instances of the same class, and a frozen class hashes that tuple;
   a non-frozen class is unhashable;
+- assigning or deleting any attribute of a frozen record raises
+  ``FrozenInstanceError``; each subclass of a record is itself a record;
 - a method the class body defines itself is kept, and so is the
   ``__hash__ = None`` that Python adds beside an ``__eq__`` it defines;
 - no ``__slots__``, so ``functools.cached_property`` works on any record.
@@ -64,20 +66,13 @@ def record(cls=None, /, *, frozen: bool = False):
     return _build(cls, frozen)
 
 
-def _is_classvar(annotation) -> bool:
-    # a string under ``from __future__ import annotations``; str() of typing.ClassVar[...] else
-    return str(annotation).partition("[")[0].strip() in ("ClassVar", "typing.ClassVar")
-
-
 def _fields(cls) -> tuple:
     fields = {}
     for base in cls.__mro__[-1:0:-1]:
         for f in getattr(base, "__record_fields__", ()):
             fields[f.name] = f
     own = cls.__dict__
-    for name, annotation in own.get("__annotations__", {}).items():
-        if _is_classvar(annotation):
-            continue
+    for name in own.get("__annotations__", {}):
         default = getattr(cls, name, MISSING)
         f = default if isinstance(default, Field) else Field(default)
         f.name = name
@@ -152,21 +147,9 @@ def _repr(self) -> str:
             f"{', '.join(f'{f.name}={getattr(self, f.name)!r}' for f in cls.__record_fields__)})")
 
 
-def _frozen(self, name: str) -> bool:
-    """Whether ``name`` is frozen on ``self``: any name on an instance of a
-    frozen record, a field's name only on an instance of a plain subclass."""
-    cls = type(self)
-    return "__record_fields__" in cls.__dict__ or any(f.name == name
-                                                      for f in cls.__record_fields__)
-
-
 def _frozen_setattr(self, name: str, value) -> None:
-    if _frozen(self, name):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-    object.__setattr__(self, name, value)
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def _frozen_delattr(self, name: str) -> None:
-    if _frozen(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-    object.__delattr__(self, name)
+    raise FrozenInstanceError(f"cannot delete field {name!r}")

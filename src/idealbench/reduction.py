@@ -164,8 +164,10 @@ def check_reduction_witness(
     """Bounded certificate search; None never asserts a non-reduction.
 
     For the identity height-one witness, the root's successor descriptor is
-    the witnessed set itself and each realized successor n carries value n,
-    so every path value lands in the set trivially.  For coherent witnesses,
+    the witnessed set itself and each realized successor n carries value n.
+    The realized successors are ``a.enumerate_upto(horizon)``, members of
+    ``a`` by its contract, so every path value lies in the set and is not
+    checked again.  For coherent witnesses,
     the search ranges over per-level choices from the declared successor
     family; every node must branch inside the target dual and every maximal
     path must reach an assigned value inside the witnessed set.
@@ -178,10 +180,7 @@ def check_reduction_witness(
         branching = trees.check_branching(tree, claim.target, horizon)
         if branching[trees.ROOT].value != IN:
             return None
-        values = {(n,): n for n in realized}
-        if any(not a.contains(v) for v in values.values()):
-            return None
-        return TreeCertificate(tree, branching, values)
+        return TreeCertificate(tree, branching, {(n,): n for n in realized})
     if isinstance(claim.witness, CoherentWitness):
         return _coherent_search(claim, a, depth, horizon)
     raise ValueError("witness must be identity-height-one or coherent")

@@ -216,6 +216,7 @@ class TreeScenario(Scenario):
         return super().assumptions() + self.oracle().assumption_entries()
 
 
+@record(frozen=True)
 class CollisionScenario(Scenario):
     certificate_kind = "collision"
 

@@ -31,6 +31,7 @@ from idealbench.diagonal import (
     extract_profile,
     harmonic,
     model_for_stage,
+    rule_from_json,
     run_hindman,
     run_posdiff,
     run_pwfin,
@@ -230,6 +231,40 @@ def test_pwfin_starves_without_fresh_indices():
         )
 
 
+@pytest.mark.parametrize("case, rule", [
+    ("2b", {"kind": "prev-interval-max"}),
+    ("2c", {"kind": "identity"}),
+])
+def test_pwfin_stage_depth_minus_one_ends_every_run(case, rule):
+    # the horizon lemma of pwfin_stage: each stage k takes the first index
+    # n > k, so stage depth - 1 finds none, and no stage k >= depth runs
+    p = build_partition(6)
+    models = [CriticalNodeModel(0, rule_from_json(rule, p), case=case)]
+    state = pwfin.PwfinState(p, Cofinite(()), Finite(()), tuple(models))
+    with pytest.raises(HorizonExhausted,
+                       match=f"^stage 5: no fresh difference index fits case {case}$"):
+        run_stages(state, 9, pwfin.pwfin_stage)
+    assert [(r.k, r.n) for r in state.stages] == [(k, k + 1) for k in range(5)]
+
+
+def test_pwfin_2b_skips_an_interval_not_of_colour_1():
+    # I_1 labels itself (colour 2); I_2 labels 0, below it (colour 1)
+    p = build_partition(4)
+    entries = {x: x for x in p.interval_members(1)}
+    entries.update({x: 0 for x in p.interval_members(2)})
+    state = run_pwfin(p, Cofinite(()), Finite(()), [table_model(entries, "2b")], 1)
+    assert [(r.n, r.c_labels) for r in state.stages] == [(2, {"kind": "single", "value": "0"})]
+
+
+def test_pwfin_2a_refutation_weighs_bottom_intervals_only():
+    # I_1 labels itself (colour 2) and is skipped; I_2 is all bottom
+    p = build_partition(4)
+    model = table_model({x: x for x in p.interval_members(1)}, "2a")
+    with pytest.raises(ScenarioContradiction) as exc:
+        run_pwfin(p, Cofinite(()), Finite(()), [model], 1)
+    assert exc.value.report["blocks"] == [{"n": 2, "wQ": "3/1"}]  # L_2 points at 1/R_2
+
+
 def test_pwfin_assemble_records_bound():
     state, _ = pwfin_run("2c")
     payload = assemble(state)
@@ -353,7 +388,6 @@ def test_block_geometric_rule_stays_equal_to_itself_after_use():
     assert rule.label(50) == 45
     assert rule == other
     assert params == {"start": 2, "base_label": 5, "ratio": 3}
-    assert rule.to_json() == {"kind": "block-geometric", **params}
     assert repr(rule) == repr(other)
 
 
@@ -1305,6 +1339,30 @@ def test_collision_rejects_explicit_successor_trees():
         diag.models()[0],
     )
     assert report.outcome == "rejected"
+
+
+def test_collision_rejects_an_explicit_root_set_that_branches():
+    # under the powerset ideal an explicit finite set passes the branching
+    # check, and the explicit root set is refused after it
+    from idealbench.ideals import ideal_from_json
+    from idealbench.trees import Explicit, FiniteTree
+
+    scn, diag, payload, tree_scn = collision_parts()
+    report = collision_check(FiniteTree({(), (2,)}, {(): Explicit((2,))}),
+                             ideal_from_json({"kind": "powerset"}), tree_scn.coherent_map(),
+                             tree_scn.oracle(), payload, 0, diag.models()[0])
+    assert (report.outcome, report.node, report.reason) == (
+        "rejected", (), "explicit successor set")
+
+
+def test_collision_rejects_a_located_label_that_is_not_forbidden():
+    scn, diag, payload, tree_scn = collision_parts()
+    payload = {**payload, "forbidden_labels": [c for c in payload["forbidden_labels"] if c != "5"]}
+    report = collision_check(tree_scn.tree(), tree_scn.branching_ideal(),
+                             tree_scn.coherent_map(), tree_scn.oracle(), payload, 0,
+                             diag.models()[0])
+    assert (report.outcome, report.successor, report.label, report.reason) == (
+        "rejected", 2, 5, "label of the located successor is not forbidden")
 
 
 def test_collision_inconclusive_when_tree_avoids_family():

@@ -107,6 +107,17 @@ def test_decode_roundtrip(k):
     assert code_unordered(lo, hi) == k
 
 
+@given(st.integers(2, 2**200))
+def test_decode_at_column_edges_of_big_codes(h):
+    # decode_unordered computes hi in closed form, with no correction: these
+    # are the codes where an off-by-one hi would show
+    c = h * (h - 1) // 2
+    expected = {c - 1: (h - 2, h - 1), c: (0, h), c + h - 1: (h - 1, h), c + h: (0, h + 1)}
+    for k, pair in expected.items():
+        assert decode_unordered(k) == pair
+        assert code_unordered(*pair) == k
+
+
 def test_prefix_order():
     assert is_prefix((), (1, 2))
     assert is_prefix((1,), (1, 2))

@@ -1,9 +1,12 @@
 """Serialization schema, scenario loading, certificates, and the CLI."""
 
+import contextlib
 import hashlib
+import io
 import json
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,7 +17,8 @@ from idealbench.cli import run
 from idealbench.construction import MAX_DEPTH
 from idealbench.diagonal import rule_from_json
 from idealbench.errors import SchemaError
-from idealbench.scenarios import MAX_HORIZON, TreeScenario, load_scenario, scenario_from_json
+from idealbench.scenarios import (MAX_HORIZON, TreeScenario, bundled_names, load_scenario,
+                                  scenario_from_json)
 from idealbench.serialize import (
     PLAIN_DIGITS,
     canonical_bytes,
@@ -628,6 +632,27 @@ def test_cli_hindman_family_past_its_bound_is_a_schema_error_that_names_it(tmp_p
                 "family 131071 members, past the bound of 2^16 = 65536") in capsys.readouterr().err
 
 
+def test_cli_hindman_family_bound_is_decided_before_any_stage(monkeypatch, capsys):
+    # the stage schedule is fixed, so the refusal needs no stage: not the
+    # 16 admitted stages of hindman-case2, nor hindman-case1's stage 0,
+    # which would end in a contradiction
+    calls = []
+
+    def spy(state, k, i, model):
+        calls.append(k)
+        return stage(state, k, i, model)
+
+    stage = anchored.hindman_stage
+    monkeypatch.setattr(anchored, "hindman_stage", spy)
+    for name in ("hindman-case2", "hindman-case1"):
+        assert run(["diagonalize", "--scenario", name, "--stages", "17"]) == 2
+        assert ("schema error: stage 16: anchor 17 of model 0 would give its anchored sums "
+                "family 131071 members, past the bound of 2^16 = 65536") in capsys.readouterr().err
+    assert calls == []
+    assert run(["diagonalize", "--scenario", "hindman-case2", "--stages", "3"]) == 0
+    assert calls == [0, 1, 2]
+
+
 @pytest.mark.parametrize("name", ["sep1-basic", "collision-posdiff"])
 def test_cli_tree_and_collision_horizon_errors_name_the_bound(tmp_path, capsys, name):
     path = tmp_path / "scenario.json"
@@ -1236,6 +1261,29 @@ def test_cli_diagonalize_identity_exhausts_at_four_stages(tmp_path, capsys):
     assert "horizon exhausted" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario, stages, message", [
+    # block-geometric labels have no closed profile, and I_5 has about 6e18 points
+    (_changed_scenario("pw-2c", models=[{"index": 0, "case": "2c", "labels": {
+        "kind": "block-geometric", "start": 2, "base_label": 5, "ratio": 3}}]),
+     2, "interval 5 too large for a table model"),
+    (_changed_scenario("hindman-case4"), 9, "stage 8: no anchor clears threshold 2304"),
+], ids=["pwfin-enumeration-cap", "hindman-scan"])
+def test_cli_diagonalize_exhausts_with_the_reason(tmp_path, capsys, scenario, stages, message):
+    path = tmp_path / "scenario.json"
+    dump_json(path, scenario)
+    assert run(["diagonalize", "--scenario", str(path), "--stages", str(stages)]) == 3
+    assert f"horizon exhausted: {message}" in capsys.readouterr().err
+
+
+def test_cli_pwfin_table_rule_records_explicit_labels(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    dump_json(path, _changed_scenario("pw-2c", models=[
+        {"index": 0, "case": "2c", "labels": {"kind": "table", "entries": [[1, 5], [2, 6]]}}]))
+    assert run(["diagonalize", "--scenario", str(path), "--stages", "1"]) == 0
+    body = json.loads(capsys.readouterr().out)["body"]
+    assert body["result"]["forbidden_labels"] == [{"kind": "explicit", "members": ["5", "6"]}]
+
+
 def test_cli_contradiction_scenarios_exit_zero(capsys):
     assert run(["diagonalize", "--scenario", "hindman-case1"]) == 0
     got = json.loads(capsys.readouterr().out)
@@ -1318,3 +1366,57 @@ def test_cli_usage_errors(capsys):
     assert run(["membership", "--ideal", "{not json", "--set", "{}"]) == 2
     capsys.readouterr()
     assert run(["diagonalize", "--scenario", "missing-name"]) == 2
+
+
+# -- fuzzing: one field of a bundled scenario or certificate, changed ---------------
+
+@lru_cache(maxsize=None)
+def _fuzz_inputs() -> tuple:
+    """(command, flag, document) for each bundled scenario and each certificate
+    that a bundled scenario's default run produces."""
+    inputs = []
+    for name in bundled_names():
+        scn = load_scenario(name)
+        cert = certify.produce(scn.certificate_kind, scn.certificate_inputs(None), 0)
+        inputs += [("diagonalize", "--scenario", scn.to_json()), ("certify", "--in", cert)]
+    return tuple(inputs)
+
+
+def _json_paths(doc, prefix=()):
+    """The path of every member of ``doc`` below its root, dict keys and list
+    indices, but none inside a certificate body: C11 and the recheck tests
+    change body leaves, and the inputs are what a recheck parses."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        if prefix + (key,) != ("body",):
+            yield from _json_paths(value, prefix + (key,))
+
+
+_DELETE = object()
+_SMALL_JSON = st.one_of(
+    st.just(_DELETE), st.none(), st.booleans(), st.integers(-2, 8),
+    st.sampled_from(["", "x", "ap", "explicit", "1/2"]),
+    st.sampled_from([[], {}, [0], [[1, 2]], {"kind": "x"}, {"kind": "explicit"}]),
+)
+
+
+@settings(derandomize=True, deadline=3000, max_examples=600)
+@given(st.data())
+def test_cli_survives_any_one_field_change(tmp_path_factory, data):
+    command, flag, doc = data.draw(st.sampled_from(_fuzz_inputs()))
+    doc = json.loads(json.dumps(doc))
+    *parents, key = data.draw(st.sampled_from(list(_json_paths(doc))))
+    holder = doc
+    for step in parents:
+        holder = holder[step]
+    value = data.draw(_SMALL_JSON)
+    if value is _DELETE:
+        del holder[key]
+    else:
+        holder[key] = value
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    dump_json(path, doc)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run([command, flag, str(path)])
+    assert code in (0, 1, 2, 3)
