@@ -117,7 +117,7 @@ def main() -> int:
         report = verify_partition(p)
         t2 = time.perf_counter()
         emitted = p.to_json()
-        report.to_json()
+        report.to_json(emitted["rationals"])  # as a certificate body writes it
         construction._LEVELS.clear()
         t3 = time.perf_counter()
         PartitionData.from_json(emitted)

@@ -58,11 +58,8 @@ def _cmd_verify_construction(args) -> int:
     report = verify_partition(data)
     _emit(report.to_json(), args.out)
     if not report.passed:
-        for check in report.failures():
-            print(
-                f"condition {check.name} fails at index {check.index}",
-                file=sys.stderr,
-            )
+        for name, index, _, _ in report.failures():
+            print(f"condition {name} fails at index {index}", file=sys.stderr)
         return FAILURE
     return 0
 

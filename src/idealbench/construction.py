@@ -40,11 +40,14 @@ partitions, certificates and rechecks read it.  The weight-bound checker
 (``checkers``) runs its own residue recurrence and reads no table.
 
 * ``Decimal`` (``decimal_replay``) holds the greedy numbers for everything
-  that writes or checks them: the text needs no radix conversion,
-  ``verify_partition`` reads the identities and the descending slacks in
-  lowest terms (its lemma) off the replay, and so does the closed form of
-  the weight below the last point (``degenerate_weight_below_last_point``),
-  which the weight-bound certificate writes.  ``from_json`` reads each
+  that writes or checks them.  The text needs no radix conversion, and a
+  partition body writes each replay number's text once: the report's
+  descending slacks (k-1)/R_{n+1} reuse the partition's text of R_{n+1}.
+  ``verify_partition`` reads the identities and those slacks in lowest
+  terms (its lemma) off the replay and writes no text itself.  The closed
+  form of the weight below the last point
+  (``degenerate_weight_below_last_point``), which the weight-bound
+  certificate writes, is read off the replay too.  ``from_json`` reads each
   digit run as ``Decimal`` (linear time) and compares it with its level.
   libmpdec multiplies large numbers by a number-theoretic transform, where
   CPython's ``int`` uses Karatsuba, so this is the faster build.
@@ -163,7 +166,7 @@ class PartitionData:
         if self.greedy:
             S, L, R = self.decimal_replay
             starts, lengths = [str(d) for d in S], [str(d) for d in L]
-            rationals = [f"1/{d}" for d in R]
+            rationals = ["1/" + str(d) for d in R]
         else:
             starts, lengths = [int_str(s) for s in self.starts], [int_str(l) for l in self.lengths]
             rationals = [rat_str(r) for r in self.rationals]
@@ -295,58 +298,37 @@ def build_partition(depth: int) -> PartitionData:
     return PartitionData._greedy(depth)
 
 
-@record(frozen=True)
-class ReducedSlack:
-    """A slack (k-1)/R_{n+1} in lowest terms by ``verify_partition``'s lemma, in exact Decimal."""
-
-    numerator: Decimal
-    denominator: Decimal
-
-    @property
-    def text(self) -> str:
-        return f"{self.numerator}/{self.denominator}"
-
-
-Slack = Union[Fraction, ReducedSlack]
-
-
-@record(frozen=True)
-class ConditionReport:
-    name: str
-    index: int
-    holds: bool
-    slack: Optional[Slack]  # bound minus attained value, exact
-
-    def to_json(self) -> dict:
-        slack = self.slack
-        return {
-            "condition": self.name,
-            "index": self.index,
-            "holds": self.holds,
-            "slack": (
-                None if slack is None
-                else slack.text if isinstance(slack, ReducedSlack)
-                else rat_str(slack)
-            ),
-        }
+Check = Tuple[str, int, bool, Optional[Fraction]]  # condition, index, holds, slack
 
 
 @record(frozen=True)
 class PartitionReport:
+    """What ``verify_partition`` found: whether every condition holds, and its rows.
+
+    Data checked on its ints keeps its ``checks``, each slack the bound
+    minus the attained value, exact.  Greedy data keeps its decimal
+    ``replay`` instead, and ``to_json`` writes its rows from it by the lemma.
+    """
+
     passed: bool
-    reports: Tuple[ConditionReport, ...]
+    checks: Tuple[Check, ...] = ()
+    replay: Optional[Replay] = None
 
-    def failures(self) -> Tuple[ConditionReport, ...]:
-        return tuple(r for r in self.reports if not r.holds)
+    def failures(self) -> Tuple[Check, ...]:
+        return tuple(c for c in self.checks if not c[2])
 
-    def to_json(self) -> dict:
-        return {"passed": self.passed, "checks": [r.to_json() for r in self.reports]}
+    def to_json(self, rationals: Optional[Sequence[str]] = None) -> dict:
+        """The rows; of greedy data, ``rationals`` are the texts '1/R_n' its body wrote, if any."""
+        if self.replay is None:
+            checks = [{"condition": name, "index": n, "holds": holds,
+                       "slack": None if slack is None else rat_str(slack)}
+                      for name, n, holds, slack in self.checks]
+        else:
+            checks = _greedy_rows(self.replay, rationals)
+        return {"passed": self.passed, "checks": checks}
 
 
-Slacks = Tuple[List[Fraction], List[Fraction], List[Slack]]
-
-
-def _fraction_slacks(p: PartitionData) -> Slacks:
+def _fraction_slacks(p: PartitionData) -> Tuple[List[Fraction], List[Fraction], List[Fraction]]:
     """Growth, decay and descending slacks for arbitrary positive rationals."""
     r = p.rationals
     growth = [r[n] * p.lengths[n] - p.prefix_size(n) for n in range(1, p.depth)]
@@ -355,25 +337,34 @@ def _fraction_slacks(p: PartitionData) -> Slacks:
     return growth, decay, descending
 
 
-def _greedy_slacks(p: PartitionData) -> Slacks:
-    """The same slacks for greedy data, read off its decimal replay; no int is read.
+def _greedy_rows(replay: Replay, rationals: Optional[Sequence[str]]) -> List[dict]:
+    """The rows of greedy data by ``verify_partition``'s lemma, every condition holding.
 
-    The growth and decay slacks are zero, the descending slack at 0 is 1/2,
-    and each one past 0 is a ``ReducedSlack`` by ``verify_partition``'s lemma.
+    Growth and decay slacks are 0/1 and the descending slack at 0 is 1/2;
+    the one at n >= 1 is (k-1)/R_{n+1}, over the text of R_{n+1} that
+    ``rationals`` already hold, or else written here.
     """
-    replay_S, _, replay_R = p.decimal_replay
-    descending: List[Slack] = [Fraction(1, 2)]
-    for n in range(1, p.depth):  # R_{n+1} = 2^(n+1) |I_<n| R_n
-        numerator = EXACT.subtract(EXACT.multiply(replay_S[n], 1 << (n + 1)), 1)
-        descending.append(ReducedSlack(numerator, replay_R[n + 1]))
-    return [Fraction(0)] * (p.depth - 1), [Fraction(0)] * p.depth, descending
+    S, _, R = replay
+    depth = len(S)
+    R_text = [r[2:] for r in rationals] if rationals is not None else [str(d) for d in R]
+    rows = [{"condition": "base", "index": 0, "holds": True, "slack": None}]
+    rows += [{"condition": "growth", "index": n, "holds": True, "slack": "0/1"}
+             for n in range(1, depth)]
+    rows += [{"condition": "decay", "index": n, "holds": True, "slack": "0/1"}
+             for n in range(depth)]
+    rows.append({"condition": "descending", "index": 0, "holds": True, "slack": "1/2"})
+    for n in range(1, depth):  # k = 2^(n+1) S_n
+        k_minus_1 = EXACT.subtract(EXACT.multiply(S[n], 1 << (n + 1)), 1)
+        rows.append({"condition": "descending", "index": n, "holds": True,
+                     "slack": f"{k_minus_1}/{R_text[n + 1]}"})
+    return rows
 
 
 def verify_partition(p: PartitionData) -> PartitionReport:
     """Exact per-condition verification with rational slack.
 
-    On greedy data the growth and decay slacks are zero, and each
-    descending slack at 1 <= n < depth is kept as the pair (k-1, R_{n+1})
+    On greedy data every condition holds, the growth and decay slacks are
+    zero, and each descending slack at 1 <= n < depth is (k-1)/R_{n+1}
     with k = 2^(n+1) S_n, which is in lowest terms, so no gcd is taken.
 
     Proof.  For 1 <= j <= n the greedy identities give L_j = S_j R_j,
@@ -386,40 +377,39 @@ def verify_partition(p: PartitionData) -> PartitionReport:
     gcd(k-1, k) = 1.  So gcd(k-1, R_{n+1}) = gcd(k-1, k R_n) = 1.
 
     Greedy data has the shape, the base, contiguous non-empty intervals and
-    unit rationals by those identities, so it is checked and reported from
-    its decimal replay alone.  Any other data is checked on its ints, by
-    ``Fraction`` arithmetic (``_fraction_slacks``), whatever its rationals.
+    unit rationals by those identities, so verifying it reads its decimal
+    replay and writes nothing: its report holds the replay, and its rows
+    (``_greedy_rows``) are written only by ``to_json``, with no
+    ``Fraction``, comparison or record per condition.  Their texts are
+    0/1 for growth and decay, 1/2, and (k-1)/R_{n+1}, where the report of a
+    body that wrote ``p.to_json()`` reuses that text of R_{n+1}.  Any other
+    data is checked on its ints, by ``Fraction`` arithmetic
+    (``_fraction_slacks``), whatever its rationals, and written by ``rat_str``.
     """
-    if not p.greedy:
-        if p.depth < 1 or len(p.rationals) != p.depth + 1:
-            raise StructuralError("need depth intervals and depth+1 rationals")
-        if p.starts[0] != 0:
-            raise StructuralError("intervals must start at 0")
-        for n in range(1, p.depth):
-            if p.starts[n] != p.end(n - 1):
-                raise StructuralError(f"interval {n} is not contiguous")
-        if any(l < 1 for l in p.lengths):
-            raise StructuralError("intervals must be non-empty")
-        if any(r <= 0 for r in p.rationals):
-            raise StructuralError("rationals must be positive")
+    if p.greedy:
+        return PartitionReport(True, replay=p.decimal_replay)
+    if p.depth < 1 or len(p.rationals) != p.depth + 1:
+        raise StructuralError("need depth intervals and depth+1 rationals")
+    if p.starts[0] != 0:
+        raise StructuralError("intervals must start at 0")
+    for n in range(1, p.depth):
+        if p.starts[n] != p.end(n - 1):
+            raise StructuralError(f"interval {n} is not contiguous")
+    if any(l < 1 for l in p.lengths):
+        raise StructuralError("intervals must be non-empty")
+    if any(r <= 0 for r in p.rationals):
+        raise StructuralError("rationals must be positive")
 
-    reports: List[ConditionReport] = []
+    growth, decay, descending = _fraction_slacks(p)
     # condition (3): I_0 = {0}, r_0 = 1
-    reports.append(
-        ConditionReport("base", 0, p.greedy or (p.lengths[0] == 1 and p.rationals[0] == 1), None)
-    )
-    growth, decay, descending = (_greedy_slacks if p.greedy else _fraction_slacks)(p)
+    checks: List[Check] = [("base", 0, p.lengths[0] == 1 and p.rationals[0] == 1, None)]
     # condition (1): |I_<n| <= r_n |I_n|
-    for n, slack in enumerate(growth, 1):
-        reports.append(ConditionReport("growth", n, slack >= 0, slack))
+    checks += [("growth", n, slack >= 0, slack) for n, slack in enumerate(growth, 1)]
     # condition (2): |I_n| r_{n+1} <= 2^{-n-1}
-    for n, slack in enumerate(decay):
-        reports.append(ConditionReport("decay", n, slack >= 0, slack))
-    # strictly descending rationals; the sign of a slack is its numerator's
-    for n, slack in enumerate(descending):
-        reports.append(ConditionReport("descending", n, slack.numerator > 0, slack))
-
-    return PartitionReport(all(r.holds for r in reports), tuple(reports))
+    checks += [("decay", n, slack >= 0, slack) for n, slack in enumerate(decay)]
+    # strictly descending rationals
+    checks += [("descending", n, slack > 0, slack) for n, slack in enumerate(descending)]
+    return PartitionReport(all(c[2] for c in checks), tuple(checks))
 
 
 @record(frozen=True)
@@ -506,8 +496,9 @@ def degenerate_weight_below_last_point(depth: int) -> Tuple[str, str, bool]:
 
 def _partition(depth: int) -> dict:
     p = build_partition(depth)
-    report = verify_partition(p)
-    return {"partition": p.to_json(), "report": report.to_json()}
+    partition = p.to_json()
+    # the report's denominators R_n are the texts the partition just wrote
+    return {"partition": partition, "report": verify_partition(p).to_json(partition["rationals"])}
 
 
 def _weight_bound(depth: int) -> dict:

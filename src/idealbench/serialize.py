@@ -18,7 +18,7 @@ from __future__ import annotations
 import decimal
 import json
 from fractions import Fraction
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple, Union
 
 from .errors import SchemaError
 
@@ -138,8 +138,8 @@ def int_parse(s: str) -> int:
     return -n if s[0] == "-" else n
 
 
-def rat_str(q: Fraction) -> str:
-    q = Fraction(q)
+def rat_str(q: Union[Fraction, int]) -> str:
+    """'p/q' in lowest terms; an ``int`` carries its own ``numerator`` and ``denominator`` 1."""
     return f"{int_str(q.numerator)}/{int_str(q.denominator)}"
 
 

@@ -99,13 +99,16 @@ def test_verify_matches_independent_check(depth):
 def test_greedy_conditions_are_equality_tight():
     # the greedy rule spends no slack: growth holds with equality at every
     # index and decay with equality wherever the halving arm is not binding
+    # (the Fraction slacks of the same ints, and the texts the greedy report writes)
     p = build_partition(10)
-    report = verify_partition(p)
-    by_check = {(r.name, r.index): r for r in report.reports}
+    plain = verify_partition(PartitionData(p.starts, p.lengths, p.rationals))
+    slacks = {(name, n): slack for name, n, _, slack in plain.checks}
+    texts = {(c["condition"], c["index"]): c["slack"]
+             for c in verify_partition(p).to_json()["checks"]}
     for n in range(1, p.depth):
-        assert by_check[("growth", n)].slack == 0
+        assert slacks[("growth", n)] == 0 and texts[("growth", n)] == "0/1"
     for n in range(p.depth):
-        assert by_check[("decay", n)].slack == 0
+        assert slacks[("decay", n)] == 0 and texts[("decay", n)] == "0/1"
 
 
 def test_depth_one_is_vacuous():
@@ -120,7 +123,7 @@ def test_tampered_rational_fails_decay_and_descent():
     tampered = PartitionData(p.starts, p.lengths, tuple(rationals))
     report = verify_partition(tampered)
     assert not report.passed
-    failing = {(r.name, r.index) for r in report.failures()}
+    failing = {(name, n) for name, n, _, _ in report.failures()}
     assert ("decay", 1) in failing       # 2 * 1 > 1/4
     assert ("descending", 1) in failing  # 1/2 < 1
 
@@ -385,12 +388,31 @@ def test_tampered_report_bytes_are_pinned(tmp_path):
     assert run(["verify-construction", "--in", str(src), "--out", str(out)]) == 1
     digest = hashlib.sha256(canonical_bytes(load_json(out))).hexdigest()
     assert digest == "52bc54205015a6e9567432b506dfd3ecb3ce85d256603ae7a74ea1f8ca776a54"
+    # the file as written, so the given-ints slacks stay byte-exact in it too
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "e69eb0e6f4efeaeeb54c569a8400c3eacd78b5a7ee08f45e1cb8b22954aa90a7"
 
 
 # sha256 of the canonical certificate bytes (seed 0) as plain str() writes
 # them; depths 16 to 19 carry integers long enough for int_str to split,
-# and 18 and 19 are the deepest that the benchmark's partition workload draws
+# and 18 and 19 are the deepest that the benchmark's partition workload draws;
+# at depths 1 to 15 the per-condition rows weigh most against the digits
 PINNED_CERTIFICATES = {
+    ("partition", 1): "c86402196af6e59378719c47fd60b3b3cbba5c76a6b837df133753293344409b",
+    ("partition", 2): "cb0f632c60c0ae964aff6b18dfe4965020e99e8fb9b693616e84c26143fa0c49",
+    ("partition", 3): "e0d3b1c75aae23afb093d2462303ff1fc29b46b48ca8d4040130a83da51cd820",
+    ("partition", 4): "88251ecf8ba30625ecc97953fb99a0a25d7cfe3d00f198f7ea1f1ea8ea4ca1c2",
+    ("partition", 5): "8d5d03675eb62a133ed02f37e6d8295ef24f43eefb845fface210cf33a812745",
+    ("partition", 6): "aaa39977850763e25996b0f4c7df7724417687638c5fbbe63c33baedc8323bca",
+    ("partition", 7): "cdd57f4d0d05563b179455f3cf802cb77629692a5dcd450a986770c9fbf396f9",
+    ("partition", 8): "1e1e2053f78f2c69db7b8dd267aa289a18d68c0b32cc4b235f4db90e085de194",
+    ("partition", 9): "e785a9a617016ebfc43d5cd0f958d3f50223c0fa4f5a65f9862039b3996bcfaa",
+    ("partition", 10): "c2625af39ae216d54a27df12cdfe695bfd33d9bdff7ba900abcefc75d0ea7cea",
+    ("partition", 11): "5718db6dd40b295ead8c98f74da57fd179346d952dc1c2f506faa9fd6504adaf",
+    ("partition", 12): "46c393c22481b53bec3b0e3b88f831648716e87af1136e2cadd546288abcb74d",
+    ("partition", 13): "a92065507d40e390df7139bf1545386f707a71d2d619eaf8dd74d19d938cec64",
+    ("partition", 14): "3b53507cf228a301a7cf912b5718b8d3f48d05027d62e68b46bbc2dba2de51bd",
+    ("partition", 15): "82a32108f86eb786756536301bda7b62d4e17a37e8165b7226a2d57257e70ceb",
     ("partition", 16): "fe0e61ba38752c8f891761d1f8ea080485bacd16057a2c0f62b712a89851449f",
     ("partition", 17): "c5e20ae0278265e6253b10ca9df62e6713ee9f536a566d60610c1fcb11a577d4",
     ("partition", 18): "589fbeec6af57f8ef7d8d590ac3a9f6863a78e9aff093f6fdab3d77798e8cb03",
@@ -447,6 +469,8 @@ def test_verify_construction_report_of_depth_19_is_pinned(tmp_path):
     assert run(["verify-construction", "--in", str(src), "--out", str(out)]) == 0
     digest = hashlib.sha256(canonical_bytes(load_json(out))).hexdigest()
     assert digest == "ab73f943b8e9ff5e1a2bddfd14b521d59d608cbd416a52443fe92d567f72637e"
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "fbd92a83cd5266404ca33c4cec36a3f77fa1905087ac60109f91ecb4231d6dd6"
 
 
 def test_non_contiguous_intervals_rejected():
@@ -625,6 +649,55 @@ def test_depth_19_bytes_are_exact_under_a_rounding_context(monkeypatch):
     plain = round_trip()
     with decimal.localcontext(decimal.Context(prec=28, traps=[decimal.Inexact, decimal.Rounded])):
         assert round_trip() == plain
+
+
+class CountedDecimal(decimal.Decimal):
+    """A ``Decimal`` that counts how often it is written as text."""
+
+    texts = 0
+
+    def __str__(self):
+        self.texts += 1
+        return super().__str__()
+
+    def __format__(self, spec):
+        self.texts += 1
+        return super().__format__(spec)
+
+
+def counted_replay(depth):
+    """The replay of ``depth`` as ``CountedDecimal`` terms, each written 0 times so far."""
+    replay = [], [], [CountedDecimal(1)]
+    for level in construction.greedy_levels(depth, decimal.Decimal):
+        for terms, term in zip(replay, level):
+            terms.append(CountedDecimal(term))
+    return replay
+
+
+def test_a_greedy_partition_body_writes_each_replay_number_once(monkeypatch):
+    # R_{n+1} appears in the rationals and under descending slack n, yet each
+    # S_n, L_n and R_n is written once, and no slack goes through rat_str
+    depth = 19
+    plain = canonical_bytes(construction._partition(depth))
+    replay = counted_replay(depth)
+    monkeypatch.setattr(PartitionData, "decimal_replay", property(lambda p: replay))
+    slacks = []
+    monkeypatch.setattr(construction, "rat_str", lambda q: slacks.append(q) or rat_str(q))
+    # verifying writes no text: at depth 30 it could not
+    p = build_partition(depth)
+    assert verify_partition(p).passed
+    assert [term.texts for terms in replay for term in terms] == [0] * (3 * depth + 1)
+    assert canonical_bytes(construction._partition(depth)) == plain
+    assert [[term.texts for term in terms] for terms in replay] == [[1] * depth, [1] * depth,
+                                                                    [1] * (depth + 1)]
+    assert slacks == []
+    # a report written alone, as verify-construction writes it, writes each R_n once
+    replay = counted_replay(depth)
+    assert canonical_bytes(verify_partition(p).to_json()) == canonical_bytes(
+        json.loads(plain)["report"])
+    assert [[term.texts for term in terms] for terms in replay] == [[0] * depth, [0] * depth,
+                                                                    [1] * (depth + 1)]
+    assert slacks == []
 
 
 def test_partition_certificates_run_no_int_arithmetic(monkeypatch):
