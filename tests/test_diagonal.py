@@ -1092,6 +1092,17 @@ PINNED_CERTIFICATES = {
         "0777ecc3b5b5f411dd290a7e21b4b96265dd43cdf7e825a06b0aaae85c3f37cb",
     ("diagonalization", "gen-pwfin-2c-2b-2c-d16", 8):
         "7578b4637151cabe369fe839e2c03d6ce08bcd2ecd460958756e08914d0ded35",
+    # pinned while pairs stages rescanned from vertex 0 and interval stages
+    # re-walked every difference index: model 1 of the 6-stage two-model run
+    # rejects interval 1 at stage 1 and extracts it again at stage 4
+    ("diagonalization", "ramsey-case2", 12):
+        "220415a97d8be93004f8128cb3c08c83b036cea8223cfd32194c796d33cc6352",
+    ("diagonalization", "ramsey-case4", 12):
+        "0f485289e6976deec0777d6ce77301be74b805db87299e9e7efb6fbcff3b4ca8",
+    ("diagonalization", "gen-hindman-explicit", 6):
+        "4e099c539f786a6a2ea06fceada972b5938aa843cb0a98afec2e79f74e605a88",
+    ("diagonalization", "gen-pwfin-2c-2c-d14", 6):
+        "825f4a32f4b8de01199cb5d29dcbf030b15aedea69805fc34a5450cef6fdffd8",
 }
 
 
@@ -1124,6 +1135,9 @@ GENERATED_SCENARIOS = {
     "gen-pwfin-2c-2c-d14": generated_pwfin_scenario(("2c", "2c"), 14),
     "gen-pwfin-2b-2c-d16": generated_pwfin_scenario(("2b", "2c"), 16),
     "gen-pwfin-2c-2b-2c-d16": generated_pwfin_scenario(("2c", "2b", "2c"), 16),
+    "gen-hindman-explicit": {**sums_scenario(2, {"kind": "explicit", "members": sorted(
+        {1 << j for j in range(9)} | {3 << j for j in range(8)})}, {"kind": "min-support"}),
+        "name": "gen-hindman-explicit"},
 }
 
 
