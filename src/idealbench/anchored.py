@@ -26,6 +26,8 @@ def _explicit(what: str):
         seq = ground.get("members")
         if not isinstance(seq, list) or not all(type(x) is int and x >= 0 for x in seq):
             raise SchemaError(f"an explicit {what} sequence needs a members list of naturals")
+        if any(a >= b for a, b in zip(seq, seq[1:])):
+            raise SchemaError(f"the members of an explicit {what} sequence must strictly ascend")
 
         def element(j: int) -> int:
             if j >= len(seq):
@@ -42,7 +44,8 @@ def _ap(ground: dict) -> Callable[[int], int]:
 
 
 # the element function j -> element j of a ground sequence, by kind; the first
-# kind of a table is the one a ground without "kind" has
+# kind of a table is the one a ground without "kind" has.  Every kind's
+# sequence strictly ascends, which ``_scan`` and ``_assemble_anchored`` rest on
 GroundKinds = Dict[str, Callable[[dict], Callable[[int], int]]]
 
 # the kinds of a sums-engine ground and of a pairs-engine vertex sequence
@@ -58,7 +61,7 @@ VERTEX_KINDS: GroundKinds = {
 
 SUMS_SCAN_CAP = 64
 PAIRS_SCAN_CAP = 4096
-# the largest scan_cap a scenario may declare: each admits about 0.4 CPU s
+# the largest scan_cap a scenario may declare: each admits about 0.5 CPU s
 # of scanning at worst (docs/schemas.md)
 SUMS_SCAN_MAX = 1 << 16
 PAIRS_SCAN_MAX = 1 << 18
@@ -71,12 +74,13 @@ SUMS_FAMILY_CAP = 1 << 16
 
 @record
 class AnchorStageRecord:
-    """The anchor stage k adds to model i: a (ground index, value) pair for
-    the sums engine, a vertex for the pairs engine."""
+    """The anchor stage k adds to model i: element j of the model's ground
+    sequence (its vertex sequence under the pairs engine), of value ``anchor``."""
 
     k: int
     i: int
-    anchor: object
+    j: int
+    anchor: int
 
 
 @record
@@ -89,8 +93,8 @@ class AnchorState:
     scan_cap: int
     stages: List[AnchorStageRecord] = field(default_factory=list)
 
-    def anchors(self, i: int) -> list:
-        """Model i's anchors in stage order."""
+    def anchors(self, i: int) -> List[int]:
+        """Model i's anchor values in stage order."""
         return [rec.anchor for rec in self.stages if rec.i == i]
 
 
@@ -128,13 +132,20 @@ def _probe_constant(labels: set, summary: str, assumption: str, **extra) -> None
         )
 
 
-def _scan(state: AnchorState, k: int, first: int, element, clears, threshold: int,
-          what: str) -> Tuple[int, int]:
-    """First (j, element(j)) with j in first .. scan_cap - 1 that clears the threshold."""
-    for j in range(first, state.scan_cap):
+def _scan(state: AnchorState, k: int, i: int, clears, threshold: int,
+          what: str) -> AnchorStageRecord:
+    """Stage k's record for model i: the first element j of the model's ground
+    sequence after its last anchor, below ``scan_cap``, with ``clears(j, element j)``.
+
+    The scan resumes after the last anchor because every ground sequence
+    strictly ascends: the elements after it are exactly those above it.
+    """
+    element = state.elements[i]
+    last = [rec.j for rec in state.stages if rec.i == i]
+    for j in range(last[-1] + 1 if last else 0, state.scan_cap):
         x = element(j)
         if clears(j, x):
-            return j, x
+            return AnchorStageRecord(k, i, j, x)
     raise HorizonExhausted(f"stage {k}: no {what} clears threshold {threshold}")
 
 
@@ -175,8 +186,7 @@ def hindman_stage(state: AnchorState, k: int, i: int,
             probes=[str(x) for x in probes],
         )
 
-    anchors = state.anchors(i)
-    prev = [h for _, h in anchors]
+    prev = state.anchors(i)
     sums = (0,) + fs(prev)   # at every form: fs refuses repeated or negative anchors
     # h + y must clear the threshold for every offset y; the whole anchored
     # block under form 5 (and 1), whose anchor must exceed every earlier sum
@@ -191,8 +201,7 @@ def hindman_stage(state: AnchorState, k: int, i: int,
         return (floor is None or h > floor) and all(
             _clears(label_of(h + y), threshold) for y in offsets)
 
-    first = anchors[-1][0] + 1 if anchors else 0
-    return AnchorStageRecord(k, i, _scan(state, k, first, element, clears, threshold, "anchor"))
+    return _scan(state, k, i, clears, threshold, "anchor")
 
 
 def run_hindman(models: Sequence[CriticalNodeModel], stages: int,
@@ -209,7 +218,9 @@ def ramsey_stage(state: AnchorState, k: int, i: int,
     Minimum-form stages need the common label of the new vertex with later
     vertices, probed on the next ground element; maximum-form and injective
     stages need every pair with an earlier anchor to clear the threshold,
-    which is exactly what their stage smallness uses.
+    which is exactly what their stage smallness uses.  The scan starts
+    after the model's last vertex (``_scan``), and the vertex sequence
+    strictly ascends, so each vertex lies above the one before.
     """
     vertex = state.elements[i]
     label_of = model.rule.pair_label
@@ -227,14 +238,11 @@ def ramsey_stage(state: AnchorState, k: int, i: int,
     threshold = (1 << k) if model.form in (2, 3) else k * (1 << k)
 
     def clears(j, t):
-        if anchors and t <= anchors[-1]:
-            return False
         if model.form == 2:
             return _clears(label_of(t, vertex(j + 1)), threshold)
         return all(_clears(label_of(s, t), threshold) for s in anchors)
 
-    _, t = _scan(state, k, 0, vertex, clears, threshold, "vertex")
-    return AnchorStageRecord(k, i, t)
+    return _scan(state, k, i, clears, threshold, "vertex")
 
 
 def run_ramsey(models: Sequence[CriticalNodeModel], stages: int,
@@ -252,14 +260,13 @@ def _sums_blocks(i: int, model: CriticalNodeModel, anchors: list):
     (the other forms) is anchor b.  Block-disjoint anchors have distinct
     subset sums, so each block is anchor b plus ``fs`` of the other side.
     """
-    values = [h for _, h in anchors]
-    if not block_disjoint(values):
+    if not block_disjoint(anchors):
         raise ScenarioContradiction(
             {"summary": f"model {i}: anchors are not block disjoint"}
         )
-    blocks = [[h + y for y in (0,) + fs(values[b + 1:] if model.form == 2 else values[:b])]
-              for b, h in enumerate(values)]
-    return blocks, {"structure": "finite-sums", "anchors": [str(v) for v in values]}
+    blocks = [[h + y for y in (0,) + fs(anchors[b + 1:] if model.form == 2 else anchors[:b])]
+              for b, h in enumerate(anchors)]
+    return blocks, {"structure": "finite-sums", "anchors": [str(v) for v in anchors]}
 
 
 def _pairs_blocks(i: int, model: CriticalNodeModel, verts: list):
@@ -294,10 +301,12 @@ def _assemble_anchored(state: AnchorState, blocks_of, canonical: str, point,
     are not block disjoint, and block-disjoint anchors ascend with disjoint
     binary supports, so distinct sets of anchors have distinct sums.  Block
     b holds the sums of the sets whose least (form 2) or greatest anchor is
-    anchor b, and each non-empty set has exactly one.  Pairs: each vertex
-    lies above the one before (``ramsey_stage``), so distinct pairs have
-    distinct ``code_unordered`` codes.  Block b holds the pairs whose
-    earlier (form 2) or later vertex is vertex b, and each pair has
+    anchor b, and each non-empty set has exactly one.  Pairs: each stage
+    takes a vertex after its model's last one (``_scan``) from a vertex
+    sequence that strictly ascends (every ground kind does; ``explicit``
+    refuses members that do not), so the vertices ascend and distinct
+    pairs have distinct ``code_unordered`` codes.  Block b holds the pairs
+    whose earlier (form 2) or later vertex is vertex b, and each pair has
     exactly one.
     """
     bottom, single, domain_name = texts

@@ -468,6 +468,12 @@ def run_stages(state, stages: int, stage):
     ``state.stages``.  The records are the run's only state: a stage reads
     what earlier stages did from them, and a stage that raises appends
     nothing.
+
+    A stage that scans an ordered candidate list (the ground or vertex
+    sequence of the sums and pairs engines, pwfin's difference indices)
+    searches forward from its model's last choice, never from the start.
+    posdiff reads its runs afresh at each stage, as its eligibility
+    depends on labels, not positions.
     """
     for k in range(stages):
         i, model = model_for_stage(state.models, k)

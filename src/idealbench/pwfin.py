@@ -158,10 +158,11 @@ class PwfinState:
     models: Tuple[CriticalNodeModel, ...]
     stages: List[PwfinStageRecord] = field(default_factory=list)
 
-    def difference_indices(self) -> List[int]:
+    def difference_indices(self, after: int = 0) -> List[int]:
+        """The n in after + 1 .. depth - 1 that P holds and Q does not."""
         return [
             n
-            for n in range(1, self.partition.depth)
+            for n in range(after + 1, self.partition.depth)
             if self.p_set.contains(n) and not self.q_set.contains(n)
         ]
 
@@ -170,8 +171,14 @@ def pwfin_stage(state: PwfinState, k: int, i: int,
                 model: CriticalNodeModel) -> PwfinStageRecord:
     """One stage of the interval engine.
 
-    An interval is fresh for model i while no record of model i holds it,
-    so two models may each take the same interval.
+    The stage takes the first difference index after the one its model
+    chose last that fits the model's case, so a model's intervals ascend
+    and two models may each take the same interval.  The late start skips
+    no interval that fits: the stage that chose the last one took or
+    rejected every index before it, and a rejected candidate stays
+    rejected at every later stage of the model, because its profile
+    (colour and label) is fixed per interval, ``p.starts[k]`` grows with
+    k, and n <= k persists.
 
     Bound lemma: the stage bounds hold without a check.  The partition is
     greedy (``run_pwfin`` refuses any other), the labels are naturals (the
@@ -201,33 +208,20 @@ def pwfin_stage(state: PwfinState, k: int, i: int,
     difference index" (or, for 2a, its contradiction), ending the run.
     """
     p = state.partition
-    candidates = state.difference_indices()
+    last = [rec.n for rec in state.stages if rec.i == i]
+    candidates = state.difference_indices(last[-1] if last else 0)
 
     if model.case == "2a":
         _pwfin_refute_2a(state, model, candidates)
 
-    used = {rec.n for rec in state.stages if rec.i == i}
-    chosen = None
     for n in candidates:
-        if n in used:
-            continue
         prof = extract_profile(model, p, n)
-        if model.case == "2b":
-            if prof.colour != 1:
-                continue
-            # freshness of the label: outside I_<k, read as at least min I_k
-            if prof.label_value < p.starts[k]:
-                continue
-        else:
-            if prof.colour != 2 or n <= k:
-                continue
-        chosen = (n, prof)
-        break
-    if chosen is None:
-        raise HorizonExhausted(
-            f"stage {k}: no fresh difference index fits case {model.case}"
-        )
-    n, prof = chosen
+        # 2b takes a fresh label: outside I_<k, read as at least min I_k
+        if ((prof.colour == 1 and prof.label_value >= p.starts[k]) if model.case == "2b"
+                else (prof.colour == 2 and n > k)):
+            break
+    else:
+        raise HorizonExhausted(f"stage {k}: no fresh difference index fits case {model.case}")
 
     c_weight = profile_label_weight(prof, state.p_set, p)
     d_count = prof.g_count if model.case == "2b" else prof.f_count

@@ -248,7 +248,13 @@ def _first_difference(a: Any, b: Any) -> Optional[List[str]]:
         for key in sorted(a.keys() | b.keys()):
             if key not in a or key not in b:
                 return [f".{key}"]
-            steps = _first_difference(a[key], b[key])
+            x, y = a[key], b[key]
+            # leaves of one type are compared here, without a call
+            if type(x) is type(y) and type(x) in _LEAF_TYPES:
+                if x != y:
+                    return [f".{key}"]
+                continue
+            steps = _first_difference(x, y)
             if steps is not None:
                 steps.append(f".{key}")
                 return steps

@@ -827,7 +827,7 @@ HINDMAN_EXPECTED_ANCHORS = {
 def test_hindman_runs_and_invariants(form):
     scn = load_scenario(f"hindman-case{form}")
     state = run_hindman(scn.models(), 4)
-    values = [h for _, h in state.anchors(0)]
+    values = state.anchors(0)
     assert values == HINDMAN_EXPECTED_ANCHORS[form]
     assert block_disjoint(values)
     payload = assemble(state)
@@ -1227,6 +1227,123 @@ def test_engine_certificate_grid_is_pinned():
                                          stages))
     digest.update(_outcome_bytes("collision", load_scenario("collision-posdiff").to_json(), None))
     assert digest.hexdigest() == PINNED_ENGINE_GRID
+
+
+# -- the scan rule ------------------------------------------------------------------
+
+def _stage_log(monkeypatch, module, stage_name, chosen):
+    """A list of [i, reads, choice], one per stage of ``module.<stage_name>``.
+
+    ``reads`` starts empty for a spy to fill; ``choice`` is ``chosen`` of
+    the stage's record, or None while the stage runs or if it raised.
+    """
+    log = []
+    stage = getattr(module, stage_name)
+
+    def spied(state, k, i, model):
+        log.append([i, [], None])
+        rec = stage(state, k, i, model)
+        log[-1][2] = chosen(rec)
+        return rec
+    monkeypatch.setattr(module, stage_name, spied)
+    return log
+
+
+def _spy_ground_reads(monkeypatch, log):
+    """Log each ground or vertex element an anchored stage reads by its index."""
+    grounded = anchored._grounded
+
+    def read(element, j):
+        log[-1][1].append(j)
+        return element(j)
+
+    def spied(*args, **kwargs):
+        models, elements = grounded(*args, **kwargs)
+        return models, tuple(lambda j, e=e: read(e, j) for e in elements)
+    monkeypatch.setattr(anchored, "_grounded", spied)
+
+
+def _spy_extractions(monkeypatch, log):
+    """Log each interval a pwfin stage extracts a profile of."""
+    extract = pwfin.extract_profile
+
+    def spied(model, p, n):
+        log[-1][1].append(n)
+        return extract(model, p, n)
+    monkeypatch.setattr(pwfin, "extract_profile", spied)
+
+
+SCANNED_RUNS = [
+    ("hindman_stage", "hindman-case5", 8),
+    ("hindman_stage", "gen-hindman-explicit", 6),
+    *(("ramsey_stage", f"ramsey-case{form}", 12) for form in (2, 3, 4)),
+    ("ramsey_stage", TWO_MODEL_SCENARIOS[1], 6),
+    ("pwfin_stage", "gen-pwfin-2c-2c-d14", 6),
+    ("pwfin_stage", "gen-pwfin-2c-2b-2c-d16", 8),
+]
+
+
+@pytest.mark.parametrize("stage_name, scenario, stages", SCANNED_RUNS,
+                         ids=[f"{name}-{run}" if isinstance(run, str) else f"{name}-two-models"
+                              for name, run, _ in SCANNED_RUNS])
+def test_no_stage_reads_at_or_below_its_models_last_choice(monkeypatch, stage_name,
+                                                           scenario, stages):
+    # a stage searches forward from its model's last choice: the anchored
+    # engines read no ground element at or below the index of the model's
+    # last anchor, and pwfin extracts no profile at or below its last interval
+    if stage_name == "pwfin_stage":
+        log = _stage_log(monkeypatch, pwfin, stage_name, lambda rec: rec.n)
+        _spy_extractions(monkeypatch, log)
+    else:
+        log = _stage_log(monkeypatch, anchored, stage_name, lambda rec: rec.j)
+        _spy_ground_reads(monkeypatch, log)
+    if isinstance(scenario, str):
+        scenario = GENERATED_SCENARIOS.get(scenario) or load_scenario(scenario).to_json()
+    certify.produce("diagonalization", {"scenario": scenario, "stages": stages}, 0)
+    assert [choice is not None for _, _, choice in log] == [True] * stages
+    last = {}
+    for i, reads, choice in log:
+        assert reads and choice in reads
+        assert all(x > last.get(i, -1) for x in reads), (i, last.get(i), reads)
+        last[i] = choice
+
+
+def reference_ramsey_stage(state, k, i, model):
+    """``anchored.ramsey_stage`` as first written, forms 2-4: each stage scans
+    the vertex sequence from index 0 and passes over every vertex at or below
+    the model's last one.  The reference the resuming scan must agree with."""
+    vertex = state.elements[i]
+    label_of = model.rule.pair_label
+    anchors = state.anchors(i)
+    threshold = (1 << k) if model.form in (2, 3) else k * (1 << k)
+
+    def clears(j, t):
+        if anchors and t <= anchors[-1]:
+            return False
+        if model.form == 2:
+            return anchored._clears(label_of(t, vertex(j + 1)), threshold)
+        return all(anchored._clears(label_of(s, t), threshold) for s in anchors)
+
+    for j in range(state.scan_cap):
+        t = vertex(j)
+        if clears(j, t):
+            return anchored.AnchorStageRecord(k, i, j, t)
+    raise HorizonExhausted(f"stage {k}: no vertex clears threshold {threshold}")
+
+
+@settings(max_examples=120, deadline=None)
+@given(form=st.sampled_from([2, 3, 4]),
+       members=st.lists(st.integers(0, 3000), min_size=2, max_size=60, unique=True).map(sorted),
+       stages=st.integers(1, 9))
+@example(form=2, members=list(range(64)), stages=6)
+@example(form=4, members=[3 * j + 1 for j in range(200)], stages=8)
+def test_the_resuming_pairs_scan_matches_the_rescan_from_index_0(form, members, stages):
+    scenario = copy.deepcopy(load_scenario(f"ramsey-case{form}").to_json())
+    scenario["models"][0]["ground"] = {"kind": "explicit", "members": members}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(anchored, "ramsey_stage", reference_ramsey_stage)
+        expected = _outcome_bytes("diagonalization", scenario, stages)
+    assert _outcome_bytes("diagonalization", scenario, stages) == expected
 
 
 # -- stage bookkeeping ---------------------------------------------------------------

@@ -342,6 +342,22 @@ def _hindman_scenario(**changes) -> dict:
     return _changed_scenario("hindman-case2", **changes)
 
 
+def _explicit_ground_scenario(engine: str, members: list) -> dict:
+    """hindman-case2 or ramsey-case2 on an explicit ground with these members."""
+    labels = {"hindman": "min-support", "ramsey": "pair-min"}[engine]
+    return _changed_scenario(f"{engine}-case2", models=[{
+        "index": 0, "form": 2, "labels": {"kind": labels},
+        "ground": {"kind": "explicit", "members": members}}])
+
+
+# explicit grounds and vertex sequences whose members do not strictly ascend
+_NOT_ASCENDING = [(engine, members) for engine in ("hindman", "ramsey")
+                  for members in ([2, 2, 5], [5, 3])]
+_NOT_ASCENDING_SCENARIOS = [_explicit_ground_scenario(*case) for case in _NOT_ASCENDING]
+_NOT_ASCENDING_IDS = [f"{engine}-explicit-members-{'-'.join(map(str, members))}"
+                      for engine, members in _NOT_ASCENDING]
+
+
 # the one oracle row of sep1-basic: its root's class labelled 5 is positive
 _SEP1_ROW = load_scenario("sep1-basic").to_json()["oracle"][0]
 
@@ -495,6 +511,7 @@ _SEP1_ROW = load_scenario("sep1-basic").to_json()["oracle"][0]
             "index": 0, "form": form, "labels": {"kind": "pair-min"},
             "ground": {"kind": "ap", **ground}}])
           for form in (2, 3) for ground in ({"base": -10, "step": 1}, {"base": 0, "step": 0})),
+        *_NOT_ASCENDING_SCENARIOS,
         [1, 2],
         "x",
     ],
@@ -544,7 +561,7 @@ _SEP1_ROW = load_scenario("sep1-basic").to_json()["oracle"][0]
          "hindman-ground-a-string", "ramsey-ground-kind-a-list", "ramsey-ground-a-string",
          "ramsey-form-2-ap-base-negative", "ramsey-form-2-ap-step-zero",
          "ramsey-form-3-ap-base-negative", "ramsey-form-3-ap-step-zero",
-         "top-level-list", "top-level-string"],
+         *_NOT_ASCENDING_IDS, "top-level-list", "top-level-string"],
 )
 def test_cli_diagonalize_rejects_malformed_scenarios(tmp_path, capsys, scenario):
     path = tmp_path / "scenario.json"
@@ -755,6 +772,8 @@ def _without_name(name: str) -> dict:
         ("diagonalization", {"scenario": _changed_scenario("ramsey-case2", models=[{
             "index": 0, "form": 2, "labels": {"kind": "pair-min"},
             "ground": {"kind": "ap", "base": -10, "step": 1}}]), "stages": 2}),
+        *(("diagonalization", {"scenario": scenario, "stages": 2})
+          for scenario in _NOT_ASCENDING_SCENARIOS),
         ("partition", {}),
         ("partition", {"depth": 0}),
         ("weight-bound", {"depth": "3"}),
@@ -791,7 +810,7 @@ def _without_name(name: str) -> dict:
          "structural-identity-on-pwfin",
          "tree-labelling-on-posdiff", "scenario-without-schema", "collision-tree-not-a-tree",
          "tree-branching-ideal-kind-a-list", "tree-branching-ideal-kind-an-object",
-         "ramsey-ap-base-negative",
+         "ramsey-ap-base-negative", *_NOT_ASCENDING_IDS,
          "partition-no-depth", "partition-depth-zero", "weight-bound-depth-not-int",
          "subset-reduction-no-pairs", "pigeonhole-no-samples", "pigeonhole-interval-past-depth",
          "partition-depth-past-max", "weight-bound-depth-past-max",
@@ -815,6 +834,21 @@ def test_cli_certify_rejects_malformed_scenario_inputs(tmp_path, capsys, kind, i
     assert run(["certify", "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert "schema error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scenario", _NOT_ASCENDING_SCENARIOS, ids=_NOT_ASCENDING_IDS)
+def test_explicit_members_that_do_not_strictly_ascend_are_refused(tmp_path, capsys, scenario):
+    path = tmp_path / "scenario.json"
+    dump_json(path, scenario)
+    cert = certify.produce("pairing", {"bound": 3, "unordered_bound": 3}, 0)
+    cert["kind"] = "diagonalization"
+    cert["inputs"] = {"scenario": scenario, "stages": 2}
+    cert_path = tmp_path / "certificate.json"
+    dump_json(cert_path, cert)
+    for argv in (["diagonalize", "--scenario", str(path)], ["certify", "--in", str(cert_path)]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "sequence must strictly ascend" in err and "Traceback" not in err
 
 
 def test_cli_certify_refuses_a_scenario_of_another_kind(tmp_path, capsys):
